@@ -194,9 +194,7 @@ def quadrature_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
         base_spec = auto_spec(om, mpf("1.5"), p)
         v1, e1 = hankel_integrate(ispec, base_spec, p)
         half_spec = HankelSpec(
-            lam=mpf(base_spec.lam) / 2,
-            ray_truncation=base_spec.ray_truncation,
-            target_abs_error=base_spec.target_abs_error,
+            lam=mpf(base_spec.lam) / 2, ray_truncation=base_spec.ray_truncation
         )
         v2, e2 = hankel_integrate(ispec, half_spec, p)
         dev = abs(v1 - v2)
@@ -220,7 +218,7 @@ def quadrature_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
         )
         # error-estimate honesty against a sharper reference
         honest = True
-        sharp = PrecisionPolicy(p.precision_bits + 64, 1e-34, 1e-34)
+        sharp = PrecisionPolicy(p.precision_bits + 64, 1e-34)
         for _ in range(3):
             wv = mpf(1) + 2 * mpf(rng.random())
             sv = mpf("1.3") + mpf(rng.random())

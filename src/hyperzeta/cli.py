@@ -200,9 +200,7 @@ def _resolve_policy(args) -> PrecisionPolicy:
         raise InvalidParameter("precision-bits must be at least 64")
     if args.tol <= 0:
         raise InvalidParameter("tol must be positive")
-    return PrecisionPolicy(
-        precision_bits=bits, target_abs_error=args.tol, target_rel_error=args.tol
-    )
+    return PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
 
 
 def _resolve_hspec(args, omega: OmegaVector, w, p: PrecisionPolicy):
@@ -210,13 +208,7 @@ def _resolve_hspec(args, omega: OmegaVector, w, p: PrecisionPolicy):
         return None
     base = auto_spec(omega, w, p)
     lam = mpf(args.lam)
-    spec = HankelSpec(
-        lam=lam,
-        ray_truncation=max(mpf(base.ray_truncation), 2 * lam),
-        ray_nodes=base.ray_nodes,
-        circle_nodes=base.circle_nodes,
-        target_abs_error=base.target_abs_error,
-    )
+    spec = HankelSpec(lam=lam, ray_truncation=max(mpf(base.ray_truncation), 2 * lam))
     spec.validate(omega)
     return spec
 

@@ -32,10 +32,6 @@ METHOD_CONTOUR = "contour"
 METHOD_CLOSED = "closed_form"
 METHOD_COMBINATION = "combination"
 
-# keep Re(w)*lambda modest so the circle does not demand huge guard precision;
-# justified by lambda-independence of the contour value
-_MAX_W_LAMBDA = 12
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -49,22 +45,6 @@ def _require_right_half(w):
     if not mp.re(w) > 0:
         raise InvalidParameter("Re(w) > 0 is required")
     return w
-
-
-def default_hspec(
-    omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY
-) -> HankelSpec:
-    spec = auto_spec(omega, w, p)
-    rew = mp.re(mp.mpc(w))
-    if rew * mpf(spec.lam) > _MAX_W_LAMBDA:
-        spec = HankelSpec(
-            lam=mpf(_MAX_W_LAMBDA) / rew,
-            ray_truncation=spec.ray_truncation,
-            ray_nodes=spec.ray_nodes,
-            circle_nodes=spec.circle_nodes,
-            target_abs_error=spec.target_abs_error,
-        )
-    return spec
 
 
 # -- direct lattice summation ---------------------------------------------
@@ -144,8 +124,6 @@ def zeta_contour(
             raise TooCloseToInteger(
                 "s is within 1e-3 of an integer; use log_hyper_gamma(0, k)"
             )
-        if hspec is None:
-            hspec = default_hspec(omega, w, p)
         ispec = IntegrandSpec(omega=omega, w=w, s=s)
         integral, qerr = hankel_integrate(ispec, hspec, p)
         prefactor = 1 / (
@@ -170,8 +148,6 @@ def log_hyper_gamma(
         raise InvalidParameter("log_hyper_gamma needs m, k >= 0")
     w = _require_right_half(w)
     with p.context(16):
-        if hspec is None:
-            hspec = default_hspec(omega, w, p)
         ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=q_poly(m, k, p))
         value, qerr = hankel_integrate(ispec, hspec, p)
         return EvalResult(value, qerr, METHOD_CONTOUR)
@@ -198,7 +174,7 @@ def balanced_P(
     w = _require_right_half(w)
     with p.context(16):
         if hspec is None:
-            hspec = default_hspec(omega, w, p)
+            hspec = auto_spec(omega, w, p)
         if method == METHOD_CONTOUR:
             poly = s_poly(m, k if k >= 0 else 0, p)
             ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=poly)
@@ -279,8 +255,3 @@ def derivative_fd(f, x, h, richardson: bool = True):
         return d1
     d2 = stencil(2 * h)
     return (16 * d1 - d2) / 15
-
-
-def quad_target(p: PrecisionPolicy, target: float) -> PrecisionPolicy:
-    """Policy with a tighter quadrature target (finite-difference helper)."""
-    return p.with_target(target)

@@ -13,11 +13,18 @@ inbound integrands, so a single-valued integrand cancels exactly and only the
 circle contributes.  Rays use composite Gauss-Legendre panels on a geometric
 subdivision of [lambda, T]; the circle uses Gauss-Legendre panels in theta.
 Error estimates come from node-doubling agreement.
+
+``auto_spec`` is the one default path rule: lambda = 1/2 * min(pole bound,
+2 pi), clamped to 12 / Re(w).  The clamp matters at large w: the circle's far
+side carries e^{Re(w) lambda}, which cancels in the sum, so the guard bits grow
+as 1.5 * Re(w) * lambda.  The value does not depend on lambda, so a smaller
+circle costs nothing in accuracy.  The ray truncation T is chosen before the
+clamp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
@@ -29,15 +36,15 @@ from .qpoly import PolyC
 from .series import LaurentSeries
 
 MAX_DOUBLINGS = 7
+# Gauss-Legendre nodes per panel, and the circle's node total before doubling
+RAY_NODES = 32
+CIRCLE_NODES = 256
 
 
 @dataclass(frozen=True)
 class HankelSpec:
     lam: float
     ray_truncation: float
-    ray_nodes: int = 32
-    circle_nodes: int = 256
-    target_abs_error: float = 1e-22
 
     def validate(self, omega: OmegaVector):
         if not 0 < mpf(self.lam) < mpf("0.9") * omega.pole_bound:
@@ -84,7 +91,7 @@ class IntegrandSpec:
 def auto_spec(
     omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY
 ) -> HankelSpec:
-    """Default path parameters for the given omega and w."""
+    """Default path parameters for the given omega and w (rule: module docstring)."""
     w = mp.mpc(w)
     if not mp.re(w) > 0:
         raise InvalidParameter("auto_spec requires Re(w) > 0")
@@ -95,11 +102,10 @@ def auto_spec(
         # generic ray tail bound; hankel_integrate tightens per integrand
         while _magnitude_bound(omega, w, T) * T >= target / 10:
             T *= mpf("1.25")
-        return HankelSpec(
-            lam=lam,
-            ray_truncation=T,
-            target_abs_error=p.target_abs_error,
-        )
+    # after T, so the clamp leaves the truncation unchanged
+    if mp.re(w) * lam > 12:
+        lam = 12 / mp.re(w)
+    return HankelSpec(lam=lam, ray_truncation=T)
 
 
 def _magnitude_bound(omega: OmegaVector, w, T):
@@ -238,6 +244,21 @@ def _extend_truncation(ev: _ContourEvaluator, T, target):
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
+def _double_until(attempt, target, tail_bound):
+    """Call attempt(level) for level = 0, 1, ... (each doubling the panels)
+    until two successive values agree to within target, tail bound included;
+    returns (value, err_estimate)."""
+    prev = None
+    for level in range(MAX_DOUBLINGS):
+        val = attempt(level)
+        if prev is not None:
+            err = abs(val - prev) + tail_bound
+            if err <= target:
+                return val, err
+        prev = val
+    raise NodeBudgetExceeded(f"node doubling failed to reach {mp.nstr(target, 3)}")
+
+
 def hankel_integrate(
     ispec: IntegrandSpec,
     hspec: HankelSpec | None = None,
@@ -254,15 +275,15 @@ def hankel_integrate(
     with p.context(boost):
         thr = p.zero_threshold
         ev = _ContourEvaluator(ispec, thr)
-        target = mpf(hspec.target_abs_error)
+        target = mpf(p.target_abs_error)
         T = _extend_truncation(ev, hspec.ray_truncation, target)
-        tail_bound = ev.ray_magnitude(T) * T
         prec = mp.prec
 
-        def attempt(subdiv: int, circ_panels: int):
+        def attempt(level: int):
             pieces = []
-            for a, b in _pairwise(_geometric_edges(lam, T, subdiv)):
-                pieces.append(_gl_panel(ev.ray, a, b, hspec.ray_nodes, prec))
+            for a, b in _pairwise(_geometric_edges(lam, T, 2 ** level)):
+                pieces.append(_gl_panel(ev.ray, a, b, RAY_NODES, prec))
+            circ_panels = (CIRCLE_NODES // RAY_NODES) * 2 ** level
             h = 2 * mp.pi / circ_panels
             for i in range(circ_panels):
                 pieces.append(
@@ -270,34 +291,19 @@ def hankel_integrate(
                         lambda th: ev.circle(th, lam),
                         i * h,
                         (i + 1) * h,
-                        hspec.ray_nodes,
+                        RAY_NODES,
                         prec,
                     )
                 )
             return mp.fsum(pieces)
 
-        subdiv = 1
-        circ_panels = max(4, hspec.circle_nodes // hspec.ray_nodes)
-        prev = None
-        for _ in range(MAX_DOUBLINGS):
-            val = attempt(subdiv, circ_panels)
-            if prev is not None:
-                err = abs(val - prev) + tail_bound
-                if err <= target:
-                    return val, err
-            prev = val
-            subdiv *= 2
-            circ_panels *= 2
-        raise NodeBudgetExceeded(
-            f"node doubling failed to reach {hspec.target_abs_error}"
-        )
+        return _double_until(attempt, target, ev.ray_magnitude(T) * T)
 
 
 def ray_only_integrate(
     ispec: IntegrandSpec,
     D: int,
     p: PrecisionPolicy = DEFAULT_POLICY,
-    hspec: HankelSpec | None = None,
 ):
     """Real-axis integral int_0^inf f_omega e^{-wt} tail(t) t^{-k-1} (log t)^D dt.
 
@@ -308,11 +314,10 @@ def ray_only_integrate(
         raise InvalidParameter("ray_only_integrate needs poly mode with a tail series")
     if ispec.tail.valuation - ispec.k - 1 - ispec.omega.r < 0:
         raise InvalidParameter("tail valuation leaves a singular integrand at 0")
-    if hspec is None:
-        hspec = auto_spec(ispec.omega, ispec.w, p)
+    hspec = auto_spec(ispec.omega, ispec.w, p)
     with p.context(48):
         thr = p.zero_threshold
-        target = mpf(hspec.target_abs_error)
+        target = mpf(p.target_abs_error)
 
         def integrand(t):
             val = (
@@ -331,30 +336,13 @@ def ray_only_integrate(
         tail_bound = ev.ray_magnitude(T) * T + abs(integrand(eps)) * eps * 4
         prec = mp.prec
 
-        def attempt(subdiv: int):
-            pieces = [
-                _gl_panel(integrand, a, b, hspec.ray_nodes, prec)
-                for a, b in _pairwise(_geometric_edges(eps, T, subdiv))
-            ]
-            return mp.fsum(pieces)
+        def attempt(level: int):
+            return mp.fsum(
+                _gl_panel(integrand, a, b, RAY_NODES, prec)
+                for a, b in _pairwise(_geometric_edges(eps, T, 2 ** level))
+            )
 
-        prev = None
-        subdiv = 1
-        for _ in range(MAX_DOUBLINGS):
-            val = attempt(subdiv)
-            if prev is not None:
-                err = abs(val - prev) + tail_bound
-                if err <= target:
-                    return val, err
-            prev = val
-            subdiv *= 2
-        raise NodeBudgetExceeded(
-            f"node doubling failed to reach {hspec.target_abs_error}"
-        )
-
-
-def with_target(hspec: HankelSpec, target_abs_error: float) -> HankelSpec:
-    return replace(hspec, target_abs_error=target_abs_error)
+        return _double_until(attempt, target, tail_bound)
 
 
 def _pairwise(seq):

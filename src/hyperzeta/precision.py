@@ -1,9 +1,9 @@
 """Precision policy shared by all analytic modules.
 
 Scalars are mpmath ``mpf``/``mpc`` values; a :class:`PrecisionPolicy` pins the
-working precision in bits and the target errors that quadrature and summation
-routines aim for.  All public entry points open ``policy.context()`` so that
-callers never have to touch the global mpmath state themselves.
+working precision in bits and the absolute error that quadrature and
+summation routines aim for.  All public entry points open ``policy.context()``
+so that callers never have to touch the global mpmath state themselves.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ DEFAULT_BITS = 192
 class PrecisionPolicy:
     precision_bits: int = DEFAULT_BITS
     target_abs_error: float = 1e-22
-    target_rel_error: float = 1e-22
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise InvalidParameter("precision_bits must be >= 64")
-        if not (self.target_abs_error > 0 and self.target_rel_error > 0):
-            raise InvalidParameter("target errors must be positive")
+        if not self.target_abs_error > 0:
+            raise InvalidParameter("target_abs_error must be positive")
 
     def context(self, extra_bits: int = 0):
         """Context manager setting the working precision (plus guard bits)."""
@@ -39,17 +38,8 @@ class PrecisionPolicy:
         with mp.workprec(self.precision_bits):
             return mpf(2) ** (-(self.precision_bits // 2))
 
-    @property
-    def eps(self):
-        with mp.workprec(self.precision_bits):
-            return mpf(2) ** (-(self.precision_bits - 8))
-
-    def with_target(self, abs_error: float, rel_error: float | None = None):
-        return PrecisionPolicy(
-            self.precision_bits,
-            abs_error,
-            rel_error if rel_error is not None else abs_error,
-        )
+    def with_target(self, abs_error: float):
+        return PrecisionPolicy(self.precision_bits, abs_error)
 
 
 DEFAULT_POLICY = PrecisionPolicy()

@@ -64,9 +64,6 @@ class LaurentSeries:
             return mp.mpc(0)
         return self.coeffs[n - self.valuation]
 
-    def is_zero(self, threshold=None) -> bool:
-        return not self.normalize(threshold).coeffs
-
     def normalize(self, threshold=None) -> "LaurentSeries":
         """Strip leading coefficients below the zero threshold, raising the valuation."""
         thr = _default_threshold() if threshold is None else threshold
@@ -238,22 +235,3 @@ def exponential_jet(c, order: int) -> LaurentSeries:
         coeffs.append(coeffs[-1] * c / n)
     return LaurentSeries(0, tuple(coeffs))
 
-
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a + b
-
-
-def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a * b
-
-
-def series_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a / b
-
-
-def series_exp(a: LaurentSeries) -> LaurentSeries:
-    return a.exp()
-
-
-def series_log(a: LaurentSeries) -> LaurentSeries:
-    return a.log()

@@ -95,10 +95,11 @@ def test_remainder_tail_valuation():
     assert len(tail.coeffs) == 10
 
 
-def test_reduction_check_nu1():
+@pytest.mark.parametrize("w", [2, 20, 40])
+def test_reduction_check_nu1(w):
     e = small_experiment()
     with P.context():
-        chk = remainder_reduction_check(e, mpf(2), 1, terms=10)
+        chk = remainder_reduction_check(e, mpf(w), 1, terms=10)
         budget = chk.contour_err + chk.rays_err + mpf("1e-24")
         assert abs(chk.contour - chk.rays) <= budget
 

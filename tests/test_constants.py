@@ -64,8 +64,8 @@ def test_zeta_int_domain():
 
 
 def test_precision_doubling_stability():
-    lo = PrecisionPolicy(128, 1e-30, 1e-30)
-    hi = PrecisionPolicy(256, 1e-30, 1e-30)
+    lo = PrecisionPolicy(128, 1e-30)
+    hi = PrecisionPolicy(256, 1e-30)
     with hi.context():
         assert abs(euler_gamma(lo) - euler_gamma(hi)) < mpf(2) ** -120
         assert abs(zeta_int(3, lo) - zeta_int(3, hi)) < mpf(2) ** -120

@@ -30,6 +30,8 @@ def test_auto_spec_lambda_examples():
     assert abs(auto_spec(OmegaVector.of(1), 1, P).lam - mp.pi) < mpf("1e-40")
     assert abs(auto_spec(OmegaVector.of(2), 1, P).lam - mp.pi / 2) < mpf("1e-40")
     assert abs(auto_spec(OmegaVector.of(), 1, P).lam - mp.pi) < mpf("1e-40")
+    # clamped to Re(w) * lambda <= 12
+    assert auto_spec(OmegaVector.of(1), 40, P).lam == mpf(12) / 40
 
 
 def test_spec_validation():
@@ -79,9 +81,7 @@ def test_lambda_independence():
     v1, e1 = hankel_integrate(ispec, base, P)
     for factor in ("0.5", "0.3"):
         other = HankelSpec(
-            lam=mpf(base.lam) * mpf(factor),
-            ray_truncation=base.ray_truncation,
-            target_abs_error=base.target_abs_error,
+            lam=mpf(base.lam) * mpf(factor), ray_truncation=base.ray_truncation
         )
         v2, e2 = hankel_integrate(ispec, other, P)
         assert abs(v1 - v2) <= 10 * (e1 + e2) + mpf("1e-25")
@@ -99,7 +99,7 @@ def test_linearity_in_poly():
 
 def test_error_estimate_honesty():
     om = OmegaVector.of(1, mpf("1.3"))
-    sharp = PrecisionPolicy(256, 1e-34, 1e-34)
+    sharp = PrecisionPolicy(256, 1e-34)
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     val, err = hankel_integrate(ispec, None, P)
     with sharp.context():

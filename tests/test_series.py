@@ -5,7 +5,7 @@ from mpmath import mp
 
 from hyperzeta import DEFAULT_POLICY, LaurentSeries
 from hyperzeta.errors import DivisionByZeroSeries, DomainError
-from hyperzeta.series import exponential_jet, series_div, series_exp, series_log
+from hyperzeta.series import exponential_jet
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +94,7 @@ def test_div_simple_zero_over_simple_zero():
 def test_div_by_zero_raises():
     a = LaurentSeries.one(4)
     with pytest.raises(DivisionByZeroSeries):
-        series_div(a, LaurentSeries.zero(4))
+        a / LaurentSeries.zero(4)
 
 
 def test_div_mul_round_trip():
@@ -130,7 +130,7 @@ def test_ring_laws_random():
 
 def test_exp_of_zero():
     z = LaurentSeries(0, (0,) * 4)
-    e = series_exp(z)
+    e = z.exp()
     assert close(e.coeff(0), 1)
     for n in range(1, 4):
         assert close(e.coeff(n), 0)
@@ -138,7 +138,7 @@ def test_exp_of_zero():
 
 def test_exp_log_round_trip():
     a = LaurentSeries(0, (1, 1) + (0,) * 6)  # 1 + t
-    back = series_exp(series_log(a))
+    back = a.log().exp()
     for n in range(8):
         assert close(back.coeff(n), a.coeff(n), "1e-40")
 
@@ -148,8 +148,8 @@ def test_log_exp_round_trip_random():
     a = LaurentSeries(
         0, (mp.mpc(1),) + tuple(mp.mpc(rng.uniform(-1, 1)) for _ in range(6))
     )
-    back = series_log(series_exp(series_log(a)).normalize())
-    ref = series_log(a)
+    back = a.log().exp().normalize().log()
+    ref = a.log()
     for n in range(7):
         assert close(back.coeff(n), ref.coeff(n), "1e-38")
 
