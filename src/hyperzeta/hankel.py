@@ -319,21 +319,29 @@ def ray_only_integrate(
         thr = p.zero_threshold
         target = mpf(p.target_abs_error)
 
-        def integrand(t):
-            val = (
+        def without_log(t):
+            return (
                 _f_omega_at(ispec.omega, t, thr)
                 * mp.exp(-ispec.w * t)
                 * ispec.tail(t)
                 * mp.power(t, -ispec.k - 1)
             )
+
+        def integrand(t):
+            val = without_log(t)
             return val * mp.log(t) ** D if D else val
+
+        def head_bound(eps):
+            # bound (log t)^D by its size at eps, never below 1: a sample of
+            # the full integrand is 0 at t = 1 for every D >= 1
+            return abs(without_log(eps)) * max(1, abs(mp.log(eps))) ** D * eps * 4
 
         ev = _ContourEvaluator(ispec, thr)
         T = _extend_truncation(ev, hspec.ray_truncation, target)
         eps = mpf(hspec.lam)
-        while abs(integrand(eps)) * eps * 4 >= target / 10 and eps > mpf("1e-60"):
+        while head_bound(eps) >= target / 10 and eps > mpf("1e-60"):
             eps /= 4
-        tail_bound = ev.ray_magnitude(T) * T + abs(integrand(eps)) * eps * 4
+        tail_bound = ev.ray_magnitude(T) * T + head_bound(eps)
         prec = mp.prec
 
         def attempt(level: int):

@@ -95,11 +95,20 @@ def test_remainder_tail_valuation():
     assert len(tail.coeffs) == 10
 
 
-@pytest.mark.parametrize("w", [2, 20, 40])
-def test_reduction_check_nu1(w):
-    e = small_experiment()
+@pytest.mark.parametrize(
+    "m, nu, w",
+    [
+        pytest.param(1, 1, 2, id="nu1-w2"),
+        pytest.param(1, 1, 20, id="nu1-w20"),
+        pytest.param(1, 1, 40, id="nu1-w40"),
+        # lambda clamps to exactly 1, where (log t)^1 vanishes
+        pytest.param(2, 2, 12, id="nu2-w12"),
+    ],
+)
+def test_reduction_check(m, nu, w):
+    e = small_experiment(m=m)
     with P.context():
-        chk = remainder_reduction_check(e, mpf(w), 1, terms=10)
+        chk = remainder_reduction_check(e, mpf(w), nu, terms=10)
         budget = chk.contour_err + chk.rays_err + mpf("1e-24")
         assert abs(chk.contour - chk.rays) <= budget
 
