@@ -9,7 +9,9 @@ tuple at w + a; the right side is the finite expansion
 and the difference is the remainder, expected to decay like
 (log w)^{m-1} / w.  The m = 1 remainder carries the explicit leading
 coefficient a_{l,r+k+1}(a; alpha) / (omega_1 ... omega_r), which is recovered
-here by Richardson extrapolation of error * w over the grid.
+here by Richardson extrapolation of error * w over the grid.  The right side
+is one contour integral, exactly: S_m in the integrand of P(m, k-N) does not
+depend on k, so the sum is P(m, k)'s integrand times sum_N a_{l,N} t^N.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from math import comb
 from mpmath import mp, mpf
 
 from .errors import FitUnstable, InvalidParameter
-from .evaluators import balanced_P
 from .hankel import IntegrandSpec, hankel_integrate, ray_only_integrate
-from .multibernoulli import OmegaVector, bernoulli_a, bernoulli_expansion
+from .multibernoulli import OmegaVector, bernoulli_expansion
 from .precision import DEFAULT_POLICY, PrecisionPolicy
-from .qpoly import PolyC
+from .qpoly import PolyC, s_poly
 from .series import LaurentSeries
 
 DEFAULT_W_GRID = (10.0, 20.0, 40.0, 80.0, 160.0)
@@ -53,6 +54,8 @@ class AsymExperiment:
             raise InvalidParameter("w_grid needs at least 4 points")
         if any(b <= a for a, b in zip(self.w_grid, self.w_grid[1:])):
             raise InvalidParameter("w_grid must be strictly increasing")
+        if not self.w_grid[0] > 0:
+            raise InvalidParameter("w_grid needs Re(w) > 0 at every point")
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,8 @@ class AsymRow:
     rhs_sum: object
     error: object
     normalized_error: object
+    lhs_err: object = None
+    rhs_err: object = None
 
 
 @dataclass(frozen=True)
@@ -84,19 +89,20 @@ def default_experiment(m: int = 1, k: int = 0, **kwargs) -> AsymExperiment:
     )
 
 
+def _absorbed_expansion(e: AsymExperiment, start: int, stop: int) -> LaurentSeries:
+    """sum_{start <= N < stop} a_{l,N}(a; alpha) t^N, from one expansion."""
+    expansion = bernoulli_expansion(e.alpha, e.a, stop, e.policy)
+    return LaurentSeries(start, tuple(map(expansion.coefficient, range(start, stop))))
+
+
 def rhs_expansion(e: AsymExperiment, w):
-    """Finite expansion sum; returns (value, err_estimate)."""
+    """Finite expansion sum as one integral; returns (value, err_estimate)."""
     p = e.policy
     with p.context(16):
-        w = mp.mpc(w)
-        total = mp.mpc(0)
-        err = mpf(0)
-        for N in range(-e.alpha.r, e.omega.r + e.k + 1):
-            aN = bernoulli_a(e.alpha, N, e.a, p)
-            part = balanced_P(e.m, e.k - N, w, e.omega, p)
-            total += aN * part.value
-            err += abs(aN) * part.err_estimate
-        return total, err
+        tail = _absorbed_expansion(e, -e.alpha.r, e.omega.r + e.k + 1)
+        poly = s_poly(e.m, e.k, p)
+        ispec = IntegrandSpec(omega=e.omega, w=w, k=e.k, poly=poly, tail=tail)
+        return hankel_integrate(ispec, None, p)
 
 
 def lhs_value(e: AsymExperiment, w):
@@ -110,8 +116,9 @@ def lhs_value(e: AsymExperiment, w):
         arg = mp.mpc(w) if e.strict_statement else mp.mpc(w) + e.a
         if not mp.re(arg) > 0:
             raise InvalidParameter("Re(w + a) > 0 required")
-        res = balanced_P(e.m, e.k, arg, e.omega.concat(e.alpha), p)
-        return res.value, res.err_estimate
+        combined = e.omega.concat(e.alpha)
+        ispec = IntegrandSpec(omega=combined, w=arg, k=e.k, poly=s_poly(e.m, e.k, p))
+        return hankel_integrate(ispec, None, p)
 
 
 def run_experiment(e: AsymExperiment):
@@ -119,26 +126,25 @@ def run_experiment(e: AsymExperiment):
     rows = []
     with e.policy.context(16):
         for w in e.w_grid:
-            lhs, _ = lhs_value(e, w)
-            rhs, _ = rhs_expansion(e, w)
+            lhs, lhs_err = lhs_value(e, w)
+            rhs, rhs_err = rhs_expansion(e, w)
             error = lhs - rhs
             norm = abs(error) * w / (1 + abs(mp.log(w)) ** (e.m - 1))
-            rows.append(AsymRow(w, lhs, rhs, error, norm))
+            rows.append(AsymRow(w, lhs, rhs, error, norm, lhs_err, rhs_err))
     return rows
 
 
 def fit_one_over_w(e: AsymExperiment, rows=None):
     """Richardson fit of error * w at m = 1; returns (fitted, reference).
 
-    The reference is a_{l, r+k+1}(a; alpha) / |omega| from the expansion of
-    the absorbed factor.
+    The reference is a_{l, r+k+1}(a; alpha) / |omega|, from the leading
+    coefficient of the remainder tail.
     """
     if e.m != 1:
         raise InvalidParameter("the 1/w coefficient fit applies to m = 1")
     if rows is None:
         rows = run_experiment(e)
-    p = e.policy
-    with p.context(16):
+    with e.policy.context(16):
         pts = [(row.w, row.error * row.w) for row in rows[-3:]]
         extrapolants = []
         for (w1, g1), (w2, g2) in zip(pts, pts[1:]):
@@ -150,18 +156,14 @@ def fit_one_over_w(e: AsymExperiment, rows=None):
             raise FitUnstable(
                 f"extrapolants differ by {mp.nstr(abs(r1 - r2) / scale, 3)} relative"
             )
-        reference = bernoulli_a(e.alpha, e.omega.r + e.k + 1, e.a, p) / e.omega.product
+        reference = remainder_tail(e, 1).coeffs[0] / e.omega.product
         return r2, reference
 
 
 def remainder_tail(e: AsymExperiment, terms: int = DEFAULT_REMAINDER_TERMS):
     """Truncated tail sum_{N >= r+k+1} a_{l,N}(a; alpha) t^N as a series."""
-    p = e.policy
-    with p.context(16):
-        start = e.omega.r + e.k + 1
-        expansion = bernoulli_expansion(e.alpha, e.a, start + terms, p)
-        coeffs = [expansion.coefficient(N) for N in range(start, start + terms)]
-        return LaurentSeries(start, tuple(coeffs))
+    start = e.omega.r + e.k + 1
+    return _absorbed_expansion(e, start, start + terms)
 
 
 def remainder_reduction_check(

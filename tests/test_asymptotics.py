@@ -5,6 +5,7 @@ from hyperzeta import (
     AsymExperiment,
     DEFAULT_POLICY,
     OmegaVector,
+    PrecisionPolicy,
     default_experiment,
     fit_one_over_w,
     remainder_reduction_check,
@@ -39,6 +40,8 @@ def test_validation():
         small_experiment(m=-1)
     with pytest.raises(InvalidParameter):
         small_experiment(a=-1)
+    with pytest.raises(InvalidParameter):
+        small_experiment(w_grid=(0.0, 1.0, 2.0, 3.0))
 
 
 def test_default_experiment_shape():
@@ -55,6 +58,9 @@ def test_rows_decay():
     errs = [abs(r.error) for r in rows]
     for a, b in zip(errs, errs[1:]):
         assert b < a
+    # each remainder is resolved above the quadrature noise of both sides
+    for r in rows:
+        assert abs(r.error) > 100 * (r.lhs_err + r.rhs_err)
 
 
 def test_strict_statement_changes_lhs():
@@ -69,16 +75,35 @@ def test_strict_statement_changes_lhs():
         assert abs(v1 - v3) < mpf("1e-25")
 
 
-def test_rhs_is_finite_sum_of_balanced_values():
+@pytest.mark.parametrize(
+    "kw",
+    [
+        pytest.param({}, id="base"),
+        pytest.param(
+            dict(omega=OmegaVector.of(1, 1.3), alpha=OmegaVector.of(0.7), m=2, k=1),
+            id="r2-m2-k1",
+        ),
+        pytest.param(dict(alpha=OmegaVector.of(1, 1.5), k=2), id="l2-k2"),
+        pytest.param(dict(m=0), id="m0"),
+        pytest.param(dict(a=mp.mpc(0.5, 0.4)), id="complex-a"),
+        pytest.param(dict(alpha=OmegaVector.of()), id="empty-alpha"),
+    ],
+)
+def test_rhs_is_finite_sum_of_balanced_values(kw):
     from hyperzeta import balanced_P, bernoulli_a
 
-    e = small_experiment()
-    with P.context():
+    # The identity is exact, but the two sides integrate on different nodes,
+    # so they differ by quadrature error: up to ~1e-28 at the default 1e-22
+    # target (omega = (1, 1.3)).  A 1e-40 target resolves both below the bound.
+    tight = PrecisionPolicy(P.precision_bits, 1e-40)
+    e = small_experiment(policy=tight, **kw)
+    with tight.context():
         val, err = rhs_expansion(e, mpf(6))
+        # reference: the paper's sum, one Bernoulli value and one integral per N
         manual = mp.mpc(0)
-        for N in range(-1, e.omega.r + e.k + 1):
-            manual += bernoulli_a(e.alpha, N, e.a, P) * balanced_P(
-                e.m, e.k - N, mpf(6), e.omega, P
+        for N in range(-e.alpha.r, e.omega.r + e.k + 1):
+            manual += bernoulli_a(e.alpha, N, e.a, tight) * balanced_P(
+                e.m, e.k - N, mpf(6), e.omega, tight
             ).value
         assert abs(val - manual) < mpf("1e-30")
 

@@ -101,6 +101,13 @@ def test_bad_grid_exit_3(capsys):
     assert code == 3
 
 
+def test_nonpositive_grid_exit_3(capsys):
+    # rejected with the experiment, before any integral runs
+    code, _, err = run(capsys, ["asym", "--w-grid", "0,1,2,3"])
+    assert code == 3
+    assert "w_grid" in json.loads(err)["message"]
+
+
 def test_asym_csv_columns(capsys):
     code, out, _ = run(capsys, ["asym", "--w-grid", "2,3,4,5"])
     assert code == 0
