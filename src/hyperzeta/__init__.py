@@ -34,7 +34,7 @@ from .evaluators import (
     zeta_contour,
     zeta_direct,
 )
-from .hankel import HankelSpec, IntegrandSpec, auto_spec, hankel_integrate
+from .hankel import IntegrandSpec, auto_spec, hankel_integrate
 from .multibernoulli import (
     BernoulliExpansion,
     OmegaVector,
@@ -59,7 +59,6 @@ __all__ = [
     "DomainError",
     "EvalResult",
     "FitUnstable",
-    "HankelSpec",
     "HyperzetaError",
     "IntegrandSpec",
     "InvalidParameter",

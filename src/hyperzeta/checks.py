@@ -21,7 +21,7 @@ from .combinatorics import (
     multi_harmonic,
     multi_harmonic_by_enumeration,
 )
-from .hankel import HankelSpec, IntegrandSpec, auto_spec, hankel_integrate
+from .hankel import IntegrandSpec, auto_spec, hankel_integrate
 from .multibernoulli import OmegaVector
 from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .qpoly import PolyC, q_poly, s_poly
@@ -191,12 +191,9 @@ def quadrature_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
         # lambda independence
         om = OmegaVector.of(1, mpf("1.4"))
         ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, p))
-        base_spec = auto_spec(om, mpf("1.5"), p)
-        v1, e1 = hankel_integrate(ispec, base_spec, p)
-        half_spec = HankelSpec(
-            lam=mpf(base_spec.lam) / 2, ray_truncation=base_spec.ray_truncation
-        )
-        v2, e2 = hankel_integrate(ispec, half_spec, p)
+        lam = auto_spec(om, mpf("1.5"), p)
+        v1, e1 = hankel_integrate(ispec, lam, p)
+        v2, e2 = hankel_integrate(ispec, lam / 2, p)
         dev = abs(v1 - v2)
         out.append(
             _result(

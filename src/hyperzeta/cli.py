@@ -32,7 +32,7 @@ from .errors import (
     PrecisionUnreachable,
     TooCloseToInteger,
 )
-from .hankel import HankelSpec, auto_spec
+from .hankel import _check_lambda
 from .multibernoulli import OmegaVector
 from .precision import DEFAULT_BITS, PrecisionPolicy
 
@@ -203,22 +203,12 @@ def _resolve_policy(args) -> PrecisionPolicy:
     return PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
 
 
-def _resolve_hspec(args, omega: OmegaVector, w, p: PrecisionPolicy):
-    if args.lam is None:
-        return None
-    base = auto_spec(omega, w, p)
-    lam = mpf(args.lam)
-    spec = HankelSpec(lam=lam, ray_truncation=max(mpf(base.ray_truncation), 2 * lam))
-    spec.validate(omega)
-    return spec
-
-
 def _run_eval(args, p: PrecisionPolicy) -> int:
     fmt = args.format or "json"
     omega = OmegaVector.of(*parse_real_tuple(args.omega))
     w = parse_complex(args.w)
     with p.context():
-        hspec = _resolve_hspec(args, omega, w, p)
+        lam = None if args.lam is None else _check_lambda(args.lam, omega)
         if args.target == "zeta":
             if args.s is None:
                 raise InvalidParameter("eval zeta requires --s")
@@ -226,16 +216,16 @@ def _run_eval(args, p: PrecisionPolicy) -> int:
             if args.method == "direct":
                 res = evaluators.zeta_direct(s, w, omega, args.tol, p)
             else:
-                res = evaluators.zeta_contour(s, w, omega, p, hspec)
+                res = evaluators.zeta_contour(s, w, omega, p, lam)
         elif args.target == "gamma-log":
-            res = evaluators.log_hyper_gamma(args.m, args.k, w, omega, p, hspec)
+            res = evaluators.log_hyper_gamma(args.m, args.k, w, omega, p, lam)
         else:
             method = (
                 evaluators.METHOD_COMBINATION
                 if args.method == "combination"
                 else evaluators.METHOD_CONTOUR
             )
-            res = evaluators.balanced_P(args.m, args.k, w, omega, p, method, hspec)
+            res = evaluators.balanced_P(args.m, args.k, w, omega, p, method, lam)
         digits = _digits(p.precision_bits)
         record = {
             "target": args.target,

@@ -22,10 +22,10 @@ from mpmath import mp, mpf
 from . import constants
 from .combinatorics import coeff_c
 from .errors import ConvergenceTooSlow, InvalidParameter, TooCloseToInteger
-from .hankel import HankelSpec, IntegrandSpec, auto_spec, hankel_integrate
+from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
 from .precision import DEFAULT_POLICY, PrecisionPolicy
-from .qpoly import q_poly, s_poly
+from .qpoly import PolyC, q_poly, s_poly
 
 METHOD_DIRECT = "direct_sum"
 METHOD_CONTOUR = "contour"
@@ -113,7 +113,7 @@ def zeta_contour(
     w,
     omega: OmegaVector,
     p: PrecisionPolicy = DEFAULT_POLICY,
-    hspec: HankelSpec | None = None,
+    lam=None,
 ) -> EvalResult:
     """Barnes multiple zeta from the Hankel representation (generic s)."""
     w = _require_right_half(w)
@@ -124,8 +124,8 @@ def zeta_contour(
             raise TooCloseToInteger(
                 "s is within 1e-3 of an integer; use log_hyper_gamma(0, k)"
             )
-        ispec = IntegrandSpec(omega=omega, w=w, s=s)
-        integral, qerr = hankel_integrate(ispec, hspec, p)
+        ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((1,)))
+        integral, qerr = hankel_integrate(ispec, lam, p)
         prefactor = 1 / (
             constants.gamma_scalar(s, p) * (mp.exp(2 * mp.pi * mp.mpc(0, 1) * s) - 1)
         )
@@ -138,7 +138,7 @@ def log_hyper_gamma(
     w,
     omega: OmegaVector,
     p: PrecisionPolicy = DEFAULT_POLICY,
-    hspec: HankelSpec | None = None,
+    lam=None,
 ) -> EvalResult:
     """log of the hypermultiple gamma: m-th s-derivative of zeta_r at s = -k.
 
@@ -149,7 +149,7 @@ def log_hyper_gamma(
     w = _require_right_half(w)
     with p.context(16):
         ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=q_poly(m, k, p))
-        value, qerr = hankel_integrate(ispec, hspec, p)
+        value, qerr = hankel_integrate(ispec, lam, p)
         return EvalResult(value, qerr, METHOD_CONTOUR)
 
 
@@ -160,7 +160,7 @@ def balanced_P(
     omega: OmegaVector,
     p: PrecisionPolicy = DEFAULT_POLICY,
     method: str = METHOD_CONTOUR,
-    hspec: HankelSpec | None = None,
+    lam=None,
 ) -> EvalResult:
     """The balanced function: c-weighted combination of the log gammas.
 
@@ -173,12 +173,10 @@ def balanced_P(
         raise InvalidParameter("balanced_P needs m >= 0")
     w = _require_right_half(w)
     with p.context(16):
-        if hspec is None:
-            hspec = auto_spec(omega, w, p)
         if method == METHOD_CONTOUR:
             poly = s_poly(m, k if k >= 0 else 0, p)
             ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=poly)
-            value, qerr = hankel_integrate(ispec, hspec, p)
+            value, qerr = hankel_integrate(ispec, lam, p)
             return EvalResult(value, qerr, METHOD_CONTOUR)
         if method == METHOD_COMBINATION:
             if k < 0:
@@ -190,7 +188,7 @@ def balanced_P(
                 if c == 0:
                     continue
                 weight = mpf(c.numerator) / c.denominator
-                part = log_hyper_gamma(mu, k, w, omega, p, hspec)
+                part = log_hyper_gamma(mu, k, w, omega, p, lam)
                 total += weight * part.value
                 err += abs(weight) * part.err_estimate
             return EvalResult(total, err, METHOD_COMBINATION)

@@ -8,18 +8,25 @@ outbound ray.  This is the unique branch convention under which the r = 0
 evaluation together with the 1/(Gamma(s)(e^{2 pi i s}-1)) prefactor
 reproduces w^{-s}.
 
+Every integrand has one form, f_omega(t) e^{-wt} t^{-k-1} poly(log t), times
+an optional tail series in t.  k is an integer or complex: the Barnes zeta at
+s is k = -s with poly = 1.  On the outbound ray t^{-k-1} carries the jump
+e^{-2 pi i k}, exactly 1 for integer k.
+
 The two rays are integrated together as the difference of the outbound and
 inbound integrands, so a single-valued integrand cancels exactly and only the
 circle contributes.  Rays use composite Gauss-Legendre panels on a geometric
 subdivision of [lambda, T]; the circle uses Gauss-Legendre panels in theta.
-Error estimates come from node-doubling agreement.
+Error estimates come from node-doubling agreement plus the ray tail bound.
 
-``auto_spec`` is the one default path rule: lambda = 1/2 * min(pole bound,
-2 pi), clamped to 12 / Re(w).  The clamp matters at large w: the circle's far
-side carries e^{Re(w) lambda}, which cancels in the sum, so the guard bits grow
-as 1.5 * Re(w) * lambda.  The value does not depend on lambda, so a smaller
-circle costs nothing in accuracy.  The ray truncation T is chosen before the
-clamp.
+The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
+default lambda = 1/2 * min(pole bound, 2 pi), clamped to 12 / Re(w).  The
+clamp matters at large w: the circle's far side carries e^{Re(w) lambda},
+which cancels in the sum, so the guard bits grow as 1.5 * Re(w) * lambda.  The
+value does not depend on lambda, so a smaller circle costs nothing in
+accuracy.  Every integral, on the contour or on the real axis, then picks its
+own ray end: T starts at max(30 / Re(w), 2 * lambda) and grows by 1.25 until
+the integral's tail bound |integrand|(T) * T is below target / 10.
 """
 
 from __future__ import annotations
@@ -42,77 +49,47 @@ CIRCLE_NODES = 256
 
 
 @dataclass(frozen=True)
-class HankelSpec:
-    lam: float
-    ray_truncation: float
-
-    def validate(self, omega: OmegaVector):
-        if not 0 < mpf(self.lam) < mpf("0.9") * omega.pole_bound:
-            raise InvalidParameter(
-                "lambda must satisfy 0 < lambda < 0.9 * min|2 pi / omega_i|"
-            )
-        if not mpf(self.ray_truncation) > mpf(self.lam):
-            raise InvalidParameter("ray truncation must exceed lambda")
-
-
-@dataclass(frozen=True)
 class IntegrandSpec:
-    """Integrand f_omega(t) e^{-wt} * power-part * optional tail polynomial.
+    """Integrand f_omega(t) e^{-wt} t^{-k-1} poly(log t), times tail(t) if given.
 
-    Poly mode (k, poly): power-part is t^{-k-1} * poly(log t); k may be any
-    integer (negative k gives a positive power of t).  Power mode (s):
-    power-part is t^{s-1}.  ``tail``, when present, multiplies the integrand
-    by a truncated series in t (used for the remainder integrands).
+    ``k`` is an integer (negative k gives a positive power of t) or complex;
+    the Barnes zeta at s is k = -s with poly = 1.  ``tail`` multiplies the
+    integrand by a truncated series in t (the expansion and remainder
+    integrands).
     """
 
     omega: OmegaVector
     w: object
-    k: int | None = None
-    poly: PolyC | None = None
-    s: object = None
+    k: object
+    poly: PolyC
     tail: LaurentSeries | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "w", mp.mpc(self.w))
         if not mp.re(self.w) > 0:
             raise InvalidParameter("integrand requires Re(w) > 0")
-        poly_mode = self.k is not None and self.poly is not None
-        power_mode = self.s is not None
-        if poly_mode == power_mode:
-            raise InvalidParameter("specify exactly one of (k, poly) or s")
-        if power_mode:
-            object.__setattr__(self, "s", mp.mpc(self.s))
-
-    @property
-    def is_poly_mode(self) -> bool:
-        return self.s is None
+        if not isinstance(self.k, int):
+            object.__setattr__(self, "k", mp.mpc(self.k))
 
 
-def auto_spec(
-    omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY
-) -> HankelSpec:
-    """Default path parameters for the given omega and w (rule: module docstring)."""
+def auto_spec(omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY):
+    """Default circle radius lambda for omega and w (rule: module docstring)."""
     w = mp.mpc(w)
     if not mp.re(w) > 0:
         raise InvalidParameter("auto_spec requires Re(w) > 0")
     with p.context():
         lam = mpf("0.5") * min(omega.pole_bound, 2 * mp.pi)
-        T = max(30 / mp.re(w), 4 * lam)
-        target = mpf(p.target_abs_error)
-        # generic ray tail bound; hankel_integrate tightens per integrand
-        while _magnitude_bound(omega, w, T) * T >= target / 10:
-            T *= mpf("1.25")
-    # after T, so the clamp leaves the truncation unchanged
-    if mp.re(w) * lam > 12:
-        lam = 12 / mp.re(w)
-    return HankelSpec(lam=lam, ray_truncation=T)
+    return min(lam, 12 / mp.re(w))
 
 
-def _magnitude_bound(omega: OmegaVector, w, T):
-    acc = mp.exp(-mp.re(w) * T)
-    for o in omega.omegas:
-        acc /= abs(1 - mp.exp(-o * T))
-    return acc
+def _check_lambda(lam, omega: OmegaVector):
+    """lam as an mpf, if 0 < lam < 0.9 * pole bound; else InvalidParameter."""
+    lam = mpf(lam)
+    if not 0 < lam < mpf("0.9") * omega.pole_bound:
+        raise InvalidParameter(
+            "lambda must satisfy 0 < lambda < 0.9 * min|2 pi / omega_i|"
+        )
+    return lam
 
 
 @lru_cache(maxsize=None)
@@ -167,62 +144,72 @@ def _tail_at(ispec: IntegrandSpec, t):
 
 
 class _ContourEvaluator:
-    """Caches the branch constants for one integrand."""
+    """The integrand of one IntegrandSpec on each part of the path."""
 
     def __init__(self, ispec: IntegrandSpec, pole_threshold):
         self.ispec = ispec
         self.thr = pole_threshold
         self.two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        if not ispec.is_poly_mode:
-            # out-ray minus in-ray factor for t^{s-1}
-            self.branch_factor = mp.exp(self.two_pi_i * ispec.s) - 1
+        # t^{-k-1} on the outbound ray over t^{-k-1} on the inbound ray
+        k = ispec.k
+        self.jump = 1 if isinstance(k, int) else mp.exp(-self.two_pi_i * k)
 
     def base(self, t):
+        """f_omega(t) e^{-wt} tail(t) t^{-k-1} on the inbound ray (real t > 0)."""
+        ispec = self.ispec
         return (
-            _f_omega_at(self.ispec.omega, t, self.thr)
-            * mp.exp(-self.ispec.w * t)
-            * _tail_at(self.ispec, t)
+            _f_omega_at(ispec.omega, t, self.thr)
+            * mp.exp(-ispec.w * t)
+            * _tail_at(ispec, t)
+            * mp.power(t, -ispec.k - 1)
         )
 
     def ray(self, t):
         """Outbound-minus-inbound integrand at real t > 0."""
-        ispec = self.ispec
+        poly = self.ispec.poly
         logt = mp.log(t)
-        if ispec.is_poly_mode:
-            diff = ispec.poly(logt + self.two_pi_i) - ispec.poly(logt)
-            if diff == 0:
-                return mp.mpc(0)
-            return self.base(t) * mp.power(t, -ispec.k - 1) * diff
-        return self.base(t) * mp.exp((ispec.s - 1) * logt) * self.branch_factor
+        diff = self.jump * poly(logt + self.two_pi_i) - poly(logt)
+        if diff == 0:
+            return mp.mpc(0)
+        return self.base(t) * diff
 
     def ray_magnitude(self, t):
-        """Crude magnitude of the one-sided ray integrand (for tail bounds)."""
-        ispec = self.ispec
+        """Crude magnitude of the one-sided ray integrands (for tail bounds)."""
+        poly = self.ispec.poly
         logt = mp.log(t)
-        base = abs(self.base(t))
-        if ispec.is_poly_mode:
-            span = abs(ispec.poly(logt + self.two_pi_i)) + abs(ispec.poly(logt)) + 1
-            return base * mp.power(t, -ispec.k - 1) * span
-        return base * abs(mp.exp((ispec.s - 1) * logt)) * (abs(self.branch_factor) + 1)
+        span = abs(self.jump * poly(logt + self.two_pi_i)) + abs(poly(logt)) + 1
+        return abs(self.base(t)) * span
 
     def circle(self, theta, lam):
         ispec = self.ispec
         t = lam * mp.exp(mp.mpc(0, 1) * theta)
         logt = mp.log(lam) + mp.mpc(0, 1) * theta
-        base = (
+        return (
             _f_omega_at(ispec.omega, t, self.thr)
             * mp.exp(-ispec.w * t)
             * _tail_at(ispec, t)
             * mp.mpc(0, 1)
             * t
+            * mp.exp(-(ispec.k + 1) * logt)
+            * ispec.poly(logt)
         )
-        if ispec.is_poly_mode:
-            return base * mp.exp(-(ispec.k + 1) * logt) * ispec.poly(logt)
-        return base * mp.exp((ispec.s - 1) * logt)
 
 
-def _geometric_edges(a, b, subdiv: int):
-    """Panel edges from a to b: geometric doubling, each split subdiv times."""
+def _ray_end(ev: _ContourEvaluator, lam, target):
+    """Ray end T (rule: module docstring); returns (T, tail bound)."""
+    T = max(30 / mp.re(ev.ispec.w), 2 * lam)
+    for _ in range(500):
+        tail_bound = ev.ray_magnitude(T) * T
+        if tail_bound < target / 10:
+            return T, tail_bound
+        T *= mpf("1.25")
+    raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
+
+
+def _ray_panels(f, a, b, level: int, prec: int):
+    """Integral of f over [a, b] by Gauss-Legendre panels: the interval is cut
+    into doublings from a, and each doubling into 2**level geometric panels."""
+    subdiv = 2 ** level
     edges = [mpf(a)]
     x = mpf(a)
     while x < b:
@@ -232,16 +219,9 @@ def _geometric_edges(a, b, subdiv: int):
             edges.append(x * ratio ** (mpf(i) / subdiv))
         x = nxt
     edges[-1] = mpf(b)
-    return edges
-
-
-def _extend_truncation(ev: _ContourEvaluator, T, target):
-    T = mpf(T)
-    for _ in range(500):
-        if ev.ray_magnitude(T) * T < target / 10:
-            return T
-        T *= mpf("1.25")
-    raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
+    return mp.fsum(
+        _gl_panel(f, lo, hi, RAY_NODES, prec) for lo, hi in zip(edges, edges[1:])
+    )
 
 
 def _double_until(attempt, target, tail_bound):
@@ -261,43 +241,39 @@ def _double_until(attempt, target, tail_bound):
 
 def hankel_integrate(
     ispec: IntegrandSpec,
-    hspec: HankelSpec | None = None,
+    lam=None,
     p: PrecisionPolicy = DEFAULT_POLICY,
 ):
-    """Integral over I(lambda, inf); returns (value, err_estimate)."""
-    if hspec is None:
-        hspec = auto_spec(ispec.omega, ispec.w, p)
-    hspec.validate(ispec.omega)
-    lam = mpf(hspec.lam)
+    """Integral over I(lambda, inf); returns (value, err_estimate).
+
+    ``lam`` defaults to ``auto_spec``'s radius; it must satisfy
+    0 < lam < 0.9 * pole bound.
+    """
+    if lam is None:
+        lam = auto_spec(ispec.omega, ispec.w, p)
+    lam = _check_lambda(lam, ispec.omega)
     # absorb the e^{w*lam} cancellation on the far side of the circle
     boost = int(mpf("1.5") * max(0, mp.re(ispec.w) * lam)) + 48
     boost = ((boost // 32) + 1) * 32
     with p.context(boost):
-        thr = p.zero_threshold
-        ev = _ContourEvaluator(ispec, thr)
+        ev = _ContourEvaluator(ispec, p.zero_threshold)
         target = mpf(p.target_abs_error)
-        T = _extend_truncation(ev, hspec.ray_truncation, target)
+        T, tail_bound = _ray_end(ev, lam, target)
         prec = mp.prec
 
-        def attempt(level: int):
-            pieces = []
-            for a, b in _pairwise(_geometric_edges(lam, T, 2 ** level)):
-                pieces.append(_gl_panel(ev.ray, a, b, RAY_NODES, prec))
-            circ_panels = (CIRCLE_NODES // RAY_NODES) * 2 ** level
-            h = 2 * mp.pi / circ_panels
-            for i in range(circ_panels):
-                pieces.append(
-                    _gl_panel(
-                        lambda th: ev.circle(th, lam),
-                        i * h,
-                        (i + 1) * h,
-                        RAY_NODES,
-                        prec,
-                    )
-                )
-            return mp.fsum(pieces)
+        def circle(theta):
+            return ev.circle(theta, lam)
 
-        return _double_until(attempt, target, ev.ray_magnitude(T) * T)
+        def attempt(level: int):
+            panels = (CIRCLE_NODES // RAY_NODES) * 2 ** level
+            h = 2 * mp.pi / panels
+            around = mp.fsum(
+                _gl_panel(circle, i * h, (i + 1) * h, RAY_NODES, prec)
+                for i in range(panels)
+            )
+            return _ray_panels(ev.ray, lam, T, level, prec) + around
+
+        return _double_until(attempt, target, tail_bound)
 
 
 def ray_only_integrate(
@@ -307,51 +283,35 @@ def ray_only_integrate(
 ):
     """Real-axis integral int_0^inf f_omega e^{-wt} tail(t) t^{-k-1} (log t)^D dt.
 
-    Requires a tail with valuation high enough that the integrand is regular
-    at t = 0.  Returns (value, err_estimate).
+    Requires an integer k and a tail with valuation high enough that the
+    integrand is regular at t = 0.  Returns (value, err_estimate).
     """
-    if ispec.tail is None or not ispec.is_poly_mode:
-        raise InvalidParameter("ray_only_integrate needs poly mode with a tail series")
+    if ispec.tail is None or not isinstance(ispec.k, int):
+        raise InvalidParameter("ray_only_integrate needs an integer k and a tail series")
     if ispec.tail.valuation - ispec.k - 1 - ispec.omega.r < 0:
         raise InvalidParameter("tail valuation leaves a singular integrand at 0")
-    hspec = auto_spec(ispec.omega, ispec.w, p)
+    lam = auto_spec(ispec.omega, ispec.w, p)
     with p.context(48):
-        thr = p.zero_threshold
+        ev = _ContourEvaluator(ispec, p.zero_threshold)
         target = mpf(p.target_abs_error)
 
-        def without_log(t):
-            return (
-                _f_omega_at(ispec.omega, t, thr)
-                * mp.exp(-ispec.w * t)
-                * ispec.tail(t)
-                * mp.power(t, -ispec.k - 1)
-            )
-
         def integrand(t):
-            val = without_log(t)
+            val = ev.base(t)
             return val * mp.log(t) ** D if D else val
 
         def head_bound(eps):
             # bound (log t)^D by its size at eps, never below 1: a sample of
             # the full integrand is 0 at t = 1 for every D >= 1
-            return abs(without_log(eps)) * max(1, abs(mp.log(eps))) ** D * eps * 4
+            return abs(ev.base(eps)) * max(1, abs(mp.log(eps))) ** D * eps * 4
 
-        ev = _ContourEvaluator(ispec, thr)
-        T = _extend_truncation(ev, hspec.ray_truncation, target)
-        eps = mpf(hspec.lam)
+        T, tail_bound = _ray_end(ev, lam, target)
+        eps = lam
         while head_bound(eps) >= target / 10 and eps > mpf("1e-60"):
             eps /= 4
-        tail_bound = ev.ray_magnitude(T) * T + head_bound(eps)
+        tail_bound += head_bound(eps)
         prec = mp.prec
-
-        def attempt(level: int):
-            return mp.fsum(
-                _gl_panel(integrand, a, b, RAY_NODES, prec)
-                for a, b in _pairwise(_geometric_edges(eps, T, 2 ** level))
-            )
-
-        return _double_until(attempt, target, tail_bound)
-
-
-def _pairwise(seq):
-    return zip(seq[:-1], seq[1:])
+        return _double_until(
+            lambda level: _ray_panels(integrand, eps, T, level, prec),
+            target,
+            tail_bound,
+        )

@@ -20,8 +20,6 @@ from .errors import InvalidParameter
 from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .series import LaurentSeries, exponential_jet
 
-DEFAULT_EXPANSION_TERMS = 64
-
 
 @dataclass(frozen=True)
 class OmegaVector:

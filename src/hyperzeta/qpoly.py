@@ -44,8 +44,8 @@ class PolyC:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
+        acc = self.coeffs[-1] if self.coeffs else mp.mpc(0)
+        for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
 

@@ -76,10 +76,6 @@ class LaurentSeries:
 
     # -- structural helpers -------------------------------------------
 
-    def shift(self, d: int) -> "LaurentSeries":
-        """Multiply by t^d."""
-        return LaurentSeries(self.valuation + d, self.coeffs)
-
     def scale(self, c) -> "LaurentSeries":
         c = mp.mpc(c)
         return LaurentSeries(self.valuation, tuple(c * a for a in self.coeffs))

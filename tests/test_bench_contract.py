@@ -17,14 +17,15 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "hzbench"
 
 
-def _bench_spec():
-    loader = importlib.util.spec_from_file_location("hzbench_spec", BENCH / "spec.py")
+def _bench_module(name):
+    loader = importlib.util.spec_from_file_location(f"hzbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
     return module
 
 
-SPEC = _bench_spec()
+SPEC = _bench_module("spec")
+TRACING = _bench_module("tracing")
 
 
 @pytest.mark.parametrize("metric", sorted(SPEC.CACHES))
@@ -33,6 +34,17 @@ def test_cache_paths_resolve(metric):
     fn = getattr(importlib.import_module(f"hyperzeta.{module}"), attr)
     hits, misses = fn.cache_info()[:2]
     assert hits >= 0 and misses >= 0
+
+
+@pytest.mark.parametrize(
+    "method",
+    sorted(f"{cls}.{m}" for cls, names in TRACING.METHODS.items() for m in names),
+)
+def test_traced_methods_resolve(method):
+    # the tracer wraps cls.__dict__[name]: the method must be defined on the class
+    module, cls_name, name = method.split(".")
+    cls = getattr(importlib.import_module(f"hyperzeta.{module}"), cls_name)
+    assert callable(cls.__dict__.get(name))
 
 
 @pytest.mark.parametrize("workload", sorted(SPEC.WORKLOADS))

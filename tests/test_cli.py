@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from mpmath import mp, mpf
 
 from hyperzeta import cli
 
@@ -94,6 +95,20 @@ def test_lambda_out_of_range_exit_3(capsys):
         ["eval", "zeta", "--s", "2.5", "--w", "1", "--omega", "1", "--lambda", "50"],
     )
     assert code == 3
+
+
+def test_lambda_override_matches_default(capsys):
+    # 2 * lambda > 30 / Re(w), so the override also moves the ray's start
+    argv = ["eval", "P", "--m", "1", "--k", "1", "--w", "20", "--omega", "1"]
+    records = []
+    for extra in (["--lambda", "2.5"], []):
+        code, out, _ = run(capsys, argv + extra)
+        assert code == 0
+        records.append(json.loads(out))
+    with mp.workprec(256):
+        values = [mp.mpc(mpf(r["value"]["re"]), mpf(r["value"]["im"])) for r in records]
+        errs = [mpf(r["err_estimate"]) for r in records]
+        assert abs(values[0] - values[1]) <= errs[0] + errs[1]
 
 
 def test_bad_grid_exit_3(capsys):

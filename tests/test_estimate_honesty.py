@@ -1,0 +1,61 @@
+"""Estimate honesty where the ray end T moves with the integrand.
+
+Each integral grows its own T until the ray tail bound is below target / 10,
+so at large w (where lambda is clamped) the tail term dominates the estimate,
+and at Im s = -1.1 the outbound ray is ~1e3 times the inbound one.  Every
+value must lie within 5 estimates of a reference at +64 bits and a 1e-40
+target.
+"""
+
+import math
+from dataclasses import replace
+
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp, mpf
+
+from hyperzeta import (
+    DEFAULT_POLICY,
+    OmegaVector,
+    PrecisionPolicy,
+    balanced_P,
+    default_experiment,
+    zeta_contour,
+)
+from hyperzeta.asymptotics import rhs_expansion
+
+P = DEFAULT_POLICY
+SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
+
+
+# six drawn examples and two corners: eight in all
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(
+    log_w=st.floats(math.log(0.5), math.log(200)),
+    s_int=st.integers(-1, 3),
+    s_frac=st.floats(0.1, 0.9),
+    s_im=st.floats(-1.1, 1.1),
+    k=st.integers(-2, 3),
+    omegas=st.sampled_from([(1,), (1, 0.7)]),
+)
+@example(log_w=math.log(200), s_int=-1, s_frac=0.1, s_im=-1.1, k=-2, omegas=(1, 0.7))
+@example(log_w=math.log(0.5), s_int=3, s_frac=0.9, s_im=-1.1, k=-1, omegas=(1,))
+def test_contour_estimates_are_honest(log_w, s_int, s_frac, s_im, k, omegas):
+    w = mpf(math.exp(log_w))
+    s = mp.mpc(s_int + s_frac, s_im)
+    om = OmegaVector.of(*map(mpf, omegas))
+    for evaluate in (
+        lambda p: zeta_contour(s, w, om, p),
+        lambda p: balanced_P(1, k, w, om, p),
+    ):
+        res = evaluate(P)
+        ref = evaluate(SHARP)
+        with SHARP.context():
+            assert abs(res.value - ref.value) <= 5 * res.err_estimate
+
+
+def test_rhs_expansion_estimate_is_honest_at_large_w():
+    e = default_experiment(1, 0)
+    val, err = rhs_expansion(e, 160)
+    ref, _ = rhs_expansion(replace(e, policy=SHARP), 160)
+    with SHARP.context():
+        assert abs(val - ref) <= 5 * err

@@ -3,7 +3,6 @@ from mpmath import mp, mpf
 
 from hyperzeta import (
     DEFAULT_POLICY,
-    HankelSpec,
     IntegrandSpec,
     LaurentSeries,
     OmegaVector,
@@ -27,24 +26,19 @@ def _prec():
 
 def test_auto_spec_lambda_examples():
     # lambda = 0.5 * min(pole bound, 2 pi)
-    assert abs(auto_spec(OmegaVector.of(1), 1, P).lam - mp.pi) < mpf("1e-40")
-    assert abs(auto_spec(OmegaVector.of(2), 1, P).lam - mp.pi / 2) < mpf("1e-40")
-    assert abs(auto_spec(OmegaVector.of(), 1, P).lam - mp.pi) < mpf("1e-40")
+    assert abs(auto_spec(OmegaVector.of(1), 1, P) - mp.pi) < mpf("1e-40")
+    assert abs(auto_spec(OmegaVector.of(2), 1, P) - mp.pi / 2) < mpf("1e-40")
+    assert abs(auto_spec(OmegaVector.of(), 1, P) - mp.pi) < mpf("1e-40")
     # clamped to Re(w) * lambda <= 12
-    assert auto_spec(OmegaVector.of(1), 40, P).lam == mpf(12) / 40
+    assert auto_spec(OmegaVector.of(1), 40, P) == mpf(12) / 40
 
 
 def test_spec_validation():
+    ispec = IntegrandSpec(omega=OmegaVector.of(1), w=1, k=0, poly=PolyC((1,)))
     with pytest.raises(InvalidParameter):
-        HankelSpec(lam=7.0, ray_truncation=30.0).validate(OmegaVector.of(1))
+        hankel_integrate(ispec, 7.0, P)
     with pytest.raises(InvalidParameter):
-        HankelSpec(lam=1.0, ray_truncation=0.5).validate(OmegaVector.of(1))
-    with pytest.raises(InvalidParameter):
-        IntegrandSpec(omega=OmegaVector.of(1), w=-1, s=2)
-    with pytest.raises(InvalidParameter):
-        IntegrandSpec(omega=OmegaVector.of(1), w=1)  # neither mode
-    with pytest.raises(InvalidParameter):
-        IntegrandSpec(omega=OmegaVector.of(1), w=1, s=2, k=0, poly=PolyC((1,)))
+        IntegrandSpec(omega=OmegaVector.of(1), w=-1, k=-2, poly=PolyC((1,)))
 
 
 def test_r0_power_mode():
@@ -55,7 +49,7 @@ def test_r0_power_mode():
     om = OmegaVector.of()
     for w in (mpf("0.5"), mpf(2)):
         for s in (mpf("1.7"), mp.mpc("2.3", "-1.1")):
-            ispec = IntegrandSpec(omega=om, w=w, s=s)
+            ispec = IntegrandSpec(omega=om, w=w, k=-s, poly=PolyC((1,)))
             val, err = hankel_integrate(ispec, None, P)
             closed = (
                 gamma_scalar(s, P)
@@ -77,13 +71,10 @@ def test_constant_poly_gives_residue():
 def test_lambda_independence():
     om = OmegaVector.of(1, mpf("0.8"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.2"), k=2, poly=q_poly(2, 2, P))
-    base = auto_spec(om, mpf("1.2"), P)
-    v1, e1 = hankel_integrate(ispec, base, P)
+    lam = auto_spec(om, mpf("1.2"), P)
+    v1, e1 = hankel_integrate(ispec, lam, P)
     for factor in ("0.5", "0.3"):
-        other = HankelSpec(
-            lam=mpf(base.lam) * mpf(factor), ray_truncation=base.ray_truncation
-        )
-        v2, e2 = hankel_integrate(ispec, other, P)
+        v2, e2 = hankel_integrate(ispec, lam * mpf(factor), P)
         assert abs(v1 - v2) <= 10 * (e1 + e2) + mpf("1e-25")
 
 
@@ -137,6 +128,15 @@ def test_ray_only_rejects_singular_tail():
     tail = LaurentSeries(0, (mp.mpc(1),))
     ispec = IntegrandSpec(
         omega=OmegaVector.of(1), w=1, k=0, poly=PolyC((1,)), tail=tail
+    )
+    with pytest.raises(InvalidParameter):
+        ray_only_integrate(ispec, 0, P)
+
+
+def test_ray_only_requires_integer_k():
+    tail = LaurentSeries(3, (mp.mpc(1),))
+    ispec = IntegrandSpec(
+        omega=OmegaVector.of(), w=1, k=mpf("0.5"), poly=PolyC((1,)), tail=tail
     )
     with pytest.raises(InvalidParameter):
         ray_only_integrate(ispec, 0, P)
