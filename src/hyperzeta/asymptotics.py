@@ -129,7 +129,8 @@ def run_experiment(e: AsymExperiment):
             lhs, lhs_err = lhs_value(e, w)
             rhs, rhs_err = rhs_expansion(e, w)
             error = lhs - rhs
-            norm = abs(error) * w / (1 + abs(mp.log(w)) ** (e.m - 1))
+            L = abs(mp.log(w))  # m = 0: 1 / (1 + 1/L) as L / (1 + L), which is 0 at w = 1
+            norm = abs(error) * w / (1 + L ** (e.m - 1)) if e.m else abs(error) * w * L / (1 + L)
             rows.append(AsymRow(w, lhs, rhs, error, norm, lhs_err, rhs_err))
     return rows
 

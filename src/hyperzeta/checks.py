@@ -232,7 +232,7 @@ def evaluators_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
     rng = random.Random(seed)
     with p.context():
         om1 = OmegaVector.of(1)
-        d = ev.zeta_direct(mpf("2.5"), mpf("1.3"), om1, 1e-22, p)
+        d = ev.zeta_direct(mpf("2.5"), mpf("1.3"), om1, p)
         c = ev.zeta_contour(mpf("2.5"), mpf("1.3"), om1, p)
         dev = abs(d.value - c.value)
         out.append(
@@ -254,9 +254,9 @@ def evaluators_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
             om = OmegaVector(omegas)
             s = om.r + mpf("1.5")
             w = mpf(1) + mpf(rng.random())
-            full = ev.zeta_direct(s, w, om, 1e-24, p)
-            shifted = ev.zeta_direct(s, w + omegas[-1], om, 1e-24, p)
-            short = ev.zeta_direct(s, w, om.drop_last(), 1e-24, p)
+            full = ev.zeta_direct(s, w, om, p.with_target(1e-24))
+            shifted = ev.zeta_direct(s, w + omegas[-1], om, p.with_target(1e-24))
+            short = ev.zeta_direct(s, w, om.drop_last(), p.with_target(1e-24))
             if abs(full.value - shifted.value - short.value) > 1e-20:
                 ok = False
         out.append(_result("evaluators", "ladder-relation", ok))

@@ -214,7 +214,7 @@ def _run_eval(args, p: PrecisionPolicy) -> int:
                 raise InvalidParameter("eval zeta requires --s")
             s = parse_complex(args.s)
             if args.method == "direct":
-                res = evaluators.zeta_direct(s, w, omega, args.tol, p)
+                res = evaluators.zeta_direct(s, w, omega, p)
             else:
                 res = evaluators.zeta_contour(s, w, omega, p, lam)
         elif args.target == "gamma-log":

@@ -1,8 +1,8 @@
 """Public evaluation API.
 
-* ``zeta_direct`` sums the defining lattice series, with an Euler-Maclaurin
-  tail correction applied recursively in the last omega direction so that
-  tolerances far beyond naive-cutoff reach are attainable.
+* ``zeta_direct`` sums the defining lattice series in one pass, with an
+  Euler-Maclaurin tail correction applied recursively in the last omega
+  direction until a Bernoulli term is below half the policy's target.
 * ``zeta_contour`` evaluates the Hankel-contour representation with the
   1/(Gamma(s)(e^{2 pi i s}-1)) prefactor (generic s only).
 * ``log_hyper_gamma`` and ``balanced_P`` evaluate the contour integrals with
@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import factorial
 
 from mpmath import mp, mpf
@@ -49,60 +50,57 @@ def _require_right_half(w):
 
 # -- direct lattice summation ---------------------------------------------
 
-_EM_LADDER = ((20, 12), (30, 14), (45, 16), (68, 18), (100, 20))
 
-
-def _lattice_em(s, w, omegas, N, J):
-    """Barnes zeta by head summation plus Euler-Maclaurin in the last direction."""
+def _lattice_em(s, w, omegas, eps):
+    """(value, err) of the Barnes zeta: head sum plus Euler-Maclaurin in the last direction."""
     if not omegas:
-        return mp.power(w, -s)
+        return mp.power(w, -s), mpf(0)
     om = omegas[-1]
     rest = omegas[:-1]
-    head = mp.fsum(_lattice_em(s, w + n * om, rest, N, J) for n in range(N))
+    N = max(20, int(abs(s)) + 1)
+    errs = []
+
+    def inner(weight, s_, x):
+        value, err = _lattice_em(s_, x, rest, eps / (2 * N + 6) / max(1, abs(weight)))
+        errs.append(abs(weight) * err)
+        return weight * value
+
     wN = w + N * om
-    total = (
-        head
-        + _lattice_em(s - 1, wN, rest, N, J) / ((s - 1) * om)
-        + _lattice_em(s, wN, rest, N, J) / 2
-    )
-    poch = s
-    ompow = om
-    for j in range(1, J + 1):
+    total = mp.fsum(inner(1, s, w + n * om) for n in range(N))
+    total += inner(1 / ((s - 1) * om), s - 1, wN) + inner(mpf(1) / 2, s, wN)
+    rising = s * om  # (s)_{2j-1} om^{2j-1}
+    prev = mp.inf
+    for j in count(1):
         b = constants.bernoulli_number(2 * j)
         coeff = mpf(b.numerator) / b.denominator / factorial(2 * j)
-        total += coeff * ompow * poch * _lattice_em(s + 2 * j - 1, wN, rest, N, J)
-        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
-        ompow = ompow * om * om
-    return total
+        term = inner(coeff * rising, s + 2 * j - 1, wN)
+        total += term
+        if abs(term) < eps / 2:
+            return total, abs(term) + mp.fsum(errs)
+        if abs(term) > prev:
+            raise ConvergenceTooSlow(f"Bernoulli terms grew before reaching {mp.nstr(eps / 2, 3)}")
+        prev = abs(term)
+        rising *= (s + 2 * j - 1) * (s + 2 * j) * om * om
 
 
-def zeta_direct(
-    s,
-    w,
-    omega: OmegaVector,
-    tol: float | None = None,
-    p: PrecisionPolicy = DEFAULT_POLICY,
-) -> EvalResult:
-    """Barnes multiple zeta by summation of the defining series."""
+def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
+    """Barnes multiple zeta by summation of the defining series, in one pass.
+
+    Each level sums N = max(20, floor|s| + 1) head terms, so the Bernoulli terms
+    shrink from the first, and adds them until one is below target/2; each
+    inner sum gets target/(2N+6)/max(1, |weight|).  ``err_estimate`` is the
+    last term plus the weighted inner estimates.  Raises ConvergenceTooSlow
+    if a term grows first.
+    """
     w = _require_right_half(w)
-    tol = mpf(p.target_abs_error if tol is None else tol)
     with p.context(16):
         s = mp.mpc(s)
         if not mp.re(s) > omega.r + mpf("0.25"):
             raise InvalidParameter(
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
             )
-        prev = None
-        for N, J in _EM_LADDER:
-            val = _lattice_em(s, w, omega.omegas, N, J)
-            if prev is not None:
-                err = abs(val - prev)
-                if err <= tol:
-                    return EvalResult(val, err, METHOD_DIRECT)
-            prev = val
-        raise ConvergenceTooSlow(
-            f"lattice sum did not reach tol={mp.nstr(tol, 3)} within budget"
-        )
+        value, err = _lattice_em(s, w, omega.omegas, mpf(p.target_abs_error))
+        return EvalResult(value, err, METHOD_DIRECT)
 
 
 # -- contour evaluations --------------------------------------------------

@@ -148,7 +148,7 @@ def test_criterion_06_direct_vs_contour():
         om = OmegaVector.of(*[mpf("0.5") + mpf("1.5") * mpf(rng.random()) for _ in range(r)])
         w = mpf(1) if i % 2 == 0 else mpf("2.5")
         s = r + mpf("1.5")
-        d = zeta_direct(s, w, om, 1e-22, P)
+        d = zeta_direct(s, w, om, P.with_target(1e-22))
         c = zeta_contour(s, w, om, P)
         worst = max(worst, abs(d.value - c.value))
     report(6, "direct sum vs contour", worst < mpf("1e-20"),

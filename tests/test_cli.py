@@ -123,6 +123,21 @@ def test_nonpositive_grid_exit_3(capsys):
     assert "w_grid" in json.loads(err)["message"]
 
 
+def test_asym_m0_through_w_1(capsys):
+    # the m = 0 normaliser is finite where log w = 0
+    code, out, _ = run(capsys, ["asym", "--m", "0", "--w-grid", "1,2,3,4"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 5
+
+
+def test_direct_unreachable_tol_exit_4(capsys):
+    argv = ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1", "--method", "direct"]
+    code, out, err = run(capsys, argv + ["--tol", "1e-80"])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["code"] == 4
+
+
 def test_asym_csv_columns(capsys):
     code, out, _ = run(capsys, ["asym", "--w-grid", "2,3,4,5"])
     assert code == 0

@@ -1,10 +1,13 @@
-"""Estimate honesty where the ray end T moves with the integrand.
+"""Estimate honesty where the ray end T moves with the integrand, and for
+the direct lattice sum.
 
 Each integral grows its own T until the ray tail bound is below target / 10,
 so at large w (where lambda is clamped) the tail term dominates the estimate,
 and at Im s = -1.1 the outbound ray is ~1e3 times the inbound one.  Every
 value must lie within 5 estimates of a reference at +64 bits and a 1e-40
-target.
+target.  The direct sum's reference is the direct sum itself: at a 1e-40
+target the contour raises NodeBudgetExceeded at s = 2.3 - 10i, w = 0.05 + 3i,
+omega = (0.1, 2).
 """
 
 import math
@@ -20,6 +23,7 @@ from hyperzeta import (
     balanced_P,
     default_experiment,
     zeta_contour,
+    zeta_direct,
 )
 from hyperzeta.asymptotics import rhs_expansion
 
@@ -59,3 +63,34 @@ def test_rhs_expansion_estimate_is_honest_at_large_w():
     ref, _ = rhs_expansion(replace(e, policy=SHARP), 160)
     with SHARP.context():
         assert abs(val - ref) <= 5 * err
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    r=st.integers(1, 2),
+    om_abs=st.tuples(st.floats(0.1, 2), st.floats(0.1, 2)),
+    om_arg=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    w_re=st.floats(0.05, 3),
+    w_im=st.floats(-3, 3),
+    s_re=st.floats(0.3, 3, exclude_min=True, exclude_max=True),
+    s_im=st.floats(-10, 10),
+    target=st.sampled_from([1e-22, 1e-30]),
+)
+def test_direct_estimates_are_honest(r, om_abs, om_arg, w_re, w_im, s_re, s_im, target):
+    om = OmegaVector.of(*(mp.rect(a, t) for a, t in zip(om_abs[:r], om_arg[:r])))
+    s = mp.mpc(r + s_re, s_im)
+    w = mp.mpc(w_re, w_im)
+    res = zeta_direct(s, w, om, P.with_target(target))
+    ref = zeta_direct(s, w, om, SHARP)
+    with SHARP.context():
+        assert abs(res.value - ref.value) <= 5 * res.err_estimate
+    assert res.err_estimate <= target
+
+
+def test_direct_head_grows_with_abs_s():
+    # at this |s| a fixed 20-term head makes the Bernoulli terms grow
+    with SHARP.context():
+        s, w = mp.mpc(2.5, 120), mpf("1.3")
+        res = zeta_direct(s, w, OmegaVector.of(1), P)
+        assert abs(res.value - mp.zeta(s, w)) <= 5 * res.err_estimate
+    assert res.err_estimate <= P.target_abs_error

@@ -26,20 +26,20 @@ def _prec():
 
 
 def test_direct_r1_is_hurwitz():
-    res = zeta_direct(mpf("2.5"), mpf("1.3"), OmegaVector.of(1), 1e-24, P)
+    res = zeta_direct(mpf("2.5"), mpf("1.3"), OmegaVector.of(1), P.with_target(1e-24))
     assert abs(res.value - hurwitz_oracle(mpf("2.5"), mpf("1.3"), P)) < mpf("1e-22")
     assert res.method == "direct_sum"
 
 
 def test_direct_r2_diagonal_collapses():
     # sum over (n1, n2) of (1 + n1 + n2)^{-4} = sum_m (m+1)(m+1)^{-4} = zeta(3)
-    res = zeta_direct(4, 1, OmegaVector.of(1, 1), 1e-24, P)
+    res = zeta_direct(4, 1, OmegaVector.of(1, 1), P.with_target(1e-24))
     assert abs(res.value - hurwitz_oracle(3, 1, P)) < mpf("1e-22")
 
 
 def test_direct_rejects_small_s():
     with pytest.raises(InvalidParameter):
-        zeta_direct(1, 1, OmegaVector.of(1), 1e-20, P)
+        zeta_direct(1, 1, OmegaVector.of(1), P.with_target(1e-20))
 
 
 def test_contour_matches_hurwitz():
