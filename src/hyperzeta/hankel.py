@@ -17,16 +17,21 @@ The two rays are integrated together as the difference of the outbound and
 inbound integrands, so a single-valued integrand cancels exactly and only the
 circle contributes.  Rays use composite Gauss-Legendre panels on a geometric
 subdivision of [lambda, T]; the circle uses Gauss-Legendre panels in theta.
-Error estimates come from node-doubling agreement plus the ray tail bound.
+Error estimates come from node-doubling agreement plus the ray end bounds.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/2 * min(pole bound, 2 pi), clamped to 12 / Re(w).  The
 clamp matters at large w: the circle's far side carries e^{Re(w) lambda},
 which cancels in the sum, so the guard bits grow as 1.5 * Re(w) * lambda.  The
 value does not depend on lambda, so a smaller circle costs nothing in
-accuracy.  Every integral, on the contour or on the real axis, then picks its
-own ray end: T starts at max(30 / Re(w), 2 * lambda) and grows by 1.25 until
-the integral's tail bound |integrand|(T) * T is below target / 10.
+accuracy.
+
+Both ends of a ray have one truncation rule: move t by a fixed factor until
+the bound |integrand|(t) * t is below target / 10, and add that bound to the
+estimate.  The far end T starts at max(30 / Re(w), 2 * lambda) and grows by
+1.25.  ``ray_only_integrate`` integrates the same outbound-minus-inbound ray
+integrand from 0 instead of from lambda, with no circle; its near end eps
+starts at lambda and shrinks by 4.
 """
 
 from __future__ import annotations
@@ -154,15 +159,18 @@ class _ContourEvaluator:
         k = ispec.k
         self.jump = 1 if isinstance(k, int) else mp.exp(-self.two_pi_i * k)
 
-    def base(self, t):
-        """f_omega(t) e^{-wt} tail(t) t^{-k-1} on the inbound ray (real t > 0)."""
+    def _weight(self, t):
+        """f_omega(t) e^{-wt} tail(t), the factor every part of the path shares."""
         ispec = self.ispec
         return (
             _f_omega_at(ispec.omega, t, self.thr)
             * mp.exp(-ispec.w * t)
             * _tail_at(ispec, t)
-            * mp.power(t, -ispec.k - 1)
         )
+
+    def base(self, t):
+        """f_omega(t) e^{-wt} tail(t) t^{-k-1} on the inbound ray (real t > 0)."""
+        return self._weight(t) * mp.power(t, -self.ispec.k - 1)
 
     def ray(self, t):
         """Outbound-minus-inbound integrand at real t > 0."""
@@ -185,9 +193,7 @@ class _ContourEvaluator:
         t = lam * mp.exp(mp.mpc(0, 1) * theta)
         logt = mp.log(lam) + mp.mpc(0, 1) * theta
         return (
-            _f_omega_at(ispec.omega, t, self.thr)
-            * mp.exp(-ispec.w * t)
-            * _tail_at(ispec, t)
+            self._weight(t)
             * mp.mpc(0, 1)
             * t
             * mp.exp(-(ispec.k + 1) * logt)
@@ -195,14 +201,14 @@ class _ContourEvaluator:
         )
 
 
-def _ray_end(ev: _ContourEvaluator, lam, target):
-    """Ray end T (rule: module docstring); returns (T, tail bound)."""
-    T = max(30 / mp.re(ev.ispec.w), 2 * lam)
+def _ray_end(ev: _ContourEvaluator, t, factor, target):
+    """Move t by factor until the bound ray_magnitude(t) * t is below
+    target / 10 (rule: module docstring); returns (t, bound)."""
     for _ in range(500):
-        tail_bound = ev.ray_magnitude(T) * T
-        if tail_bound < target / 10:
-            return T, tail_bound
-        T *= mpf("1.25")
+        bound = ev.ray_magnitude(t) * t
+        if bound < target / 10:
+            return t, bound
+        t *= factor
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
@@ -258,7 +264,9 @@ def hankel_integrate(
     with p.context(boost):
         ev = _ContourEvaluator(ispec, p.zero_threshold)
         target = mpf(p.target_abs_error)
-        T, tail_bound = _ray_end(ev, lam, target)
+        T, tail_bound = _ray_end(
+            ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target
+        )
         prec = mp.prec
 
         def circle(theta):
@@ -276,15 +284,17 @@ def hankel_integrate(
         return _double_until(attempt, target, tail_bound)
 
 
-def ray_only_integrate(
-    ispec: IntegrandSpec,
-    D: int,
-    p: PrecisionPolicy = DEFAULT_POLICY,
-):
-    """Real-axis integral int_0^inf f_omega e^{-wt} tail(t) t^{-k-1} (log t)^D dt.
+def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY):
+    """The contour's ray integrand integrated over [0, inf) with no circle:
 
-    Requires an integer k and a tail with valuation high enough that the
-    integrand is regular at t = 0.  Returns (value, err_estimate).
+        int_0^inf f_omega e^{-wt} tail(t) t^{-k-1}
+                  (poly(log t + 2 pi i) - poly(log t)) dt.
+
+    By Cauchy's theorem this equals ``hankel_integrate(ispec)`` when the
+    integrand is regular at t = 0, which the two checks below ensure: an
+    integer k, and a tail whose valuation is at least k + 1 + r.  The ray is
+    cut to [eps, T] by the rule in the module docstring, and both end bounds
+    go into the estimate.  Returns (value, err_estimate).
     """
     if ispec.tail is None or not isinstance(ispec.k, int):
         raise InvalidParameter("ray_only_integrate needs an integer k and a tail series")
@@ -294,24 +304,13 @@ def ray_only_integrate(
     with p.context(48):
         ev = _ContourEvaluator(ispec, p.zero_threshold)
         target = mpf(p.target_abs_error)
-
-        def integrand(t):
-            val = ev.base(t)
-            return val * mp.log(t) ** D if D else val
-
-        def head_bound(eps):
-            # bound (log t)^D by its size at eps, never below 1: a sample of
-            # the full integrand is 0 at t = 1 for every D >= 1
-            return abs(ev.base(eps)) * max(1, abs(mp.log(eps))) ** D * eps * 4
-
-        T, tail_bound = _ray_end(ev, lam, target)
-        eps = lam
-        while head_bound(eps) >= target / 10 and eps > mpf("1e-60"):
-            eps /= 4
-        tail_bound += head_bound(eps)
+        T, tail_bound = _ray_end(
+            ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target
+        )
+        eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
         prec = mp.prec
         return _double_until(
-            lambda level: _ray_panels(integrand, eps, T, level, prec),
+            lambda level: _ray_panels(ev.ray, eps, T, level, prec),
             target,
-            tail_bound,
+            tail_bound + head_bound,
         )

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import pytest
 from mpmath import mp, mpf
 
 from hyperzeta import (
     AsymExperiment,
     DEFAULT_POLICY,
+    IntegrandSpec,
     OmegaVector,
+    PolyC,
     PrecisionPolicy,
     default_experiment,
     fit_one_over_w,
+    hankel_integrate,
     remainder_reduction_check,
     run_experiment,
 )
@@ -15,6 +20,7 @@ from hyperzeta.asymptotics import lhs_value, remainder_tail, rhs_expansion
 from hyperzeta.errors import InvalidParameter
 
 P = DEFAULT_POLICY
+SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
 
 
 def small_experiment(**kw):
@@ -136,6 +142,15 @@ def test_reduction_check(m, nu, w):
         chk = remainder_reduction_check(e, mpf(w), nu, terms=10)
         budget = chk.contour_err + chk.rays_err + mpf("1e-24")
         assert abs(chk.contour - chk.rays) <= budget
+    # the ray estimate alone covers the rays' error: the reference is the
+    # contour integral of the same integrand at +64 bits and a 1e-40 target
+    with SHARP.context():
+        tail = remainder_tail(replace(e, policy=SHARP), 10)
+        ispec = IntegrandSpec(
+            omega=e.omega, w=mpf(w), k=e.k, poly=PolyC.monomial(nu), tail=tail
+        )
+        ref, _ = hankel_integrate(ispec, None, SHARP)
+        assert abs(chk.rays - ref) <= 5 * chk.rays_err
 
 
 def test_reduction_check_rejects_bad_nu():

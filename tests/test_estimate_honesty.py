@@ -10,6 +10,7 @@ target the contour raises NodeBudgetExceeded at s = 2.3 - 10i, w = 0.05 + 3i,
 omega = (0.1, 2).
 """
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -39,14 +40,14 @@ SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
     s_frac=st.floats(0.1, 0.9),
     s_im=st.floats(-1.1, 1.1),
     k=st.integers(-2, 3),
-    omegas=st.sampled_from([(1,), (1, 0.7)]),
+    omegas=st.sampled_from([(1,), (1, 0.7), (1, cmath.rect(0.7, 1.3))]),
 )
 @example(log_w=math.log(200), s_int=-1, s_frac=0.1, s_im=-1.1, k=-2, omegas=(1, 0.7))
 @example(log_w=math.log(0.5), s_int=3, s_frac=0.9, s_im=-1.1, k=-1, omegas=(1,))
 def test_contour_estimates_are_honest(log_w, s_int, s_frac, s_im, k, omegas):
     w = mpf(math.exp(log_w))
     s = mp.mpc(s_int + s_frac, s_im)
-    om = OmegaVector.of(*map(mpf, omegas))
+    om = OmegaVector.of(*map(mp.mpmathify, omegas))
     for evaluate in (
         lambda p: zeta_contour(s, w, om, p),
         lambda p: balanced_P(1, k, w, om, p),

@@ -72,6 +72,20 @@ def test_loggamma_point_values():
         assert abs(res.value - ref) < mpf("1e-22")
 
 
+# every m <= 3, k <= 2 and w at least once, in 12 of the 36 combinations
+@pytest.mark.parametrize(
+    "m, k, w",
+    [(m, (m + i) % 3, w) for m in range(4) for i, w in enumerate(("0.7", "2.5", "11"))],
+)
+def test_loggamma_r2_equal_periods(m, k, w):
+    # zeta_2(s, w; (1, 1)) = sum_n (n + 1) (w + n)^{-s}
+    #                      = zeta(s - 1, w) + (1 - w) zeta(s, w)
+    w = mpf(w)
+    res = log_hyper_gamma(m, k, w, OmegaVector.of(1, 1), P)
+    oracle = mp.zeta(-k - 1, w, m) + (1 - w) * mp.zeta(-k, w, m)
+    assert abs(res.value - oracle) <= 5 * res.err_estimate
+
+
 def test_m0_gives_zeta_at_minus_k():
     # log 0Gamma_{1,k} = zeta_1(-k, w); zeta(-1, w) = -B_2(w)/2
     for w in (mpf("0.5"), mpf(1), mpf(3)):

@@ -98,30 +98,33 @@ def test_error_estimate_honesty():
     assert abs(val - ref) <= 5 * err
 
 
-def test_ray_only_gamma_integral():
-    # r = 0, k = 0, tail = t: integrand collapses to e^{-t}, integral 1
+def _unit_ray(poly):
+    # r = 0, k = 0, tail = t: the ray integrand is e^{-t} times the ray
+    # difference poly(log t + 2 pi i) - poly(log t)
     tail = LaurentSeries(1, (mp.mpc(1),))
-    ispec = IntegrandSpec(
-        omega=OmegaVector.of(), w=1, k=0, poly=PolyC((1,)), tail=tail
-    )
-    val, err = ray_only_integrate(ispec, 0, P)
+    return IntegrandSpec(omega=OmegaVector.of(), w=1, k=0, poly=poly, tail=tail)
+
+
+def test_ray_only_gamma_integral():
+    # poly = L / (2 pi i) makes the ray difference 1: int_0^inf e^{-t} dt = 1
+    two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+    val, err = ray_only_integrate(_unit_ray(PolyC((0, 1 / two_pi_i))), P)
     assert abs(val - 1) < mpf("1e-22")
 
 
 def test_ray_only_log_moment():
+    # poly = L^2 / (4 pi i) - L / 2 makes the ray difference L:
     # int_0^inf e^{-t} log t dt = -gamma
-    tail = LaurentSeries(1, (mp.mpc(1),))
-    ispec = IntegrandSpec(
-        omega=OmegaVector.of(), w=1, k=0, poly=PolyC((1,)), tail=tail
-    )
-    val, err = ray_only_integrate(ispec, 1, P)
+    two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+    poly = PolyC((0, -mpf(1) / 2, 1 / (2 * two_pi_i)))
+    val, err = ray_only_integrate(_unit_ray(poly), P)
     assert abs(val + mp.euler) < mpf("1e-22")
 
 
 def test_ray_only_requires_tail():
     ispec = IntegrandSpec(omega=OmegaVector.of(), w=1, k=0, poly=PolyC((1,)))
     with pytest.raises(InvalidParameter):
-        ray_only_integrate(ispec, 0, P)
+        ray_only_integrate(ispec, P)
 
 
 def test_ray_only_rejects_singular_tail():
@@ -130,7 +133,7 @@ def test_ray_only_rejects_singular_tail():
         omega=OmegaVector.of(1), w=1, k=0, poly=PolyC((1,)), tail=tail
     )
     with pytest.raises(InvalidParameter):
-        ray_only_integrate(ispec, 0, P)
+        ray_only_integrate(ispec, P)
 
 
 def test_ray_only_requires_integer_k():
@@ -139,4 +142,4 @@ def test_ray_only_requires_integer_k():
         omega=OmegaVector.of(), w=1, k=mpf("0.5"), poly=PolyC((1,)), tail=tail
     )
     with pytest.raises(InvalidParameter):
-        ray_only_integrate(ispec, 0, P)
+        ray_only_integrate(ispec, P)
