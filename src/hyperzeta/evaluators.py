@@ -21,12 +21,11 @@ from math import factorial
 from mpmath import mp, mpf
 
 from . import constants
-from .combinatorics import coeff_c
 from .errors import ConvergenceTooSlow, InvalidParameter, TooCloseToInteger
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
 from .precision import DEFAULT_POLICY, PrecisionPolicy
-from .qpoly import PolyC, q_poly, s_poly
+from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
 METHOD_DIRECT = "direct_sum"
 METHOD_CONTOUR = "contour"
@@ -68,19 +67,16 @@ def _lattice_em(s, w, omegas, eps):
     wN = w + N * om
     total = mp.fsum(inner(1, s, w + n * om) for n in range(N))
     total += inner(1 / ((s - 1) * om), s - 1, wN) + inner(mpf(1) / 2, s, wN)
-    rising = s * om  # (s)_{2j-1} om^{2j-1}
-    prev = mp.inf
-    for j in count(1):
-        b = constants.bernoulli_number(2 * j)
-        coeff = mpf(b.numerator) / b.denominator / factorial(2 * j)
-        term = inner(coeff * rising, s + 2 * j - 1, wN)
-        total += term
-        if abs(term) < eps / 2:
-            return total, abs(term) + mp.fsum(errs)
-        if abs(term) > prev:
-            raise ConvergenceTooSlow(f"Bernoulli terms grew before reaching {mp.nstr(eps / 2, 3)}")
-        prev = abs(term)
-        rising *= (s + 2 * j - 1) * (s + 2 * j) * om * om
+
+    def terms():
+        rising = s * om  # (s)_{2j-1} om^{2j-1}
+        for j in count(1):
+            coeff = constants._frac(constants.bernoulli_number(2 * j)) / factorial(2 * j)
+            yield inner(coeff * rising, s + 2 * j - 1, wN)
+            rising *= (s + 2 * j - 1) * (s + 2 * j) * om * om
+
+    total, last = constants._bernoulli_tail(total, terms(), eps / 2, ConvergenceTooSlow)
+    return total, last + mp.fsum(errs)
 
 
 def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
@@ -181,11 +177,7 @@ def balanced_P(
                 raise InvalidParameter("the combination path needs k >= 0")
             total = mp.mpc(0)
             err = mpf(0)
-            for mu in range(m + 1):
-                c = coeff_c(m, m - mu, k)
-                if c == 0:
-                    continue
-                weight = mpf(c.numerator) / c.denominator
+            for mu, weight in _c_weights(m, k):
                 part = log_hyper_gamma(mu, k, w, omega, p, lam)
                 total += weight * part.value
                 err += abs(weight) * part.err_estimate
@@ -203,11 +195,8 @@ def p0_closed_form(m: int, k: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
         lw = -mp.log(w)
         wk = mp.power(w, k)
         total = mp.mpc(0)
-        for mu in range(m + 1):
-            c = coeff_c(m, m - mu, k)
-            if c == 0:
-                continue
-            total += (mpf(c.numerator) / c.denominator) * lw ** mu * wk
+        for mu, weight in _c_weights(m, k):
+            total += weight * lw ** mu * wk
         return total
 
 
@@ -239,15 +228,6 @@ def bernoulli_poly_oracle(n: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
 # -- finite differences (hierarchy checks) --------------------------------
 
 
-def derivative_fd(f, x, h, richardson: bool = True):
-    """d/dx f by a 5-point central stencil, optionally Richardson-refined."""
-    def stencil(step):
-        return (
-            -f(x + 2 * step) + 8 * f(x + step) - 8 * f(x - step) + f(x - 2 * step)
-        ) / (12 * step)
-
-    d1 = stencil(h)
-    if not richardson:
-        return d1
-    d2 = stencil(2 * h)
-    return (16 * d1 - d2) / 15
+def derivative_fd(f, x, h):
+    """d/dx f by a 5-point central stencil."""
+    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)

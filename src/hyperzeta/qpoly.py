@@ -22,7 +22,7 @@ from math import factorial
 from mpmath import mp
 
 from .combinatorics import coeff_c
-from .constants import euler_gamma, zeta_int
+from .constants import _frac, euler_gamma, zeta_int
 from .errors import InvalidParameter
 from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .series import LaurentSeries, exponential_jet
@@ -126,6 +126,15 @@ def q_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
         return PolyC(tuple(coeffs))
 
 
+def _c_weights(m: int, k: int):
+    """(mu, c^m_{m-mu,k}) for mu = 0..m, zero weights skipped; the weight is an
+    mpf at the caller's working precision."""
+    for mu in range(m + 1):
+        c = coeff_c(m, m - mu, k)
+        if c != 0:
+            yield mu, _frac(c)
+
+
 @lru_cache(maxsize=None)
 def s_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
     """S_{m,k}(x) = sum_mu c^m_{m-mu,k} q_poly(mu, k); k-independent."""
@@ -133,10 +142,6 @@ def s_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
         raise InvalidParameter("s_poly needs m, k >= 0")
     with p.context(16):
         acc = PolyC((0,) * (m + 1))
-        for mu in range(m + 1):
-            c = coeff_c(m, m - mu, k)
-            if c == 0:
-                continue
-            weight = mp.mpf(c.numerator) / c.denominator
+        for mu, weight in _c_weights(m, k):
             acc = acc + q_poly(mu, k, p).scale(weight)
         return acc

@@ -185,16 +185,14 @@ def test_criterion_08_derivative_hierarchy():
         for m in (1, 2):
             for k in (1, 2):
                 fd = derivative_fd(
-                    lambda x: balanced_P(m, k, x, om, tight).value, w, h,
-                    richardson=False,
+                    lambda x: balanced_P(m, k, x, om, tight).value, w, h
                 )
                 target = -balanced_P(m, k - 1, w, om, tight).value
                 rel = abs(fd - target) / max(mpf(1), abs(target))
                 worst = max(worst, rel)
         for k in (1, 2):
             fd = derivative_fd(
-                lambda x: log_hyper_gamma(1, k, x, om, tight).value, w, h,
-                richardson=False,
+                lambda x: log_hyper_gamma(1, k, x, om, tight).value, w, h
             )
             target = (
                 k * log_hyper_gamma(1, k - 1, w, om, tight).value

@@ -47,6 +47,15 @@ def test_traced_methods_resolve(method):
     assert callable(cls.__dict__.get(name))
 
 
+@pytest.mark.parametrize("name", sorted(TRACING.NOT_WRAPPED))
+def test_not_wrapped_names_resolve(name):
+    # the tracer skips these by name: after a rename it would wrap them again
+    module, attr = name.split(".")
+    mod = importlib.import_module(f"hyperzeta.{module}")
+    fn = getattr(mod, attr)
+    assert callable(fn) and fn.__module__ == mod.__name__
+
+
 @pytest.mark.parametrize("workload", sorted(SPEC.WORKLOADS))
 def test_workload_setup_runs(workload):
     out = subprocess.run(

@@ -78,6 +78,13 @@ def test_hurwitz_against_mpmath():
             (mpf("-1.25"), mpf("0.7")),
             (mp.mpc("0.5", "1.5"), mpf(2)),
             (mp.mpc("-3.5", "-0.25"), mp.mpc("1.0", "0.4")),
+            # Re(s) < 0: the head cancels, which the guard bits pay for
+            (mpf("-10.5"), mpf("0.7")),
+            (mpf("-30.5"), mpf("0.7")),
+            (mp.mpc("-20.5", "3"), mpf("0.7")),
+            # |s| above 0.4 * prec: the head length N >= |s| + 1 applies
+            (mp.mpc("0.5", "600"), mpf(1)),
+            (mp.mpc("0.5", "2000"), mpf("1.5")),
         ]:
             ours = hurwitz_zeta(s, a, P)
             ref = mpmath.zeta(s, a)

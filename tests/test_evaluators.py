@@ -113,9 +113,7 @@ def test_balanced_negative_k_contour():
     w = mpf("1.5")
     h = w * mpf(2) ** -40
     tight = P.with_target(1e-30)
-    fd = derivative_fd(
-        lambda x: balanced_P(1, 0, x, om, tight).value, w, h, richardson=False
-    )
+    fd = derivative_fd(lambda x: balanced_P(1, 0, x, om, tight).value, w, h)
     target = balanced_P(1, -1, w, om, tight).value
     assert abs(fd + target) < mpf("1e-15")
 
