@@ -72,7 +72,7 @@ def combinatorics_suite() -> list:
     )
     out.append(_result("combinatorics", "harmonic-recurrence", ok))
     ok = all(
-        gen_F(k, 11).coeffs[mu] == multi_harmonic(k, mu)
+        gen_F(k, 11)[mu] == multi_harmonic(k, mu)
         for k in range(11)
         for mu in range(11)
     )
@@ -154,7 +154,7 @@ def _generating_identity_dev(k: int, m_max: int, p: PrecisionPolicy):
     jet = _quotient_jet(k, order + k + 4, p).truncate(order)
     fk = gen_F(k, order)
     fk_series = LaurentSeries(
-        0, tuple(mpf(c.numerator) / c.denominator for c in fk.coeffs)
+        0, tuple(mpf(c.numerator) / c.denominator for c in fk)
     )
     sign = Fraction((-1) ** k, factorial(k))
     base = (fk_series * jet).scale(mpf(sign.numerator) / sign.denominator)

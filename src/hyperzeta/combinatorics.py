@@ -4,28 +4,19 @@ The identities this module feeds (the recurrence k*H_k(mu) = H_k(mu-1)
 + k*H_{k-1}(mu), the weights c^m_{mu,k}, and the generating function
 F_k(s) = k!/(1-s)_k) are exact, so everything here is computed with
 ``fractions.Fraction`` and the tests double as proofs at bounded parameters.
+``gen_F`` runs on the float jets' power-series loops (``series._mul_coeffs``
+and ``series._inv_coeffs``), which take Fraction coefficients as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from .errors import InvalidParameter
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """Truncated power series in one variable with Fraction coefficients."""
-
-    coeffs: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
+from .series import _inv_coeffs, _mul_coeffs
 
 
 @lru_cache(maxsize=None)
@@ -55,11 +46,6 @@ def multi_harmonic_by_enumeration(k: int, mu: int) -> Fraction:
     return total
 
 
-def harmonic(N: int) -> Fraction:
-    """Classical harmonic number H_N."""
-    return multi_harmonic(N, 1)
-
-
 def coeff_c(m: int, mu: int, k: int) -> Fraction:
     """The weight c^m_{mu,k} = (-1)^k/k! * m!/(m-mu)! * H_k(mu)."""
     if not 0 <= mu <= m:
@@ -74,51 +60,12 @@ def coeff_c(m: int, mu: int, k: int) -> Fraction:
     )
 
 
-def pochhammer(a, k: int):
-    """Rising factorial (a)_k = a(a+1)...(a+k-1); (a)_0 = 1."""
-    if k < 0:
-        raise InvalidParameter("pochhammer needs k >= 0")
-    acc = Fraction(1) if isinstance(a, (int, Fraction)) else a * 0 + 1
-    for i in range(k):
-        acc = acc * (a + i)
-    return acc
-
-
-def gen_F(k: int, order: int) -> RationalSeries:
-    """Truncated series of F_k(s) = k!/(1-s)_k = 1/prod_{j=1..k}(1 - s/j)."""
+def gen_F(k: int, order: int) -> tuple:
+    """Coefficients of s^0 .. s^(order-1) in the series of
+    F_k(s) = k!/(1-s)_k = 1/prod_{j=1..k}(1 - s/j)."""
     if order < 1:
         raise InvalidParameter("gen_F needs order >= 1")
     denom = [Fraction(1)]
     for j in range(1, k + 1):
-        denom = rational_series_mul(denom, [Fraction(1), Fraction(-1, j)], order)
-    return RationalSeries(tuple(rational_series_inv(denom, order)))
-
-
-# -- exact power-series helpers (shared with the rational Bernoulli path) --
-
-
-def rational_series_mul(a, b, order: int):
-    out = [Fraction(0)] * order
-    for i, x in enumerate(a):
-        if i >= order or x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= order:
-                break
-            out[i + j] += x * y
-    return out
-
-
-def rational_series_inv(a, order: int):
-    """Inverse of a rational power series with nonzero constant term."""
-    if not a or a[0] == 0:
-        raise InvalidParameter("rational series inversion needs a unit")
-    inv = [Fraction(0)] * order
-    inv[0] = 1 / a[0]
-    for n in range(1, order):
-        s = Fraction(0)
-        for j in range(1, n + 1):
-            if j < len(a):
-                s += a[j] * inv[n - j]
-        inv[n] = -s / a[0]
-    return inv
+        denom = _mul_coeffs(denom, [1, Fraction(-1, j)], order)
+    return tuple(_inv_coeffs(denom, order))

@@ -1,6 +1,7 @@
 """Public evaluation API.
 
-* ``zeta_direct`` sums the defining lattice series in one pass, with an
+* ``zeta_direct`` sums the defining lattice series in one pass: a head whose
+  length grows with |s| and with the digits asked for, then an
   Euler-Maclaurin tail correction applied recursively in the last omega
   direction until a Bernoulli term is below half the policy's target.
 * ``zeta_contour`` evaluates the Hankel-contour representation with the
@@ -21,7 +22,12 @@ from math import factorial
 from mpmath import mp, mpf
 
 from . import constants
-from .errors import ConvergenceTooSlow, InvalidParameter, TooCloseToInteger
+from .errors import (
+    ConvergenceTooSlow,
+    InvalidParameter,
+    PrecisionUnreachable,
+    TooCloseToInteger,
+)
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
 from .precision import DEFAULT_POLICY, PrecisionPolicy
@@ -56,7 +62,7 @@ def _lattice_em(s, w, omegas, eps):
         return mp.power(w, -s), mpf(0)
     om = omegas[-1]
     rest = omegas[:-1]
-    N = max(20, int(abs(s)) + 1)
+    N = max(20, int(abs(s)) + 1, int(mp.ceil(-mp.log(eps) / (2 * mp.pi))))
     errs = []
 
     def inner(weight, s_, x):
@@ -82,11 +88,16 @@ def _lattice_em(s, w, omegas, eps):
 def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
     """Barnes multiple zeta by summation of the defining series, in one pass.
 
-    Each level sums N = max(20, floor|s| + 1) head terms, so the Bernoulli terms
-    shrink from the first, and adds them until one is below target/2; each
-    inner sum gets target/(2N+6)/max(1, |weight|).  ``err_estimate`` is the
-    last term plus the weighted inner estimates.  Raises ConvergenceTooSlow
-    if a term grows first.
+    Each level sums N = max(20, floor|s| + 1, ceil(ln(1/eps) / (2 pi))) head
+    terms, where eps is that level's target: the Bernoulli terms then shrink
+    from the first, and the smallest of them, about e^{-2 pi N}, lies below
+    eps.  The last term only exceeds 20 for eps < e^{-40 pi} ~ 3.5e-55.  Terms
+    are added until one is below eps/2; each inner sum gets
+    eps/(2N+6)/max(1, |weight|).  ``err_estimate`` is the last term plus the
+    weighted inner estimates.  Raises ConvergenceTooSlow if a term grows
+    first, and PrecisionUnreachable for a target below the unit roundoff of
+    the working precision (the policy's bits plus 16 guard bits), which the
+    sum's rounding could not honour.
     """
     w = _require_right_half(w)
     with p.context(16):
@@ -95,7 +106,12 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
             raise InvalidParameter(
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
             )
-        value, err = _lattice_em(s, w, omega.omegas, mpf(p.target_abs_error))
+        eps = mpf(p.target_abs_error)
+        if eps < mpf(2) ** -mp.prec:
+            raise PrecisionUnreachable(
+                f"target {mp.nstr(eps, 3)} is below the working precision's 2^-{mp.prec}"
+            )
+        value, err = _lattice_em(s, w, omega.omegas, eps)
         return EvalResult(value, err, METHOD_DIRECT)
 
 

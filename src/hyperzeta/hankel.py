@@ -295,11 +295,16 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     integer k, and a tail whose valuation is at least k + 1 + r.  The ray is
     cut to [eps, T] by the rule in the module docstring, and both end bounds
     go into the estimate.  Returns (value, err_estimate).
+
+    With an integer k the jump is 1, so a constant poly has the ray
+    difference 0 identically, and the integral is exactly (0, 0).
     """
     if ispec.tail is None or not isinstance(ispec.k, int):
         raise InvalidParameter("ray_only_integrate needs an integer k and a tail series")
     if ispec.tail.valuation - ispec.k - 1 - ispec.omega.r < 0:
         raise InvalidParameter("tail valuation leaves a singular integrand at 0")
+    if ispec.poly.degree <= 0:
+        return mp.mpc(0), mpf(0)
     lam = auto_spec(ispec.omega, ispec.w, p)
     with p.context(48):
         ev = _ContourEvaluator(ispec, p.zero_threshold)

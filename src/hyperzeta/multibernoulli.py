@@ -3,7 +3,9 @@ e^{-wt} / prod_i (1 - e^{-omega_i t}).
 
 The coefficient of t^N in that expansion is a_{r,N}(w; omega).  The float
 path runs through the jet engine; an exact Fraction path is provided for
-rational parameters so the tests can compare against exact values.
+rational parameters so the tests can compare against exact values.  Both
+paths multiply and invert with the same loops, ``series._mul_coeffs`` and
+``series._inv_coeffs``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from math import factorial
 
 from mpmath import mp
 
-from .combinatorics import rational_series_inv, rational_series_mul
 from .errors import InvalidParameter
 from .precision import DEFAULT_POLICY, PrecisionPolicy
-from .series import LaurentSeries, exponential_jet
+from .series import LaurentSeries, _inv_coeffs, _mul_coeffs, exponential_jet
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def _f_omega_rational(omegas: tuple, order: int):
             Fraction((-1) ** n) * o ** (n + 1) / factorial(n + 1)
             for n in range(work)
         ]
-        unit = rational_series_mul(unit, rational_series_inv(factor, work), work)
+        unit = _mul_coeffs(unit, _inv_coeffs(factor, work), work)
     return tuple(unit)
 
 
@@ -153,5 +154,5 @@ def bernoulli_a_exact(omegas, N: int, w) -> Fraction:
     n_terms = N + r + 1
     unit = list(_f_omega_rational(omegas, n_terms))[:n_terms]
     expw = [Fraction((-w) ** n, factorial(n)) for n in range(n_terms)]
-    out = rational_series_mul(unit, expw, n_terms)
+    out = _mul_coeffs(unit, expw, n_terms)
     return out[N + r]

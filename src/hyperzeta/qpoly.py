@@ -25,7 +25,7 @@ from .combinatorics import coeff_c
 from .constants import _frac, euler_gamma, zeta_int
 from .errors import InvalidParameter
 from .precision import DEFAULT_POLICY, PrecisionPolicy
-from .series import LaurentSeries, exponential_jet
+from .series import LaurentSeries, _mul_coeffs, exponential_jet
 
 JET_GUARD_TERMS = 8
 
@@ -78,12 +78,11 @@ def recip_gamma_jet(
     if order < 2:
         raise InvalidParameter("recip_gamma_jet needs order >= 2")
     with p.context(16):
-        base = _recip_gamma1_jet(order + k, p)
-        poly = LaurentSeries.one(order + k)
+        poly = [1]
         for j in range(k + 1):
-            factor = LaurentSeries(0, (-j, 1)).pad_to(order + k)
-            poly = poly * factor
-        return (poly * base).truncate(order)
+            poly = _mul_coeffs(poly, [-j, 1], k + 2)
+        base = _recip_gamma1_jet(order, p)
+        return LaurentSeries(0, _mul_coeffs(poly, base.coeffs, order))
 
 
 def _recip_gamma1_jet(order: int, p: PrecisionPolicy) -> LaurentSeries:

@@ -5,6 +5,14 @@ Every operation is pure and works at the ambient mpmath precision, so callers
 are expected to run inside ``PrecisionPolicy.context()``.  Truncation orders
 follow the usual jet rules: the result is only claimed up to the order both
 operands support.
+
+The power-series kernel is one pair of loops, ``_mul_coeffs`` (truncated
+convolution) and ``_inv_coeffs`` (inverse of a unit series).  Their
+accumulators start at the integer 0, so they work on ``mpc`` and on
+``Fraction`` coefficients alike: ``LaurentSeries`` multiplies and divides with
+them, and the exact rational path (``combinatorics.gen_F``,
+``multibernoulli.bernoulli_a_exact``) uses the same loops.  They stay private
+because the benchmark tracer wraps every public function.
 """
 
 from __future__ import annotations
@@ -36,13 +44,7 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, order: int) -> "LaurentSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "LaurentSeries":
-        if order <= 0:
-            return cls.zero(order)
-        return cls(0, (c,) + (0,) * (order - 1))
+        return cls.monomial(1, 0, order)
 
     @classmethod
     def monomial(cls, c, power: int, order: int) -> "LaurentSeries":
@@ -88,13 +90,6 @@ class LaurentSeries:
             return LaurentSeries.zero(order)
         return LaurentSeries(self.valuation, self.coeffs[:n])
 
-    def pad_to(self, order: int) -> "LaurentSeries":
-        if order <= self.order:
-            return self
-        return LaurentSeries(
-            self.valuation, self.coeffs + (0,) * (order - self.order)
-        )
-
     def __call__(self, t):
         """Evaluate by Horner on the unit part times t^valuation."""
         t = mp.mpc(t)
@@ -131,15 +126,7 @@ class LaurentSeries:
         n = order - val
         if n <= 0 or not self.coeffs or not other.coeffs:
             return LaurentSeries.zero(order)
-        out = [mp.mpc(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if i >= n:
-                break
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                out[i + j] += a * b
-        return LaurentSeries(val, tuple(out))
+        return LaurentSeries(val, _mul_coeffs(self.coeffs, other.coeffs, n))
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
         b = other.normalize()
@@ -149,15 +136,8 @@ class LaurentSeries:
         n = min(len(num.coeffs), len(b.coeffs))
         if n <= 0:
             return LaurentSeries.zero(num.valuation - b.valuation)
-        inv = _invert_unit(b.coeffs, n)
-        out = [mp.mpc(0)] * n
-        for i in range(n):
-            a = num.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n - i):
-                out[i + j] += a * inv[j]
-        return LaurentSeries(num.valuation - b.valuation, tuple(out))
+        inv = _inv_coeffs(b.coeffs, n)
+        return LaurentSeries(num.valuation - b.valuation, _mul_coeffs(num.coeffs, inv, n))
 
     # -- transcendental operations ------------------------------------
 
@@ -185,35 +165,29 @@ class LaurentSeries:
         scalar = mp.exp(c0)
         return LaurentSeries(0, tuple(scalar * c for c in e))
 
-    def log(self) -> "LaurentSeries":
-        """Formal logarithm; requires a nonzero constant term."""
-        a = self.normalize()
-        if a.valuation != 0 or not a.coeffs:
-            raise DomainError("log requires a series with nonzero constant term")
-        c0 = a.coeffs[0]
-        order = len(a.coeffs)
-        u = [a.coeffs[n] / c0 for n in range(order)]
-        l = [mp.mpc(0)] * order
-        l[0] = mp.log(c0)
-        for n in range(1, order):
-            s = mp.mpc(0)
-            for j in range(1, n):
-                s += j * l[j] * u[n - j]
-            l[n] = u[n] - s / n
-        return LaurentSeries(0, tuple(l))
+
+def _mul_coeffs(a, b, n):
+    """First n coefficients of the product of the power series a and b."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if i + j >= n:
+                break
+            out[i + j] += x * y
+    return out
 
 
-def _invert_unit(coeffs, n):
-    """Inverse of a unit power series (nonzero constant term), n terms."""
-    c0 = coeffs[0]
-    inv = [mp.mpc(0)] * n
-    inv[0] = 1 / c0
+def _inv_coeffs(a, n):
+    """First n coefficients of 1/a, for a power series a with a[0] != 0."""
+    inv = [0] * n
+    inv[0] = 1 / a[0]
     for k in range(1, n):
-        s = mp.mpc(0)
-        for j in range(1, k + 1):
-            if j < len(coeffs):
-                s += coeffs[j] * inv[k - j]
-        inv[k] = -s / c0
+        s = 0
+        for j in range(1, min(k, len(a) - 1) + 1):
+            s += a[j] * inv[k - j]
+        inv[k] = -s / a[0]
     return inv
 
 

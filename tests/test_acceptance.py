@@ -72,7 +72,7 @@ def test_criterion_01_exact_combinatorics():
         for mu in range(1, 9)
     )
     ok = ok and all(
-        gen_F(k, 11).coeffs[mu] == multi_harmonic(k, mu)
+        gen_F(k, 11)[mu] == multi_harmonic(k, mu)
         for k in range(11)
         for mu in range(11)
     )

@@ -153,6 +153,18 @@ def test_reduction_check(m, nu, w):
         assert abs(chk.rays - ref) <= 5 * chk.rays_err
 
 
+@pytest.mark.parametrize("w", [5, 15])
+def test_reduction_check_nu0_rays_are_exactly_zero(w):
+    # poly = 1 and an integer k: the outbound and inbound ray integrands are
+    # equal, so the ray side is 0 with no error, and the contour, by Cauchy's
+    # theorem, is 0 within its own estimate
+    e = default_experiment(3, 0)
+    with P.context():
+        chk = remainder_reduction_check(e, mpf(w), 0, terms=12)
+        assert chk.rays == 0 and chk.rays_err == 0
+        assert abs(chk.contour) <= chk.contour_err
+
+
 def test_reduction_check_rejects_bad_nu():
     e = small_experiment()
     with pytest.raises(InvalidParameter):

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -186,3 +188,31 @@ def test_parse_complex_forms():
     }
     for text, want in cases.items():
         assert abs(cli.parse_complex(text) - want) < mp.mpf("1e-40")
+
+
+def _readme_eval_commands():
+    """The ``hyperzeta eval ...`` lines of the README's CLI block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("hyperzeta eval ")
+    ]
+
+
+README_EVALS = _readme_eval_commands()
+
+
+def test_readme_has_eval_examples():
+    assert len(README_EVALS) >= 4
+
+
+@pytest.mark.parametrize(
+    "argv", README_EVALS, ids=[f"{i}-{a[1]}" for i, a in enumerate(README_EVALS)]
+)
+def test_readme_eval_examples_run(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["target"] == argv[1]

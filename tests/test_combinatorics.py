@@ -5,12 +5,9 @@ import pytest
 from hyperzeta.combinatorics import (
     coeff_c,
     gen_F,
-    harmonic,
     multi_harmonic,
     multi_harmonic_by_enumeration,
-    pochhammer,
 )
-from hyperzeta.errors import InvalidParameter
 
 
 def test_multi_harmonic_conventions():
@@ -40,9 +37,9 @@ def test_multi_harmonic_vs_enumeration():
 
 
 def test_harmonic_numbers():
-    assert harmonic(0) == 0
-    assert harmonic(2) == Fraction(3, 2)
-    assert harmonic(4) == Fraction(25, 12)
+    assert multi_harmonic(0, 1) == 0
+    assert multi_harmonic(2, 1) == Fraction(3, 2)
+    assert multi_harmonic(4, 1) == Fraction(25, 12)
 
 
 def test_coeff_c_values():
@@ -61,22 +58,11 @@ def test_coeff_c_out_of_range():
         coeff_c(2, 3, 1)
 
 
-def test_pochhammer():
-    assert pochhammer(Fraction(7, 3), 0) == 1
-    assert pochhammer(1, 4) == 24
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-
-
-def test_pochhammer_negative_k():
-    with pytest.raises(InvalidParameter):
-        pochhammer(1, -1)
-
-
 def test_gen_F_matches_multi_harmonic():
     for k in range(11):
         series = gen_F(k, 11)
         for mu in range(11):
-            assert series.coeffs[mu] == multi_harmonic(k, mu)
+            assert series[mu] == multi_harmonic(k, mu)
 
 
 def test_gen_F_closed_form():
@@ -86,8 +72,8 @@ def test_gen_F_closed_form():
     s = Fraction(1, 3)
     direct = Fraction(1) / ((1 - s) * (1 - s / 2))
     # truncation error is bounded by the tail; compare partial sums instead
-    partial = sum(series.coeffs[mu] * s ** mu for mu in range(6))
+    partial = sum(series[mu] * s ** mu for mu in range(6))
     assert abs(direct - partial) < Fraction(1, 100)
     # and exactness of the first coefficients
-    assert series.coeffs[0] == 1
-    assert series.coeffs[1] == Fraction(3, 2)
+    assert series[0] == 1
+    assert series[1] == Fraction(3, 2)

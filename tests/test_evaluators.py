@@ -4,6 +4,7 @@ from mpmath import mp, mpf
 from hyperzeta import (
     DEFAULT_POLICY,
     OmegaVector,
+    PrecisionPolicy,
     balanced_P,
     bernoulli_poly_oracle,
     hurwitz_oracle,
@@ -13,7 +14,7 @@ from hyperzeta import (
     zeta_contour,
     zeta_direct,
 )
-from hyperzeta.errors import InvalidParameter, TooCloseToInteger
+from hyperzeta.errors import InvalidParameter, PrecisionUnreachable, TooCloseToInteger
 from hyperzeta.evaluators import METHOD_COMBINATION, derivative_fd
 
 P = DEFAULT_POLICY
@@ -35,6 +36,25 @@ def test_direct_r2_diagonal_collapses():
     # sum over (n1, n2) of (1 + n1 + n2)^{-4} = sum_m (m+1)(m+1)^{-4} = zeta(3)
     res = zeta_direct(4, 1, OmegaVector.of(1, 1), P.with_target(1e-24))
     assert abs(res.value - hurwitz_oracle(3, 1, P)) < mpf("1e-22")
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_direct_reaches_1e55_with_complex_omega(r):
+    # the head grows with the digits asked for: a fixed 20-term head leaves
+    # the smallest Bernoulli term near e^{-40 pi} ~ 3.5e-55, above the target
+    omega = OmegaVector.of(*(mp.exp(1.3j), mpf("1.3"))[:r])
+    s, w = r + mpf("1.5"), mpf("1.5")
+    res = zeta_direct(s, w, omega, P.with_target(1e-55))
+    sharp = PrecisionPolicy(P.precision_bits + 64, 1e-62)
+    ref = zeta_direct(s, w, omega, sharp)
+    with sharp.context():
+        assert abs(res.value - ref.value) <= 5 * res.err_estimate
+    assert res.err_estimate <= 1e-55
+
+
+def test_direct_target_below_working_precision_raises():
+    with pytest.raises(PrecisionUnreachable):
+        zeta_direct(mpf("2.5"), mpf("1.3"), OmegaVector.of(1), P.with_target(1e-80))
 
 
 def test_direct_rejects_small_s():

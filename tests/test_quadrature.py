@@ -12,6 +12,7 @@ from hyperzeta import (
     hankel_integrate,
     q_poly,
 )
+from hyperzeta.asymptotics import default_experiment, remainder_tail
 from hyperzeta.errors import InvalidParameter
 from hyperzeta.hankel import ray_only_integrate
 
@@ -119,6 +120,28 @@ def test_ray_only_log_moment():
     poly = PolyC((0, -mpf(1) / 2, 1 / (2 * two_pi_i)))
     val, err = ray_only_integrate(_unit_ray(poly), P)
     assert abs(val + mp.euler) < mpf("1e-22")
+
+
+@pytest.mark.parametrize("w", [20, 160])
+@pytest.mark.parametrize("m, nu", [(1, 1), (3, 2)])
+def test_ray_only_matches_mpmath_quad(m, nu, w):
+    # the remainder's ray integrand against mpmath's tanh-sinh quadrature at
+    # 256 bits, split where e^{-wt} and f_omega change scale
+    e = default_experiment(m, 0)
+    tail = remainder_tail(e, 12)
+    ispec = IntegrandSpec(omega=e.omega, w=w, k=e.k, poly=PolyC.monomial(nu), tail=tail)
+    val, err = ray_only_integrate(ispec, P)
+    with mp.workprec(256):
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+
+        def f(t):
+            f_omega = mp.fprod(1 / (1 - mp.exp(-o * t)) for o in e.omega.omegas)
+            L = mp.log(t)
+            diff = (L + two_pi_i) ** nu - L ** nu
+            return f_omega * mp.exp(-w * t) * tail(t) * t ** (-e.k - 1) * diff
+
+        ref = mp.quad(f, [0, mpf(12) / w, 1, mp.inf])
+        assert abs(val - ref) <= 5 * err
 
 
 def test_ray_only_requires_tail():
