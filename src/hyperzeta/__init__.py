@@ -26,10 +26,7 @@ from .errors import (
 from .evaluators import (
     EvalResult,
     balanced_P,
-    bernoulli_poly_oracle,
-    hurwitz_oracle,
     log_hyper_gamma,
-    loggamma_oracle,
     p0_closed_form,
     zeta_contour,
     zeta_direct,
@@ -76,13 +73,10 @@ __all__ = [
     "bernoulli_a",
     "bernoulli_a_exact",
     "bernoulli_expansion",
-    "bernoulli_poly_oracle",
     "default_experiment",
     "fit_one_over_w",
     "hankel_integrate",
-    "hurwitz_oracle",
     "log_hyper_gamma",
-    "loggamma_oracle",
     "p0_closed_form",
     "q_poly",
     "remainder_reduction_check",

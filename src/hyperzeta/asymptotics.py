@@ -144,6 +144,8 @@ def fit_one_over_w(e: AsymExperiment, rows=None):
         raise InvalidParameter("the 1/w coefficient fit applies to m = 1")
     if rows is None:
         rows = run_experiment(e)
+    if len(rows) < 3:
+        raise InvalidParameter(f"the 1/w fit needs at least 3 rows, got {len(rows)}")
     with e.policy.context(16):
         pts = [(row.w, row.error * row.w) for row in rows[-3:]]
         extrapolants = []

@@ -68,8 +68,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
+def _finite(x, text: str):
+    if not mp.isfinite(x):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return x
+
+
 def parse_complex(text: str):
-    """Parse '1.5', '-2', '1+2j', '0.5-0.25j', '2j' into an mpc."""
+    """Parse '1.5', '-2', '1+2j', '0.5-0.25j', '2j' into a finite mpc."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty number")
@@ -87,13 +93,16 @@ def parse_complex(text: str):
             re_part, im_part = body[:split], body[split:]
         if im_part in ("+", "-"):
             im_part += "1"
-        return mp.mpc(mpf(re_part), mpf(im_part))
-    return mp.mpc(mpf(s))
+        z = mp.mpc(mpf(re_part), mpf(im_part))
+    else:
+        z = mp.mpc(mpf(s))
+    return _finite(z, text)
 
 
 def parse_real_tuple(text: str):
+    """Parse '1,0.7' into a tuple of finite mpfs."""
     parts = [t for t in text.split(",") if t.strip()]
-    return tuple(mpf(t.strip()) for t in parts)
+    return tuple(_finite(mpf(t.strip()), t) for t in parts)
 
 
 def _digits(bits: int) -> int:

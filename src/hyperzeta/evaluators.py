@@ -9,8 +9,7 @@
 * ``log_hyper_gamma`` and ``balanced_P`` evaluate the contour integrals with
   the q/S weight polynomials; integer-point zeta values are always routed
   through these, never through the singular generic-s prefactor.
-* r = 0 closed forms and the classical oracles (Hurwitz zeta, log-gamma,
-  Bernoulli polynomials) back the acceptance tests.
+* ``p0_closed_form`` is the r = 0 closed form of the balanced function.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
 METHOD_DIRECT = "direct_sum"
 METHOD_CONTOUR = "contour"
-METHOD_CLOSED = "closed_form"
 METHOD_COMBINATION = "combination"
 
 
@@ -213,31 +211,6 @@ def p0_closed_form(m: int, k: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
         total = mp.mpc(0)
         for mu, weight in _c_weights(m, k):
             total += weight * lw ** mu * wk
-        return total
-
-
-# -- classical oracles ----------------------------------------------------
-
-
-def hurwitz_oracle(s, w, p: PrecisionPolicy = DEFAULT_POLICY):
-    """Hurwitz zeta(s, w) by Euler-Maclaurin; valid for all complex s != 1."""
-    return constants.hurwitz_zeta(s, w, p)
-
-
-def loggamma_oracle(w, p: PrecisionPolicy = DEFAULT_POLICY):
-    """log Gamma(w) by shift-and-Stirling."""
-    return constants.loggamma(w, p)
-
-
-def bernoulli_poly_oracle(n: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
-    """Bernoulli polynomial B_n(w) from the exact coefficient recursion."""
-    with p.context(16):
-        w = mp.mpc(w)
-        total = mp.mpc(0)
-        wpow = mp.mpc(1)
-        for q in constants.bernoulli_poly_coeffs(n):
-            total += (mpf(q.numerator) / q.denominator) * wpow
-            wpow *= w
         return total
 
 

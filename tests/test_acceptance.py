@@ -18,10 +18,8 @@ from hyperzeta import (
     OmegaVector,
     balanced_P,
     bernoulli_a,
-    bernoulli_poly_oracle,
     default_experiment,
     fit_one_over_w,
-    hurwitz_oracle,
     log_hyper_gamma,
     p0_closed_form,
     q_poly,
@@ -161,13 +159,13 @@ def test_criterion_07_classical_oracles():
     worst_zeta = mpf(0)
     for s in (mpf("-3.5"), mpf("-1.25"), mpf("0.5"), mpf("2.5")):
         res = zeta_contour(s, mpf(1), om, P)
-        worst_zeta = max(worst_zeta, abs(res.value - hurwitz_oracle(s, 1, P)))
+        worst_zeta = max(worst_zeta, abs(res.value - mp.zeta(s, 1)))
     lg = log_hyper_gamma(1, 0, 1, om, P)
     dev_lg = abs(lg.value + mp.log(2 * mp.pi) / 2)
     worst_b = mpf(0)
     for w in (mpf(1) / 2, mpf(1), mpf(3)):
         res = log_hyper_gamma(0, 1, w, om, P)
-        worst_b = max(worst_b, abs(res.value + bernoulli_poly_oracle(2, w, P) / 2))
+        worst_b = max(worst_b, abs(res.value + mp.bernpoly(2, w) / 2))
     ok = worst_zeta < mpf("1e-20") and dev_lg < mpf("1e-18") and worst_b < mpf("1e-20")
     report(7, "classical oracles", ok,
            f"Hurwitz {mp.nstr(worst_zeta, 3)} < 1e-20, "

@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from hyperzeta import (
     AsymExperiment,
+    AsymRow,
     DEFAULT_POLICY,
     IntegrandSpec,
     OmegaVector,
@@ -117,6 +118,14 @@ def test_rhs_is_finite_sum_of_balanced_values(kw):
 def test_fit_requires_m1():
     with pytest.raises(InvalidParameter):
         fit_one_over_w(small_experiment(m=2))
+
+
+def test_fit_requires_three_rows():
+    e = small_experiment()
+    for n in (0, 2):
+        rows = [AsymRow(w, 0, 0, 1 / w, 1) for w in e.w_grid[:n]]
+        with pytest.raises(InvalidParameter, match=f"got {n}"):
+            fit_one_over_w(e, rows)
 
 
 def test_remainder_tail_valuation():

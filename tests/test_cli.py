@@ -74,6 +74,24 @@ def test_parse_error_exit_2(capsys):
     assert json.loads(err.strip().splitlines()[-1])["code"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "zeta", "--s", "inf", "--w", "1.3"],
+        ["eval", "zeta", "--s", "2.5", "--w", "inf", "--method", "direct"],
+        ["eval", "gamma-log", "--w", "1.3", "--omega", "inf"],
+        ["asym", "--w-grid", "10,20,40,inf"],
+    ],
+    ids=["s", "w-direct", "omega", "w-grid"],
+)
+def test_non_finite_number_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and "inf" in record["message"]
+
+
 def test_missing_s_is_domain_error(capsys):
     code, _, err = run(capsys, ["eval", "zeta", "--w", "1"])
     assert code == 3

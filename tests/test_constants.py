@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -10,8 +9,6 @@ from hyperzeta.constants import (
     bernoulli_poly_coeffs,
     euler_gamma,
     gamma_scalar,
-    hurwitz_zeta,
-    loggamma,
     zeta_int,
 )
 from hyperzeta.errors import DomainError
@@ -71,47 +68,13 @@ def test_precision_doubling_stability():
         assert abs(zeta_int(3, lo) - zeta_int(3, hi)) < mpf(2) ** -120
 
 
-def test_hurwitz_against_mpmath():
-    with P.context():
-        for s, a in [
-            (mpf("2.5"), mpf("1.3")),
-            (mpf("-1.25"), mpf("0.7")),
-            (mp.mpc("0.5", "1.5"), mpf(2)),
-            (mp.mpc("-3.5", "-0.25"), mp.mpc("1.0", "0.4")),
-            # Re(s) < 0: the head cancels, which the guard bits pay for
-            (mpf("-10.5"), mpf("0.7")),
-            (mpf("-30.5"), mpf("0.7")),
-            (mp.mpc("-20.5", "3"), mpf("0.7")),
-            # |s| above 0.4 * prec: the head length N >= |s| + 1 applies
-            (mp.mpc("0.5", "600"), mpf(1)),
-            (mp.mpc("0.5", "2000"), mpf("1.5")),
-        ]:
-            ours = hurwitz_zeta(s, a, P)
-            ref = mpmath.zeta(s, a)
-            assert abs(ours - ref) < mpf("1e-45")
-
-
-def test_hurwitz_pole_and_domain():
-    with pytest.raises(DomainError):
-        hurwitz_zeta(1, 1, P)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2, -1, P)
-
-
-def test_loggamma_against_mpmath():
-    with P.context():
-        for w in (mpf("0.3"), mpf(1), mpf("7.5"), mp.mpc(2, 3), mp.mpc("0.5", "-1")):
-            assert abs(loggamma(w, P) - mp.loggamma(w)) < mpf("1e-45")
-
-
-def test_loggamma_pole():
-    with pytest.raises(DomainError):
-        loggamma(0, P)
-    with pytest.raises(DomainError):
-        loggamma(-3, P)
-
-
 def test_gamma_scalar_functional_equation():
     with P.context():
         z = mp.mpc("1.7", "0.3")
         assert abs(gamma_scalar(z + 1, P) - z * gamma_scalar(z, P)) < mpf("1e-45")
+
+
+def test_gamma_scalar_pole():
+    for s in (0, -3):
+        with pytest.raises(DomainError):
+            gamma_scalar(s, P)
