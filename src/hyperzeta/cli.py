@@ -99,6 +99,14 @@ def parse_complex(text: str):
     return _finite(z, text)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for --tol and --lambda: a finite float."""
+    try:
+        return _finite(float(text), text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def parse_real_tuple(text: str):
     """Parse '1,0.7' into a tuple of finite mpfs."""
     parts = [t for t in text.split(",") if t.strip()]
@@ -129,12 +137,12 @@ def _add_common(parser, suppress: bool):
         help="working precision in bits (default: HYPERZETA_PRECISION_BITS or 192)",
     )
     parser.add_argument(
-        "--tol", type=float, default=d(1e-22), help="target absolute error"
+        "--tol", type=_finite_float, default=d(1e-22), help="target absolute error"
     )
     parser.add_argument(
         "--lambda",
         dest="lam",
-        type=float,
+        type=_finite_float,
         default=d(None),
         help="Hankel circle radius override (must satisfy the pole bound)",
     )

@@ -127,7 +127,7 @@ def zeta_contour(
     w = _require_right_half(w)
     with p.context(16):
         s = mp.mpc(s)
-        nearest = mp.mpc(round(float(mp.re(s))), 0)
+        nearest = mp.mpc(mp.nint(mp.re(s)), 0)
         if abs(s - nearest) < mpf("1e-3"):
             raise TooCloseToInteger(
                 "s is within 1e-3 of an integer; use log_hyper_gamma(0, k)"

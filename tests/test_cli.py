@@ -92,6 +92,33 @@ def test_non_finite_number_exit_2(capsys, argv):
     assert record["code"] == 2 and "inf" in record["message"]
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--tol", "inf"],
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--tol", "inf", "--method", "direct"],
+        ["--tol", "nan", "check", "combinatorics"],
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--lambda", "inf"],
+        ["eval", "P", "--w", "1.3", "--lambda", "nan"],
+    ],
+    ids=["tol-contour", "tol-direct", "tol-nan", "lambda-inf", "lambda-nan"],
+)
+def test_non_finite_flag_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and "non-finite number" in record["message"]
+
+
+def test_huge_s_is_near_integer_exit_3(capsys):
+    # finite s beyond the float range: the near-integer test stays in mpmath
+    code, out, err = run(capsys, ["eval", "zeta", "--s", "1e400", "--w", "1.3"])
+    assert code == 3
+    assert out == ""
+    assert "integer" in json.loads(err)["message"]
+
 def test_missing_s_is_domain_error(capsys):
     code, _, err = run(capsys, ["eval", "zeta", "--w", "1"])
     assert code == 3

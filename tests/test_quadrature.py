@@ -14,7 +14,8 @@ from hyperzeta import (
 )
 from hyperzeta.asymptotics import default_experiment, remainder_tail
 from hyperzeta.errors import InvalidParameter
-from hyperzeta.hankel import ray_only_integrate
+from hyperzeta import balanced_P, hankel
+from hyperzeta.hankel import CIRCLE_NODES, ray_only_integrate
 
 P = DEFAULT_POLICY
 
@@ -97,6 +98,77 @@ def test_error_estimate_honesty():
     with sharp.context():
         ref, _ = hankel_integrate(ispec, None, sharp)
     assert abs(val - ref) <= 5 * err
+
+
+_CIRCLE_OMEGAS = {
+    "r2-real": OmegaVector.of(1, mpf("0.7")),
+    "complex": OmegaVector.of(1, mpf("0.7") * mp.expj(mpf("1.3"))),
+}
+
+
+@pytest.mark.parametrize("name", list(_CIRCLE_OMEGAS))
+def test_circle_cache_changes_no_result(name):
+    # integer and complex k at three w sharing lambda and working precision
+    om = _CIRCLE_OMEGAS[name]
+    ispecs = [
+        IntegrandSpec(omega=om, w=mpf("1.1"), k=1, poly=q_poly(1, 1, P)),
+        IntegrandSpec(omega=om, w=mpf("1.4"), k=-mp.mpc("2.5", "0.5"), poly=PolyC((1,))),
+        IntegrandSpec(omega=om, w=mp.mpc("1.9", "0.6"), k=-1, poly=q_poly(2, 0, P)),
+    ]
+    cold = []
+    for ispec in ispecs:
+        hankel._circle_levels.cache_clear()
+        cold.append(hankel_integrate(ispec, 1, P))
+    hits = hankel._circle_levels.cache_info().hits
+    warm = [hankel_integrate(ispec, 1, P) for ispec in ispecs]
+    assert warm == cold
+    assert hankel._circle_levels.cache_info().hits >= hits + 2 * len(ispecs)
+
+
+def test_circle_cache_keeps_two_levels(monkeypatch):
+    stored = []
+    levels_of = hankel._circle_levels
+    monkeypatch.setattr(
+        hankel, "_circle_levels", lambda *key: stored.append(levels_of(*key)) or stored[-1]
+    )
+    for o in ("1", "0.8", "1.3"):
+        ispec = IntegrandSpec(omega=OmegaVector.of(mpf(o)), w=1, k=0, poly=q_poly(1, 0, P))
+        hankel_integrate(ispec, None, P)
+    # one key at a time, holding levels 0 and 1
+    assert levels_of.cache_info().currsize == 1
+    assert [len(f) for f in stored[-1]] == [CIRCLE_NODES, 2 * CIRCLE_NODES]
+    # a 1e-40 target passes level 2, which is built but not stored
+    levels = []
+    nodes = hankel._circle_nodes
+    monkeypatch.setattr(
+        hankel, "_circle_nodes", lambda level, prec: levels.append(level) or nodes(level, prec)
+    )
+    levels_of.cache_clear()
+    ispec = IntegrandSpec(omega=_CIRCLE_OMEGAS["complex"], w=1, k=1, poly=q_poly(1, 1, P))
+    hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-40))
+    assert max(levels) >= 2
+    assert [len(f) for f in stored[-1]] == [CIRCLE_NODES, 2 * CIRCLE_NODES]
+
+
+def test_circle_cache_is_hit_across_w(monkeypatch):
+    # the looser target keeps the ray short, so its nodes number below CIRCLE_NODES
+    p = PrecisionPolicy(192, 1e-15)
+    lam = mpf("2.8")
+    ts = []
+    f_omega = hankel._f_omega_at
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    om = OmegaVector.of(1)
+    balanced_P(1, 1, mpf("3.9"), om, p, lam=lam)
+    ts.clear()
+    balanced_P(1, 0, mpf("4.2"), om, p, lam=lam)
+    ray_nodes = sum(1 for t in ts if not isinstance(t, mp.mpc))
+    assert len(ts) == ray_nodes < CIRCLE_NODES
+    # a new omega evaluates every circle node of levels 0 and 1 again
+    ts.clear()
+    balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
+    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == 3 * CIRCLE_NODES
 
 
 def _unit_ray(poly):
