@@ -24,7 +24,6 @@ from . import constants
 from .errors import (
     ConvergenceTooSlow,
     InvalidParameter,
-    PrecisionUnreachable,
     TooCloseToInteger,
 )
 from .hankel import IntegrandSpec, hankel_integrate
@@ -104,11 +103,7 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
             raise InvalidParameter(
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
             )
-        eps = mpf(p.target_abs_error)
-        if eps < mpf(2) ** -mp.prec:
-            raise PrecisionUnreachable(
-                f"target {mp.nstr(eps, 3)} is below the working precision's 2^-{mp.prec}"
-            )
+        eps = p.reachable_target()
         value, err = _lattice_em(s, w, omega.omegas, eps)
         return EvalResult(value, err, METHOD_DIRECT)
 

@@ -15,9 +15,14 @@ e^{-2 pi i k}, exactly 1 for integer k.
 
 The two rays are integrated together as the difference of the outbound and
 inbound integrands, so a single-valued integrand cancels exactly and only the
-circle contributes.  Rays use composite Gauss-Legendre panels on a geometric
-subdivision of [lambda, T]; the circle uses Gauss-Legendre panels in theta.
-Error estimates come from node-doubling agreement plus the ray end bounds.
+circle contributes.  Rays use panels on a geometric subdivision of [lambda, T];
+the circle uses panels in theta.  Every panel is integrated once at the 65
+nodes of the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie,
+Math. Comp. 66, 1997), which gives both the Kronrod value K65 and the Gauss
+value G32 of its 32 Gauss nodes.  At level L the ray cuts each doubling of
+[lambda, T] into 2^L panels and the circle into 8 * 2^L; the first level
+where |sum K65 - sum G32| plus the ray end bounds meets the target returns
+the K65 sum, with that as its estimate.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/2 * min(pole bound, 2 pi), clamped to 12 / Re(w).  The
@@ -34,19 +39,21 @@ integrand from 0 instead of from lambda, with no circle; its near end eps
 starts at lambda and shrinks by 4.
 
 The circle's nodes t_j = lambda e^{i theta_j} do not depend on w, and neither
-does (h/2) w_j * i t_j * f_omega(t_j), node j's integrand but for e^{-wt}
-tail(t) t^{-k-1} poly(log t).  ``_circle_levels`` keeps it for one key (omega,
-lambda, working bits, pole threshold) and drops the old key first.  It keeps
-levels 0 and 1, which every integral passes through: one complex per node,
-about 0.6 kB at 288 bits, 0.46 MB for their 768 nodes.  Deeper levels double
-in size each, and are built panel by panel and dropped.
+does i t_j f_omega(t_j), node j's integrand but for e^{-wt} tail(t) t^{-k-1}
+poly(log t); the K65 and G32 sums apply the weights.  ``_circle_levels`` keeps
+it for one key (omega, lambda, working bits, pole threshold) and drops the old
+key first.  It keeps levels 0 and 1 once an integral reaches them, built in
+the same pass as that integral's own terms: one complex per node, about
+0.6 kB at 288 bits, so 0.31 MB for level 0's 520 nodes, which a default-target
+integral stops at, and 0.94 MB with level 1's 1040.  Deeper levels double in
+size each, and are summed panel by panel and dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, starmap
+from math import acos, cos, pi
 
 from mpmath import mp, mpf
 
@@ -56,10 +63,12 @@ from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .qpoly import PolyC
 from .series import LaurentSeries
 
-MAX_DOUBLINGS = 7
-# Gauss-Legendre nodes per panel, and the circle's node total before doubling
-RAY_NODES = 32
-CIRCLE_NODES = 256
+# levels 0..MAX_LEVELS-1 of panel doubling
+MAX_LEVELS = 6
+# Gauss nodes per panel, the Kronrod rule's total, and the circle's panels at level 0
+GAUSS_NODES = 32
+KRONROD_NODES = 2 * GAUSS_NODES + 1
+CIRCLE_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -106,39 +115,104 @@ def _check_lambda(lam, omega: OmegaVector):
     return lam
 
 
+def _kronrod_betas(n: int):
+    """beta_0..beta_2n of the Jacobi-Kronrod matrix of the n-point Gauss-Legendre
+    rule, by Laurie's O(n^2) recurrence (Math. Comp. 66, 1997).  The first
+    3n/2 + 1 are Legendre's: beta_0 = 2 and k^2 / (4k^2 - 1).  Every diagonal
+    entry is 0 by symmetry, so only the betas are carried; n is even."""
+    beta = [mpf(2)] + [mpf(k * k) / (4 * k * k - 1) for k in range(1, 3 * n // 2 + 1)]
+    beta += [mpf(0)] * (2 * n + 1 - len(beta))
+    s = [mpf(0)] * (n // 2 + 2)
+    t = list(s)
+    t[1] = beta[n + 1]
+    for m in range(n - 1):
+        acc = 0
+        for k in range((m + 1) // 2, -1, -1):
+            acc += beta[k + n + 1] * s[k] - beta[m - k] * s[k + 1]
+            s[k + 1] = acc
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        acc = 0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            acc += beta[m - k] * s[j + 2] - beta[k + n + 1] * s[j + 1]
+            s[j + 1] = acc
+        if m % 2:
+            beta[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return beta
+
+
+def _newton(beta, x, tol):
+    """A zero of the monic p_len(beta), p_{k+1} = x p_k - beta_k p_{k-1}, by
+    Newton's method from x; stops after the first step below tol."""
+    for _ in range(8):
+        p0, p1, d0, d1 = 0, 1, 0, 0
+        for b in beta:
+            p0, p1, d0, d1 = p1, x * p1 - b * p0, d1, p1 + x * d1 - b * d0
+        dx = p1 / d1
+        x -= dx
+        if abs(dx) < tol:
+            break
+    return x
+
+
+def _christoffel(beta, x):
+    """(Gauss, Kronrod) weights at a node x: the Christoffel sum
+    1 / sum_k p_k(x)^2 / (beta_0 ... beta_k), over k < GAUSS_NODES for the
+    Gauss rule (the zeros of p_GAUSS_NODES) and over k < len(beta) for the
+    Kronrod rule (the zeros of p_len(beta))."""
+    p0, p1, norm, csum = 0, 1, 1, 0
+    for k, b in enumerate(beta):
+        if k == GAUSS_NODES:
+            gauss = 1 / csum
+        norm *= b
+        csum += p1 * p1 / norm
+        p0, p1 = p1, x * p1 - b * p0
+    return gauss, 1 / csum
+
+
 @lru_cache(maxsize=None)
-def _legendre_nodes(n: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration."""
+def _legendre_nodes(prec: int):
+    """The Gauss-Kronrod-Legendre rule on [-1, 1] that extends GAUSS_NODES-point
+    Gauss-Legendre to KRONROD_NODES points: (nodes, Kronrod weights, Gauss
+    weights).  The nodes ascend, and nodes[1::2] are the Gauss nodes.
+
+    The positive half is found and mirrored.  Float seeds: Newton from
+    cos(pi (i + 3/4) / (n + 1/2)) gives the Gauss nodes, and one Kronrod node
+    lies between each pair (the two rules interlace), found by Newton from the
+    midpoint in arccos.  Each is then polished at prec + 32 bits, on p_n for a
+    Gauss node and on the degree-2n+1 polynomial for a Kronrod node.  A
+    Newton step about squares the error, so the polish stops after the first
+    step below 2^-((prec + 32)/2 + 4): the third, for prec up to about 320.
+    The weights are Christoffel sums."""
+    n = GAUSS_NODES
     with mp.workprec(prec + 32):
-        nodes = []
-        for i in range(n):
-            x = mp.cos(mp.pi * (i + mpf("0.75")) / (n + mpf("0.5")))
-            for _ in range(100):
-                pn, dpn = _legendre_eval(n, x)
-                dx = pn / dpn
-                x -= dx
-                if abs(dx) < mpf(2) ** (-prec - 8):
-                    break
-            pn, dpn = _legendre_eval(n, x)
-            wgt = 2 / ((1 - x * x) * dpn * dpn)
-            nodes.append((x, wgt))
-        return tuple(nodes)
+        beta = _kronrod_betas(n)
+        fbeta = [float(b) for b in beta]
+        gauss = [_newton(fbeta[:n], cos(pi * (i + 0.75) / (n + 0.5)), 1e-15) for i in range(n // 2)]
+        theta = [0.0] + [acos(x) for x in gauss]
+        kronrod = [_newton(fbeta, cos((a + b) / 2), 1e-15) for a, b in zip(theta, theta[1:])]
+        tol = mpf(2) ** (-mp.prec // 2 - 4)
+        half = []
+        for xk, xg in zip(kronrod, gauss):
+            half += [_newton(beta, mpf(xk), tol), _newton(beta[:n], mpf(xg), tol)]
+        half.append(mpf(0))
+        weights = [_christoffel(beta, x) for x in half]
+        nodes = [-x for x in half] + half[-2::-1]
+        kw = [k for _, k in weights]
+        gw = [g for g, _ in weights[1::2]]
+        return tuple(nodes), tuple(kw + kw[-2::-1]), tuple(gw + gw[::-1])
 
 
-def _legendre_eval(n: int, x):
-    p0, p1 = mpf(1), x
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = n * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
-
-
-def _gl_panel(f, a, b, n, prec):
+def _gk_panel(f, a, b, rule):
+    """(Kronrod, Gauss) integrals of f over [a, b]."""
+    xs, kw, gw = rule
     half = (b - a) / 2
     mid = (a + b) / 2
-    return half * mp.fsum(
-        wgt * f(mid + half * x) for x, wgt in _legendre_nodes(n, prec)
-    )
+    fs = [f(mid + half * x) for x in xs]
+    return half * mp.fdot(kw, fs), half * mp.fdot(gw, fs[1::2])
 
 
 def _f_omega_at(omega: OmegaVector, t, threshold):
@@ -195,48 +269,46 @@ class _ContourEvaluator:
         return abs(self.base(t)) * span
 
 
-def _circle_nodes(level: int, prec: int):
-    """Yields (theta_j, (h/2) w_j) on [0, 2 pi]: 8 * 2**level Gauss-Legendre panels."""
-    half = mp.pi * RAY_NODES / (CIRCLE_NODES * 2 ** level)
-    nodes = _legendre_nodes(RAY_NODES, prec)
-    for i in range(CIRCLE_NODES * 2 ** level // RAY_NODES):
-        for x, wgt in nodes:
-            yield (2 * i + 1 + x) * half, wgt * half
-
-
 @lru_cache(maxsize=1)
 def _circle_levels(omega: OmegaVector, lam, prec: int, threshold):
     """The circle factors of levels 0 and 1 for one key, appended by ``_circle``."""
     return []
 
 
-def _circle(ev: _ContourEvaluator, lam, level: int, prec: int):
-    """The integral around |t| = lam at one doubling level, summed by panel."""
+def _circle(ev: _ContourEvaluator, lam, level: int, rule):
+    """The (Kronrod, Gauss) integrals around |t| = lam at one level: theta in
+    [0, 2 pi] cut into CIRCLE_PANELS * 2**level panels, summed by panel."""
     ispec, k, thr = ev.ispec, ev.ispec.k, ev.thr
+    xs, kw, gw = rule
     loglam = mp.log(lam)
-
-    def factor(theta, wgt):
-        t = lam * mp.expj(theta)
-        return wgt * mp.mpc(0, 1) * t * _f_omega_at(ispec.omega, t, thr)
-
-    def term(theta, f):
-        t = lam * mp.expj(theta)
-        logt = mp.mpc(loglam, theta)
-        if isinstance(k, int):
-            f *= mp.exp(-ispec.w * t) * mp.power(t, -k - 1)
-        else:
-            f *= mp.exp(-ispec.w * t - (k + 1) * logt)
-        return f * _tail_at(ispec, t) * ispec.poly(logt)
-
-    stored = _circle_levels(ispec.omega, lam, prec, thr)
-    if level == len(stored) < 2:
-        stored.append(tuple(starmap(factor, _circle_nodes(level, prec))))
-    factors = stored[level] if level < len(stored) else starmap(factor, _circle_nodes(level, prec))
-    pairs = zip(_circle_nodes(level, prec), factors)
-    return mp.fsum(
-        mp.fsum(term(theta, f) for (theta, _), f in islice(pairs, RAY_NODES))
-        for _ in range(CIRCLE_NODES * 2 ** level // RAY_NODES)
-    )
+    panels = CIRCLE_PANELS * 2 ** level
+    h = mp.pi / panels
+    stored = _circle_levels(ispec.omega, lam, mp.prec, thr)
+    factors = iter(stored[level]) if level < len(stored) else None
+    built = [] if level == len(stored) < 2 else None
+    ksums, gsums = [], []
+    for i in range(panels):
+        terms = []
+        for x in xs:
+            theta = (2 * i + 1 + x) * h
+            t = lam * mp.expj(theta)
+            if factors is None:
+                f = mp.mpc(0, 1) * t * _f_omega_at(ispec.omega, t, thr)
+                if built is not None:
+                    built.append(f)
+            else:
+                f = next(factors)
+            logt = mp.mpc(loglam, theta)
+            if isinstance(k, int):
+                f *= mp.exp(-ispec.w * t) * mp.power(t, -k - 1)
+            else:
+                f *= mp.exp(-ispec.w * t - (k + 1) * logt)
+            terms.append(f * _tail_at(ispec, t) * ispec.poly(logt))
+        ksums.append(mp.fdot(kw, terms))
+        gsums.append(mp.fdot(gw, terms[1::2]))
+    if built is not None:
+        stored.append(built)
+    return h * mp.fsum(ksums), h * mp.fsum(gsums)
 
 
 def _ray_end(ev: _ContourEvaluator, t, factor, target):
@@ -250,9 +322,9 @@ def _ray_end(ev: _ContourEvaluator, t, factor, target):
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
-def _ray_panels(f, a, b, level: int, prec: int):
-    """Integral of f over [a, b] by Gauss-Legendre panels: the interval is cut
-    into doublings from a, and each doubling into 2**level geometric panels."""
+def _ray_panels(f, a, b, level: int, rule):
+    """(Kronrod, Gauss) integrals of f over [a, b]: the interval is cut into
+    doublings from a, and each doubling into 2**level geometric panels."""
     subdiv = 2 ** level
     edges = [mpf(a)]
     x = mpf(a)
@@ -263,23 +335,19 @@ def _ray_panels(f, a, b, level: int, prec: int):
             edges.append(x * ratio ** (mpf(i) / subdiv))
         x = nxt
     edges[-1] = mpf(b)
-    return mp.fsum(
-        _gl_panel(f, lo, hi, RAY_NODES, prec) for lo, hi in zip(edges, edges[1:])
-    )
+    sums = [_gk_panel(f, lo, hi, rule) for lo, hi in zip(edges, edges[1:])]
+    return mp.fsum(k for k, _ in sums), mp.fsum(g for _, g in sums)
 
 
 def _double_until(attempt, target, tail_bound):
-    """Call attempt(level) for level = 0, 1, ... (each doubling the panels)
-    until two successive values agree to within target, tail bound included;
-    returns (value, err_estimate)."""
-    prev = None
-    for level in range(MAX_DOUBLINGS):
-        val = attempt(level)
-        if prev is not None:
-            err = abs(val - prev) + tail_bound
-            if err <= target:
-                return val, err
-        prev = val
+    """Call attempt(level) -> (Kronrod, Gauss) for level = 0, 1, ... (each
+    doubling the panels) until |Kronrod - Gauss| plus the tail bound is within
+    target; returns (Kronrod value, err_estimate)."""
+    for level in range(MAX_LEVELS):
+        kronrod, gauss = attempt(level)
+        err = abs(kronrod - gauss) + tail_bound
+        if err <= target:
+            return kronrod, err
     raise NodeBudgetExceeded(f"node doubling failed to reach {mp.nstr(target, 3)}")
 
 
@@ -300,15 +368,17 @@ def hankel_integrate(
     boost = int(mpf("1.5") * max(0, mp.re(ispec.w) * lam)) + 48
     boost = ((boost // 32) + 1) * 32
     with p.context(boost):
+        target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)
-        target = mpf(p.target_abs_error)
         T, tail_bound = _ray_end(
             ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target
         )
-        prec = mp.prec
+        rule = _legendre_nodes(mp.prec)
 
         def attempt(level: int):
-            return _ray_panels(ev.ray, lam, T, level, prec) + _circle(ev, lam, level, prec)
+            ray_k, ray_g = _ray_panels(ev.ray, lam, T, level, rule)
+            circle_k, circle_g = _circle(ev, lam, level, rule)
+            return ray_k + circle_k, ray_g + circle_g
 
         return _double_until(attempt, target, tail_bound)
 
@@ -336,15 +406,15 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
         return mp.mpc(0), mpf(0)
     lam = auto_spec(ispec.omega, ispec.w, p)
     with p.context(48):
+        target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)
-        target = mpf(p.target_abs_error)
         T, tail_bound = _ray_end(
             ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target
         )
         eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
-        prec = mp.prec
+        rule = _legendre_nodes(mp.prec)
         return _double_until(
-            lambda level: _ray_panels(ev.ray, eps, T, level, prec),
+            lambda level: _ray_panels(ev.ray, eps, T, level, rule),
             target,
             tail_bound + head_bound,
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, PrecisionUnreachable
 
 DEFAULT_BITS = 192
 
@@ -37,6 +37,17 @@ class PrecisionPolicy:
         """Magnitude below which a leading series coefficient counts as zero."""
         with mp.workprec(self.precision_bits):
             return mpf(2) ** (-(self.precision_bits // 2))
+
+    def reachable_target(self):
+        """The target as an mpf at the working precision; raises
+        PrecisionUnreachable if it is below that precision's 2^-bits, which
+        rounding at that precision could not honour."""
+        target = mpf(self.target_abs_error)
+        if target < mpf(2) ** -mp.prec:
+            raise PrecisionUnreachable(
+                f"target {mp.nstr(target, 3)} is below the working precision's 2^-{mp.prec}"
+            )
+        return target
 
     def with_target(self, abs_error: float):
         return PrecisionPolicy(self.precision_bits, abs_error)

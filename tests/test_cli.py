@@ -185,6 +185,16 @@ def test_direct_unreachable_tol_exit_4(capsys):
     assert json.loads(err)["code"] == 4
 
 
+@pytest.mark.parametrize("tol", ["1e-100", "1e-300"])
+def test_contour_unreachable_tol_exit_4(capsys, tol):
+    # refused up front, not after every doubling level
+    argv = ["eval", "gamma-log", "--m", "1", "--k", "0", "--w", "1.3", "--omega", "1"]
+    code, out, err = run(capsys, argv + ["--tol", tol])
+    assert code == 4
+    assert out == ""
+    assert "below the working precision" in json.loads(err)["message"]
+
+
 def test_asym_csv_columns(capsys):
     code, out, _ = run(capsys, ["asym", "--w-grid", "2,3,4,5"])
     assert code == 0

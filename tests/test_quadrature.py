@@ -13,9 +13,9 @@ from hyperzeta import (
     q_poly,
 )
 from hyperzeta.asymptotics import default_experiment, remainder_tail
-from hyperzeta.errors import InvalidParameter
+from hyperzeta.errors import InvalidParameter, PrecisionUnreachable
 from hyperzeta import balanced_P, hankel
-from hyperzeta.hankel import CIRCLE_NODES, ray_only_integrate
+from hyperzeta.hankel import CIRCLE_PANELS, KRONROD_NODES, ray_only_integrate
 
 P = DEFAULT_POLICY
 
@@ -100,6 +100,86 @@ def test_error_estimate_honesty():
     assert abs(val - ref) <= 5 * err
 
 
+def _rule_moment(weights, nodes, e):
+    return mp.fsum(wgt * x ** e for wgt, x in zip(weights, nodes))
+
+
+def test_kronrod_rule_degree():
+    # K65 is exact through degree 3 * 32 + 1 = 97, G32 through 63
+    nodes, kw, gw = hankel._legendre_nodes(mp.prec)
+    assert abs(mp.fsum(kw) - 2) < mpf("1e-55")
+    assert abs(mp.fsum(gw) - 2) < mpf("1e-55")
+    assert abs(_rule_moment(kw, nodes, 96) - mpf(2) / 97) < mpf("1e-55")
+    assert abs(_rule_moment(kw, nodes, 98) - mpf(2) / 99) > mpf("1e-40")
+    assert abs(_rule_moment(gw, nodes[1::2], 62) - mpf(2) / 63) < mpf("1e-55")
+    assert abs(_rule_moment(gw, nodes[1::2], 64) - mpf(2) / 65) > mpf("1e-25")
+
+
+def test_kronrod_rule_shape():
+    # positive weights, nodes symmetric about 0, ascending in (-1, 1), and
+    # each Gauss node (odd index) between two Kronrod nodes
+    nodes, kw, gw = hankel._legendre_nodes(mp.prec)
+    assert len(nodes) == len(kw) == KRONROD_NODES == 2 * len(gw) + 1
+    assert min(kw) > 0 and min(gw) > 0
+    assert all(a + b == 0 for a, b in zip(nodes, reversed(nodes)))
+    assert -1 < nodes[0] and nodes[-1] < 1
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+    assert all(a == b for a, b in zip(kw, reversed(kw)))
+    # the Gauss subset is the 32-point Gauss-Legendre rule
+    for x in nodes[1::2]:
+        assert abs(mp.legendre(32, x)) < mpf("1e-50")
+
+
+def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
+    # a default-target integral is certified at level 0: f_omega is evaluated
+    # once per Kronrod node of each ray and circle panel, besides the ray-end probes
+    om = OmegaVector.of(1, mpf("1.3"))
+    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
+    ts, ends, ray_panels, levels = [], [], [], []
+    f_omega, ray_end, gk_panel, circle = (
+        hankel._f_omega_at, hankel._ray_end, hankel._gk_panel, hankel._circle
+    )
+
+    def probed_end(*args):
+        n = len(ts)
+        result = ray_end(*args)
+        ends.append(len(ts) - n)
+        return result
+
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    monkeypatch.setattr(hankel, "_ray_end", probed_end)
+    monkeypatch.setattr(
+        hankel, "_gk_panel", lambda f, a, b, rule: ray_panels.append((a, b)) or gk_panel(f, a, b, rule)
+    )
+    monkeypatch.setattr(
+        hankel, "_circle", lambda ev, lam, level, rule: levels.append(level) or circle(ev, lam, level, rule)
+    )
+    hankel._circle_levels.cache_clear()
+    _, err = hankel_integrate(ispec, None, P)
+    assert err <= P.target_abs_error
+    assert levels == [0]
+    # level 0 has one ray panel per doubling of [lambda, T]
+    assert all(b == 2 * a for a, b in ray_panels[:-1])
+    assert len(ts) - sum(ends) == KRONROD_NODES * (len(ray_panels) + CIRCLE_PANELS)
+
+
+@pytest.mark.parametrize("target", [1e-100, 1e-300])
+def test_contour_target_below_working_precision_raises(target):
+    # 192 bits plus at least 64 guard bits reach 2^-256 ~ 8.6e-78; a lower
+    # target is refused before any node is evaluated
+    p = P.with_target(target)
+    ispec = IntegrandSpec(omega=OmegaVector.of(1), w=mpf("1.3"), k=1, poly=q_poly(1, 0, P))
+    with pytest.raises(PrecisionUnreachable):
+        hankel_integrate(ispec, None, p)
+    ray = IntegrandSpec(
+        omega=OmegaVector.of(), w=1, k=0, poly=PolyC((0, 1)), tail=LaurentSeries(1, (mp.mpc(1),))
+    )
+    with pytest.raises(PrecisionUnreachable):
+        ray_only_integrate(ray, p)
+
+
 _CIRCLE_OMEGAS = {
     "r2-real": OmegaVector.of(1, mpf("0.7")),
     "complex": OmegaVector.of(1, mpf("0.7") * mp.expj(mpf("1.3"))),
@@ -122,53 +202,60 @@ def test_circle_cache_changes_no_result(name):
     hits = hankel._circle_levels.cache_info().hits
     warm = [hankel_integrate(ispec, 1, P) for ispec in ispecs]
     assert warm == cold
-    assert hankel._circle_levels.cache_info().hits >= hits + 2 * len(ispecs)
+    # every warm integral looks up at least level 0
+    assert hankel._circle_levels.cache_info().hits >= hits + len(ispecs)
 
 
 def test_circle_cache_keeps_two_levels(monkeypatch):
-    stored = []
-    levels_of = hankel._circle_levels
+    level_nodes = CIRCLE_PANELS * KRONROD_NODES
+    stored, levels = [], []
+    levels_of, circle = hankel._circle_levels, hankel._circle
     monkeypatch.setattr(
         hankel, "_circle_levels", lambda *key: stored.append(levels_of(*key)) or stored[-1]
     )
+    monkeypatch.setattr(
+        hankel, "_circle", lambda ev, lam, level, rule: levels.append(level) or circle(ev, lam, level, rule)
+    )
     for o in ("1", "0.8", "1.3"):
+        levels.clear()
         ispec = IntegrandSpec(omega=OmegaVector.of(mpf(o)), w=1, k=0, poly=q_poly(1, 0, P))
         hankel_integrate(ispec, None, P)
-    # one key at a time, holding levels 0 and 1
+    # one key at a time, holding the levels its integral reached
     assert levels_of.cache_info().currsize == 1
-    assert [len(f) for f in stored[-1]] == [CIRCLE_NODES, 2 * CIRCLE_NODES]
-    # a 1e-40 target passes level 2, which is built but not stored
-    levels = []
-    nodes = hankel._circle_nodes
-    monkeypatch.setattr(
-        hankel, "_circle_nodes", lambda level, prec: levels.append(level) or nodes(level, prec)
-    )
+    assert [len(f) for f in stored[-1]] == [level_nodes * 2 ** lv for lv in range(max(levels) + 1)]
+    # a 1e-50 target passes level 2, which is built but not stored
+    levels.clear()
     levels_of.cache_clear()
     ispec = IntegrandSpec(omega=_CIRCLE_OMEGAS["complex"], w=1, k=1, poly=q_poly(1, 1, P))
-    hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-40))
+    hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-50))
     assert max(levels) >= 2
-    assert [len(f) for f in stored[-1]] == [CIRCLE_NODES, 2 * CIRCLE_NODES]
+    assert [len(f) for f in stored[-1]] == [level_nodes, 2 * level_nodes]
 
 
 def test_circle_cache_is_hit_across_w(monkeypatch):
-    # the looser target keeps the ray short, so its nodes number below CIRCLE_NODES
+    # the looser target keeps the ray short, so its nodes number below the circle's
     p = PrecisionPolicy(192, 1e-15)
     lam = mpf("2.8")
-    ts = []
-    f_omega = hankel._f_omega_at
+    ts, levels = [], []
+    f_omega, circle = hankel._f_omega_at, hankel._circle
     monkeypatch.setattr(
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    monkeypatch.setattr(
+        hankel, "_circle", lambda ev, lam, level, rule: levels.append(level) or circle(ev, lam, level, rule)
     )
     om = OmegaVector.of(1)
     balanced_P(1, 1, mpf("3.9"), om, p, lam=lam)
     ts.clear()
     balanced_P(1, 0, mpf("4.2"), om, p, lam=lam)
     ray_nodes = sum(1 for t in ts if not isinstance(t, mp.mpc))
-    assert len(ts) == ray_nodes < CIRCLE_NODES
-    # a new omega evaluates every circle node of levels 0 and 1 again
+    assert len(ts) == ray_nodes < CIRCLE_PANELS * KRONROD_NODES
+    # a new omega evaluates every circle node of the levels it reaches again
     ts.clear()
+    levels.clear()
     balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
-    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == 3 * CIRCLE_NODES
+    circle_nodes = sum(CIRCLE_PANELS * KRONROD_NODES * 2 ** lv for lv in levels)
+    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == circle_nodes
 
 
 def _unit_ray(poly):
