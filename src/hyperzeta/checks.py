@@ -238,6 +238,18 @@ def evaluators_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
         out.append(
             _result("evaluators", "direct-vs-contour", dev < 1e-20, f"dev={mp.nstr(dev, 3)}")
         )
+        # equal periods: zeta_3(s, w; (om, om, om)) = om^{-s}/2 [zeta(s-2, x)
+        # + (3 - 2x) zeta(s-1, x) + (x-1)(x-2) zeta(s, x)], x = w/om
+        s, w, om = mpf("4.5"), mpf("1.5"), mpf("0.8")
+        d = ev.zeta_direct(s, w, OmegaVector.of(om, om, om), p)
+        x = w / om
+        ref = mp.power(om, -s) / 2 * (
+            mp.zeta(s - 2, x) + (3 - 2 * x) * mp.zeta(s - 1, x) + (x - 1) * (x - 2) * mp.zeta(s, x)
+        )
+        dev = abs(d.value - ref)
+        out.append(
+            _result("evaluators", "direct-r3-hurwitz", dev < 1e-20, f"dev={mp.nstr(dev, 3)}")
+        )
         worst = mpf(0)
         for s in (mpf("-1.5"), mpf("0.5"), mpf("2.5")):
             worst = max(

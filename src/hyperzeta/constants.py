@@ -4,14 +4,15 @@ Exact Bernoulli numbers and Bernoulli-polynomial coefficients, Euler's
 constant, integer zeta values and Gamma at non-integer points.  Each is one
 mpmath call under the package's precision policy, behind the domain checks
 the rest of the package relies on.  ``_bernoulli_tail`` is the summation loop
-of the lattice Euler-Maclaurin sum in ``evaluators``.
+of the lattice Euler-Maclaurin sum in ``evaluators``, and
+``bernoulli_over_factorial`` its cached coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from mpmath import mp, mpf
 
@@ -37,6 +38,17 @@ def bernoulli_poly_coeffs(n: int) -> tuple:
 
 def _frac(q: Fraction):
     return mpf(q.numerator) / q.denominator
+
+
+def bernoulli_over_factorial(n: int):
+    """B_n / n! as an mpf at the working precision, cached per (n, bits)."""
+    return _bernoulli_over_factorial(n, mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_over_factorial(n: int, bits: int):
+    with mp.workprec(bits):
+        return _frac(bernoulli_number(n)) / factorial(n)
 
 
 def _bernoulli_tail(total, terms, eps, error):

@@ -1,9 +1,11 @@
 """Public evaluation API.
 
-* ``zeta_direct`` sums the defining lattice series in one pass: a head whose
-  length grows with |s| and with the digits asked for, then an
-  Euler-Maclaurin tail correction applied recursively in the last omega
-  direction until a Bernoulli term is below half the policy's target.
+* ``zeta_direct`` sums the defining lattice series in one pass: a head that
+  puts the tail point a distance from the poles that grows with |s| and with
+  the digits asked for (no fixed minimum length), then an Euler-Maclaurin
+  tail correction in the last omega direction,
+  applied recursively down to one omega, until a Bernoulli term is below
+  half the policy's target.  Real inputs are summed in real arithmetic.
 * ``zeta_contour`` evaluates the Hankel-contour representation with the
   1/(Gamma(s)(e^{2 pi i s}-1)) prefactor (generic s only).
 * ``log_hyper_gamma`` and ``balanced_P`` evaluate the contour integrals with
@@ -14,9 +16,9 @@
 
 from __future__ import annotations
 
+from cmath import phase, rect
 from dataclasses import dataclass
 from itertools import count
-from math import factorial
 
 from mpmath import mp, mpf
 
@@ -34,6 +36,9 @@ from .qpoly import PolyC, _c_weights, q_poly, s_poly
 METHOD_DIRECT = "direct_sum"
 METHOD_CONTOUR = "contour"
 METHOD_COMBINATION = "combination"
+
+# the head length's factor on ln(1/eps) / (2 pi); see _head_length
+HEAD_FACTOR = mpf("1.3")
 
 
 @dataclass(frozen=True)
@@ -53,48 +58,152 @@ def _require_right_half(w):
 # -- direct lattice summation ---------------------------------------------
 
 
-def _lattice_em(s, w, omegas, eps):
-    """(value, err) of the Barnes zeta: head sum plus Euler-Maclaurin in the last direction."""
-    if not omegas:
+def _lattice_em(s, w, levels, eps):
+    """(value, err) of the Barnes zeta: head sum plus Euler-Maclaurin in the last direction.
+
+    ``levels`` holds, per direction k, (omega_k, the angles of omega_i / omega_k
+    for i < k) as from ``_levels``.  The numbers are all mpf (real inputs, real
+    arithmetic) or all mpc.  The recursion ends at one omega, whose terms at
+    the tail point wN are powers of wN taken from one ``mp.power`` and carry
+    no error of their own.
+    """
+    if not levels:
         return mp.power(w, -s), mpf(0)
-    om = omegas[-1]
-    rest = omegas[:-1]
-    N = max(20, int(abs(s)) + 1, int(mp.ceil(-mp.log(eps) / (2 * mp.pi))))
-    errs = []
-
-    def inner(weight, s_, x):
-        value, err = _lattice_em(s_, x, rest, eps / (2 * N + 6) / max(1, abs(weight)))
-        errs.append(abs(weight) * err)
-        return weight * value
-
+    (om, angles), rest = levels[-1], levels[:-1]
+    N = _head_length(s, w / om, angles, eps)
     wN = w + N * om
-    total = mp.fsum(inner(1, s, w + n * om) for n in range(N))
-    total += inner(1 / ((s - 1) * om), s - 1, wN) + inner(mpf(1) / 2, s, wN)
+    errs = []
+    # at_wN(weight, k) is weight * zeta_{r-1}(s + k, wN) for the tail's offsets k
+    if rest:
+
+        def inner(weight, s_, x):
+            value, err = _lattice_em(s_, x, rest, eps / (2 * N + 6) / max(1, abs(weight)))
+            errs.append(abs(weight) * err)
+            return weight * value
+
+        head = mp.fsum(inner(1, s, w + n * om) for n in range(N))
+
+        def at_wN(weight, k):
+            return inner(weight, s + k, wN)
+
+    else:
+        head = mp.fsum(mp.power(w + n * om, -s) for n in range(N))
+        powers = _tail_powers(wN, s)
+
+        def at_wN(weight, k):
+            k_, power = next(powers)
+            assert k_ == k, "the tail must ask for the offsets -1, 0, 1, 3, ... in order"
+            return weight * power
+
+    total = head + (at_wN(1 / ((s - 1) * om), -1) + at_wN(mpf(1) / 2, 0))
 
     def terms():
         rising = s * om  # (s)_{2j-1} om^{2j-1}
         for j in count(1):
-            coeff = constants._frac(constants.bernoulli_number(2 * j)) / factorial(2 * j)
-            yield inner(coeff * rising, s + 2 * j - 1, wN)
+            yield at_wN(constants.bernoulli_over_factorial(2 * j) * rising, 2 * j - 1)
             rising *= (s + 2 * j - 1) * (s + 2 * j) * om * om
 
     total, last = constants._bernoulli_tail(total, terms(), eps / 2, ConvergenceTooSlow)
     return total, last + mp.fsum(errs)
 
 
+def _head_length(s, x, angles, eps):
+    """Lattice points summed before the Euler-Maclaurin tail, for target eps.
+
+    In units of om the level sums f(t) = zeta(s, w + t om; rest) at t = 0, 1,
+    ..., and f is singular where x + t lies on the cone -sum n_i om_i / om
+    (n_i >= 0; the point 0 alone for one omega), x = w / om; ``angles`` are
+    those of the om_i / om.  The Bernoulli terms at the tail point t = N
+    depend on its distance d from that cone.  Past d = floor|s| + 1 they
+    shrink from the first, and the smallest of them is about e^{-2 pi d},
+    times up to e^{pi |Im s|} from 1/Gamma(s) and from |(w + N om)^{-s}|
+    (|arg| < pi/2).  So
+    d0 = max(floor|s| + 1, (c ln(1/eps) + pi |Im s|) / (2 pi)) puts the
+    smallest term near eps^c; with c = 1.3 rather than 1 the terms fall below
+    eps well before their minimum, which keeps the tail short.  N is the
+    smallest integer >= d0 whose point is d0 from the cone, with the distance
+    growing along the tail, so that every t >= N stays d0 away.  When w and
+    the periods lie within pi/2 of each other in angle, N = d0.
+    """
+    decay = HEAD_FACTOR * -mp.log(eps)
+    if s.imag:
+        decay += mp.pi * abs(s.imag)
+    d0 = max(int(abs(s)) + 1, int(mp.ceil(decay / (2 * mp.pi))))
+    x = complex(x)
+    N = d0
+    while True:
+        # the distance to a convex cone is convex along the tail: once the
+        # gap points forward (Re >= 0) it only grows
+        gap = _gap_to_cone(x + N, angles)
+        if abs(gap) >= d0 and gap.real >= 0:
+            return N
+        N += 1
+
+
+def _gap_to_cone(z, angles):
+    """z - q for q the point of the cone -sum n_i e^{i angle_i}, n_i >= 0,
+    nearest to z (the cone is the apex 0 alone when there are no angles).
+
+    The angles are those of omega_i / omega for periods in the right half
+    plane, so they span less than pi and the cone is a sector.
+    """
+    if not angles:
+        return z
+    lo, hi = min(angles), max(angles)
+    if lo <= phase(-z) <= hi:
+        return 0j
+    gap = z
+    for angle in (lo, hi):
+        edge = -rect(1, angle)
+        reach = (z * edge.conjugate()).real
+        if reach > 0 and abs(z - reach * edge) < abs(gap):
+            gap = z - reach * edge
+    return gap
+
+
+def _levels(omegas):
+    """(omega_k, (angle of omega_i / omega_k for i < k)) for each direction k."""
+    return tuple(
+        (om, tuple(phase(complex(o / om)) for o in omegas[:k])) for k, om in enumerate(omegas)
+    )
+
+
+def _tail_powers(x, s):
+    """(k, x^{-(s+k)}) for the tail offsets k = -1, 0, 1, 3, 5, ... in that
+    order, from the single power p = x^{-s}: p x, p, then steps of x^{-2}.
+
+    The chain runs with 20 guard bits and each power is rounded once to the
+    working precision, as ``mp.power``'s own results are.
+    """
+    bits = mp.prec + 20
+    with mp.workprec(bits):
+        p = mp.power(x, -s)
+        q = p * x
+        step = 1 / (x * x)
+    yield -1, +q
+    yield 0, +p
+    for k in count(1, 2):
+        q = mp.fmul(q, step, prec=bits)
+        yield k, +q
+
+
 def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
     """Barnes multiple zeta by summation of the defining series, in one pass.
 
-    Each level sums N = max(20, floor|s| + 1, ceil(ln(1/eps) / (2 pi))) head
-    terms, where eps is that level's target: the Bernoulli terms then shrink
-    from the first, and the smallest of them, about e^{-2 pi N}, lies below
-    eps.  The last term only exceeds 20 for eps < e^{-40 pi} ~ 3.5e-55.  Terms
-    are added until one is below eps/2; each inner sum gets
-    eps/(2N+6)/max(1, |weight|).  ``err_estimate`` is the last term plus the
-    weighted inner estimates.  Raises ConvergenceTooSlow if a term grows
-    first, and PrecisionUnreachable for a target below the unit roundoff of
-    the working precision (the policy's bits plus 16 guard bits), which the
-    sum's rounding could not honour.
+    Each level sums head terms until its tail point is
+    d0 = max(floor|s| + 1, (1.3 ln(1/eps) + pi |Im s|) / (2 pi)) periods from
+    the summand's poles (N = d0 when w and the periods lie within pi/2 of
+    each other in angle), where eps is that level's target: the Bernoulli
+    terms then shrink from the first, and the smallest of them lies near
+    eps^1.3.  Terms are added until one is below eps/2; each inner sum gets
+    eps/(2N+6)/max(1, |weight|).  The last direction (one omega) is summed
+    in closed form: its tail terms are powers of one point.  ``err_estimate``
+    is the last term plus the weighted inner estimates.  Raises
+    ConvergenceTooSlow if a term grows first, and PrecisionUnreachable for a
+    target below the unit roundoff of the working precision (the policy's
+    bits plus 16 guard bits), which the sum's rounding could not honour.
+    When s, w and every omega_i are real the sum runs in real arithmetic;
+    the value is an mpc either way.
     """
     w = _require_right_half(w)
     with p.context(16):
@@ -104,8 +213,12 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
             )
         eps = p.reachable_target()
-        value, err = _lattice_em(s, w, omega.omegas, eps)
-        return EvalResult(value, err, METHOD_DIRECT)
+        args = (s, w) + omega.omegas
+        if all(mp.im(x) == 0 for x in args):
+            args = tuple(mp.re(x) for x in args)
+        s, w, *omegas = args
+        value, err = _lattice_em(s, w, _levels(omegas), eps)
+        return EvalResult(mp.mpc(value), err, METHOD_DIRECT)
 
 
 # -- contour evaluations --------------------------------------------------

@@ -11,10 +11,12 @@ from hyperzeta import (
     zeta_contour,
     zeta_direct,
 )
+from hyperzeta import evaluators
 from hyperzeta.errors import InvalidParameter, PrecisionUnreachable, TooCloseToInteger
 from hyperzeta.evaluators import METHOD_COMBINATION, derivative_fd
 
 P = DEFAULT_POLICY
+SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +51,32 @@ def test_direct_reaches_1e55_with_complex_omega(r):
     assert res.err_estimate <= 1e-55
 
 
+E13 = mp.exp(mpf("1.3") * 1j)
+
+
+# periods or w more than pi/2 apart in angle: Re(w / omega) < 0 at some level,
+# so the tail point must be placed by its distance from the poles, not by N
+@pytest.mark.parametrize(
+    "s, w, omegas",
+    [
+        (mpf("3.5"), mpf("1.5"), (E13, 1 / E13)),
+        (mp.mpc("3.5", "10"), mpf("1.5"), (E13, 1 / E13)),
+        (mpf("4.5"), mp.mpc(1, 10), (1 / E13,)),
+    ],
+    ids=["conjugate", "conjugate-im10", "w-opposite"],
+)
+def test_direct_wide_angles(s, w, omegas):
+    omega = OmegaVector.of(*omegas)
+    res = zeta_direct(s, w, omega, P.with_target(1e-22))
+    ref = zeta_direct(s, w, omega, SHARP)
+    with SHARP.context():
+        assert abs(res.value - ref.value) <= 5 * res.err_estimate
+    assert res.err_estimate <= 1e-22
+    if mp.im(s) == 0 and mp.im(w) == 0 and len(omegas) == 2:
+        # the lattice is its own conjugate, so the sum is real
+        assert abs(mp.im(res.value)) <= res.err_estimate
+
+
 def test_direct_target_below_working_precision_raises():
     with pytest.raises(PrecisionUnreachable):
         zeta_direct(mpf("2.5"), mpf("1.3"), OmegaVector.of(1), P.with_target(1e-80))
@@ -57,6 +85,63 @@ def test_direct_target_below_working_precision_raises():
 def test_direct_rejects_small_s():
     with pytest.raises(InvalidParameter):
         zeta_direct(1, 1, OmegaVector.of(1), P.with_target(1e-20))
+
+
+# real and complex periods (|arg| <= 0.3), both targets, Im s up to 10
+@pytest.mark.parametrize(
+    "om, s, target",
+    [
+        (mpf("1.3"), mpf("4.5"), 1e-22),
+        (mpf("0.6"), mpf("3.7"), 1e-30),
+        (mp.rect(0.8, 0.3), mp.mpc("4.5", "10"), 1e-22),
+        (mp.rect(1.1, -0.25), mp.mpc("3.6", "-4"), 1e-30),
+    ],
+    ids=["real", "real-1e30", "complex-im10", "complex-1e30"],
+)
+def test_direct_r3_equal_periods(om, s, target):
+    # zeta_3(s, w; (om, om, om)) = om^{-s} sum_n (n + 1)(n + 2)/2 (n + x)^{-s}, x = w/om,
+    #   = om^{-s}/2 [zeta(s-2, x) + (3 - 2x) zeta(s-1, x) + (x-1)(x-2) zeta(s, x)]
+    w = mpf("1.7")
+    res = zeta_direct(s, w, OmegaVector.of(om, om, om), P.with_target(target))
+    with SHARP.context():
+        x = w / om
+        ref = mp.power(om, -s) / 2 * (
+            mp.zeta(s - 2, x) + (3 - 2 * x) * mp.zeta(s - 1, x) + (x - 1) * (x - 2) * mp.zeta(s, x)
+        )
+        assert abs(res.value - ref) <= 5 * res.err_estimate
+    assert res.err_estimate <= target
+
+
+def test_direct_r0_is_a_power():
+    s, w = mp.mpc("3.5", "2"), mp.mpc("1.5", "-0.5")
+    res = zeta_direct(s, w, OmegaVector.of(), P)
+    with P.context(16):
+        assert res.value == mp.power(w, -s)
+    assert res.err_estimate == 0
+
+
+def test_direct_real_inputs_give_mpc():
+    om = (mpf("1.1"), mpf("0.7"))
+    real = zeta_direct(mpf("3.5"), mpf("1.5"), OmegaVector.of(*om), P)
+    cplx = zeta_direct(mp.mpc("3.5", 0), mp.mpc("1.5", 0), OmegaVector.of(*map(mp.mpc, om)), P)
+    assert isinstance(real.value, mp.mpc) and isinstance(cplx.value, mp.mpc)
+    assert real.value == cplx.value
+    assert real.err_estimate == cplx.err_estimate
+
+
+def test_direct_one_power_per_lattice_point(monkeypatch):
+    # r = 2: every one-omega inner sum takes one mp.power per head point and
+    # one at its tail point, whose exponents s-1, s, s+1, ... all derive from it
+    heads, powers = [], []
+    head_length, power = evaluators._head_length, mp.power
+    monkeypatch.setattr(
+        evaluators, "_head_length", lambda *a: heads.append(head_length(*a)) or heads[-1]
+    )
+    monkeypatch.setattr(mp, "power", lambda x, y: powers.append(x) or power(x, y))
+    zeta_direct(mpf("3.5"), mpf("1.5"), OmegaVector.of(1, mpf("1.3")), P)
+    top, *inner = heads
+    assert len(inner) > top  # the head's inner sums and the tail's
+    assert len(powers) == sum(n + 1 for n in inner)
 
 
 def test_contour_matches_hurwitz():
