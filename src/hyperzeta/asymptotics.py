@@ -75,6 +75,11 @@ class ReductionCheck:
     contour_err: object
     rays_err: object
 
+    @property
+    def agrees(self) -> bool:
+        """The two routes agree within their combined error estimates."""
+        return abs(self.contour - self.rays) <= self.contour_err + self.rays_err
+
 
 def default_experiment(m: int = 1, k: int = 0, **kwargs) -> AsymExperiment:
     """The suite's default: r = 1, l = 1, omega = alpha = (1), a = 1/2."""

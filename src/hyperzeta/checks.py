@@ -15,6 +15,7 @@ from math import factorial
 from mpmath import mp, mpf
 
 from . import evaluators as ev
+from .asymptotics import default_experiment, remainder_reduction_check
 from .combinatorics import (
     coeff_c,
     gen_F,
@@ -224,6 +225,18 @@ def quadrature_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
             if abs(res.value - ref.value) > 5 * res.err_estimate:
                 honest = False
         out.append(_result("quadrature", "error-estimate-honesty", honest))
+        # the remainder integrand over the contour and over the rays from 0
+        e = default_experiment(3, 0, policy=p)
+        checks = [remainder_reduction_check(e, 2, nu, terms=12) for nu in (1, 2, 3)]
+        worst = max(abs(c.contour - c.rays) for c in checks)
+        out.append(
+            _result(
+                "quadrature",
+                "ray-only-reduction",
+                all(c.agrees for c in checks),
+                f"worst={mp.nstr(worst, 3)}",
+            )
+        )
     return out
 
 

@@ -151,15 +151,20 @@ def test_reduction_check(m, nu, w):
         chk = remainder_reduction_check(e, mpf(w), nu, terms=10)
         budget = chk.contour_err + chk.rays_err + mpf("1e-24")
         assert abs(chk.contour - chk.rays) <= budget
-    # the ray estimate alone covers the rays' error: the reference is the
-    # contour integral of the same integrand at +64 bits and a 1e-40 target
+    # the ray estimate alone covers the rays' error
     with SHARP.context():
-        tail = remainder_tail(replace(e, policy=SHARP), 10)
+        assert abs(chk.rays - _sharp_reference(e, w, nu, 10)) <= 5 * chk.rays_err
+
+
+def _sharp_reference(e, w, nu, terms):
+    """The contour integral of the reduction's integrand at +64 bits and a
+    1e-40 target."""
+    with SHARP.context():
+        tail = remainder_tail(replace(e, policy=SHARP), terms)
         ispec = IntegrandSpec(
             omega=e.omega, w=mpf(w), k=e.k, poly=PolyC.monomial(nu), tail=tail
         )
-        ref, _ = hankel_integrate(ispec, None, SHARP)
-        assert abs(chk.rays - ref) <= 5 * chk.rays_err
+        return hankel_integrate(ispec, None, SHARP)[0]
 
 
 @pytest.mark.parametrize("w", [5, 15])
@@ -172,6 +177,28 @@ def test_reduction_check_nu0_rays_are_exactly_zero(w):
         chk = remainder_reduction_check(e, mpf(w), 0, terms=12)
         assert chk.rays == 0 and chk.rays_err == 0
         assert abs(chk.contour) <= chk.contour_err
+
+
+@pytest.mark.parametrize(
+    "m, nu, target",
+    [pytest.param(1, 1, 1e-30, id="m1-1e-30"), pytest.param(2, 2, 1e-28, id="m2-1e-28")],
+)
+def test_reduction_check_near_end_below_pole_threshold(m, nu, target):
+    # eps falls below the pole threshold 2^-96, where |1 - e^(-omega t)| ~ |omega t|
+    # is the zero at t = 0 that the tail cancels, not a pole of the integrand
+    e = small_experiment(m=m, policy=P.with_target(target))
+    with P.context():
+        chk = remainder_reduction_check(e, 5, nu, terms=12)
+        assert chk.agrees
+    with SHARP.context():
+        assert abs(chk.rays - _sharp_reference(e, 5, nu, 12)) <= 5 * chk.rays_err
+
+
+def test_reduction_check_agrees_reads_the_combined_budget():
+    with P.context():
+        chk = remainder_reduction_check(small_experiment(), 2, 1, terms=10)
+        assert chk.agrees
+        assert not replace(chk, rays=chk.contour + 2 * (chk.contour_err + chk.rays_err)).agrees
 
 
 def test_reduction_check_rejects_bad_nu():

@@ -1,4 +1,7 @@
+import cmath
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from hyperzeta import (
@@ -13,11 +16,12 @@ from hyperzeta import (
     q_poly,
 )
 from hyperzeta.asymptotics import default_experiment, remainder_tail
-from hyperzeta.errors import InvalidParameter, PrecisionUnreachable
+from hyperzeta.errors import InvalidParameter, PolesTooClose, PrecisionUnreachable
 from hyperzeta import balanced_P, hankel
 from hyperzeta.hankel import CIRCLE_PANELS, KRONROD_NODES, ray_only_integrate
 
 P = DEFAULT_POLICY
+SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
 
 
 @pytest.fixture(autouse=True)
@@ -301,6 +305,80 @@ def test_ray_only_matches_mpmath_quad(m, nu, w):
 
         ref = mp.quad(f, [0, mpf(12) / w, 1, mp.inf])
         assert abs(val - ref) <= 5 * err
+
+
+def test_ray_only_near_segment_is_a_few_log_panels(monkeypatch):
+    # the ray side of remainder_reduction_check(default_experiment(1, 0), 20, 1):
+    # eps is about 1e-11, and one panel per doubling of [eps, T] would be 39
+    e = default_experiment(1, 0)
+    with P.context(16):
+        ispec = IntegrandSpec(
+            omega=e.omega, w=20, k=e.k, poly=PolyC.monomial(1), tail=remainder_tail(e)
+        )
+    panels, levels = [], []
+    gk_panel, double_until = hankel._gk_panel, hankel._double_until
+    monkeypatch.setattr(
+        hankel, "_gk_panel", lambda f, a, b, rule: panels.append((a, b)) or gk_panel(f, a, b, rule)
+    )
+    monkeypatch.setattr(
+        hankel,
+        "_double_until",
+        lambda attempt, target, bound: double_until(
+            lambda level: levels.append(level) or attempt(level), target, bound
+        ),
+    )
+    ray_only_integrate(ispec, P)
+    assert levels == [0]
+    assert len(panels) <= 16
+
+
+# r = 1 or 2 periods with |arg| <= 1.3 and modulus up to 2, k = 0..2, nu = 1..3,
+# Re(w) in [0.5, 40] with |Im w| <= Re(w) / 2, and a tail of valuation exactly
+# k + 1 + r with a nonzero leading coefficient
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(
+    periods=st.lists(st.tuples(st.floats(0.5, 2), st.floats(-1.3, 1.3)), min_size=1, max_size=2),
+    k=st.integers(0, 2),
+    nu=st.integers(1, 3),
+    w_re=st.floats(0.5, 40),
+    w_slope=st.floats(-0.5, 0.5),
+    lead_arg=st.floats(-3, 3),
+)
+@example(periods=[(2, 1.3), (0.5, -1.3)], k=2, nu=3, w_re=5, w_slope=0.5, lead_arg=1)
+@example(periods=[(1, -1.3)], k=0, nu=1, w_re=0.5, w_slope=-0.5, lead_arg=0)
+@example(periods=[(1, 1.3)], k=1, nu=2, w_re=40, w_slope=0.5, lead_arg=2)
+def test_ray_only_estimates_are_honest(periods, k, nu, w_re, w_slope, lead_arg):
+    om = OmegaVector.of(*(mp.mpmathify(cmath.rect(*pa)) for pa in periods))
+    tail = LaurentSeries(
+        k + 1 + om.r, (mp.mpmathify(cmath.rect(1, lead_arg)), mpf("0.3"), mp.mpc("-0.2", "0.1"))
+    )
+    w = mp.mpc(w_re, w_re * w_slope)
+    ispec = IntegrandSpec(omega=om, w=w, k=k, poly=PolyC.monomial(nu), tail=tail)
+    val, err = ray_only_integrate(ispec, P)
+    # the contour integral of the same integrand, which Cauchy's theorem equates to the rays
+    ref, _ = hankel_integrate(ispec, None, SHARP)
+    with SHARP.context():
+        assert abs(val - ref) <= 5 * err
+
+
+def test_small_divisor_near_zero_is_not_a_pole():
+    # |1 - e^(-omega t)| ~ |omega t| below the pole threshold: the zero at t = 0
+    om = OmegaVector.of(1, mp.expj(mpf("1.3")))
+    thr = P.zero_threshold
+    t = mpf("1e-35")
+    f = hankel._f_omega_at(om, t, thr)
+    # within the relative error 2^-prec / |omega t| of the divisors
+    assert abs(f * t * t * om.product - 1) < 2 ** (4 - mp.prec) / t
+    # fewer than 32 bits of 1 - e^(-omega t) left
+    with pytest.raises(PrecisionUnreachable):
+        hankel._f_omega_at(om, mpf(2) ** (20 - mp.prec), thr)
+
+
+def test_small_divisor_near_a_ray_pole_raises():
+    # omega nearly imaginary: the pole 2 pi i / omega is within 1e-40 of t = 2 pi
+    om = OmegaVector.of(mp.expj(mp.pi / 2 - mpf("1e-40")))
+    with pytest.raises(PolesTooClose):
+        hankel._f_omega_at(om, 2 * mp.pi, P.zero_threshold)
 
 
 def test_ray_only_requires_tail():
