@@ -22,7 +22,7 @@ class InvalidParameter(HyperzetaError):
 
 
 class NodeBudgetExceeded(HyperzetaError):
-    """Quadrature node doubling failed to converge within budget."""
+    """Quadrature refinement failed to converge within budget."""
 
 
 class PolesTooClose(HyperzetaError):

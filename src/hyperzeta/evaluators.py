@@ -19,6 +19,7 @@ from __future__ import annotations
 from cmath import phase, rect
 from dataclasses import dataclass
 from itertools import count
+from math import nextafter
 
 from mpmath import mp, mpf
 
@@ -26,6 +27,7 @@ from . import constants
 from .errors import (
     ConvergenceTooSlow,
     InvalidParameter,
+    PrecisionUnreachable,
     TooCloseToInteger,
 )
 from .hankel import IntegrandSpec, hankel_integrate
@@ -231,7 +233,13 @@ def zeta_contour(
     p: PrecisionPolicy = DEFAULT_POLICY,
     lam=None,
 ) -> EvalResult:
-    """Barnes multiple zeta from the Hankel representation (generic s)."""
+    """Barnes multiple zeta from the Hankel representation (generic s).
+
+    The value is 1/(Gamma(s)(e^{2 pi i s}-1)) times the integral, so the
+    integral aims at target / max(1, |prefactor|).  Raises
+    PrecisionUnreachable where that is below 2^-bits of the working precision
+    (the policy's bits plus 16 guard bits).
+    """
     w = _require_right_half(w)
     with p.context(16):
         s = mp.mpc(s)
@@ -240,11 +248,22 @@ def zeta_contour(
             raise TooCloseToInteger(
                 "s is within 1e-3 of an integer; use log_hyper_gamma(0, k)"
             )
-        ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((1,)))
-        integral, qerr = hankel_integrate(ispec, lam, p)
         prefactor = 1 / (
             constants.gamma_scalar(s, p) * (mp.exp(2 * mp.pi * mp.mpc(0, 1) * s) - 1)
         )
+        inner = p
+        if abs(prefactor) > 1:
+            target = mpf(p.target_abs_error) / abs(prefactor)
+            # rounded down, so that |prefactor| times the integral's estimate stays within p's target
+            scaled = nextafter(float(target), 0)
+            if not (scaled > 0 and target >= mpf(2) ** -mp.prec):
+                raise PrecisionUnreachable(
+                    f"target {mp.nstr(target, 3)} for the integral (the target over "
+                    f"|prefactor| = {mp.nstr(abs(prefactor), 3)}) is below 2^-{mp.prec}"
+                )
+            inner = p.with_target(scaled)
+        ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((1,)))
+        integral, qerr = hankel_integrate(ispec, lam, inner)
         return EvalResult(prefactor * integral, abs(prefactor) * qerr, METHOD_CONTOUR)
 
 

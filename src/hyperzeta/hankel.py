@@ -19,14 +19,30 @@ circle contributes.  Rays use panels on a geometric subdivision of [lambda, T];
 the circle uses panels in theta.  Every panel is integrated once at the 65
 nodes of the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie,
 Math. Comp. 66, 1997), which gives both the Kronrod value K65 and the Gauss
-value G32 of its 32 Gauss nodes.  At level L the ray cuts each doubling of
-[lambda, T] into 2^L panels and the circle into 8 * 2^L; the first level
-where |sum K65 - sum G32| plus the ray end bounds meets the target returns
-the K65 sum, with that as its estimate.
+value G32 of its 32 Gauss nodes.
+
+The first pass is coarse: one ray panel per factor RAY_PANEL_FACTOR = 4 in t
+from lambda, and the circle at level 0, CIRCLE_PANELS = 4 panels.  Then one
+driver, ``_refine_worst``, refines globally in the way of QUADPACK's QAG
+(Piessens et al., 1983): while the sum of |K65 - G32| over the parts plus the
+ray end bounds is above the target, the part with the largest |K65 - G32| is
+refined.  A ray panel is bisected at sqrt(ab) in t; the circle moves to its
+next level, 4 * 2^L panels at level L.  The K65 sum is returned, with that
+sum as its estimate.  A part that would pass depth MAX_LEVELS - 1 raises
+NodeBudgetExceeded.  The circle's depth is its level; a ray panel's is its
+level in the schedule that cuts each doubling into 2^L panels at level L, so
+a first-pass panel spanning two doublings starts at -1, and the finest ray
+panel spans a factor 2^(1/32) in t.  So even an integral that never
+converges evaluates no more ray panels than that schedule's levels
+0..MAX_LEVELS-1, plus one for each first-pass panel that spans two
+doublings, and half as many circle panels per level (4 * 2^L, not 8 * 2^L).
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
-default lambda = 1/2 * min(pole bound, 2 pi), clamped to 12 / Re(w).  The
-clamp matters at large w: the circle's far side carries e^{Re(w) lambda},
+default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
+of f_omega then lie at |t| >= 4 lambda, so as far as the poles limit it, 4
+circle panels give G32 about 1e-37 relative at level 0: in theta the nearest
+pole is log 4 from the real axis, a Bernstein rho of about 3.8 per panel.
+The clamp matters at large w: the circle's far side carries e^{Re(w) lambda},
 which cancels in the sum, so the guard bits grow as 1.5 * Re(w) * lambda.  The
 value does not depend on lambda, so a smaller circle costs nothing in
 accuracy.
@@ -39,15 +55,15 @@ integrand from 0 instead of from lambda, with no circle; its near end eps
 starts at lambda and shrinks by 4.
 
 That near segment [eps, lambda] is integrated in u = log t, of t times the
-integrand, on equal panels, each spanning at most a factor NEAR_PANEL_FACTOR
-= 16 in t at level 0 (2^L times as many panels at level L); [lambda, T] keeps
-the doubling panels.  In u the end t = 0 moves to u = -inf, where the integrand
-decays like e^u |u|^(nu-1) for poly of degree nu, so eps at 1e-11..1e-13 costs
-9-12 panels instead of one per doubling.  The nearest singularities are the
-poles of f_omega, at Re u >= log(2 lambda), beyond the segment's right end,
-and Im u = +-(pi/2 - arg omega): the last panel's Bernstein ellipse keeps
-rho of about 3.7 for real omega, a G32 error of about 1e-36 relative, and
-about 2.7 at |arg omega| = 1.3.
+integrand, on equal first-pass panels, each spanning at most a factor
+NEAR_PANEL_FACTOR = 16 in t, which the driver bisects at their midpoint in u;
+[lambda, T] has the contour's ray panels.  In u the end t = 0 moves to
+u = -inf, where the integrand decays like e^u |u|^(nu-1) for poly of degree
+nu, so eps at 1e-11..1e-13 costs 9-11 panels instead of one per doubling.
+The nearest singularities are the poles of f_omega, at Re u >= log(4 lambda),
+beyond the segment's right end, and Im u = +-(pi/2 - arg omega): the last
+panel's Bernstein ellipse keeps rho of about 4.5 for real omega, a G32 error
+of about 1e-42 relative, and about 3.8 at |arg omega| = 1.3.
 
 The circle's nodes t_j = lambda e^{i theta_j} do not depend on w, and neither
 does i t_j f_omega(t_j), node j's integrand but for e^{-wt} tail(t) t^{-k-1}
@@ -55,8 +71,8 @@ poly(log t); the K65 and G32 sums apply the weights.  ``_circle_levels`` keeps
 it for one key (omega, lambda, working bits, pole threshold) and drops the old
 key first.  It keeps levels 0 and 1 once an integral reaches them, built in
 the same pass as that integral's own terms: one complex per node, about
-0.6 kB at 288 bits, so 0.31 MB for level 0's 520 nodes, which a default-target
-integral stops at, and 0.94 MB with level 1's 1040.  Deeper levels double in
+0.6 kB at 288 bits, so 0.16 MB for level 0's 260 nodes, which a default-target
+integral stops at, and 0.47 MB with level 1's 520.  Deeper levels double in
 size each, and are summed panel by panel and dropped.
 """
 
@@ -74,13 +90,16 @@ from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .qpoly import PolyC
 from .series import LaurentSeries
 
-# levels 0..MAX_LEVELS-1 of panel doubling
+# the deepest refinement, MAX_LEVELS - 1: the circle's level, or a ray panel's
+# level in the schedule that cuts each doubling into 2^L panels at level L
 MAX_LEVELS = 6
 # Gauss nodes per panel, the Kronrod rule's total, and the circle's panels at level 0
 GAUSS_NODES = 32
 KRONROD_NODES = 2 * GAUSS_NODES + 1
-CIRCLE_PANELS = 8
-# ray_only_integrate's near segment [eps, lambda]: the factor in t one log-t panel spans at level 0
+CIRCLE_PANELS = 4
+# the factor in t that one first-pass panel spans: on [lambda, T], and in log t
+# on ray_only_integrate's near segment [eps, lambda]
+RAY_PANEL_FACTOR = 4
 NEAR_PANEL_FACTOR = 16
 
 
@@ -114,8 +133,8 @@ def auto_spec(omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY):
     if not mp.re(w) > 0:
         raise InvalidParameter("auto_spec requires Re(w) > 0")
     with p.context():
-        lam = mpf("0.5") * min(omega.pole_bound, 2 * mp.pi)
-    return min(lam, 12 / mp.re(w))
+        lam = mpf("0.25") * min(omega.pole_bound, 2 * mp.pi)
+    return min(lam, 6 / mp.re(w))
 
 
 def _check_lambda(lam, omega: OmegaVector):
@@ -353,49 +372,75 @@ def _ray_end(ev: _ContourEvaluator, t, factor, target):
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
-def _ray_panels(f, a, b, level: int, rule):
-    """(Kronrod, Gauss) integrals of f over [a, b]: the interval is cut into
-    doublings from a, and each doubling into 2**level geometric panels."""
-    subdiv = 2 ** level
+def _panel(f, a, b, split, rule, depth=0):
+    """A ray part: (Kronrod, Gauss, depth, refine) for f over [a, b], where
+    refine() evaluates the two halves cut at split(a, b), one depth deeper."""
+    kronrod, gauss = _gk_panel(f, a, b, rule)
+
+    def refine():
+        m = split(a, b)
+        return [_panel(f, a, m, split, rule, depth + 1), _panel(f, m, b, split, rule, depth + 1)]
+
+    return kronrod, gauss, depth, refine
+
+
+def _ray_panels(f, a, b, rule):
+    """The first-pass parts of f over [a, b]: one geometric panel per factor
+    RAY_PANEL_FACTOR in t from a, the last one ending at b; each bisects at
+    sqrt(ab).  A panel's depth is its level in the schedule that cuts each
+    doubling into 2^L panels at level L: -1 for one that spans more than a
+    doubling (module docstring)."""
     edges = [mpf(a)]
-    x = mpf(a)
-    while x < b:
-        nxt = min(2 * x, mpf(b))
-        ratio = nxt / x
-        for i in range(1, subdiv + 1):
-            edges.append(x * ratio ** (mpf(i) / subdiv))
-        x = nxt
-    edges[-1] = mpf(b)
-    sums = [_gk_panel(f, lo, hi, rule) for lo, hi in zip(edges, edges[1:])]
-    return mp.fsum(k for k, _ in sums), mp.fsum(g for _, g in sums)
+    while edges[-1] * RAY_PANEL_FACTOR < b:
+        edges.append(edges[-1] * RAY_PANEL_FACTOR)
+    edges.append(mpf(b))
+    split = lambda lo, hi: mp.sqrt(lo * hi)
+    return [
+        _panel(f, lo, hi, split, rule, -1 if hi > 2 * lo else 0)
+        for lo, hi in zip(edges, edges[1:])
+    ]
 
 
-def _log_panels(f, a, b, level: int, rule):
-    """(Kronrod, Gauss) integrals of f over [a, b] in u = log t, of t f(t) du:
+def _log_panels(f, a, b, rule):
+    """The first-pass parts of f over [a, b] in u = log t, of t f(t) du:
     [log a, log b] is cut into equal panels, each spanning at most a factor
-    NEAR_PANEL_FACTOR in t at level 0 and 2**level times as many at level L."""
+    NEAR_PANEL_FACTOR in t; each bisects at its midpoint in u."""
     ua, ub = mp.log(a), mp.log(b)
-    n = max(1, int(mp.ceil((ub - ua) / mp.log(NEAR_PANEL_FACTOR)))) * 2 ** level
+    n = max(1, int(mp.ceil((ub - ua) / mp.log(NEAR_PANEL_FACTOR))))
     h = (ub - ua) / n
 
     def in_u(u):
         t = mp.exp(u)
         return t * f(t)
 
-    sums = [_gk_panel(in_u, ua + i * h, ua + (i + 1) * h, rule) for i in range(n)]
-    return mp.fsum(k for k, _ in sums), mp.fsum(g for _, g in sums)
+    split = lambda lo, hi: (lo + hi) / 2
+    return [_panel(in_u, ua + i * h, ua + (i + 1) * h, split, rule) for i in range(n)]
 
 
-def _double_until(attempt, target, tail_bound):
-    """Call attempt(level) -> (Kronrod, Gauss) for level = 0, 1, ... (each
-    doubling the panels) until |Kronrod - Gauss| plus the tail bound is within
-    target; returns (Kronrod value, err_estimate)."""
-    for level in range(MAX_LEVELS):
-        kronrod, gauss = attempt(level)
-        err = abs(kronrod - gauss) + tail_bound
+def _circle_part(ev: _ContourEvaluator, lam, rule, level=0):
+    """The circle as one part, at one level; refine() moves it to the next."""
+    kronrod, gauss = _circle(ev, lam, level, rule)
+    return kronrod, gauss, level, lambda: [_circle_part(ev, lam, rule, level + 1)]
+
+
+def _refine_worst(parts, target, end_bounds):
+    """Global-adaptive refinement (QUADPACK's QAG; Piessens et al., 1983):
+    while the sum of |Kronrod - Gauss| over the parts plus end_bounds is above
+    target, replace the part with the largest difference by its refinement.
+    A part already at depth MAX_LEVELS - 1 raises NodeBudgetExceeded instead.
+    parts holds (Kronrod, Gauss, depth, refine) tuples; returns (sum of
+    Kronrod values, err_estimate)."""
+    while True:
+        diffs = [abs(kronrod - gauss) for kronrod, gauss, _, _ in parts]
+        err = mp.fsum(diffs) + end_bounds
         if err <= target:
-            return kronrod, err
-    raise NodeBudgetExceeded(f"node doubling failed to reach {mp.nstr(target, 3)}")
+            return mp.fsum(kronrod for kronrod, _, _, _ in parts), err
+        _, _, depth, refine = parts.pop(max(range(len(parts)), key=diffs.__getitem__))
+        if depth == MAX_LEVELS - 1:
+            raise NodeBudgetExceeded(
+                f"refinement failed to reach {mp.nstr(target, 3)} (at {mp.nstr(err, 3)})"
+            )
+        parts += refine()
 
 
 def hankel_integrate(
@@ -421,13 +466,8 @@ def hankel_integrate(
             ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target
         )
         rule = _legendre_nodes(mp.prec)
-
-        def attempt(level: int):
-            ray_k, ray_g = _ray_panels(ev.ray, lam, T, level, rule)
-            circle_k, circle_g = _circle(ev, lam, level, rule)
-            return ray_k + circle_k, ray_g + circle_g
-
-        return _double_until(attempt, target, tail_bound)
+        parts = _ray_panels(ev.ray, lam, T, rule) + [_circle_part(ev, lam, rule)]
+        return _refine_worst(parts, target, tail_bound)
 
 
 def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY):
@@ -440,9 +480,10 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     integrand is regular at t = 0, which the two checks below ensure: an
     integer k, and a tail whose valuation is at least k + 1 + r.  The ray is
     cut to [eps, T] by the rule in the module docstring, and both end bounds
-    go into the estimate.  [eps, lambda] is integrated in log t, one panel per
-    factor 16 in t at level 0, and [lambda, T] on the contour's doubling
-    panels (module docstring).  Returns (value, err_estimate).
+    go into the estimate.  [eps, lambda] is integrated in log t, one
+    first-pass panel per factor 16 in t, and [lambda, T] on the contour's ray
+    panels; ``_refine_worst`` refines both (module docstring).  Returns
+    (value, err_estimate).
 
     With an integer k the jump is 1, so a constant poly has the ray
     difference 0 identically, and the integral is exactly (0, 0).
@@ -462,10 +503,5 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
         )
         eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
         rule = _legendre_nodes(mp.prec)
-
-        def attempt(level: int):
-            near_k, near_g = _log_panels(ev.ray, eps, lam, level, rule)
-            far_k, far_g = _ray_panels(ev.ray, lam, T, level, rule)
-            return near_k + far_k, near_g + far_g
-
-        return _double_until(attempt, target, tail_bound + head_bound)
+        parts = _log_panels(ev.ray, eps, lam, rule) + _ray_panels(ev.ray, lam, T, rule)
+        return _refine_worst(parts, target, tail_bound + head_bound)

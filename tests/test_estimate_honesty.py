@@ -41,10 +41,11 @@ SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
     s_im=st.floats(-1.1, 1.1),
     k=st.integers(-2, 3),
     omegas=st.sampled_from([(1,), (1, 0.7), (1, cmath.rect(0.7, 1.3))]),
+    target=st.sampled_from([1e-22, 1e-32]),
 )
-@example(log_w=math.log(200), s_int=-1, s_frac=0.1, s_im=-1.1, k=-2, omegas=(1, 0.7))
-@example(log_w=math.log(0.5), s_int=3, s_frac=0.9, s_im=-1.1, k=-1, omegas=(1,))
-def test_contour_estimates_are_honest(log_w, s_int, s_frac, s_im, k, omegas):
+@example(log_w=math.log(200), s_int=-1, s_frac=0.1, s_im=-1.1, k=-2, omegas=(1, 0.7), target=1e-22)
+@example(log_w=math.log(0.5), s_int=3, s_frac=0.9, s_im=-1.1, k=-1, omegas=(1,), target=1e-32)
+def test_contour_estimates_are_honest(log_w, s_int, s_frac, s_im, k, omegas, target):
     w = mpf(math.exp(log_w))
     s = mp.mpc(s_int + s_frac, s_im)
     om = OmegaVector.of(*map(mp.mpmathify, omegas))
@@ -52,10 +53,11 @@ def test_contour_estimates_are_honest(log_w, s_int, s_frac, s_im, k, omegas):
         lambda p: zeta_contour(s, w, om, p),
         lambda p: balanced_P(1, k, w, om, p),
     ):
-        res = evaluate(P)
+        res = evaluate(P.with_target(target))
         ref = evaluate(SHARP)
         with SHARP.context():
             assert abs(res.value - ref.value) <= 5 * res.err_estimate
+        assert res.err_estimate <= target
 
 
 def test_rhs_expansion_estimate_is_honest_at_large_w():

@@ -150,6 +150,27 @@ def test_contour_matches_hurwitz():
         assert abs(res.value - mp.zeta(s, mpf("1.3"))) < mpf("1e-22")
 
 
+def test_contour_target_covers_the_prefactor():
+    # 1 / (Gamma(s) (e^{2 pi i s} - 1)) is about 1.8e18 at s = -20.5, so the
+    # integral aims at the target over that; against the equal-period Hurwitz
+    # form zeta(s - 1, w) + (1 - w) zeta(s, w)
+    s, w = mpf("-20.5"), mpf("2.5")
+    res = zeta_contour(s, w, OmegaVector.of(1, 1), P)
+    assert res.err_estimate <= P.target_abs_error
+    with SHARP.context():
+        ref = mp.zeta(s - 1, w) + (1 - w) * mp.zeta(s, w)
+        assert abs(res.value - ref) <= 5 * res.err_estimate
+
+
+@pytest.mark.parametrize("s", ["-40.5", "-170.5"])
+def test_contour_scaled_target_below_working_precision_raises(s):
+    # the prefactor is about 1e48 at s = -40.5, which puts the integral's
+    # target below 2^-208; at s = -170.5 it is about 1e307, and the target
+    # underflows a float
+    with pytest.raises(PrecisionUnreachable):
+        zeta_contour(mpf(s), mpf("2.5"), OmegaVector.of(1, 1), P)
+
+
 def test_contour_rejects_near_integer_s():
     with pytest.raises(TooCloseToInteger):
         zeta_contour(2, 1, OmegaVector.of(1), P)

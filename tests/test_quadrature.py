@@ -16,7 +16,7 @@ from hyperzeta import (
     q_poly,
 )
 from hyperzeta.asymptotics import default_experiment, remainder_tail
-from hyperzeta.errors import InvalidParameter, PolesTooClose, PrecisionUnreachable
+from hyperzeta.errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from hyperzeta import balanced_P, hankel
 from hyperzeta.hankel import CIRCLE_PANELS, KRONROD_NODES, ray_only_integrate
 
@@ -31,12 +31,12 @@ def _prec():
 
 
 def test_auto_spec_lambda_examples():
-    # lambda = 0.5 * min(pole bound, 2 pi)
-    assert abs(auto_spec(OmegaVector.of(1), 1, P) - mp.pi) < mpf("1e-40")
-    assert abs(auto_spec(OmegaVector.of(2), 1, P) - mp.pi / 2) < mpf("1e-40")
-    assert abs(auto_spec(OmegaVector.of(), 1, P) - mp.pi) < mpf("1e-40")
-    # clamped to Re(w) * lambda <= 12
-    assert auto_spec(OmegaVector.of(1), 40, P) == mpf(12) / 40
+    # lambda = 1/4 * min(pole bound, 2 pi)
+    assert abs(auto_spec(OmegaVector.of(1), 1, P) - mp.pi / 2) < mpf("1e-40")
+    assert abs(auto_spec(OmegaVector.of(2), 1, P) - mp.pi / 4) < mpf("1e-40")
+    assert abs(auto_spec(OmegaVector.of(), 1, P) - mp.pi / 2) < mpf("1e-40")
+    # clamped to Re(w) * lambda <= 6
+    assert auto_spec(OmegaVector.of(1), 40, P) == mpf(6) / 40
 
 
 def test_spec_validation():
@@ -164,9 +164,85 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     _, err = hankel_integrate(ispec, None, P)
     assert err <= P.target_abs_error
     assert levels == [0]
-    # level 0 has one ray panel per doubling of [lambda, T]
-    assert all(b == 2 * a for a, b in ray_panels[:-1])
+    # the first pass has one ray panel per factor 4 of [lambda, T]
+    assert all(b == 4 * a for a, b in ray_panels[:-1])
     assert len(ts) - sum(ends) == KRONROD_NODES * (len(ray_panels) + CIRCLE_PANELS)
+
+
+def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
+    # at 1e-32 the first pass misses on the ray: its worst panels are bisected,
+    # and the circle stays at level 0
+    om = OmegaVector.of(1, mpf("1.3"))
+    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
+    calls = []
+    gk_panel, circle = hankel._gk_panel, hankel._circle
+    monkeypatch.setattr(
+        hankel, "_gk_panel", lambda f, a, b, rule: calls.append("ray") or gk_panel(f, a, b, rule)
+    )
+    monkeypatch.setattr(
+        hankel, "_circle", lambda ev, lam, level, rule: calls.append(level) or circle(ev, lam, level, rule)
+    )
+    val, err = hankel_integrate(ispec, None, P.with_target(1e-32))
+    assert err <= 1e-32
+    # the first pass evaluates the ray panels and then the circle
+    first = calls.index(0)
+    refined = calls[first + 1:]
+    assert set(refined) == {"ray"}
+    assert 0 < len(refined) < 2 * first
+    ref, _ = hankel_integrate(ispec, None, SHARP)
+    with SHARP.context():
+        assert abs(val - ref) <= 5 * err
+
+
+@pytest.mark.parametrize(
+    "integrate",
+    [lambda ispec: hankel_integrate(ispec, None, P), lambda ispec: ray_only_integrate(ispec, P)],
+    ids=["contour", "ray-only"],
+)
+def test_refinement_budget(monkeypatch, integrate):
+    # with a K - G that never shrinks, the refinement stops where a panel would
+    # pass depth MAX_LEVELS - 1, within the panels of the doubling schedule:
+    # levels 0..MAX_LEVELS-1, each doubling level 0's one panel per doubling
+    # of [lambda, T] (and the near segment's log panels), plus the first-pass
+    # ray panels that span two doublings, which that schedule never evaluates
+    evaluated, level0, wide = [], [], []
+    ray_panels, log_panels = hankel._ray_panels, hankel._log_panels
+
+    def first_ray(f, a, b, rule):
+        level0.append(int(mp.ceil(mp.log(b / a, 2))))
+        parts = ray_panels(f, a, b, rule)
+        wide.extend(part for part in parts if part[2] < 0)
+        return parts
+
+    def first_log(f, a, b, rule):
+        parts = log_panels(f, a, b, rule)
+        level0.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(hankel, "_ray_panels", first_ray)
+    monkeypatch.setattr(hankel, "_log_panels", first_log)
+    monkeypatch.setattr(
+        hankel, "_gk_panel", lambda f, a, b, rule: evaluated.append((a, b)) or (mpf(0), mpf(1))
+    )
+    with pytest.raises(NodeBudgetExceeded):
+        integrate(_unit_ray(PolyC((0, 1))))
+    assert len(evaluated) <= (2 ** hankel.MAX_LEVELS - 1) * sum(level0) + len(wide)
+
+
+def test_contour_reaches_the_finest_doubling_level():
+    # Im(s) = -10 makes the outbound ray e^{20 pi} times the inbound one, and
+    # Im(w) = 10 puts about 5 periods in a panel spanning a factor 2^(1/32) at
+    # t = 150: the ray needs the doubling schedule's finest level.  r = 0
+    # against the closed form Gamma(s) (e^{2 pi i s} - 1) w^{-s}
+    from hyperzeta.constants import gamma_scalar
+
+    s, w = mp.mpc("2.3", "-10"), mp.mpc("0.5", "10")
+    ispec = IntegrandSpec(omega=OmegaVector.of(), w=w, k=-s, poly=PolyC((1,)))
+    val, err = hankel_integrate(ispec, None, P)
+    assert err <= P.target_abs_error
+    with SHARP.context():
+        closed = gamma_scalar(s, SHARP) * (mp.exp(2 * mp.pi * mp.mpc(0, 1) * s) - 1) * mp.power(w, -s)
+        assert abs(val - closed) <= 5 * err
 
 
 @pytest.mark.parametrize("target", [1e-100, 1e-300])
@@ -227,11 +303,11 @@ def test_circle_cache_keeps_two_levels(monkeypatch):
     # one key at a time, holding the levels its integral reached
     assert levels_of.cache_info().currsize == 1
     assert [len(f) for f in stored[-1]] == [level_nodes * 2 ** lv for lv in range(max(levels) + 1)]
-    # a 1e-50 target passes level 2, which is built but not stored
+    # a 1e-65 target reaches level 2, which is built but not stored
     levels.clear()
     levels_of.cache_clear()
     ispec = IntegrandSpec(omega=_CIRCLE_OMEGAS["complex"], w=1, k=1, poly=q_poly(1, 1, P))
-    hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-50))
+    hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-65))
     assert max(levels) >= 2
     assert [len(f) for f in stored[-1]] == [level_nodes, 2 * level_nodes]
 
@@ -315,21 +391,32 @@ def test_ray_only_near_segment_is_a_few_log_panels(monkeypatch):
         ispec = IntegrandSpec(
             omega=e.omega, w=20, k=e.k, poly=PolyC.monomial(1), tail=remainder_tail(e)
         )
-    panels, levels = [], []
-    gk_panel, double_until = hankel._gk_panel, hankel._double_until
+    panels = []
+    gk_panel = hankel._gk_panel
     monkeypatch.setattr(
         hankel, "_gk_panel", lambda f, a, b, rule: panels.append((a, b)) or gk_panel(f, a, b, rule)
     )
-    monkeypatch.setattr(
-        hankel,
-        "_double_until",
-        lambda attempt, target, bound: double_until(
-            lambda level: levels.append(level) or attempt(level), target, bound
-        ),
-    )
     ray_only_integrate(ispec, P)
-    assert levels == [0]
     assert len(panels) <= 16
+
+
+def test_ray_only_refines_only_the_panels_that_miss(monkeypatch):
+    # at w = 0.5 - 3i, T is about 183, and the first pass's last panels hold
+    # dozens of periods of e^{3it}: only those are bisected (doubling every
+    # panel took 196 panels here)
+    om = OmegaVector.of(mp.expj(mpf("-0.7")))
+    tail = LaurentSeries(2, (mp.mpc(1), mpf("0.3"), mp.mpc("-0.2", "0.1")))
+    ispec = IntegrandSpec(omega=om, w=mp.mpc("0.5", "-3"), k=0, poly=PolyC.monomial(1), tail=tail)
+    panels = []
+    gk_panel = hankel._gk_panel
+    monkeypatch.setattr(
+        hankel, "_gk_panel", lambda f, a, b, rule: panels.append((a, b)) or gk_panel(f, a, b, rule)
+    )
+    val, err = ray_only_integrate(ispec, P)
+    assert len(panels) <= 60
+    ref, _ = hankel_integrate(ispec, None, SHARP)
+    with SHARP.context():
+        assert abs(val - ref) <= 5 * err
 
 
 # r = 1 or 2 periods with |arg| <= 1.3 and modulus up to 2, k = 0..2, nu = 1..3,
