@@ -207,9 +207,8 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     When s, w and every omega_i are real the sum runs in real arithmetic;
     the value is an mpc either way.
     """
-    w = _require_right_half(w)
     with p.context(16):
-        s = mp.mpc(s)
+        s, w = mp.mpc(s), _require_right_half(w)
         if not mp.re(s) > omega.r + mpf("0.25"):
             raise InvalidParameter(
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
@@ -236,35 +235,37 @@ def zeta_contour(
     """Barnes multiple zeta from the Hankel representation (generic s).
 
     The value is 1/(Gamma(s)(e^{2 pi i s}-1)) times the integral, so the
-    integral aims at target / max(1, |prefactor|).  Raises
-    PrecisionUnreachable where that is below 2^-bits of the working precision
-    (the policy's bits plus 16 guard bits).
+    integral aims at target / |prefactor|, rounded down to a float and at
+    most the largest finite one.  Where that target is below 2^-bits of the
+    working precision (the policy's bits plus 16 guard bits) it raises
+    PrecisionUnreachable.  The prefactor and the product are taken at the
+    integral's working precision, so that their rounding stays below its floor.
     """
-    w = _require_right_half(w)
     with p.context(16):
-        s = mp.mpc(s)
+        s, w = mp.mpc(s), _require_right_half(w)
         nearest = mp.mpc(mp.nint(mp.re(s)), 0)
         if abs(s - nearest) < mpf("1e-3"):
             raise TooCloseToInteger(
                 "s is within 1e-3 of an integer; use log_hyper_gamma(0, k)"
             )
-        prefactor = 1 / (
-            constants.gamma_scalar(s, p) * (mp.exp(2 * mp.pi * mp.mpc(0, 1) * s) - 1)
-        )
-        inner = p
-        if abs(prefactor) > 1:
-            target = mpf(p.target_abs_error) / abs(prefactor)
-            # rounded down, so that |prefactor| times the integral's estimate stays within p's target
-            scaled = nextafter(float(target), 0)
-            if not (scaled > 0 and target >= mpf(2) ** -mp.prec):
-                raise PrecisionUnreachable(
-                    f"target {mp.nstr(target, 3)} for the integral (the target over "
-                    f"|prefactor| = {mp.nstr(abs(prefactor), 3)}) is below 2^-{mp.prec}"
-                )
-            inner = p.with_target(scaled)
+        hp = p.for_integrals()
+        with hp.context(16):
+            prefactor = 1 / (
+                constants.gamma_scalar(s, hp) * (mp.exp(2 * mp.pi * mp.mpc(0, 1) * s) - 1)
+            )
+        target = mpf(p.target_abs_error) / abs(prefactor)
+        # rounded down, so that |prefactor| times the integral's estimate stays
+        # within p's target; a target beyond the floats becomes the largest one
+        scaled = nextafter(float(target), 0)
+        if not (scaled > 0 and target >= mpf(2) ** -mp.prec):
+            raise PrecisionUnreachable(
+                f"target {mp.nstr(target, 3)} for the integral (the target over "
+                f"|prefactor| = {mp.nstr(abs(prefactor), 3)}) is below 2^-{mp.prec}"
+            )
         ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((1,)))
-        integral, qerr = hankel_integrate(ispec, lam, inner)
-        return EvalResult(prefactor * integral, abs(prefactor) * qerr, METHOD_CONTOUR)
+        integral, qerr = hankel_integrate(ispec, lam, p.with_target(scaled))
+        with hp.context(16):
+            return EvalResult(prefactor * integral, abs(prefactor) * qerr, METHOD_CONTOUR)
 
 
 def log_hyper_gamma(
@@ -281,8 +282,8 @@ def log_hyper_gamma(
     """
     if m < 0 or k < 0:
         raise InvalidParameter("log_hyper_gamma needs m, k >= 0")
-    w = _require_right_half(w)
     with p.context(16):
+        w = _require_right_half(w)
         ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=q_poly(m, k, p))
         value, qerr = hankel_integrate(ispec, lam, p)
         return EvalResult(value, qerr, METHOD_CONTOUR)
@@ -306,8 +307,8 @@ def balanced_P(
     """
     if m < 0:
         raise InvalidParameter("balanced_P needs m >= 0")
-    w = _require_right_half(w)
     with p.context(16):
+        w = _require_right_half(w)
         if method == METHOD_CONTOUR:
             poly = s_poly(m, k if k >= 0 else 0, p)
             ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=poly)
@@ -316,12 +317,13 @@ def balanced_P(
         if method == METHOD_COMBINATION:
             if k < 0:
                 raise InvalidParameter("the combination path needs k >= 0")
-            total = mp.mpc(0)
-            err = mpf(0)
-            for mu, weight in _c_weights(m, k):
-                part = log_hyper_gamma(mu, k, w, omega, p, lam)
-                total += weight * part.value
-                err += abs(weight) * part.err_estimate
+            parts = [log_hyper_gamma(mu, k, w, omega, p, lam) for mu, _ in _c_weights(m, k)]
+            # weighted and summed at the integrals' working precision, as
+            # zeta_contour's product is
+            with p.for_integrals().context(16):
+                weights = [weight for _, weight in _c_weights(m, k)]
+                total = mp.fsum(c * part.value for c, part in zip(weights, parts))
+                err = mp.fsum(abs(c) * part.err_estimate for c, part in zip(weights, parts))
             return EvalResult(total, err, METHOD_COMBINATION)
         raise InvalidParameter(f"unknown method {method!r}")
 
@@ -331,8 +333,8 @@ def p0_closed_form(m: int, k: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
     sum_mu c^m_{m-mu,k} (-log w)^mu w^k (from zeta_0(s, w) = w^{-s})."""
     if m < 0 or k < 0:
         raise InvalidParameter("p0_closed_form needs m, k >= 0")
-    w = _require_right_half(w)
     with p.context(16):
+        w = _require_right_half(w)
         lw = -mp.log(w)
         wk = mp.power(w, k)
         total = mp.mpc(0)

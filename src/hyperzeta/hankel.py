@@ -21,59 +21,56 @@ nodes of the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie,
 Math. Comp. 66, 1997), which gives both the Kronrod value K65 and the Gauss
 value G32 of its 32 Gauss nodes.
 
+K65 is returned, so each panel's estimate is one of K65's error, by
+QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
+resasc)^1.5), resasc the K65 integral of |f - mean f| over the panel.  For an
+analytic integrand G32 errs by about rho^-64 and K65 by about rho^-98, so
+|K65 - G32| overstates K65's error by many orders; the power 1.5 takes part
+of that back (Gonnet, ACM Computing Surveys 44, 2012, catalogues where such
+rules fail).  Each panel adds a rounding floor, 50 * 2^-(working bits) *
+resabs, resabs the K65 integral of |f|, which no refinement removes.  resabs
+and resasc need two digits, so they are summed in floats.
+
 The first pass is coarse: one ray panel per factor RAY_PANEL_FACTOR = 4 in t
-from lambda, and the circle at level 0, CIRCLE_PANELS = 4 panels.  Then one
-driver, ``_refine_worst``, refines globally in the way of QUADPACK's QAG
-(Piessens et al., 1983): while the sum of |K65 - G32| over the parts plus the
-ray end bounds is above the target, the part with the largest |K65 - G32| is
-refined.  A ray panel is bisected at sqrt(ab) in t; the circle moves to its
-next level, 4 * 2^L panels at level L.  The K65 sum is returned, with that
-sum as its estimate.  A part that would pass depth MAX_LEVELS - 1 raises
-NodeBudgetExceeded.  The circle's depth is its level; a ray panel's is its
-level in the schedule that cuts each doubling into 2^L panels at level L, so
-a first-pass panel spanning two doublings starts at -1, and the finest ray
-panel spans a factor 2^(1/32) in t.  So even an integral that never
-converges evaluates no more ray panels than that schedule's levels
-0..MAX_LEVELS-1, plus one for each first-pass panel that spans two
-doublings, and half as many circle panels per level (4 * 2^L, not 8 * 2^L).
+from lambda, and the circle in CIRCLE_PANELS = 2 panels in theta.  Where its
+floors and the ray end bounds exceed the target, PrecisionUnreachable is
+raised at once.  Then ``_refine_worst`` refines globally, as QUADPACK's QAG
+does: while the sum of estimates, floors and end bounds is above the target,
+the part with the largest estimate is bisected, a ray panel at sqrt(ab) and a
+circle panel at its midpoint in theta.  A part's depth is its level in the
+schedule that cuts each doubling of t into 2^L panels and the circle into
+4 * 2^L; the circle's first-pass panels, and ray panels spanning more than
+a doubling, start at -1.  Past depth MAX_LEVELS - 1 (ray panels spanning
+2^(1/32), 128 circle panels) NodeBudgetExceeded is raised.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
-of f_omega then lie at |t| >= 4 lambda, so as far as the poles limit it, 4
-circle panels give G32 about 1e-37 relative at level 0: in theta the nearest
-pole is log 4 from the real axis, a Bernstein rho of about 3.8 per panel.
+of f_omega then lie at |t| >= 4 lambda: in theta the nearest pole is log 4
+from the real axis, a Bernstein rho of about 2.2 for each first-pass circle
+panel, so as far as the poles limit it K65 is good to about 1e-33 relative.
 The clamp matters at large w: the circle's far side carries e^{Re(w) lambda},
-which cancels in the sum, so the guard bits grow as 1.5 * Re(w) * lambda.  The
-value does not depend on lambda, so a smaller circle costs nothing in
-accuracy.
+which cancels in the sum, so the guard bits grow as 1.5 * Re(w) * lambda from
+at least 64, the bits the q and S polynomials are built with.  The value does
+not depend on lambda, so a smaller circle costs nothing in accuracy.
 
 Both ends of a ray have one truncation rule: move t by a fixed factor until
 the bound |integrand|(t) * t is below target / 10, and add that bound to the
 estimate.  The far end T starts at max(30 / Re(w), 2 * lambda) and grows by
 1.25.  ``ray_only_integrate`` integrates the same outbound-minus-inbound ray
 integrand from 0 instead of from lambda, with no circle; its near end eps
-starts at lambda and shrinks by 4.
-
-That near segment [eps, lambda] is integrated in u = log t, of t times the
-integrand, on equal first-pass panels, each spanning at most a factor
-NEAR_PANEL_FACTOR = 16 in t, which the driver bisects at their midpoint in u;
-[lambda, T] has the contour's ray panels.  In u the end t = 0 moves to
-u = -inf, where the integrand decays like e^u |u|^(nu-1) for poly of degree
-nu, so eps at 1e-11..1e-13 costs 9-11 panels instead of one per doubling.
-The nearest singularities are the poles of f_omega, at Re u >= log(4 lambda),
-beyond the segment's right end, and Im u = +-(pi/2 - arg omega): the last
-panel's Bernstein ellipse keeps rho of about 4.5 for real omega, a G32 error
-of about 1e-42 relative, and about 3.8 at |arg omega| = 1.3.
+starts at lambda and shrinks by 4.  [eps, lambda] is integrated in u = log t,
+of t times the integrand, on equal first-pass panels spanning at most a
+factor NEAR_PANEL_FACTOR = 16 in t each, bisected at their midpoint in u.  In
+u the end t = 0 moves to u = -inf, where the integrand decays like
+e^u |u|^(nu-1) for poly of degree nu, so eps at 1e-11..1e-13 costs 9-11
+panels, and the poles of f_omega leave the last one a rho of 3.8 to 4.5.
 
 The circle's nodes t_j = lambda e^{i theta_j} do not depend on w, and neither
 does i t_j f_omega(t_j), node j's integrand but for e^{-wt} tail(t) t^{-k-1}
-poly(log t); the K65 and G32 sums apply the weights.  ``_circle_levels`` keeps
-it for one key (omega, lambda, working bits, pole threshold) and drops the old
-key first.  It keeps levels 0 and 1 once an integral reaches them, built in
-the same pass as that integral's own terms: one complex per node, about
-0.6 kB at 288 bits, so 0.16 MB for level 0's 260 nodes, which a default-target
-integral stops at, and 0.47 MB with level 1's 520.  Deeper levels double in
-size each, and are summed panel by panel and dropped.
+poly(log t).  ``_circle_levels`` keeps it for one key (omega, lambda, working
+bits, pole threshold), dropping the old key first, for the panels of depths
+-1 and 0: at about 0.6 kB per node, 0.08 MB for the first pass's 130 nodes,
+where a default-target integral stops, and 0.16 MB for their halves' 260.
 """
 
 from __future__ import annotations
@@ -86,17 +83,17 @@ from mpmath import mp, mpf
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, PrecisionPolicy
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy
 from .qpoly import PolyC
 from .series import LaurentSeries
 
-# the deepest refinement, MAX_LEVELS - 1: the circle's level, or a ray panel's
-# level in the schedule that cuts each doubling into 2^L panels at level L
+# the deepest refinement, MAX_LEVELS - 1: a part's level in the schedule that
+# cuts each doubling into 2^L panels and the circle into 4 * 2^L at level L
 MAX_LEVELS = 6
-# Gauss nodes per panel, the Kronrod rule's total, and the circle's panels at level 0
+# Gauss nodes per panel, the Kronrod rule's total, and the circle's first-pass panels
 GAUSS_NODES = 32
 KRONROD_NODES = 2 * GAUSS_NODES + 1
-CIRCLE_PANELS = 4
+CIRCLE_PANELS = 2
 # the factor in t that one first-pass panel spans: on [lambda, T], and in log t
 # on ray_only_integrate's near segment [eps, lambda]
 RAY_PANEL_FACTOR = 4
@@ -238,13 +235,34 @@ def _legendre_nodes(prec: int):
         return tuple(nodes), tuple(kw + kw[-2::-1]), tuple(gw + gw[::-1])
 
 
+def _rule():
+    """The rule at the working precision, with float Kronrod weights."""
+    xs, kw, gw = _legendre_nodes(mp.prec)
+    return xs, kw, gw, [float(x) for x in kw]
+
+
 def _gk_panel(f, a, b, rule):
-    """(Kronrod, Gauss) integrals of f over [a, b]."""
-    xs, kw, gw = rule
-    half = (b - a) / 2
-    mid = (a + b) / 2
-    fs = [f(mid + half * x) for x in xs]
-    return half * mp.fdot(kw, fs), half * mp.fdot(gw, fs[1::2])
+    """(Kronrod integral, estimate, floor) of f over [a, b]: ``_gk_sums``."""
+    half, mid = (b - a) / 2, (a + b) / 2
+    return _gk_sums([f(mid + half * x) for x in rule[0]], half, rule)
+
+
+def _gk_sums(fs, half, rule):
+    """(Kronrod integral, its estimate, rounding floor) of a panel of half-width
+    half from its values fs at the rule's nodes (module docstring), in floats
+    scaled by 2^-e: e is 0, or the middle value's magnitude beyond 2^+-512."""
+    _, kw, gw, fkw = rule
+    kronrod = half * mp.fdot(kw, fs)
+    diff = abs(kronrod - half * mp.fdot(gw, fs[1::2])) / half
+    e = mp.mag(fs[GAUSS_NODES]) if fs[GAUSS_NODES] else 0
+    e = e if abs(e) > 512 else 0
+    vs = [complex(mp.ldexp(mp.re(f), -e), mp.ldexp(mp.im(f), -e)) if e else complex(f) for f in fs]
+    mean = sum(w * v for w, v in zip(fkw, vs)) / 2
+    resabs = sum(w * abs(v) for w, v in zip(fkw, vs))
+    resasc = sum(w * abs(v - mean) for w, v in zip(fkw, vs))
+    d = float(mp.ldexp(diff, -e))
+    err = resasc * min(1.0, (200 * d / resasc) ** 1.5) if resasc else d
+    return kronrod, half * mp.ldexp(err, e), half * mp.ldexp(50 * resabs, e - mp.prec)
 
 
 def _f_omega_at(omega: OmegaVector, t, threshold):
@@ -321,44 +339,39 @@ class _ContourEvaluator:
 
 @lru_cache(maxsize=1)
 def _circle_levels(omega: OmegaVector, lam, prec: int, threshold):
-    """The circle factors of levels 0 and 1 for one key, appended by ``_circle``."""
-    return []
+    """Circle factors of panels of depth -1 and 0 by (depth, index), for one key."""
+    return {}
 
 
-def _circle(ev: _ContourEvaluator, lam, level: int, rule):
-    """The (Kronrod, Gauss) integrals around |t| = lam at one level: theta in
-    [0, 2 pi] cut into CIRCLE_PANELS * 2**level panels, summed by panel."""
+def _circle_panel(ev: _ContourEvaluator, lam, rule, depth=-1, i=0):
+    """The part for panel i of the circle |t| = lam cut into
+    CIRCLE_PANELS * 2^(depth + 1) panels in theta; refine() gives its
+    halves, panels 2i and 2i + 1 one depth deeper."""
     ispec, k, thr = ev.ispec, ev.ispec.k, ev.thr
-    xs, kw, gw = rule
-    loglam = mp.log(lam)
-    panels = CIRCLE_PANELS * 2 ** level
-    h = mp.pi / panels
+    h = mp.pi / (CIRCLE_PANELS << (depth + 1))
+    thetas = [(2 * i + 1 + x) * h for x in rule[0]]
+    ts = [lam * mp.expj(theta) for theta in thetas]
     stored = _circle_levels(ispec.omega, lam, mp.prec, thr)
-    factors = iter(stored[level]) if level < len(stored) else None
-    built = [] if level == len(stored) < 2 else None
-    ksums, gsums = [], []
-    for i in range(panels):
-        terms = []
-        for x in xs:
-            theta = (2 * i + 1 + x) * h
-            t = lam * mp.expj(theta)
-            if factors is None:
-                f = mp.mpc(0, 1) * t * _f_omega_at(ispec.omega, t, thr)
-                if built is not None:
-                    built.append(f)
-            else:
-                f = next(factors)
-            logt = mp.mpc(loglam, theta)
-            if isinstance(k, int):
-                f *= mp.exp(-ispec.w * t) * mp.power(t, -k - 1)
-            else:
-                f *= mp.exp(-ispec.w * t - (k + 1) * logt)
-            terms.append(f * _tail_at(ispec, t) * ispec.poly(logt))
-        ksums.append(mp.fdot(kw, terms))
-        gsums.append(mp.fdot(gw, terms[1::2]))
-    if built is not None:
-        stored.append(built)
-    return h * mp.fsum(ksums), h * mp.fsum(gsums)
+    factors = stored.get((depth, i)) or [
+        mp.mpc(0, 1) * t * _f_omega_at(ispec.omega, t, thr) for t in ts
+    ]
+    if depth <= 0:
+        stored[depth, i] = factors
+    loglam = mp.log(lam)
+    terms = []
+    for theta, t, f in zip(thetas, ts, factors):
+        logt = mp.mpc(loglam, theta)
+        if isinstance(k, int):
+            f *= mp.exp(-ispec.w * t) * mp.power(t, -k - 1)
+        else:
+            f *= mp.exp(-ispec.w * t - (k + 1) * logt)
+        terms.append(f * _tail_at(ispec, t) * ispec.poly(logt))
+    kronrod, err, floor = _gk_sums(terms, h, rule)
+
+    def refine():
+        return [_circle_panel(ev, lam, rule, depth + 1, 2 * i + j) for j in (0, 1)]
+
+    return kronrod, err, depth, refine, floor
 
 
 def _ray_end(ev: _ContourEvaluator, t, factor, target):
@@ -373,32 +386,29 @@ def _ray_end(ev: _ContourEvaluator, t, factor, target):
 
 
 def _panel(f, a, b, split, rule, depth=0):
-    """A ray part: (Kronrod, Gauss, depth, refine) for f over [a, b], where
-    refine() evaluates the two halves cut at split(a, b), one depth deeper."""
-    kronrod, gauss = _gk_panel(f, a, b, rule)
+    """A ray part: (Kronrod, estimate, depth, refine, floor) for f over
+    [a, b], where refine() evaluates the two halves cut at split(a, b), one
+    depth deeper."""
+    kronrod, err, floor = _gk_panel(f, a, b, rule)
 
     def refine():
         m = split(a, b)
         return [_panel(f, a, m, split, rule, depth + 1), _panel(f, m, b, split, rule, depth + 1)]
 
-    return kronrod, gauss, depth, refine
+    return kronrod, err, depth, refine, floor
 
 
 def _ray_panels(f, a, b, rule):
-    """The first-pass parts of f over [a, b]: one geometric panel per factor
-    RAY_PANEL_FACTOR in t from a, the last one ending at b; each bisects at
-    sqrt(ab).  A panel's depth is its level in the schedule that cuts each
-    doubling into 2^L panels at level L: -1 for one that spans more than a
-    doubling (module docstring)."""
+    """The first-pass parts of f over [a, b]: one panel per factor
+    RAY_PANEL_FACTOR in t from a, the last ending at b, each bisecting at
+    sqrt(ab), at depth -1 where it spans over a doubling (module docstring)."""
     edges = [mpf(a)]
     while edges[-1] * RAY_PANEL_FACTOR < b:
         edges.append(edges[-1] * RAY_PANEL_FACTOR)
     edges.append(mpf(b))
     split = lambda lo, hi: mp.sqrt(lo * hi)
-    return [
-        _panel(f, lo, hi, split, rule, -1 if hi > 2 * lo else 0)
-        for lo, hi in zip(edges, edges[1:])
-    ]
+    depth = lambda lo, hi: -1 if hi > 2 * lo else 0
+    return [_panel(f, lo, hi, split, rule, depth(lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
 
 def _log_panels(f, a, b, rule):
@@ -417,25 +427,25 @@ def _log_panels(f, a, b, rule):
     return [_panel(in_u, ua + i * h, ua + (i + 1) * h, split, rule) for i in range(n)]
 
 
-def _circle_part(ev: _ContourEvaluator, lam, rule, level=0):
-    """The circle as one part, at one level; refine() moves it to the next."""
-    kronrod, gauss = _circle(ev, lam, level, rule)
-    return kronrod, gauss, level, lambda: [_circle_part(ev, lam, rule, level + 1)]
-
-
 def _refine_worst(parts, target, end_bounds):
-    """Global-adaptive refinement (QUADPACK's QAG; Piessens et al., 1983):
-    while the sum of |Kronrod - Gauss| over the parts plus end_bounds is above
-    target, replace the part with the largest difference by its refinement.
-    A part already at depth MAX_LEVELS - 1 raises NodeBudgetExceeded instead.
-    parts holds (Kronrod, Gauss, depth, refine) tuples; returns (sum of
-    Kronrod values, err_estimate)."""
+    """Global-adaptive refinement (QUADPACK's QAG; Piessens et al., 1983) of
+    (Kronrod, estimate, depth, refine, floor) parts: while the estimates and
+    floors plus end_bounds sum above target, replace the part with the
+    largest estimate by its refinement.  Raises PrecisionUnreachable at once
+    if the first floors and end_bounds do, and NodeBudgetExceeded for a part
+    at depth MAX_LEVELS - 1.  Returns (sum of Kronrod values, err_estimate)."""
+    floor = mp.fsum(part[4] for part in parts) + end_bounds
+    if floor > target:
+        raise PrecisionUnreachable(
+            f"target {mp.nstr(target, 3)} is below the rounding floor plus end bounds, "
+            f"{mp.nstr(floor, 3)}, at {mp.prec} bits"
+        )
     while True:
-        diffs = [abs(kronrod - gauss) for kronrod, gauss, _, _ in parts]
-        err = mp.fsum(diffs) + end_bounds
+        errs = [part[1] for part in parts]
+        err = mp.fsum(errs + [part[4] for part in parts]) + end_bounds
         if err <= target:
-            return mp.fsum(kronrod for kronrod, _, _, _ in parts), err
-        _, _, depth, refine = parts.pop(max(range(len(parts)), key=diffs.__getitem__))
+            return mp.fsum(part[0] for part in parts), err
+        _, _, depth, refine, _ = parts.pop(max(range(len(parts)), key=errs.__getitem__))
         if depth == MAX_LEVELS - 1:
             raise NodeBudgetExceeded(
                 f"refinement failed to reach {mp.nstr(target, 3)} (at {mp.nstr(err, 3)})"
@@ -443,11 +453,7 @@ def _refine_worst(parts, target, end_bounds):
         parts += refine()
 
 
-def hankel_integrate(
-    ispec: IntegrandSpec,
-    lam=None,
-    p: PrecisionPolicy = DEFAULT_POLICY,
-):
+def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAULT_POLICY):
     """Integral over I(lambda, inf); returns (value, err_estimate).
 
     ``lam`` defaults to ``auto_spec``'s radius; it must satisfy
@@ -457,16 +463,15 @@ def hankel_integrate(
         lam = auto_spec(ispec.omega, ispec.w, p)
     lam = _check_lambda(lam, ispec.omega)
     # absorb the e^{w*lam} cancellation on the far side of the circle
-    boost = int(mpf("1.5") * max(0, mp.re(ispec.w) * lam)) + 48
-    boost = ((boost // 32) + 1) * 32
+    boost = int(mpf("1.5") * max(0, mp.re(ispec.w) * lam))
+    boost = QUADRATURE_GUARD_BITS + 32 * ((boost + 16) // 32)
     with p.context(boost):
         target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)
-        T, tail_bound = _ray_end(
-            ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target
-        )
-        rule = _legendre_nodes(mp.prec)
-        parts = _ray_panels(ev.ray, lam, T, rule) + [_circle_part(ev, lam, rule)]
+        T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
+        rule = _rule()
+        parts = _ray_panels(ev.ray, lam, T, rule)
+        parts += [_circle_panel(ev, lam, rule, -1, i) for i in range(CIRCLE_PANELS)]
         return _refine_worst(parts, target, tail_bound)
 
 
@@ -479,11 +484,8 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     By Cauchy's theorem this equals ``hankel_integrate(ispec)`` when the
     integrand is regular at t = 0, which the two checks below ensure: an
     integer k, and a tail whose valuation is at least k + 1 + r.  The ray is
-    cut to [eps, T] by the rule in the module docstring, and both end bounds
-    go into the estimate.  [eps, lambda] is integrated in log t, one
-    first-pass panel per factor 16 in t, and [lambda, T] on the contour's ray
-    panels; ``_refine_worst`` refines both (module docstring).  Returns
-    (value, err_estimate).
+    cut to [eps, T], with both end bounds in the estimate, and [eps, lambda]
+    is integrated in log t (module docstring).  Returns (value, err_estimate).
 
     With an integer k the jump is 1, so a constant poly has the ray
     difference 0 identically, and the integral is exactly (0, 0).
@@ -498,10 +500,8 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     with p.context(48):
         target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)
-        T, tail_bound = _ray_end(
-            ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target
-        )
+        T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
         eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
-        rule = _legendre_nodes(mp.prec)
+        rule = _rule()
         parts = _log_panels(ev.ray, eps, lam, rule) + _ray_panels(ev.ray, lam, T, rule)
         return _refine_worst(parts, target, tail_bound + head_bound)

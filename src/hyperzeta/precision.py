@@ -15,6 +15,10 @@ from mpmath import mp, mpf
 from .errors import InvalidParameter, PrecisionUnreachable
 
 DEFAULT_BITS = 192
+# the fewest guard bits a Hankel integral works with (hankel); its q and S
+# polynomials and what the evaluators multiply it by get as many, so that the
+# integral's rounding floor covers them too
+QUADRATURE_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,14 @@ class PrecisionPolicy:
 
     def with_target(self, abs_error: float):
         return PrecisionPolicy(self.precision_bits, abs_error)
+
+    def for_integrals(self):
+        """This policy raised so that its context(16) is the working precision
+        of a Hankel integral under this policy: its bits plus
+        QUADRATURE_GUARD_BITS."""
+        return PrecisionPolicy(
+            self.precision_bits + QUADRATURE_GUARD_BITS - 16, self.target_abs_error
+        )
 
 
 DEFAULT_POLICY = PrecisionPolicy()

@@ -115,11 +115,13 @@ def _quotient_jet(k: int, order: int, p: PrecisionPolicy) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def q_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
-    """The degree-m polynomial q_poly(m, k)."""
+    """The degree-m polynomial q_poly(m, k), built at the working precision of
+    a Hankel integral under p."""
     if m < 0 or k < 0:
         raise InvalidParameter("q_poly needs m, k >= 0")
-    with p.context(16):
-        jet = _quotient_jet(k, m + k + JET_GUARD_TERMS, p)
+    wp = p.for_integrals()
+    with wp.context(16):
+        jet = _quotient_jet(k, m + k + JET_GUARD_TERMS, wp)
         fact_m = factorial(m)
         coeffs = [jet.coeff(m - d) * fact_m / factorial(d) for d in range(m + 1)]
         return PolyC(tuple(coeffs))
@@ -136,10 +138,11 @@ def _c_weights(m: int, k: int):
 
 @lru_cache(maxsize=None)
 def s_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
-    """S_{m,k}(x) = sum_mu c^m_{m-mu,k} q_poly(mu, k); k-independent."""
+    """S_{m,k}(x) = sum_mu c^m_{m-mu,k} q_poly(mu, k); k-independent.  Built,
+    as q_poly, at the working precision of a Hankel integral under p."""
     if m < 0 or k < 0:
         raise InvalidParameter("s_poly needs m, k >= 0")
-    with p.context(16):
+    with p.for_integrals().context(16):
         acc = PolyC((0,) * (m + 1))
         for mu, weight in _c_weights(m, k):
             acc = acc + q_poly(mu, k, p).scale(weight)

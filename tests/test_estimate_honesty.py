@@ -23,6 +23,7 @@ from hyperzeta import (
     PrecisionPolicy,
     balanced_P,
     default_experiment,
+    log_hyper_gamma,
     zeta_contour,
     zeta_direct,
 )
@@ -58,6 +59,42 @@ def test_contour_estimates_are_honest(log_w, s_int, s_frac, s_im, k, omegas, tar
         with SHARP.context():
             assert abs(res.value - ref.value) <= 5 * res.err_estimate
         assert res.err_estimate <= target
+
+
+# the zeta, log-gamma and P(2, 1) integrands at r <= 3 with |arg omega| <= 1.2
+# and w in [0.5, 30], down to 1e-55: the estimate bounds the error itself,
+# against a reference at +64 bits whose q and S polynomials have +64 bits too
+REF = PrecisionPolicy(P.precision_bits + 64, 1e-75)
+_INTEGRANDS = {
+    "zeta": lambda s, m, k, w, om, p: zeta_contour(s, w, om, p),
+    "log_hyper_gamma": lambda s, m, k, w, om, p: log_hyper_gamma(m, k, w, om, p),
+    "P21": lambda s, m, k, w, om, p: balanced_P(2, 1, w, om, p),
+}
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(
+    integrand=st.sampled_from(sorted(_INTEGRANDS)),
+    periods=st.lists(st.tuples(st.floats(0.5, 2), st.floats(-1.2, 1.2)), min_size=1, max_size=3),
+    log_w=st.floats(math.log(0.5), math.log(30)),
+    s=st.tuples(st.integers(-3, 4), st.floats(0.1, 0.9), st.floats(-1, 1)),
+    m=st.integers(0, 3),
+    k=st.integers(0, 3),
+    target=st.sampled_from([1e-22, 1e-40, 1e-55]),
+)
+# the P(2, 1) integrals whose estimates missed rounding at 1e-55 while the
+# polynomials carried only 16 guard bits
+@example(integrand="P21", periods=[(1, 0), (1.3, 0)], log_w=math.log(8), s=(0, 0.5, 0), m=0, k=0, target=1e-55)
+@example(integrand="P21", periods=[(1, 0), (1.3, 0)], log_w=math.log(30), s=(0, 0.5, 0), m=0, k=0, target=1e-55)
+def test_estimates_bound_the_error_down_to_1e55(integrand, periods, log_w, s, m, k, target):
+    evaluate = _INTEGRANDS[integrand]
+    om = OmegaVector.of(*(mp.mpmathify(cmath.rect(*pa)) for pa in periods))
+    w = mpf(math.exp(log_w))
+    s = mp.mpc(s[0] + s[1], s[2])
+    res = evaluate(s, m, k, w, om, P.with_target(target))
+    with REF.context():
+        ref = evaluate(s, m, k, w, om, REF)
+        assert abs(res.value - ref.value) <= res.err_estimate <= target
 
 
 def test_rhs_expansion_estimate_is_honest_at_large_w():

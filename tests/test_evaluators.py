@@ -11,7 +11,7 @@ from hyperzeta import (
     zeta_contour,
     zeta_direct,
 )
-from hyperzeta import evaluators
+from hyperzeta import evaluators, hankel
 from hyperzeta.errors import InvalidParameter, PrecisionUnreachable, TooCloseToInteger
 from hyperzeta.evaluators import METHOD_COMBINATION, derivative_fd
 
@@ -160,6 +160,46 @@ def test_contour_target_covers_the_prefactor():
     with SHARP.context():
         ref = mp.zeta(s - 1, w) + (1 - w) * mp.zeta(s, w)
         assert abs(res.value - ref) <= 5 * res.err_estimate
+
+
+def test_contour_target_below_one_over_prefactor(monkeypatch):
+    # |prefactor| is about 2e-23 here (the outbound ray carries e^{20 pi}), so
+    # the integral aims at about 1e-22 / 2e-23, not at 1e-22, which took 16323
+    # evaluations of f_omega
+    s, w, om = mp.mpc("2.3", "-10"), mp.mpc("0.5", "10"), OmegaVector.of(mpf("0.1"), 2)
+    ts = []
+    f_omega = hankel._f_omega_at
+    monkeypatch.setattr(hankel, "_f_omega_at", lambda o, t, thr: ts.append(t) or f_omega(o, t, thr))
+    res = zeta_contour(s, w, om, P)
+    assert res.err_estimate <= P.target_abs_error
+    assert len(ts) < 8000
+    ref = zeta_direct(s, w, om, PrecisionPolicy(P.precision_bits + 64, 1e-30))
+    with SHARP.context():
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+
+
+_EVALUATORS = {
+    "zeta_contour": lambda s, w, om: zeta_contour(s, w, om, P),
+    "zeta_direct": lambda s, w, om: zeta_direct(s + 2, w, om, P),
+    "log_hyper_gamma": lambda s, w, om: log_hyper_gamma(1, 0, w, om, P),
+    "balanced_P": lambda s, w, om: balanced_P(2, 1, w, om, P),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+def test_arguments_convert_at_the_working_precision(name):
+    # s and w built at 256 bits give the same value whether the caller's
+    # context has 53 bits or 256: the evaluators convert them in their own
+    evaluate = _EVALUATORS[name]
+    om = OmegaVector.of(1, mpf("1.25"))
+    with mp.workprec(256):
+        s = mpf(3) / 2 + mp.mpc(0, 1) / 3
+        w = mpf(1) / 3 + mp.mpc(0, 1) / 7
+    with mp.workprec(53):
+        low = evaluate(s, w, om)
+    with mp.workprec(256):
+        high = evaluate(s, w, om)
+        assert abs(low.value - high.value) <= low.err_estimate
 
 
 @pytest.mark.parametrize("s", ["-40.5", "-170.5"])

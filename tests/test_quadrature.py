@@ -135,13 +135,14 @@ def test_kronrod_rule_shape():
 
 
 def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
-    # a default-target integral is certified at level 0: f_omega is evaluated
-    # once per Kronrod node of each ray and circle panel, besides the ray-end probes
+    # a default-target integral is certified by its first pass: f_omega is
+    # evaluated once per Kronrod node of each ray and circle panel, besides the
+    # ray-end probes
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
-    ts, ends, ray_panels, levels = [], [], [], []
+    ts, ends, ray_panels, depths = [], [], [], []
     f_omega, ray_end, gk_panel, circle = (
-        hankel._f_omega_at, hankel._ray_end, hankel._gk_panel, hankel._circle
+        hankel._f_omega_at, hankel._ray_end, hankel._gk_panel, hankel._circle_panel
     )
 
     def probed_end(*args):
@@ -158,40 +159,43 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
         hankel, "_gk_panel", lambda f, a, b, rule: ray_panels.append((a, b)) or gk_panel(f, a, b, rule)
     )
     monkeypatch.setattr(
-        hankel, "_circle", lambda ev, lam, level, rule: levels.append(level) or circle(ev, lam, level, rule)
+        hankel, "_circle_panel",
+        lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i),
     )
     hankel._circle_levels.cache_clear()
     _, err = hankel_integrate(ispec, None, P)
     assert err <= P.target_abs_error
-    assert levels == [0]
+    assert depths == [-1] * CIRCLE_PANELS
     # the first pass has one ray panel per factor 4 of [lambda, T]
     assert all(b == 4 * a for a, b in ray_panels[:-1])
     assert len(ts) - sum(ends) == KRONROD_NODES * (len(ray_panels) + CIRCLE_PANELS)
 
 
-def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
-    # at 1e-32 the first pass misses on the ray: its worst panels are bisected,
-    # and the circle stays at level 0
+def test_contour_refines_only_the_parts_that_miss(monkeypatch):
+    # at 1e-32 the first pass misses: the driver refines first-pass parts worst
+    # estimate first, and leaves the others as they are
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
-    calls = []
-    gk_panel, circle = hankel._gk_panel, hankel._circle
-    monkeypatch.setattr(
-        hankel, "_gk_panel", lambda f, a, b, rule: calls.append("ray") or gk_panel(f, a, b, rule)
-    )
-    monkeypatch.setattr(
-        hankel, "_circle", lambda ev, lam, level, rule: calls.append(level) or circle(ev, lam, level, rule)
-    )
+    first, refined = [], []
+    refine_worst = hankel._refine_worst
+
+    def recording(parts, target, end_bounds):
+        first.extend(part[1] for part in parts)
+        wrapped = [
+            (kronrod, e, depth, lambda i=i, refine=refine: refined.append(i) or refine(), floor)
+            for i, (kronrod, e, depth, refine, floor) in enumerate(parts)
+        ]
+        return refine_worst(wrapped, target, end_bounds)
+
+    monkeypatch.setattr(hankel, "_refine_worst", recording)
     val, err = hankel_integrate(ispec, None, P.with_target(1e-32))
     assert err <= 1e-32
-    # the first pass evaluates the ray panels and then the circle
-    first = calls.index(0)
-    refined = calls[first + 1:]
-    assert set(refined) == {"ray"}
-    assert 0 < len(refined) < 2 * first
+    assert 0 < len(refined) < len(first)
+    kept = [e for i, e in enumerate(first) if i not in refined]
+    assert min(first[i] for i in refined) >= max(kept)
     ref, _ = hankel_integrate(ispec, None, SHARP)
     with SHARP.context():
-        assert abs(val - ref) <= 5 * err
+        assert abs(val - ref) <= err
 
 
 @pytest.mark.parametrize(
@@ -222,7 +226,7 @@ def test_refinement_budget(monkeypatch, integrate):
     monkeypatch.setattr(hankel, "_ray_panels", first_ray)
     monkeypatch.setattr(hankel, "_log_panels", first_log)
     monkeypatch.setattr(
-        hankel, "_gk_panel", lambda f, a, b, rule: evaluated.append((a, b)) or (mpf(0), mpf(1))
+        hankel, "_gk_panel", lambda f, a, b, rule: evaluated.append((a, b)) or (mpf(0), mpf(1), mpf(0))
     )
     with pytest.raises(NodeBudgetExceeded):
         integrate(_unit_ray(PolyC((0, 1))))
@@ -243,6 +247,34 @@ def test_contour_reaches_the_finest_doubling_level():
     with SHARP.context():
         closed = gamma_scalar(s, SHARP) * (mp.exp(2 * mp.pi * mp.mpc(0, 1) * s) - 1) * mp.power(w, -s)
         assert abs(val - closed) <= 5 * err
+
+
+def test_rounding_floor_above_target_raises_within_one_pass(monkeypatch):
+    # q_poly(3, 40) has coefficients near 40!, which the integral cancels to
+    # about 7e20: rounding at 256 bits leaves far more than 1e-55, and the
+    # first pass shows it
+    om = OmegaVector.of(1, mpf("1.3"), mpf("0.7"))
+    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=40, poly=q_poly(3, 40, P))
+    first, panels, depths = [], [], []
+    ray_panels, gk_panel, circle = hankel._ray_panels, hankel._gk_panel, hankel._circle_panel
+
+    def first_pass(f, a, b, rule):
+        parts = ray_panels(f, a, b, rule)
+        first.extend(parts)
+        return parts
+
+    monkeypatch.setattr(hankel, "_ray_panels", first_pass)
+    monkeypatch.setattr(
+        hankel, "_gk_panel", lambda f, a, b, rule: panels.append((a, b)) or gk_panel(f, a, b, rule)
+    )
+    monkeypatch.setattr(
+        hankel, "_circle_panel",
+        lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i),
+    )
+    with pytest.raises(PrecisionUnreachable):
+        hankel_integrate(ispec, None, P.with_target(1e-55))
+    assert len(panels) == len(first)
+    assert depths == [-1] * CIRCLE_PANELS
 
 
 @pytest.mark.parametrize("target", [1e-100, 1e-300])
@@ -287,55 +319,58 @@ def test_circle_cache_changes_no_result(name):
 
 
 def test_circle_cache_keeps_two_levels(monkeypatch):
-    level_nodes = CIRCLE_PANELS * KRONROD_NODES
-    stored, levels = [], []
-    levels_of, circle = hankel._circle_levels, hankel._circle
+    stored, panels = [], []
+    levels_of, circle = hankel._circle_levels, hankel._circle_panel
     monkeypatch.setattr(
         hankel, "_circle_levels", lambda *key: stored.append(levels_of(*key)) or stored[-1]
     )
     monkeypatch.setattr(
-        hankel, "_circle", lambda ev, lam, level, rule: levels.append(level) or circle(ev, lam, level, rule)
+        hankel, "_circle_panel",
+        lambda ev, lam, rule, depth, i: panels.append((depth, i)) or circle(ev, lam, rule, depth, i),
     )
     for o in ("1", "0.8", "1.3"):
-        levels.clear()
+        panels.clear()
         ispec = IntegrandSpec(omega=OmegaVector.of(mpf(o)), w=1, k=0, poly=q_poly(1, 0, P))
         hankel_integrate(ispec, None, P)
-    # one key at a time, holding the levels its integral reached
+    # one key at a time, holding the first-pass panels and their halves its integral reached
     assert levels_of.cache_info().currsize == 1
-    assert [len(f) for f in stored[-1]] == [level_nodes * 2 ** lv for lv in range(max(levels) + 1)]
-    # a 1e-65 target reaches level 2, which is built but not stored
-    levels.clear()
+    assert sorted(stored[-1]) == sorted(panels)
+    assert all(len(f) == KRONROD_NODES for f in stored[-1].values())
+    # a 1e-65 target reaches depth 1 and beyond, which is built but not stored
+    panels.clear()
     levels_of.cache_clear()
     ispec = IntegrandSpec(omega=_CIRCLE_OMEGAS["complex"], w=1, k=1, poly=q_poly(1, 1, P))
     hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-65))
-    assert max(levels) >= 2
-    assert [len(f) for f in stored[-1]] == [level_nodes, 2 * level_nodes]
+    assert max(depth for depth, _ in panels) >= 1
+    assert sorted(stored[-1]) == sorted(panel for panel in panels if panel[0] <= 0)
 
 
 def test_circle_cache_is_hit_across_w(monkeypatch):
     # the looser target keeps the ray short, so its nodes number below the circle's
     p = PrecisionPolicy(192, 1e-15)
     lam = mpf("2.8")
-    ts, levels = [], []
-    f_omega, circle = hankel._f_omega_at, hankel._circle
+    ts, panels = [], []
+    f_omega, circle = hankel._f_omega_at, hankel._circle_panel
     monkeypatch.setattr(
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
     monkeypatch.setattr(
-        hankel, "_circle", lambda ev, lam, level, rule: levels.append(level) or circle(ev, lam, level, rule)
+        hankel, "_circle_panel",
+        lambda ev, lam, rule, depth, i: panels.append(depth) or circle(ev, lam, rule, depth, i),
     )
     om = OmegaVector.of(1)
     balanced_P(1, 1, mpf("3.9"), om, p, lam=lam)
     ts.clear()
+    panels.clear()
     balanced_P(1, 0, mpf("4.2"), om, p, lam=lam)
     ray_nodes = sum(1 for t in ts if not isinstance(t, mp.mpc))
     assert len(ts) == ray_nodes < CIRCLE_PANELS * KRONROD_NODES
-    # a new omega evaluates every circle node of the levels it reaches again
+    assert panels == [-1] * CIRCLE_PANELS
+    # a new omega evaluates every circle node of the panels it reaches again
     ts.clear()
-    levels.clear()
+    panels.clear()
     balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
-    circle_nodes = sum(CIRCLE_PANELS * KRONROD_NODES * 2 ** lv for lv in levels)
-    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == circle_nodes
+    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == KRONROD_NODES * len(panels)
 
 
 def _unit_ray(poly):
