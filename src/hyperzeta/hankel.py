@@ -32,26 +32,27 @@ resabs, resabs the K65 integral of |f|, which no refinement removes.  resabs
 and resasc need two digits, so they are summed in floats.
 
 The first pass is coarse: one ray panel per factor RAY_PANEL_FACTOR = 4 in t
-from lambda, and the circle in CIRCLE_PANELS = 2 panels in theta.  Where its
-floors and the ray end bounds exceed the target, PrecisionUnreachable is
-raised at once.  Then ``_refine_worst`` refines globally, as QUADPACK's QAG
-does: while the sum of estimates, floors and end bounds is above the target,
-the part with the largest estimate is bisected, a ray panel at sqrt(ab) and a
-circle panel at its midpoint in theta.  A part's depth is its level in the
-schedule that cuts each doubling of t into 2^L panels and the circle into
-4 * 2^L; the circle's first-pass panels, and ray panels spanning more than
-a doubling, start at -1.  Past depth MAX_LEVELS - 1 (ray panels spanning
-2^(1/32), 128 circle panels) NodeBudgetExceeded is raised.
+from lambda, and the circle in CIRCLE_PANELS = 2 panels in theta, 4 below
+CIRCLE_REACH (next paragraph).  If its floors and the ray end bounds exceed
+the target, PrecisionUnreachable is raised at once.  Then ``_refine_worst``
+refines as QUADPACK's QAG does: while the estimates, floors and end bounds
+sum above the target, the part with the largest estimate is bisected, a ray
+panel at sqrt(ab), a circle panel at its midpoint in theta.  A part's depth
+is its level in the schedule that cuts each doubling of t into 2^L panels and
+the circle into 4 * 2^L (2 circle panels, or a ray panel over a doubling, are
+at -1); past MAX_LEVELS - 1 (2^(1/32) in t, 128 circle panels) it raises
+NodeBudgetExceeded.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
-of f_omega then lie at |t| >= 4 lambda: in theta the nearest pole is log 4
-from the real axis, a Bernstein rho of about 2.2 for each first-pass circle
-panel, so as far as the poles limit it K65 is good to about 1e-33 relative.
-The clamp matters at large w: the circle's far side carries e^{Re(w) lambda},
-which cancels in the sum, so the guard bits grow as 1.5 * Re(w) * lambda from
-at least 64, the bits the q and S polynomials are built with.  The value does
-not depend on lambda, so a smaller circle costs nothing in accuracy.
+of f_omega then lie at |t| >= 4 lambda, log 4 from the real axis in theta: a
+Bernstein rho of 2.2 for each of 2 circle panels, 3.8 for each of 4.  2 panels
+serve targets down to CIRCLE_REACH, about 2e-30, QUADPACK's estimate (200
+rho^-64)^1.5 for a unit integrand, and 4 (1e-52) below, as near it whether 2
+pass turns on omega.  The clamp matters at large w: the far side's
+e^{Re(w) lambda} cancels in the sum, so the guard bits grow as
+1.5 * Re(w) * lambda from 64, the q and S polynomials' guard bits.  The value
+does not depend on lambda, so a smaller circle costs nothing in accuracy.
 
 Both ends of a ray have one truncation rule: move t by a fixed factor until
 the bound |integrand|(t) * t is below target / 10, and add that bound to the
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acos, cos, pi
+from math import acos, asinh, cos, exp, log, pi
 
 from mpmath import mp, mpf
 
@@ -94,6 +95,7 @@ MAX_LEVELS = 6
 GAUSS_NODES = 32
 KRONROD_NODES = 2 * GAUSS_NODES + 1
 CIRCLE_PANELS = 2
+CIRCLE_REACH = (200 * exp(-64 * asinh(log(4) * CIRCLE_PANELS / pi))) ** 1.5
 # the factor in t that one first-pass panel spans: on [lambda, T], and in log t
 # on ray_only_integrate's near segment [eps, lambda]
 RAY_PANEL_FACTOR = 4
@@ -454,11 +456,8 @@ def _refine_worst(parts, target, end_bounds):
 
 
 def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAULT_POLICY):
-    """Integral over I(lambda, inf); returns (value, err_estimate).
-
-    ``lam`` defaults to ``auto_spec``'s radius; it must satisfy
-    0 < lam < 0.9 * pole bound.
-    """
+    """Integral over I(lambda, inf); returns (value, err_estimate).  ``lam``
+    defaults to ``auto_spec``'s radius; it must satisfy 0 < lam < 0.9 * pole bound."""
     if lam is None:
         lam = auto_spec(ispec.omega, ispec.w, p)
     lam = _check_lambda(lam, ispec.omega)
@@ -471,7 +470,8 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
         T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
         rule = _rule()
         parts = _ray_panels(ev.ray, lam, T, rule)
-        parts += [_circle_panel(ev, lam, rule, -1, i) for i in range(CIRCLE_PANELS)]
+        depth = -1 if target >= CIRCLE_REACH else 0
+        parts += [_circle_panel(ev, lam, rule, depth, i) for i in range(CIRCLE_PANELS << depth + 1)]
         return _refine_worst(parts, target, tail_bound)
 
 

@@ -171,13 +171,15 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     assert len(ts) - sum(ends) == KRONROD_NODES * (len(ray_panels) + CIRCLE_PANELS)
 
 
-def test_contour_refines_only_the_parts_that_miss(monkeypatch):
-    # at 1e-32 the first pass misses: the driver refines first-pass parts worst
-    # estimate first, and leaves the others as they are
+def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
+    # at 1e-40 the circle starts with 4 panels, which meet it, and the first
+    # pass misses on the ray: the driver refines ray panels worst estimate
+    # first, and leaves the other parts as they are
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
-    first, refined = [], []
-    refine_worst = hankel._refine_worst
+    ref, _ = hankel_integrate(ispec, None, SHARP.with_target(1e-60))
+    first, refined, rays = [], [], []
+    refine_worst, ray_panels = hankel._refine_worst, hankel._ray_panels
 
     def recording(parts, target, end_bounds):
         first.extend(part[1] for part in parts)
@@ -188,14 +190,33 @@ def test_contour_refines_only_the_parts_that_miss(monkeypatch):
         return refine_worst(wrapped, target, end_bounds)
 
     monkeypatch.setattr(hankel, "_refine_worst", recording)
-    val, err = hankel_integrate(ispec, None, P.with_target(1e-32))
-    assert err <= 1e-32
-    assert 0 < len(refined) < len(first)
+    monkeypatch.setattr(hankel, "_ray_panels", lambda *args: rays.extend(ray_panels(*args)) or rays[:])
+    val, err = hankel_integrate(ispec, None, P.with_target(1e-40))
+    assert err <= 1e-40
+    assert len(first) == len(rays) + 2 * CIRCLE_PANELS
+    assert 0 < len(refined) < len(rays)
+    assert all(i < len(rays) for i in refined)
     kept = [e for i, e in enumerate(first) if i not in refined]
     assert min(first[i] for i in refined) >= max(kept)
-    ref, _ = hankel_integrate(ispec, None, SHARP)
     with SHARP.context():
         assert abs(val - ref) <= err
+
+
+@pytest.mark.parametrize("omegas", [("1.3274", "1.3532"), ("1.2127", "0.82523")])
+def test_circle_first_pass_is_set_by_the_target(monkeypatch, omegas):
+    # at 1e-32, 2 circle panels pass for the second omega and are refined for
+    # the first (nearly coincident poles); below CIRCLE_REACH both start with
+    # 4 panels, which pass, so the circle's work does not turn on omega
+    ispec = IntegrandSpec(omega=OmegaVector.of(*map(mpf, omegas)), w=mpf("2.3"), k=2,
+                          poly=q_poly(1, 2, P))
+    panels, circle = [], hankel._circle_panel
+    monkeypatch.setattr(
+        hankel, "_circle_panel",
+        lambda ev, lam, rule, depth, i: panels.append((depth, i)) or circle(ev, lam, rule, depth, i),
+    )
+    _, err = hankel_integrate(ispec, None, P.with_target(1e-32))
+    assert err <= 1e-32
+    assert panels == [(0, i) for i in range(2 * CIRCLE_PANELS)]
 
 
 @pytest.mark.parametrize(
@@ -274,7 +295,8 @@ def test_rounding_floor_above_target_raises_within_one_pass(monkeypatch):
     with pytest.raises(PrecisionUnreachable):
         hankel_integrate(ispec, None, P.with_target(1e-55))
     assert len(panels) == len(first)
-    assert depths == [-1] * CIRCLE_PANELS
+    # below CIRCLE_REACH the circle's first pass is its 4 panels of depth 0
+    assert depths == [0] * 2 * CIRCLE_PANELS
 
 
 @pytest.mark.parametrize("target", [1e-100, 1e-300])
