@@ -14,9 +14,15 @@ s is k = -s with poly = 1.  On the outbound ray t^{-k-1} carries the jump
 e^{-2 pi i k}, exactly 1 for integer k.
 
 The two rays are integrated together as the difference of the outbound and
-inbound integrands, so a single-valued integrand cancels exactly and only the
-circle contributes.  Rays use panels on a geometric subdivision of [lambda, T];
-the circle uses panels in theta.  Every panel is integrated once at the 65
+inbound integrands, jump * poly(log t + 2 pi i) - poly(log t).  That is one
+polynomial in log t, built once per integral by a Taylor shift (PolyC.shift);
+for integer k its top coefficient cancels exactly, and if every coefficient
+does (a constant poly), the rays are skipped, with no end bound: the circle
+alone is the integral.  At a node, e^{-wt} t^{-k-1} is one exponential,
+exp(-wt - (k+1) log t), on the branch of log t the path gives, for integer
+and complex k alike; f_omega is one division by prod_i (1 - e^{-omega_i t}),
+and a missing tail costs nothing.  Rays use panels on a geometric subdivision
+of [lambda, T]; the circle uses panels in theta.  Every panel is integrated once at the 65
 nodes of the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie,
 Math. Comp. 66, 1997), which gives both the Kronrod value K65 and the Gauss
 value G32 of its 32 Gauss nodes.
@@ -72,6 +78,7 @@ poly(log t).  ``_circle_levels`` keeps it for one key (omega, lambda, working
 bits, pole threshold), dropping the old key first, for the panels of depths
 -1 and 0: at about 0.6 kB per node, 0.08 MB for the first pass's 130 nodes,
 where a default-target integral stops, and 0.16 MB for their halves' 260.
+The nodes e^{i theta_j} of those panels are kept for each working precision.
 """
 
 from __future__ import annotations
@@ -268,14 +275,16 @@ def _gk_sums(fs, half, rule):
 
 
 def _f_omega_at(omega: OmegaVector, t, threshold):
-    acc = mp.mpc(1)
+    """f_omega(t) = 1 / prod_i d_i, d_i = 1 - e^{-omega_i t}: one division."""
+    den = mp.mpc(1)
     for o in omega.omegas:
         z = o * t
         d = 1 - mp.exp(-z)
-        if abs(d) < threshold:
+        # |d| < threshold only if both parts are: the cheap test first
+        if abs(d.real) < threshold and abs(d.imag) < threshold and abs(d) < threshold:
             _check_small_divisor(z, d, t)
-        acc /= d
-    return acc
+        den *= d
+    return 1 / den
 
 
 def _check_small_divisor(z, d, t):
@@ -297,46 +306,38 @@ def _check_small_divisor(z, d, t):
         )
 
 
-def _tail_at(ispec: IntegrandSpec, t):
-    return ispec.tail(t) if ispec.tail is not None else mp.mpc(1)
-
-
 class _ContourEvaluator:
-    """The integrand of one IntegrandSpec on each part of the path."""
+    """The integrand of one IntegrandSpec on each part of the path, for the
+    working precision it is built at (module docstring)."""
 
     def __init__(self, ispec: IntegrandSpec, pole_threshold):
         self.ispec = ispec
         self.thr = pole_threshold
-        self.two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        # t^{-k-1} on the outbound ray over t^{-k-1} on the inbound ray
+        # t^{-k-1} = e^{neg_k1 log t}; on the outbound ray log t gains 2 pi i,
+        # so poly(log t) there becomes jump * poly(log t + 2 pi i)
         k = ispec.k
-        self.jump = 1 if isinstance(k, int) else mp.exp(-self.two_pi_i * k)
+        self.neg_k1 = -k - 1
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
+        self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
+        self.diff = self.outbound - ispec.poly
 
-    def base(self, t):
+    def base(self, t, logt):
         """f_omega(t) e^{-wt} tail(t) t^{-k-1} on the inbound ray (real t > 0)."""
         ispec = self.ispec
-        return (
-            _f_omega_at(ispec.omega, t, self.thr)
-            * mp.exp(-ispec.w * t)
-            * _tail_at(ispec, t)
-            * mp.power(t, -ispec.k - 1)
-        )
+        value = _f_omega_at(ispec.omega, t, self.thr) * mp.exp(self.neg_k1 * logt - ispec.w * t)
+        return value if ispec.tail is None else value * ispec.tail(t)
 
-    def ray(self, t):
-        """Outbound-minus-inbound integrand at real t > 0."""
-        poly = self.ispec.poly
-        logt = mp.log(t)
-        diff = self.jump * poly(logt + self.two_pi_i) - poly(logt)
-        if diff == 0:
-            return mp.mpc(0)
-        return self.base(t) * diff
+    def ray(self, t, logt=None):
+        """Outbound-minus-inbound integrand at real t > 0 (log t if known)."""
+        logt = mp.log(t) if logt is None else logt
+        return self.base(t, logt) * self.diff(logt)
 
     def ray_magnitude(self, t):
         """Crude magnitude of the one-sided ray integrands (for tail bounds)."""
-        poly = self.ispec.poly
         logt = mp.log(t)
-        span = abs(self.jump * poly(logt + self.two_pi_i)) + abs(poly(logt)) + 1
-        return abs(self.base(t)) * span
+        span = abs(self.outbound(logt)) + abs(self.ispec.poly(logt)) + 1
+        return abs(self.base(t, logt)) * span
 
 
 @lru_cache(maxsize=1)
@@ -345,29 +346,38 @@ def _circle_levels(omega: OmegaVector, lam, prec: int, threshold):
     return {}
 
 
+def _circle_nodes(prec: int, depth: int, i: int):
+    """(h, thetas, e^{i thetas}) for the nodes of the rule at prec on panel i,
+    of half-width h, of the circle cut into CIRCLE_PANELS * 2^(depth + 1)
+    panels in theta."""
+    h = mp.pi / (CIRCLE_PANELS << (depth + 1))
+    thetas = [(2 * i + 1 + x) * h for x in _legendre_nodes(prec)[0]]
+    return h, thetas, [mp.expj(theta) for theta in thetas]
+
+
+# the nodes of the panels of depths -1 and 0, as _circle_levels keeps
+_first_circle_nodes = lru_cache(maxsize=None)(_circle_nodes)
+
+
 def _circle_panel(ev: _ContourEvaluator, lam, rule, depth=-1, i=0):
     """The part for panel i of the circle |t| = lam cut into
     CIRCLE_PANELS * 2^(depth + 1) panels in theta; refine() gives its
     halves, panels 2i and 2i + 1 one depth deeper."""
-    ispec, k, thr = ev.ispec, ev.ispec.k, ev.thr
-    h = mp.pi / (CIRCLE_PANELS << (depth + 1))
-    thetas = [(2 * i + 1 + x) * h for x in rule[0]]
-    ts = [lam * mp.expj(theta) for theta in thetas]
+    ispec, thr = ev.ispec, ev.thr
+    h, thetas, units = (_first_circle_nodes if depth <= 0 else _circle_nodes)(mp.prec, depth, i)
     stored = _circle_levels(ispec.omega, lam, mp.prec, thr)
     factors = stored.get((depth, i)) or [
-        mp.mpc(0, 1) * t * _f_omega_at(ispec.omega, t, thr) for t in ts
+        mp.mpc(0, 1) * t * _f_omega_at(ispec.omega, t, thr) for t in (lam * u for u in units)
     ]
     if depth <= 0:
         stored[depth, i] = factors
+    # -wt - (k + 1) log t = a + b theta + c e^{i theta} at t = lam e^{i theta}
     loglam = mp.log(lam)
+    a, b, c = ev.neg_k1 * loglam, ev.neg_k1 * mp.mpc(0, 1), -ispec.w * lam
     terms = []
-    for theta, t, f in zip(thetas, ts, factors):
-        logt = mp.mpc(loglam, theta)
-        if isinstance(k, int):
-            f *= mp.exp(-ispec.w * t) * mp.power(t, -k - 1)
-        else:
-            f *= mp.exp(-ispec.w * t - (k + 1) * logt)
-        terms.append(f * _tail_at(ispec, t) * ispec.poly(logt))
+    for theta, u, f in zip(thetas, units, factors):
+        f *= mp.exp(a + b * theta + c * u) * ispec.poly(mp.mpc(loglam, theta))
+        terms.append(f if ispec.tail is None else f * ispec.tail(lam * u))
     kronrod, err, floor = _gk_sums(terms, h, rule)
 
     def refine():
@@ -414,7 +424,7 @@ def _ray_panels(f, a, b, rule):
 
 
 def _log_panels(f, a, b, rule):
-    """The first-pass parts of f over [a, b] in u = log t, of t f(t) du:
+    """The first-pass parts of f(t, log t) over [a, b] in u = log t, of t f du:
     [log a, log b] is cut into equal panels, each spanning at most a factor
     NEAR_PANEL_FACTOR in t; each bisects at its midpoint in u."""
     ua, ub = mp.log(a), mp.log(b)
@@ -423,7 +433,7 @@ def _log_panels(f, a, b, rule):
 
     def in_u(u):
         t = mp.exp(u)
-        return t * f(t)
+        return t * f(t, u)
 
     split = lambda lo, hi: (lo + hi) / 2
     return [_panel(in_u, ua + i * h, ua + (i + 1) * h, split, rule) for i in range(n)]
@@ -467,9 +477,11 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
     with p.context(boost):
         target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)
-        T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
         rule = _rule()
-        parts = _ray_panels(ev.ray, lam, T, rule)
+        parts, tail_bound = [], 0
+        if ev.diff.coeffs:  # else the rays cancel identically
+            T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
+            parts = _ray_panels(ev.ray, lam, T, rule)
         depth = -1 if target >= CIRCLE_REACH else 0
         parts += [_circle_panel(ev, lam, rule, depth, i) for i in range(CIRCLE_PANELS << depth + 1)]
         return _refine_worst(parts, target, tail_bound)

@@ -15,21 +15,33 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from mpmath import mp
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero
 
 from .errors import InvalidParameter
 from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .series import LaurentSeries, _inv_coeffs, _mul_coeffs, exponential_jet
 
 
+def _exact_mpc(x):
+    """x as an mpc; an mpf or mpc keeps every bit (mp.mpc rounds both)."""
+    if isinstance(x, mpc):
+        return x
+    if isinstance(x, mpf):
+        return mp.make_mpc((x._mpf_, fzero))
+    return mp.mpc(x)
+
+
 @dataclass(frozen=True)
 class OmegaVector:
-    """The parameter tuple omega = (omega_1, ..., omega_r), Re(omega_i) > 0."""
+    """The parameter tuple omega = (omega_1, ..., omega_r), Re(omega_i) > 0.
+    An mpf or mpc period keeps its bits, whatever the caller's precision, so
+    the evaluators use it at their own working precision."""
 
     omegas: tuple
 
     def __post_init__(self):
-        vals = tuple(mp.mpc(o) for o in self.omegas)
+        vals = tuple(_exact_mpc(o) for o in self.omegas)
         for o in vals:
             if not mp.re(o) > 0:
                 raise InvalidParameter("every omega_i must have positive real part")

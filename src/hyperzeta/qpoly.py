@@ -55,9 +55,26 @@ class PolyC:
         b = other.coeffs + (0,) * (n - len(other.coeffs))
         return PolyC(tuple(mp.mpc(x) + mp.mpc(y) for x, y in zip(a, b)))
 
+    def __sub__(self, other: "PolyC") -> "PolyC":
+        """self - other, without the top coefficients that cancel exactly."""
+        coeffs = (self + other.scale(-1)).coeffs
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        return PolyC(coeffs[:n])
+
     def scale(self, c) -> "PolyC":
         c = mp.mpc(c)
         return PolyC(tuple(c * a for a in self.coeffs))
+
+    def shift(self, c) -> "PolyC":
+        """The Taylor shift x -> self(x + c), by repeated synthetic division;
+        the top coefficient is kept exactly."""
+        a = list(self.coeffs)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return PolyC(tuple(a))
 
     @classmethod
     def monomial(cls, d: int) -> "PolyC":

@@ -91,10 +91,11 @@ class LaurentSeries:
         return LaurentSeries(self.valuation, self.coeffs[:n])
 
     def __call__(self, t):
-        """Evaluate by Horner on the unit part times t^valuation."""
-        t = mp.mpc(t)
-        acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
+        """Evaluate by Horner on the unit part times t^valuation; a real t is
+        not made complex."""
+        t, coeffs = mp.convert(t), self.coeffs
+        acc = coeffs[-1] if coeffs else mp.mpc(0)
+        for c in coeffs[-2::-1]:
             acc = acc * t + c
         if self.valuation:
             acc = acc * t ** self.valuation

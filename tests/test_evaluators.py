@@ -202,6 +202,20 @@ def test_arguments_convert_at_the_working_precision(name):
         assert abs(low.value - high.value) <= low.err_estimate
 
 
+def test_periods_keep_their_bits():
+    # a 256-bit period wrapped in mpmath's 53-bit default context gives the
+    # same log_hyper_gamma as one wrapped at 256 bits
+    with mp.workprec(256):
+        periods = (1 + mpf(1) / 3, mp.mpc(1, mpf(1) / 7))
+        high = OmegaVector.of(*periods)
+        w = mpf(1) / 3
+    with mp.workprec(53):
+        low = OmegaVector.of(*periods)
+    assert low == high
+    low, high = (log_hyper_gamma(1, 0, w, om, P) for om in (low, high))
+    assert abs(low.value - high.value) <= low.err_estimate
+
+
 @pytest.mark.parametrize("s", ["-40.5", "-170.5"])
 def test_contour_scaled_target_below_working_precision_raises(s):
     # the prefactor is about 1e48 at s = -40.5, which puts the integral's

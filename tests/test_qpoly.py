@@ -26,6 +26,21 @@ def test_polyc_basics():
     assert PolyC.monomial(3).degree == 3
 
 
+def test_polyc_shift_and_difference():
+    # the Taylor shift against evaluation at x + c; a difference drops the
+    # top coefficients that cancel exactly
+    p = PolyC((mp.mpc(1, 2), -3, mpf(1) / 7, mp.mpc(0, 5)))
+    c = 2 * mp.pi * mp.mpc(0, 1)
+    for x in (mpf(0), mpf("-2.5"), mp.mpc("0.3", "1.1")):
+        assert abs(p.shift(c)(x) - p(x + c)) < mpf("1e-50")
+    assert p.shift(c).coeffs[-1] == p.coeffs[-1]
+    diff = p.shift(c) - p
+    assert diff.degree == 2
+    assert abs(diff(mpf(2)) - (p(2 + c) - p(2))) < mpf("1e-50")
+    assert (p - p).coeffs == ()
+    assert PolyC((3,)).shift(c) - PolyC((3,)) == PolyC(())
+
+
 def test_m0_is_constant():
     # 0Q_k = (-1)^k k! / (2 pi i)
     two_pi_i = 2 * mp.pi * mp.mpc(0, 1)

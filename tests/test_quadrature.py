@@ -19,6 +19,7 @@ from hyperzeta.asymptotics import default_experiment, remainder_tail
 from hyperzeta.errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from hyperzeta import balanced_P, hankel
 from hyperzeta.hankel import CIRCLE_PANELS, KRONROD_NODES, ray_only_integrate
+from hyperzeta.precision import QUADRATURE_GUARD_BITS
 
 P = DEFAULT_POLICY
 SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
@@ -393,6 +394,125 @@ def test_circle_cache_is_hit_across_w(monkeypatch):
     panels.clear()
     balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
     assert sum(1 for t in ts if isinstance(t, mp.mpc)) == KRONROD_NODES * len(panels)
+
+
+def test_identically_zero_rays_are_skipped(monkeypatch):
+    # log_hyper_gamma(0, 2)'s integrand: integer k and a constant poly, so the
+    # outbound and inbound rays cancel exactly; only the circle is evaluated,
+    # and no ray end bound enters the estimate
+    om = OmegaVector.of(1, mpf("1.3"))
+    ts, ends, depths = [], [], []
+    f_omega, ray_end, circle = hankel._f_omega_at, hankel._ray_end, hankel._circle_panel
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    monkeypatch.setattr(hankel, "_ray_end", lambda *a: ends.append(a) or ray_end(*a))
+    monkeypatch.setattr(
+        hankel, "_circle_panel",
+        lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i),
+    )
+    hankel._circle_levels.cache_clear()
+    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, P))
+    val, err = hankel_integrate(ispec, None, P)
+    assert not ends
+    assert depths == [-1] * CIRCLE_PANELS
+    assert len(ts) == KRONROD_NODES * CIRCLE_PANELS
+    assert all(isinstance(t, mp.mpc) for t in ts)
+    with SHARP.context():
+        sharp = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, SHARP))
+        ref, _ = hankel_integrate(sharp, None, SHARP)
+        assert abs(val - ref) <= err <= P.target_abs_error
+
+
+def _product_form(ispec, t, logt):
+    """f_omega(t) e^{-wt} tail(t) t^{-k-1} as a product of its factors, with
+    t^{-k-1} on the branch of logt."""
+    f_omega = mp.fprod(1 / (1 - mp.exp(-o * t)) for o in ispec.omega.omegas)
+    tail = ispec.tail(t) if ispec.tail is not None else 1
+    k = ispec.k
+    power = mp.power(t, -k - 1) if isinstance(k, int) else mp.exp(-(k + 1) * logt)
+    return f_omega * mp.exp(-ispec.w * t) * tail * power
+
+
+@pytest.mark.parametrize("k", [1, mp.mpc("-2.5", "-0.5")], ids=["integer_k", "complex_k"])
+@pytest.mark.parametrize("tail", [None, (1, "0.5", "0.25+0.1j")], ids=["no_tail", "tail"])
+@pytest.mark.parametrize("args", [(0, 0), ("0.6", "-0.4")], ids=["real", "complex"])
+def test_nodes_match_the_product_form(monkeypatch, k, tail, args):
+    # the ray and circle terms, taken as one exponential and one difference
+    # polynomial, against the product f_omega e^{-wt} tail t^{-k-1} times
+    # jump poly(log t + 2 pi i) - poly(log t) on the ray and i t poly(log t)
+    # on the circle, evaluated at 64 more bits
+    om = OmegaVector.of(*(size * mp.expj(mpf(arg)) for size, arg in zip((1, mpf("1.3")), args)))
+    tail = None if tail is None else LaurentSeries(1, tuple(mp.mpmathify(c) for c in tail))
+    ispec = IntegrandSpec(omega=om, w=mp.mpc("1.5", "0.5"), k=k, poly=q_poly(2, 1, P), tail=tail)
+    terms = []
+    gk_sums = hankel._gk_sums
+    monkeypatch.setattr(hankel, "_gk_sums", lambda fs, h, rule: terms.append(fs) or gk_sums(fs, h, rule))
+    lam = auto_spec(om, ispec.w, P)
+    with P.context(QUADRATURE_GUARD_BITS):
+        prec = mp.prec
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold)
+        rule = hankel._rule()
+        ts = [lam / 3, lam, mpf("1.7"), mpf("9.1")]
+        rays = [ev.ray(t) for t in ts]
+        hankel._circle_levels.cache_clear()
+        for i in range(CIRCLE_PANELS):
+            hankel._circle_panel(ev, lam, rule, -1, i)
+    with mp.workprec(prec + 64):
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
+        for t, value in zip(ts, rays):
+            logt = mp.log(t)
+            diff = jump * ispec.poly(logt + two_pi_i) - ispec.poly(logt)
+            ref = _product_form(ispec, t, logt) * diff
+            assert abs(value - ref) <= mpf(2) ** (8 - prec) * abs(ref)
+        h = mp.pi / CIRCLE_PANELS
+        for i, panel in enumerate(terms):
+            for x, value in zip(rule[0], panel):
+                theta = (2 * i + 1 + x) * h
+                t, logt = lam * mp.expj(theta), mp.mpc(mp.log(lam), theta)
+                ref = mp.mpc(0, 1) * t * _product_form(ispec, t, logt) * ispec.poly(logt)
+                assert abs(value - ref) <= mpf(2) ** (8 - prec) * abs(ref)
+
+
+def test_warm_circle_node_takes_one_exponential(monkeypatch):
+    # with the circle's f_omega factors and unit nodes cached, a circle node
+    # costs one mp.exp (e^{-wt} t^{-k-1} together), and nothing in the
+    # integral takes mp.power or mp.expj
+    om = OmegaVector.of(1, mpf("1.3"))
+    hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P)), None, P)
+    calls = {"power": 0, "expj": 0, "exp": 0}
+    inside = {"circle": False, "f_omega": False}
+    exp, power, expj = mp.exp, mp.power, mp.expj
+
+    def counted_exp(z):
+        calls["exp"] += inside["circle"] and not inside["f_omega"]
+        return exp(z)
+
+    def within(key, fn):
+        def wrapped(*args):
+            inside[key] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[key] = False
+
+        return wrapped
+
+    depths = []
+    circle = hankel._circle_panel
+    monkeypatch.setattr(mp, "exp", counted_exp)
+    monkeypatch.setattr(mp, "power", lambda *a: calls.update(power=calls["power"] + 1) or power(*a))
+    monkeypatch.setattr(mp, "expj", lambda *a: calls.update(expj=calls["expj"] + 1) or expj(*a))
+    monkeypatch.setattr(hankel, "_f_omega_at", within("f_omega", hankel._f_omega_at))
+    monkeypatch.setattr(
+        hankel, "_circle_panel",
+        within("circle", lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i)),
+    )
+    _, err = hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.7"), k=1, poly=q_poly(2, 1, P)), None, P)
+    assert err <= P.target_abs_error
+    assert depths == [-1] * CIRCLE_PANELS
+    assert calls == {"power": 0, "expj": 0, "exp": KRONROD_NODES * CIRCLE_PANELS}
 
 
 def _unit_ray(poly):

@@ -188,3 +188,15 @@ def test_evaluation_horner():
     s = LaurentSeries(-1, (1, 0, 2))  # t^-1 + 2t
     t = mp.mpf("0.5")
     assert close(s(t), 1 / t + 2 * t)
+
+
+def test_evaluation_at_real_and_complex_t():
+    # a real t stays real through Horner and the power t^valuation, and an
+    # integer t is converted at the working precision, not as a float
+    a = LaurentSeries(-2, (mp.mpc(1, 2), mp.mpf(3), mp.mpc(0, -1)))
+    t = mp.mpf(1) / 3
+    expect = (mp.mpc(1, 2) + 3 * t + mp.mpc(0, -1) * t ** 2) / t ** 2
+    assert close(a(t), expect, "1e-55")
+    assert close(a(mp.mpc(t)), expect, "1e-55")
+    assert close(LaurentSeries(-1, (1,))(3), mp.mpf(1) / 3, "1e-55")
+    assert LaurentSeries(0, ())(t) == 0
