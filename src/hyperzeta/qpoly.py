@@ -69,7 +69,7 @@ class PolyC:
 
     def shift(self, c) -> "PolyC":
         """The Taylor shift x -> self(x + c), by repeated synthetic division;
-        the top coefficient is kept exactly."""
+        the top coefficient is left as it is."""
         a = list(self.coeffs)
         for i in range(len(a) - 1):
             for j in range(len(a) - 2, i - 1, -1):
