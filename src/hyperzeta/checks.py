@@ -24,7 +24,7 @@ from .combinatorics import (
 )
 from .hankel import IntegrandSpec, auto_spec, hankel_integrate
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, PrecisionPolicy
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy
 from .qpoly import PolyC, q_poly, s_poly
 
 SUITES = ("combinatorics", "qpoly", "quadrature", "evaluators")
@@ -152,7 +152,8 @@ def _generating_identity_dev(k: int, m_max: int, p: PrecisionPolicy):
     from .series import LaurentSeries
 
     order = m_max + 3
-    jet = _quotient_jet(k, order + k + 4, p).truncate(order)
+    # at the bits the q and S polynomials are built at
+    jet = _quotient_jet(k, order, p.precision_bits + QUADRATURE_GUARD_BITS)
     fk = gen_F(k, order)
     fk_series = LaurentSeries(
         0, tuple(mpf(c.numerator) / c.denominator for c in fk)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, PrecisionPolicy
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy
 from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
 METHOD_DIRECT = "direct_sum"
@@ -248,11 +248,10 @@ def zeta_contour(
             raise TooCloseToInteger(
                 "s is within 1e-3 of an integer; use log_hyper_gamma(0, k)"
             )
-        hp = p.for_integrals()
-        with hp.context(16):
-            prefactor = 1 / (
-                constants.gamma_scalar(s, hp) * (mp.exp(2 * mp.pi * mp.mpc(0, 1) * s) - 1)
-            )
+        # 1/Gamma is entire, and s is at least 1e-3 from the zeros of
+        # e^{2 pi i s} - 1, the integers
+        with p.context(QUADRATURE_GUARD_BITS):
+            prefactor = mp.rgamma(s) / mp.expm1(2 * mp.pi * mp.mpc(0, 1) * s)
         target = mpf(p.target_abs_error) / abs(prefactor)
         # rounded down, so that |prefactor| times the integral's estimate stays
         # within p's target; a target beyond the floats becomes the largest one
@@ -264,7 +263,7 @@ def zeta_contour(
             )
         ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((1,)))
         integral, qerr = hankel_integrate(ispec, lam, p.with_target(scaled))
-        with hp.context(16):
+        with p.context(QUADRATURE_GUARD_BITS):
             return EvalResult(prefactor * integral, abs(prefactor) * qerr, METHOD_CONTOUR)
 
 
@@ -320,7 +319,7 @@ def balanced_P(
             parts = [log_hyper_gamma(mu, k, w, omega, p, lam) for mu, _ in _c_weights(m, k)]
             # weighted and summed at the integrals' working precision, as
             # zeta_contour's product is
-            with p.for_integrals().context(16):
+            with p.context(QUADRATURE_GUARD_BITS):
                 weights = [weight for _, weight in _c_weights(m, k)]
                 total = mp.fsum(c * part.value for c, part in zip(weights, parts))
                 err = mp.fsum(abs(c) * part.err_estimate for c, part in zip(weights, parts))

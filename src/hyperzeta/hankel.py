@@ -91,7 +91,7 @@ from mpmath import mp, mpf
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
 from .qpoly import PolyC
 from .series import LaurentSeries
 
@@ -116,7 +116,7 @@ class IntegrandSpec:
     ``k`` is an integer (negative k gives a positive power of t) or complex;
     the Barnes zeta at s is k = -s with poly = 1.  ``tail`` multiplies the
     integrand by a truncated series in t (the expansion and remainder
-    integrands).
+    integrands).  An mpf or mpc w or k keeps its bits, as the periods do.
     """
 
     omega: OmegaVector
@@ -126,11 +126,11 @@ class IntegrandSpec:
     tail: LaurentSeries | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "w", mp.mpc(self.w))
+        object.__setattr__(self, "w", _exact_mpc(self.w))
         if not mp.re(self.w) > 0:
             raise InvalidParameter("integrand requires Re(w) > 0")
         if not isinstance(self.k, int):
-            object.__setattr__(self, "k", mp.mpc(self.k))
+            object.__setattr__(self, "k", _exact_mpc(self.k))
 
 
 def auto_spec(omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY):

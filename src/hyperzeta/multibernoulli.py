@@ -2,9 +2,11 @@
 e^{-wt} / prod_i (1 - e^{-omega_i t}).
 
 The coefficient of t^N in that expansion is a_{r,N}(w; omega).  The float
-path runs through the jet engine; an exact Fraction path is provided for
-rational parameters so the tests can compare against exact values.  Both
-paths multiply and invert with the same loops, ``series._mul_coeffs`` and
+path is a product of exact jets: each factor 1/(1 - e^{-omega_i t}) is
+(1/(omega_i t)) sum_n B_n (-omega_i t)^n / n! (``series._bernoulli_jet``), and
+e^{-wt} is ``series.exponential_jet``.  An exact Fraction path is provided for
+rational parameters so the tests can compare against exact values; it
+multiplies and inverts with the loops ``series._mul_coeffs`` and
 ``series._inv_coeffs``.
 """
 
@@ -15,21 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero
+from mpmath import mp
 
 from .errors import InvalidParameter
-from .precision import DEFAULT_POLICY, PrecisionPolicy
-from .series import LaurentSeries, _inv_coeffs, _mul_coeffs, exponential_jet
-
-
-def _exact_mpc(x):
-    """x as an mpc; an mpf or mpc keeps every bit (mp.mpc rounds both)."""
-    if isinstance(x, mpc):
-        return x
-    if isinstance(x, mpf):
-        return mp.make_mpc((x._mpf_, fzero))
-    return mp.mpc(x)
+from .precision import DEFAULT_POLICY, PrecisionPolicy, _exact_mpc
+from .series import LaurentSeries, _bernoulli_jet, _inv_coeffs, _mul_coeffs, exponential_jet
 
 
 @dataclass(frozen=True)
@@ -107,9 +99,9 @@ def f_omega_series(
 
 
 def _one_factor(o, work: int) -> LaurentSeries:
-    # 1/(1 - e^{-o t}) = 1/(o t) * [o t / (1 - e^{-o t})], via series inversion
-    one_minus = LaurentSeries.one(work) - exponential_jet(-o, work)
-    return LaurentSeries.one(work) / one_minus
+    """1/(1 - e^{-o t}) = (1/(o t)) sum_n B_n (-o t)^n / n! through t^(work-3)."""
+    jet = _bernoulli_jet(-o, work - 1)
+    return LaurentSeries(-1, jet.coeffs).scale(1 / o)
 
 
 def bernoulli_expansion(

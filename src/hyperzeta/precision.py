@@ -10,15 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero
 
 from .errors import InvalidParameter, PrecisionUnreachable
 
 DEFAULT_BITS = 192
 # the fewest guard bits a Hankel integral works with (hankel); its q and S
-# polynomials and what the evaluators multiply it by get as many, so that the
-# integral's rounding floor covers them too
+# polynomials and what the evaluators multiply it by are built in
+# context(QUADRATURE_GUARD_BITS) too, so that the integral's rounding floor
+# covers them
 QUADRATURE_GUARD_BITS = 64
+
+
+def _exact_mpc(x):
+    """x as an mpc; an mpf or mpc keeps every bit (mp.mpc rounds both)."""
+    if isinstance(x, mpc):
+        return x
+    if isinstance(x, mpf):
+        return mp.make_mpc((x._mpf_, fzero))
+    return mp.mpc(x)
 
 
 @dataclass(frozen=True)
@@ -55,14 +66,6 @@ class PrecisionPolicy:
 
     def with_target(self, abs_error: float):
         return PrecisionPolicy(self.precision_bits, abs_error)
-
-    def for_integrals(self):
-        """This policy raised so that its context(16) is the working precision
-        of a Hankel integral under this policy: its bits plus
-        QUADRATURE_GUARD_BITS."""
-        return PrecisionPolicy(
-            self.precision_bits + QUADRATURE_GUARD_BITS - 16, self.target_abs_error
-        )
 
 
 DEFAULT_POLICY = PrecisionPolicy()

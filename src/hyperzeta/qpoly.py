@@ -9,6 +9,17 @@ at u = 0; after cancellation the quotient jet J(u) is regular and
 
     q_poly(m,k)(x) = m! * sum_{d<=m} J_{m-d} x^d / d!.
 
+J is a product of three power series, each exact through its order, so
+q_poly(m, k) needs J only through u^m, with no guard terms and no series
+division (which loses terms and tests leading coefficients for zero):
+
+    J(u) = prod_{j=1..k} (u - j) * 1/Gamma(1+u) * u / (e^{2 pi i u} - 1),
+
+with 1/Gamma(1+u) = exp(gamma u - sum_{j>=2} (-1)^j zeta(j) u^j / j) and
+u / (e^{2 pi i u} - 1) = sum_n B_n (2 pi i)^(n-1) u^n / n!.  q and S are built
+at a Hankel integral's working precision, the policy's bits plus
+QUADRATURE_GUARD_BITS.
+
 ``s_poly(m, k)`` is the c^m_{mu,k}-weighted combination of the q polynomials;
 it is provably independent of k and equals q_poly(m, 0).
 """
@@ -22,12 +33,10 @@ from math import factorial
 from mpmath import mp
 
 from .combinatorics import coeff_c
-from .constants import _frac, euler_gamma, zeta_int
+from .constants import _euler_gamma_bits, _frac
 from .errors import InvalidParameter
-from .precision import DEFAULT_POLICY, PrecisionPolicy
-from .series import LaurentSeries, _mul_coeffs, exponential_jet
-
-JET_GUARD_TERMS = 8
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
+from .series import LaurentSeries, _bernoulli_jet, _mul_coeffs
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,7 @@ class PolyC:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(mp.mpc(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact_mpc, self.coeffs)))
 
     @property
     def degree(self) -> int:
@@ -81,53 +90,21 @@ class PolyC:
         return cls((0,) * d + (1,))
 
 
-def recip_gamma_jet(
-    k: int, order: int, p: PrecisionPolicy = DEFAULT_POLICY
-) -> LaurentSeries:
-    """Jet of u -> 1/Gamma(u - k) around u = 0; simple zero (valuation 1).
-
-    Uses 1/Gamma(u-k) = prod_{j=0}^{k} (u-j) / Gamma(1+u), with the reciprocal
-    gamma jet built from exp(gamma*u - sum_{j>=2} (-1)^j zeta(j) u^j / j) so the
-    truncation error is controlled entirely by the zeta-constant tails.
-    """
-    if k < 0:
-        raise InvalidParameter("recip_gamma_jet needs k >= 0")
-    if order < 2:
-        raise InvalidParameter("recip_gamma_jet needs order >= 2")
-    with p.context(16):
-        poly = [1]
-        for j in range(k + 1):
-            poly = _mul_coeffs(poly, [-j, 1], k + 2)
-        base = _recip_gamma1_jet(order, p)
-        return LaurentSeries(0, _mul_coeffs(poly, base.coeffs, order))
-
-
-def _recip_gamma1_jet(order: int, p: PrecisionPolicy) -> LaurentSeries:
-    """Jet of 1/Gamma(1+u) = exp(gamma*u - sum_{j>=2} (-1)^j zeta(j)/j u^j)."""
-    gamma = euler_gamma(p)
-    coeffs = [mp.mpc(0), mp.mpc(gamma)]
-    for j in range(2, order):
-        sign = 1 if j % 2 == 0 else -1
-        coeffs.append(mp.mpc(-sign * zeta_int(j, p) / j))
-    return LaurentSeries(0, tuple(coeffs)).exp()
-
-
-def expm_two_pi_i_jet(order: int, p: PrecisionPolicy = DEFAULT_POLICY) -> LaurentSeries:
-    """Jet of u -> e^{2 pi i u} - 1 (valid at every s = -k + u by periodicity)."""
-    if order < 2:
-        raise InvalidParameter("expm_two_pi_i_jet needs order >= 2")
-    with p.context(16):
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        return exponential_jet(two_pi_i, order) - LaurentSeries.one(order)
-
-
 @lru_cache(maxsize=None)
-def _quotient_jet(k: int, order: int, p: PrecisionPolicy) -> LaurentSeries:
-    """Regular jet J(u) = 1 / (Gamma(u-k) (e^{2 pi i u} - 1))."""
-    with p.context(16):
-        num = recip_gamma_jet(k, order, p)
-        den = expm_two_pi_i_jet(order, p)
-        return num / den
+def _quotient_jet(k: int, order: int, bits: int) -> LaurentSeries:
+    """J(u) = 1 / (Gamma(u-k) (e^{2 pi i u} - 1)) through u^(order-1), built
+    at ``bits``, the caller's working precision (the cache key)."""
+    with mp.workprec(bits):
+        poly = [1] + [0] * (order - 1)
+        for j in range(1, k + 1):
+            poly = _mul_coeffs(poly, [-j, 1], order)
+        # 1/Gamma(1+u) = exp(gamma u - sum_{j>=2} (-1)^j zeta(j) u^j / j)
+        log_rgamma = [0, _euler_gamma_bits(bits)]
+        log_rgamma += [-(-1) ** j * mp.zeta(j) / j for j in range(2, order)]
+        rgamma = LaurentSeries(0, log_rgamma[:order]).exp()
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        u_over_expm1 = _bernoulli_jet(two_pi_i, order).scale(1 / two_pi_i)
+        return LaurentSeries(0, poly) * rgamma * u_over_expm1
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +113,8 @@ def q_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
     a Hankel integral under p."""
     if m < 0 or k < 0:
         raise InvalidParameter("q_poly needs m, k >= 0")
-    wp = p.for_integrals()
-    with wp.context(16):
-        jet = _quotient_jet(k, m + k + JET_GUARD_TERMS, wp)
+    with p.context(QUADRATURE_GUARD_BITS):
+        jet = _quotient_jet(k, m + 1, mp.prec)
         fact_m = factorial(m)
         coeffs = [jet.coeff(m - d) * fact_m / factorial(d) for d in range(m + 1)]
         return PolyC(tuple(coeffs))
@@ -159,7 +135,7 @@ def s_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
     as q_poly, at the working precision of a Hankel integral under p."""
     if m < 0 or k < 0:
         raise InvalidParameter("s_poly needs m, k >= 0")
-    with p.for_integrals().context(16):
+    with p.context(QUADRATURE_GUARD_BITS):
         acc = PolyC((0,) * (m + 1))
         for mu, weight in _c_weights(m, k):
             acc = acc + q_poly(mu, k, p).scale(weight)

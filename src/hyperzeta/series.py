@@ -13,6 +13,11 @@ accumulators start at the integer 0, so they work on ``mpc`` and on
 them, and the exact rational path (``combinatorics.gen_F``,
 ``multibernoulli.bernoulli_a_exact``) uses the same loops.  They stay private
 because the benchmark tracer wraps every public function.
+
+``exponential_jet`` (e^{ct}) and ``_bernoulli_jet`` (ct / (e^{ct} - 1), from
+the exact Bernoulli numbers) are exact through their order, so the jets of
+``qpoly`` and ``multibernoulli`` are products of them: no production path
+divides a series.
 """
 
 from __future__ import annotations
@@ -21,11 +26,9 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
+from .constants import bernoulli_over_factorial
 from .errors import DivisionByZeroSeries, DomainError
-
-
-def _default_threshold():
-    return mpf(2) ** (-(mp.prec // 2))
+from .precision import _exact_mpc
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class LaurentSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(mp.mpc(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact_mpc, self.coeffs)))
 
     # -- constructors -------------------------------------------------
 
@@ -66,9 +69,9 @@ class LaurentSeries:
             return mp.mpc(0)
         return self.coeffs[n - self.valuation]
 
-    def normalize(self, threshold=None) -> "LaurentSeries":
-        """Strip leading coefficients below the zero threshold, raising the valuation."""
-        thr = _default_threshold() if threshold is None else threshold
+    def normalize(self) -> "LaurentSeries":
+        """Strip leading coefficients below 2^-(prec/2), raising the valuation."""
+        thr = mpf(2) ** (-(mp.prec // 2))
         i = 0
         while i < len(self.coeffs) and abs(self.coeffs[i]) < thr:
             i += 1
@@ -206,3 +209,16 @@ def exponential_jet(c, order: int) -> LaurentSeries:
         coeffs.append(coeffs[-1] * c / n)
     return LaurentSeries(0, tuple(coeffs))
 
+
+def _bernoulli_jet(c, order: int) -> LaurentSeries:
+    """Jet of ct / (e^{ct} - 1): sum_n B_n (c t)^n / n!, B_1 = -1/2.
+
+    Each coefficient is an exact Bernoulli number over n! times c^n, so the
+    jet is exact through its order, as ``exponential_jet`` is.
+    """
+    c = mp.mpc(c)
+    coeffs, power = [], mp.mpc(1)
+    for n in range(order):
+        coeffs.append(bernoulli_over_factorial(n) * power)
+        power *= c
+    return LaurentSeries(0, tuple(coeffs))

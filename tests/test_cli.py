@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from hyperzeta import cli
+from hyperzeta import checks, cli
 
 
 def run(capsys, argv):
@@ -61,8 +61,9 @@ def test_eval_csv_format(capsys):
     assert lines[1].startswith("-0.91893853320467274")  # -log(2 pi)/2
 
 
-def test_check_suite_passes(capsys):
-    code, out, _ = run(capsys, ["check", "combinatorics"])
+@pytest.mark.parametrize("suite", checks.SUITES)
+def test_check_suite_passes(capsys, suite):
+    code, out, _ = run(capsys, ["check", suite])
     assert code == 0
     records = json.loads(out)
     assert all(r["passed"] for r in records)

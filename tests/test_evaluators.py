@@ -4,6 +4,7 @@ from mpmath import mp, mpf
 from hyperzeta import (
     DEFAULT_POLICY,
     OmegaVector,
+    PolyC,
     PrecisionPolicy,
     balanced_P,
     log_hyper_gamma,
@@ -14,6 +15,7 @@ from hyperzeta import (
 from hyperzeta import evaluators, hankel
 from hyperzeta.errors import InvalidParameter, PrecisionUnreachable, TooCloseToInteger
 from hyperzeta.evaluators import METHOD_COMBINATION, derivative_fd
+from hyperzeta.series import LaurentSeries
 
 P = DEFAULT_POLICY
 SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
@@ -214,6 +216,23 @@ def test_periods_keep_their_bits():
     assert low == high
     low, high = (log_hyper_gamma(1, 0, w, om, P) for om in (low, high))
     assert abs(low.value - high.value) <= low.err_estimate
+
+
+def test_values_keep_their_bits():
+    # w, a complex k and polynomial and series coefficients wrapped in the
+    # 53-bit default context keep the bits they were made with
+    with mp.workprec(256):
+        w = mpf(1) / 3
+        k = mp.mpc(mpf(1) / 3, mpf(2) / 7)
+        c = mp.mpc(1, 1) / 7
+    with mp.workprec(53):
+        poly = PolyC((c, 1))
+        tail = LaurentSeries(0, (1, c))
+        spec = hankel.IntegrandSpec(omega=OmegaVector.of(1), w=w, k=k, poly=poly, tail=tail)
+    assert spec.w == w and spec.w.imag == 0
+    assert spec.k == k
+    assert poly.coeffs[0] == c
+    assert tail.coeffs[1] == c
 
 
 @pytest.mark.parametrize("s", ["-40.5", "-170.5"])
