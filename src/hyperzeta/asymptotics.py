@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 from .errors import FitUnstable, InvalidParameter
 from .hankel import IntegrandSpec, hankel_integrate, ray_only_integrate
 from .multibernoulli import OmegaVector, bernoulli_expansion
-from .precision import DEFAULT_POLICY, PrecisionPolicy
+from .precision import DEFAULT_POLICY, PrecisionPolicy, _exact_mpc
 from .qpoly import PolyC, s_poly
 from .series import LaurentSeries
 
@@ -43,8 +43,10 @@ class AsymExperiment:
     policy: PrecisionPolicy = field(default=DEFAULT_POLICY)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", mp.mpc(self.a))
-        object.__setattr__(self, "w_grid", tuple(mpf(w) for w in self.w_grid))
+        # a and mpf grid points keep their bits, as the periods do
+        object.__setattr__(self, "a", _exact_mpc(self.a))
+        grid = tuple(w if isinstance(w, mpf) else mpf(w) for w in self.w_grid)
+        object.__setattr__(self, "w_grid", grid)
         if self.m < 0 or self.k < 0:
             raise InvalidParameter("experiment needs m, k >= 0")
         if self.alpha.r > 0 and not mp.re(self.a) > 0:
@@ -102,11 +104,9 @@ def _absorbed_expansion(e: AsymExperiment, start: int, stop: int) -> LaurentSeri
 def rhs_expansion(e: AsymExperiment, w):
     """Finite expansion sum as one integral; returns (value, err_estimate)."""
     p = e.policy
-    with p.context(16):
-        tail = _absorbed_expansion(e, -e.alpha.r, e.omega.r + e.k + 1)
-        poly = s_poly(e.m, e.k, p)
-        ispec = IntegrandSpec(omega=e.omega, w=w, k=e.k, poly=poly, tail=tail)
-        return hankel_integrate(ispec, None, p)
+    tail = _absorbed_expansion(e, -e.alpha.r, e.omega.r + e.k + 1)
+    ispec = IntegrandSpec(omega=e.omega, w=w, k=e.k, poly=s_poly(e.m, e.k, p), tail=tail)
+    return hankel_integrate(ispec, None, p)
 
 
 def lhs_value(e: AsymExperiment, w):
@@ -185,11 +185,9 @@ def remainder_reduction_check(
     if nu < 0 or nu > e.m:
         raise InvalidParameter("need 0 <= nu <= m")
     p = e.policy
-    with p.context(16):
-        tail = remainder_tail(e, terms)
-        ispec = IntegrandSpec(
-            omega=e.omega, w=mp.mpc(w), k=e.k, poly=PolyC.monomial(nu), tail=tail
-        )
-        contour, c_err = hankel_integrate(ispec, None, p)
-        rays, r_err = ray_only_integrate(ispec, p)
-        return ReductionCheck(contour, rays, c_err, r_err)
+    ispec = IntegrandSpec(
+        omega=e.omega, w=w, k=e.k, poly=PolyC.monomial(nu), tail=remainder_tail(e, terms)
+    )
+    contour, c_err = hankel_integrate(ispec, None, p)
+    rays, r_err = ray_only_integrate(ispec, p)
+    return ReductionCheck(contour, rays, c_err, r_err)

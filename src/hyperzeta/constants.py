@@ -1,9 +1,10 @@
 """High-precision scalar constants, taken from mpmath.
 
-Exact Bernoulli numbers and Bernoulli-polynomial coefficients, Euler's
-constant, integer zeta values and Gamma at non-integer points.  Each is one
-mpmath call under the package's precision policy, behind the domain checks
-the rest of the package relies on.  ``_bernoulli_tail`` is the summation loop
+Exact Bernoulli numbers and Bernoulli-polynomial coefficients, and Euler's
+constant.  Each is one mpmath call under the package's precision policy,
+behind the domain checks the rest of the package relies on; Gamma and the
+integer zeta values are taken from mpmath directly (``mp.gamma``,
+``mp.zeta``).  ``_bernoulli_tail`` is the summation loop
 of the lattice Euler-Maclaurin sum in ``evaluators``, and
 ``bernoulli_over_factorial`` its cached coefficients.
 """
@@ -79,20 +80,3 @@ def euler_gamma(p: PrecisionPolicy = DEFAULT_POLICY):
 def _euler_gamma_bits(bits: int):
     with mp.workprec(bits):
         return +mp.euler
-
-
-def zeta_int(j: int, p: PrecisionPolicy = DEFAULT_POLICY):
-    """Riemann zeta(j) for integer j >= 2."""
-    if j < 2:
-        raise DomainError("zeta_int requires j >= 2")
-    with p.context(16):
-        return mp.zeta(j)
-
-
-def gamma_scalar(s, p: PrecisionPolicy = DEFAULT_POLICY):
-    """Gamma(s) away from the non-positive integers."""
-    with p.context(16):
-        s = mp.mpc(s)
-        if mp.im(s) == 0 and mp.re(s) <= 0 and mp.re(s) == mp.floor(mp.re(s)):
-            raise DomainError("Gamma has a pole at the non-positive integers")
-        return mp.gamma(s)

@@ -281,11 +281,9 @@ def log_hyper_gamma(
     """
     if m < 0 or k < 0:
         raise InvalidParameter("log_hyper_gamma needs m, k >= 0")
-    with p.context(16):
-        w = _require_right_half(w)
-        ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=q_poly(m, k, p))
-        value, qerr = hankel_integrate(ispec, lam, p)
-        return EvalResult(value, qerr, METHOD_CONTOUR)
+    ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=q_poly(m, k, p))
+    value, qerr = hankel_integrate(ispec, lam, p)
+    return EvalResult(value, qerr, METHOD_CONTOUR)
 
 
 def balanced_P(
@@ -306,25 +304,22 @@ def balanced_P(
     """
     if m < 0:
         raise InvalidParameter("balanced_P needs m >= 0")
-    with p.context(16):
-        w = _require_right_half(w)
-        if method == METHOD_CONTOUR:
-            poly = s_poly(m, k if k >= 0 else 0, p)
-            ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=poly)
-            value, qerr = hankel_integrate(ispec, lam, p)
-            return EvalResult(value, qerr, METHOD_CONTOUR)
-        if method == METHOD_COMBINATION:
-            if k < 0:
-                raise InvalidParameter("the combination path needs k >= 0")
-            parts = [log_hyper_gamma(mu, k, w, omega, p, lam) for mu, _ in _c_weights(m, k)]
-            # weighted and summed at the integrals' working precision, as
-            # zeta_contour's product is
-            with p.context(QUADRATURE_GUARD_BITS):
-                weights = [weight for _, weight in _c_weights(m, k)]
-                total = mp.fsum(c * part.value for c, part in zip(weights, parts))
-                err = mp.fsum(abs(c) * part.err_estimate for c, part in zip(weights, parts))
-            return EvalResult(total, err, METHOD_COMBINATION)
-        raise InvalidParameter(f"unknown method {method!r}")
+    if method == METHOD_CONTOUR:
+        ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=s_poly(m, max(k, 0), p))
+        value, qerr = hankel_integrate(ispec, lam, p)
+        return EvalResult(value, qerr, METHOD_CONTOUR)
+    if method == METHOD_COMBINATION:
+        if k < 0:
+            raise InvalidParameter("the combination path needs k >= 0")
+        parts = [log_hyper_gamma(mu, k, w, omega, p, lam) for mu, _ in _c_weights(m, k)]
+        # weighted and summed at the integrals' working precision, as
+        # zeta_contour's product is
+        with p.context(QUADRATURE_GUARD_BITS):
+            weights = [weight for _, weight in _c_weights(m, k)]
+            total = mp.fsum(c * part.value for c, part in zip(weights, parts))
+            err = mp.fsum(abs(c) * part.err_estimate for c, part in zip(weights, parts))
+        return EvalResult(total, err, METHOD_COMBINATION)
+    raise InvalidParameter(f"unknown method {method!r}")
 
 
 def p0_closed_form(m: int, k: int, w, p: PrecisionPolicy = DEFAULT_POLICY):

@@ -135,12 +135,11 @@ class IntegrandSpec:
 
 def auto_spec(omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY):
     """Default circle radius lambda for omega and w (rule: module docstring)."""
-    w = mp.mpc(w)
+    w = _exact_mpc(w)
     if not mp.re(w) > 0:
         raise InvalidParameter("auto_spec requires Re(w) > 0")
     with p.context():
-        lam = mpf("0.25") * min(omega.pole_bound, 2 * mp.pi)
-    return min(lam, 6 / mp.re(w))
+        return min(mpf("0.25") * min(omega.pole_bound, 2 * mp.pi), 6 / mp.re(w))
 
 
 def _check_lambda(lam, omega: OmegaVector):
@@ -467,13 +466,16 @@ def _refine_worst(parts, target, end_bounds):
 
 def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAULT_POLICY):
     """Integral over I(lambda, inf); returns (value, err_estimate).  ``lam``
-    defaults to ``auto_spec``'s radius; it must satisfy 0 < lam < 0.9 * pole bound."""
-    if lam is None:
-        lam = auto_spec(ispec.omega, ispec.w, p)
-    lam = _check_lambda(lam, ispec.omega)
-    # absorb the e^{w*lam} cancellation on the far side of the circle
-    boost = int(mpf("1.5") * max(0, mp.re(ispec.w) * lam))
-    boost = QUADRATURE_GUARD_BITS + 32 * ((boost + 16) // 32)
+    defaults to ``auto_spec``'s radius; it must satisfy 0 < lam < 0.9 * pole bound.
+    lambda and the guard bits are taken at the policy's precision, so the
+    value does not depend on the caller's."""
+    with p.context():
+        if lam is None:
+            lam = auto_spec(ispec.omega, ispec.w, p)
+        lam = _check_lambda(lam, ispec.omega)
+        # absorb the e^{w*lam} cancellation on the far side of the circle
+        boost = int(mpf("1.5") * max(0, mp.re(ispec.w) * lam))
+        boost = QUADRATURE_GUARD_BITS + 32 * ((boost + 16) // 32)
     with p.context(boost):
         target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)

@@ -83,38 +83,25 @@ class BernoulliExpansion:
         return self.series.coeff(N)
 
 
-def f_omega_series(
-    omega: OmegaVector, order: int, p: PrecisionPolicy = DEFAULT_POLICY
-) -> LaurentSeries:
-    """Laurent series of prod_i 1/(1 - e^{-omega_i t}), valuation -r."""
-    r = omega.r
-    if order <= -r:
-        raise InvalidParameter("order must exceed the valuation -r")
-    with p.context(16):
-        work = order + r + 2
-        acc = LaurentSeries.one(work)
-        for o in omega.omegas:
-            acc = acc * _one_factor(o, work)
-        return acc.truncate(order)
-
-
-def _one_factor(o, work: int) -> LaurentSeries:
-    """1/(1 - e^{-o t}) = (1/(o t)) sum_n B_n (-o t)^n / n! through t^(work-3)."""
-    jet = _bernoulli_jet(-o, work - 1)
-    return LaurentSeries(-1, jet.coeffs).scale(1 / o)
-
-
 def bernoulli_expansion(
     omega: OmegaVector, w, order: int, p: PrecisionPolicy = DEFAULT_POLICY
 ) -> BernoulliExpansion:
-    """Expansion of e^{-wt} * f_omega(t); coefficient N is a_{r,N}(w; omega)."""
+    """Expansion of e^{-wt} * f_omega(t); coefficient N is a_{r,N}(w; omega).
+
+    It is the product of e^{-wt} and, for each period o, of
+    1/(1 - e^{-o t}) = (1/(o t)) sum_n B_n (-o t)^n / n!, each with order + r
+    terms.  Every factor is exact through its order, so the product is exact
+    through t^(order - 1) and needs no guard terms."""
     r = omega.r
     if order <= -r:
         raise InvalidParameter("order must exceed the valuation -r")
+    w = _exact_mpc(w)
     with p.context(16):
-        work = order + r + 2
-        series = (f_omega_series(omega, work, p) * exponential_jet(-mp.mpc(w), work + r)).truncate(order)
-        return BernoulliExpansion(omega, mp.mpc(w), series)
+        series = exponential_jet(-w, order + r)
+        for o in omega.omegas:
+            jet = _bernoulli_jet(-o, order + r)
+            series = series * LaurentSeries(-1, jet.coeffs).scale(1 / o)
+        return BernoulliExpansion(omega, w, series)
 
 
 def bernoulli_a(

@@ -85,14 +85,6 @@ class LaurentSeries:
         c = mp.mpc(c)
         return LaurentSeries(self.valuation, tuple(c * a for a in self.coeffs))
 
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order >= self.order:
-            return self
-        n = max(0, order - self.valuation)
-        if n == 0:
-            return LaurentSeries.zero(order)
-        return LaurentSeries(self.valuation, self.coeffs[:n])
-
     def __call__(self, t):
         """Evaluate by Horner on the unit part times t^valuation; a real t is
         not made complex."""

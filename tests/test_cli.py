@@ -137,11 +137,19 @@ def test_near_integer_s_exit_3(capsys):
     assert "integer" in json.loads(err)["message"]
 
 
-def test_lambda_out_of_range_exit_3(capsys):
-    code, _, err = run(
-        capsys,
-        ["eval", "zeta", "--s", "2.5", "--w", "1", "--omega", "1", "--lambda", "50"],
-    )
+@pytest.mark.parametrize(
+    "target",
+    [
+        ["zeta", "--s", "2.5"],
+        ["zeta", "--s", "2.5", "--method", "direct"],
+        ["P", "--m", "1", "--k", "1"],
+        ["gamma-log", "--m", "1", "--k", "1"],
+    ],
+    ids=["zeta", "zeta-direct", "P", "gamma-log"],
+)
+def test_lambda_out_of_range_exit_3(capsys, target):
+    # the direct sum takes no lambda, but an out-of-range one is still refused
+    code, _, _ = run(capsys, ["eval", *target, "--w", "1", "--omega", "1", "--lambda", "50"])
     assert code == 3
 
 

@@ -1,17 +1,9 @@
 from fractions import Fraction
 
-import pytest
 from mpmath import mp, mpf
 
 from hyperzeta import DEFAULT_POLICY, PrecisionPolicy
-from hyperzeta.constants import (
-    bernoulli_number,
-    bernoulli_poly_coeffs,
-    euler_gamma,
-    gamma_scalar,
-    zeta_int,
-)
-from hyperzeta.errors import DomainError
+from hyperzeta.constants import bernoulli_number, bernoulli_poly_coeffs, euler_gamma
 
 P = DEFAULT_POLICY
 
@@ -43,38 +35,8 @@ def test_gamma_constant_against_second_method():
         assert abs(ours - mp.euler) < mpf("1e-50")
 
 
-def test_zeta_int_closed_forms():
-    with P.context():
-        assert abs(zeta_int(2, P) - mp.pi ** 2 / 6) < mpf("1e-50")
-        assert abs(zeta_int(4, P) - mp.pi ** 4 / 90) < mpf("1e-50")
-
-
-def test_zeta_int_against_second_method():
-    with P.context():
-        for j in (3, 5, 11):
-            assert abs(zeta_int(j, P) - mp.zeta(j)) < mpf("1e-50")
-
-
-def test_zeta_int_domain():
-    with pytest.raises(DomainError):
-        zeta_int(1, P)
-
-
 def test_precision_doubling_stability():
     lo = PrecisionPolicy(128, 1e-30)
     hi = PrecisionPolicy(256, 1e-30)
     with hi.context():
         assert abs(euler_gamma(lo) - euler_gamma(hi)) < mpf(2) ** -120
-        assert abs(zeta_int(3, lo) - zeta_int(3, hi)) < mpf(2) ** -120
-
-
-def test_gamma_scalar_functional_equation():
-    with P.context():
-        z = mp.mpc("1.7", "0.3")
-        assert abs(gamma_scalar(z + 1, P) - z * gamma_scalar(z, P)) < mpf("1e-45")
-
-
-def test_gamma_scalar_pole():
-    for s in (0, -3):
-        with pytest.raises(DomainError):
-            gamma_scalar(s, P)

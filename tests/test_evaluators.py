@@ -13,6 +13,13 @@ from hyperzeta import (
     zeta_direct,
 )
 from hyperzeta import evaluators, hankel
+from hyperzeta.asymptotics import (
+    AsymExperiment,
+    default_experiment,
+    lhs_value,
+    remainder_reduction_check,
+    rhs_expansion,
+)
 from hyperzeta.errors import InvalidParameter, PrecisionUnreachable, TooCloseToInteger
 from hyperzeta.evaluators import METHOD_COMBINATION, derivative_fd
 from hyperzeta.series import LaurentSeries
@@ -180,28 +187,39 @@ def test_contour_target_below_one_over_prefactor(monkeypatch):
         assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
 
+with mp.workprec(256):
+    _S = mpf(3) / 2 + mp.mpc(0, 1) / 3
+    _W = mpf(1) / 3 + mp.mpc(0, 1) / 7
+    _W_ASYM = mpf(61) / 3
+_OM = OmegaVector.of(1, mpf("1.25"))
+_EXPERIMENT = default_experiment(1, 0)
+
 _EVALUATORS = {
-    "zeta_contour": lambda s, w, om: zeta_contour(s, w, om, P),
-    "zeta_direct": lambda s, w, om: zeta_direct(s + 2, w, om, P),
-    "log_hyper_gamma": lambda s, w, om: log_hyper_gamma(1, 0, w, om, P),
-    "balanced_P": lambda s, w, om: balanced_P(2, 1, w, om, P),
+    "zeta_contour": lambda: zeta_contour(_S, _W, _OM, P),
+    "zeta_direct": lambda: zeta_direct(_S + 2, _W, _OM, P),
+    "log_hyper_gamma": lambda: log_hyper_gamma(1, 0, _W, _OM, P),
+    "balanced_P": lambda: balanced_P(2, 1, _W, _OM, P),
+    "balanced_P_combination": lambda: balanced_P(2, 1, _W, _OM, P, METHOD_COMBINATION),
+    # lambda = 6 / Re(w) = 0.2 is not a binary fraction
+    "hankel_integrate": lambda: hankel.hankel_integrate(
+        hankel.IntegrandSpec(omega=OmegaVector.of(1), w=30, k=1, poly=PolyC((0, 1))), None, P
+    ),
+    "rhs_expansion": lambda: rhs_expansion(_EXPERIMENT, _W_ASYM),
+    "lhs_value": lambda: lhs_value(_EXPERIMENT, _W_ASYM),
+    "remainder_reduction_check": lambda: remainder_reduction_check(_EXPERIMENT, _W_ASYM, 1),
 }
 
 
 @pytest.mark.parametrize("name", list(_EVALUATORS))
 def test_arguments_convert_at_the_working_precision(name):
-    # s and w built at 256 bits give the same value whether the caller's
-    # context has 53 bits or 256: the evaluators convert them in their own
-    evaluate = _EVALUATORS[name]
-    om = OmegaVector.of(1, mpf("1.25"))
-    with mp.workprec(256):
-        s = mpf(3) / 2 + mp.mpc(0, 1) / 3
-        w = mpf(1) / 3 + mp.mpc(0, 1) / 7
+    # arguments built at 256 bits give bit-identical values whether the
+    # caller's context has 53 bits or 256: everything, lambda included, is
+    # taken at the policy's precision
     with mp.workprec(53):
-        low = evaluate(s, w, om)
+        low = _EVALUATORS[name]()
     with mp.workprec(256):
-        high = evaluate(s, w, om)
-        assert abs(low.value - high.value) <= low.err_estimate
+        high = _EVALUATORS[name]()
+    assert low == high
 
 
 def test_periods_keep_their_bits():
@@ -233,6 +251,14 @@ def test_values_keep_their_bits():
     assert spec.k == k
     assert poly.coeffs[0] == c
     assert tail.coeffs[1] == c
+    # and so do an experiment's shift a and its mpf grid points
+    with mp.workprec(256):
+        a = mp.mpc(mpf(1) / 3, mpf(1) / 7)
+        grid = (mpf(61) / 3, mpf(40), mpf(80), mpf(160))
+    with mp.workprec(53):
+        e = AsymExperiment(OmegaVector.of(1), OmegaVector.of(1), a, 1, 0, grid)
+    assert e.a == a
+    assert e.w_grid == grid
 
 
 @pytest.mark.parametrize("s", ["-40.5", "-170.5"])
