@@ -33,7 +33,6 @@ from .evaluators import (
 )
 from .hankel import IntegrandSpec, auto_spec, hankel_integrate
 from .multibernoulli import (
-    BernoulliExpansion,
     OmegaVector,
     bernoulli_a,
     bernoulli_a_exact,
@@ -48,7 +47,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AsymExperiment",
     "AsymRow",
-    "BernoulliExpansion",
     "ConvergenceTooSlow",
     "DEFAULT_BITS",
     "DEFAULT_POLICY",

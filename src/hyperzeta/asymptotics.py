@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf
 
 from .errors import FitUnstable, InvalidParameter
+from .evaluators import balanced_P
 from .hankel import IntegrandSpec, hankel_integrate, ray_only_integrate
-from .multibernoulli import OmegaVector, bernoulli_expansion
+from .multibernoulli import OmegaVector, bernoulli_a, bernoulli_expansion
 from .precision import DEFAULT_POLICY, PrecisionPolicy, _exact_mpc
 from .qpoly import PolyC, s_poly
 from .series import LaurentSeries
@@ -95,16 +96,10 @@ def default_experiment(m: int = 1, k: int = 0, **kwargs) -> AsymExperiment:
     )
 
 
-def _absorbed_expansion(e: AsymExperiment, start: int, stop: int) -> LaurentSeries:
-    """sum_{start <= N < stop} a_{l,N}(a; alpha) t^N, from one expansion."""
-    expansion = bernoulli_expansion(e.alpha, e.a, stop, e.policy)
-    return LaurentSeries(start, tuple(map(expansion.coefficient, range(start, stop))))
-
-
 def rhs_expansion(e: AsymExperiment, w):
     """Finite expansion sum as one integral; returns (value, err_estimate)."""
     p = e.policy
-    tail = _absorbed_expansion(e, -e.alpha.r, e.omega.r + e.k + 1)
+    tail = bernoulli_expansion(e.alpha, e.a, e.omega.r + e.k + 1, p)
     ispec = IntegrandSpec(omega=e.omega, w=w, k=e.k, poly=s_poly(e.m, e.k, p), tail=tail)
     return hankel_integrate(ispec, None, p)
 
@@ -115,14 +110,10 @@ def lhs_value(e: AsymExperiment, w):
     The shift w + a matches the exact split identity; with strict_statement
     the shift is dropped so the printed (unshifted) form can be observed.
     """
-    p = e.policy
-    with p.context(16):
+    with e.policy.context(16):
         arg = mp.mpc(w) if e.strict_statement else mp.mpc(w) + e.a
-        if not mp.re(arg) > 0:
-            raise InvalidParameter("Re(w + a) > 0 required")
-        combined = e.omega.concat(e.alpha)
-        ispec = IntegrandSpec(omega=combined, w=arg, k=e.k, poly=s_poly(e.m, e.k, p))
-        return hankel_integrate(ispec, None, p)
+    res = balanced_P(e.m, e.k, arg, e.omega.concat(e.alpha), e.policy)
+    return res.value, res.err_estimate
 
 
 def run_experiment(e: AsymExperiment):
@@ -163,14 +154,15 @@ def fit_one_over_w(e: AsymExperiment, rows=None):
             raise FitUnstable(
                 f"extrapolants differ by {mp.nstr(abs(r1 - r2) / scale, 3)} relative"
             )
-        reference = remainder_tail(e, 1).coeffs[0] / e.omega.product
+        reference = bernoulli_a(e.alpha, e.omega.r + e.k + 1, e.a, e.policy) / e.omega.product
         return r2, reference
 
 
 def remainder_tail(e: AsymExperiment, terms: int = DEFAULT_REMAINDER_TERMS):
     """Truncated tail sum_{N >= r+k+1} a_{l,N}(a; alpha) t^N as a series."""
     start = e.omega.r + e.k + 1
-    return _absorbed_expansion(e, start, start + terms)
+    series = bernoulli_expansion(e.alpha, e.a, start + terms, e.policy)
+    return LaurentSeries(start, series.coeffs[start - series.valuation :])
 
 
 def remainder_reduction_check(

@@ -300,7 +300,8 @@ def balanced_P(
     The primary path is a single contour integral with the (k-independent)
     S polynomial; it extends to every integer k, negative indices included,
     which realizes the derivative hierarchy d/dw P(m,k) = -P(m,k-1) beyond
-    k = 0.  The secondary path sums the weighted log gammas and needs k >= 0.
+    k = 0.  The secondary path sums the weighted log gammas and needs k >= 0;
+    each log gamma aims at the target over the sum of the weights' magnitudes.
     """
     if m < 0:
         raise InvalidParameter("balanced_P needs m >= 0")
@@ -311,13 +312,19 @@ def balanced_P(
     if method == METHOD_COMBINATION:
         if k < 0:
             raise InvalidParameter("the combination path needs k >= 0")
-        parts = [log_hyper_gamma(mu, k, w, omega, p, lam) for mu, _ in _c_weights(m, k)]
         # weighted and summed at the integrals' working precision, as
-        # zeta_contour's product is
+        # zeta_contour's product is; each part aims at target / sum |c|,
+        # rounded down as zeta_contour rounds its scaled target
         with p.context(QUADRATURE_GUARD_BITS):
-            weights = [weight for _, weight in _c_weights(m, k)]
-            total = mp.fsum(c * part.value for c, part in zip(weights, parts))
-            err = mp.fsum(abs(c) * part.err_estimate for c, part in zip(weights, parts))
+            weights = list(_c_weights(m, k))
+            share = mpf(p.target_abs_error) / mp.fsum(abs(c) for _, c in weights)
+        share = nextafter(float(share), 0)
+        if not share > 0:
+            raise PrecisionUnreachable(f"target {p.target_abs_error} / sum |c| underflows")
+        parts = [log_hyper_gamma(mu, k, w, omega, p.with_target(share), lam) for mu, _ in weights]
+        with p.context(QUADRATURE_GUARD_BITS):
+            total = mp.fsum(c * part.value for (_, c), part in zip(weights, parts))
+            err = mp.fsum(abs(c) * part.err_estimate for (_, c), part in zip(weights, parts))
         return EvalResult(total, err, METHOD_COMBINATION)
     raise InvalidParameter(f"unknown method {method!r}")
 

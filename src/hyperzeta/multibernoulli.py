@@ -20,7 +20,7 @@ from math import factorial
 from mpmath import mp
 
 from .errors import InvalidParameter
-from .precision import DEFAULT_POLICY, PrecisionPolicy, _exact_mpc
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
 from .series import LaurentSeries, _bernoulli_jet, _inv_coeffs, _mul_coeffs, exponential_jet
 
 
@@ -70,38 +70,28 @@ class OmegaVector:
         return OmegaVector(self.omegas[:-1])
 
 
-@dataclass(frozen=True)
-class BernoulliExpansion:
-    base: OmegaVector
-    w: object
-    series: LaurentSeries
-
-    def coefficient(self, N: int):
-        """a_{r,N}(w; omega)."""
-        if N < -self.base.r:
-            raise IndexError(f"index {N} below the valuation {-self.base.r}")
-        return self.series.coeff(N)
-
-
 def bernoulli_expansion(
     omega: OmegaVector, w, order: int, p: PrecisionPolicy = DEFAULT_POLICY
-) -> BernoulliExpansion:
-    """Expansion of e^{-wt} * f_omega(t); coefficient N is a_{r,N}(w; omega).
+) -> LaurentSeries:
+    """Laurent series of e^{-wt} * f_omega(t) through t^(order - 1); its
+    coefficient of t^N is a_{r,N}(w; omega).
 
     It is the product of e^{-wt} and, for each period o, of
     1/(1 - e^{-o t}) = (1/(o t)) sum_n B_n (-o t)^n / n!, each with order + r
     terms.  Every factor is exact through its order, so the product is exact
-    through t^(order - 1) and needs no guard terms."""
+    through t^(order - 1) and needs no guard terms.  It is built, as q_poly
+    and s_poly are, at a Hankel integral's working precision under p, so that
+    it can be an integrand's tail."""
     r = omega.r
     if order <= -r:
         raise InvalidParameter("order must exceed the valuation -r")
     w = _exact_mpc(w)
-    with p.context(16):
+    with p.context(QUADRATURE_GUARD_BITS):
         series = exponential_jet(-w, order + r)
         for o in omega.omegas:
             jet = _bernoulli_jet(-o, order + r)
             series = series * LaurentSeries(-1, jet.coeffs).scale(1 / o)
-        return BernoulliExpansion(omega, w, series)
+        return series
 
 
 def bernoulli_a(
@@ -110,7 +100,7 @@ def bernoulli_a(
     """Single multiple Bernoulli polynomial value a_{r,N}(w; omega)."""
     if N < -omega.r:
         raise IndexError(f"index {N} below the valuation {-omega.r}")
-    return bernoulli_expansion(omega, w, N + 1, p).coefficient(N)
+    return bernoulli_expansion(omega, w, N + 1, p).coeff(N)
 
 
 # -- exact rational path (test oracle) ------------------------------------

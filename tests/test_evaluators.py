@@ -324,6 +324,24 @@ def test_balanced_two_paths_agree():
         assert abs(a.value - b.value) < mpf("1e-20")
 
 
+# each log gamma aims at target / sum |c|: with the full target apiece the
+# weighted estimates summed to 1.73e-55 and 1.22e-32
+@pytest.mark.parametrize("m, k, target", [(3, 3, 1e-55), (3, 1, 1e-32)])
+def test_balanced_combination_meets_its_target(m, k, target):
+    om, w, p = OmegaVector.of(1, mpf("1.3")), mpf(30), P.with_target(target)
+    comb = balanced_P(m, k, w, om, p, method=METHOD_COMBINATION)
+    contour = balanced_P(m, k, w, om, p)
+    assert comb.err_estimate <= target
+    with SHARP.context():
+        assert abs(comb.value - contour.value) <= comb.err_estimate + contour.err_estimate
+
+
+def test_balanced_combination_share_underflow_is_unreachable():
+    # 5e-324 over the weights' sum 5 rounds to 0, below every float target
+    with pytest.raises(PrecisionUnreachable):
+        balanced_P(2, 1, 1, OmegaVector.of(1), P.with_target(5e-324), method=METHOD_COMBINATION)
+
+
 def test_balanced_combination_rejects_negative_k():
     with pytest.raises(InvalidParameter):
         balanced_P(1, -1, 1, OmegaVector.of(1), P, method=METHOD_COMBINATION)

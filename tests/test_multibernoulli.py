@@ -100,10 +100,10 @@ def test_derivative_identity_numeric():
 def test_expansion_object():
     with P.context():
         exp = bernoulli_expansion(OmegaVector.of(1), mpf("0.5"), 6, P)
-        assert exp.series.valuation == -1
-        assert abs(exp.coefficient(-1) - 1) < mpf("1e-50")
-        with pytest.raises(IndexError):
-            exp.coefficient(-2)
+        assert exp.valuation == -1
+        assert abs(exp.coeff(-1) - 1) < mpf("1e-50")
+    with pytest.raises(IndexError):
+        bernoulli_a(OmegaVector.of(1), -2, mpf("0.5"), P)
 
 
 def test_valuation_coefficient_is_one_over_product():
