@@ -41,6 +41,9 @@ METHOD_COMBINATION = "combination"
 
 # the head length's factor on ln(1/eps) / (2 pi); see _head_length
 HEAD_FACTOR = mpf("1.3")
+# the longest head a level may sum (_head_length), about 8 times the longest
+# the tests reach (121 points at |s| = 120)
+HEAD_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,9 @@ def _require_right_half(w):
 
 
 def _lattice_em(s, w, levels, eps):
-    """(value, err) of the Barnes zeta: head sum plus Euler-Maclaurin in the last direction.
+    """(value, err, size) of the Barnes zeta: head sum plus Euler-Maclaurin in
+    the last direction; size is the float sum of |term| over every power
+    summed, each weighted as the sum it enters.
 
     ``levels`` holds, per direction k, (omega_k, the angles of omega_i / omega_k
     for i < k) as from ``_levels``.  The numbers are all mpf (real inputs, real
@@ -69,18 +74,19 @@ def _lattice_em(s, w, levels, eps):
     the tail point wN are powers of wN taken from one ``mp.power`` and carry
     no error of their own.
     """
-    if not levels:
-        return mp.power(w, -s), mpf(0)
+    if not levels:  # r = 0: one power, nothing summed
+        return mp.power(w, -s), mpf(0), 0.0
     (om, angles), rest = levels[-1], levels[:-1]
     N = _head_length(s, w / om, angles, eps)
     wN = w + N * om
-    errs = []
+    errs, sizes = [], []
     # at_wN(weight, k) is weight * zeta_{r-1}(s + k, wN) for the tail's offsets k
     if rest:
 
         def inner(weight, s_, x):
-            value, err = _lattice_em(s_, x, rest, eps / (2 * N + 6) / max(1, abs(weight)))
+            value, err, size = _lattice_em(s_, x, rest, eps / (2 * N + 6) / max(1, abs(weight)))
             errs.append(abs(weight) * err)
+            sizes.append(abs(complex(weight)) * size)
             return weight * value
 
         head = mp.fsum(inner(1, s, w + n * om) for n in range(N))
@@ -89,13 +95,17 @@ def _lattice_em(s, w, levels, eps):
             return inner(weight, s + k, wN)
 
     else:
-        head = mp.fsum(mp.power(w + n * om, -s) for n in range(N))
+        head = [mp.power(w + n * om, -s) for n in range(N)]
+        sizes.append(sum(map(abs, map(complex, head))))
+        head = mp.fsum(head)
         powers = _tail_powers(wN, s)
 
         def at_wN(weight, k):
             k_, power = next(powers)
             assert k_ == k, "the tail must ask for the offsets -1, 0, 1, 3, ... in order"
-            return weight * power
+            term = weight * power
+            sizes.append(abs(complex(term)))
+            return term
 
     total = head + (at_wN(1 / ((s - 1) * om), -1) + at_wN(mpf(1) / 2, 0))
 
@@ -106,7 +116,7 @@ def _lattice_em(s, w, levels, eps):
             rising *= (s + 2 * j - 1) * (s + 2 * j) * om * om
 
     total, last = constants._bernoulli_tail(total, terms(), eps / 2, ConvergenceTooSlow)
-    return total, last + mp.fsum(errs)
+    return total, last + mp.fsum(errs), sum(sizes)
 
 
 def _head_length(s, x, angles, eps):
@@ -125,7 +135,9 @@ def _head_length(s, x, angles, eps):
     eps well before their minimum, which keeps the tail short.  N is the
     smallest integer >= d0 whose point is d0 from the cone, with the distance
     growing along the tail, so that every t >= N stays d0 away.  When w and
-    the periods lie within pi/2 of each other in angle, N = d0.
+    the periods lie within pi/2 of each other in angle, N = d0.  Raises
+    ConvergenceTooSlow, before anything is summed, for an N beyond
+    HEAD_LIMIT = 1000, which an |s| of 1000 or more asks for.
     """
     decay = HEAD_FACTOR * -mp.log(eps)
     if s.imag:
@@ -134,6 +146,10 @@ def _head_length(s, x, angles, eps):
     x = complex(x)
     N = d0
     while True:
+        if N > HEAD_LIMIT:
+            raise ConvergenceTooSlow(
+                f"the head needs {N} or more lattice points, beyond {HEAD_LIMIT}"
+            )
         # the distance to a convex cone is convex along the tail: once the
         # gap points forward (Re >= 0) it only grows
         gap = _gap_to_cone(x + N, angles)
@@ -200,10 +216,16 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     eps^1.3.  Terms are added until one is below eps/2; each inner sum gets
     eps/(2N+6)/max(1, |weight|).  The last direction (one omega) is summed
     in closed form: its tail terms are powers of one point.  ``err_estimate``
-    is the last term plus the weighted inner estimates.  Raises
-    ConvergenceTooSlow if a term grows first, and PrecisionUnreachable for a
-    target below the unit roundoff of the working precision (the policy's
-    bits plus 16 guard bits), which the sum's rounding could not honour.
+    is the last term plus the weighted inner estimates plus the rounding
+    floor 50 * 2^-bits * sum |term| over every power summed, weighted as the
+    inner estimates are: mp.power takes x^-s as exp(-s log x) with 10 guard
+    bits, so a power's rounding grows with |s log x|, to about 10 units at
+    |s| = 1000 (errors of 3 units of the sum were seen at |Im s| <= 120).
+    Raises ConvergenceTooSlow if a term grows first or a head would pass
+    HEAD_LIMIT points, and PrecisionUnreachable for a target below the unit
+    roundoff of the working precision (the policy's bits plus 16 guard
+    bits), or where the floor lifts the estimate above the target: the
+    sum's rounding could not honour either.
     When s, w and every omega_i are real the sum runs in real arithmetic;
     the value is an mpc either way.
     """
@@ -218,7 +240,13 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
         if all(mp.im(x) == 0 for x in args):
             args = tuple(mp.re(x) for x in args)
         s, w, *omegas = args
-        value, err = _lattice_em(s, w, _levels(omegas), eps)
+        value, err, size = _lattice_em(s, w, _levels(omegas), eps)
+        err += 50 * mp.ldexp(size, -mp.prec)
+        if err > eps:
+            raise PrecisionUnreachable(
+                f"rounding at {mp.prec} bits of terms of magnitudes summing to {size:.3g} "
+                f"lifts the estimate to {mp.nstr(err, 3)}, above the target"
+            )
         return EvalResult(mp.mpc(value), err, METHOD_DIRECT)
 
 

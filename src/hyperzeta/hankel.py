@@ -13,19 +13,22 @@ an optional tail series in t.  k is an integer or complex: the Barnes zeta at
 s is k = -s with poly = 1.  On the outbound ray t^{-k-1} carries the jump
 e^{-2 pi i k}, exactly 1 for integer k.
 
-The two rays are integrated together as the difference of the outbound and
-inbound integrands, jump * poly(log t + 2 pi i) - poly(log t).  That is one
-polynomial in log t, built once per integral by a Taylor shift (PolyC.shift);
-for integer k its top coefficient cancels exactly, and if every coefficient
-does (a constant poly), the rays are skipped, with no end bound: the circle
-alone is the integral.  At a node, e^{-wt} t^{-k-1} is one exponential,
-exp(-wt - (k+1) log t), on the branch of log t the path gives, for integer
-and complex k alike; f_omega is one division by prod_i (1 - e^{-omega_i t}),
-and a missing tail costs nothing.  Rays use panels on a geometric subdivision
-of [lambda, T]; the circle uses panels in theta.  Every panel is integrated once at the 65
+Every part of the path is a straight segment in u = log t, on the branch the
+path gives: dt = t du turns F(t) dt into t F(t) du.  The circle is the
+segment [log lambda, log lambda + 2 pi i].  The two rays are one segment
+[log lambda, log T] of the difference of the outbound and inbound
+integrands, jump * poly(u + 2 pi i) - poly(u).  That is one polynomial in u,
+built once per integral by a Taylor shift (PolyC.shift); for integer k its
+top coefficient cancels exactly, and if every coefficient does (a constant
+poly), the rays are skipped, with no end bound: the circle alone is the
+integral.  At a node t = e^u, t f_omega(t) is one division by
+prod_i (1 - e^{-omega_i t}), e^{-wt} t^{-k-1} is one exponential,
+exp(-(k+1) u - wt), for integer and complex k alike, and a missing tail
+costs nothing.  A segment is cut into panels, each integrated once at the 65
 nodes of the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie,
-Math. Comp. 66, 1997), which gives both the Kronrod value K65 and the Gauss
-value G32 of its 32 Gauss nodes.
+Math. Comp. 66, 1997), mapped onto the panel by its midpoint and complex
+half-width; that gives both the Kronrod value K65 and the Gauss value G32 of
+its 32 Gauss nodes.
 
 K65 is returned, so each panel's estimate is one of K65's error, by
 QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
@@ -35,23 +38,25 @@ analytic integrand G32 errs by about rho^-64 and K65 by about rho^-98, so
 of that back (Gonnet, ACM Computing Surveys 44, 2012, catalogues where such
 rules fail).  Each panel adds a rounding floor, 50 * 2^-(working bits) *
 resabs, resabs the K65 integral of |f|, which no refinement removes.  resabs
-and resasc need two digits, so they are summed in floats.
+and resasc need two digits, so they are summed in floats; all three scale by
+the panel's |half-width|.
 
-The first pass is coarse: one ray panel per factor RAY_PANEL_FACTOR = 4 in t
-from lambda, and the circle in CIRCLE_PANELS = 2 panels in theta, 4 below
-CIRCLE_REACH (next paragraph).  If its floors and the ray end bounds exceed
-the target, PrecisionUnreachable is raised at once.  Then ``_refine_worst``
-refines as QUADPACK's QAG does: while the estimates, floors and end bounds
-sum above the target, the part with the largest estimate is bisected, a ray
-panel at sqrt(ab), a circle panel at its midpoint in theta.  A part's depth
-is its level in the schedule that cuts each doubling of t into 2^L panels and
-the circle into 4 * 2^L (2 circle panels, or a ray panel over a doubling, are
-at -1); past MAX_LEVELS - 1 (2^(1/32) in t, 128 circle panels) it raises
-NodeBudgetExceeded.
+The first pass is coarse: the ray segment in equal panels at most
+PANEL_WIDTH = log 16 wide (four doublings of t), and the circle in
+CIRCLE_PANELS = 2 panels, 4 below CIRCLE_REACH (next paragraph).  If its
+floors and the ray end bounds exceed the target, PrecisionUnreachable is
+raised at once.  Then ``_refine_worst`` refines as QUADPACK's QAG does: while
+the estimates, floors and end bounds sum above the target, the part with the
+largest estimate is bisected at its midpoint in u.  A part's depth is its
+level in the schedule that cuts each doubling of t into 2^L panels and the
+circle into 4 * 2^L: a first-pass ray panel is at -2, 2 circle panels at -1;
+past MAX_LEVELS - 1 (2^(1/32) in t, 128 circle panels) it raises
+NodeBudgetExceeded.  Rotating or reshaping the path moves only segment
+endpoints: a rotation by phi is u -> u + i phi.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
-of f_omega then lie at |t| >= 4 lambda, log 4 from the real axis in theta: a
+of f_omega then lie at |t| >= 4 lambda, log 4 from the circle's segment: a
 Bernstein rho of 2.2 for each of 2 circle panels, 3.8 for each of 4.  2 panels
 serve targets down to CIRCLE_REACH, about 2e-30, QUADPACK's estimate (200
 rho^-64)^1.5 for a unit integrand, and 4 (1e-52) below, as near it whether 2
@@ -63,22 +68,19 @@ does not depend on lambda, so a smaller circle costs nothing in accuracy.
 Both ends of a ray have one truncation rule: move t by a fixed factor until
 the bound |integrand|(t) * t is below target / 10, and add that bound to the
 estimate.  The far end T starts at max(30 / Re(w), 2 * lambda) and grows by
-1.25.  ``ray_only_integrate`` integrates the same outbound-minus-inbound ray
-integrand from 0 instead of from lambda, with no circle; its near end eps
-starts at lambda and shrinks by 4.  [eps, lambda] is integrated in u = log t,
-of t times the integrand, on equal first-pass panels spanning at most a
-factor NEAR_PANEL_FACTOR = 16 in t each, bisected at their midpoint in u.  In
-u the end t = 0 moves to u = -inf, where the integrand decays like
-e^u |u|^(nu-1) for poly of degree nu, so eps at 1e-11..1e-13 costs 9-11
-panels, and the poles of f_omega leave the last one a rho of 3.8 to 4.5.
+1.25.  ``ray_only_integrate`` integrates the same outbound-minus-inbound
+integrand over the one segment [log eps, log T], with no circle; its near end
+eps starts at lambda and shrinks by 4.  In u the end t = 0 moves to
+u = -inf, where t F(t) decays like e^u |u|^(nu-1) for poly of degree nu, so
+equal panels serve the whole segment: the remainder-reduction ray at w = 20,
+eps about 1e-11, takes 10 first-pass panels and no refinement.
 
-The circle's nodes t_j = lambda e^{i theta_j} do not depend on w, and neither
-does i t_j f_omega(t_j), node j's integrand but for e^{-wt} tail(t) t^{-k-1}
-poly(log t).  ``_circle_levels`` keeps it for one key (omega, lambda, working
-bits, pole threshold), dropping the old key first, for the panels of depths
--1 and 0: at about 0.6 kB per node, 0.08 MB for the first pass's 130 nodes,
-where a default-target integral stops, and 0.16 MB for their halves' 260.
-The nodes e^{i theta_j} of those panels are kept for each working precision.
+The circle's nodes t_j = e^{u_j} do not depend on w, and neither does
+t_j f_omega(t_j).  ``_circle_nodes`` keeps both by u_j for one key (omega,
+lambda, working bits, pole threshold), dropping the old key first, for at
+most CACHED_NODES = 390 nodes, as many as the 6 panels of depths -1 and 0
+hold: about 1.3 kB per node, 0.17 MB for the first pass's 130 nodes, where a
+default-target integral stops.
 """
 
 from __future__ import annotations
@@ -103,10 +105,10 @@ GAUSS_NODES = 32
 KRONROD_NODES = 2 * GAUSS_NODES + 1
 CIRCLE_PANELS = 2
 CIRCLE_REACH = (200 * exp(-64 * asinh(log(4) * CIRCLE_PANELS / pi))) ** 1.5
-# the factor in t that one first-pass panel spans: on [lambda, T], and in log t
-# on ray_only_integrate's near segment [eps, lambda]
-RAY_PANEL_FACTOR = 4
-NEAR_PANEL_FACTOR = 16
+# the widest first-pass ray panel in u = log t: four doublings of t, level -2
+PANEL_WIDTH = log(16)
+# the circle nodes _circle_nodes keeps: the 6 panels of levels -1 and 0
+CACHED_NODES = 6 * KRONROD_NODES
 
 
 @dataclass(frozen=True)
@@ -249,19 +251,14 @@ def _rule():
     return xs, kw, gw, [float(x) for x in kw]
 
 
-def _gk_panel(f, a, b, rule):
-    """(Kronrod integral, estimate, floor) of f over [a, b]: ``_gk_sums``."""
-    half, mid = (b - a) / 2, (a + b) / 2
-    return _gk_sums([f(mid + half * x) for x in rule[0]], half, rule)
-
-
 def _gk_sums(fs, half, rule):
-    """(Kronrod integral, its estimate, rounding floor) of a panel of half-width
-    half from its values fs at the rule's nodes (module docstring), in floats
-    scaled by 2^-e: e is 0, or the middle value's magnitude beyond 2^+-512."""
+    """(Kronrod integral, its estimate, rounding floor) of a panel of complex
+    half-width half from its values fs at the rule's nodes (module
+    docstring), in floats scaled by 2^-e: e is 0, or the middle value's
+    magnitude beyond 2^+-512."""
     _, kw, gw, fkw = rule
-    kronrod = half * mp.fdot(kw, fs)
-    diff = abs(kronrod - half * mp.fdot(gw, fs[1::2])) / half
+    kronrod = mp.fdot(kw, fs)
+    diff = abs(kronrod - mp.fdot(gw, fs[1::2]))
     e = mp.mag(fs[GAUSS_NODES]) if fs[GAUSS_NODES] else 0
     e = e if abs(e) > 512 else 0
     vs = [complex(mp.ldexp(mp.re(f), -e), mp.ldexp(mp.im(f), -e)) if e else complex(f) for f in fs]
@@ -270,7 +267,8 @@ def _gk_sums(fs, half, rule):
     resasc = sum(w * abs(v - mean) for w, v in zip(fkw, vs))
     d = float(mp.ldexp(diff, -e))
     err = resasc * min(1.0, (200 * d / resasc) ** 1.5) if resasc else d
-    return kronrod, half * mp.ldexp(err, e), half * mp.ldexp(50 * resabs, e - mp.prec)
+    scale = abs(half)
+    return half * kronrod, scale * mp.ldexp(err, e), scale * mp.ldexp(50 * resabs, e - mp.prec)
 
 
 def _f_omega_at(omega: OmegaVector, t, threshold):
@@ -306,83 +304,57 @@ def _check_small_divisor(z, d, t):
 
 
 class _ContourEvaluator:
-    """The integrand of one IntegrandSpec on each part of the path, for the
-    working precision it is built at (module docstring)."""
+    """The integrand t F(t) in u = log t of one IntegrandSpec on each part of
+    the path, for the working precision it is built at (module docstring).
+    Given lam, the circle |t| = lam keeps its nodes in ``_circle_nodes``."""
 
-    def __init__(self, ispec: IntegrandSpec, pole_threshold):
+    def __init__(self, ispec: IntegrandSpec, pole_threshold, lam=None):
         self.ispec = ispec
         self.thr = pole_threshold
-        # t^{-k-1} = e^{neg_k1 log t}; on the outbound ray log t gains 2 pi i,
-        # so poly(log t) there becomes jump * poly(log t + 2 pi i)
+        # t^{-k-1} = e^{neg_k1 u}; on the outbound ray u gains 2 pi i,
+        # so poly(u) there becomes jump * poly(u + 2 pi i)
         k = ispec.k
         self.neg_k1 = -k - 1
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
         self.diff = self.outbound - ispec.poly
+        if lam is not None:
+            self.nodes = _circle_nodes(ispec.omega, lam, mp.prec, pole_threshold)
 
-    def base(self, t, logt):
-        """f_omega(t) e^{-wt} tail(t) t^{-k-1} on the inbound ray (real t > 0)."""
+    def _term(self, u, t, factor):
+        """factor e^{-wt} t^{-k-1} tail(t) at t = e^u, on the branch u gives."""
         ispec = self.ispec
-        value = _f_omega_at(ispec.omega, t, self.thr) * mp.exp(self.neg_k1 * logt - ispec.w * t)
+        value = factor * mp.exp(self.neg_k1 * u - ispec.w * t)
         return value if ispec.tail is None else value * ispec.tail(t)
 
-    def ray(self, t, logt=None):
-        """Outbound-minus-inbound integrand at real t > 0 (log t if known)."""
-        logt = mp.log(t) if logt is None else logt
-        return self.base(t, logt) * self.diff(logt)
+    def ray(self, u):
+        """Outbound-minus-inbound integrand t F(t) at real u."""
+        t = mp.exp(u)
+        return self._term(u, t, t * _f_omega_at(self.ispec.omega, t, self.thr) * self.diff(u))
+
+    def circle(self, u):
+        """t F(t) at u = log lam + i theta, with t and t f_omega(t) kept."""
+        node = self.nodes.get(u)
+        if node is None:
+            t = mp.exp(u)
+            node = t, t * _f_omega_at(self.ispec.omega, t, self.thr)
+            if len(self.nodes) < CACHED_NODES:
+                self.nodes[u] = node
+        t, tf = node
+        return self._term(u, t, tf * self.ispec.poly(u))
 
     def ray_magnitude(self, t):
-        """Crude magnitude of the one-sided ray integrands (for tail bounds)."""
-        logt = mp.log(t)
-        span = abs(self.outbound(logt)) + abs(self.ispec.poly(logt)) + 1
-        return abs(self.base(t, logt)) * span
+        """Crude magnitude of the one-sided ray integrands F (for end bounds)."""
+        u = mp.log(t)
+        span = abs(self.outbound(u)) + abs(self.ispec.poly(u)) + 1
+        return abs(self._term(u, t, _f_omega_at(self.ispec.omega, t, self.thr))) * span
 
 
 @lru_cache(maxsize=1)
-def _circle_levels(omega: OmegaVector, lam, prec: int, threshold):
-    """Circle factors of panels of depth -1 and 0 by (depth, index), for one key."""
+def _circle_nodes(omega: OmegaVector, lam, prec: int, threshold):
+    """(t, t f_omega(t)) by circle node u, for one key (module docstring)."""
     return {}
-
-
-def _circle_nodes(prec: int, depth: int, i: int):
-    """(h, thetas, e^{i thetas}) for the nodes of the rule at prec on panel i,
-    of half-width h, of the circle cut into CIRCLE_PANELS * 2^(depth + 1)
-    panels in theta."""
-    h = mp.pi / (CIRCLE_PANELS << (depth + 1))
-    thetas = [(2 * i + 1 + x) * h for x in _legendre_nodes(prec)[0]]
-    return h, thetas, [mp.expj(theta) for theta in thetas]
-
-
-# the nodes of the panels of depths -1 and 0, as _circle_levels keeps
-_first_circle_nodes = lru_cache(maxsize=None)(_circle_nodes)
-
-
-def _circle_panel(ev: _ContourEvaluator, lam, rule, depth=-1, i=0):
-    """The part for panel i of the circle |t| = lam cut into
-    CIRCLE_PANELS * 2^(depth + 1) panels in theta; refine() gives its
-    halves, panels 2i and 2i + 1 one depth deeper."""
-    ispec, thr = ev.ispec, ev.thr
-    h, thetas, units = (_first_circle_nodes if depth <= 0 else _circle_nodes)(mp.prec, depth, i)
-    stored = _circle_levels(ispec.omega, lam, mp.prec, thr)
-    factors = stored.get((depth, i)) or [
-        mp.mpc(0, 1) * t * _f_omega_at(ispec.omega, t, thr) for t in (lam * u for u in units)
-    ]
-    if depth <= 0:
-        stored[depth, i] = factors
-    # -wt - (k + 1) log t = a + b theta + c e^{i theta} at t = lam e^{i theta}
-    loglam = mp.log(lam)
-    a, b, c = ev.neg_k1 * loglam, ev.neg_k1 * mp.mpc(0, 1), -ispec.w * lam
-    terms = []
-    for theta, u, f in zip(thetas, units, factors):
-        f *= mp.exp(a + b * theta + c * u) * ispec.poly(mp.mpc(loglam, theta))
-        terms.append(f if ispec.tail is None else f * ispec.tail(lam * u))
-    kronrod, err, floor = _gk_sums(terms, h, rule)
-
-    def refine():
-        return [_circle_panel(ev, lam, rule, depth + 1, 2 * i + j) for j in (0, 1)]
-
-    return kronrod, err, depth, refine, floor
 
 
 def _ray_end(ev: _ContourEvaluator, t, factor, target):
@@ -396,46 +368,23 @@ def _ray_end(ev: _ContourEvaluator, t, factor, target):
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
-def _panel(f, a, b, split, rule, depth=0):
-    """A ray part: (Kronrod, estimate, depth, refine, floor) for f over
-    [a, b], where refine() evaluates the two halves cut at split(a, b), one
-    depth deeper."""
-    kronrod, err, floor = _gk_panel(f, a, b, rule)
+def _panel(g, a, b, rule, depth):
+    """A part: (Kronrod, estimate, depth, refine, floor) for g over the
+    segment [a, b] of the u-plane; refine() gives its halves, cut at the
+    midpoint, one depth deeper."""
+    half, mid = (b - a) / 2, (a + b) / 2
+    kronrod, err, floor = _gk_sums([g(mid + half * x) for x in rule[0]], half, rule)
 
     def refine():
-        m = split(a, b)
-        return [_panel(f, a, m, split, rule, depth + 1), _panel(f, m, b, split, rule, depth + 1)]
+        return [_panel(g, a, mid, rule, depth + 1), _panel(g, mid, b, rule, depth + 1)]
 
     return kronrod, err, depth, refine, floor
 
 
-def _ray_panels(f, a, b, rule):
-    """The first-pass parts of f over [a, b]: one panel per factor
-    RAY_PANEL_FACTOR in t from a, the last ending at b, each bisecting at
-    sqrt(ab), at depth -1 where it spans over a doubling (module docstring)."""
-    edges = [mpf(a)]
-    while edges[-1] * RAY_PANEL_FACTOR < b:
-        edges.append(edges[-1] * RAY_PANEL_FACTOR)
-    edges.append(mpf(b))
-    split = lambda lo, hi: mp.sqrt(lo * hi)
-    depth = lambda lo, hi: -1 if hi > 2 * lo else 0
-    return [_panel(f, lo, hi, split, rule, depth(lo, hi)) for lo, hi in zip(edges, edges[1:])]
-
-
-def _log_panels(f, a, b, rule):
-    """The first-pass parts of f(t, log t) over [a, b] in u = log t, of t f du:
-    [log a, log b] is cut into equal panels, each spanning at most a factor
-    NEAR_PANEL_FACTOR in t; each bisects at its midpoint in u."""
-    ua, ub = mp.log(a), mp.log(b)
-    n = max(1, int(mp.ceil((ub - ua) / mp.log(NEAR_PANEL_FACTOR))))
-    h = (ub - ua) / n
-
-    def in_u(u):
-        t = mp.exp(u)
-        return t * f(t, u)
-
-    split = lambda lo, hi: (lo + hi) / 2
-    return [_panel(in_u, ua + i * h, ua + (i + 1) * h, split, rule) for i in range(n)]
+def _segment(g, a, b, n, rule, depth):
+    """The first-pass parts of g over [a, b]: n equal panels at depth."""
+    h = (b - a) / n
+    return [_panel(g, a + i * h, a + (i + 1) * h, rule, depth) for i in range(n)]
 
 
 def _refine_worst(parts, target, end_bounds):
@@ -478,14 +427,16 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
         boost = QUADRATURE_GUARD_BITS + 32 * ((boost + 16) // 32)
     with p.context(boost):
         target = p.reachable_target()
-        ev = _ContourEvaluator(ispec, p.zero_threshold)
+        ev = _ContourEvaluator(ispec, p.zero_threshold, lam)
         rule = _rule()
-        parts, tail_bound = [], 0
+        a, parts, tail_bound = mp.log(lam), [], 0
         if ev.diff.coeffs:  # else the rays cancel identically
             T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
-            parts = _ray_panels(ev.ray, lam, T, rule)
+            b = mp.log(T)
+            parts = _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), rule, -2)
         depth = -1 if target >= CIRCLE_REACH else 0
-        parts += [_circle_panel(ev, lam, rule, depth, i) for i in range(CIRCLE_PANELS << depth + 1)]
+        n = CIRCLE_PANELS << depth + 1
+        parts += _segment(ev.circle, a, mp.mpc(a, 2 * mp.pi), n, rule, depth)
         return _refine_worst(parts, target, tail_bound)
 
 
@@ -498,8 +449,8 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     By Cauchy's theorem this equals ``hankel_integrate(ispec)`` when the
     integrand is regular at t = 0, which the two checks below ensure: an
     integer k, and a tail whose valuation is at least k + 1 + r.  The ray is
-    cut to [eps, T], with both end bounds in the estimate, and [eps, lambda]
-    is integrated in log t (module docstring).  Returns (value, err_estimate).
+    cut to [eps, T], with both end bounds in the estimate, and integrated in
+    u = log t as one segment (module docstring).  Returns (value, err_estimate).
 
     With an integer k the jump is 1, so a constant poly has the ray
     difference 0 identically, and the integral is exactly (0, 0).
@@ -516,6 +467,6 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
         ev = _ContourEvaluator(ispec, p.zero_threshold)
         T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
         eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
-        rule = _rule()
-        parts = _log_panels(ev.ray, eps, lam, rule) + _ray_panels(ev.ray, lam, T, rule)
+        a, b = mp.log(eps), mp.log(T)
+        parts = _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), _rule(), -2)
         return _refine_worst(parts, target, tail_bound + head_bound)

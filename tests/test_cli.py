@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,18 @@ def test_direct_unreachable_tol_exit_4(capsys):
     assert code == 4
     assert out == ""
     assert json.loads(err)["code"] == 4
+
+
+@pytest.mark.parametrize("s", ["1e30", "2.5+1e30j"])
+def test_direct_huge_s_exit_4(capsys, s):
+    # the head would need about |s| lattice points: refused before any is summed
+    argv = ["eval", "zeta", "--method", "direct", "--s", s, "--w", "1"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert out == ""
+    assert "lattice points" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("tol", ["1e-100", "1e-300"])

@@ -29,6 +29,7 @@ from hyperzeta import (
     zeta_direct,
 )
 from hyperzeta.asymptotics import rhs_expansion
+from hyperzeta.errors import PrecisionUnreachable
 
 P = DEFAULT_POLICY
 SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
@@ -136,6 +137,24 @@ def test_direct_estimates_are_honest(r, om_abs, om_arg, w_re, w_im, s_re, s_im, 
     with SHARP.context():
         assert abs(res.value - ref.value) <= 5 * res.err_estimate
     assert res.err_estimate <= target
+
+
+@pytest.mark.parametrize(
+    "s, w, target",
+    [("2.5+120j", "0.3+20j", 1e-22), ("3.5-80j", "0.5-30j", 1e-22), ("2.5+60j", "0.3+5j", 1e-55)],
+)
+def test_direct_counts_its_rounding(s, w, target):
+    # values of 6.8e77, 7.2e48 and 4.2e37, whose rounding at 208 bits exceeds
+    # the target: the sum raises, or its estimate covers that rounding
+    with mp.workprec(480):
+        s, w = mp.mpc(complex(s)), mp.mpc(complex(w))
+        ref = mp.zeta(s, w)
+    try:
+        res = zeta_direct(s, w, OmegaVector.of(1), P.with_target(target))
+    except PrecisionUnreachable:
+        return
+    with mp.workprec(480):
+        assert abs(res.value - ref) <= res.err_estimate <= target
 
 
 def test_direct_head_grows_with_abs_s():

@@ -18,7 +18,7 @@ from hyperzeta import (
 from hyperzeta.asymptotics import default_experiment, remainder_tail
 from hyperzeta.errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from hyperzeta import balanced_P, hankel
-from hyperzeta.hankel import CIRCLE_PANELS, KRONROD_NODES, ray_only_integrate
+from hyperzeta.hankel import CIRCLE_PANELS, KRONROD_NODES, PANEL_WIDTH, ray_only_integrate
 from hyperzeta.precision import QUADRATURE_GUARD_BITS
 
 P = DEFAULT_POLICY
@@ -103,6 +103,25 @@ def test_error_estimate_honesty():
     assert abs(val - ref) <= 5 * err
 
 
+def _record_panels(monkeypatch):
+    """(a, b, depth) of every panel an integral evaluates, in order; a
+    circle panel is one whose end b is complex."""
+    panels, panel = [], hankel._panel
+    monkeypatch.setattr(
+        hankel, "_panel",
+        lambda g, a, b, rule, depth: panels.append((a, b, depth)) or panel(g, a, b, rule, depth),
+    )
+    return panels
+
+
+def _circle(panels):
+    return [(a, b, depth) for a, b, depth in panels if isinstance(b, mp.mpc)]
+
+
+def _ray(panels):
+    return [(a, b, depth) for a, b, depth in panels if not isinstance(b, mp.mpc)]
+
+
 def _rule_moment(weights, nodes, e):
     return mp.fsum(wgt * x ** e for wgt, x in zip(weights, nodes))
 
@@ -139,10 +158,8 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     # ray-end probes
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
-    ts, ends, ray_panels, depths = [], [], [], []
-    f_omega, ray_end, gk_panel, circle = (
-        hankel._f_omega_at, hankel._ray_end, hankel._gk_panel, hankel._circle_panel
-    )
+    ts, ends = [], []
+    f_omega, ray_end = hankel._f_omega_at, hankel._ray_end
 
     def probed_end(*args):
         n = len(ts)
@@ -154,31 +171,35 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
     monkeypatch.setattr(hankel, "_ray_end", probed_end)
-    monkeypatch.setattr(
-        hankel, "_gk_panel", lambda f, a, b, rule: ray_panels.append((a, b)) or gk_panel(f, a, b, rule)
-    )
-    monkeypatch.setattr(
-        hankel, "_circle_panel",
-        lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i),
-    )
-    hankel._circle_levels.cache_clear()
+    panels = _record_panels(monkeypatch)
+    hankel._circle_nodes.cache_clear()
     _, err = hankel_integrate(ispec, None, P)
     assert err <= P.target_abs_error
-    assert depths == [-1] * CIRCLE_PANELS
-    # the first pass has one ray panel per factor 4 of [lambda, T]
-    assert all(b == 4 * a for a, b in ray_panels[:-1])
-    assert len(ts) - sum(ends) == KRONROD_NODES * (len(ray_panels) + CIRCLE_PANELS)
+    assert [depth for _, _, depth in _circle(panels)] == [-1] * CIRCLE_PANELS
+    # the first pass cuts [log lambda, log T] into equal panels at most
+    # PANEL_WIDTH wide, at depth -2
+    rays = _ray(panels)
+    widths = [b - a for a, b, _ in rays]
+    assert all(depth == -2 for _, _, depth in rays)
+    assert max(widths) <= PANEL_WIDTH and max(widths) - min(widths) < mpf("1e-50")
+    assert len(ts) - sum(ends) == KRONROD_NODES * len(panels)
 
 
 def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
-    # at 1e-40 the circle starts with 4 panels, which meet it, and the first
+    # at 1e-48 the circle starts with 4 panels, which meet it, and the first
     # pass misses on the ray: the driver refines ray panels worst estimate
     # first, and leaves the other parts as they are
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     ref, _ = hankel_integrate(ispec, None, SHARP.with_target(1e-60))
     first, refined, rays = [], [], []
-    refine_worst, ray_panels = hankel._refine_worst, hankel._ray_panels
+    refine_worst, segment = hankel._refine_worst, hankel._segment
+
+    def first_pass(g, a, b, n, rule, depth):
+        parts = segment(g, a, b, n, rule, depth)
+        if depth == -2:
+            rays.extend(parts)
+        return parts
 
     def recording(parts, target, end_bounds):
         first.extend(part[1] for part in parts)
@@ -189,9 +210,9 @@ def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
         return refine_worst(wrapped, target, end_bounds)
 
     monkeypatch.setattr(hankel, "_refine_worst", recording)
-    monkeypatch.setattr(hankel, "_ray_panels", lambda *args: rays.extend(ray_panels(*args)) or rays[:])
-    val, err = hankel_integrate(ispec, None, P.with_target(1e-40))
-    assert err <= 1e-40
+    monkeypatch.setattr(hankel, "_segment", first_pass)
+    val, err = hankel_integrate(ispec, None, P.with_target(1e-48))
+    assert err <= 1e-48
     assert len(first) == len(rays) + 2 * CIRCLE_PANELS
     assert 0 < len(refined) < len(rays)
     assert all(i < len(rays) for i in refined)
@@ -208,14 +229,13 @@ def test_circle_first_pass_is_set_by_the_target(monkeypatch, omegas):
     # 4 panels, which pass, so the circle's work does not turn on omega
     ispec = IntegrandSpec(omega=OmegaVector.of(*map(mpf, omegas)), w=mpf("2.3"), k=2,
                           poly=q_poly(1, 2, P))
-    panels, circle = [], hankel._circle_panel
-    monkeypatch.setattr(
-        hankel, "_circle_panel",
-        lambda ev, lam, rule, depth, i: panels.append((depth, i)) or circle(ev, lam, rule, depth, i),
-    )
+    panels = _record_panels(monkeypatch)
     _, err = hankel_integrate(ispec, None, P.with_target(1e-32))
     assert err <= 1e-32
-    assert panels == [(0, i) for i in range(2 * CIRCLE_PANELS)]
+    # the 4 equal quarters of the segment [log lambda, log lambda + 2 pi i]
+    circle = _circle(panels)
+    assert [depth for _, _, depth in circle] == [0] * 2 * CIRCLE_PANELS
+    assert all(abs(b - a - mp.mpc(0, mp.pi / 2)) < mpf("1e-50") for a, b, _ in circle)
 
 
 @pytest.mark.parametrize(
@@ -225,32 +245,33 @@ def test_circle_first_pass_is_set_by_the_target(monkeypatch, omegas):
 )
 def test_refinement_budget(monkeypatch, integrate):
     # with a K - G that never shrinks, the refinement stops where a panel would
-    # pass depth MAX_LEVELS - 1, within the panels of the doubling schedule:
-    # levels 0..MAX_LEVELS-1, each doubling level 0's one panel per doubling
-    # of [lambda, T] (and the near segment's log panels), plus the first-pass
-    # ray panels that span two doublings, which that schedule never evaluates
-    evaluated, level0, wide = [], [], []
-    ray_panels, log_panels = hankel._ray_panels, hankel._log_panels
+    # pass depth MAX_LEVELS - 1: each first-pass part at depth d and its
+    # halves down to that depth, 2^(MAX_LEVELS - d) - 1 panels, at most 255
+    # for a ray panel of four doublings (level -2) and 127 for a circle panel
+    # (level -1)
+    first, evaluated = [], []
+    segment, panel = hankel._segment, hankel._panel
 
-    def first_ray(f, a, b, rule):
-        level0.append(int(mp.ceil(mp.log(b / a, 2))))
-        parts = ray_panels(f, a, b, rule)
-        wide.extend(part for part in parts if part[2] < 0)
+    def first_pass(g, a, b, n, rule, depth):
+        parts = segment(g, a, b, n, rule, depth)
+        first.extend(parts)
         return parts
 
-    def first_log(f, a, b, rule):
-        parts = log_panels(f, a, b, rule)
-        level0.append(len(parts))
-        return parts
+    def unit_panel(g, a, b, rule, depth):
+        evaluated.append((b - a, depth))
+        return panel(lambda u: mpf(0), a, b, rule, depth)
 
-    monkeypatch.setattr(hankel, "_ray_panels", first_ray)
-    monkeypatch.setattr(hankel, "_log_panels", first_log)
-    monkeypatch.setattr(
-        hankel, "_gk_panel", lambda f, a, b, rule: evaluated.append((a, b)) or (mpf(0), mpf(1), mpf(0))
-    )
+    monkeypatch.setattr(hankel, "_segment", first_pass)
+    monkeypatch.setattr(hankel, "_panel", unit_panel)
+    monkeypatch.setattr(hankel, "_gk_sums", lambda fs, half, rule: (mpf(0), mpf(1), mpf(0)))
     with pytest.raises(NodeBudgetExceeded):
         integrate(_unit_ray(PolyC((0, 1))))
-    assert len(evaluated) <= (2 ** hankel.MAX_LEVELS - 1) * sum(level0) + len(wide)
+    assert len(evaluated) <= sum(2 ** (hankel.MAX_LEVELS - part[2]) - 1 for part in first)
+    assert max(depth for _, depth in evaluated) == hankel.MAX_LEVELS - 1
+    # a ray panel at depth d spans at most 2^-d doublings of t, so the
+    # deepest spans at most 2^(1/32), the doubling schedule's finest level
+    rays = [(width, depth) for width, depth in evaluated if not isinstance(width, mp.mpc)]
+    assert all(width <= PANEL_WIDTH * 2 ** -(depth + 2) * (1 + 1e-40) for width, depth in rays)
 
 
 def test_contour_reaches_the_finest_doubling_level():
@@ -273,27 +294,20 @@ def test_rounding_floor_above_target_raises_within_one_pass(monkeypatch):
     # first pass shows it
     om = OmegaVector.of(1, mpf("1.3"), mpf("0.7"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=40, poly=q_poly(3, 40, P))
-    first, panels, depths = [], [], []
-    ray_panels, gk_panel, circle = hankel._ray_panels, hankel._gk_panel, hankel._circle_panel
+    first, segment = [], hankel._segment
 
-    def first_pass(f, a, b, rule):
-        parts = ray_panels(f, a, b, rule)
+    def first_pass(g, a, b, n, rule, depth):
+        parts = segment(g, a, b, n, rule, depth)
         first.extend(parts)
         return parts
 
-    monkeypatch.setattr(hankel, "_ray_panels", first_pass)
-    monkeypatch.setattr(
-        hankel, "_gk_panel", lambda f, a, b, rule: panels.append((a, b)) or gk_panel(f, a, b, rule)
-    )
-    monkeypatch.setattr(
-        hankel, "_circle_panel",
-        lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i),
-    )
+    monkeypatch.setattr(hankel, "_segment", first_pass)
+    panels = _record_panels(monkeypatch)
     with pytest.raises(PrecisionUnreachable):
         hankel_integrate(ispec, None, P.with_target(1e-55))
     assert len(panels) == len(first)
     # below CIRCLE_REACH the circle's first pass is its 4 panels of depth 0
-    assert depths == [0] * 2 * CIRCLE_PANELS
+    assert [depth for _, _, depth in _circle(panels)] == [0] * 2 * CIRCLE_PANELS
 
 
 @pytest.mark.parametrize("target", [1e-100, 1e-300])
@@ -328,55 +342,50 @@ def test_circle_cache_changes_no_result(name):
     ]
     cold = []
     for ispec in ispecs:
-        hankel._circle_levels.cache_clear()
+        hankel._circle_nodes.cache_clear()
         cold.append(hankel_integrate(ispec, 1, P))
-    hits = hankel._circle_levels.cache_info().hits
+    hits = hankel._circle_nodes.cache_info().hits
     warm = [hankel_integrate(ispec, 1, P) for ispec in ispecs]
     assert warm == cold
-    # every warm integral looks up at least level 0
-    assert hankel._circle_levels.cache_info().hits >= hits + len(ispecs)
+    # every warm integral finds the nodes its key keeps
+    assert hankel._circle_nodes.cache_info().hits >= hits + len(ispecs)
 
 
 def test_circle_cache_keeps_two_levels(monkeypatch):
-    stored, panels = [], []
-    levels_of, circle = hankel._circle_levels, hankel._circle_panel
+    stored, nodes = [], []
+    nodes_of, circle = hankel._circle_nodes, hankel._ContourEvaluator.circle
+    monkeypatch.setattr(hankel, "_circle_nodes", lambda *key: stored.append(nodes_of(*key)) or stored[-1])
     monkeypatch.setattr(
-        hankel, "_circle_levels", lambda *key: stored.append(levels_of(*key)) or stored[-1]
-    )
-    monkeypatch.setattr(
-        hankel, "_circle_panel",
-        lambda ev, lam, rule, depth, i: panels.append((depth, i)) or circle(ev, lam, rule, depth, i),
+        hankel._ContourEvaluator, "circle", lambda ev, u: nodes.append(u) or circle(ev, u)
     )
     for o in ("1", "0.8", "1.3"):
-        panels.clear()
+        nodes.clear()
         ispec = IntegrandSpec(omega=OmegaVector.of(mpf(o)), w=1, k=0, poly=q_poly(1, 0, P))
         hankel_integrate(ispec, None, P)
-    # one key at a time, holding the first-pass panels and their halves its integral reached
-    assert levels_of.cache_info().currsize == 1
-    assert sorted(stored[-1]) == sorted(panels)
-    assert all(len(f) == KRONROD_NODES for f in stored[-1].values())
-    # a 1e-65 target reaches depth 1 and beyond, which is built but not stored
-    panels.clear()
-    levels_of.cache_clear()
+    # one key at a time, holding (t, t f_omega(t)) at every node its integral reached
+    assert nodes_of.cache_info().currsize == 1
+    assert set(stored[-1]) == set(nodes) and len(nodes) < hankel.CACHED_NODES
+    assert all(abs(t - mp.exp(u)) < mpf("1e-50") for u, (t, _) in stored[-1].items())
+    # a 1e-65 target reaches more nodes than the 6 panels of depths -1 and 0
+    # hold; the first evaluated are kept, the 4 first-pass panels among them
+    nodes.clear()
+    nodes_of.cache_clear()
     ispec = IntegrandSpec(omega=_CIRCLE_OMEGAS["complex"], w=1, k=1, poly=q_poly(1, 1, P))
     hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-65))
-    assert max(depth for depth, _ in panels) >= 1
-    assert sorted(stored[-1]) == sorted(panel for panel in panels if panel[0] <= 0)
+    assert len(set(nodes)) > hankel.CACHED_NODES == 6 * KRONROD_NODES
+    assert list(stored[-1]) == list(dict.fromkeys(nodes))[: hankel.CACHED_NODES]
 
 
 def test_circle_cache_is_hit_across_w(monkeypatch):
     # the looser target keeps the ray short, so its nodes number below the circle's
     p = PrecisionPolicy(192, 1e-15)
     lam = mpf("2.8")
-    ts, panels = [], []
-    f_omega, circle = hankel._f_omega_at, hankel._circle_panel
+    ts = []
+    f_omega = hankel._f_omega_at
     monkeypatch.setattr(
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
-    monkeypatch.setattr(
-        hankel, "_circle_panel",
-        lambda ev, lam, rule, depth, i: panels.append(depth) or circle(ev, lam, rule, depth, i),
-    )
+    panels = _record_panels(monkeypatch)
     om = OmegaVector.of(1)
     balanced_P(1, 1, mpf("3.9"), om, p, lam=lam)
     ts.clear()
@@ -384,12 +393,12 @@ def test_circle_cache_is_hit_across_w(monkeypatch):
     balanced_P(1, 0, mpf("4.2"), om, p, lam=lam)
     ray_nodes = sum(1 for t in ts if not isinstance(t, mp.mpc))
     assert len(ts) == ray_nodes < CIRCLE_PANELS * KRONROD_NODES
-    assert panels == [-1] * CIRCLE_PANELS
+    assert [depth for _, _, depth in _circle(panels)] == [-1] * CIRCLE_PANELS
     # a new omega evaluates every circle node of the panels it reaches again
     ts.clear()
     panels.clear()
     balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
-    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == KRONROD_NODES * len(panels)
+    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == KRONROD_NODES * len(_circle(panels))
 
 
 def test_identically_zero_rays_are_skipped(monkeypatch):
@@ -397,21 +406,19 @@ def test_identically_zero_rays_are_skipped(monkeypatch):
     # outbound and inbound rays cancel exactly; only the circle is evaluated,
     # and no ray end bound enters the estimate
     om = OmegaVector.of(1, mpf("1.3"))
-    ts, ends, depths = [], [], []
-    f_omega, ray_end, circle = hankel._f_omega_at, hankel._ray_end, hankel._circle_panel
+    ts, ends = [], []
+    f_omega, ray_end = hankel._f_omega_at, hankel._ray_end
     monkeypatch.setattr(
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
     monkeypatch.setattr(hankel, "_ray_end", lambda *a: ends.append(a) or ray_end(*a))
-    monkeypatch.setattr(
-        hankel, "_circle_panel",
-        lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i),
-    )
-    hankel._circle_levels.cache_clear()
+    panels = _record_panels(monkeypatch)
+    hankel._circle_nodes.cache_clear()
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, P))
     val, err = hankel_integrate(ispec, None, P)
     assert not ends
-    assert depths == [-1] * CIRCLE_PANELS
+    assert panels == _circle(panels)
+    assert [depth for _, _, depth in panels] == [-1] * CIRCLE_PANELS
     assert len(ts) == KRONROD_NODES * CIRCLE_PANELS
     assert all(isinstance(t, mp.mpc) for t in ts)
     with SHARP.context():
@@ -434,10 +441,10 @@ def _product_form(ispec, t, logt):
 @pytest.mark.parametrize("tail", [None, (1, "0.5", "0.25+0.1j")], ids=["no_tail", "tail"])
 @pytest.mark.parametrize("args", [(0, 0), ("0.6", "-0.4")], ids=["real", "complex"])
 def test_nodes_match_the_product_form(monkeypatch, k, tail, args):
-    # the ray and circle terms, taken as one exponential and one difference
-    # polynomial, against the product f_omega e^{-wt} tail t^{-k-1} times
-    # jump poly(log t + 2 pi i) - poly(log t) on the ray and i t poly(log t)
-    # on the circle, evaluated at 64 more bits
+    # the ray and circle terms t F(t) in u = log t, taken as one exponential
+    # and one difference polynomial, against t times the product
+    # f_omega e^{-wt} tail t^{-k-1} times jump poly(log t + 2 pi i) - poly(log t)
+    # on the ray and poly(log t) on the circle, evaluated at 64 more bits
     om = OmegaVector.of(*(size * mp.expj(mpf(arg)) for size, arg in zip((1, mpf("1.3")), args)))
     tail = None if tail is None else LaurentSeries(1, tuple(mp.mpmathify(c) for c in tail))
     ispec = IntegrandSpec(omega=om, w=mp.mpc("1.5", "0.5"), k=k, poly=q_poly(2, 1, P), tail=tail)
@@ -447,34 +454,34 @@ def test_nodes_match_the_product_form(monkeypatch, k, tail, args):
     lam = auto_spec(om, ispec.w, P)
     with P.context(QUADRATURE_GUARD_BITS):
         prec = mp.prec
-        ev = hankel._ContourEvaluator(ispec, P.zero_threshold)
+        hankel._circle_nodes.cache_clear()
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, lam)
         rule = hankel._rule()
         ts = [lam / 3, lam, mpf("1.7"), mpf("9.1")]
-        rays = [ev.ray(t) for t in ts]
-        hankel._circle_levels.cache_clear()
-        for i in range(CIRCLE_PANELS):
-            hankel._circle_panel(ev, lam, rule, -1, i)
+        rays = [ev.ray(mp.log(t)) for t in ts]
+        loglam = mp.log(lam)
+        hankel._segment(ev.circle, loglam, mp.mpc(loglam, 2 * mp.pi), CIRCLE_PANELS, rule, -1)
     with mp.workprec(prec + 64):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         for t, value in zip(ts, rays):
             logt = mp.log(t)
             diff = jump * ispec.poly(logt + two_pi_i) - ispec.poly(logt)
-            ref = _product_form(ispec, t, logt) * diff
+            ref = t * _product_form(ispec, t, logt) * diff
             assert abs(value - ref) <= mpf(2) ** (8 - prec) * abs(ref)
         h = mp.pi / CIRCLE_PANELS
         for i, panel in enumerate(terms):
             for x, value in zip(rule[0], panel):
                 theta = (2 * i + 1 + x) * h
                 t, logt = lam * mp.expj(theta), mp.mpc(mp.log(lam), theta)
-                ref = mp.mpc(0, 1) * t * _product_form(ispec, t, logt) * ispec.poly(logt)
+                ref = t * _product_form(ispec, t, logt) * ispec.poly(logt)
                 assert abs(value - ref) <= mpf(2) ** (8 - prec) * abs(ref)
 
 
 def test_warm_circle_node_takes_one_exponential(monkeypatch):
-    # with the circle's f_omega factors and unit nodes cached, a circle node
-    # costs one mp.exp (e^{-wt} t^{-k-1} together), and nothing in the
-    # integral takes mp.power or mp.expj
+    # with the circle's t and t f_omega(t) cached, a circle node costs one
+    # mp.exp (e^{-wt} t^{-k-1} together), and nothing in the integral takes
+    # mp.power or mp.expj
     om = OmegaVector.of(1, mpf("1.3"))
     hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P)), None, P)
     calls = {"power": 0, "expj": 0, "exp": 0}
@@ -495,19 +502,17 @@ def test_warm_circle_node_takes_one_exponential(monkeypatch):
 
         return wrapped
 
-    depths = []
-    circle = hankel._circle_panel
     monkeypatch.setattr(mp, "exp", counted_exp)
     monkeypatch.setattr(mp, "power", lambda *a: calls.update(power=calls["power"] + 1) or power(*a))
     monkeypatch.setattr(mp, "expj", lambda *a: calls.update(expj=calls["expj"] + 1) or expj(*a))
     monkeypatch.setattr(hankel, "_f_omega_at", within("f_omega", hankel._f_omega_at))
     monkeypatch.setattr(
-        hankel, "_circle_panel",
-        within("circle", lambda ev, lam, rule, depth, i: depths.append(depth) or circle(ev, lam, rule, depth, i)),
+        hankel._ContourEvaluator, "circle", within("circle", hankel._ContourEvaluator.circle)
     )
+    panels = _record_panels(monkeypatch)
     _, err = hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.7"), k=1, poly=q_poly(2, 1, P)), None, P)
     assert err <= P.target_abs_error
-    assert depths == [-1] * CIRCLE_PANELS
+    assert [depth for _, _, depth in _circle(panels)] == [-1] * CIRCLE_PANELS
     assert calls == {"power": 0, "expj": 0, "exp": KRONROD_NODES * CIRCLE_PANELS}
 
 
@@ -564,11 +569,7 @@ def test_ray_only_near_segment_is_a_few_log_panels(monkeypatch):
         ispec = IntegrandSpec(
             omega=e.omega, w=20, k=e.k, poly=PolyC.monomial(1), tail=remainder_tail(e)
         )
-    panels = []
-    gk_panel = hankel._gk_panel
-    monkeypatch.setattr(
-        hankel, "_gk_panel", lambda f, a, b, rule: panels.append((a, b)) or gk_panel(f, a, b, rule)
-    )
+    panels = _record_panels(monkeypatch)
     ray_only_integrate(ispec, P)
     assert len(panels) <= 16
 
@@ -580,11 +581,7 @@ def test_ray_only_refines_only_the_panels_that_miss(monkeypatch):
     om = OmegaVector.of(mp.expj(mpf("-0.7")))
     tail = LaurentSeries(2, (mp.mpc(1), mpf("0.3"), mp.mpc("-0.2", "0.1")))
     ispec = IntegrandSpec(omega=om, w=mp.mpc("0.5", "-3"), k=0, poly=PolyC.monomial(1), tail=tail)
-    panels = []
-    gk_panel = hankel._gk_panel
-    monkeypatch.setattr(
-        hankel, "_gk_panel", lambda f, a, b, rule: panels.append((a, b)) or gk_panel(f, a, b, rule)
-    )
+    panels = _record_panels(monkeypatch)
     val, err = ray_only_integrate(ispec, P)
     assert len(panels) <= 60
     ref, _ = hankel_integrate(ispec, None, SHARP)
@@ -593,8 +590,8 @@ def test_ray_only_refines_only_the_panels_that_miss(monkeypatch):
 
 
 # r = 1 or 2 periods with |arg| <= 1.3 and modulus up to 2, k = 0..2, nu = 1..3,
-# Re(w) in [0.5, 40] with |Im w| <= Re(w) / 2, and a tail of valuation exactly
-# k + 1 + r with a nonzero leading coefficient
+# Re(w) in [0.5, 40] with |Im w| <= Re(w) / 2, a tail of valuation exactly
+# k + 1 + r with a nonzero leading coefficient, and a target of 1e-22 or 1e-40
 @settings(max_examples=3, derandomize=True, deadline=None)
 @given(
     periods=st.lists(st.tuples(st.floats(0.5, 2), st.floats(-1.3, 1.3)), min_size=1, max_size=2),
@@ -603,22 +600,26 @@ def test_ray_only_refines_only_the_panels_that_miss(monkeypatch):
     w_re=st.floats(0.5, 40),
     w_slope=st.floats(-0.5, 0.5),
     lead_arg=st.floats(-3, 3),
+    target=st.sampled_from([1e-22, 1e-40]),
 )
-@example(periods=[(2, 1.3), (0.5, -1.3)], k=2, nu=3, w_re=5, w_slope=0.5, lead_arg=1)
-@example(periods=[(1, -1.3)], k=0, nu=1, w_re=0.5, w_slope=-0.5, lead_arg=0)
-@example(periods=[(1, 1.3)], k=1, nu=2, w_re=40, w_slope=0.5, lead_arg=2)
-def test_ray_only_estimates_are_honest(periods, k, nu, w_re, w_slope, lead_arg):
+@example(periods=[(2, 1.3), (0.5, -1.3)], k=2, nu=3, w_re=5, w_slope=0.5, lead_arg=1, target=1e-40)
+@example(periods=[(1, -1.3)], k=0, nu=1, w_re=0.5, w_slope=-0.5, lead_arg=0, target=1e-40)
+@example(periods=[(1, 1.3)], k=1, nu=2, w_re=40, w_slope=0.5, lead_arg=2, target=1e-40)
+def test_ray_only_estimates_are_honest(periods, k, nu, w_re, w_slope, lead_arg, target):
     om = OmegaVector.of(*(mp.mpmathify(cmath.rect(*pa)) for pa in periods))
     tail = LaurentSeries(
         k + 1 + om.r, (mp.mpmathify(cmath.rect(1, lead_arg)), mpf("0.3"), mp.mpc("-0.2", "0.1"))
     )
     w = mp.mpc(w_re, w_re * w_slope)
     ispec = IntegrandSpec(omega=om, w=w, k=k, poly=PolyC.monomial(nu), tail=tail)
-    val, err = ray_only_integrate(ispec, P)
-    # the contour integral of the same integrand, which Cauchy's theorem equates to the rays
-    ref, _ = hankel_integrate(ispec, None, SHARP)
-    with SHARP.context():
+    val, err = ray_only_integrate(ispec, P.with_target(target))
+    # the contour integral of the same integrand, which Cauchy's theorem
+    # equates to the rays, at 64 more bits and 1e-55
+    ref_policy = PrecisionPolicy(P.precision_bits + 64, 1e-55)
+    ref, _ = hankel_integrate(ispec, None, ref_policy)
+    with ref_policy.context():
         assert abs(val - ref) <= 5 * err
+    assert err <= target
 
 
 def test_small_divisor_near_zero_is_not_a_pole():
