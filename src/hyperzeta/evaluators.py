@@ -1,11 +1,12 @@
 """Public evaluation API.
 
 * ``zeta_direct`` sums the defining lattice series in one pass: a head that
-  puts the tail point a distance from the poles that grows with |s| and with
-  the digits asked for (no fixed minimum length), then an Euler-Maclaurin
-  tail correction in the last omega direction,
-  applied recursively down to one omega, until a Bernoulli term is below
-  half the policy's target.  Real inputs are summed in real arithmetic.
+  puts the tail point a distance from the poles that grows with |s|, with
+  the digits asked for and with the periods' scale, counted from the level's
+  own start point (a level that starts that far out sums no head), then an
+  Euler-Maclaurin tail correction in the last omega direction, applied
+  recursively down to one omega, until a Bernoulli term is below half the
+  policy's target.  Real inputs are summed in real arithmetic.
 * ``zeta_contour`` evaluates the Hankel-contour representation with the
   1/(Gamma(s)(e^{2 pi i s}-1)) prefactor (generic s only).
 * ``log_hyper_gamma`` and ``balanced_P`` evaluate the contour integrals with
@@ -19,7 +20,7 @@ from __future__ import annotations
 from cmath import phase, rect
 from dataclasses import dataclass
 from itertools import count
-from math import nextafter
+from math import lgamma, nextafter
 
 from mpmath import mp, mpf
 
@@ -39,10 +40,10 @@ METHOD_DIRECT = "direct_sum"
 METHOD_CONTOUR = "contour"
 METHOD_COMBINATION = "combination"
 
-# the head length's factor on ln(1/eps) / (2 pi); see _head_length
+# the tail distance's factor on ln(1/eps) / (2 pi); see _tail_distance
 HEAD_FACTOR = mpf("1.3")
-# the longest head a level may sum (_head_length), about 8 times the longest
-# the tests reach (121 points at |s| = 120)
+# the longest head a level may sum (_head_length), about 14 times the longest
+# the tests reach (71 points at |Im s| = 120)
 HEAD_LIMIT = 1000
 
 
@@ -69,22 +70,26 @@ def _lattice_em(s, w, levels, eps):
     summed, each weighted as the sum it enters.
 
     ``levels`` holds, per direction k, (omega_k, the angles of omega_i / omega_k
-    for i < k) as from ``_levels``.  The numbers are all mpf (real inputs, real
+    for i < k, ln(2 pi / min_{i <= k} |omega_i|)) as from ``_levels``.  The numbers are all mpf (real inputs, real
     arithmetic) or all mpc.  The recursion ends at one omega, whose terms at
     the tail point wN are powers of wN taken from one ``mp.power`` and carry
     no error of their own.
     """
     if not levels:  # r = 0: one power, nothing summed
         return mp.power(w, -s), mpf(0), 0.0
-    (om, angles), rest = levels[-1], levels[:-1]
-    N = _head_length(s, w / om, angles, eps)
+    (om, angles, scale), rest = levels[-1], levels[:-1]
+    d0 = _tail_distance(s, eps, scale)
+    N = _head_length(w / om, angles, d0)
     wN = w + N * om
     errs, sizes = [], []
-    # at_wN(weight, k) is weight * zeta_{r-1}(s + k, wN) for the tail's offsets k
+    # at_wN(weight, k) is weight * zeta_{r-1}(s + k, wN) for the tail's offsets k;
+    # an inner sum's share, eps / (2 max(N, d0) + 6), leaves room for N head
+    # sums and d0 + 6 tail sums, however short the head
     if rest:
 
         def inner(weight, s_, x):
-            value, err, size = _lattice_em(s_, x, rest, eps / (2 * N + 6) / max(1, abs(weight)))
+            share = eps / (2 * max(N, d0) + 6) / max(1, abs(weight))
+            value, err, size = _lattice_em(s_, x, rest, share)
             errs.append(abs(weight) * err)
             sizes.append(abs(complex(weight)) * size)
             return weight * value
@@ -119,43 +124,57 @@ def _lattice_em(s, w, levels, eps):
     return total, last + mp.fsum(errs), sum(sizes)
 
 
-def _head_length(s, x, angles, eps):
-    """Lattice points summed before the Euler-Maclaurin tail, for target eps.
+def _tail_distance(s, eps, scale):
+    """d0, the distance from the summand's poles, in periods om, at which a
+    level's Euler-Maclaurin tail starts, for target eps; scale is
+    ln(2 pi / rho), rho the smallest |omega_i| of the level (om and the inner
+    periods).
 
     In units of om the level sums f(t) = zeta(s, w + t om; rest) at t = 0, 1,
-    ..., and f is singular where x + t lies on the cone -sum n_i om_i / om
-    (n_i >= 0; the point 0 alone for one omega), x = w / om; ``angles`` are
-    those of the om_i / om.  The Bernoulli terms at the tail point t = N
-    depend on its distance d from that cone.  Past d = floor|s| + 1 they
-    shrink from the first, and the smallest of them is about e^{-2 pi d},
-    times up to e^{pi |Im s|} from 1/Gamma(s) and from |(w + N om)^{-s}|
-    (|arg| < pi/2).  So
-    d0 = max(floor|s| + 1, (c ln(1/eps) + pi |Im s|) / (2 pi)) puts the
-    smallest term near eps^c; with c = 1.3 rather than 1 the terms fall below
-    eps well before their minimum, which keeps the tail short.  N is the
-    smallest integer >= d0 whose point is d0 from the cone, with the distance
-    growing along the tail, so that every t >= N stays d0 away.  When w and
-    the periods lie within pi/2 of each other in angle, N = d0.  Raises
-    ConvergenceTooSlow, before anything is summed, for an N beyond
-    HEAD_LIMIT = 1000, which an |s| of 1000 or more asks for.
+    ...  Its Bernoulli terms at a tail point d from the poles fall like
+    |T_{j+1} / T_j| <= (|s| + 2j)^2 / (2 pi d)^2, so past d = (|s| + 2) / (2 pi)
+    they shrink from j = 1 on.  The smallest of them is about e^{-2 pi d}
+    |(2 pi / om)^s / Gamma(s)| (for one period; the inner periods' scale
+    enters through rho): up to e^{pi |Im s|} from 1/Gamma(s) and from the
+    phase of (w + N om)^{-s} (|arg| < pi/2), and (2 pi / rho)^{Re s} /
+    Gamma(Re s) from the level's scale, which exceeds 1 for small periods
+    and moderate s (about 450 at most for rho = 1, near Re s = 2 pi).  So
+    d0 = max(|s| + 2, c ln(1/eps) + pi |Im s| + ln+((2 pi / rho)^{Re s} /
+    Gamma(Re s))) / (2 pi), rounded up, puts the smallest term near eps^c;
+    with c = 1.3 rather than 1 the terms fall below eps well before their
+    minimum, which keeps the tail short.
     """
     decay = HEAD_FACTOR * -mp.log(eps)
     if s.imag:
         decay += mp.pi * abs(s.imag)
-    d0 = max(int(abs(s)) + 1, int(mp.ceil(decay / (2 * mp.pi))))
+    sigma = float(s.real)
+    decay += max(0.0, sigma * scale - lgamma(sigma))
+    return int(mp.ceil(max(abs(s) + 2, decay) / (2 * mp.pi)))
+
+
+def _head_length(x, angles, d0):
+    """N, the lattice points a level sums before its tail: the smallest
+    integer >= 0 whose point x + N is d0 from the cone where the summand is
+    singular, with the gap pointing forward.
+
+    In units of om the summand f(t) = zeta(s, w + t om; rest) is singular
+    where x + t lies on the cone -sum n_i om_i / om (n_i >= 0; the point 0
+    alone for one omega), x = w / om; ``angles`` are those of the om_i / om.
+    The distance to a convex cone is convex along the tail, so once the gap
+    points forward every t >= N stays d0 away.  A level that starts d0 from
+    the cone, as the tail's inner sums at a far tail point do, sums no head.
+    Raises ConvergenceTooSlow, before anything is summed, for an N beyond
+    HEAD_LIMIT = 1000: a d0 of about 1000 periods beyond w, which an |s|
+    near 6300 or an |Im s| near 2000 asks for.
+    """
     x = complex(x)
-    N = d0
-    while True:
-        if N > HEAD_LIMIT:
-            raise ConvergenceTooSlow(
-                f"the head needs {N} or more lattice points, beyond {HEAD_LIMIT}"
-            )
-        # the distance to a convex cone is convex along the tail: once the
-        # gap points forward (Re >= 0) it only grows
+    for N in range(HEAD_LIMIT + 1):
         gap = _gap_to_cone(x + N, angles)
         if abs(gap) >= d0 and gap.real >= 0:
             return N
-        N += 1
+    raise ConvergenceTooSlow(
+        f"the head needs {HEAD_LIMIT + 1} or more lattice points, beyond {HEAD_LIMIT}"
+    )
 
 
 def _gap_to_cone(z, angles):
@@ -180,9 +199,15 @@ def _gap_to_cone(z, angles):
 
 
 def _levels(omegas):
-    """(omega_k, (angle of omega_i / omega_k for i < k)) for each direction k."""
+    """(omega_k, (angle of omega_i / omega_k for i < k),
+    ln(2 pi / min_{i <= k} |omega_i|)) for each direction k."""
     return tuple(
-        (om, tuple(phase(complex(o / om)) for o in omegas[:k])) for k, om in enumerate(omegas)
+        (
+            om,
+            tuple(phase(complex(o / om)) for o in omegas[:k]),
+            float(mp.log(2 * mp.pi / min(abs(o) for o in omegas[: k + 1]))),
+        )
+        for k, om in enumerate(omegas)
     )
 
 
@@ -208,13 +233,15 @@ def _tail_powers(x, s):
 def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
     """Barnes multiple zeta by summation of the defining series, in one pass.
 
-    Each level sums head terms until its tail point is
-    d0 = max(floor|s| + 1, (1.3 ln(1/eps) + pi |Im s|) / (2 pi)) periods from
-    the summand's poles (N = d0 when w and the periods lie within pi/2 of
-    each other in angle), where eps is that level's target: the Bernoulli
-    terms then shrink from the first, and the smallest of them lies near
-    eps^1.3.  Terms are added until one is below eps/2; each inner sum gets
-    eps/(2N+6)/max(1, |weight|).  The last direction (one omega) is summed
+    Each level sums the fewest head terms, none if its start point is far
+    enough, that put its tail point
+    d0 = max(|s| + 2, 1.3 ln(1/eps) + pi |Im s| + ln+((2 pi / rho)^{Re s} /
+    Gamma(Re s))) / (2 pi) periods from the summand's poles, where eps is
+    that level's target and rho its smallest |omega_i| (``_tail_distance``):
+    the Bernoulli terms then shrink from the first, and the smallest of them
+    lies near eps^1.3.  Terms are added until one is below eps/2; each inner
+    sum gets eps/(2 max(N, d0) + 6)/max(1, |weight|) for a head of N points.
+    The last direction (one omega) is summed
     in closed form: its tail terms are powers of one point.  ``err_estimate``
     is the last term plus the weighted inner estimates plus the rounding
     floor 50 * 2^-bits * sum |term| over every power summed, weighted as the

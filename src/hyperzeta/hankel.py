@@ -87,7 +87,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
+from itertools import count
 from math import acos, asinh, cos, exp, log, pi
+from operator import itemgetter
 
 from mpmath import mp, mpf
 
@@ -393,24 +396,43 @@ def _refine_worst(parts, target, end_bounds):
     floors plus end_bounds sum above target, replace the part with the
     largest estimate by its refinement.  Raises PrecisionUnreachable at once
     if the first floors and end_bounds do, and NodeBudgetExceeded for a part
-    at depth MAX_LEVELS - 1.  Returns (sum of Kronrod values, err_estimate)."""
+    at depth MAX_LEVELS - 1.  Returns (sum of Kronrod values, err_estimate).
+
+    The parts sit in a heap keyed by (-estimate, insertion count), so the
+    first inserted of equal estimates is refined first, and the estimates
+    and floors in an exact running sum, so each step costs O(log n).  Where
+    that sum meets the target, the value and the estimate are fsum'd over
+    the parts in insertion order."""
     floor = mp.fsum(part[4] for part in parts) + end_bounds
     if floor > target:
         raise PrecisionUnreachable(
             f"target {mp.nstr(target, 3)} is below the rounding floor plus end bounds, "
             f"{mp.nstr(floor, 3)}, at {mp.prec} bits"
         )
+    heap, order, total = [], count(), mpf(0)
+
+    def push(part):
+        nonlocal total
+        heappush(heap, (-part[1], next(order), part))
+        total = mp.fadd(total, mp.fadd(part[1], part[4], exact=True), exact=True)
+
+    for part in parts:
+        push(part)
     while True:
-        errs = [part[1] for part in parts]
-        err = mp.fsum(errs + [part[4] for part in parts]) + end_bounds
+        err = +total + end_bounds
         if err <= target:
-            return mp.fsum(part[0] for part in parts), err
-        _, _, depth, refine, _ = parts.pop(max(range(len(parts)), key=errs.__getitem__))
+            done = [part for _, _, part in sorted(heap, key=itemgetter(1))]
+            err = mp.fsum([part[1] for part in done] + [part[4] for part in done]) + end_bounds
+            if err <= target:
+                return mp.fsum(part[0] for part in done), err
+        _, _, (_, estimate, depth, refine, floor) = heappop(heap)
         if depth == MAX_LEVELS - 1:
             raise NodeBudgetExceeded(
                 f"refinement failed to reach {mp.nstr(target, 3)} (at {mp.nstr(err, 3)})"
             )
-        parts += refine()
+        total = mp.fsub(total, mp.fadd(estimate, floor, exact=True), exact=True)
+        for part in refine():
+            push(part)
 
 
 def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAULT_POLICY):

@@ -5,9 +5,9 @@ Each integral grows its own T until the ray tail bound is below target / 10,
 so at large w (where lambda is clamped) the tail term dominates the estimate,
 and at Im s = -1.1 the outbound ray is ~1e3 times the inbound one.  Every
 value must lie within 5 estimates of a reference at +64 bits and a 1e-40
-target.  The direct sum's reference is the direct sum itself: at a 1e-40
+target.  The direct sum's reference is the direct sum itself (at a 1e-40
 target the contour raises NodeBudgetExceeded at s = 2.3 - 10i, w = 0.05 + 3i,
-omega = (0.1, 2).
+omega = (0.1, 2)), and, with equal periods, Hurwitz zetas from mp.zeta.
 """
 
 import cmath
@@ -29,7 +29,7 @@ from hyperzeta import (
     zeta_direct,
 )
 from hyperzeta.asymptotics import rhs_expansion
-from hyperzeta.errors import PrecisionUnreachable
+from hyperzeta.errors import ConvergenceTooSlow, PrecisionUnreachable
 
 P = DEFAULT_POLICY
 SHARP = PrecisionPolicy(P.precision_bits + 64, 1e-40)
@@ -137,6 +137,37 @@ def test_direct_estimates_are_honest(r, om_abs, om_arg, w_re, w_im, s_re, s_im, 
     with SHARP.context():
         assert abs(res.value - ref.value) <= 5 * res.err_estimate
     assert res.err_estimate <= target
+
+
+# an independent reference: with equal periods the lattice collapses to
+# Hurwitz zetas, om^-s zeta(s, x) at r = 1 and
+# om^-s [zeta(s-1, x) + (1-x) zeta(s, x)] at r = 2 (x = w / om; |arg om| <= 1
+# keeps every arg(x + n) = arg(w + n om) - arg(om) on the principal branch),
+# taken from mp.zeta at 600 bits, so a faulty head rule cannot move the
+# value and its reference alike
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    r=st.integers(1, 2),
+    om_abs=st.floats(0.1, 2),
+    om_arg=st.floats(-1, 1),
+    w_re=st.floats(0.05, 3),
+    w_im=st.floats(-30, 30),
+    s_re=st.floats(0.3, 3, exclude_min=True, exclude_max=True),
+    s_im=st.floats(-120, 120),
+    target=st.sampled_from([1e-22, 1e-40]),
+)
+def test_direct_estimates_are_honest_against_hurwitz(r, om_abs, om_arg, w_re, w_im, s_re, s_im, target):
+    om = mp.rect(om_abs, om_arg)
+    s, w = mp.mpc(r + s_re, s_im), mp.mpc(w_re, w_im)
+    try:
+        res = zeta_direct(s, w, OmegaVector.of(*[om] * r), P.with_target(target))
+    except (PrecisionUnreachable, ConvergenceTooSlow):
+        return
+    with mp.workprec(600):
+        x = w / om
+        ref = mp.zeta(s, x) if r == 1 else mp.zeta(s - 1, x) + (1 - x) * mp.zeta(s, x)
+        ref *= mp.power(om, -s)
+        assert abs(res.value - ref) <= res.err_estimate <= target
 
 
 @pytest.mark.parametrize(

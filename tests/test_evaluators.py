@@ -96,6 +96,19 @@ def test_direct_rejects_small_s():
         zeta_direct(1, 1, OmegaVector.of(1), P.with_target(1e-20))
 
 
+def _equal_period_form(s, w, om, r):
+    """zeta_r(s, w; (om,) * r) = om^-s sum_n C(n + r - 1, r - 1) (n + x)^-s,
+    x = w / om, summed as Hurwitz zetas: C(n + r - 1, r - 1) (r - 1)! is
+    prod_{0 < j < r} (y + j - x) in y = n + x, whose y^k takes zeta(s - k, x)."""
+    x = w / om
+    c = [mpf(1)]
+    for j in range(1, r):
+        a = j - x
+        c = [a * c[0]] + [c[k - 1] + a * c[k] for k in range(1, len(c))] + [c[-1]]
+    total = mp.fsum(ck * mp.zeta(s - k, x) for k, ck in enumerate(c))
+    return mp.power(om, -s) / mp.factorial(r - 1) * total
+
+
 # real and complex periods (|arg| <= 0.3), both targets, Im s up to 10
 @pytest.mark.parametrize(
     "om, s, target",
@@ -113,12 +126,52 @@ def test_direct_r3_equal_periods(om, s, target):
     w = mpf("1.7")
     res = zeta_direct(s, w, OmegaVector.of(om, om, om), P.with_target(target))
     with SHARP.context():
-        x = w / om
-        ref = mp.power(om, -s) / 2 * (
-            mp.zeta(s - 2, x) + (3 - 2 * x) * mp.zeta(s - 1, x) + (x - 1) * (x - 2) * mp.zeta(s, x)
-        )
-        assert abs(res.value - ref) <= 5 * res.err_estimate
+        assert abs(res.value - _equal_period_form(s, w, om, 3)) <= 5 * res.err_estimate
     assert res.err_estimate <= target
+
+
+@pytest.mark.parametrize("om, s, target", [(mpf("1.3"), mpf("5.5"), 1e-22)], ids=["r4-real"])
+def test_direct_r4_equal_periods(om, s, target):
+    # the cubic Hurwitz form of C(n + 3, 3) (n + x)^-s
+    w = mpf("1.7")
+    res = zeta_direct(s, w, OmegaVector.of(om, om, om, om), P.with_target(target))
+    with SHARP.context():
+        assert abs(res.value - _equal_period_form(s, w, om, 4)) <= res.err_estimate <= target
+
+
+# a tail that starts as soon as the level is d0 from the poles needs d0 to
+# count the periods' scale, (2 pi / rho)^Re(s) / Gamma(Re s): without it
+# these raised ConvergenceTooSlow at small periods and loose targets; and its
+# inner sums need room for the tail's terms, not for 2N + 6 of them: at
+# |Im s| = 40 a head of one point left the estimate above 1e-10
+@pytest.mark.parametrize(
+    "r, om, s, w, target",
+    [
+        (1, mpf(1), mpf("2.5"), mpf(1), 1e-4),
+        (1, mpf("0.1"), mpf("9.3"), mpf("0.05"), 1e-22),
+        (2, mpf("0.1"), mpf("2.3"), mpf("0.05"), 1e-22),
+        (3, mpf(1), mpf("4.5"), mpf("0.05"), 1e-4),
+        (2, mp.rect(0.3, 0.9), mp.mpc("3.5", "40"), mp.mpc("0.5", "8"), 1e-10),
+    ],
+    ids=["r1-loose", "r1-small", "r2-small", "r3-loose", "r2-im40"],
+)
+def test_direct_tail_distance_counts_scale_and_budget(r, om, s, w, target):
+    res = zeta_direct(s, w, OmegaVector.of(*[om] * r), P.with_target(target))
+    with mp.workprec(400):
+        assert abs(res.value - _equal_period_form(s, w, om, r)) <= res.err_estimate <= target
+
+
+def test_direct_head_starts_at_d0_from_the_cone():
+    # a level that starts d0 from the cone sums no head (the tail's inner
+    # sums at a far tail point), and otherwise stops at the first point d0
+    # away whose gap points forward
+    assert evaluators._head_length(mpf(12), (), 12) == 0
+    assert evaluators._head_length(mp.mpc(3, 20), (), 12) == 0
+    assert evaluators._head_length(mpf("11.5"), (), 12) == 1
+    assert evaluators._head_length(mpf(-20), (), 12) == 32
+    # two periods 1 and e^{1.3i}: the cone is the sector between -1 and
+    # -e^{1.3i}, and x = 20 e^{-0.5i} is 20 from it
+    assert evaluators._head_length(mp.rect(20, -0.5), (0.0, 1.3), 12) == 0
 
 
 def test_direct_r0_is_a_power():
@@ -151,6 +204,17 @@ def test_direct_one_power_per_lattice_point(monkeypatch):
     top, *inner = heads
     assert len(inner) > top  # the head's inner sums and the tail's
     assert len(powers) == sum(n + 1 for n in inner)
+    # the tail's inner sums start d0 from the poles, where most sum no head
+    assert len(powers) <= 100
+
+
+def test_direct_r3_power_count(monkeypatch):
+    # 9965 powers over 2792 distinct points when every head had d0 points
+    powers = []
+    power = mp.power
+    monkeypatch.setattr(mp, "power", lambda x, y: powers.append(x) or power(x, y))
+    zeta_direct(mpf("4.5"), mpf("1.7"), OmegaVector.of(mpf("0.9"), mpf("1.3"), mpf("1.6")), P)
+    assert len(powers) <= 600
 
 
 def test_contour_matches_hurwitz():
