@@ -24,7 +24,7 @@ from .errors import FitUnstable, InvalidParameter
 from .evaluators import balanced_P
 from .hankel import IntegrandSpec, hankel_integrate, ray_only_integrate
 from .multibernoulli import OmegaVector, bernoulli_a, bernoulli_expansion
-from .precision import DEFAULT_POLICY, PrecisionPolicy, _exact_mpc
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
 from .qpoly import PolyC, s_poly
 from .series import LaurentSeries
 
@@ -109,9 +109,12 @@ def lhs_value(e: AsymExperiment, w):
 
     The shift w + a matches the exact split identity; with strict_statement
     the shift is dropped so the printed (unshifted) form can be observed.
+    w keeps its bits, and w + a is taken at the integral's working precision.
     """
-    with e.policy.context(16):
-        arg = mp.mpc(w) if e.strict_statement else mp.mpc(w) + e.a
+    arg = _exact_mpc(w)
+    if not e.strict_statement:
+        with e.policy.context(QUADRATURE_GUARD_BITS):
+            arg += e.a
     res = balanced_P(e.m, e.k, arg, e.omega.concat(e.alpha), e.policy)
     return res.value, res.err_estimate
 

@@ -7,8 +7,8 @@
   Euler-Maclaurin tail correction in the last omega direction, applied
   recursively down to one omega, until a Bernoulli term is below half the
   policy's target.  Real inputs are summed in real arithmetic.
-* ``zeta_contour`` evaluates the Hankel-contour representation with the
-  1/(Gamma(s)(e^{2 pi i s}-1)) prefactor (generic s only).
+* ``zeta_contour`` evaluates the Hankel-contour representation, with
+  1/(Gamma(s)(e^{2 pi i s}-1)) as its constant weight (generic s only).
 * ``log_hyper_gamma`` and ``balanced_P`` evaluate the contour integrals with
   the q/S weight polynomials; integer-point zeta values are always routed
   through these, never through the singular generic-s prefactor.
@@ -83,12 +83,12 @@ def _lattice_em(s, w, levels, eps):
     wN = w + N * om
     errs, sizes = [], []
     # at_wN(weight, k) is weight * zeta_{r-1}(s + k, wN) for the tail's offsets k;
-    # an inner sum's share, eps / (2 max(N, d0) + 6), leaves room for N head
-    # sums and d0 + 6 tail sums, however short the head
+    # each weighted inner estimate's share, eps / (2 max(N, d0) + 6), leaves
+    # room for N head sums and d0 + 6 tail sums, however short the head
     if rest:
 
         def inner(weight, s_, x):
-            share = eps / (2 * max(N, d0) + 6) / max(1, abs(weight))
+            share = eps / (2 * max(N, d0) + 6) / abs(weight)
             value, err, size = _lattice_em(s_, x, rest, share)
             errs.append(abs(weight) * err)
             sizes.append(abs(complex(weight)) * size)
@@ -240,7 +240,8 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     that level's target and rho its smallest |omega_i| (``_tail_distance``):
     the Bernoulli terms then shrink from the first, and the smallest of them
     lies near eps^1.3.  Terms are added until one is below eps/2; each inner
-    sum gets eps/(2 max(N, d0) + 6)/max(1, |weight|) for a head of N points.
+    sum gets eps/(2 max(N, d0) + 6)/|weight| for a head of N points, so that
+    each weighted estimate gets the same share.
     The last direction (one omega) is summed
     in closed form: its tail terms are powers of one point.  ``err_estimate``
     is the last term plus the weighted inner estimates plus the rounding
@@ -251,8 +252,8 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     Raises ConvergenceTooSlow if a term grows first or a head would pass
     HEAD_LIMIT points, and PrecisionUnreachable for a target below the unit
     roundoff of the working precision (the policy's bits plus 16 guard
-    bits), or where the floor lifts the estimate above the target: the
-    sum's rounding could not honour either.
+    bits), or where the estimate is above the target; the message names the
+    larger part, the truncation estimate or the rounding floor.
     When s, w and every omega_i are real the sum runs in real arithmetic;
     the value is an mpc either way.
     """
@@ -267,12 +268,15 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
         if all(mp.im(x) == 0 for x in args):
             args = tuple(mp.re(x) for x in args)
         s, w, *omegas = args
-        value, err, size = _lattice_em(s, w, _levels(omegas), eps)
-        err += 50 * mp.ldexp(size, -mp.prec)
+        value, trunc, size = _lattice_em(s, w, _levels(omegas), eps)
+        floor = 50 * mp.ldexp(size, -mp.prec)
+        err = trunc + floor
         if err > eps:
+            part = f"truncation estimate {mp.nstr(trunc, 3)}" if trunc >= floor else (
+                f"rounding floor {mp.nstr(floor, 3)} at {mp.prec} bits of terms summing to {size:.3g}"
+            )
             raise PrecisionUnreachable(
-                f"rounding at {mp.prec} bits of terms of magnitudes summing to {size:.3g} "
-                f"lifts the estimate to {mp.nstr(err, 3)}, above the target"
+                f"the {part} lifts the estimate to {mp.nstr(err, 3)}, above the target"
             )
         return EvalResult(mp.mpc(value), err, METHOD_DIRECT)
 
@@ -289,15 +293,13 @@ def zeta_contour(
 ) -> EvalResult:
     """Barnes multiple zeta from the Hankel representation (generic s).
 
-    The value is 1/(Gamma(s)(e^{2 pi i s}-1)) times the integral, so the
-    integral aims at target / |prefactor|, rounded down to a float and at
-    most the largest finite one.  Where that target is below 2^-bits of the
-    working precision (the policy's bits plus 16 guard bits) it raises
-    PrecisionUnreachable.  The prefactor and the product are taken at the
-    integral's working precision, so that their rounding stays below its floor.
+    The integrand is f_omega(t) e^{-wt} t^{s-1} times the constant weight
+    1/(Gamma(s)(e^{2 pi i s}-1)), so the one Hankel integral meets the
+    caller's target, as every other integral does.  The weight and k = -s
+    are taken at the integral's working precision; w keeps its bits.
     """
-    with p.context(16):
-        s, w = mp.mpc(s), _require_right_half(w)
+    with p.context(QUADRATURE_GUARD_BITS):
+        s = mp.mpc(s)
         nearest = mp.mpc(mp.nint(mp.re(s)), 0)
         if abs(s - nearest) < mpf("1e-3"):
             raise TooCloseToInteger(
@@ -305,21 +307,10 @@ def zeta_contour(
             )
         # 1/Gamma is entire, and s is at least 1e-3 from the zeros of
         # e^{2 pi i s} - 1, the integers
-        with p.context(QUADRATURE_GUARD_BITS):
-            prefactor = mp.rgamma(s) / mp.expm1(2 * mp.pi * mp.mpc(0, 1) * s)
-        target = mpf(p.target_abs_error) / abs(prefactor)
-        # rounded down, so that |prefactor| times the integral's estimate stays
-        # within p's target; a target beyond the floats becomes the largest one
-        scaled = nextafter(float(target), 0)
-        if not (scaled > 0 and target >= mpf(2) ** -mp.prec):
-            raise PrecisionUnreachable(
-                f"target {mp.nstr(target, 3)} for the integral (the target over "
-                f"|prefactor| = {mp.nstr(abs(prefactor), 3)}) is below 2^-{mp.prec}"
-            )
-        ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((1,)))
-        integral, qerr = hankel_integrate(ispec, lam, p.with_target(scaled))
-        with p.context(QUADRATURE_GUARD_BITS):
-            return EvalResult(prefactor * integral, abs(prefactor) * qerr, METHOD_CONTOUR)
+        prefactor = mp.rgamma(s) / mp.expm1(2 * mp.pi * mp.mpc(0, 1) * s)
+        ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((prefactor,)))
+    value, qerr = hankel_integrate(ispec, lam, p)
+    return EvalResult(value, qerr, METHOD_CONTOUR)
 
 
 def log_hyper_gamma(
@@ -367,9 +358,8 @@ def balanced_P(
     if method == METHOD_COMBINATION:
         if k < 0:
             raise InvalidParameter("the combination path needs k >= 0")
-        # weighted and summed at the integrals' working precision, as
-        # zeta_contour's product is; each part aims at target / sum |c|,
-        # rounded down as zeta_contour rounds its scaled target
+        # weighted and summed at the integrals' working precision; each part
+        # aims at target / sum |c|, rounded down to a float
         with p.context(QUADRATURE_GUARD_BITS):
             weights = list(_c_weights(m, k))
             share = mpf(p.target_abs_error) / mp.fsum(abs(c) for _, c in weights)

@@ -5,13 +5,15 @@ counterclockwise around the circle |t| = lambda, and back out to +infinity
 with arg t = 2*pi.  The logarithm follows the path: log t is real on the
 inbound ray, log(lambda) + i*theta on the circle, and log t + 2*pi*i on the
 outbound ray.  This is the unique branch convention under which the r = 0
-evaluation together with the 1/(Gamma(s)(e^{2 pi i s}-1)) prefactor
-reproduces w^{-s}.
+evaluation with the constant weight 1/(Gamma(s)(e^{2 pi i s}-1)) reproduces
+w^{-s}.
 
 Every integrand has one form, f_omega(t) e^{-wt} t^{-k-1} poly(log t), times
 an optional tail series in t.  k is an integer or complex: the Barnes zeta at
-s is k = -s with poly = 1.  On the outbound ray t^{-k-1} carries the jump
-e^{-2 pi i k}, exactly 1 for integer k.
+s is k = -s with that constant poly.  On the outbound ray t^{-k-1} carries
+the jump e^{-2 pi i k}, exactly 1 for integer k.  Each integral aims at its
+policy's target itself, at the policy's bits plus QUADRATURE_GUARD_BITS or
+more; nothing scales its result afterwards.
 
 Every part of the path is a straight segment in u = log t, on the branch the
 path gives: dt = t du turns F(t) dt into t F(t) du.  The circle is the
@@ -119,9 +121,10 @@ class IntegrandSpec:
     """Integrand f_omega(t) e^{-wt} t^{-k-1} poly(log t), times tail(t) if given.
 
     ``k`` is an integer (negative k gives a positive power of t) or complex;
-    the Barnes zeta at s is k = -s with poly = 1.  ``tail`` multiplies the
-    integrand by a truncated series in t (the expansion and remainder
-    integrands).  An mpf or mpc w or k keeps its bits, as the periods do.
+    the Barnes zeta at s is k = -s with a constant poly (module docstring).
+    ``tail`` multiplies the integrand by a truncated series in t (the
+    expansion and remainder integrands).  An mpf or mpc w or k keeps its
+    bits, as the periods do.
     """
 
     omega: OmegaVector
@@ -472,7 +475,8 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     integrand is regular at t = 0, which the two checks below ensure: an
     integer k, and a tail whose valuation is at least k + 1 + r.  The ray is
     cut to [eps, T], with both end bounds in the estimate, and integrated in
-    u = log t as one segment (module docstring).  Returns (value, err_estimate).
+    u = log t as one segment (module docstring), at the contour's working
+    precision and with its rule.  Returns (value, err_estimate).
 
     With an integer k the jump is 1, so a constant poly has the ray
     difference 0 identically, and the integral is exactly (0, 0).
@@ -484,7 +488,7 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     if ispec.poly.degree <= 0:
         return mp.mpc(0), mpf(0)
     lam = auto_spec(ispec.omega, ispec.w, p)
-    with p.context(48):
+    with p.context(QUADRATURE_GUARD_BITS):
         target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)
         T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)

@@ -82,6 +82,19 @@ def test_strict_statement_changes_lhs():
         assert abs(v1 - v3) < mpf("1e-25")
 
 
+def test_lhs_sharp_shift_meets_the_target():
+    # a = 1/3 at 300 bits: w + a rounded at 208 bits put the value 1.6e-59 off
+    # with an estimate of 4.6e-60; against a 320-bit, 1e-80 run
+    target = 1e-55
+    with mp.workprec(300):
+        a = mpf(1) / 3
+    e = small_experiment(a=a, m=2, k=1, policy=P.with_target(target))
+    v, err = lhs_value(e, 20)
+    ref, _ = lhs_value(replace(e, policy=PrecisionPolicy(320, 1e-80)), 20)
+    with mp.workprec(400):
+        assert abs(v - ref) <= err <= target
+
+
 @pytest.mark.parametrize(
     "kw",
     [

@@ -267,18 +267,22 @@ def test_parse_complex_forms():
         assert abs(cli.parse_complex(text) - want) < mp.mpf("1e-40")
 
 
-def _readme_eval_commands():
-    """The ``hyperzeta eval ...`` lines of the README's CLI block, as argv lists."""
+def _readme_commands():
+    """The ``hyperzeta ...`` commands of the README's CLI block, continued
+    lines joined, as argv lists."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    return [
-        shlex.split(line)[1:]
-        for line in block.splitlines()
-        if line.startswith("hyperzeta eval ")
-    ]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hyperzeta ")]
 
 
-README_EVALS = _readme_eval_commands()
+README_COMMANDS = _readme_commands()
+README_EVALS = [argv for argv in README_COMMANDS if argv[0] == "eval"]
+
+
+def _readme_command(*prefix):
+    (argv,) = [argv for argv in README_COMMANDS if tuple(argv[: len(prefix)]) == prefix]
+    return argv
 
 
 def test_readme_has_eval_examples():
@@ -293,3 +297,16 @@ def test_readme_eval_examples_run(capsys, argv):
     assert code == 0, err
     record = json.loads(out)
     assert record["target"] == argv[1]
+
+
+def test_readme_check_all_passes(capsys):
+    code, out, err = run(capsys, _readme_command("check", "all"))
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == "21/21 checks passed"
+
+
+def test_readme_asym_fit_runs(capsys):
+    argv = _readme_command("asym")
+    assert "--fit" in argv
+    code, out, err = run(capsys, argv)
+    assert code == 0, err

@@ -91,6 +91,17 @@ def test_direct_target_below_working_precision_raises():
         zeta_direct(mpf("2.5"), mpf("1.3"), OmegaVector.of(1), P.with_target(1e-80))
 
 
+@pytest.mark.parametrize(
+    "trunc, size, part",
+    [(mpf(1), 1e-30, "the truncation estimate"), (mpf(0), 1e60, "the rounding floor")],
+    ids=["truncation", "floor"],
+)
+def test_direct_unreachable_names_the_part_over_the_target(monkeypatch, trunc, size, part):
+    monkeypatch.setattr(evaluators, "_lattice_em", lambda s, w, levels, eps: (mpf(1), trunc, size))
+    with pytest.raises(PrecisionUnreachable, match=part):
+        zeta_direct(mpf("2.5"), mpf("1.3"), OmegaVector.of(1), P)
+
+
 def test_direct_rejects_small_s():
     with pytest.raises(InvalidParameter):
         zeta_direct(1, 1, OmegaVector.of(1), P.with_target(1e-20))
@@ -224,9 +235,9 @@ def test_contour_matches_hurwitz():
 
 
 def test_contour_target_covers_the_prefactor():
-    # 1 / (Gamma(s) (e^{2 pi i s} - 1)) is about 1.8e18 at s = -20.5, so the
-    # integral aims at the target over that; against the equal-period Hurwitz
-    # form zeta(s - 1, w) + (1 - w) zeta(s, w)
+    # 1 / (Gamma(s) (e^{2 pi i s} - 1)) is about 1.8e18 at s = -20.5, and it
+    # is the integrand's weight, so the integral meets the target with it;
+    # against the equal-period Hurwitz form zeta(s - 1, w) + (1 - w) zeta(s, w)
     s, w = mpf("-20.5"), mpf("2.5")
     res = zeta_contour(s, w, OmegaVector.of(1, 1), P)
     assert res.err_estimate <= P.target_abs_error
@@ -236,9 +247,10 @@ def test_contour_target_covers_the_prefactor():
 
 
 def test_contour_target_below_one_over_prefactor(monkeypatch):
-    # |prefactor| is about 2e-23 here (the outbound ray carries e^{20 pi}), so
-    # the integral aims at about 1e-22 / 2e-23, not at 1e-22, which took 16323
-    # evaluations of f_omega
+    # |prefactor| is about 2e-23 here (the outbound ray carries e^{20 pi}); as
+    # the integrand's weight it scales the estimates too, so the integral
+    # needs about 5 digits, not the 1e-22 of an unweighted integrand, which
+    # took 16323 evaluations of f_omega
     s, w, om = mp.mpc("2.3", "-10"), mp.mpc("0.5", "10"), OmegaVector.of(mpf("0.1"), 2)
     ts = []
     f_omega = hankel._f_omega_at
@@ -325,12 +337,46 @@ def test_values_keep_their_bits():
     assert e.w_grid == grid
 
 
-@pytest.mark.parametrize("s", ["-40.5", "-170.5"])
-def test_contour_scaled_target_below_working_precision_raises(s):
-    # the prefactor is about 1e48 at s = -40.5, which puts the integral's
-    # target below 2^-208; at s = -170.5 it is about 1e307, and the target
-    # underflows a float
-    with pytest.raises(PrecisionUnreachable):
+def test_contour_hands_the_callers_w_to_the_integral(monkeypatch):
+    # a 256-bit w reaches the integrand unrounded under a 192-bit policy, and
+    # k = -s is taken at the policy's bits plus 64
+    specs = []
+    integrate = evaluators.hankel_integrate
+    monkeypatch.setattr(
+        evaluators, "hankel_integrate", lambda ispec, lam, p: specs.append(ispec) or integrate(ispec, lam, p)
+    )
+    zeta_contour(_S, _W, _OM, P)
+    (ispec,) = specs
+    assert ispec.w == _W
+    with mp.workprec(256):
+        assert ispec.k == -_S
+
+
+def test_contour_sharp_w_meets_the_target():
+    # w = 13/10 at 300 bits: rounded at 208 bits, it put the value 3.0e-63 off
+    # with an estimate of 1.9e-63; against the equal-period Hurwitz form
+    target = 1e-62
+    with mp.workprec(300):
+        s, w = mp.mpc("2.5", "0.5"), mpf(13) / 10
+    res = zeta_contour(s, w, OmegaVector.of(1, 1), P.with_target(target))
+    with mp.workprec(600):
+        assert abs(res.value - _equal_period_form(s, w, 1, 2)) <= res.err_estimate <= target
+
+
+def test_contour_large_prefactor_meets_the_target():
+    # the weight is about 8e47 at s = -40.5, and the value about 2.8e16
+    s, w = mpf("-40.5"), mpf("2.5")
+    res = zeta_contour(s, w, OmegaVector.of(1, 1), P)
+    with mp.workprec(600):
+        ref = _equal_period_form(s, w, 1, 2)
+        assert abs(res.value - ref) <= res.err_estimate <= P.target_abs_error
+
+
+@pytest.mark.parametrize("s", ["-60.5", "-170.5"])
+def test_contour_floor_above_target_raises(s):
+    # the weight is about 1e82 at s = -60.5 and 1.5e307 at s = -170.5, so the
+    # first pass's rounding floor at 256 bits is far above 1e-22
+    with pytest.raises(PrecisionUnreachable, match="rounding floor"):
         zeta_contour(mpf(s), mpf("2.5"), OmegaVector.of(1, 1), P)
 
 
