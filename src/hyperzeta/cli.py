@@ -213,10 +213,6 @@ def _resolve_policy(args) -> PrecisionPolicy:
     if bits is None:
         env = os.environ.get("HYPERZETA_PRECISION_BITS")
         bits = int(env) if env else DEFAULT_BITS
-    if bits < 64:
-        raise InvalidParameter("precision-bits must be at least 64")
-    if args.tol <= 0:
-        raise InvalidParameter("tol must be positive")
     return PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
 
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc, _right_half
 from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
 METHOD_DIRECT = "direct_sum"
@@ -52,13 +52,6 @@ class EvalResult:
     value: object
     err_estimate: object
     method: str
-
-
-def _require_right_half(w):
-    w = mp.mpc(w)
-    if not mp.re(w) > 0:
-        raise InvalidParameter("Re(w) > 0 is required")
-    return w
 
 
 # -- direct lattice summation ---------------------------------------------
@@ -258,7 +251,7 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     the value is an mpc either way.
     """
     with p.context(16):
-        s, w = mp.mpc(s), _require_right_half(w)
+        s, w = _exact_mpc(s), _right_half(w)
         if not mp.re(s) > omega.r + mpf("0.25"):
             raise InvalidParameter(
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
@@ -380,7 +373,7 @@ def p0_closed_form(m: int, k: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
     if m < 0 or k < 0:
         raise InvalidParameter("p0_closed_form needs m, k >= 0")
     with p.context(16):
-        w = _require_right_half(w)
+        w = _right_half(w)
         lw = -mp.log(w)
         wk = mp.power(w, k)
         total = mp.mpc(0)

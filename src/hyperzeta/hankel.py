@@ -12,8 +12,8 @@ Every integrand has one form, f_omega(t) e^{-wt} t^{-k-1} poly(log t), times
 an optional tail series in t.  k is an integer or complex: the Barnes zeta at
 s is k = -s with that constant poly.  On the outbound ray t^{-k-1} carries
 the jump e^{-2 pi i k}, exactly 1 for integer k.  Each integral aims at its
-policy's target itself, at the policy's bits plus QUADRATURE_GUARD_BITS or
-more; nothing scales its result afterwards.
+policy's target itself, at the policy's bits plus QUADRATURE_GUARD_BITS;
+nothing scales its result afterwards.
 
 Every part of the path is a straight segment in u = log t, on the branch the
 path gives: dt = t du turns F(t) dt into t F(t) du.  The circle is the
@@ -63,9 +63,11 @@ Bernstein rho of 2.2 for each of 2 circle panels, 3.8 for each of 4.  2 panels
 serve targets down to CIRCLE_REACH, about 2e-30, QUADPACK's estimate (200
 rho^-64)^1.5 for a unit integrand, and 4 (1e-52) below, as near it whether 2
 pass turns on omega.  The clamp matters at large w: the far side's
-e^{Re(w) lambda} cancels in the sum, so the guard bits grow as
-1.5 * Re(w) * lambda from 64, the q and S polynomials' guard bits.  The value
-does not depend on lambda, so a smaller circle costs nothing in accuracy.
+e^{Re(w) lambda} cancels in the sum, at one working precision for every
+lambda, so a lambda above the clamp pays it in the rounding floor, and
+raises PrecisionUnreachable from the first pass where that floor passes the
+target.  The value does not depend on lambda, so a smaller circle costs
+nothing in accuracy.
 
 Both ends of a ray have one truncation rule: move t by a fixed factor until
 the bound |integrand|(t) * t is below target / 10, and add that bound to the
@@ -92,13 +94,12 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
 from math import acos, asinh, cos, exp, log, pi
-from operator import itemgetter
 
 from mpmath import mp, mpf
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc, _right_half
 from .qpoly import PolyC
 from .series import LaurentSeries
 
@@ -134,18 +135,14 @@ class IntegrandSpec:
     tail: LaurentSeries | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _exact_mpc(self.w))
-        if not mp.re(self.w) > 0:
-            raise InvalidParameter("integrand requires Re(w) > 0")
+        object.__setattr__(self, "w", _right_half(self.w))
         if not isinstance(self.k, int):
             object.__setattr__(self, "k", _exact_mpc(self.k))
 
 
 def auto_spec(omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY):
     """Default circle radius lambda for omega and w (rule: module docstring)."""
-    w = _exact_mpc(w)
-    if not mp.re(w) > 0:
-        raise InvalidParameter("auto_spec requires Re(w) > 0")
+    w = _right_half(w)
     with p.context():
         return min(mpf("0.25") * min(omega.pole_bound, 2 * mp.pi), 6 / mp.re(w))
 
@@ -325,6 +322,7 @@ class _ContourEvaluator:
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
         self.diff = self.outbound - ispec.poly
+        self.size = max(map(abs, ispec.poly.coeffs), default=0)
         if lam is not None:
             self.nodes = _circle_nodes(ispec.omega, lam, mp.prec, pole_threshold)
 
@@ -351,9 +349,10 @@ class _ContourEvaluator:
         return self._term(u, t, tf * self.ispec.poly(u))
 
     def ray_magnitude(self, t):
-        """Crude magnitude of the one-sided ray integrands F (for end bounds)."""
+        """Crude magnitude of the one-sided ray integrands F (for end bounds),
+        floored by poly's largest coefficient: c * poly has |c| times its bound."""
         u = mp.log(t)
-        span = abs(self.outbound(u)) + abs(self.ispec.poly(u)) + 1
+        span = abs(self.outbound(u)) + abs(self.ispec.poly(u)) + self.size
         return abs(self._term(u, t, _f_omega_at(self.ispec.omega, t, self.thr))) * span
 
 
@@ -403,9 +402,8 @@ def _refine_worst(parts, target, end_bounds):
 
     The parts sit in a heap keyed by (-estimate, insertion count), so the
     first inserted of equal estimates is refined first, and the estimates
-    and floors in an exact running sum, so each step costs O(log n).  Where
-    that sum meets the target, the value and the estimate are fsum'd over
-    the parts in insertion order."""
+    and floors in an exact running sum, so each step costs O(log n) and the
+    check against the target is exact."""
     floor = mp.fsum(part[4] for part in parts) + end_bounds
     if floor > target:
         raise PrecisionUnreachable(
@@ -424,10 +422,7 @@ def _refine_worst(parts, target, end_bounds):
     while True:
         err = +total + end_bounds
         if err <= target:
-            done = [part for _, _, part in sorted(heap, key=itemgetter(1))]
-            err = mp.fsum([part[1] for part in done] + [part[4] for part in done]) + end_bounds
-            if err <= target:
-                return mp.fsum(part[0] for part in done), err
+            return mp.fsum(part[0] for _, _, part in heap), err
         _, _, (_, estimate, depth, refine, floor) = heappop(heap)
         if depth == MAX_LEVELS - 1:
             raise NodeBudgetExceeded(
@@ -441,16 +436,13 @@ def _refine_worst(parts, target, end_bounds):
 def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAULT_POLICY):
     """Integral over I(lambda, inf); returns (value, err_estimate).  ``lam``
     defaults to ``auto_spec``'s radius; it must satisfy 0 < lam < 0.9 * pole bound.
-    lambda and the guard bits are taken at the policy's precision, so the
-    value does not depend on the caller's."""
-    with p.context():
-        if lam is None:
-            lam = auto_spec(ispec.omega, ispec.w, p)
+    The whole integral, lambda included, runs at the policy's bits plus
+    QUADRATURE_GUARD_BITS for every lambda (module docstring), so the value
+    does not depend on the caller's precision."""
+    if lam is None:
+        lam = auto_spec(ispec.omega, ispec.w, p)
+    with p.context(QUADRATURE_GUARD_BITS):
         lam = _check_lambda(lam, ispec.omega)
-        # absorb the e^{w*lam} cancellation on the far side of the circle
-        boost = int(mpf("1.5") * max(0, mp.re(ispec.w) * lam))
-        boost = QUADRATURE_GUARD_BITS + 32 * ((boost + 16) // 32)
-    with p.context(boost):
         target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold, lam)
         rule = _rule()
@@ -478,19 +470,19 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
     u = log t as one segment (module docstring), at the contour's working
     precision and with its rule.  Returns (value, err_estimate).
 
-    With an integer k the jump is 1, so a constant poly has the ray
-    difference 0 identically, and the integral is exactly (0, 0).
+    Where the ray difference has no coefficients (a constant poly: the jump
+    is 1), the integral is exactly (0, 0).
     """
     if ispec.tail is None or not isinstance(ispec.k, int):
         raise InvalidParameter("ray_only_integrate needs an integer k and a tail series")
     if ispec.tail.valuation - ispec.k - 1 - ispec.omega.r < 0:
         raise InvalidParameter("tail valuation leaves a singular integrand at 0")
-    if ispec.poly.degree <= 0:
-        return mp.mpc(0), mpf(0)
     lam = auto_spec(ispec.omega, ispec.w, p)
     with p.context(QUADRATURE_GUARD_BITS):
-        target = p.reachable_target()
         ev = _ContourEvaluator(ispec, p.zero_threshold)
+        if not ev.diff.coeffs:  # the rays cancel identically
+            return mp.mpc(0), mpf(0)
+        target = p.reachable_target()
         T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
         eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
         a, b = mp.log(eps), mp.log(T)

@@ -16,7 +16,7 @@ from mpmath.libmp import fzero
 from .errors import InvalidParameter, PrecisionUnreachable
 
 DEFAULT_BITS = 192
-# the fewest guard bits a Hankel integral works with (hankel); its q and S
+# the guard bits every Hankel integral works with (hankel); its q and S
 # polynomials and what the evaluators multiply it by are built in
 # context(QUADRATURE_GUARD_BITS) too, so that the integral's rounding floor
 # covers them
@@ -30,6 +30,14 @@ def _exact_mpc(x):
     if isinstance(x, mpf):
         return mp.make_mpc((x._mpf_, fzero))
     return mp.mpc(x)
+
+
+def _right_half(w):
+    """w as an exact mpc (``_exact_mpc``); InvalidParameter unless Re(w) > 0."""
+    w = _exact_mpc(w)
+    if not mp.re(w) > 0:
+        raise InvalidParameter("Re(w) > 0 is required")
+    return w
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,28 @@ def test_flag_beats_env(capsys, monkeypatch):
     assert json.loads(out)["precision_bits"] == 192
 
 
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        (["--precision-bits", "32"], None),
+        ([], "32"),
+        (["--tol", "0"], None),
+        # argparse reads a bare "-1e-3" as a flag, so the value is attached
+        (["--tol=-1e-3"], None),
+    ],
+    ids=["bits-flag", "bits-env", "tol-zero", "tol-negative"],
+)
+def test_invalid_policy_exit_3(capsys, monkeypatch, flags, env):
+    # the policy checks itself; the CLI reports its InvalidParameter
+    if env is not None:
+        monkeypatch.setenv("HYPERZETA_PRECISION_BITS", env)
+    code, out, err = run(capsys, flags + ["eval", "zeta", "--s", "2.5", "--w", "1.3"])
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["code"] == 3
+
+
 def test_deterministic_output(capsys):
     argv = ["check", "qpoly", "--seed", "3"]
     _, out1, _ = run(capsys, argv)

@@ -102,6 +102,32 @@ def test_direct_unreachable_names_the_part_over_the_target(monkeypatch, trunc, s
         zeta_direct(mpf("2.5"), mpf("1.3"), OmegaVector.of(1), P)
 
 
+def test_direct_keeps_the_bits_of_w(monkeypatch):
+    # w reaches the lattice sum unrounded, as it reaches a Hankel integrand
+    seen = []
+    monkeypatch.setattr(
+        evaluators, "_lattice_em",
+        lambda s, w, levels, eps: seen.append(w) or (mpf(1), mpf(0), 0.0),
+    )
+    with mp.workprec(300):
+        w = 1 + mpf(1) / 3
+    zeta_direct(mpf("2.5"), w, OmegaVector.of(1), P)
+    assert seen == [w]
+
+
+@pytest.mark.parametrize("w", [-1, mp.mpc(0, 1)], ids=["negative", "imaginary"])
+def test_every_entry_point_requires_the_right_half_plane(w):
+    om = OmegaVector.of(1)
+    for call in (
+        lambda: zeta_direct(mpf("2.5"), w, om, P),
+        lambda: zeta_contour(mpf("2.5"), w, om, P),
+        lambda: log_hyper_gamma(1, 1, w, om, P),
+        lambda: p0_closed_form(1, 1, w, P),
+    ):
+        with pytest.raises(InvalidParameter, match=r"Re\(w\) > 0"):
+            call()
+
+
 def test_direct_rejects_small_s():
     with pytest.raises(InvalidParameter):
         zeta_direct(1, 1, OmegaVector.of(1), P.with_target(1e-20))

@@ -1,4 +1,5 @@
 import cmath
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -325,6 +326,54 @@ def test_contour_target_below_working_precision_raises(target):
         ray_only_integrate(ray, p)
 
 
+# (w, lambda) above auto_spec's clamp Re(w) * lambda <= 6
+_OVERRIDES = [(mpf("4.2"), mpf("2.8")), (20, mpf("2.5")), (40, mpf("2.5"))]
+
+
+def test_every_integral_works_at_one_precision(monkeypatch):
+    # a default integral and three lambda overrides all ask for the one
+    # Gauss-Kronrod rule at the policy's bits plus QUADRATURE_GUARD_BITS
+    precs, nodes = [], hankel._legendre_nodes
+    monkeypatch.setattr(hankel, "_legendre_nodes", lambda prec: precs.append(prec) or nodes(prec))
+    om = OmegaVector.of(1)
+    balanced_P(1, 1, mpf("1.5"), om, P)
+    for w, lam in _OVERRIDES:
+        balanced_P(1, 1, w, om, P, lam=lam)
+    assert precs and set(precs) == {P.precision_bits + QUADRATURE_GUARD_BITS}
+
+
+@pytest.mark.parametrize("w", [60, 80])
+def test_override_above_the_floor_raises_from_the_first_pass(w):
+    # e^{Re(w) lambda} lifts the first pass's rounding floor above the target
+    start = time.perf_counter()
+    with pytest.raises(PrecisionUnreachable, match="rounding floor"):
+        balanced_P(1, 1, w, OmegaVector.of(1), P, lam=mpf("2.5"))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("w, lam", _OVERRIDES[1:], ids=["w20", "w40"])
+def test_override_is_within_its_estimate(w, lam):
+    om = OmegaVector.of(1)
+    res = balanced_P(1, 1, w, om, P, lam=lam)
+    ref_policy = PrecisionPolicy(448, 1e-60)
+    with ref_policy.context():
+        ref = balanced_P(1, 1, w, om, ref_policy)
+    assert abs(res.value - ref.value) <= res.err_estimate <= P.target_abs_error
+
+
+@pytest.mark.parametrize("c", [mpf("1e-30"), mpf("1e30")], ids=["small", "large"])
+def test_ray_end_bound_scales_with_the_polynomial(c):
+    # the bound of c * poly is |c| times the bound of poly, so the far end T
+    # does not depend on a constant weight such as zeta_contour's
+    om, poly = OmegaVector.of(1, mpf("1.3")), q_poly(1, 1, P)
+    with P.context(QUADRATURE_GUARD_BITS):
+        def bound(q):
+            ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q)
+            return hankel._ContourEvaluator(ispec, P.zero_threshold).ray_magnitude(mpf(5))
+
+        assert abs(bound(poly.scale(c)) / bound(poly) / c - 1) < mpf("1e-60")
+
+
 _CIRCLE_OMEGAS = {
     "r2-real": OmegaVector.of(1, mpf("0.7")),
     "complex": OmegaVector.of(1, mpf("0.7") * mp.expj(mpf("1.3"))),
@@ -521,6 +570,15 @@ def _unit_ray(poly):
     # difference poly(log t + 2 pi i) - poly(log t)
     tail = LaurentSeries(1, (mp.mpc(1),))
     return IntegrandSpec(omega=OmegaVector.of(), w=1, k=0, poly=poly, tail=tail)
+
+
+def test_ray_only_vanishing_ray_is_exactly_zero(monkeypatch):
+    # a constant poly with integer k: the ray difference has no coefficients,
+    # the test that skips the contour's rays, so no end is searched for
+    ends, ray_end = [], hankel._ray_end
+    monkeypatch.setattr(hankel, "_ray_end", lambda *a: ends.append(a) or ray_end(*a))
+    assert ray_only_integrate(_unit_ray(PolyC((3,))), P) == (0, 0)
+    assert not ends
 
 
 def test_ray_only_gamma_integral():
