@@ -286,6 +286,17 @@ def evaluators_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
             if abs(full.value - shifted.value - short.value) > 1e-20:
                 ok = False
         out.append(_result("evaluators", "ladder-relation", ok))
+        # shift: F(w) - F(w + omega_r) = F over the shorter tuple, on the contour
+        ok, worst = True, mpf(0)
+        for r, fn in ((2, ev.log_hyper_gamma), (3, ev.balanced_P)):
+            omegas = tuple(mpf("0.5") + mpf("1.5") * mpf(rng.random()) for _ in range(r))
+            om = OmegaVector(omegas)
+            w = mpf(1) + mpf(rng.random())
+            parts = [fn(1, 1, x, o, p) for x, o in ((w, om), (w + omegas[-1], om), (w, om.drop_last()))]
+            dev = abs(parts[0].value - parts[1].value - parts[2].value)
+            worst = max(worst, dev)
+            ok = ok and dev <= 5 * mp.fsum(part.err_estimate for part in parts)
+        out.append(_result("evaluators", "shift-relation", ok, f"worst={mp.nstr(worst, 3)}"))
         lg = ev.log_hyper_gamma(1, 0, 1, om1, p)
         dev = abs(lg.value + mp.log(2 * mp.pi) / 2)
         out.append(

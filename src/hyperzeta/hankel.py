@@ -19,18 +19,18 @@ Every part of the path is a straight segment in u = log t, on the branch the
 path gives: dt = t du turns F(t) dt into t F(t) du.  The circle is the
 segment [log lambda, log lambda + 2 pi i].  The two rays are one segment
 [log lambda, log T] of the difference of the outbound and inbound
-integrands, jump * poly(u + 2 pi i) - poly(u).  That is one polynomial in u,
-built once per integral by a Taylor shift (PolyC.shift); for integer k its
-top coefficient cancels exactly, and if every coefficient does (a constant
-poly), the rays are skipped, with no end bound: the circle alone is the
-integral.  At a node t = e^u, t f_omega(t) is one division by
-prod_i (1 - e^{-omega_i t}), e^{-wt} t^{-k-1} is one exponential,
-exp(-(k+1) u - wt), for integer and complex k alike, and a missing tail
-costs nothing.  A segment is cut into panels, each integrated once at the 65
+integrands, diff(u) = jump * poly(u + 2 pi i) - poly(u).  That is one
+polynomial in u, built once per integral by a Taylor shift (PolyC.shift);
+for integer k its top coefficient cancels exactly, and if every coefficient
+does (a constant poly), the rays are skipped, with no end bound: the circle
+alone is the integral.  At a ray node t = e^u, t f_omega(t) is one division
+by prod_i (1 - e^{-omega_i t}), e^{-wt} t^{-k-1} is one exponential,
+exp(-(k+1) u - wt), for integer and complex k alike, and a missing tail costs
+nothing.  The ray segment is cut into panels, each integrated once at the 65
 nodes of the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie,
-Math. Comp. 66, 1997), mapped onto the panel by its midpoint and complex
-half-width; that gives both the Kronrod value K65 and the Gauss value G32 of
-its 32 Gauss nodes.
+Math. Comp. 66, 1997), mapped onto the panel by its midpoint and half-width;
+that gives both the Kronrod value K65 and the Gauss value G32 of its 32 Gauss
+nodes.
 
 K65 is returned, so each panel's estimate is one of K65's error, by
 QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
@@ -41,31 +41,76 @@ of that back (Gonnet, ACM Computing Surveys 44, 2012, catalogues where such
 rules fail).  Each panel adds a rounding floor, 50 * 2^-(working bits) *
 resabs, resabs the K65 integral of |f|, which no refinement removes.  resabs
 and resasc need two digits, so they are summed in floats; all three scale by
-the panel's |half-width|.
+the panel's half-width.
+
+The circle is one spectral part: the trapezoidal rule in t (Trefethen and
+Weideman, SIAM Review 56, 2014).  phi(t) = t f_omega(t) e^{-wt} tail(t) is
+analytic in 0 < |t| < pole bound, with a pole of order at most r - 1 - min(0,
+v) at 0 for a tail of valuation v, so on the circle
+phi(lambda e^{i theta}) = sum_{n >= n0} A_n e^{i n theta}, n0 = 1 - r +
+min(0, v).  What is not periodic, t^{-k-1} poly(log t), integrates in closed
+form against each mode: by parts, with beta = n - k - 1 and e^{2 pi i beta}
+= jump,
+
+    int_{log lambda}^{log lambda + 2 pi i} e^{beta u} poly(u) du = lambda^beta B_n,
+    B_n = sum_i (-1)^i diff^(i)(log lambda) / beta^(i+1),
+
+and for beta = 0 (integer k) B_n is the integral of poly over the segment.
+So the circle is lambda^{-k-1} sum_n A_n B_n.  N samples phi_l at t_l =
+lambda e^{2 pi i l / N}, a power of 2, give by a radix-2 FFT the trapezoidal
+coefficients A'_n = (1/N) sum_l phi_l e^{-2 pi i n l / N} = sum_j A_{n+jN},
+and the part's value is lambda^{-k-1} sum_{n=n0}^{n0+N-1} A'_n B_n.  t_l
+comes from cached roots of unity, and poly and t^{-k-1} are in the moments,
+so a sample costs t f_omega(t) and one exponential, e^{-wt}.
+
+The part's error is its aliased and truncated modes: each A_m with m >= n0 +
+N enters once through A'_{m-jN}, weighted by that mode's moment, and is
+missing once from the sum, so the error is at most 2 max|B_n| sum_{m >= n0 +
+N} |A_m|.  |B_n| peaks near n = Re(k) + 1 and falls like 1 / |beta| away from
+it, so the first pass takes enough samples to reach that n, and the window's
+largest |B_n| bounds every moment beyond it.  The poles of f_omega lie at
+|t| >= rho lambda, rho = pole bound / lambda, so past the window |A_m| falls
+at least like rho^-m, and sum_{m >= n0 + N} |A_m| <= M / (rho - 1), M the
+largest |A'_n| of the window's last 4 (4 covers modes that vanish by symmetry,
+as the odd Bernoulli numbers do in t / (1 - e^{-t})).  The estimate is
+max(4, 12 / (rho - 1)) * M * max|B_n| * |lambda^{-k-1}|: the bound 2 / (rho -
+1) with a factor 6 for the decay before it turns geometric and the growth
+that multiple poles add.  That is 4 at the default rho = 4, and it stays at
+least 4 for a larger rho, where e^{-wt} and the tail, not the poles, may set
+the decay.  Its rounding floor is 50 * 2^-(working bits) * mean|phi_l| *
+sum|B_n| * |lambda^{-k-1}|, as each A'_n carries about 2^-bits mean|phi_l|;
+it is above zero wherever a sample and a moment are.  Where every moment
+vanishes (a constant poly, integer k and k + 1 < n0: the integrand is
+regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
+part doubles N: the new samples are the odd ones of the finer grid, and one
+radix-2 butterfly joins their spectrum to the old one, so no sample is taken
+twice.
 
 The first pass is coarse: the ray segment in equal panels at most
-PANEL_WIDTH = log 16 wide (four doublings of t), and the circle in
-CIRCLE_PANELS = 2 panels, 4 below CIRCLE_REACH (next paragraph).  If its
-floors and the ray end bounds exceed the target, PrecisionUnreachable is
-raised at once.  Then ``_refine_worst`` refines as QUADPACK's QAG does: while
-the estimates, floors and end bounds sum above the target, the part with the
-largest estimate is bisected at its midpoint in u.  A part's depth is its
-level in the schedule that cuts each doubling of t into 2^L panels and the
-circle into 4 * 2^L: a first-pass ray panel is at -2, 2 circle panels at -1;
-past MAX_LEVELS - 1 (2^(1/32) in t, 128 circle panels) it raises
-NodeBudgetExceeded.  Rotating or reshaping the path moves only segment
-endpoints: a rotation by phi is u -> u + i phi.
+PANEL_WIDTH = log 16 wide (four doublings of t), and the circle at
+CIRCLE_SAMPLES = 64 samples, 128 below SAMPLES_REACH = 1e-34 (next
+paragraph).  If its floors and the ray end bounds exceed the target,
+PrecisionUnreachable is raised at once.  Then ``_refine_worst`` refines as
+QUADPACK's QAG does: while the estimates, floors and end bounds sum above
+the target, the part with the largest estimate is refined, a ray panel
+bisected at its midpoint in u, the circle with its samples doubled.  A
+part's depth is its level in the schedule that cuts each doubling of t into
+2^L panels and samples the circle at 128 * 2^L points: a first-pass ray
+panel is at -2, 64 circle samples at -1; past MAX_LEVELS - 1 (2^(1/32) in t,
+4096 samples) it raises NodeBudgetExceeded.  Rotating or reshaping the path
+moves only segment endpoints: a rotation by phi is u -> u + i phi, which
+moves the circle's moments to log lambda + i phi.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
-of f_omega then lie at |t| >= 4 lambda, log 4 from the circle's segment: a
-Bernstein rho of 2.2 for each of 2 circle panels, 3.8 for each of 4.  2 panels
-serve targets down to CIRCLE_REACH, about 2e-30, QUADPACK's estimate (200
-rho^-64)^1.5 for a unit integrand, and 4 (1e-52) below, as near it whether 2
-pass turns on omega.  The clamp matters at large w: the far side's
-e^{Re(w) lambda} cancels in the sum, at one working precision for every
-lambda, so a lambda above the clamp pays it in the rounding floor, and
-raises PrecisionUnreachable from the first pass where that floor passes the
+of f_omega then lie at |t| >= 4 lambda, rho >= 4, so N samples resolve about
+4^-N of the integrand's scale: 64 samples estimate about 1e-35 for the
+integrands of unit size near the first pass's limit (two nearly coincident
+poles), so they serve targets down to SAMPLES_REACH, and 128 (about 1e-73)
+below it.  The clamp matters at large w: the far side's e^{Re(w) lambda}
+cancels in the sum, at one working precision for every lambda, so a lambda
+above the clamp pays it in the rounding floor, and raises
+PrecisionUnreachable from the first pass where that floor passes the
 target.  The value does not depend on lambda, so a smaller circle costs
 nothing in accuracy.
 
@@ -79,12 +124,11 @@ u = -inf, where t F(t) decays like e^u |u|^(nu-1) for poly of degree nu, so
 equal panels serve the whole segment: the remainder-reduction ray at w = 20,
 eps about 1e-11, takes 10 first-pass panels and no refinement.
 
-The circle's nodes t_j = e^{u_j} do not depend on w, and neither does
-t_j f_omega(t_j).  ``_circle_nodes`` keeps both by u_j for one key (omega,
-lambda, working bits, pole threshold), dropping the old key first, for at
-most CACHED_NODES = 390 nodes, as many as the 6 panels of depths -1 and 0
-hold: about 1.3 kB per node, 0.17 MB for the first pass's 130 nodes, where a
-default-target integral stops.
+The circle's samples t_l and t_l f_omega(t_l) do not depend on w.
+``_circle_nodes`` keeps both by l / N for one key (omega, lambda, working
+bits, pole threshold), dropping the old key first, for at most
+CACHED_SAMPLES = 256 samples, levels -1 to 1: about 0.6 kB per sample, 40 kB
+for the first pass's 64, where a default-target integral stops.
 """
 
 from __future__ import annotations
@@ -93,7 +137,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
-from math import acos, asinh, cos, exp, log, pi
+from math import acos, cos, factorial, log, pi
 
 from mpmath import mp, mpf
 
@@ -104,17 +148,19 @@ from .qpoly import PolyC
 from .series import LaurentSeries
 
 # the deepest refinement, MAX_LEVELS - 1: a part's level in the schedule that
-# cuts each doubling into 2^L panels and the circle into 4 * 2^L at level L
+# cuts each doubling into 2^L panels and samples the circle at 128 * 2^L points
 MAX_LEVELS = 6
-# Gauss nodes per panel, the Kronrod rule's total, and the circle's first-pass panels
+# Gauss nodes per panel and the Kronrod rule's total
 GAUSS_NODES = 32
 KRONROD_NODES = 2 * GAUSS_NODES + 1
-CIRCLE_PANELS = 2
-CIRCLE_REACH = (200 * exp(-64 * asinh(log(4) * CIRCLE_PANELS / pi))) ** 1.5
 # the widest first-pass ray panel in u = log t: four doublings of t, level -2
 PANEL_WIDTH = log(16)
-# the circle nodes _circle_nodes keeps: the 6 panels of levels -1 and 0
-CACHED_NODES = 6 * KRONROD_NODES
+# the circle's first-pass samples, level -1, and the target below which it
+# starts with twice as many, level 0
+CIRCLE_SAMPLES = 64
+SAMPLES_REACH = 1e-34
+# the circle samples _circle_nodes keeps: levels -1 to 1
+CACHED_SAMPLES = 4 * CIRCLE_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -307,11 +353,11 @@ def _check_small_divisor(z, d, t):
 
 
 class _ContourEvaluator:
-    """The integrand t F(t) in u = log t of one IntegrandSpec on each part of
-    the path, for the working precision it is built at (module docstring).
-    Given lam, the circle |t| = lam keeps its nodes in ``_circle_nodes``."""
+    """The integrand t F(t) in u = log t of one IntegrandSpec on the rays, and
+    the polynomials its circle's moments need, for the working precision it
+    is built at (module docstring)."""
 
-    def __init__(self, ispec: IntegrandSpec, pole_threshold, lam=None):
+    def __init__(self, ispec: IntegrandSpec, pole_threshold):
         self.ispec = ispec
         self.thr = pole_threshold
         # t^{-k-1} = e^{neg_k1 u}; on the outbound ray u gains 2 pi i,
@@ -323,8 +369,6 @@ class _ContourEvaluator:
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
         self.diff = self.outbound - ispec.poly
         self.size = max(map(abs, ispec.poly.coeffs), default=0)
-        if lam is not None:
-            self.nodes = _circle_nodes(ispec.omega, lam, mp.prec, pole_threshold)
 
     def _term(self, u, t, factor):
         """factor e^{-wt} t^{-k-1} tail(t) at t = e^u, on the branch u gives."""
@@ -337,17 +381,6 @@ class _ContourEvaluator:
         t = mp.exp(u)
         return self._term(u, t, t * _f_omega_at(self.ispec.omega, t, self.thr) * self.diff(u))
 
-    def circle(self, u):
-        """t F(t) at u = log lam + i theta, with t and t f_omega(t) kept."""
-        node = self.nodes.get(u)
-        if node is None:
-            t = mp.exp(u)
-            node = t, t * _f_omega_at(self.ispec.omega, t, self.thr)
-            if len(self.nodes) < CACHED_NODES:
-                self.nodes[u] = node
-        t, tf = node
-        return self._term(u, t, tf * self.ispec.poly(u))
-
     def ray_magnitude(self, t):
         """Crude magnitude of the one-sided ray integrands F (for end bounds),
         floored by poly's largest coefficient: c * poly has |c| times its bound."""
@@ -358,8 +391,106 @@ class _ContourEvaluator:
 
 @lru_cache(maxsize=1)
 def _circle_nodes(omega: OmegaVector, lam, prec: int, threshold):
-    """(t, t f_omega(t)) by circle node u, for one key (module docstring)."""
+    """(t, t f_omega(t)) by circle sample l / n, for one key (module docstring)."""
     return {}
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(n: int, prec: int):
+    """The n-th roots of unity e^{2 pi i l / n}, l < n, at prec bits."""
+    with mp.workprec(prec):
+        return tuple(mp.expjpi(mpf(2 * l) / n) for l in range(n))
+
+
+def _butterfly(even, odd, roots):
+    """The spectrum of 2n samples from the spectra of its n even and n odd
+    samples; roots are the 2n-th roots of unity."""
+    twiddled = [r * y for r, y in zip(roots, odd)]
+    return [e + y for e, y in zip(even, twiddled)] + [e - y for e, y in zip(even, twiddled)]
+
+
+def _fft(xs, roots):
+    """Y_j = sum_l xs[l] roots[j l mod n] for n = len(xs), a power of 2, and
+    roots the n-th roots of unity: radix-2 decimation in time."""
+    if len(xs) == 1:
+        return list(xs)
+    half = roots[::2]
+    return _butterfly(_fft(xs[::2], half), _fft(xs[1::2], half), roots)
+
+
+class _Circle:
+    """The circle |t| = lam of one integral as one spectral part: samples of
+    phi(t) = t f_omega(t) e^{-wt} tail(t) at t_l = lam e^{2 pi i l / n}, their
+    Fourier coefficients A_n and the log moments B_n (module docstring)."""
+
+    def __init__(self, ev: _ContourEvaluator, lam):
+        ispec = ev.ispec
+        self.ev, self.lam = ev, lam
+        self.nodes = _circle_nodes(ispec.omega, lam, mp.prec, ev.thr)
+        tail = ispec.tail
+        self.n0 = 1 - ispec.omega.r + min(0, 0 if tail is None else tail.valuation)
+        a = mp.log(lam)
+        self.scale = mp.exp(ev.neg_k1 * a)
+        # diff^(i)(log lam), and the integral of poly over the segment for beta = 0
+        self.jet = [c * factorial(i) for i, c in enumerate(ev.diff.shift(a).coeffs)]
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        self.flat = mp.fsum(
+            c * two_pi_i ** (j + 1) / (j + 1) for j, c in enumerate(ispec.poly.shift(a).coeffs)
+        )
+        self.factor = max(4, 12 / (ispec.omega.pole_bound / lam - 1))
+
+    def sample(self, l, n):
+        """phi(t_l) on the grid of n samples, with t and t f_omega(t) kept."""
+        ispec, key = self.ev.ispec, l / n
+        node = self.nodes.get(key)
+        if node is None:
+            t = self.lam * _unit_roots(n, mp.prec)[l]
+            node = t, t * _f_omega_at(ispec.omega, t, self.ev.thr)
+            if len(self.nodes) < CACHED_SAMPLES:
+                self.nodes[key] = node
+        t, tf = node
+        value = tf * mp.exp(-ispec.w * t)
+        return value if ispec.tail is None else value * ispec.tail(t)
+
+    def moment(self, n):
+        """B_n = sum_i (-1)^i diff^(i)(log lam) / beta^(i+1), beta = n - k - 1."""
+        beta = n + self.ev.neg_k1
+        if beta == 0:
+            return self.flat
+        inv, acc = 1 / mp.mpmathify(beta), mp.mpc(0)
+        for g in reversed(self.jet):
+            acc = acc * -inv + g
+        return acc * inv
+
+    def first_pass(self, target):
+        """The part with CIRCLE_SAMPLES samples, twice as many below
+        SAMPLES_REACH, doubled until its moments reach n = Re(k) + 1."""
+        n = CIRCLE_SAMPLES if target >= SAMPLES_REACH else 2 * CIRCLE_SAMPLES
+        while self.n0 + n <= mp.re(self.ev.ispec.k) + 1:
+            n *= 2
+        samples = [self.sample(l, n) for l in range(n)]
+        return self.part(samples, _fft(samples, _unit_roots(n, mp.prec)))
+
+    def part(self, samples, spectrum):
+        """A part: (value, estimate, depth, refine, floor) from the samples
+        and their spectrum; refine() doubles the samples, one depth deeper."""
+        n = len(samples)
+        window = range(self.n0, self.n0 + n)
+        coeffs = [spectrum[-m % n] / n for m in window]
+        moments = [self.moment(m) for m in window]
+        sizes = [abs(b) for b in moments]
+        scale = abs(self.scale)
+        err = self.factor * max(map(abs, coeffs[-4:])) * max(sizes) * scale
+        mean = mp.fsum(map(abs, samples)) / n
+        floor = 50 * mp.ldexp(mean * mp.fsum(sizes) * scale, -mp.prec)
+
+        def refine():
+            roots = _unit_roots(2 * n, mp.prec)
+            odd = [self.sample(2 * l + 1, 2 * n) for l in range(n)]
+            fine = [x for pair in zip(samples, odd) for x in pair]
+            return [self.part(fine, _butterfly(spectrum, _fft(odd, roots[::2]), roots))]
+
+        return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
 
 def _ray_end(ev: _ContourEvaluator, t, factor, target):
@@ -394,11 +525,11 @@ def _segment(g, a, b, n, rule, depth):
 
 def _refine_worst(parts, target, end_bounds):
     """Global-adaptive refinement (QUADPACK's QAG; Piessens et al., 1983) of
-    (Kronrod, estimate, depth, refine, floor) parts: while the estimates and
+    (value, estimate, depth, refine, floor) parts: while the estimates and
     floors plus end_bounds sum above target, replace the part with the
     largest estimate by its refinement.  Raises PrecisionUnreachable at once
     if the first floors and end_bounds do, and NodeBudgetExceeded for a part
-    at depth MAX_LEVELS - 1.  Returns (sum of Kronrod values, err_estimate).
+    at depth MAX_LEVELS - 1 or deeper.  Returns (sum of values, err_estimate).
 
     The parts sit in a heap keyed by (-estimate, insertion count), so the
     first inserted of equal estimates is refined first, and the estimates
@@ -424,7 +555,7 @@ def _refine_worst(parts, target, end_bounds):
         if err <= target:
             return mp.fsum(part[0] for _, _, part in heap), err
         _, _, (_, estimate, depth, refine, floor) = heappop(heap)
-        if depth == MAX_LEVELS - 1:
+        if depth >= MAX_LEVELS - 1:
             raise NodeBudgetExceeded(
                 f"refinement failed to reach {mp.nstr(target, 3)} (at {mp.nstr(err, 3)})"
             )
@@ -444,16 +575,13 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
     with p.context(QUADRATURE_GUARD_BITS):
         lam = _check_lambda(lam, ispec.omega)
         target = p.reachable_target()
-        ev = _ContourEvaluator(ispec, p.zero_threshold, lam)
-        rule = _rule()
-        a, parts, tail_bound = mp.log(lam), [], 0
+        ev = _ContourEvaluator(ispec, p.zero_threshold)
+        parts, tail_bound = [], 0
         if ev.diff.coeffs:  # else the rays cancel identically
             T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
-            b = mp.log(T)
-            parts = _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), rule, -2)
-        depth = -1 if target >= CIRCLE_REACH else 0
-        n = CIRCLE_PANELS << depth + 1
-        parts += _segment(ev.circle, a, mp.mpc(a, 2 * mp.pi), n, rule, depth)
+            a, b = mp.log(lam), mp.log(T)
+            parts = _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), _rule(), -2)
+        parts.append(_Circle(ev, lam).first_pass(target))
         return _refine_worst(parts, target, tail_bound)
 
 

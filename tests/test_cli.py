@@ -324,7 +324,7 @@ def test_readme_eval_examples_run(capsys, argv):
 def test_readme_check_all_passes(capsys):
     code, out, err = run(capsys, _readme_command("check", "all"))
     assert code == 0, err
-    assert out.strip().splitlines()[-1] == "21/21 checks passed"
+    assert out.strip().splitlines()[-1] == "22/22 checks passed"
 
 
 def test_readme_asym_fit_runs(capsys):

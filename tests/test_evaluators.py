@@ -1,4 +1,7 @@
+import cmath
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from hyperzeta import (
@@ -505,3 +508,45 @@ def test_r0_closed_form_matches_contour():
 def test_invalid_method():
     with pytest.raises(InvalidParameter):
         balanced_P(1, 0, 1, OmegaVector.of(1), P, method="nope")
+
+
+def _shift_holds(fn, periods, i, w):
+    """The shift relation F_r(w) - F_r(w + omega_i) = F_{r-1}(w; omega
+    without omega_i), within 5 times the summed estimates: it holds for
+    every (m, k) because the weights c^m_{mu,k} do not depend on r."""
+    om = OmegaVector.of(*(mp.mpmathify(cmath.rect(*pa)) for pa in periods))
+    i %= om.r
+    short = OmegaVector(om.omegas[:i] + om.omegas[i + 1:])
+    parts = [fn(w, om), fn(w + om.omegas[i], om), fn(w, short)]
+    with SHARP.context():
+        dev = abs(parts[0].value - parts[1].value - parts[2].value)
+        return dev <= 5 * mp.fsum(part.err_estimate for part in parts)
+
+
+# r = 1..3 periods of modulus 0.5..2 with |arg| <= 1.3, the one dropped
+# drawn, m <= 3, and Re(w) in [0.5, 4] with |Im w| <= Re(w) / 2
+_SHIFT_DRAWS = dict(
+    periods=st.lists(st.tuples(st.floats(0.5, 2), st.floats(-1.3, 1.3)), min_size=1, max_size=3),
+    i=st.integers(0, 2),
+    m=st.integers(0, 3),
+    w_re=st.floats(0.5, 4),
+    w_slope=st.floats(-0.5, 0.5),
+)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(k=st.integers(0, 3), **_SHIFT_DRAWS)
+@example(periods=[(1, 1.3), (0.7, -1.3), (1.4, 0.4)], i=1, m=3, k=3, w_re=1.5, w_slope=0.5)
+@example(periods=[(2, -1.3)], i=0, m=1, k=0, w_re=0.5, w_slope=-0.5)
+def test_shift_relation_log_hyper_gamma(periods, i, m, k, w_re, w_slope):
+    w = mp.mpc(w_re, w_re * w_slope)
+    assert _shift_holds(lambda x, om: log_hyper_gamma(m, k, x, om, P), periods, i, w)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(k=st.integers(-2, 3), **_SHIFT_DRAWS)
+@example(periods=[(1, -1.3), (0.5, 1.3), (1.2, 0)], i=2, m=2, k=-2, w_re=4, w_slope=-0.5)
+@example(periods=[(1.3, 1.3), (0.8, 0.2)], i=0, m=3, k=3, w_re=0.7, w_slope=0.3)
+def test_shift_relation_balanced_P(periods, i, m, k, w_re, w_slope):
+    w = mp.mpc(w_re, w_re * w_slope)
+    assert _shift_holds(lambda x, om: balanced_P(m, k, x, om, P), periods, i, w)

@@ -13,13 +13,14 @@ from hyperzeta import (
     PolyC,
     PrecisionPolicy,
     auto_spec,
+    bernoulli_expansion,
     hankel_integrate,
     q_poly,
 )
 from hyperzeta.asymptotics import default_experiment, remainder_tail
 from hyperzeta.errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from hyperzeta import balanced_P, hankel
-from hyperzeta.hankel import CIRCLE_PANELS, KRONROD_NODES, PANEL_WIDTH, ray_only_integrate
+from hyperzeta.hankel import CIRCLE_SAMPLES, KRONROD_NODES, PANEL_WIDTH, ray_only_integrate
 from hyperzeta.precision import QUADRATURE_GUARD_BITS
 
 P = DEFAULT_POLICY
@@ -105,8 +106,7 @@ def test_error_estimate_honesty():
 
 
 def _record_panels(monkeypatch):
-    """(a, b, depth) of every panel an integral evaluates, in order; a
-    circle panel is one whose end b is complex."""
+    """(a, b, depth) of every ray panel an integral evaluates, in order."""
     panels, panel = [], hankel._panel
     monkeypatch.setattr(
         hankel, "_panel",
@@ -115,12 +115,17 @@ def _record_panels(monkeypatch):
     return panels
 
 
-def _circle(panels):
-    return [(a, b, depth) for a, b, depth in panels if isinstance(b, mp.mpc)]
+def _record_circle(monkeypatch):
+    """(samples, depth) of every circle part an integral forms, in order."""
+    parts, part = [], hankel._Circle.part
 
+    def recording(circle, samples, spectrum):
+        result = part(circle, samples, spectrum)
+        parts.append((len(samples), result[2]))
+        return result
 
-def _ray(panels):
-    return [(a, b, depth) for a, b, depth in panels if not isinstance(b, mp.mpc)]
+    monkeypatch.setattr(hankel._Circle, "part", recording)
+    return parts
 
 
 def _rule_moment(weights, nodes, e):
@@ -155,8 +160,8 @@ def test_kronrod_rule_shape():
 
 def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     # a default-target integral is certified by its first pass: f_omega is
-    # evaluated once per Kronrod node of each ray and circle panel, besides the
-    # ray-end probes
+    # evaluated once per Kronrod node of each ray panel and once per circle
+    # sample, besides the ray-end probes
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     ts, ends = [], []
@@ -173,23 +178,23 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     )
     monkeypatch.setattr(hankel, "_ray_end", probed_end)
     panels = _record_panels(monkeypatch)
+    circle = _record_circle(monkeypatch)
     hankel._circle_nodes.cache_clear()
     _, err = hankel_integrate(ispec, None, P)
     assert err <= P.target_abs_error
-    assert [depth for _, _, depth in _circle(panels)] == [-1] * CIRCLE_PANELS
+    assert circle == [(CIRCLE_SAMPLES, -1)]
     # the first pass cuts [log lambda, log T] into equal panels at most
     # PANEL_WIDTH wide, at depth -2
-    rays = _ray(panels)
-    widths = [b - a for a, b, _ in rays]
-    assert all(depth == -2 for _, _, depth in rays)
+    widths = [b - a for a, b, _ in panels]
+    assert all(depth == -2 for _, _, depth in panels)
     assert max(widths) <= PANEL_WIDTH and max(widths) - min(widths) < mpf("1e-50")
-    assert len(ts) - sum(ends) == KRONROD_NODES * len(panels)
+    assert len(ts) - sum(ends) == KRONROD_NODES * len(panels) + CIRCLE_SAMPLES
 
 
 def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
-    # at 1e-48 the circle starts with 4 panels, which meet it, and the first
-    # pass misses on the ray: the driver refines ray panels worst estimate
-    # first, and leaves the other parts as they are
+    # at 1e-48 the circle starts with 128 samples, which meet it, and the
+    # first pass misses on the ray: _refine_worst refines ray panels worst
+    # estimate first, and leaves the other parts as they are
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     ref, _ = hankel_integrate(ispec, None, SHARP.with_target(1e-60))
@@ -212,9 +217,12 @@ def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
 
     monkeypatch.setattr(hankel, "_refine_worst", recording)
     monkeypatch.setattr(hankel, "_segment", first_pass)
+    circle = _record_circle(monkeypatch)
     val, err = hankel_integrate(ispec, None, P.with_target(1e-48))
     assert err <= 1e-48
-    assert len(first) == len(rays) + 2 * CIRCLE_PANELS
+    # the rays, then the circle
+    assert len(first) == len(rays) + 1
+    assert circle == [(2 * CIRCLE_SAMPLES, 0)]
     assert 0 < len(refined) < len(rays)
     assert all(i < len(rays) for i in refined)
     kept = [e for i, e in enumerate(first) if i not in refined]
@@ -225,18 +233,18 @@ def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
 
 @pytest.mark.parametrize("omegas", [("1.3274", "1.3532"), ("1.2127", "0.82523")])
 def test_circle_first_pass_is_set_by_the_target(monkeypatch, omegas):
-    # at 1e-32, 2 circle panels pass for the second omega and are refined for
-    # the first (nearly coincident poles); below CIRCLE_REACH both start with
-    # 4 panels, which pass, so the circle's work does not turn on omega
+    # at 1e-32, 64 circle samples pass for both omegas, the nearly coincident
+    # poles of the first included (estimates near 4e-35); below SAMPLES_REACH
+    # both start with 128 samples, which pass at 1e-55, so the circle's work
+    # does not turn on omega
     ispec = IntegrandSpec(omega=OmegaVector.of(*map(mpf, omegas)), w=mpf("2.3"), k=2,
                           poly=q_poly(1, 2, P))
-    panels = _record_panels(monkeypatch)
-    _, err = hankel_integrate(ispec, None, P.with_target(1e-32))
-    assert err <= 1e-32
-    # the 4 equal quarters of the segment [log lambda, log lambda + 2 pi i]
-    circle = _circle(panels)
-    assert [depth for _, _, depth in circle] == [0] * 2 * CIRCLE_PANELS
-    assert all(abs(b - a - mp.mpc(0, mp.pi / 2)) < mpf("1e-50") for a, b, _ in circle)
+    circle = _record_circle(monkeypatch)
+    for target, first in ((1e-32, (CIRCLE_SAMPLES, -1)), (1e-55, (2 * CIRCLE_SAMPLES, 0))):
+        circle.clear()
+        _, err = hankel_integrate(ispec, None, P.with_target(target))
+        assert err <= target
+        assert circle == [first]
 
 
 @pytest.mark.parametrize(
@@ -245,11 +253,10 @@ def test_circle_first_pass_is_set_by_the_target(monkeypatch, omegas):
     ids=["contour", "ray-only"],
 )
 def test_refinement_budget(monkeypatch, integrate):
-    # with a K - G that never shrinks, the refinement stops where a panel would
-    # pass depth MAX_LEVELS - 1: each first-pass part at depth d and its
+    # with a K - G that never shrinks, the refinement stops where a ray panel
+    # would pass depth MAX_LEVELS - 1: each first-pass panel at depth d and its
     # halves down to that depth, 2^(MAX_LEVELS - d) - 1 panels, at most 255
-    # for a ray panel of four doublings (level -2) and 127 for a circle panel
-    # (level -1)
+    # for a ray panel of four doublings (level -2)
     first, evaluated = [], []
     segment, panel = hankel._segment, hankel._panel
 
@@ -304,11 +311,12 @@ def test_rounding_floor_above_target_raises_within_one_pass(monkeypatch):
 
     monkeypatch.setattr(hankel, "_segment", first_pass)
     panels = _record_panels(monkeypatch)
+    circle = _record_circle(monkeypatch)
     with pytest.raises(PrecisionUnreachable):
         hankel_integrate(ispec, None, P.with_target(1e-55))
     assert len(panels) == len(first)
-    # below CIRCLE_REACH the circle's first pass is its 4 panels of depth 0
-    assert [depth for _, _, depth in _circle(panels)] == [0] * 2 * CIRCLE_PANELS
+    # below SAMPLES_REACH the circle's first pass is its 128 samples at depth 0
+    assert circle == [(2 * CIRCLE_SAMPLES, 0)]
 
 
 @pytest.mark.parametrize("target", [1e-100, 1e-300])
@@ -401,32 +409,39 @@ def test_circle_cache_changes_no_result(name):
 
 
 def test_circle_cache_keeps_two_levels(monkeypatch):
-    stored, nodes = [], []
-    nodes_of, circle = hankel._circle_nodes, hankel._ContourEvaluator.circle
+    stored, keys = [], []
+    nodes_of, sample = hankel._circle_nodes, hankel._Circle.sample
     monkeypatch.setattr(hankel, "_circle_nodes", lambda *key: stored.append(nodes_of(*key)) or stored[-1])
     monkeypatch.setattr(
-        hankel._ContourEvaluator, "circle", lambda ev, u: nodes.append(u) or circle(ev, u)
+        hankel._Circle, "sample", lambda c, l, n: keys.append(l / n) or sample(c, l, n)
     )
     for o in ("1", "0.8", "1.3"):
-        nodes.clear()
+        keys.clear()
         ispec = IntegrandSpec(omega=OmegaVector.of(mpf(o)), w=1, k=0, poly=q_poly(1, 0, P))
         hankel_integrate(ispec, None, P)
-    # one key at a time, holding (t, t f_omega(t)) at every node its integral reached
+    # one key at a time, holding (t, t f_omega(t)) at every sample its
+    # integral reached, by the sample's fraction of the turn
     assert nodes_of.cache_info().currsize == 1
-    assert set(stored[-1]) == set(nodes) and len(nodes) < hankel.CACHED_NODES
-    assert all(abs(t - mp.exp(u)) < mpf("1e-50") for u, (t, _) in stored[-1].items())
-    # a 1e-65 target reaches more nodes than the 6 panels of depths -1 and 0
-    # hold; the first evaluated are kept, the 4 first-pass panels among them
-    nodes.clear()
+    assert set(stored[-1]) == set(keys) and len(keys) < hankel.CACHED_SAMPLES
+    lam = auto_spec(OmegaVector.of(mpf("1.3")), 1, P)
+    for key, (t, _) in stored[-1].items():
+        assert abs(t - lam * mp.expj(2 * mp.pi * key)) < mpf("1e-50")
+    # lambda at 0.8 times the pole bound takes 512 samples at 1e-40, more than
+    # the levels -1 to 1 hold; the first evaluated are kept: the first pass's
+    # 128 and the 128 of its first doubling
+    keys.clear()
     nodes_of.cache_clear()
-    ispec = IntegrandSpec(omega=_CIRCLE_OMEGAS["complex"], w=1, k=1, poly=q_poly(1, 1, P))
-    hankel_integrate(ispec, None, PrecisionPolicy(192, 1e-65))
-    assert len(set(nodes)) > hankel.CACHED_NODES == 6 * KRONROD_NODES
-    assert list(stored[-1]) == list(dict.fromkeys(nodes))[: hankel.CACHED_NODES]
+    om = _CIRCLE_OMEGAS["complex"]
+    ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
+    _, err = hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
+    assert err <= 1e-40
+    assert len(set(keys)) == 512 > hankel.CACHED_SAMPLES == 4 * CIRCLE_SAMPLES
+    assert list(stored[-1]) == list(dict.fromkeys(keys))[: hankel.CACHED_SAMPLES]
+    assert set(stored[-1]) == {l / 256 for l in range(256)}
 
 
 def test_circle_cache_is_hit_across_w(monkeypatch):
-    # the looser target keeps the ray short, so its nodes number below the circle's
+    # the looser target keeps the ray short
     p = PrecisionPolicy(192, 1e-15)
     lam = mpf("2.8")
     ts = []
@@ -434,20 +449,20 @@ def test_circle_cache_is_hit_across_w(monkeypatch):
     monkeypatch.setattr(
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
-    panels = _record_panels(monkeypatch)
+    circle = _record_circle(monkeypatch)
     om = OmegaVector.of(1)
     balanced_P(1, 1, mpf("3.9"), om, p, lam=lam)
     ts.clear()
-    panels.clear()
+    circle.clear()
     balanced_P(1, 0, mpf("4.2"), om, p, lam=lam)
-    ray_nodes = sum(1 for t in ts if not isinstance(t, mp.mpc))
-    assert len(ts) == ray_nodes < CIRCLE_PANELS * KRONROD_NODES
-    assert [depth for _, _, depth in _circle(panels)] == [-1] * CIRCLE_PANELS
-    # a new omega evaluates every circle node of the panels it reaches again
+    # no f_omega call on the circle at the second w: every one is on the ray
+    assert ts and not any(isinstance(t, mp.mpc) for t in ts)
+    assert circle == [(CIRCLE_SAMPLES, -1)]
+    # a new omega evaluates every circle sample of the parts it reaches again
     ts.clear()
-    panels.clear()
+    circle.clear()
     balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
-    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == KRONROD_NODES * len(_circle(panels))
+    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == circle[-1][0]
 
 
 def test_identically_zero_rays_are_skipped(monkeypatch):
@@ -462,13 +477,14 @@ def test_identically_zero_rays_are_skipped(monkeypatch):
     )
     monkeypatch.setattr(hankel, "_ray_end", lambda *a: ends.append(a) or ray_end(*a))
     panels = _record_panels(monkeypatch)
+    circle = _record_circle(monkeypatch)
     hankel._circle_nodes.cache_clear()
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, P))
     val, err = hankel_integrate(ispec, None, P)
     assert not ends
-    assert panels == _circle(panels)
-    assert [depth for _, _, depth in panels] == [-1] * CIRCLE_PANELS
-    assert len(ts) == KRONROD_NODES * CIRCLE_PANELS
+    assert not panels
+    assert circle == [(CIRCLE_SAMPLES, -1)]
+    assert len(ts) == CIRCLE_SAMPLES
     assert all(isinstance(t, mp.mpc) for t in ts)
     with SHARP.context():
         sharp = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, SHARP))
@@ -476,40 +492,40 @@ def test_identically_zero_rays_are_skipped(monkeypatch):
         assert abs(val - ref) <= err <= P.target_abs_error
 
 
-def _product_form(ispec, t, logt):
+def _product_form(ispec, t, logt=None):
     """f_omega(t) e^{-wt} tail(t) t^{-k-1} as a product of its factors, with
-    t^{-k-1} on the branch of logt."""
+    t^{-k-1} on the branch of logt; without t^{-k-1} if logt is None."""
     f_omega = mp.fprod(1 / (1 - mp.exp(-o * t)) for o in ispec.omega.omegas)
     tail = ispec.tail(t) if ispec.tail is not None else 1
     k = ispec.k
-    power = mp.power(t, -k - 1) if isinstance(k, int) else mp.exp(-(k + 1) * logt)
+    if logt is None:
+        power = 1
+    else:
+        power = mp.power(t, -k - 1) if isinstance(k, int) else mp.exp(-(k + 1) * logt)
     return f_omega * mp.exp(-ispec.w * t) * tail * power
 
 
 @pytest.mark.parametrize("k", [1, mp.mpc("-2.5", "-0.5")], ids=["integer_k", "complex_k"])
 @pytest.mark.parametrize("tail", [None, (1, "0.5", "0.25+0.1j")], ids=["no_tail", "tail"])
 @pytest.mark.parametrize("args", [(0, 0), ("0.6", "-0.4")], ids=["real", "complex"])
-def test_nodes_match_the_product_form(monkeypatch, k, tail, args):
-    # the ray and circle terms t F(t) in u = log t, taken as one exponential
-    # and one difference polynomial, against t times the product
-    # f_omega e^{-wt} tail t^{-k-1} times jump poly(log t + 2 pi i) - poly(log t)
-    # on the ray and poly(log t) on the circle, evaluated at 64 more bits
+def test_nodes_match_the_product_form(k, tail, args):
+    # the ray terms t F(t) in u = log t, taken as one exponential and one
+    # difference polynomial, against t times the product
+    # f_omega e^{-wt} tail t^{-k-1} times jump poly(log t + 2 pi i) - poly(log t),
+    # and the circle samples phi(t_l) against t f_omega e^{-wt} tail at
+    # t_l = lambda e^{2 pi i l / 64}, evaluated at 64 more bits
     om = OmegaVector.of(*(size * mp.expj(mpf(arg)) for size, arg in zip((1, mpf("1.3")), args)))
     tail = None if tail is None else LaurentSeries(1, tuple(mp.mpmathify(c) for c in tail))
     ispec = IntegrandSpec(omega=om, w=mp.mpc("1.5", "0.5"), k=k, poly=q_poly(2, 1, P), tail=tail)
-    terms = []
-    gk_sums = hankel._gk_sums
-    monkeypatch.setattr(hankel, "_gk_sums", lambda fs, h, rule: terms.append(fs) or gk_sums(fs, h, rule))
     lam = auto_spec(om, ispec.w, P)
     with P.context(QUADRATURE_GUARD_BITS):
         prec = mp.prec
         hankel._circle_nodes.cache_clear()
-        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, lam)
-        rule = hankel._rule()
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold)
         ts = [lam / 3, lam, mpf("1.7"), mpf("9.1")]
         rays = [ev.ray(mp.log(t)) for t in ts]
-        loglam = mp.log(lam)
-        hankel._segment(ev.circle, loglam, mp.mpc(loglam, 2 * mp.pi), CIRCLE_PANELS, rule, -1)
+        circle = hankel._Circle(ev, lam)
+        samples = [circle.sample(l, CIRCLE_SAMPLES) for l in range(CIRCLE_SAMPLES)]
     with mp.workprec(prec + 64):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
@@ -518,19 +534,16 @@ def test_nodes_match_the_product_form(monkeypatch, k, tail, args):
             diff = jump * ispec.poly(logt + two_pi_i) - ispec.poly(logt)
             ref = t * _product_form(ispec, t, logt) * diff
             assert abs(value - ref) <= mpf(2) ** (8 - prec) * abs(ref)
-        h = mp.pi / CIRCLE_PANELS
-        for i, panel in enumerate(terms):
-            for x, value in zip(rule[0], panel):
-                theta = (2 * i + 1 + x) * h
-                t, logt = lam * mp.expj(theta), mp.mpc(mp.log(lam), theta)
-                ref = t * _product_form(ispec, t, logt) * ispec.poly(logt)
-                assert abs(value - ref) <= mpf(2) ** (8 - prec) * abs(ref)
+        for l, value in enumerate(samples):
+            t = lam * mp.expj(2 * mp.pi * l / CIRCLE_SAMPLES)
+            ref = t * _product_form(ispec, t)
+            assert abs(value - ref) <= mpf(2) ** (8 - prec) * abs(ref)
 
 
 def test_warm_circle_node_takes_one_exponential(monkeypatch):
-    # with the circle's t and t f_omega(t) cached, a circle node costs one
-    # mp.exp (e^{-wt} t^{-k-1} together), and nothing in the integral takes
-    # mp.power or mp.expj
+    # with the circle's t and t f_omega(t) cached, a circle sample costs one
+    # mp.exp, e^{-wt}, and none for t, which comes from cached roots of unity;
+    # nothing in the integral takes mp.power or mp.expj
     om = OmegaVector.of(1, mpf("1.3"))
     hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P)), None, P)
     calls = {"power": 0, "expj": 0, "exp": 0}
@@ -555,14 +568,56 @@ def test_warm_circle_node_takes_one_exponential(monkeypatch):
     monkeypatch.setattr(mp, "power", lambda *a: calls.update(power=calls["power"] + 1) or power(*a))
     monkeypatch.setattr(mp, "expj", lambda *a: calls.update(expj=calls["expj"] + 1) or expj(*a))
     monkeypatch.setattr(hankel, "_f_omega_at", within("f_omega", hankel._f_omega_at))
-    monkeypatch.setattr(
-        hankel._ContourEvaluator, "circle", within("circle", hankel._ContourEvaluator.circle)
-    )
-    panels = _record_panels(monkeypatch)
+    monkeypatch.setattr(hankel._Circle, "sample", within("circle", hankel._Circle.sample))
+    circle = _record_circle(monkeypatch)
     _, err = hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.7"), k=1, poly=q_poly(2, 1, P)), None, P)
     assert err <= P.target_abs_error
-    assert [depth for _, _, depth in _circle(panels)] == [-1] * CIRCLE_PANELS
-    assert calls == {"power": 0, "expj": 0, "exp": KRONROD_NODES * CIRCLE_PANELS}
+    assert circle == [(CIRCLE_SAMPLES, -1)]
+    assert calls == {"power": 0, "expj": 0, "exp": CIRCLE_SAMPLES}
+
+
+# the circle's integrands for the spectral part against mp.quad: (omega, w,
+# k, poly, tail, lambda as a fraction of the pole bound or None for auto_spec's)
+_OM = OmegaVector.of(1, mpf("1.3"))
+_SPECTRAL_CASES = {
+    "integer-k-m4": (_OM, mpf("1.5"), 2, q_poly(4, 2, P), None, None),
+    "complex-k-im-up": (_OM, mpf("1.5"), -mp.mpc("2.5", "10"), PolyC((1,)), None, None),
+    "complex-k-im-down": (_OM, mpf("1.5"), -mp.mpc("-1.5", "-10"), PolyC((mpf("1e-25"),)),
+                          None, None),
+    "negative-tail": (_OM, mpf("1.5"), 1, q_poly(2, 1, P),
+                      bernoulli_expansion(OmegaVector.of(mpf("0.7")), mpf("0.4"), 5, P), None),
+    "complex-w": (_OM, mp.mpc("1.5", "2"), 1, q_poly(2, 1, P), None, None),
+    "complex-omega": (OmegaVector.of(1, mpf("0.9") * mp.expj(mpf("1.3"))), mpf("1.5"), 1,
+                      q_poly(3, 1, P), None, None),
+    "lam-override": (_OM, mpf("1.5"), 1, q_poly(2, 1, P), None, mpf("0.8")),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPECTRAL_CASES))
+def test_spectral_circle_matches_mpmath_quad(case):
+    # the circle part alone, refined by _refine_worst, against mpmath's
+    # tanh-sinh quadrature of i t F(t) over theta in [0, 2 pi], t = lambda
+    # e^{i theta} and log t = log lambda + i theta, at 64 more bits
+    om, w, k, poly, tail, fraction = _SPECTRAL_CASES[case]
+    ispec = IntegrandSpec(omega=om, w=w, k=k, poly=poly, tail=tail)
+    lam = auto_spec(om, w, P) if fraction is None else om.pole_bound * fraction
+    assert tail is None or tail.valuation < 0
+    with SHARP.context():
+        loglam = mp.log(lam)
+
+        def integrand(theta):
+            t, logt = lam * mp.expj(theta), mp.mpc(loglam, theta)
+            return mp.mpc(0, 1) * t * _product_form(ispec, t, logt) * ispec.poly(logt)
+
+        ref = mp.quad(integrand, mp.linspace(0, 2 * mp.pi, 5))
+    for target in (1e-22, 1e-40):
+        p = P.with_target(target)
+        with p.context(QUADRATURE_GUARD_BITS):
+            ev = hankel._ContourEvaluator(ispec, p.zero_threshold)
+            circle = hankel._Circle(ev, mpf(lam))
+            val, err = hankel._refine_worst([circle.first_pass(mpf(target))], mpf(target), 0)
+        with SHARP.context():
+            assert abs(val - ref) <= err <= target
 
 
 def _unit_ray(poly):
