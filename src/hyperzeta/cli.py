@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
         "--method",
         choices=("contour", "direct", "combination"),
         default="contour",
-        help="evaluation route (zeta: contour/direct; P: contour/combination)",
+        help="evaluation route: contour for every target, direct for zeta, combination for P",
     )
 
     ck = sub.add_parser("check", help="run an invariant suite")
@@ -220,6 +220,12 @@ def _run_eval(args, p: PrecisionPolicy) -> int:
     fmt = args.format or "json"
     omega = OmegaVector.of(*parse_real_tuple(args.omega))
     w = parse_complex(args.w)
+    methods = {
+        "zeta": ("contour", "direct"), "P": ("contour", "combination"), "gamma-log": ("contour",)
+    }[args.target]
+    if args.method not in methods:
+        message = f"eval {args.target} takes --method {' or '.join(methods)}, not {args.method}"
+        return _emit_error(EXIT_DOMAIN, message, "method")
     with p.context():
         lam = None if args.lam is None else _check_lambda(args.lam, omega)
         if args.target == "zeta":

@@ -1,11 +1,10 @@
 """High-precision scalar constants, taken from mpmath.
 
-Exact Bernoulli numbers and Bernoulli-polynomial coefficients, and Euler's
-constant.  Each is one mpmath call under the package's precision policy,
-behind the domain checks the rest of the package relies on; Gamma and the
-integer zeta values are taken from mpmath directly (``mp.gamma``,
-``mp.zeta``).  ``_bernoulli_tail`` is the summation loop
-of the lattice Euler-Maclaurin sum in ``evaluators``, and
+Exact Bernoulli numbers and Euler's constant.  Each is one mpmath call under
+the package's precision policy, behind the domain checks the rest of the
+package relies on; Gamma and the integer zeta values are taken from mpmath
+directly (``mp.gamma``, ``mp.zeta``).  ``_bernoulli_tail`` is the summation
+loop of the lattice Euler-Maclaurin sum in ``evaluators``, and
 ``bernoulli_over_factorial`` its cached coefficients.
 """
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from mpmath import mp, mpf
 
@@ -27,14 +26,6 @@ def bernoulli_number(n: int) -> Fraction:
     if n < 0:
         raise DomainError("Bernoulli index must be >= 0")
     return Fraction(*mp.bernfrac(n))
-
-
-@lru_cache(maxsize=None)
-def bernoulli_poly_coeffs(n: int) -> tuple:
-    """Coefficients (x^0 .. x^n) of the Bernoulli polynomial B_n(x), exact."""
-    return tuple(
-        comb(n, j) * bernoulli_number(n - j) for j in range(n + 1)
-    )
 
 
 def _frac(q: Fraction):

@@ -380,11 +380,3 @@ def p0_closed_form(m: int, k: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
         for mu, weight in _c_weights(m, k):
             total += weight * lw ** mu * wk
         return total
-
-
-# -- finite differences (hierarchy checks) --------------------------------
-
-
-def derivative_fd(f, x, h):
-    """d/dx f by a 5-point central stencil."""
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)

@@ -82,14 +82,13 @@ sum|B_n| * |lambda^{-k-1}|, as each A'_n carries about 2^-bits mean|phi_l|;
 it is above zero wherever a sample and a moment are.  Where every moment
 vanishes (a constant poly, integer k and k + 1 < n0: the integrand is
 regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
-part doubles N: the new samples are the odd ones of the finer grid, and one
-radix-2 butterfly joins their spectrum to the old one, so no sample is taken
-twice.
+part doubles N: the new samples are the odd ones of the finer grid,
+interleaved with the old before the FFT, so no sample is taken twice.
 
 The first pass is coarse: the ray segment in equal panels at most
 PANEL_WIDTH = log 16 wide (four doublings of t), and the circle at
-CIRCLE_SAMPLES = 64 samples, 128 below SAMPLES_REACH = 1e-34 (next
-paragraph).  If its floors and the ray end bounds exceed the target,
+CIRCLE_SAMPLES = 64 samples, doubled only until its window reaches n =
+Re(k) + 1.  If its floors and the ray end bounds exceed the target,
 PrecisionUnreachable is raised at once.  Then ``_refine_worst`` refines as
 QUADPACK's QAG does: while the estimates, floors and end bounds sum above
 the target, the part with the largest estimate is refined, a ray panel
@@ -104,25 +103,26 @@ moves the circle's moments to log lambda + i phi.
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
 of f_omega then lie at |t| >= 4 lambda, rho >= 4, so N samples resolve about
-4^-N of the integrand's scale: 64 samples estimate about 1e-35 for the
-integrands of unit size near the first pass's limit (two nearly coincident
-poles), so they serve targets down to SAMPLES_REACH, and 128 (about 1e-73)
-below it.  The clamp matters at large w: the far side's e^{Re(w) lambda}
-cancels in the sum, at one working precision for every lambda, so a lambda
-above the clamp pays it in the rounding floor, and raises
-PrecisionUnreachable from the first pass where that floor passes the
-target.  The value does not depend on lambda, so a smaller circle costs
-nothing in accuracy.
+4^-N of the integrand's scale: 64 samples estimate about 1e-35 for
+integrands of unit size, two nearly coincident poles included, and a lower
+target doubles them once in ``_refine_worst``, to 128 (about 1e-73).  The
+clamp matters at large w: the far side's e^{Re(w) lambda} cancels in the
+sum, at one working precision for every lambda, so a lambda above the clamp
+pays it in the rounding floor, and raises PrecisionUnreachable from the
+first pass where that floor passes the target.  The value does not depend
+on lambda, so a smaller circle costs nothing in accuracy.
 
 Both ends of a ray have one truncation rule: move t by a fixed factor until
 the bound |integrand|(t) * t is below target / 10, and add that bound to the
-estimate.  The far end T starts at max(30 / Re(w), 2 * lambda) and grows by
-1.25.  ``ray_only_integrate`` integrates the same outbound-minus-inbound
-integrand over the one segment [log eps, log T], with no circle; its near end
-eps starts at lambda and shrinks by 4.  In u the end t = 0 moves to
-u = -inf, where t F(t) decays like e^u |u|^(nu-1) for poly of degree nu, so
-equal panels serve the whole segment: the remainder-reduction ray at w = 20,
-eps about 1e-11, takes 10 first-pass panels and no refinement.
+estimate.  The far end T starts at 30 / Re(w) or 2 lambda, whichever is
+larger, and grows by 1.25; ``_rays`` builds it and the first-pass panels for
+both integrals.  ``ray_only_integrate`` integrates the same
+outbound-minus-inbound integrand over the one segment [log eps, log T], with
+no circle; its near end eps starts at lambda and shrinks by 4.  In u the
+end t = 0 moves to u = -inf, where t F(t) decays like e^u |u|^(nu-1) for
+poly of degree nu, so equal panels serve the whole segment: the
+remainder-reduction ray at w = 20, eps about 1e-11, takes 10 first-pass
+panels and no refinement.
 
 The circle's samples t_l and t_l f_omega(t_l) do not depend on w.
 ``_circle_nodes`` keeps both by l / N for one key (omega, lambda, working
@@ -155,10 +155,8 @@ GAUSS_NODES = 32
 KRONROD_NODES = 2 * GAUSS_NODES + 1
 # the widest first-pass ray panel in u = log t: four doublings of t, level -2
 PANEL_WIDTH = log(16)
-# the circle's first-pass samples, level -1, and the target below which it
-# starts with twice as many, level 0
+# the circle's first-pass samples, level -1
 CIRCLE_SAMPLES = 64
-SAMPLES_REACH = 1e-34
 # the circle samples _circle_nodes keeps: levels -1 to 1
 CACHED_SAMPLES = 4 * CIRCLE_SAMPLES
 
@@ -402,20 +400,15 @@ def _unit_roots(n: int, prec: int):
         return tuple(mp.expjpi(mpf(2 * l) / n) for l in range(n))
 
 
-def _butterfly(even, odd, roots):
-    """The spectrum of 2n samples from the spectra of its n even and n odd
-    samples; roots are the 2n-th roots of unity."""
-    twiddled = [r * y for r, y in zip(roots, odd)]
-    return [e + y for e, y in zip(even, twiddled)] + [e - y for e, y in zip(even, twiddled)]
-
-
 def _fft(xs, roots):
     """Y_j = sum_l xs[l] roots[j l mod n] for n = len(xs), a power of 2, and
     roots the n-th roots of unity: radix-2 decimation in time."""
     if len(xs) == 1:
         return list(xs)
     half = roots[::2]
-    return _butterfly(_fft(xs[::2], half), _fft(xs[1::2], half), roots)
+    even, odd = _fft(xs[::2], half), _fft(xs[1::2], half)
+    twiddled = [r * y for r, y in zip(roots, odd)]
+    return [e + y for e, y in zip(even, twiddled)] + [e - y for e, y in zip(even, twiddled)]
 
 
 class _Circle:
@@ -462,19 +455,20 @@ class _Circle:
             acc = acc * -inv + g
         return acc * inv
 
-    def first_pass(self, target):
-        """The part with CIRCLE_SAMPLES samples, twice as many below
-        SAMPLES_REACH, doubled until its moments reach n = Re(k) + 1."""
-        n = CIRCLE_SAMPLES if target >= SAMPLES_REACH else 2 * CIRCLE_SAMPLES
+    def first_pass(self):
+        """The part with CIRCLE_SAMPLES samples, doubled only until its
+        moments reach n = Re(k) + 1."""
+        n = CIRCLE_SAMPLES
         while self.n0 + n <= mp.re(self.ev.ispec.k) + 1:
             n *= 2
-        samples = [self.sample(l, n) for l in range(n)]
-        return self.part(samples, _fft(samples, _unit_roots(n, mp.prec)))
+        return self.part([self.sample(l, n) for l in range(n)])
 
-    def part(self, samples, spectrum):
+    def part(self, samples):
         """A part: (value, estimate, depth, refine, floor) from the samples
-        and their spectrum; refine() doubles the samples, one depth deeper."""
+        by their FFT; refine() interleaves the odd samples of the grid twice
+        as fine, one depth deeper."""
         n = len(samples)
+        spectrum = _fft(samples, _unit_roots(n, mp.prec))
         window = range(self.n0, self.n0 + n)
         coeffs = [spectrum[-m % n] / n for m in window]
         moments = [self.moment(m) for m in window]
@@ -485,10 +479,8 @@ class _Circle:
         floor = 50 * mp.ldexp(mean * mp.fsum(sizes) * scale, -mp.prec)
 
         def refine():
-            roots = _unit_roots(2 * n, mp.prec)
             odd = [self.sample(2 * l + 1, 2 * n) for l in range(n)]
-            fine = [x for pair in zip(samples, odd) for x in pair]
-            return [self.part(fine, _butterfly(spectrum, _fft(odd, roots[::2]), roots))]
+            return [self.part([x for pair in zip(samples, odd) for x in pair])]
 
         return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
@@ -521,6 +513,15 @@ def _segment(g, a, b, n, rule, depth):
     """The first-pass parts of g over [a, b]: n equal panels at depth."""
     h = (b - a) / n
     return [_panel(g, a + i * h, a + (i + 1) * h, rule, depth) for i in range(n)]
+
+
+def _rays(ev: _ContourEvaluator, near, lam, target):
+    """The first-pass ray panels over [log near, log T], equal, at most
+    PANEL_WIDTH wide, at depth -2, and the far end's bound (rule: module
+    docstring)."""
+    T, bound = _ray_end(ev, max(30 / mp.re(ev.ispec.w), 2 * lam), mpf("1.25"), target)
+    a, b = mp.log(near), mp.log(T)
+    return _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), _rule(), -2), bound
 
 
 def _refine_worst(parts, target, end_bounds):
@@ -578,10 +579,8 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
         ev = _ContourEvaluator(ispec, p.zero_threshold)
         parts, tail_bound = [], 0
         if ev.diff.coeffs:  # else the rays cancel identically
-            T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
-            a, b = mp.log(lam), mp.log(T)
-            parts = _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), _rule(), -2)
-        parts.append(_Circle(ev, lam).first_pass(target))
+            parts, tail_bound = _rays(ev, lam, lam, target)
+        parts.append(_Circle(ev, lam).first_pass())
         return _refine_worst(parts, target, tail_bound)
 
 
@@ -611,8 +610,6 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
         if not ev.diff.coeffs:  # the rays cancel identically
             return mp.mpc(0), mpf(0)
         target = p.reachable_target()
-        T, tail_bound = _ray_end(ev, max(30 / mp.re(ispec.w), 2 * lam), mpf("1.25"), target)
         eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
-        a, b = mp.log(eps), mp.log(T)
-        parts = _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), _rule(), -2)
+        parts, tail_bound = _rays(ev, eps, lam, target)
         return _refine_worst(parts, target, tail_bound + head_bound)

@@ -31,9 +31,13 @@ from hyperzeta import (
 )
 from hyperzeta.combinatorics import gen_F, multi_harmonic
 from hyperzeta.constants import euler_gamma
-from hyperzeta.evaluators import derivative_fd
 
 P = DEFAULT_POLICY
+
+
+def derivative_fd(f, x, h):
+    """d/dx f by a 5-point central stencil."""
+    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
 
 
 _CAPSYS = None

@@ -154,6 +154,23 @@ def test_lambda_out_of_range_exit_3(capsys, target):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "target, method",
+    [("P", "direct"), ("gamma-log", "direct"), ("gamma-log", "combination"), ("zeta", "combination")],
+    ids=["P-direct", "gamma-log-direct", "gamma-log-combination", "zeta-combination"],
+)
+def test_method_the_target_lacks_exit_3(capsys, target, method):
+    # zeta takes contour or direct, P contour or combination, gamma-log
+    # contour; any other pair is refused, not run by the contour.  eval
+    # accepts --s, --m and --k for every target
+    argv = ["eval", target, "--s", "2.5", "--m", "1", "--k", "1", "--w", "1.5", "--method", method]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 3 and record["parameter"] == "method"
+
+
 def test_lambda_override_matches_default(capsys):
     # 2 * lambda > 30 / Re(w), so the override also moves the ray's start
     argv = ["eval", "P", "--m", "1", "--k", "1", "--w", "20", "--omega", "1"]

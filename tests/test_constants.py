@@ -1,11 +1,17 @@
 from fractions import Fraction
+from math import comb
 
 from mpmath import mp, mpf
 
 from hyperzeta import DEFAULT_POLICY, PrecisionPolicy
-from hyperzeta.constants import bernoulli_number, bernoulli_poly_coeffs, euler_gamma
+from hyperzeta.constants import bernoulli_number, euler_gamma
 
 P = DEFAULT_POLICY
+
+
+def bernoulli_poly_coeffs(n: int) -> tuple:
+    """Coefficients (x^0 .. x^n) of the Bernoulli polynomial B_n(x), exact."""
+    return tuple(comb(n, j) * bernoulli_number(n - j) for j in range(n + 1))
 
 
 def test_bernoulli_numbers_exact():

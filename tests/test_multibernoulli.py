@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from mpmath import mp, mpf
@@ -10,10 +11,15 @@ from hyperzeta import (
     bernoulli_a_exact,
     bernoulli_expansion,
 )
-from hyperzeta.constants import bernoulli_poly_coeffs
+from hyperzeta.constants import bernoulli_number
 from hyperzeta.errors import InvalidParameter
 
 P = DEFAULT_POLICY
+
+
+def bernoulli_poly_coeffs(n: int) -> tuple:
+    """Coefficients (x^0 .. x^n) of the Bernoulli polynomial B_n(x), exact."""
+    return tuple(comb(n, j) * bernoulli_number(n - j) for j in range(n + 1))
 
 
 def classical_bernoulli(n, w):

@@ -119,8 +119,8 @@ def _record_circle(monkeypatch):
     """(samples, depth) of every circle part an integral forms, in order."""
     parts, part = [], hankel._Circle.part
 
-    def recording(circle, samples, spectrum):
-        result = part(circle, samples, spectrum)
+    def recording(circle, samples):
+        result = part(circle, samples)
         parts.append((len(samples), result[2]))
         return result
 
@@ -192,9 +192,10 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
 
 
 def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
-    # at 1e-48 the circle starts with 128 samples, which meet it, and the
-    # first pass misses on the ray: _refine_worst refines ray panels worst
-    # estimate first, and leaves the other parts as they are
+    # at 1e-48 the circle starts with 64 samples, and the first pass misses
+    # on the circle and the ray: _refine_worst doubles the circle once and
+    # refines ray panels worst estimate first, and leaves the other parts as
+    # they are
     om = OmegaVector.of(1, mpf("1.3"))
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     ref, _ = hankel_integrate(ispec, None, SHARP.with_target(1e-60))
@@ -222,9 +223,9 @@ def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
     assert err <= 1e-48
     # the rays, then the circle
     assert len(first) == len(rays) + 1
-    assert circle == [(2 * CIRCLE_SAMPLES, 0)]
-    assert 0 < len(refined) < len(rays)
-    assert all(i < len(rays) for i in refined)
+    assert circle == [(CIRCLE_SAMPLES, -1), (2 * CIRCLE_SAMPLES, 0)]
+    assert refined.count(len(rays)) == 1
+    assert 0 < len(refined) - 1 < len(rays)
     kept = [e for i, e in enumerate(first) if i not in refined]
     assert min(first[i] for i in refined) >= max(kept)
     with SHARP.context():
@@ -233,18 +234,37 @@ def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
 
 @pytest.mark.parametrize("omegas", [("1.3274", "1.3532"), ("1.2127", "0.82523")])
 def test_circle_first_pass_is_set_by_the_target(monkeypatch, omegas):
-    # at 1e-32, 64 circle samples pass for both omegas, the nearly coincident
-    # poles of the first included (estimates near 4e-35); below SAMPLES_REACH
-    # both start with 128 samples, which pass at 1e-55, so the circle's work
-    # does not turn on omega
+    # the first pass is 64 circle samples at both targets; at 1e-32 they pass
+    # for both omegas, the nearly coincident poles of the first included
+    # (estimates near 4e-35), and at 1e-55 _refine_worst doubles them once, to
+    # 128, so the circle's work does not turn on omega
     ispec = IntegrandSpec(omega=OmegaVector.of(*map(mpf, omegas)), w=mpf("2.3"), k=2,
                           poly=q_poly(1, 2, P))
     circle = _record_circle(monkeypatch)
-    for target, first in ((1e-32, (CIRCLE_SAMPLES, -1)), (1e-55, (2 * CIRCLE_SAMPLES, 0))):
+    first, doubled = (CIRCLE_SAMPLES, -1), (2 * CIRCLE_SAMPLES, 0)
+    for target, parts in ((1e-32, [first]), (1e-55, [first, doubled])):
         circle.clear()
         _, err = hankel_integrate(ispec, None, P.with_target(target))
         assert err <= target
-        assert circle == [first]
+        assert circle == parts
+
+
+def test_circle_doubles_in_refinement_keeping_every_sample(monkeypatch):
+    # at 1e-55 the first pass is 64 samples, and _refine_worst doubles them
+    # to 128 by the odd samples of the finer grid alone: the circle calls
+    # f_omega once per sample of the finest part, none twice
+    om = OmegaVector.of(1, mpf("1.3"))
+    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
+    ts, f_omega = [], hankel._f_omega_at
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    circle = _record_circle(monkeypatch)
+    hankel._circle_nodes.cache_clear()
+    _, err = hankel_integrate(ispec, None, P.with_target(1e-55))
+    assert err <= 1e-55
+    assert circle[:2] == [(CIRCLE_SAMPLES, -1), (2 * CIRCLE_SAMPLES, 0)]
+    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == 2 * CIRCLE_SAMPLES
 
 
 @pytest.mark.parametrize(
@@ -315,8 +335,8 @@ def test_rounding_floor_above_target_raises_within_one_pass(monkeypatch):
     with pytest.raises(PrecisionUnreachable):
         hankel_integrate(ispec, None, P.with_target(1e-55))
     assert len(panels) == len(first)
-    # below SAMPLES_REACH the circle's first pass is its 128 samples at depth 0
-    assert circle == [(2 * CIRCLE_SAMPLES, 0)]
+    # the circle's first pass is its 64 samples at depth -1
+    assert circle == [(CIRCLE_SAMPLES, -1)]
 
 
 @pytest.mark.parametrize("target", [1e-100, 1e-300])
@@ -428,7 +448,7 @@ def test_circle_cache_keeps_two_levels(monkeypatch):
         assert abs(t - lam * mp.expj(2 * mp.pi * key)) < mpf("1e-50")
     # lambda at 0.8 times the pole bound takes 512 samples at 1e-40, more than
     # the levels -1 to 1 hold; the first evaluated are kept: the first pass's
-    # 128 and the 128 of its first doubling
+    # 64 and the 192 of its first two doublings
     keys.clear()
     nodes_of.cache_clear()
     om = _CIRCLE_OMEGAS["complex"]
@@ -615,7 +635,7 @@ def test_spectral_circle_matches_mpmath_quad(case):
         with p.context(QUADRATURE_GUARD_BITS):
             ev = hankel._ContourEvaluator(ispec, p.zero_threshold)
             circle = hankel._Circle(ev, mpf(lam))
-            val, err = hankel._refine_worst([circle.first_pass(mpf(target))], mpf(target), 0)
+            val, err = hankel._refine_worst([circle.first_pass()], mpf(target), 0)
         with SHARP.context():
             assert abs(val - ref) <= err <= target
 
