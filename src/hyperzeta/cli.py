@@ -6,6 +6,9 @@ Subcommands:
 * ``check {combinatorics,qpoly,quadrature,evaluators,all}``  invariant suites
 * ``asym``  asymptotic-expansion experiment over a w grid (CSV by default)
 
+``eval`` refuses a --method its target lacks and a flag that its target and
+method do not read (--s, --m, --k, --lambda; see _EVAL_FLAGS) with exit 3.
+
 Exit codes: 0 success, 1 check/experiment failure, 2 argument parse error,
 3 domain error, 4 precision unreachable, 5 unstable fit.  Error paths emit a
 single JSON object on stderr: {"code": ..., "message": ..., "parameter": ...}.
@@ -164,10 +167,14 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate a single function value")
     _add_common(ev, suppress=True)
     ev.add_argument("target", choices=("zeta", "P", "gamma-log"))
-    ev.add_argument("--s", type=str, default=None, help="zeta argument (complex)")
+    ev.add_argument("--s", type=str, default=None, help="zeta argument (complex; zeta only)")
     ev.add_argument("--w", type=str, required=True, help="base point (complex, Re > 0)")
-    ev.add_argument("--m", type=int, default=1, help="derivative order m")
-    ev.add_argument("--k", type=int, default=0, help="integer shift k")
+    ev.add_argument(
+        "--m", type=int, default=None, help="derivative order m (default 1; P and gamma-log)"
+    )
+    ev.add_argument(
+        "--k", type=int, default=None, help="integer shift k (default 0; P and gamma-log)"
+    )
     ev.add_argument(
         "--omega", type=str, default="1", help="comma-separated periods, e.g. 1,0.7"
     )
@@ -216,16 +223,33 @@ def _resolve_policy(args) -> PrecisionPolicy:
     return PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
 
 
+# (target, --method) -> the optional flags that route reads; every other
+# pair is refused, and so is a flag the route would ignore
+_EVAL_FLAGS = {
+    ("zeta", "contour"): ("s", "lambda"),
+    ("zeta", "direct"): ("s",),
+    ("P", "contour"): ("m", "k", "lambda"),
+    ("P", "combination"): ("m", "k", "lambda"),
+    ("gamma-log", "contour"): ("m", "k", "lambda"),
+}
+
+
 def _run_eval(args, p: PrecisionPolicy) -> int:
     fmt = args.format or "json"
-    omega = OmegaVector.of(*parse_real_tuple(args.omega))
-    w = parse_complex(args.w)
-    methods = {
-        "zeta": ("contour", "direct"), "P": ("contour", "combination"), "gamma-log": ("contour",)
-    }[args.target]
-    if args.method not in methods:
+    reads = _EVAL_FLAGS.get((args.target, args.method))
+    if reads is None:
+        methods = [m for target, m in _EVAL_FLAGS if target == args.target]
         message = f"eval {args.target} takes --method {' or '.join(methods)}, not {args.method}"
         return _emit_error(EXIT_DOMAIN, message, "method")
+    given = {"s": args.s, "m": args.m, "k": args.k, "lambda": args.lam}
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            message = f"eval {args.target} --method {args.method} does not read --{flag}"
+            return _emit_error(EXIT_DOMAIN, message, flag)
+    omega = OmegaVector.of(*parse_real_tuple(args.omega))
+    w = parse_complex(args.w)
+    m = 1 if args.m is None else args.m
+    k = 0 if args.k is None else args.k
     with p.context():
         lam = None if args.lam is None else _check_lambda(args.lam, omega)
         if args.target == "zeta":
@@ -237,14 +261,14 @@ def _run_eval(args, p: PrecisionPolicy) -> int:
             else:
                 res = evaluators.zeta_contour(s, w, omega, p, lam)
         elif args.target == "gamma-log":
-            res = evaluators.log_hyper_gamma(args.m, args.k, w, omega, p, lam)
+            res = evaluators.log_hyper_gamma(m, k, w, omega, p, lam)
         else:
             method = (
                 evaluators.METHOD_COMBINATION
                 if args.method == "combination"
                 else evaluators.METHOD_CONTOUR
             )
-            res = evaluators.balanced_P(args.m, args.k, w, omega, p, method, lam)
+            res = evaluators.balanced_P(m, k, w, omega, p, method, lam)
         digits = _digits(p.precision_bits)
         record = {
             "target": args.target,

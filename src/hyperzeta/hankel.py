@@ -85,8 +85,8 @@ regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
 part doubles N: the new samples are the odd ones of the finer grid,
 interleaved with the old before the FFT, so no sample is taken twice.
 
-The first pass is coarse: the ray segment in equal panels at most
-PANEL_WIDTH = log 16 wide (four doublings of t), and the circle at
+The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide
+(four doublings of t) on a grid fixed in t, and the circle at
 CIRCLE_SAMPLES = 64 samples, doubled only until its window reaches n =
 Re(k) + 1.  If its floors and the ray end bounds exceed the target,
 PrecisionUnreachable is raised at once.  Then ``_refine_worst`` refines as
@@ -112,23 +112,44 @@ pays it in the rounding floor, and raises PrecisionUnreachable from the
 first pass where that floor passes the target.  The value does not depend
 on lambda, so a smaller circle costs nothing in accuracy.
 
+The ray grid does not move with w: its cuts are u = log lambda + j
+PANEL_WIDTH, and the first pass puts one panel between each two cuts from
+j = 0 (for the contour) to the first cut at or past log T.  The panels are
+built in v = u - log lambda, where the cuts j * PANEL_WIDTH (a float) and
+their bisections are exact, so a panel at depth d is exactly PANEL_WIDTH *
+2^-(d+2) wide, and equal j give the same nodes u, bit for bit, at every w
+that shares (omega, lambda, working bits).  Cuts log lambda + j W taken at
+the working precision, with W one ulp below PANEL_WIDTH, would keep the
+rounding of each sum in the widths: at |u| near 8 a depth-5 panel came out
+3e-75 (relative) wider than its level allows.
+
 Both ends of a ray have one truncation rule: move t by a fixed factor until
 the bound |integrand|(t) * t is below target / 10, and add that bound to the
 estimate.  The far end T starts at 30 / Re(w) or 2 lambda, whichever is
 larger, and grows by 1.25; ``_rays`` builds it and the first-pass panels for
 both integrals.  ``ray_only_integrate`` integrates the same
 outbound-minus-inbound integrand over the one segment [log eps, log T], with
-no circle; its near end eps starts at lambda and shrinks by 4.  In u the
-end t = 0 moves to u = -inf, where t F(t) decays like e^u |u|^(nu-1) for
-poly of degree nu, so equal panels serve the whole segment: the
-remainder-reduction ray at w = 20, eps about 1e-11, takes 10 first-pass
-panels and no refinement.
+no circle; its near end eps steps down the grid from lambda, one cut at a
+time, so it is a cut too.  In u the end t = 0 moves to u = -inf, where t
+F(t) decays like e^u |u|^(nu-1) for poly of degree nu, so equal panels
+serve the whole segment: the remainder-reduction ray at w = 20, eps about
+1e-11, takes 10 first-pass panels and no refinement.
 
-The circle's samples t_l and t_l f_omega(t_l) do not depend on w.
-``_circle_nodes`` keeps both by l / N for one key (omega, lambda, working
-bits, pole threshold), dropping the old key first, for at most
-CACHED_SAMPLES = 256 samples, levels -1 to 1: about 0.6 kB per sample, 40 kB
-for the first pass's 64, where a default-target integral stops.
+What does not depend on w is kept in one node store for one key (omega,
+lambda, working bits, pole threshold), ``_node_store``, which drops the old
+key's store first: t and t f_omega(t) at each circle sample, by l / N, and
+at each ray node, by the exact bits of u (u._mpf_, a tuple, which no float
+key equals), so a warm sample or node costs one exponential; and each
+circle window's moments B_n with their largest and summed sizes, by (poly,
+diff, -k-1, n0, N), as they depend on lambda but not on w or omega.  The
+store admits entries while it holds at most STORE_NUMBERS = 1280 numbers,
+two per node and N per window of N moments.  Measured at 256 bits, with
+the dict's share, a number takes about 0.36 kB in a ray node, 0.48 kB in a
+circle sample and 0.25 kB in a moment, so a full store holds 0.3 to 0.6
+MB.  1280 numbers hold what a dense w sweep at one omega reads (r = 2,
+target 1e-32: 130 ray nodes, 64 samples and 12 windows of 64, 1156
+numbers), and a store filled with ray nodes at every w (lambda = 6 / Re(w)
+moves with w) adds about 0.5 MB to the peak resident size.
 """
 
 from __future__ import annotations
@@ -136,7 +157,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, islice
 from math import acos, cos, factorial, log, pi
 
 from mpmath import mp, mpf
@@ -157,8 +178,9 @@ KRONROD_NODES = 2 * GAUSS_NODES + 1
 PANEL_WIDTH = log(16)
 # the circle's first-pass samples, level -1
 CIRCLE_SAMPLES = 64
-# the circle samples _circle_nodes keeps: levels -1 to 1
-CACHED_SAMPLES = 4 * CIRCLE_SAMPLES
+# the numbers the node store keeps per key: 2 per node, N per window of N
+# moments; 0.25-0.48 kB each at 256 bits (module docstring)
+STORE_NUMBERS = 1280
 
 
 @dataclass(frozen=True)
@@ -352,12 +374,15 @@ def _check_small_divisor(z, d, t):
 
 class _ContourEvaluator:
     """The integrand t F(t) in u = log t of one IntegrandSpec on the rays, and
-    the polynomials its circle's moments need, for the working precision it
-    is built at (module docstring)."""
+    the polynomials its circle's moments need, for one lambda and the working
+    precision it is built at, with the node store of that key (module
+    docstring)."""
 
-    def __init__(self, ispec: IntegrandSpec, pole_threshold):
+    def __init__(self, ispec: IntegrandSpec, pole_threshold, lam):
         self.ispec = ispec
         self.thr = pole_threshold
+        self.lam, self.origin = lam, mp.log(lam)
+        self.nodes = _node_store(ispec.omega, lam, mp.prec, pole_threshold)
         # t^{-k-1} = e^{neg_k1 u}; on the outbound ray u gains 2 pi i,
         # so poly(u) there becomes jump * poly(u + 2 pi i)
         k = ispec.k
@@ -375,9 +400,15 @@ class _ContourEvaluator:
         return value if ispec.tail is None else value * ispec.tail(t)
 
     def ray(self, u):
-        """Outbound-minus-inbound integrand t F(t) at real u."""
-        t = mp.exp(u)
-        return self._term(u, t, t * _f_omega_at(self.ispec.omega, t, self.thr) * self.diff(u))
+        """Outbound-minus-inbound integrand t F(t) at real u, with t and
+        t f_omega(t) kept in the node store by u's exact bits."""
+        key = u._mpf_
+        node = self.nodes.get(key)
+        if node is None:
+            t = mp.exp(u)
+            node = self.nodes.keep(key, (t, t * _f_omega_at(self.ispec.omega, t, self.thr)), 2)
+        t, tf = node
+        return self._term(u, t, tf * self.diff(u))
 
     def ray_magnitude(self, t):
         """Crude magnitude of the one-sided ray integrands F (for end bounds),
@@ -387,10 +418,24 @@ class _ContourEvaluator:
         return abs(self._term(u, t, _f_omega_at(self.ispec.omega, t, self.thr))) * span
 
 
+class _Store(dict):
+    """The node store of one key: a dict that admits an entry while the
+    numbers it holds stay within STORE_NUMBERS (module docstring)."""
+
+    numbers = 0
+
+    def keep(self, key, value, numbers):
+        """value, kept under key if numbers more still fit."""
+        if self.numbers + numbers <= STORE_NUMBERS:
+            self[key] = value
+            self.numbers += numbers
+        return value
+
+
 @lru_cache(maxsize=1)
-def _circle_nodes(omega: OmegaVector, lam, prec: int, threshold):
-    """(t, t f_omega(t)) by circle sample l / n, for one key (module docstring)."""
-    return {}
+def _node_store(omega: OmegaVector, lam, prec: int, threshold):
+    """The store of what does not depend on w, for one key (module docstring)."""
+    return _Store()
 
 
 @lru_cache(maxsize=None)
@@ -416,21 +461,13 @@ class _Circle:
     phi(t) = t f_omega(t) e^{-wt} tail(t) at t_l = lam e^{2 pi i l / n}, their
     Fourier coefficients A_n and the log moments B_n (module docstring)."""
 
-    def __init__(self, ev: _ContourEvaluator, lam):
+    def __init__(self, ev: _ContourEvaluator):
         ispec = ev.ispec
-        self.ev, self.lam = ev, lam
-        self.nodes = _circle_nodes(ispec.omega, lam, mp.prec, ev.thr)
+        self.ev, self.lam, self.nodes = ev, ev.lam, ev.nodes
         tail = ispec.tail
         self.n0 = 1 - ispec.omega.r + min(0, 0 if tail is None else tail.valuation)
-        a = mp.log(lam)
-        self.scale = mp.exp(ev.neg_k1 * a)
-        # diff^(i)(log lam), and the integral of poly over the segment for beta = 0
-        self.jet = [c * factorial(i) for i, c in enumerate(ev.diff.shift(a).coeffs)]
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        self.flat = mp.fsum(
-            c * two_pi_i ** (j + 1) / (j + 1) for j, c in enumerate(ispec.poly.shift(a).coeffs)
-        )
-        self.factor = max(4, 12 / (ispec.omega.pole_bound / lam - 1))
+        self.scale = mp.exp(ev.neg_k1 * ev.origin)
+        self.factor = max(4, 12 / (ispec.omega.pole_bound / self.lam - 1))
 
     def sample(self, l, n):
         """phi(t_l) on the grid of n samples, with t and t f_omega(t) kept."""
@@ -438,22 +475,38 @@ class _Circle:
         node = self.nodes.get(key)
         if node is None:
             t = self.lam * _unit_roots(n, mp.prec)[l]
-            node = t, t * _f_omega_at(ispec.omega, t, self.ev.thr)
-            if len(self.nodes) < CACHED_SAMPLES:
-                self.nodes[key] = node
+            node = self.nodes.keep(key, (t, t * _f_omega_at(ispec.omega, t, self.ev.thr)), 2)
         t, tf = node
         value = tf * mp.exp(-ispec.w * t)
         return value if ispec.tail is None else value * ispec.tail(t)
 
-    def moment(self, n):
-        """B_n = sum_i (-1)^i diff^(i)(log lam) / beta^(i+1), beta = n - k - 1."""
-        beta = n + self.ev.neg_k1
-        if beta == 0:
-            return self.flat
-        inv, acc = 1 / mp.mpmathify(beta), mp.mpc(0)
-        for g in reversed(self.jet):
-            acc = acc * -inv + g
-        return acc * inv
+    def moments(self, n):
+        """(B_m for the window n0 <= m < n0 + n, max |B_m|, sum |B_m|), kept
+        in the node store.  B_m = sum_i (-1)^i diff^(i)(log lam) / beta^(i+1), beta = m - k - 1,
+        and for beta = 0 the integral of poly over the segment."""
+        ev = self.ev
+        key = (ev.ispec.poly, ev.diff, ev.neg_k1, self.n0, n)
+        window = self.nodes.get(key)
+        if window is not None:
+            return window
+        a = ev.origin
+        jet = [c * factorial(i) for i, c in enumerate(ev.diff.shift(a).coeffs)]
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        flat = mp.fsum(
+            c * two_pi_i ** (j + 1) / (j + 1) for j, c in enumerate(ev.ispec.poly.shift(a).coeffs)
+        )
+        moments = []
+        for m in range(self.n0, self.n0 + n):
+            beta = m + ev.neg_k1
+            if beta == 0:
+                moments.append(flat)
+                continue
+            inv, acc = 1 / mp.mpmathify(beta), mp.mpc(0)
+            for g in reversed(jet):
+                acc = acc * -inv + g
+            moments.append(acc * inv)
+        sizes = [abs(b) for b in moments]
+        return self.nodes.keep(key, (moments, max(sizes), mp.fsum(sizes)), n)
 
     def first_pass(self):
         """The part with CIRCLE_SAMPLES samples, doubled only until its
@@ -469,14 +522,12 @@ class _Circle:
         as fine, one depth deeper."""
         n = len(samples)
         spectrum = _fft(samples, _unit_roots(n, mp.prec))
-        window = range(self.n0, self.n0 + n)
-        coeffs = [spectrum[-m % n] / n for m in window]
-        moments = [self.moment(m) for m in window]
-        sizes = [abs(b) for b in moments]
+        coeffs = [spectrum[-m % n] / n for m in range(self.n0, self.n0 + n)]
+        moments, largest, total = self.moments(n)
         scale = abs(self.scale)
-        err = self.factor * max(map(abs, coeffs[-4:])) * max(sizes) * scale
+        err = self.factor * max(map(abs, coeffs[-4:])) * largest * scale
         mean = mp.fsum(map(abs, samples)) / n
-        floor = 50 * mp.ldexp(mean * mp.fsum(sizes) * scale, -mp.prec)
+        floor = 50 * mp.ldexp(mean * total * scale, -mp.prec)
 
         def refine():
             odd = [self.sample(2 * l + 1, 2 * n) for l in range(n)]
@@ -485,14 +536,13 @@ class _Circle:
         return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
 
-def _ray_end(ev: _ContourEvaluator, t, factor, target):
-    """Move t by factor until the bound ray_magnitude(t) * t is below
-    target / 10 (rule: module docstring); returns (t, bound)."""
-    for _ in range(500):
+def _ray_end(ev: _ContourEvaluator, ts, target):
+    """The first of the points ts whose bound ray_magnitude(t) * t is below
+    target / 10 (rule: module docstring); returns (its index, t, bound)."""
+    for i, t in enumerate(islice(ts, 500)):
         bound = ev.ray_magnitude(t) * t
         if bound < target / 10:
-            return t, bound
-        t *= factor
+            return i, t, bound
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
@@ -509,19 +559,27 @@ def _panel(g, a, b, rule, depth):
     return kronrod, err, depth, refine, floor
 
 
-def _segment(g, a, b, n, rule, depth):
-    """The first-pass parts of g over [a, b]: n equal panels at depth."""
-    h = (b - a) / n
-    return [_panel(g, a + i * h, a + (i + 1) * h, rule, depth) for i in range(n)]
+def _segment(g, o, width, js, rule, depth):
+    """The first-pass parts of g on the grid u = o + j * width: a panel at
+    depth between the cuts of each two consecutive j in js.  The panels are
+    in v = u - o, where the cuts j * width and their bisections are exact."""
+    cuts = [j * width for j in js]
+
+    def shifted(v):
+        return g(o + v)
+
+    return [_panel(shifted, a, b, rule, depth) for a, b in zip(cuts, cuts[1:])]
 
 
-def _rays(ev: _ContourEvaluator, near, lam, target):
-    """The first-pass ray panels over [log near, log T], equal, at most
-    PANEL_WIDTH wide, at depth -2, and the far end's bound (rule: module
-    docstring)."""
-    T, bound = _ray_end(ev, max(30 / mp.re(ev.ispec.w), 2 * lam), mpf("1.25"), target)
-    a, b = mp.log(near), mp.log(T)
-    return _segment(ev.ray, a, b, int(mp.ceil((b - a) / PANEL_WIDTH)), _rule(), -2), bound
+def _rays(ev: _ContourEvaluator, first, target):
+    """The first-pass ray panels at depth -2, on the grid from its cut
+    ``first`` to the first cut at or past log T, and the far end's bound
+    (rule: module docstring)."""
+    start = max(30 / mp.re(ev.ispec.w), 2 * ev.lam)
+    _, T, bound = _ray_end(ev, (start * mpf("1.25") ** i for i in count()), target)
+    width = mpf(PANEL_WIDTH)
+    last = int(mp.ceil((mp.log(T) - ev.origin) / width))
+    return _segment(ev.ray, ev.origin, width, range(first, last + 1), _rule(), -2), bound
 
 
 def _refine_worst(parts, target, end_bounds):
@@ -576,11 +634,11 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
     with p.context(QUADRATURE_GUARD_BITS):
         lam = _check_lambda(lam, ispec.omega)
         target = p.reachable_target()
-        ev = _ContourEvaluator(ispec, p.zero_threshold)
+        ev = _ContourEvaluator(ispec, p.zero_threshold, lam)
         parts, tail_bound = [], 0
         if ev.diff.coeffs:  # else the rays cancel identically
-            parts, tail_bound = _rays(ev, lam, lam, target)
-        parts.append(_Circle(ev, lam).first_pass())
+            parts, tail_bound = _rays(ev, 0, target)
+        parts.append(_Circle(ev).first_pass())
         return _refine_worst(parts, target, tail_bound)
 
 
@@ -606,10 +664,11 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
         raise InvalidParameter("tail valuation leaves a singular integrand at 0")
     lam = auto_spec(ispec.omega, ispec.w, p)
     with p.context(QUADRATURE_GUARD_BITS):
-        ev = _ContourEvaluator(ispec, p.zero_threshold)
+        ev = _ContourEvaluator(ispec, p.zero_threshold, lam)
         if not ev.diff.coeffs:  # the rays cancel identically
             return mp.mpc(0), mpf(0)
         target = p.reachable_target()
-        eps, head_bound = _ray_end(ev, lam, mpf("0.25"), target)
-        parts, tail_bound = _rays(ev, eps, lam, target)
+        cuts = (mp.exp(ev.origin - j * mpf(PANEL_WIDTH)) for j in count())
+        j, _, head_bound = _ray_end(ev, cuts, target)
+        parts, tail_bound = _rays(ev, -j, target)
         return _refine_worst(parts, target, tail_bound + head_bound)

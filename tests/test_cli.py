@@ -161,14 +161,34 @@ def test_lambda_out_of_range_exit_3(capsys, target):
 )
 def test_method_the_target_lacks_exit_3(capsys, target, method):
     # zeta takes contour or direct, P contour or combination, gamma-log
-    # contour; any other pair is refused, not run by the contour.  eval
-    # accepts --s, --m and --k for every target
+    # contour; any other pair is refused, not run by the contour, and the
+    # method is checked before the flags it would not read
     argv = ["eval", target, "--s", "2.5", "--m", "1", "--k", "1", "--w", "1.5", "--method", method]
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""
     record = json.loads(err)
     assert record["code"] == 3 and record["parameter"] == "method"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["zeta", "--s", "2.5", "--w", "1.3", "--m", "3", "--k", "7"], "m"),
+        (["P", "--s", "9", "--w", "1.5"], "s"),
+        (["gamma-log", "--s", "9", "--w", "1.5"], "s"),
+        (["zeta", "--s", "2.5", "--w", "1.3", "--method", "direct", "--lambda", "0.5"], "lambda"),
+    ],
+    ids=["zeta-m-k", "P-s", "gamma-log-s", "zeta-direct-lambda"],
+)
+def test_flag_the_target_does_not_read_exit_3(capsys, argv, flag):
+    # a flag that the target and method would ignore is refused, not dropped
+    code, out, err = run(capsys, ["eval", *argv])
+    assert code == 3
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 3 and record["parameter"] == flag
+    assert f"--{flag}" in record["message"]
 
 
 def test_lambda_override_matches_default(capsys):

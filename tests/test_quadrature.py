@@ -179,7 +179,7 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     monkeypatch.setattr(hankel, "_ray_end", probed_end)
     panels = _record_panels(monkeypatch)
     circle = _record_circle(monkeypatch)
-    hankel._circle_nodes.cache_clear()
+    hankel._node_store.cache_clear()
     _, err = hankel_integrate(ispec, None, P)
     assert err <= P.target_abs_error
     assert circle == [(CIRCLE_SAMPLES, -1)]
@@ -195,9 +195,10 @@ def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
     # at 1e-48 the circle starts with 64 samples, and the first pass misses
     # on the circle and the ray: _refine_worst doubles the circle once and
     # refines ray panels worst estimate first, and leaves the other parts as
-    # they are
+    # they are.  w = 0.3 puts the far end past three panels of the grid,
+    # and the last of them, where e^{-wt} has decayed, meets its share
     om = OmegaVector.of(1, mpf("1.3"))
-    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
+    ispec = IntegrandSpec(omega=om, w=mpf("0.3"), k=1, poly=q_poly(1, 1, P))
     ref, _ = hankel_integrate(ispec, None, SHARP.with_target(1e-60))
     first, refined, rays = [], [], []
     refine_worst, segment = hankel._refine_worst, hankel._segment
@@ -260,7 +261,7 @@ def test_circle_doubles_in_refinement_keeping_every_sample(monkeypatch):
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
     circle = _record_circle(monkeypatch)
-    hankel._circle_nodes.cache_clear()
+    hankel._node_store.cache_clear()
     _, err = hankel_integrate(ispec, None, P.with_target(1e-55))
     assert err <= 1e-55
     assert circle[:2] == [(CIRCLE_SAMPLES, -1), (2 * CIRCLE_SAMPLES, 0)]
@@ -397,7 +398,8 @@ def test_ray_end_bound_scales_with_the_polynomial(c):
     with P.context(QUADRATURE_GUARD_BITS):
         def bound(q):
             ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q)
-            return hankel._ContourEvaluator(ispec, P.zero_threshold).ray_magnitude(mpf(5))
+            lam = auto_spec(om, ispec.w, P)
+            return hankel._ContourEvaluator(ispec, P.zero_threshold, lam).ray_magnitude(mpf(5))
 
         assert abs(bound(poly.scale(c)) / bound(poly) / c - 1) < mpf("1e-60")
 
@@ -409,8 +411,11 @@ _CIRCLE_OMEGAS = {
 
 
 @pytest.mark.parametrize("name", list(_CIRCLE_OMEGAS))
-def test_circle_cache_changes_no_result(name):
-    # integer and complex k at three w sharing lambda and working precision
+def test_circle_cache_changes_no_result(monkeypatch, name):
+    # integer and complex k at three w sharing lambda and working precision:
+    # a cold run of each, with the node store cleared, against the same
+    # integrals run twice in a row, which read circle samples, ray nodes and
+    # moment windows that an earlier integral kept
     om = _CIRCLE_OMEGAS[name]
     ispecs = [
         IntegrandSpec(omega=om, w=mpf("1.1"), k=1, poly=q_poly(1, 1, P)),
@@ -419,19 +424,40 @@ def test_circle_cache_changes_no_result(name):
     ]
     cold = []
     for ispec in ispecs:
-        hankel._circle_nodes.cache_clear()
+        hankel._node_store.cache_clear()
         cold.append(hankel_integrate(ispec, 1, P))
-    hits = hankel._circle_nodes.cache_info().hits
-    warm = [hankel_integrate(ispec, 1, P) for ispec in ispecs]
-    assert warm == cold
-    # every warm integral finds the nodes its key keeps
-    assert hankel._circle_nodes.cache_info().hits >= hits + len(ispecs)
+    hits = hankel._node_store.cache_info().hits
+    found, get = set(), hankel._Store.get
+
+    def spied(store, key):
+        value = get(store, key)
+        if value is not None:  # a circle sample, a ray node's u._mpf_ or a window
+            found.add(len(key) if isinstance(key, tuple) else "circle")
+        return value
+
+    monkeypatch.setattr(hankel._Store, "get", spied)
+    warm = [hankel_integrate(ispec, 1, P) for ispec in ispecs for _ in range(2)]
+    assert warm == [result for result in cold for _ in range(2)]
+    assert found == {"circle", 4, 5}
+    # every warm integral finds the store of its key
+    assert hankel._node_store.cache_info().hits >= hits + 2 * len(ispecs)
+
+
+def _circle_keys(store):
+    """The keys of a node store's circle samples: fractions of the turn."""
+    return [key for key in store if isinstance(key, float)]
+
+
+def _record_stores(monkeypatch):
+    """Every node store an integral is handed, in order."""
+    stored, nodes_of = [], hankel._node_store
+    monkeypatch.setattr(hankel, "_node_store", lambda *key: stored.append(nodes_of(*key)) or stored[-1])
+    return stored
 
 
 def test_circle_cache_keeps_two_levels(monkeypatch):
-    stored, keys = [], []
-    nodes_of, sample = hankel._circle_nodes, hankel._Circle.sample
-    monkeypatch.setattr(hankel, "_circle_nodes", lambda *key: stored.append(nodes_of(*key)) or stored[-1])
+    keys, nodes_of, sample = [], hankel._node_store, hankel._Circle.sample
+    stored = _record_stores(monkeypatch)
     monkeypatch.setattr(
         hankel._Circle, "sample", lambda c, l, n: keys.append(l / n) or sample(c, l, n)
     )
@@ -442,22 +468,76 @@ def test_circle_cache_keeps_two_levels(monkeypatch):
     # one key at a time, holding (t, t f_omega(t)) at every sample its
     # integral reached, by the sample's fraction of the turn
     assert nodes_of.cache_info().currsize == 1
-    assert set(stored[-1]) == set(keys) and len(keys) < hankel.CACHED_SAMPLES
+    assert set(_circle_keys(stored[-1])) == set(keys) and 2 * len(keys) < hankel.STORE_NUMBERS
     lam = auto_spec(OmegaVector.of(mpf("1.3")), 1, P)
-    for key, (t, _) in stored[-1].items():
+    for key in _circle_keys(stored[-1]):
+        t, _ = stored[-1][key]
         assert abs(t - lam * mp.expj(2 * mp.pi * key)) < mpf("1e-50")
     # lambda at 0.8 times the pole bound takes 512 samples at 1e-40, more than
-    # the levels -1 to 1 hold; the first evaluated are kept: the first pass's
-    # 64 and the 192 of its first two doublings
+    # the store holds besides the rays and the moments; it keeps what came
+    # first, up to its bound: the first pass's 64 samples and at least the 64
+    # of its first doubling
     keys.clear()
     nodes_of.cache_clear()
     om = _CIRCLE_OMEGAS["complex"]
     ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
     _, err = hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
     assert err <= 1e-40
-    assert len(set(keys)) == 512 > hankel.CACHED_SAMPLES == 4 * CIRCLE_SAMPLES
-    assert list(stored[-1]) == list(dict.fromkeys(keys))[: hankel.CACHED_SAMPLES]
-    assert set(stored[-1]) == {l / 256 for l in range(256)}
+    circle = _circle_keys(stored[-1])
+    assert len(set(keys)) == 512 > len(circle)
+    assert circle == list(dict.fromkeys(keys))[: len(circle)]
+    assert set(circle) >= {l / 128 for l in range(128)}
+
+
+def test_node_store_stays_within_its_bound(monkeypatch):
+    # the integral above offers the store more than it holds: it counts two
+    # numbers per node, t and t f_omega(t), and N per window of N moments,
+    # and admits nothing past STORE_NUMBERS
+    offered, keep = [], hankel._Store.keep
+    hankel._node_store.cache_clear()
+    stored = _record_stores(monkeypatch)
+    monkeypatch.setattr(
+        hankel._Store, "keep", lambda store, *entry: offered.append(entry[2]) or keep(store, *entry)
+    )
+    om = _CIRCLE_OMEGAS["complex"]
+    ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
+    hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
+    store = stored[-1]
+    assert sum(offered) > hankel.STORE_NUMBERS
+    windows = [key for key in store if isinstance(key, tuple) and len(key) == 5]
+    numbers = 2 * (len(store) - len(windows)) + sum(len(store[key][0]) for key in windows)
+    assert windows and numbers == store.numbers <= hankel.STORE_NUMBERS
+
+
+def test_ray_nodes_are_reused_across_w(monkeypatch):
+    # the first-pass ray panels lie on the grid log lambda + j PANEL_WIDTH,
+    # which does not move with w: a second w at the same (omega, lambda)
+    # finds every ray node in the store, and circle sample too, so f_omega
+    # is evaluated only where _ray_end probes for the far end
+    om = OmegaVector.of(1, mpf("1.3"))
+    ts, ends = [], []
+    f_omega, ray_end = hankel._f_omega_at, hankel._ray_end
+
+    def probed_end(*args):
+        n = len(ts)
+        result = ray_end(*args)
+        ends.append(len(ts) - n)
+        return result
+
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    monkeypatch.setattr(hankel, "_ray_end", probed_end)
+    panels = _record_panels(monkeypatch)
+    hankel._node_store.cache_clear()
+    hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.2"), k=1, poly=q_poly(1, 1, P)), None, P)
+    before = set(panels)
+    ts.clear()
+    ends.clear()
+    panels.clear()
+    hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.3"), k=2, poly=q_poly(2, 2, P)), None, P)
+    assert panels and set(panels) <= before
+    assert ends and len(ts) == sum(ends)
 
 
 def test_circle_cache_is_hit_across_w(monkeypatch):
@@ -498,7 +578,7 @@ def test_identically_zero_rays_are_skipped(monkeypatch):
     monkeypatch.setattr(hankel, "_ray_end", lambda *a: ends.append(a) or ray_end(*a))
     panels = _record_panels(monkeypatch)
     circle = _record_circle(monkeypatch)
-    hankel._circle_nodes.cache_clear()
+    hankel._node_store.cache_clear()
     ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, P))
     val, err = hankel_integrate(ispec, None, P)
     assert not ends
@@ -540,11 +620,11 @@ def test_nodes_match_the_product_form(k, tail, args):
     lam = auto_spec(om, ispec.w, P)
     with P.context(QUADRATURE_GUARD_BITS):
         prec = mp.prec
-        hankel._circle_nodes.cache_clear()
-        ev = hankel._ContourEvaluator(ispec, P.zero_threshold)
+        hankel._node_store.cache_clear()
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, lam)
         ts = [lam / 3, lam, mpf("1.7"), mpf("9.1")]
         rays = [ev.ray(mp.log(t)) for t in ts]
-        circle = hankel._Circle(ev, lam)
+        circle = hankel._Circle(ev)
         samples = [circle.sample(l, CIRCLE_SAMPLES) for l in range(CIRCLE_SAMPLES)]
     with mp.workprec(prec + 64):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
@@ -633,8 +713,8 @@ def test_spectral_circle_matches_mpmath_quad(case):
     for target in (1e-22, 1e-40):
         p = P.with_target(target)
         with p.context(QUADRATURE_GUARD_BITS):
-            ev = hankel._ContourEvaluator(ispec, p.zero_threshold)
-            circle = hankel._Circle(ev, mpf(lam))
+            ev = hankel._ContourEvaluator(ispec, p.zero_threshold, mpf(lam))
+            circle = hankel._Circle(ev)
             val, err = hankel._refine_worst([circle.first_pass()], mpf(target), 0)
         with SHARP.context():
             assert abs(val - ref) <= err <= target
