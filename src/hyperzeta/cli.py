@@ -6,8 +6,9 @@ Subcommands:
 * ``check {combinatorics,qpoly,quadrature,evaluators,all}``  invariant suites
 * ``asym``  asymptotic-expansion experiment over a w grid (CSV by default)
 
-``eval`` refuses a --method its target lacks and a flag that its target and
-method do not read (--s, --m, --k, --lambda; see _EVAL_FLAGS) with exit 3.
+``eval`` refuses a --method its target lacks with exit 3, and every command
+refuses a flag that it and its route do not read (--s, --m, --k, --lambda,
+--seed; see _FLAGS) with exit 3.
 
 Exit codes: 0 success, 1 check/experiment failure, 2 argument parse error,
 3 domain error, 4 precision unreachable, 5 unstable fit.  Error paths emit a
@@ -35,7 +36,6 @@ from .errors import (
     PrecisionUnreachable,
     TooCloseToInteger,
 )
-from .hankel import _check_lambda
 from .multibernoulli import OmegaVector
 from .precision import DEFAULT_BITS, PrecisionPolicy
 
@@ -154,7 +154,7 @@ def _add_common(parser, suppress: bool):
         help="output format (default: json for eval/check, csv for asym)",
     )
     parser.add_argument(
-        "--seed", type=int, default=d(0), help="seed for randomized checks"
+        "--seed", type=int, default=d(None), help="seed for randomized checks (default 0; check only)"
     )
 
 
@@ -223,35 +223,45 @@ def _resolve_policy(args) -> PrecisionPolicy:
     return PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
 
 
-# (target, --method) -> the optional flags that route reads; every other
-# pair is refused, and so is a flag the route would ignore
-_EVAL_FLAGS = {
-    ("zeta", "contour"): ("s", "lambda"),
-    ("zeta", "direct"): ("s",),
-    ("P", "contour"): ("m", "k", "lambda"),
-    ("P", "combination"): ("m", "k", "lambda"),
-    ("gamma-log", "contour"): ("m", "k", "lambda"),
+# (command, and for eval its target and --method) -> the optional flags that
+# route reads; every other eval pair is refused, and so is a flag the route
+# would ignore
+_FLAGS = {
+    ("eval", "zeta", "contour"): ("s", "lambda"),
+    ("eval", "zeta", "direct"): ("s",),
+    ("eval", "P", "contour"): ("m", "k", "lambda"),
+    ("eval", "P", "combination"): ("m", "k", "lambda"),
+    ("eval", "gamma-log", "contour"): ("m", "k", "lambda"),
+    ("check",): ("seed",),
+    ("asym",): ("m", "k"),
 }
+
+
+def _check_flags(args):
+    """None if the command's route reads every optional flag given, else
+    the exit code of the one JSON error that names the first it does not."""
+    if args.command == "eval":
+        route, where = (args.command, args.target, args.method), f"eval {args.target} --method {args.method}"
+    else:
+        route, where = (args.command,), args.command
+    reads = _FLAGS.get(route)
+    if reads is None:
+        methods = [key[2] for key in _FLAGS if key[1:2] == (args.target,)]
+        message = f"eval {args.target} takes --method {' or '.join(methods)}, not {args.method}"
+        return _emit_error(EXIT_DOMAIN, message, "method")
+    for flag, dest in (("s", "s"), ("m", "m"), ("k", "k"), ("lambda", "lam"), ("seed", "seed")):
+        if getattr(args, dest, None) is not None and flag not in reads:
+            return _emit_error(EXIT_DOMAIN, f"{where} does not read --{flag}", flag)
+    return None
 
 
 def _run_eval(args, p: PrecisionPolicy) -> int:
     fmt = args.format or "json"
-    reads = _EVAL_FLAGS.get((args.target, args.method))
-    if reads is None:
-        methods = [m for target, m in _EVAL_FLAGS if target == args.target]
-        message = f"eval {args.target} takes --method {' or '.join(methods)}, not {args.method}"
-        return _emit_error(EXIT_DOMAIN, message, "method")
-    given = {"s": args.s, "m": args.m, "k": args.k, "lambda": args.lam}
-    for flag, value in given.items():
-        if value is not None and flag not in reads:
-            message = f"eval {args.target} --method {args.method} does not read --{flag}"
-            return _emit_error(EXIT_DOMAIN, message, flag)
     omega = OmegaVector.of(*parse_real_tuple(args.omega))
     w = parse_complex(args.w)
     m = 1 if args.m is None else args.m
     k = 0 if args.k is None else args.k
     with p.context():
-        lam = None if args.lam is None else _check_lambda(args.lam, omega)
         if args.target == "zeta":
             if args.s is None:
                 raise InvalidParameter("eval zeta requires --s")
@@ -259,16 +269,16 @@ def _run_eval(args, p: PrecisionPolicy) -> int:
             if args.method == "direct":
                 res = evaluators.zeta_direct(s, w, omega, p)
             else:
-                res = evaluators.zeta_contour(s, w, omega, p, lam)
+                res = evaluators.zeta_contour(s, w, omega, p, args.lam)
         elif args.target == "gamma-log":
-            res = evaluators.log_hyper_gamma(m, k, w, omega, p, lam)
+            res = evaluators.log_hyper_gamma(m, k, w, omega, p, args.lam)
         else:
             method = (
                 evaluators.METHOD_COMBINATION
                 if args.method == "combination"
                 else evaluators.METHOD_CONTOUR
             )
-            res = evaluators.balanced_P(m, k, w, omega, p, method, lam)
+            res = evaluators.balanced_P(m, k, w, omega, p, method, args.lam)
         digits = _digits(p.precision_bits)
         record = {
             "target": args.target,
@@ -293,7 +303,7 @@ def _run_eval(args, p: PrecisionPolicy) -> int:
 
 def _run_check(args, p: PrecisionPolicy) -> int:
     fmt = args.format or "json"
-    results = checks.run_suite(args.suite, p, args.seed)
+    results = checks.run_suite(args.suite, p, 0 if args.seed is None else args.seed)
     failed = [r for r in results if not r.passed]
     if fmt == "json":
         print(
@@ -388,6 +398,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    refused = _check_flags(args)
+    if refused is not None:
+        return refused
     try:
         p = _resolve_policy(args)
         with p.context():

@@ -3,9 +3,9 @@
 Exact Bernoulli numbers and Euler's constant.  Each is one mpmath call under
 the package's precision policy, behind the domain checks the rest of the
 package relies on; Gamma and the integer zeta values are taken from mpmath
-directly (``mp.gamma``, ``mp.zeta``).  ``_bernoulli_tail`` is the summation
-loop of the lattice Euler-Maclaurin sum in ``evaluators``, and
-``bernoulli_over_factorial`` its cached coefficients.
+directly (``mp.gamma``, ``mp.zeta``).  ``bernoulli_over_factorial`` gives
+the cached coefficients B_n / n! of the lattice Euler-Maclaurin sum in
+``evaluators``.
 """
 
 from __future__ import annotations
@@ -41,24 +41,6 @@ def bernoulli_over_factorial(n: int):
 def _bernoulli_over_factorial(n: int, bits: int):
     with mp.workprec(bits):
         return _frac(bernoulli_number(n)) / factorial(n)
-
-
-def _bernoulli_tail(total, terms, eps, error):
-    """Add the endless Bernoulli-tail ``terms`` to ``total`` up to and including
-    the first with |term| < eps; return (total, |last term|).
-
-    Raises ``error`` if a term grows before that: the series is asymptotic and
-    its terms only grow from there on.
-    """
-    prev = mp.inf
-    for term in terms:
-        mag = abs(term)
-        total += term
-        if mag < eps:
-            return total, mag
-        if mag > prev:
-            raise error(f"Bernoulli terms grew before reaching {mp.nstr(eps, 3)}")
-        prev = mag
 
 
 def euler_gamma(p: PrecisionPolicy = DEFAULT_POLICY):

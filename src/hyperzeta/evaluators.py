@@ -113,8 +113,26 @@ def _lattice_em(s, w, levels, eps):
             yield at_wN(constants.bernoulli_over_factorial(2 * j) * rising, 2 * j - 1)
             rising *= (s + 2 * j - 1) * (s + 2 * j) * om * om
 
-    total, last = constants._bernoulli_tail(total, terms(), eps / 2, ConvergenceTooSlow)
+    total, last = _bernoulli_tail(total, terms(), eps / 2)
     return total, last + mp.fsum(errs), sum(sizes)
+
+
+def _bernoulli_tail(total, terms, eps):
+    """Add the endless Bernoulli-tail ``terms`` to ``total`` up to and including
+    the first with |term| < eps; return (total, |last term|).
+
+    Raises ConvergenceTooSlow if a term grows before that: the series is
+    asymptotic and its terms only grow from there on.
+    """
+    prev = mp.inf
+    for term in terms:
+        mag = abs(term)
+        total += term
+        if mag < eps:
+            return total, mag
+        if mag > prev:
+            raise ConvergenceTooSlow(f"Bernoulli terms grew before reaching {mp.nstr(eps, 3)}")
+        prev = mag
 
 
 def _tail_distance(s, eps, scale):

@@ -85,20 +85,21 @@ regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
 part doubles N: the new samples are the odd ones of the finer grid,
 interleaved with the old before the FFT, so no sample is taken twice.
 
-The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide
-(four doublings of t) on a grid fixed in t, and the circle at
-CIRCLE_SAMPLES = 64 samples, doubled only until its window reaches n =
-Re(k) + 1.  If its floors and the ray end bounds exceed the target,
-PrecisionUnreachable is raised at once.  Then ``_refine_worst`` refines as
-QUADPACK's QAG does: while the estimates, floors and end bounds sum above
-the target, the part with the largest estimate is refined, a ray panel
-bisected at its midpoint in u, the circle with its samples doubled.  A
-part's depth is its level in the schedule that cuts each doubling of t into
-2^L panels and samples the circle at 128 * 2^L points: a first-pass ray
-panel is at -2, 64 circle samples at -1; past MAX_LEVELS - 1 (2^(1/32) in t,
-4096 samples) it raises NodeBudgetExceeded.  Rotating or reshaping the path
-moves only segment endpoints: a rotation by phi is u -> u + i phi, which
-moves the circle's moments to log lambda + i phi.
+The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide (four
+doublings of t) between the cuts of a grid fixed in t, the last ending at
+the cut where the ray ends, and the circle at CIRCLE_SAMPLES = 64 samples,
+doubled only until its window reaches n = Re(k) + 1.  If its floors and the
+ray end bounds exceed the target, PrecisionUnreachable is raised at once.
+Then ``_refine_worst`` refines as QUADPACK's QAG does: while the estimates,
+floors and end bounds sum above the target, the part with the largest
+estimate is refined, a ray panel bisected at its midpoint in u, the circle
+with its samples doubled.  A part's depth is its level in the schedule that
+cuts each doubling of t into 2^L panels and samples the circle at 128 * 2^L
+points: a first-pass ray panel is at -2, 64 circle samples at -1; past
+MAX_LEVELS - 1 (2^(1/32) in t, 4096 samples) it raises NodeBudgetExceeded.
+Rotating or reshaping the path moves only segment endpoints: a rotation by
+phi is u -> u + i phi, which moves the circle's moments to
+log lambda + i phi.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
@@ -112,44 +113,48 @@ pays it in the rounding floor, and raises PrecisionUnreachable from the
 first pass where that floor passes the target.  The value does not depend
 on lambda, so a smaller circle costs nothing in accuracy.
 
-The ray grid does not move with w: its cuts are u = log lambda + j
-PANEL_WIDTH, and the first pass puts one panel between each two cuts from
-j = 0 (for the contour) to the first cut at or past log T.  The panels are
-built in v = u - log lambda, where the cuts j * PANEL_WIDTH (a float) and
-their bisections are exact, so a panel at depth d is exactly PANEL_WIDTH *
-2^-(d+2) wide, and equal j give the same nodes u, bit for bit, at every w
-that shares (omega, lambda, working bits).  Cuts log lambda + j W taken at
-the working precision, with W one ulp below PANEL_WIDTH, would keep the
-rounding of each sum in the widths: at |u| near 8 a depth-5 panel came out
-3e-75 (relative) wider than its level allows.
+The ray grid does not move with w: its cuts are
+u = log lambda + j PANEL_WIDTH, and the first pass puts one panel between
+each two cuts from j = 0 (for the contour) to the far end's cut.  The panels
+are built in v = u - log lambda, where the cuts j * PANEL_WIDTH (a float)
+and their bisections are exact, so a panel at depth d is exactly
+PANEL_WIDTH * 2^-(d+2) wide, and equal j give the same nodes u, bit for bit,
+at every w that shares (omega, lambda, working bits).  Cuts log lambda + j W
+taken at the working precision, with W one ulp below PANEL_WIDTH, would keep
+the rounding of each sum in the widths: at |u| near 8 a depth-5 panel came
+out 3e-75 (relative) wider than its level allows.
 
-Both ends of a ray have one truncation rule: move t by a fixed factor until
-the bound |integrand|(t) * t is below target / 10, and add that bound to the
-estimate.  The far end T starts at 30 / Re(w) or 2 lambda, whichever is
-larger, and grows by 1.25; ``_rays`` builds it and the first-pass panels for
-both integrals.  ``ray_only_integrate`` integrates the same
-outbound-minus-inbound integrand over the one segment [log eps, log T], with
-no circle; its near end eps steps down the grid from lambda, one cut at a
-time, so it is a cut too.  In u the end t = 0 moves to u = -inf, where t
-F(t) decays like e^u |u|^(nu-1) for poly of degree nu, so equal panels
-serve the whole segment: the remainder-reduction ray at w = 20, eps about
-1e-11, takes 10 first-pass panels and no refinement.
+Both ends of a ray have one truncation rule, one walk over the cuts of the
+grid: step j one cut at a time until the bound |integrand| * t at the cut
+u = log lambda + j PANEL_WIDTH is below target / 10, end the ray at that
+cut, and add that bound to the estimate, so the bound is taken where the
+integral ends.  The far end T walks up from the first cut at or past
+30 / Re(w), never below j = 1 (t = 16 lambda); ``_rays`` finds it and builds
+the first-pass panels for both integrals.  ``ray_only_integrate``
+integrates the same outbound-minus-inbound integrand over the one segment
+[log eps, log T], with no circle; its near end eps walks down from j = 0
+(t = lambda), a factor 16 in t per cut.  In u the end t = 0 moves to
+u = -inf, where t F(t) decays like e^u |u|^(nu-1) for poly of degree nu, so
+equal panels serve the whole segment: the remainder-reduction ray at
+w = 20, eps about 1e-11, takes 10 first-pass panels and no refinement.
 
 What does not depend on w is kept in one node store for one key (omega,
 lambda, working bits, pole threshold), ``_node_store``, which drops the old
 key's store first: t and t f_omega(t) at each circle sample, by l / N, and
-at each ray node, by the exact bits of u (u._mpf_, a tuple, which no float
-key equals), so a warm sample or node costs one exponential; and each
-circle window's moments B_n with their largest and summed sizes, by (poly,
-diff, -k-1, n0, N), as they depend on lambda but not on w or omega.  The
-store admits entries while it holds at most STORE_NUMBERS = 1280 numbers,
-two per node and N per window of N moments.  Measured at 256 bits, with
-the dict's share, a number takes about 0.36 kB in a ray node, 0.48 kB in a
-circle sample and 0.25 kB in a moment, so a full store holds 0.3 to 0.6
-MB.  1280 numbers hold what a dense w sweep at one omega reads (r = 2,
-target 1e-32: 130 ray nodes, 64 samples and 12 windows of 64, 1156
-numbers), and a store filled with ray nodes at every w (lambda = 6 / Re(w)
-moves with w) adds about 0.5 MB to the peak resident size.
+at each ray node and each cut an end walk probes, by the exact bits of u
+(u._mpf_, a tuple, which no float key equals), so a warm sample or node
+costs one exponential and every f_omega evaluation goes through the store
+(``_ContourEvaluator.node``); and each circle window's moments B_n with
+their largest and summed sizes, by (poly, diff, -k-1, n0, N), as they depend
+on lambda but not on w or omega.  The store admits entries while it holds at
+most STORE_NUMBERS = 1280 numbers, two per node and N per window of N
+moments.  Measured at 256 bits, with the dict's share, a number takes about
+0.36 kB in a ray node, 0.48 kB in a circle sample and 0.25 kB in a moment,
+so a full store holds 0.3 to 0.6 MB.  1280 numbers hold what a dense w sweep
+at one omega reads (r = 2, target 1e-32: 130 ray nodes, 2 end probes, 64
+samples and 12 windows of 64, 1160 numbers), and a store filled with ray
+nodes at every w (lambda = 6 / Re(w) moves with w) adds about 0.5 MB to the
+peak resident size.
 """
 
 from __future__ import annotations
@@ -375,8 +380,8 @@ def _check_small_divisor(z, d, t):
 class _ContourEvaluator:
     """The integrand t F(t) in u = log t of one IntegrandSpec on the rays, and
     the polynomials its circle's moments need, for one lambda and the working
-    precision it is built at, with the node store of that key (module
-    docstring)."""
+    precision it is built at, with the node store of that key, through whose
+    ``node`` every f_omega evaluation goes (module docstring)."""
 
     def __init__(self, ispec: IntegrandSpec, pole_threshold, lam):
         self.ispec = ispec
@@ -393,6 +398,15 @@ class _ContourEvaluator:
         self.diff = self.outbound - ispec.poly
         self.size = max(map(abs, ispec.poly.coeffs), default=0)
 
+    def node(self, key, t):
+        """(t, t f_omega(t)) at the point t(), from the node store by key;
+        t() and f_omega are evaluated, and the node kept, only on a miss."""
+        node = self.nodes.get(key)
+        if node is None:
+            t = t()
+            node = self.nodes.keep(key, (t, t * _f_omega_at(self.ispec.omega, t, self.thr)), 2)
+        return node
+
     def _term(self, u, t, factor):
         """factor e^{-wt} t^{-k-1} tail(t) at t = e^u, on the branch u gives."""
         ispec = self.ispec
@@ -400,22 +414,20 @@ class _ContourEvaluator:
         return value if ispec.tail is None else value * ispec.tail(t)
 
     def ray(self, u):
-        """Outbound-minus-inbound integrand t F(t) at real u, with t and
-        t f_omega(t) kept in the node store by u's exact bits."""
-        key = u._mpf_
-        node = self.nodes.get(key)
-        if node is None:
-            t = mp.exp(u)
-            node = self.nodes.keep(key, (t, t * _f_omega_at(self.ispec.omega, t, self.thr)), 2)
-        t, tf = node
+        """Outbound-minus-inbound integrand t F(t) at real u, its node kept
+        by u's exact bits."""
+        t, tf = self.node(u._mpf_, lambda: mp.exp(u))
         return self._term(u, t, tf * self.diff(u))
 
-    def ray_magnitude(self, t):
-        """Crude magnitude of the one-sided ray integrands F (for end bounds),
-        floored by poly's largest coefficient: c * poly has |c| times its bound."""
-        u = mp.log(t)
+    def end_bound(self, j):
+        """Crude bound |F| * t of the one-sided ray integrands at the cut
+        u = log lambda + j PANEL_WIDTH, floored by poly's largest coefficient
+        (c * poly has |c| times its bound); the cut's node is kept like a
+        ray node's."""
+        u = self.origin + j * mpf(PANEL_WIDTH)
+        t, tf = self.node(u._mpf_, lambda: mp.exp(u))
         span = abs(self.outbound(u)) + abs(self.ispec.poly(u)) + self.size
-        return abs(self._term(u, t, _f_omega_at(self.ispec.omega, t, self.thr))) * span
+        return abs(self._term(u, t, tf)) * span
 
 
 class _Store(dict):
@@ -470,13 +482,9 @@ class _Circle:
         self.factor = max(4, 12 / (ispec.omega.pole_bound / self.lam - 1))
 
     def sample(self, l, n):
-        """phi(t_l) on the grid of n samples, with t and t f_omega(t) kept."""
-        ispec, key = self.ev.ispec, l / n
-        node = self.nodes.get(key)
-        if node is None:
-            t = self.lam * _unit_roots(n, mp.prec)[l]
-            node = self.nodes.keep(key, (t, t * _f_omega_at(ispec.omega, t, self.ev.thr)), 2)
-        t, tf = node
+        """phi(t_l) on the grid of n samples, its node kept by l / n."""
+        ispec = self.ev.ispec
+        t, tf = self.ev.node(l / n, lambda: self.lam * _unit_roots(n, mp.prec)[l])
         value = tf * mp.exp(-ispec.w * t)
         return value if ispec.tail is None else value * ispec.tail(t)
 
@@ -536,13 +544,13 @@ class _Circle:
         return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
 
-def _ray_end(ev: _ContourEvaluator, ts, target):
-    """The first of the points ts whose bound ray_magnitude(t) * t is below
-    target / 10 (rule: module docstring); returns (its index, t, bound)."""
-    for i, t in enumerate(islice(ts, 500)):
-        bound = ev.ray_magnitude(t) * t
+def _ray_end(ev: _ContourEvaluator, js, target):
+    """The first of the grid indices js whose cut's end bound is below
+    target / 10 (rule: module docstring); returns (j, bound)."""
+    for j in islice(js, 500):
+        bound = ev.end_bound(j)
         if bound < target / 10:
-            return i, t, bound
+            return j, bound
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
@@ -572,13 +580,13 @@ def _segment(g, o, width, js, rule, depth):
 
 
 def _rays(ev: _ContourEvaluator, first, target):
-    """The first-pass ray panels at depth -2, on the grid from its cut
-    ``first`` to the first cut at or past log T, and the far end's bound
-    (rule: module docstring)."""
-    start = max(30 / mp.re(ev.ispec.w), 2 * ev.lam)
-    _, T, bound = _ray_end(ev, (start * mpf("1.25") ** i for i in count()), target)
+    """The first-pass ray panels at depth -2, one between each two cuts of
+    the grid from its cut ``first`` to the far end's, and the far end's
+    bound.  The far end walks the cuts from the first at or past
+    30 / Re(w), never below j = 1 (rule: module docstring)."""
     width = mpf(PANEL_WIDTH)
-    last = int(mp.ceil((mp.log(T) - ev.origin) / width))
+    start = max(1, int(mp.ceil((mp.log(30 / mp.re(ev.ispec.w)) - ev.origin) / width)))
+    last, bound = _ray_end(ev, count(start), target)
     return _segment(ev.ray, ev.origin, width, range(first, last + 1), _rule(), -2), bound
 
 
@@ -668,7 +676,6 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
         if not ev.diff.coeffs:  # the rays cancel identically
             return mp.mpc(0), mpf(0)
         target = p.reachable_target()
-        cuts = (mp.exp(ev.origin - j * mpf(PANEL_WIDTH)) for j in count())
-        j, _, head_bound = _ray_end(ev, cuts, target)
-        parts, tail_bound = _rays(ev, -j, target)
+        first, head_bound = _ray_end(ev, count(0, -1), target)
+        parts, tail_bound = _rays(ev, first, target)
         return _refine_worst(parts, target, tail_bound + head_bound)

@@ -191,6 +191,27 @@ def test_flag_the_target_does_not_read_exit_3(capsys, argv, flag):
     assert f"--{flag}" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "combinatorics", "--lambda", "0.01"], "lambda"),
+        (["--lambda", "0.01", "check", "combinatorics"], "lambda"),
+        (["asym", "--w-grid", "10,20,40,80", "--lambda", "0.01", "--seed", "4"], "lambda"),
+        (["eval", "zeta", "--s", "2.5", "--w", "1.3", "--seed", "5"], "seed"),
+    ],
+    ids=["check-lambda", "check-lambda-first", "asym-lambda-seed", "eval-seed"],
+)
+def test_global_flag_the_command_does_not_read_exit_3(capsys, argv, flag):
+    # a global flag is refused, not dropped, by a command whose route does
+    # not read it, given before or after the subcommand
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 3 and record["parameter"] == flag
+    assert f"--{flag}" in record["message"]
+
+
 def test_lambda_override_matches_default(capsys):
     # 2 * lambda > 30 / Re(w), so the override also moves the ray's start
     argv = ["eval", "P", "--m", "1", "--k", "1", "--w", "20", "--omega", "1"]

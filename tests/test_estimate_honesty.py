@@ -88,6 +88,9 @@ _INTEGRANDS = {
 # polynomials carried only 16 guard bits
 @example(integrand="P21", periods=[(1, 0), (1.3, 0)], log_w=math.log(8), s=(0, 0.5, 0), m=0, k=0, target=1e-55)
 @example(integrand="P21", periods=[(1, 0), (1.3, 0)], log_w=math.log(30), s=(0, 0.5, 0), m=0, k=0, target=1e-55)
+# a first pass of one ray panel, whose far-end bound is taken at the cut
+# where that panel ends
+@example(integrand="P21", periods=[(1, 0), (1.3, 0), (0.7, 0)], log_w=math.log(30), s=(0, 0.5, 0), m=0, k=0, target=1e-40)
 def test_estimates_bound_the_error_down_to_1e55(integrand, periods, log_w, s, m, k, target):
     evaluate = _INTEGRANDS[integrand]
     om = OmegaVector.of(*(mp.mpmathify(cmath.rect(*pa)) for pa in periods))

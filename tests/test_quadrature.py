@@ -128,6 +128,27 @@ def _record_circle(monkeypatch):
     return parts
 
 
+def _record_f_omega(monkeypatch):
+    """Every _f_omega_at call as (t, j), j the cut of the end bound that made
+    it or None, and every cut j that an end bound probed, in order."""
+    calls, probes, probing = [], [], [None]
+    f_omega, end_bound = hankel._f_omega_at, hankel._ContourEvaluator.end_bound
+
+    def probe(ev, j):
+        probes.append(j)
+        probing[0] = j
+        try:
+            return end_bound(ev, j)
+        finally:
+            probing[0] = None
+
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: calls.append((t, probing[0])) or f_omega(om, t, thr)
+    )
+    monkeypatch.setattr(hankel._ContourEvaluator, "end_bound", probe)
+    return calls, probes
+
+
 def _rule_moment(weights, nodes, e):
     return mp.fsum(wgt * x ** e for wgt, x in zip(weights, nodes))
 
@@ -392,14 +413,14 @@ def test_override_is_within_its_estimate(w, lam):
 
 @pytest.mark.parametrize("c", [mpf("1e-30"), mpf("1e30")], ids=["small", "large"])
 def test_ray_end_bound_scales_with_the_polynomial(c):
-    # the bound of c * poly is |c| times the bound of poly, so the far end T
-    # does not depend on a constant weight such as zeta_contour's
+    # the bound of c * poly at a cut is |c| times the bound of poly, so the
+    # far end does not depend on a constant weight such as zeta_contour's
     om, poly = OmegaVector.of(1, mpf("1.3")), q_poly(1, 1, P)
     with P.context(QUADRATURE_GUARD_BITS):
         def bound(q):
             ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q)
             lam = auto_spec(om, ispec.w, P)
-            return hankel._ContourEvaluator(ispec, P.zero_threshold, lam).ray_magnitude(mpf(5))
+            return hankel._ContourEvaluator(ispec, P.zero_threshold, lam).end_bound(1)
 
         assert abs(bound(poly.scale(c)) / bound(poly) / c - 1) < mpf("1e-60")
 
@@ -512,57 +533,72 @@ def test_node_store_stays_within_its_bound(monkeypatch):
 def test_ray_nodes_are_reused_across_w(monkeypatch):
     # the first-pass ray panels lie on the grid log lambda + j PANEL_WIDTH,
     # which does not move with w: a second w at the same (omega, lambda)
-    # finds every ray node in the store, and circle sample too, so f_omega
-    # is evaluated only where _ray_end probes for the far end
+    # finds every ray node, circle sample and end probe of the first in the
+    # store, so it calls f_omega only at cuts that the first did not probe
     om = OmegaVector.of(1, mpf("1.3"))
-    ts, ends = [], []
-    f_omega, ray_end = hankel._f_omega_at, hankel._ray_end
-
-    def probed_end(*args):
-        n = len(ts)
-        result = ray_end(*args)
-        ends.append(len(ts) - n)
-        return result
-
-    monkeypatch.setattr(
-        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
-    )
-    monkeypatch.setattr(hankel, "_ray_end", probed_end)
+    calls, probes = _record_f_omega(monkeypatch)
     panels = _record_panels(monkeypatch)
     hankel._node_store.cache_clear()
     hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.2"), k=1, poly=q_poly(1, 1, P)), None, P)
-    before = set(panels)
-    ts.clear()
-    ends.clear()
+    before, probed = set(panels), set(probes)
+    calls.clear()
+    probes.clear()
     panels.clear()
     hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.3"), k=2, poly=q_poly(2, 2, P)), None, P)
     assert panels and set(panels) <= before
-    assert ends and len(ts) == sum(ends)
+    assert probes and all(j is not None and j not in probed for _, j in calls)
+
+
+def test_every_f_omega_call_goes_through_the_store(monkeypatch):
+    # with a cold store, f_omega is evaluated once per node the store is
+    # offered, circle samples, ray nodes and the end probes at the cuts
+    # alike, in a contour integral and in a ray-only integral
+    ts, offered = [], []
+    f_omega, keep = hankel._f_omega_at, hankel._Store.keep
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    monkeypatch.setattr(
+        hankel._Store, "keep",
+        lambda store, key, value, numbers: offered.append(key) or keep(store, key, value, numbers),
+    )
+    e = default_experiment(1, 0)
+    contour = IntegrandSpec(omega=OmegaVector.of(1, mpf("1.3")), w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
+    ray = IntegrandSpec(omega=e.omega, w=20, k=e.k, poly=PolyC.monomial(1), tail=remainder_tail(e))
+    p = P.with_target(1e-40)
+    for integrate in (lambda: hankel_integrate(contour, None, p), lambda: ray_only_integrate(ray, p)):
+        hankel._node_store.cache_clear()
+        ts.clear()
+        offered.clear()
+        integrate()
+        # a node's key is a fraction of the turn or the 4-tuple u._mpf_; a
+        # moment window's is a 5-tuple
+        nodes = [key for key in offered if not isinstance(key, tuple) or len(key) == 4]
+        assert ts and len(ts) == len(nodes)
 
 
 def test_circle_cache_is_hit_across_w(monkeypatch):
     # the looser target keeps the ray short
     p = PrecisionPolicy(192, 1e-15)
     lam = mpf("2.8")
-    ts = []
-    f_omega = hankel._f_omega_at
-    monkeypatch.setattr(
-        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
-    )
+    calls, probes = _record_f_omega(monkeypatch)
     circle = _record_circle(monkeypatch)
     om = OmegaVector.of(1)
     balanced_P(1, 1, mpf("3.9"), om, p, lam=lam)
-    ts.clear()
+    probed = set(probes)
+    calls.clear()
     circle.clear()
     balanced_P(1, 0, mpf("4.2"), om, p, lam=lam)
-    # no f_omega call on the circle at the second w: every one is on the ray
-    assert ts and not any(isinstance(t, mp.mpc) for t in ts)
+    # no circle sample is evaluated at the second w, and every f_omega call
+    # is at a cut that the first w did not probe
+    assert not any(isinstance(t, mp.mpc) for t, _ in calls)
+    assert all(j is not None and j not in probed for _, j in calls)
     assert circle == [(CIRCLE_SAMPLES, -1)]
     # a new omega evaluates every circle sample of the parts it reaches again
-    ts.clear()
+    calls.clear()
     circle.clear()
     balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
-    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == circle[-1][0]
+    assert sum(1 for t, _ in calls if isinstance(t, mp.mpc)) == circle[-1][0]
 
 
 def test_identically_zero_rays_are_skipped(monkeypatch):
