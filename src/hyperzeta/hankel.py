@@ -26,11 +26,16 @@ does (a constant poly), the rays are skipped, with no end bound: the circle
 alone is the integral.  At a ray node t = e^u, t f_omega(t) is one division
 by prod_i (1 - e^{-omega_i t}), e^{-wt} t^{-k-1} is one exponential,
 exp(-(k+1) u - wt), for integer and complex k alike, and a missing tail costs
-nothing.  The ray segment is cut into panels, each integrated once at the 65
-nodes of the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie,
-Math. Comp. 66, 1997), mapped onto the panel by its midpoint and half-width;
-that gives both the Kronrod value K65 and the Gauss value G32 of its 32 Gauss
-nodes.
+nothing.  ``_ContourEvaluator`` narrows each period, w, k and each tail
+coefficient once: an mpc whose imaginary part is exactly 0 becomes an mpf,
+and mpmath keeps mpf op mpf real.  So at a ray node of real inputs t
+f_omega(t), the exponential and the tail are real products and a real
+Horner, and only the difference polynomial diff(u) is complex; the same
+code serves complex inputs.  The ray segment is cut into panels, each
+integrated once at the 65 nodes of the Gauss-Kronrod rule that extends
+32-point Gauss-Legendre (Laurie, Math. Comp. 66, 1997), mapped onto the
+panel by its midpoint and half-width; that gives both the Kronrod value K65
+and the Gauss value G32 of its 32 Gauss nodes.
 
 K65 is returned, so each panel's estimate is one of K65's error, by
 QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
@@ -61,7 +66,12 @@ lambda e^{2 pi i l / N}, a power of 2, give by a radix-2 FFT the trapezoidal
 coefficients A'_n = (1/N) sum_l phi_l e^{-2 pi i n l / N} = sum_j A_{n+jN},
 and the part's value is lambda^{-k-1} sum_{n=n0}^{n0+N-1} A'_n B_n.  t_l
 comes from cached roots of unity, and poly and t^{-k-1} are in the moments,
-so a sample costs t f_omega(t) and one exponential, e^{-wt}.
+so a sample costs t f_omega(t) and one exponential, e^{-wt}.  When every
+period, w and tail coefficient is real, phi(conj t) = conj phi(t), and
+t_{N-l} = conj t_l, so only the samples with 2l <= N are evaluated, 33 of
+64, and phi_{N-l} = conj phi_l gives the rest: the Hermitian symmetry that
+real-data FFTs use (Sorensen et al., IEEE Trans. ASSP 35, 1987).  k and poly
+live in the moments, so they play no part in that test.
 
 The part's error is its aliased and truncated modes: each A_m with m >= n0 +
 N enters once through A'_{m-jN}, weighted by that mode's moment, and is
@@ -83,7 +93,9 @@ it is above zero wherever a sample and a moment are.  Where every moment
 vanishes (a constant poly, integer k and k + 1 < n0: the integrand is
 regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
 part doubles N: the new samples are the odd ones of the finer grid,
-interleaved with the old before the FFT, so no sample is taken twice.
+interleaved with the old before the FFT, so no sample is taken twice, and a
+real integrand evaluates N/2 of the N new ones (32 of 64 on the doubling to
+128).
 
 The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide (four
 doublings of t) between the cuts of a grid fixed in t, the last ending at
@@ -140,8 +152,9 @@ w = 20, eps about 1e-11, takes 10 first-pass panels and no refinement.
 
 What does not depend on w is kept in one node store for one key (omega,
 lambda, working bits, pole threshold), ``_node_store``, which drops the old
-key's store first: t and t f_omega(t) at each circle sample, by l / N, and
-at each ray node and each cut an end walk probes, by the exact bits of u
+key's store first: t and t f_omega(t) at each circle sample it evaluates
+(a mirrored one is not kept), by l / N, and at each ray node and each cut
+an end walk probes, by the exact bits of u
 (u._mpf_, a tuple, which no float key equals), so a warm sample or node
 costs one exponential and every f_omega evaluation goes through the store
 (``_ContourEvaluator.node``); and each circle window's moments B_n with
@@ -149,10 +162,11 @@ their largest and summed sizes, by (poly, diff, -k-1, n0, N), as they depend
 on lambda but not on w or omega.  The store admits entries while it holds at
 most STORE_NUMBERS = 1280 numbers, two per node and N per window of N
 moments.  Measured at 256 bits, with the dict's share, a number takes about
-0.36 kB in a ray node, 0.48 kB in a circle sample and 0.25 kB in a moment,
-so a full store holds 0.3 to 0.6 MB.  1280 numbers hold what a dense w sweep
-at one omega reads (r = 2, target 1e-32: 130 ray nodes, 2 end probes, 64
-samples and 12 windows of 64, 1160 numbers), and a store filled with ray
+0.36 kB in a ray node (about 0.3 kB with real periods, whose t f_omega(t)
+is an mpf), 0.48 kB in a circle sample and 0.25 kB in a moment, so a full
+store holds 0.3 to 0.6 MB.  1280 numbers hold what a dense w sweep at one
+real omega reads (r = 2, target 1e-32: 130 ray nodes, 2 end probes, 33
+samples and 12 windows of 64, 1098 numbers), and a store filled with ray
 nodes at every w (lambda = 6 / Re(w) moves with w) adds about 0.5 MB to the
 peak resident size.
 """
@@ -165,13 +179,13 @@ from heapq import heappop, heappush
 from itertools import count, islice
 from math import acos, cos, factorial, log, pi
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
 from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc, _right_half
 from .qpoly import PolyC
-from .series import LaurentSeries
+from .series import LaurentSeries, _horner
 
 # the deepest refinement, MAX_LEVELS - 1: a part's level in the schedule that
 # cuts each doubling into 2^L panels and samples the circle at 128 * 2^L points
@@ -345,10 +359,16 @@ def _gk_sums(fs, half, rule):
     return half * kronrod, scale * mp.ldexp(err, e), scale * mp.ldexp(50 * resabs, e - mp.prec)
 
 
-def _f_omega_at(omega: OmegaVector, t, threshold):
-    """f_omega(t) = 1 / prod_i d_i, d_i = 1 - e^{-omega_i t}: one division."""
-    den = mp.mpc(1)
-    for o in omega.omegas:
+def _narrow(x):
+    """x as an mpf if it is an mpc whose imaginary part is exactly 0, else x."""
+    return x.real if isinstance(x, mpc) and not x.imag else x
+
+
+def _f_omega_at(periods, t, threshold):
+    """f_omega(t) = 1 / prod_i d_i, d_i = 1 - e^{-omega_i t}: one division.
+    Real periods and a real t keep it real."""
+    den = mpf(1)
+    for o in periods:
         z = o * t
         d = 1 - mp.exp(-z)
         # |d| < threshold only if both parts are: the cheap test first
@@ -381,17 +401,25 @@ class _ContourEvaluator:
     """The integrand t F(t) in u = log t of one IntegrandSpec on the rays, and
     the polynomials its circle's moments need, for one lambda and the working
     precision it is built at, with the node store of that key, through whose
-    ``node`` every f_omega evaluation goes (module docstring)."""
+    ``node`` every f_omega evaluation goes (module docstring).  The periods,
+    w, k and the tail's coefficients are narrowed once, each real one to an
+    mpf, so that real inputs take real arithmetic."""
 
     def __init__(self, ispec: IntegrandSpec, pole_threshold, lam):
         self.ispec = ispec
         self.thr = pole_threshold
         self.lam, self.origin = lam, mp.log(lam)
         self.nodes = _node_store(ispec.omega, lam, mp.prec, pole_threshold)
+        self.periods, self.w = tuple(map(_narrow, ispec.omega.omegas)), _narrow(ispec.w)
+        tail = ispec.tail
+        coeffs = () if tail is None else tuple(map(_narrow, tail.coeffs))
+        self.tail = None if tail is None else (coeffs, tail.valuation)
+        # all real: phi(conj t) = conj phi(t) on the circle (module docstring)
+        self.real = all(isinstance(x, mpf) for x in (*self.periods, self.w, *coeffs))
         # t^{-k-1} = e^{neg_k1 u}; on the outbound ray u gains 2 pi i,
         # so poly(u) there becomes jump * poly(u + 2 pi i)
         k = ispec.k
-        self.neg_k1 = -k - 1
+        self.neg_k1 = -_narrow(k) - 1
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
@@ -404,20 +432,20 @@ class _ContourEvaluator:
         node = self.nodes.get(key)
         if node is None:
             t = t()
-            node = self.nodes.keep(key, (t, t * _f_omega_at(self.ispec.omega, t, self.thr)), 2)
+            node = self.nodes.keep(key, (t, t * _f_omega_at(self.periods, t, self.thr)), 2)
         return node
 
-    def _term(self, u, t, factor):
-        """factor e^{-wt} t^{-k-1} tail(t) at t = e^u, on the branch u gives."""
-        ispec = self.ispec
-        value = factor * mp.exp(self.neg_k1 * u - ispec.w * t)
-        return value if ispec.tail is None else value * ispec.tail(t)
+    def _term(self, u, t, tf):
+        """t F(t) / poly(u) = tf e^{-wt} t^{-k-1} tail(t) at t = e^u, on the
+        branch u gives, with tf = t f_omega(t)."""
+        value = tf * mp.exp(self.neg_k1 * u - self.w * t)
+        return value if self.tail is None else value * _horner(*self.tail, t)
 
     def ray(self, u):
         """Outbound-minus-inbound integrand t F(t) at real u, its node kept
         by u's exact bits."""
         t, tf = self.node(u._mpf_, lambda: mp.exp(u))
-        return self._term(u, t, tf * self.diff(u))
+        return self._term(u, t, tf) * self.diff(u)
 
     def end_bound(self, j):
         """Crude bound |F| * t of the one-sided ray integrands at the cut
@@ -483,10 +511,17 @@ class _Circle:
 
     def sample(self, l, n):
         """phi(t_l) on the grid of n samples, its node kept by l / n."""
-        ispec = self.ev.ispec
-        t, tf = self.ev.node(l / n, lambda: self.lam * _unit_roots(n, mp.prec)[l])
-        value = tf * mp.exp(-ispec.w * t)
-        return value if ispec.tail is None else value * ispec.tail(t)
+        ev = self.ev
+        t, tf = ev.node(l / n, lambda: self.lam * _unit_roots(n, mp.prec)[l])
+        value = tf * mp.exp(-ev.w * t)
+        return value if ev.tail is None else value * _horner(*ev.tail, t)
+
+    def samples(self, ls, n):
+        """phi(t_l) for each l in ls on the grid of n samples.  A real
+        integrand's samples with 2l > n are the mirror conj(phi_{n-l}) of
+        samples that ls holds too, so only those with 2l <= n are evaluated."""
+        found = {l: self.sample(l, n) for l in ls if 2 * l <= n or not self.ev.real}
+        return [found[l] if l in found else mp.conj(found[n - l]) for l in ls]
 
     def moments(self, n):
         """(B_m for the window n0 <= m < n0 + n, max |B_m|, sum |B_m|), kept
@@ -522,7 +557,7 @@ class _Circle:
         n = CIRCLE_SAMPLES
         while self.n0 + n <= mp.re(self.ev.ispec.k) + 1:
             n *= 2
-        return self.part([self.sample(l, n) for l in range(n)])
+        return self.part(self.samples(range(n), n))
 
     def part(self, samples):
         """A part: (value, estimate, depth, refine, floor) from the samples
@@ -538,7 +573,7 @@ class _Circle:
         floor = 50 * mp.ldexp(mean * total * scale, -mp.prec)
 
         def refine():
-            odd = [self.sample(2 * l + 1, 2 * n) for l in range(n)]
+            odd = self.samples(range(1, 2 * n, 2), 2 * n)
             return [self.part([x for pair in zip(samples, odd) for x in pair])]
 
         return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor

@@ -86,15 +86,9 @@ class LaurentSeries:
         return LaurentSeries(self.valuation, tuple(c * a for a in self.coeffs))
 
     def __call__(self, t):
-        """Evaluate by Horner on the unit part times t^valuation; a real t is
-        not made complex."""
-        t, coeffs = mp.convert(t), self.coeffs
-        acc = coeffs[-1] if coeffs else mp.mpc(0)
-        for c in coeffs[-2::-1]:
-            acc = acc * t + c
-        if self.valuation:
-            acc = acc * t ** self.valuation
-        return acc
+        """Evaluate by ``_horner``; the result is an mpc, as every
+        coefficient is."""
+        return _horner(self.coeffs, self.valuation, mp.convert(t))
 
     # -- ring operations ----------------------------------------------
 
@@ -160,6 +154,18 @@ class LaurentSeries:
             e[n] = s / n
         scalar = mp.exp(c0)
         return LaurentSeries(0, tuple(scalar * c for c in e))
+
+
+def _horner(coeffs, valuation, t):
+    """sum_i coeffs[i] t^(valuation + i): Horner on the coefficients times
+    t^valuation.  Real coefficients and a real t keep the arithmetic real, so
+    the quadrature evaluates its real tails with mpf coefficients."""
+    acc = coeffs[-1] if coeffs else mp.mpc(0)
+    for c in coeffs[-2::-1]:
+        acc = acc * t + c
+    if valuation:
+        acc = acc * t ** valuation
+    return acc
 
 
 def _mul_coeffs(a, b, n):

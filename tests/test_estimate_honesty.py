@@ -102,6 +102,33 @@ def test_estimates_bound_the_error_down_to_1e55(integrand, periods, log_w, s, m,
         assert abs(res.value - ref.value) <= res.err_estimate <= target
 
 
+def _value_err(res):
+    return res.value, res.err_estimate
+
+
+# one complex input among real ones, so the circle evaluates every sample
+# and mirrors none: a complex w, a complex period, and for rhs_expansion a
+# complex shift a, whose multiple Bernoulli tail has complex coefficients
+_REAL_OMEGA = OmegaVector.of(1, mpf(1.3))
+_MIXED = {
+    "complex-w": lambda p: _value_err(log_hyper_gamma(1, 1, mp.mpc(0.5, -3), _REAL_OMEGA, p)),
+    "complex-omega": lambda p: _value_err(
+        balanced_P(2, 1, mpf(1.5), OmegaVector.of(1, mp.mpmathify(cmath.rect(1.3, 0.4))), p)
+    ),
+    "complex-tail": lambda p: rhs_expansion(
+        replace(default_experiment(1, 0, policy=p), a=mp.mpc(0.5, 0.4)), mpf(20)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MIXED))
+def test_mixed_real_and_complex_inputs_are_honest(case):
+    value, err = _MIXED[case](P.with_target(1e-40))
+    with REF.context():
+        ref, _ = _MIXED[case](REF)
+        assert abs(value - ref) <= err <= 1e-40
+
+
 # at 1e-55 the absorbed tail needs the integral's 64 guard bits: built with
 # 16 the error at w = 8000 was 90 times the estimate
 @pytest.mark.parametrize(

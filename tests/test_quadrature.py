@@ -149,6 +149,17 @@ def _record_f_omega(monkeypatch):
     return calls, probes
 
 
+# w real, then complex, every other input real
+_W = (mpf("1.5"), mp.mpc("1.5", "0.5"))
+
+
+def _evaluated(n, x):
+    """The samples of a circle of N = n samples that an integral evaluates,
+    x its one input that may be complex: all N for a complex x; for a real
+    one those with 2l <= N, N/2 + 1, whose mirrors give the rest."""
+    return n if isinstance(x, mp.mpc) else n // 2 + 1
+
+
 def _rule_moment(weights, nodes, e):
     return mp.fsum(wgt * x ** e for wgt, x in zip(weights, nodes))
 
@@ -182,9 +193,8 @@ def test_kronrod_rule_shape():
 def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     # a default-target integral is certified by its first pass: f_omega is
     # evaluated once per Kronrod node of each ray panel and once per circle
-    # sample, besides the ray-end probes
+    # sample it evaluates, besides the ray-end probes
     om = OmegaVector.of(1, mpf("1.3"))
-    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     ts, ends = [], []
     f_omega, ray_end = hankel._f_omega_at, hankel._ray_end
 
@@ -200,16 +210,20 @@ def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
     monkeypatch.setattr(hankel, "_ray_end", probed_end)
     panels = _record_panels(monkeypatch)
     circle = _record_circle(monkeypatch)
-    hankel._node_store.cache_clear()
-    _, err = hankel_integrate(ispec, None, P)
-    assert err <= P.target_abs_error
-    assert circle == [(CIRCLE_SAMPLES, -1)]
-    # the first pass cuts [log lambda, log T] into equal panels at most
-    # PANEL_WIDTH wide, at depth -2
-    widths = [b - a for a, b, _ in panels]
-    assert all(depth == -2 for _, _, depth in panels)
-    assert max(widths) <= PANEL_WIDTH and max(widths) - min(widths) < mpf("1e-50")
-    assert len(ts) - sum(ends) == KRONROD_NODES * len(panels) + CIRCLE_SAMPLES
+    for w in _W:
+        for record in (ts, ends, panels, circle):
+            record.clear()
+        hankel._node_store.cache_clear()
+        ispec = IntegrandSpec(omega=om, w=w, k=1, poly=q_poly(1, 1, P))
+        _, err = hankel_integrate(ispec, None, P)
+        assert err <= P.target_abs_error
+        assert circle == [(CIRCLE_SAMPLES, -1)]
+        # the first pass cuts [log lambda, log T] into equal panels at most
+        # PANEL_WIDTH wide, at depth -2
+        widths = [b - a for a, b, _ in panels]
+        assert all(depth == -2 for _, _, depth in panels)
+        assert max(widths) <= PANEL_WIDTH and max(widths) - min(widths) < mpf("1e-50")
+        assert len(ts) - sum(ends) == KRONROD_NODES * len(panels) + _evaluated(CIRCLE_SAMPLES, w)
 
 
 def test_contour_refines_only_the_ray_panels_that_miss(monkeypatch):
@@ -274,19 +288,23 @@ def test_circle_first_pass_is_set_by_the_target(monkeypatch, omegas):
 def test_circle_doubles_in_refinement_keeping_every_sample(monkeypatch):
     # at 1e-55 the first pass is 64 samples, and _refine_worst doubles them
     # to 128 by the odd samples of the finer grid alone: the circle calls
-    # f_omega once per sample of the finest part, none twice
+    # f_omega once per sample of the finest part that it evaluates, none
+    # twice (128 for a complex w; 33 and 32 odd ones, 65, for a real one)
     om = OmegaVector.of(1, mpf("1.3"))
-    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     ts, f_omega = [], hankel._f_omega_at
     monkeypatch.setattr(
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
     circle = _record_circle(monkeypatch)
-    hankel._node_store.cache_clear()
-    _, err = hankel_integrate(ispec, None, P.with_target(1e-55))
-    assert err <= 1e-55
-    assert circle[:2] == [(CIRCLE_SAMPLES, -1), (2 * CIRCLE_SAMPLES, 0)]
-    assert sum(1 for t in ts if isinstance(t, mp.mpc)) == 2 * CIRCLE_SAMPLES
+    for w in _W:
+        ts.clear()
+        circle.clear()
+        hankel._node_store.cache_clear()
+        ispec = IntegrandSpec(omega=om, w=w, k=1, poly=q_poly(1, 1, P))
+        _, err = hankel_integrate(ispec, None, P.with_target(1e-55))
+        assert err <= 1e-55
+        assert circle[:2] == [(CIRCLE_SAMPLES, -1), (2 * CIRCLE_SAMPLES, 0)]
+        assert sum(1 for t in ts if isinstance(t, mp.mpc)) == _evaluated(2 * CIRCLE_SAMPLES, w)
 
 
 @pytest.mark.parametrize(
@@ -594,11 +612,13 @@ def test_circle_cache_is_hit_across_w(monkeypatch):
     assert not any(isinstance(t, mp.mpc) for t, _ in calls)
     assert all(j is not None and j not in probed for _, j in calls)
     assert circle == [(CIRCLE_SAMPLES, -1)]
-    # a new omega evaluates every circle sample of the parts it reaches again
-    calls.clear()
-    circle.clear()
-    balanced_P(1, 0, mpf("4.2"), OmegaVector.of(mpf("0.8")), p, lam=lam)
-    assert sum(1 for t, _ in calls if isinstance(t, mp.mpc)) == circle[-1][0]
+    # a new omega evaluates the circle samples of the parts it reaches
+    # again: a complex one every sample, a real one those with 2l <= N
+    for omega in (mpf("0.8") * mp.expj(mpf("0.2")), mpf("0.8")):
+        calls.clear()
+        circle.clear()
+        balanced_P(1, 0, mpf("4.2"), OmegaVector.of(omega), p, lam=lam)
+        assert sum(1 for t, _ in calls if isinstance(t, mp.mpc)) == _evaluated(circle[-1][0], omega)
 
 
 def test_identically_zero_rays_are_skipped(monkeypatch):
@@ -614,18 +634,21 @@ def test_identically_zero_rays_are_skipped(monkeypatch):
     monkeypatch.setattr(hankel, "_ray_end", lambda *a: ends.append(a) or ray_end(*a))
     panels = _record_panels(monkeypatch)
     circle = _record_circle(monkeypatch)
-    hankel._node_store.cache_clear()
-    ispec = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, P))
-    val, err = hankel_integrate(ispec, None, P)
-    assert not ends
-    assert not panels
-    assert circle == [(CIRCLE_SAMPLES, -1)]
-    assert len(ts) == CIRCLE_SAMPLES
-    assert all(isinstance(t, mp.mpc) for t in ts)
-    with SHARP.context():
-        sharp = IntegrandSpec(omega=om, w=mpf("1.5"), k=2, poly=q_poly(0, 2, SHARP))
-        ref, _ = hankel_integrate(sharp, None, SHARP)
-        assert abs(val - ref) <= err <= P.target_abs_error
+    for w in _W:
+        ts.clear()
+        circle.clear()
+        hankel._node_store.cache_clear()
+        ispec = IntegrandSpec(omega=om, w=w, k=2, poly=q_poly(0, 2, P))
+        val, err = hankel_integrate(ispec, None, P)
+        assert not ends
+        assert not panels
+        assert circle == [(CIRCLE_SAMPLES, -1)]
+        assert len(ts) == _evaluated(CIRCLE_SAMPLES, w)
+        assert all(isinstance(t, mp.mpc) for t in ts)
+        with SHARP.context():
+            sharp = IntegrandSpec(omega=om, w=w, k=2, poly=q_poly(0, 2, SHARP))
+            ref, _ = hankel_integrate(sharp, None, SHARP)
+            assert abs(val - ref) <= err <= P.target_abs_error
 
 
 def _product_form(ispec, t, logt=None):
@@ -677,11 +700,10 @@ def test_nodes_match_the_product_form(k, tail, args):
 
 
 def test_warm_circle_node_takes_one_exponential(monkeypatch):
-    # with the circle's t and t f_omega(t) cached, a circle sample costs one
-    # mp.exp, e^{-wt}, and none for t, which comes from cached roots of unity;
-    # nothing in the integral takes mp.power or mp.expj
+    # with the circle's t and t f_omega(t) cached, a circle sample it
+    # evaluates costs one mp.exp, e^{-wt}, and none for t, which comes from
+    # cached roots of unity; nothing in the integral takes mp.power or mp.expj
     om = OmegaVector.of(1, mpf("1.3"))
-    hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P)), None, P)
     calls = {"power": 0, "expj": 0, "exp": 0}
     inside = {"circle": False, "f_omega": False}
     exp, power, expj = mp.exp, mp.power, mp.expj
@@ -706,15 +728,126 @@ def test_warm_circle_node_takes_one_exponential(monkeypatch):
     monkeypatch.setattr(hankel, "_f_omega_at", within("f_omega", hankel._f_omega_at))
     monkeypatch.setattr(hankel._Circle, "sample", within("circle", hankel._Circle.sample))
     circle = _record_circle(monkeypatch)
-    _, err = hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.7"), k=1, poly=q_poly(2, 1, P)), None, P)
-    assert err <= P.target_abs_error
-    assert circle == [(CIRCLE_SAMPLES, -1)]
-    assert calls == {"power": 0, "expj": 0, "exp": CIRCLE_SAMPLES}
+    for w in _W:
+        hankel_integrate(IntegrandSpec(omega=om, w=w, k=1, poly=q_poly(2, 1, P)), None, P)
+        calls.update(power=0, expj=0, exp=0)
+        circle.clear()
+        ispec = IntegrandSpec(omega=om, w=w + mpf("0.2"), k=1, poly=q_poly(2, 1, P))
+        _, err = hankel_integrate(ispec, None, P)
+        assert err <= P.target_abs_error
+        assert circle == [(CIRCLE_SAMPLES, -1)]
+        assert calls == {"power": 0, "expj": 0, "exp": _evaluated(CIRCLE_SAMPLES, w)}
+
+
+_OM = OmegaVector.of(1, mpf("1.3"))
+# the circle alone, with one input real or complex and every other real:
+# (omega, w, tail)
+_REAL_TAIL = LaurentSeries(-1, (mpf("0.5"), mpf(1), mpf("-0.25")))
+_MIRROR_CASES = {
+    "real": (_OM, mpf("1.5"), _REAL_TAIL),
+    "complex-omega": (OmegaVector.of(1, mpf("1.3") * mp.expj(mpf("0.2"))), mpf("1.5"), _REAL_TAIL),
+    "complex-w": (_OM, mp.mpc("1.5", "0.5"), _REAL_TAIL),
+    "complex-tail": (_OM, mpf("1.5"), LaurentSeries(-1, (mpf("0.5"), mp.mpc(1, "0.3"), mpf("-0.25")))),
+}
+
+
+@pytest.mark.parametrize("case", list(_MIRROR_CASES))
+def test_real_integrand_circle_evaluates_half_its_samples(monkeypatch, case):
+    # phi(conj t) = conj phi(t) when every period, w and tail coefficient is
+    # real: a circle of N samples then calls f_omega at l = 0..N/2 alone,
+    # 33 of 64 and 65 of 128 after a doubling, and keeps only those in the
+    # store; one complex input makes it evaluate all N
+    om, w, tail = _MIRROR_CASES[case]
+    ispec = IntegrandSpec(omega=om, w=w, k=1, poly=q_poly(2, 1, P), tail=tail)
+    ts, f_omega = [], hankel._f_omega_at
+    monkeypatch.setattr(
+        hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
+    )
+    circle = _record_circle(monkeypatch)
+    half = case == "real"
+    for target, n in ((1e-22, CIRCLE_SAMPLES), (1e-55, 2 * CIRCLE_SAMPLES)):
+        p = P.with_target(target)
+        ts.clear()
+        circle.clear()
+        hankel._node_store.cache_clear()
+        with p.context(QUADRATURE_GUARD_BITS):
+            ev = hankel._ContourEvaluator(ispec, p.zero_threshold, auto_spec(om, w, P))
+            hankel._refine_worst([hankel._Circle(ev).first_pass()], mpf(target), 0)
+        assert circle[-1][0] == n
+        assert len(ts) == (n // 2 + 1 if half else n)
+        kept = sorted(key for key in ev.nodes if isinstance(key, float))
+        assert kept == [l / n for l in range(n) if 2 * l <= n or not half]
+
+
+@pytest.mark.parametrize("omega", [mpf("1.3"), mpf("1.3") * mp.expj(mpf("0.2"))], ids=["real", "complex"])
+def test_ray_nodes_of_real_periods_are_real(monkeypatch, omega):
+    # t = e^u and t f_omega(t) at a ray node are kept as mpf for real
+    # periods, and t f_omega(t) as mpc for a complex period
+    ispec = IntegrandSpec(omega=OmegaVector.of(1, omega), w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
+    hankel._node_store.cache_clear()
+    stored = _record_stores(monkeypatch)
+    hankel_integrate(ispec, None, P)
+    store = stored[-1]
+    rays = [store[key] for key in store if isinstance(key, tuple) and len(key) == 4]
+    assert rays and all(isinstance(t, mpf) for t, _ in rays)
+    kind = mpf if isinstance(omega, mpf) else mp.mpc
+    assert all(isinstance(tf, kind) for _, tf in rays)
+
+
+def _narrowed_run(ispec, p, narrow):
+    """(value, estimate, ray nodes by key, 64 circle samples, bits) of a cold
+    hankel_integrate of ispec, with the nodes evaluated again after it, and
+    hankel._narrow set to narrow."""
+    with pytest.MonkeyPatch.context() as patch, p.context(QUADRATURE_GUARD_BITS):
+        patch.setattr(hankel, "_narrow", narrow)
+        hankel._node_store.cache_clear()
+        value, err = hankel_integrate(ispec, None, p)
+        ev = hankel._ContourEvaluator(ispec, p.zero_threshold, auto_spec(ispec.omega, ispec.w, p))
+        keys = [key for key in ev.nodes if isinstance(key, tuple) and len(key) == 4]
+        rays = {key: ev.ray(mp.make_mpf(key)) for key in keys}
+        samples = hankel._Circle(ev).samples(range(CIRCLE_SAMPLES), CIRCLE_SAMPLES)
+        return value, err, rays, samples, mp.prec
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(
+    periods=st.lists(st.floats(0.5, 2), min_size=1, max_size=3),
+    k=st.one_of(st.integers(-1, 3), st.tuples(st.floats(-3, 1), st.floats(-2, 2))),
+    m=st.integers(0, 2),
+    w=st.floats(0.5, 30),
+    tail=st.one_of(
+        st.none(), st.tuples(st.integers(-2, 2), st.lists(st.floats(-2, 2), min_size=1, max_size=4))
+    ),
+    target=st.sampled_from([1e-22, 1e-40]),
+)
+@example(periods=[1, 1.3, 0.7], k=1, m=2, w=1.5, tail=(-1, [0.5, 1, -0.25]), target=1e-40)
+@example(periods=[1, 1.3], k=(2.5, 0.5), m=1, w=3, tail=None, target=1e-40)
+def test_real_arithmetic_matches_complex(periods, k, m, w, tail, target):
+    # real periods, w and tail: the integral with its inputs narrowed to mpf,
+    # and its circle mirrored, against the same integral with narrowing
+    # switched off, in complex arithmetic throughout with every sample
+    # evaluated.  They take the same ray nodes; each ray node and each of 64
+    # circle samples agrees within 2^(8 - bits) of its magnitude, and the
+    # estimates agree to 3 digits
+    k = k if isinstance(k, int) else -mp.mpc(*k)
+    tail = None if tail is None else LaurentSeries(tail[0], tuple(map(mpf, tail[1])))
+    ispec = IntegrandSpec(omega=OmegaVector.of(*map(mpf, periods)), w=mpf(w), k=k,
+                          poly=q_poly(m, 1, P), tail=tail)
+    p = P.with_target(target)
+    value, err, rays, samples, prec = _narrowed_run(ispec, p, hankel._narrow)
+    ref_value, ref_err, ref_rays, ref_samples, _ = _narrowed_run(ispec, p, lambda x: x)
+    bound = mpf(2) ** (8 - prec)
+    assert rays.keys() == ref_rays.keys()
+    for key, node in rays.items():
+        assert abs(node - ref_rays[key]) <= bound * abs(ref_rays[key])
+    for sample, ref_sample in zip(samples, ref_samples):
+        assert abs(sample - ref_sample) <= bound * abs(ref_sample)
+    assert abs(err - ref_err) <= mpf("1e-3") * ref_err
+    assert abs(value - ref_value) <= err
 
 
 # the circle's integrands for the spectral part against mp.quad: (omega, w,
 # k, poly, tail, lambda as a fraction of the pole bound or None for auto_spec's)
-_OM = OmegaVector.of(1, mpf("1.3"))
 _SPECTRAL_CASES = {
     "integer-k-m4": (_OM, mpf("1.5"), 2, q_poly(4, 2, P), None, None),
     "complex-k-im-up": (_OM, mpf("1.5"), -mp.mpc("2.5", "10"), PolyC((1,)), None, None),
@@ -876,19 +1009,19 @@ def test_small_divisor_near_zero_is_not_a_pole():
     om = OmegaVector.of(1, mp.expj(mpf("1.3")))
     thr = P.zero_threshold
     t = mpf("1e-35")
-    f = hankel._f_omega_at(om, t, thr)
+    f = hankel._f_omega_at(om.omegas, t, thr)
     # within the relative error 2^-prec / |omega t| of the divisors
     assert abs(f * t * t * om.product - 1) < 2 ** (4 - mp.prec) / t
     # fewer than 32 bits of 1 - e^(-omega t) left
     with pytest.raises(PrecisionUnreachable):
-        hankel._f_omega_at(om, mpf(2) ** (20 - mp.prec), thr)
+        hankel._f_omega_at(om.omegas, mpf(2) ** (20 - mp.prec), thr)
 
 
 def test_small_divisor_near_a_ray_pole_raises():
     # omega nearly imaginary: the pole 2 pi i / omega is within 1e-40 of t = 2 pi
     om = OmegaVector.of(mp.expj(mp.pi / 2 - mpf("1e-40")))
     with pytest.raises(PolesTooClose):
-        hankel._f_omega_at(om, 2 * mp.pi, P.zero_threshold)
+        hankel._f_omega_at(om.omegas, 2 * mp.pi, P.zero_threshold)
 
 
 def test_ray_only_requires_tail():
