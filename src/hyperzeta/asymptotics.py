@@ -24,7 +24,7 @@ from .errors import FitUnstable, InvalidParameter
 from .evaluators import balanced_P
 from .hankel import IntegrandSpec, hankel_integrate, ray_only_integrate
 from .multibernoulli import OmegaVector, bernoulli_a, bernoulli_expansion
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact
 from .qpoly import PolyC, s_poly
 from .series import LaurentSeries
 
@@ -45,7 +45,7 @@ class AsymExperiment:
 
     def __post_init__(self):
         # a and mpf grid points keep their bits, as the periods do
-        object.__setattr__(self, "a", _exact_mpc(self.a))
+        object.__setattr__(self, "a", _exact(self.a))
         grid = tuple(w if isinstance(w, mpf) else mpf(w) for w in self.w_grid)
         object.__setattr__(self, "w_grid", grid)
         if self.m < 0 or self.k < 0:
@@ -111,7 +111,7 @@ def lhs_value(e: AsymExperiment, w):
     the shift is dropped so the printed (unshifted) form can be observed.
     w keeps its bits, and w + a is taken at the integral's working precision.
     """
-    arg = _exact_mpc(w)
+    arg = _exact(w)
     if not e.strict_statement:
         with e.policy.context(QUADRATURE_GUARD_BITS):
             arg += e.a

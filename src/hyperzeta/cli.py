@@ -215,14 +215,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_policy(args) -> PrecisionPolicy:
-    bits = args.precision_bits
-    if bits is None:
-        env = os.environ.get("HYPERZETA_PRECISION_BITS")
-        bits = int(env) if env else DEFAULT_BITS
-    return PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
-
-
 # (command, and for eval its target and --method) -> the optional flags that
 # route reads; every other eval pair is refused, and so is a flag the route
 # would ignore
@@ -388,7 +380,9 @@ def _run_asym(args, p: PrecisionPolicy) -> int:
                 f"  err_norm={_fmt(row.normalized_error, 3)}"
             )
         if fit is not None:
-            print(f"fit: {mp.nstr(fit[0], digits)}  reference: {mp.nstr(fit[1], digits)}")
+            # the reference too as a complex number, as it is where a is complex
+            fitted, reference = (mp.nstr(mp.mpc(x), digits) for x in fit)
+            print(f"fit: {fitted}  reference: {reference}")
     return EXIT_OK
 
 
@@ -401,8 +395,20 @@ def main(argv=None) -> int:
     refused = _check_flags(args)
     if refused is not None:
         return refused
+    bits = args.precision_bits
+    if bits is None:
+        # an integer, as --precision-bits is; the policy checks its range
+        env = os.environ.get("HYPERZETA_PRECISION_BITS")
+        try:
+            bits = int(env) if env else DEFAULT_BITS
+        except ValueError:
+            return _emit_error(
+                EXIT_PARSE,
+                f"HYPERZETA_PRECISION_BITS must be an integer, got {env!r}",
+                "HYPERZETA_PRECISION_BITS",
+            )
     try:
-        p = _resolve_policy(args)
+        p = PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
         with p.context():
             if args.command == "eval":
                 return _run_eval(args, p)

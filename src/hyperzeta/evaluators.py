@@ -6,13 +6,16 @@
   own start point (a level that starts that far out sums no head), then an
   Euler-Maclaurin tail correction in the last omega direction, applied
   recursively down to one omega, until a Bernoulli term is below half the
-  policy's target.  Real inputs are summed in real arithmetic.
+  policy's target.  Its arguments come in through ``precision._exact``, so
+  real ones are mpf and take real arithmetic, whatever the others are.
 * ``zeta_contour`` evaluates the Hankel-contour representation, with
   1/(Gamma(s)(e^{2 pi i s}-1)) as its constant weight (generic s only).
 * ``log_hyper_gamma`` and ``balanced_P`` evaluate the contour integrals with
   the q/S weight polynomials; integer-point zeta values are always routed
   through these, never through the singular generic-s prefactor.
 * ``p0_closed_form`` is the r = 0 closed form of the balanced function.
+
+Every evaluator's value is an mpc, for real and complex arguments alike.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc, _right_half
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _right_half
 from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
 METHOD_DIRECT = "direct_sum"
@@ -62,11 +65,12 @@ def _lattice_em(s, w, levels, eps):
     the last direction; size is the float sum of |term| over every power
     summed, each weighted as the sum it enters.
 
-    ``levels`` holds, per direction k, (omega_k, the angles of omega_i / omega_k
-    for i < k, ln(2 pi / min_{i <= k} |omega_i|)) as from ``_levels``.  The numbers are all mpf (real inputs, real
-    arithmetic) or all mpc.  The recursion ends at one omega, whose terms at
-    the tail point wN are powers of wN taken from one ``mp.power`` and carry
-    no error of their own.
+    ``levels`` holds, per direction k, (omega_k, the angles of omega_i /
+    omega_k for i < k, ln(2 pi / min_{i <= k} |omega_i|)) as from
+    ``_levels``.  Each number is an mpf where it is real and an mpc otherwise
+    (``_exact``), so real ones meet in real arithmetic.  The recursion ends
+    at one omega, whose terms at the tail point wN are powers of wN taken
+    from one ``mp.power`` and carry no error of their own.
     """
     if not levels:  # r = 0: one power, nothing summed
         return mp.power(w, -s), mpf(0), 0.0
@@ -265,21 +269,18 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     roundoff of the working precision (the policy's bits plus 16 guard
     bits), or where the estimate is above the target; the message names the
     larger part, the truncation estimate or the rounding floor.
-    When s, w and every omega_i are real the sum runs in real arithmetic;
-    the value is an mpc either way.
+    s and w come in through ``_exact``, as the periods do, so each real one
+    is an mpf and the sum of real inputs runs in real arithmetic; the value
+    is an mpc either way.
     """
     with p.context(16):
-        s, w = _exact_mpc(s), _right_half(w)
+        s, w = _exact(s), _right_half(w)
         if not mp.re(s) > omega.r + mpf("0.25"):
             raise InvalidParameter(
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
             )
         eps = p.reachable_target()
-        args = (s, w) + omega.omegas
-        if all(mp.im(x) == 0 for x in args):
-            args = tuple(mp.re(x) for x in args)
-        s, w, *omegas = args
-        value, trunc, size = _lattice_em(s, w, _levels(omegas), eps)
+        value, trunc, size = _lattice_em(s, w, _levels(omega.omegas), eps)
         floor = 50 * mp.ldexp(size, -mp.prec)
         err = trunc + floor
         if err > eps:

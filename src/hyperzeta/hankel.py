@@ -26,16 +26,15 @@ does (a constant poly), the rays are skipped, with no end bound: the circle
 alone is the integral.  At a ray node t = e^u, t f_omega(t) is one division
 by prod_i (1 - e^{-omega_i t}), e^{-wt} t^{-k-1} is one exponential,
 exp(-(k+1) u - wt), for integer and complex k alike, and a missing tail costs
-nothing.  ``_ContourEvaluator`` narrows each period, w, k and each tail
-coefficient once: an mpc whose imaginary part is exactly 0 becomes an mpf,
-and mpmath keeps mpf op mpf real.  So at a ray node of real inputs t
-f_omega(t), the exponential and the tail are real products and a real
-Horner, and only the difference polynomial diff(u) is complex; the same
-code serves complex inputs.  The ray segment is cut into panels, each
-integrated once at the 65 nodes of the Gauss-Kronrod rule that extends
-32-point Gauss-Legendre (Laurie, Math. Comp. 66, 1997), mapped onto the
-panel by its midpoint and half-width; that gives both the Kronrod value K65
-and the Gauss value G32 of its 32 Gauss nodes.
+nothing.  The periods, w, k and the tail's coefficients come in through
+``precision._exact``, each real one an mpf, and mpmath keeps mpf op mpf
+real.  So at a ray node of real inputs t f_omega(t), the exponential and the
+tail are real products and a real Horner, and only the difference
+polynomial diff(u) is complex; the same code serves complex inputs.  The
+ray segment is cut into panels, each integrated once at the 65 nodes of the
+Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie, Math. Comp.
+66, 1997), mapped onto the panel by its midpoint and half-width; that gives
+both the Kronrod value K65 and the Gauss value G32 of its 32 Gauss nodes.
 
 K65 is returned, so each panel's estimate is one of K65's error, by
 QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
@@ -179,13 +178,13 @@ from heapq import heappop, heappush
 from itertools import count, islice
 from math import acos, cos, factorial, log, pi
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc, _right_half
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _right_half
 from .qpoly import PolyC
-from .series import LaurentSeries, _horner
+from .series import LaurentSeries
 
 # the deepest refinement, MAX_LEVELS - 1: a part's level in the schedule that
 # cuts each doubling into 2^L panels and samples the circle at 128 * 2^L points
@@ -209,8 +208,9 @@ class IntegrandSpec:
     ``k`` is an integer (negative k gives a positive power of t) or complex;
     the Barnes zeta at s is k = -s with a constant poly (module docstring).
     ``tail`` multiplies the integrand by a truncated series in t (the
-    expansion and remainder integrands).  An mpf or mpc w or k keeps its
-    bits, as the periods do.
+    expansion and remainder integrands).  A w or a non-integer k comes in
+    through ``precision._exact``, as the periods do: an mpf where it is real,
+    an mpc otherwise, with every bit it had.
     """
 
     omega: OmegaVector
@@ -222,7 +222,7 @@ class IntegrandSpec:
     def __post_init__(self):
         object.__setattr__(self, "w", _right_half(self.w))
         if not isinstance(self.k, int):
-            object.__setattr__(self, "k", _exact_mpc(self.k))
+            object.__setattr__(self, "k", _exact(self.k))
 
 
 def auto_spec(omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY):
@@ -359,11 +359,6 @@ def _gk_sums(fs, half, rule):
     return half * kronrod, scale * mp.ldexp(err, e), scale * mp.ldexp(50 * resabs, e - mp.prec)
 
 
-def _narrow(x):
-    """x as an mpf if it is an mpc whose imaginary part is exactly 0, else x."""
-    return x.real if isinstance(x, mpc) and not x.imag else x
-
-
 def _f_omega_at(periods, t, threshold):
     """f_omega(t) = 1 / prod_i d_i, d_i = 1 - e^{-omega_i t}: one division.
     Real periods and a real t keep it real."""
@@ -401,25 +396,22 @@ class _ContourEvaluator:
     """The integrand t F(t) in u = log t of one IntegrandSpec on the rays, and
     the polynomials its circle's moments need, for one lambda and the working
     precision it is built at, with the node store of that key, through whose
-    ``node`` every f_omega evaluation goes (module docstring).  The periods,
-    w, k and the tail's coefficients are narrowed once, each real one to an
-    mpf, so that real inputs take real arithmetic."""
+    ``node`` every f_omega evaluation goes (module docstring).  It reads the
+    periods, w, k and the tail as ``ispec`` holds them, each real one an mpf,
+    so that real inputs take real arithmetic."""
 
     def __init__(self, ispec: IntegrandSpec, pole_threshold, lam):
         self.ispec = ispec
         self.thr = pole_threshold
         self.lam, self.origin = lam, mp.log(lam)
         self.nodes = _node_store(ispec.omega, lam, mp.prec, pole_threshold)
-        self.periods, self.w = tuple(map(_narrow, ispec.omega.omegas)), _narrow(ispec.w)
-        tail = ispec.tail
-        coeffs = () if tail is None else tuple(map(_narrow, tail.coeffs))
-        self.tail = None if tail is None else (coeffs, tail.valuation)
+        coeffs = () if ispec.tail is None else ispec.tail.coeffs
         # all real: phi(conj t) = conj phi(t) on the circle (module docstring)
-        self.real = all(isinstance(x, mpf) for x in (*self.periods, self.w, *coeffs))
+        self.real = all(isinstance(x, mpf) for x in (*ispec.omega.omegas, ispec.w, *coeffs))
         # t^{-k-1} = e^{neg_k1 u}; on the outbound ray u gains 2 pi i,
         # so poly(u) there becomes jump * poly(u + 2 pi i)
         k = ispec.k
-        self.neg_k1 = -_narrow(k) - 1
+        self.neg_k1 = -k - 1
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
@@ -432,14 +424,16 @@ class _ContourEvaluator:
         node = self.nodes.get(key)
         if node is None:
             t = t()
-            node = self.nodes.keep(key, (t, t * _f_omega_at(self.periods, t, self.thr)), 2)
+            tf = t * _f_omega_at(self.ispec.omega.omegas, t, self.thr)
+            node = self.nodes.keep(key, (t, tf), 2)
         return node
 
     def _term(self, u, t, tf):
         """t F(t) / poly(u) = tf e^{-wt} t^{-k-1} tail(t) at t = e^u, on the
         branch u gives, with tf = t f_omega(t)."""
-        value = tf * mp.exp(self.neg_k1 * u - self.w * t)
-        return value if self.tail is None else value * _horner(*self.tail, t)
+        ispec = self.ispec
+        value = tf * mp.exp(self.neg_k1 * u - ispec.w * t)
+        return value if ispec.tail is None else value * ispec.tail(t)
 
     def ray(self, u):
         """Outbound-minus-inbound integrand t F(t) at real u, its node kept
@@ -511,10 +505,10 @@ class _Circle:
 
     def sample(self, l, n):
         """phi(t_l) on the grid of n samples, its node kept by l / n."""
-        ev = self.ev
-        t, tf = ev.node(l / n, lambda: self.lam * _unit_roots(n, mp.prec)[l])
-        value = tf * mp.exp(-ev.w * t)
-        return value if ev.tail is None else value * _horner(*ev.tail, t)
+        ispec = self.ev.ispec
+        t, tf = self.ev.node(l / n, lambda: self.lam * _unit_roots(n, mp.prec)[l])
+        value = tf * mp.exp(-ispec.w * t)
+        return value if ispec.tail is None else value * ispec.tail(t)
 
     def samples(self, ls, n):
         """phi(t_l) for each l in ls on the grid of n samples.  A real

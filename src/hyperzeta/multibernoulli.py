@@ -17,23 +17,25 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .errors import InvalidParameter
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact
 from .series import LaurentSeries, _bernoulli_jet, _inv_coeffs, _mul_coeffs, exponential_jet
 
 
 @dataclass(frozen=True)
 class OmegaVector:
     """The parameter tuple omega = (omega_1, ..., omega_r), Re(omega_i) > 0.
-    An mpf or mpc period keeps its bits, whatever the caller's precision, so
-    the evaluators use it at their own working precision."""
+    Each period comes in through ``precision._exact``: an mpf where it is
+    real, an mpc otherwise, and an mpf or mpc keeps its bits, whatever the
+    caller's precision, so the evaluators use it at their own working
+    precision."""
 
     omegas: tuple
 
     def __post_init__(self):
-        vals = tuple(_exact_mpc(o) for o in self.omegas)
+        vals = tuple(map(_exact, self.omegas))
         for o in vals:
             if not mp.re(o) > 0:
                 raise InvalidParameter("every omega_i must have positive real part")
@@ -49,7 +51,7 @@ class OmegaVector:
 
     @property
     def product(self):
-        acc = mp.mpc(1)
+        acc = mpf(1)
         for o in self.omegas:
             acc *= o
         return acc
@@ -81,11 +83,12 @@ def bernoulli_expansion(
     terms.  Every factor is exact through its order, so the product is exact
     through t^(order - 1) and needs no guard terms.  It is built, as q_poly
     and s_poly are, at a Hankel integral's working precision under p, so that
-    it can be an integrand's tail."""
+    it can be an integrand's tail.  Real periods and a real w give mpf
+    coefficients, as the jets then run in real arithmetic."""
     r = omega.r
     if order <= -r:
         raise InvalidParameter("order must exceed the valuation -r")
-    w = _exact_mpc(w)
+    w = _exact(w)
     with p.context(QUADRATURE_GUARD_BITS):
         series = exponential_jet(-w, order + r)
         for o in omega.omegas:

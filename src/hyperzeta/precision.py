@@ -4,6 +4,12 @@ Scalars are mpmath ``mpf``/``mpc`` values; a :class:`PrecisionPolicy` pins the
 working precision in bits and the absolute error that quadrature and
 summation routines aim for.  All public entry points open ``policy.context()``
 so that callers never have to touch the global mpmath state themselves.
+
+Every argument and stored coefficient comes in through one door, ``_exact``:
+an mpf where its imaginary part is exactly 0, an mpc otherwise, with every
+bit it had.  It alone chooses between the two, and mpmath keeps mpf op mpf
+real, so real periods, w, tails and jets run in real arithmetic with no test
+of their own further in.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero
 
 from .errors import InvalidParameter, PrecisionUnreachable
 
@@ -23,18 +28,20 @@ DEFAULT_BITS = 192
 QUADRATURE_GUARD_BITS = 64
 
 
-def _exact_mpc(x):
-    """x as an mpc; an mpf or mpc keeps every bit (mp.mpc rounds both)."""
-    if isinstance(x, mpc):
-        return x
+def _exact(x):
+    """x as an mpf if its imaginary part is exactly 0, else as an mpc.  An mpf
+    or mpc keeps every bit (mp.mpf and mp.mpc round to the working
+    precision); any other number is converted at the working precision."""
     if isinstance(x, mpf):
-        return mp.make_mpc((x._mpf_, fzero))
-    return mp.mpc(x)
+        return x
+    if not isinstance(x, mpc):
+        x = mp.mpc(x)
+    return x if x.imag else x.real
 
 
 def _right_half(w):
-    """w as an exact mpc (``_exact_mpc``); InvalidParameter unless Re(w) > 0."""
-    w = _exact_mpc(w)
+    """w through the door (``_exact``); InvalidParameter unless Re(w) > 0."""
+    w = _exact(w)
     if not mp.re(w) > 0:
         raise InvalidParameter("Re(w) > 0 is required")
     return w

@@ -35,34 +35,32 @@ from mpmath import mp
 from .combinatorics import coeff_c
 from .constants import _euler_gamma_bits, _frac
 from .errors import InvalidParameter
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact_mpc
-from .series import LaurentSeries, _bernoulli_jet, _mul_coeffs
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact
+from .series import LaurentSeries, _bernoulli_jet, _horner, _mul_coeffs
 
 
 @dataclass(frozen=True)
 class PolyC:
-    """Polynomial in one variable with complex coefficients (index = degree)."""
+    """Polynomial in one variable (index = degree); each coefficient comes in
+    through ``precision._exact``, an mpf where real and an mpc otherwise."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_exact_mpc, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = self.coeffs[-1] if self.coeffs else mp.mpc(0)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, 0, x)
 
     def __add__(self, other: "PolyC") -> "PolyC":
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PolyC(tuple(mp.mpc(x) + mp.mpc(y) for x, y in zip(a, b)))
+        return PolyC(tuple(x + y for x, y in zip(a, b)))
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         """self - other, without the top coefficients that cancel exactly."""
@@ -73,7 +71,6 @@ class PolyC:
         return PolyC(coeffs[:n])
 
     def scale(self, c) -> "PolyC":
-        c = mp.mpc(c)
         return PolyC(tuple(c * a for a in self.coeffs))
 
     def shift(self, c) -> "PolyC":

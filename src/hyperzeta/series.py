@@ -1,4 +1,4 @@
-"""Truncated Laurent series ("jets") with complex coefficients.
+"""Truncated Laurent series ("jets") with real or complex coefficients.
 
 A series stores the coefficients of ``t^(valuation) .. t^(order-1)`` densely.
 Every operation is pure and works at the ambient mpmath precision, so callers
@@ -6,9 +6,14 @@ are expected to run inside ``PrecisionPolicy.context()``.  Truncation orders
 follow the usual jet rules: the result is only claimed up to the order both
 operands support.
 
+Each coefficient comes in through ``precision._exact``: an mpf where it is
+real, an mpc otherwise, with every bit it had.  No operation converts an
+operand again, so a jet of real inputs stays real and a sum or product is
+rounded once, at the ambient precision.
+
 The power-series kernel is one pair of loops, ``_mul_coeffs`` (truncated
 convolution) and ``_inv_coeffs`` (inverse of a unit series).  Their
-accumulators start at the integer 0, so they work on ``mpc`` and on
+accumulators start at the integer 0, so they work on ``mpf``, ``mpc`` and
 ``Fraction`` coefficients alike: ``LaurentSeries`` multiplies and divides with
 them, and the exact rational path (``combinatorics.gen_F``,
 ``multibernoulli.bernoulli_a_exact``) uses the same loops.  They stay private
@@ -28,7 +33,7 @@ from mpmath import mp, mpf
 
 from .constants import bernoulli_over_factorial
 from .errors import DivisionByZeroSeries, DomainError
-from .precision import _exact_mpc
+from .precision import _exact
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class LaurentSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_exact_mpc, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     # -- constructors -------------------------------------------------
 
@@ -66,7 +71,7 @@ class LaurentSeries:
         if n >= self.order:
             raise IndexError(f"coefficient t^{n} beyond truncation order {self.order}")
         if n < self.valuation:
-            return mp.mpc(0)
+            return mpf(0)
         return self.coeffs[n - self.valuation]
 
     def normalize(self) -> "LaurentSeries":
@@ -82,12 +87,11 @@ class LaurentSeries:
     # -- structural helpers -------------------------------------------
 
     def scale(self, c) -> "LaurentSeries":
-        c = mp.mpc(c)
         return LaurentSeries(self.valuation, tuple(c * a for a in self.coeffs))
 
     def __call__(self, t):
-        """Evaluate by ``_horner``; the result is an mpc, as every
-        coefficient is."""
+        """Evaluate by ``_horner``; real coefficients and a real t give an
+        mpf, anything complex an mpc."""
         return _horner(self.coeffs, self.valuation, mp.convert(t))
 
     # -- ring operations ----------------------------------------------
@@ -104,7 +108,7 @@ class LaurentSeries:
         for n in range(val, order):
             a = self.coeffs[n - self.valuation] if self.valuation <= n < self.order else 0
             b = other.coeffs[n - other.valuation] if other.valuation <= n < other.order else 0
-            coeffs.append(mp.mpc(a) + mp.mpc(b))
+            coeffs.append(a + b)
         return LaurentSeries(val, tuple(coeffs))
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -139,15 +143,15 @@ class LaurentSeries:
             return LaurentSeries.zero(order)
         if a.valuation < 0:
             raise DomainError("exp of a series with a pole part")
-        c0 = a.coeff(0) if a.valuation <= 0 < a.order else mp.mpc(0)
-        u = [mp.mpc(0)] * order
+        c0 = a.coeff(0)
+        u = [mpf(0)] * order
         for n in range(1, order):
             if a.valuation <= n < a.order:
                 u[n] = a.coeffs[n - a.valuation]
-        e = [mp.mpc(0)] * order
-        e[0] = mp.mpc(1)
+        e = [mpf(0)] * order
+        e[0] = mpf(1)
         for n in range(1, order):
-            s = mp.mpc(0)
+            s = mpf(0)
             for j in range(1, n + 1):
                 if u[j] != 0:
                     s += j * u[j] * e[n - j]
@@ -158,9 +162,11 @@ class LaurentSeries:
 
 def _horner(coeffs, valuation, t):
     """sum_i coeffs[i] t^(valuation + i): Horner on the coefficients times
-    t^valuation.  Real coefficients and a real t keep the arithmetic real, so
-    the quadrature evaluates its real tails with mpf coefficients."""
-    acc = coeffs[-1] if coeffs else mp.mpc(0)
+    t^valuation, the one Horner of the package (``PolyC`` calls it too).
+    Real coefficients and a real t keep the arithmetic real, so the
+    quadrature evaluates a real tail in real arithmetic; no coefficients give
+    mpf(0)."""
+    acc = coeffs[-1] if coeffs else mpf(0)
     for c in coeffs[-2::-1]:
         acc = acc * t + c
     if valuation:
@@ -201,8 +207,7 @@ def exponential_jet(c, order: int) -> LaurentSeries:
     """
     if order <= 0:
         return LaurentSeries.zero(order)
-    c = mp.mpc(c)
-    coeffs = [mp.mpc(1)]
+    coeffs = [mpf(1)]
     for n in range(1, order):
         coeffs.append(coeffs[-1] * c / n)
     return LaurentSeries(0, tuple(coeffs))
@@ -214,8 +219,7 @@ def _bernoulli_jet(c, order: int) -> LaurentSeries:
     Each coefficient is an exact Bernoulli number over n! times c^n, so the
     jet is exact through its order, as ``exponential_jet`` is.
     """
-    c = mp.mpc(c)
-    coeffs, power = [], mp.mpc(1)
+    coeffs, power = [], mpf(1)
     for n in range(order):
         coeffs.append(bernoulli_over_factorial(n) * power)
         power *= c

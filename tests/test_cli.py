@@ -302,6 +302,20 @@ def test_flag_beats_env(capsys, monkeypatch):
     assert json.loads(out)["precision_bits"] == 192
 
 
+@pytest.mark.parametrize("env", ["abc", "1.5e2", "192 bits"])
+def test_env_var_not_an_integer_exit_2(capsys, monkeypatch, env):
+    # exit 2, as --precision-bits abc gives, with a message and a parameter
+    # that name the variable
+    monkeypatch.setenv("HYPERZETA_PRECISION_BITS", env)
+    code, out, err = run(capsys, ["eval", "zeta", "--s", "2.5", "--w", "1.3"])
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2
+    assert record["parameter"] == "HYPERZETA_PRECISION_BITS"
+    assert "HYPERZETA_PRECISION_BITS" in record["message"] and repr(env) in record["message"]
+
+
 @pytest.mark.parametrize(
     "flags, env",
     [
@@ -390,3 +404,9 @@ def test_readme_asym_fit_runs(capsys):
     assert "--fit" in argv
     code, out, err = run(capsys, argv)
     assert code == 0, err
+    # plain prints the fit and its reference as complex numbers, the real
+    # reference of a real a included
+    code, out, err = run(capsys, argv + ["--format", "plain"])
+    assert code == 0, err
+    fit_line = out.strip().splitlines()[-1]
+    assert fit_line.startswith("fit: (") and fit_line.endswith(" + 0.0j)")

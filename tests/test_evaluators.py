@@ -16,6 +16,7 @@ from hyperzeta import (
     zeta_direct,
 )
 from hyperzeta import evaluators, hankel
+from hyperzeta.hankel import IntegrandSpec
 from hyperzeta.asymptotics import (
     AsymExperiment,
     default_experiment,
@@ -121,6 +122,53 @@ def test_direct_keeps_the_bits_of_w(monkeypatch):
         w = 1 + mpf(1) / 3
     zeta_direct(mpf("2.5"), w, OmegaVector.of(1), P)
     assert seen == [w]
+
+
+with mp.workprec(300):
+    _X, _Y = 1 + mpf(1) / 3, mpf(2) / 3
+
+# each place an argument or a coefficient comes in through precision._exact
+_DOORS = {
+    "omega": lambda v: OmegaVector.of(v).omegas[0],
+    "w": lambda v: IntegrandSpec(omega=OmegaVector.of(1), w=v, k=1, poly=PolyC((1,))).w,
+    "k": lambda v: IntegrandSpec(omega=OmegaVector.of(1), w=1, k=v, poly=PolyC((1,))).k,
+    "series": lambda v: LaurentSeries(0, (v,)).coeffs[0],
+    "poly": lambda v: PolyC((v,)).coeffs[0],
+    "a": lambda v: AsymExperiment(OmegaVector.of(1), OmegaVector.of(1), v, 1, 0).a,
+}
+
+
+@pytest.mark.parametrize("door", list(_DOORS))
+def test_the_door_makes_real_values_mpf_and_keeps_every_bit(door):
+    # a 300-bit mpc with a zero imaginary part becomes that mpf, an mpf stays
+    # as it is, and a complex value stays an mpc, each with all 300 bits
+    x, y = _X._mpf_, _Y._mpf_
+    through = _DOORS[door]
+    for value in (mp.make_mpc((x, mpf(0)._mpf_)), _X):
+        real = through(value)
+        assert isinstance(real, mpf) and real._mpf_ == x
+    cplx = through(mp.make_mpc((x, y)))
+    assert isinstance(cplx, mp.mpc) and cplx._mpc_ == (x, y)
+
+
+@pytest.mark.parametrize(
+    "s, w, periods",
+    [
+        (mpf("3.5"), mp.mpc("1.3", "0.5"), (1, mpf("0.7"))),
+        (mpf("4.5"), mpf("1.3"), (1, mpf("0.7") * mp.expj(mpf("0.3")), mpf("1.2"))),
+    ],
+    ids=["complex-w", "complex-period"],
+)
+def test_direct_mixed_inputs_match_complex_arithmetic(widened, s, w, periods):
+    # real s with a complex w, and a complex period among real ones: the real
+    # ones stay mpf, and the sum agrees with the one built under ``widened``,
+    # all mpc, within 2^(8 - bits) of the value; the estimates to 3 digits
+    res = zeta_direct(s, w, OmegaVector.of(*periods), P)
+    with widened():
+        ref = zeta_direct(s, w, OmegaVector.of(*periods), P)
+    bound = mpf(2) ** (8 - P.precision_bits - 16)
+    assert abs(res.value - ref.value) <= bound * abs(ref.value)
+    assert abs(res.err_estimate - ref.err_estimate) <= mpf("1e-3") * ref.err_estimate
 
 
 @pytest.mark.parametrize("w", [-1, mp.mpc(0, 1)], ids=["negative", "imaginary"])

@@ -118,3 +118,17 @@ def test_valuation_coefficient_is_one_over_product():
         om = OmegaVector.of(mpf("0.7"), mpf("1.9"), 1)
         lead = bernoulli_a(om, -om.r, mpf("2.3"), P)
         assert abs(lead - 1 / om.product) < mpf("1e-45")
+
+
+def test_real_inputs_give_real_jets():
+    # real periods and a real w: every coefficient of the expansion is an
+    # mpf; a complex w makes every one an mpc but the leading 1 / prod omega_i,
+    # which does not depend on w
+    om = OmegaVector.of(1, mpf("1.3"), mpf("0.7"))
+    real = bernoulli_expansion(om, mpf("2.5"), 10, P)
+    assert len(real.coeffs) == 13 and all(isinstance(c, mpf) for c in real.coeffs)
+    assert isinstance(bernoulli_a(om, 2, mpf("2.5"), P), mpf)
+    cplx = bernoulli_expansion(om, mp.mpc("0.5", "0.4"), 10, P)
+    lead, *rest = cplx.coeffs
+    assert isinstance(lead, mpf) and lead == real.coeffs[0]
+    assert all(isinstance(c, mp.mpc) for c in rest)

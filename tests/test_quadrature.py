@@ -794,12 +794,10 @@ def test_ray_nodes_of_real_periods_are_real(monkeypatch, omega):
     assert all(isinstance(tf, kind) for _, tf in rays)
 
 
-def _narrowed_run(ispec, p, narrow):
+def _cold_run(ispec, p):
     """(value, estimate, ray nodes by key, 64 circle samples, bits) of a cold
-    hankel_integrate of ispec, with the nodes evaluated again after it, and
-    hankel._narrow set to narrow."""
-    with pytest.MonkeyPatch.context() as patch, p.context(QUADRATURE_GUARD_BITS):
-        patch.setattr(hankel, "_narrow", narrow)
+    hankel_integrate of ispec, with the nodes evaluated again after it."""
+    with p.context(QUADRATURE_GUARD_BITS):
         hankel._node_store.cache_clear()
         value, err = hankel_integrate(ispec, None, p)
         ev = hankel._ContourEvaluator(ispec, p.zero_threshold, auto_spec(ispec.omega, ispec.w, p))
@@ -822,20 +820,29 @@ def _narrowed_run(ispec, p, narrow):
 )
 @example(periods=[1, 1.3, 0.7], k=1, m=2, w=1.5, tail=(-1, [0.5, 1, -0.25]), target=1e-40)
 @example(periods=[1, 1.3], k=(2.5, 0.5), m=1, w=3, tail=None, target=1e-40)
-def test_real_arithmetic_matches_complex(periods, k, m, w, tail, target):
-    # real periods, w and tail: the integral with its inputs narrowed to mpf,
-    # and its circle mirrored, against the same integral with narrowing
-    # switched off, in complex arithmetic throughout with every sample
-    # evaluated.  They take the same ray nodes; each ray node and each of 64
-    # circle samples agrees within 2^(8 - bits) of its magnitude, and the
-    # estimates agree to 3 digits
-    k = k if isinstance(k, int) else -mp.mpc(*k)
-    tail = None if tail is None else LaurentSeries(tail[0], tuple(map(mpf, tail[1])))
-    ispec = IntegrandSpec(omega=OmegaVector.of(*map(mpf, periods)), w=mpf(w), k=k,
-                          poly=q_poly(m, 1, P), tail=tail)
+def test_real_arithmetic_matches_complex(widened, periods, k, m, w, tail, target):
+    # real periods, w and tail: the integral with its inputs real (mpf) and
+    # its circle mirrored, against the same integral built under ``widened``,
+    # whose inputs are mpc with zero imaginary parts, in complex arithmetic
+    # throughout with every sample evaluated.  They take the same ray nodes;
+    # each ray node and each of 64 circle samples agrees within 2^(8 - bits)
+    # of its magnitude, and the estimates agree to 3 digits
+    poly = q_poly(m, 1, P)
+
+    def build():
+        k_ = k if isinstance(k, int) else -mp.mpc(*k)
+        tail_ = None if tail is None else LaurentSeries(tail[0], tuple(map(mpf, tail[1])))
+        return IntegrandSpec(omega=OmegaVector.of(*map(mpf, periods)), w=mpf(w), k=k_,
+                             poly=poly, tail=tail_)
+
     p = P.with_target(target)
-    value, err, rays, samples, prec = _narrowed_run(ispec, p, hankel._narrow)
-    ref_value, ref_err, ref_rays, ref_samples, _ = _narrowed_run(ispec, p, lambda x: x)
+    ispec = build()
+    assert isinstance(ispec.w, mpf)
+    value, err, rays, samples, prec = _cold_run(ispec, p)
+    with widened():
+        ref_ispec = build()
+        assert isinstance(ref_ispec.w, mp.mpc)
+        ref_value, ref_err, ref_rays, ref_samples, _ = _cold_run(ref_ispec, p)
     bound = mpf(2) ** (8 - prec)
     assert rays.keys() == ref_rays.keys()
     for key, node in rays.items():

@@ -5,6 +5,7 @@ from mpmath import mp
 
 from hyperzeta import DEFAULT_POLICY, LaurentSeries
 from hyperzeta.errors import DivisionByZeroSeries, DomainError
+from hyperzeta.qpoly import q_poly
 from hyperzeta.series import exponential_jet
 
 
@@ -200,3 +201,22 @@ def test_evaluation_at_real_and_complex_t():
     assert close(a(mp.mpc(t)), expect, "1e-55")
     assert close(LaurentSeries(-1, (1,))(3), mp.mpf(1) / 3, "1e-55")
     assert LaurentSeries(0, ())(t) == 0
+
+
+def test_sums_round_once():
+    # at 53 bits, each part of each coefficient of a sum of two polynomials
+    # built at the policy's quadrature bits, and of the matching series, is
+    # the part of their exact sum, rounded at most once (mpmath adds a real
+    # to an mpc's real part alone, so 0 + y keeps y's imaginary part)
+    a, b = q_poly(1, 0, DEFAULT_POLICY), q_poly(2, 0, DEFAULT_POLICY)
+    with mp.workprec(53):
+        sums = {
+            "poly": (a + b).coeffs,
+            "series": (LaurentSeries(0, a.coeffs) + LaurentSeries(0, b.coeffs)).coeffs,
+        }
+        for name, coeffs in sums.items():
+            assert len(coeffs) == (3 if name == "poly" else 2)
+            for x, y, z in zip(a.coeffs + (0,), b.coeffs, coeffs):
+                exact = mp.fadd(x, y, exact=True)
+                for part, whole in ((mp.re(z), mp.re(exact)), (mp.im(z), mp.im(exact))):
+                    assert part in (whole, +whole), name
