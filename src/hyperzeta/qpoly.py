@@ -26,6 +26,7 @@ it is provably independent of k and equals q_poly(m, 0).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -56,15 +57,20 @@ class PolyC:
     def __call__(self, x):
         return _horner(self.coeffs, 0, x)
 
-    def __add__(self, other: "PolyC") -> "PolyC":
+    def _combine(self, other: "PolyC", op) -> tuple:
+        """op of the two coefficients of each degree, zero-padded, each
+        result rounded once."""
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PolyC(tuple(x + y for x, y in zip(a, b)))
+        return tuple(map(op, a, b))
+
+    def __add__(self, other: "PolyC") -> "PolyC":
+        return PolyC(self._combine(other, operator.add))
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         """self - other, without the top coefficients that cancel exactly."""
-        coeffs = (self + other.scale(-1)).coeffs
+        coeffs = self._combine(other, operator.sub)
         n = len(coeffs)
         while n and coeffs[n - 1] == 0:
             n -= 1

@@ -27,6 +27,7 @@ divides a series.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -99,7 +100,9 @@ class LaurentSeries:
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.valuation, tuple(-c for c in self.coeffs))
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def _combine(self, other: "LaurentSeries", op) -> "LaurentSeries":
+        """op of the two coefficients of each power, each result rounded
+        once, through the lower of the two orders."""
         val = min(self.valuation, other.valuation)
         order = min(self.order, other.order)
         if val >= order:
@@ -108,11 +111,14 @@ class LaurentSeries:
         for n in range(val, order):
             a = self.coeffs[n - self.valuation] if self.valuation <= n < self.order else 0
             b = other.coeffs[n - other.valuation] if other.valuation <= n < other.order else 0
-            coeffs.append(a + b)
+            coeffs.append(op(a, b))
         return LaurentSeries(val, tuple(coeffs))
 
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         val = self.valuation + other.valuation

@@ -1,5 +1,7 @@
 import cmath
+import random
 import time
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -894,6 +896,109 @@ def test_spectral_circle_matches_mpmath_quad(case):
             val, err = hankel._refine_worst([circle.first_pass()], mpf(target), 0)
         with SHARP.context():
             assert abs(val - ref) <= err <= target
+
+
+def _dft(samples):
+    """A'_m = (1/n) sum_l phi_l e^{-2 pi i m l / n}, m < n, from its
+    definition at 600 bits: the samples' parts as exact integers times one
+    power of 2, summed exactly against the roots of unity rounded to 600 bits."""
+    n = len(samples)
+    parts = [x for sample in samples for x in (mp.re(sample), mp.im(sample))]
+    low = min((x._mpf_[2] for x in parts if x), default=0)
+    ints = [int(mp.ldexp(x, -low)) for x in parts]
+    xr, xi = ints[::2], ints[1::2]
+    with mp.workprec(600):
+        roots = [mp.expjpi(-mpf(2 * j) / n) for j in range(n)]
+        c, s = ([int(mp.nint(mp.ldexp(f(r), 600))) for r in roots] for f in (mp.re, mp.im))
+        spectrum = []
+        for m in range(n):
+            order = [m * l % n for l in range(n)]
+            cm, sm = [c[j] for j in order], [s[j] for j in order]
+            re = sum(map(mul, xr, cm)) - sum(map(mul, xi, sm))
+            im = sum(map(mul, xr, sm)) + sum(map(mul, xi, cm))
+            spectrum.append(mp.mpc(mp.ldexp(re, low - 600), mp.ldexp(im, low - 600)) / n)
+        return spectrum
+
+
+def _kernel_samples(case, n, rng):
+    """n samples at the working precision: complex; Hermitian (x_{n-l} =
+    conj x_l, x_0 and x_{n/2} mpf); either with sizes spread over 2^40
+    from the smallest to the largest ("wide"); or complex with every third
+    an mpf ("mixed")."""
+    bits = mp.prec
+
+    def draw(l):
+        size = mpf(2) ** (40 * min(l, n - l) / mpf(n // 2)) if case.startswith("wide") else 1
+        parts = (mp.ldexp(rng.getrandbits(bits) - 2 ** (bits - 1), -bits) for _ in range(2))
+        return mp.mpc(*parts) * size
+
+    if case.endswith("hermitian"):
+        half = [draw(l) for l in range(n // 2 + 1)]
+        half[0], half[-1] = mp.re(half[0]), mp.re(half[-1])
+        return half + [mp.conj(x) for x in half[-2:0:-1]]
+    return [mp.re(draw(l)) if case == "mixed" and l % 3 == 0 else draw(l) for l in range(n)]
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+@pytest.mark.parametrize("case", ["complex", "hermitian", "wide", "wide-hermitian", "mixed"])
+def test_integer_transform_matches_the_definition(case, n):
+    # each coefficient of _spectrum against a 600-bit DFT from its
+    # definition is within the module docstring's bound
+    # (1 + (2 log2 N + 4) / 256) 2^-bits mean|phi_l|, and the error it puts
+    # into a part's value, through that circle's moments, is below the
+    # part's floor 50 2^-bits mean|phi_l| sum|B_n| (both without
+    # |lambda^{-k-1}|); Hermitian samples give mpf coefficients
+    real = case.endswith("hermitian")
+    ispec = IntegrandSpec(omega=_OM, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P))
+    with P.context(QUADRATURE_GUARD_BITS):
+        bits = mp.prec
+        samples = _kernel_samples(case, n, random.Random(n))
+        mean = mp.fsum(map(abs, samples)) / n
+        spectrum = hankel._spectrum(samples, mean, real)
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
+        circle = hankel._Circle(ev)
+        moments, _, total = circle.moments(n)
+    assert all(isinstance(a, mpf if real else mp.mpc) for a in spectrum)
+    ref = _dft(samples)
+    with mp.workprec(600):
+        bound = (1 + mpf(2 * (n.bit_length() - 1) + 4) / 256) * mp.ldexp(mean, -bits)
+        errs = [a - b for a, b in zip(spectrum, ref)]
+        assert max(map(abs, errs)) <= bound
+        window = [errs[m % n] for m in range(circle.n0, circle.n0 + n)]
+        assert abs(mp.fdot(window, moments)) < 50 * mp.ldexp(mean * total, -bits)
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_zero_samples_give_an_exactly_zero_circle(n):
+    ispec = IntegrandSpec(omega=_OM, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P))
+    with P.context(QUADRATURE_GUARD_BITS):
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
+        assert ev.real
+        value, err, _, _, floor = hankel._Circle(ev).part([mpf(0)] * (n // 2) + [mp.mpc(0)] * (n // 2))
+        assert (value, err, floor) == (0, 0, 0)
+        for real in (False, True):
+            assert hankel._spectrum([mp.mpc(0)] * n, mpf(0), real) == [0] * n
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_fold_agrees_with_the_general_transform(n):
+    # on mirrored integer samples x_{n-l} = conj x_l of the size _spectrum
+    # gives them, 2^(bits + 8), the n/2-point fold's Z_m = Y_{2m} + i Y_{2m+1}
+    # matches the general n-point transform's real spectrum within one unit
+    # of the coefficients A'_m = Y_m / n, that is n units of Y
+    rng, bits = random.Random(n), P.precision_bits + QUADRATURE_GUARD_BITS + 8
+
+    def draw():
+        return rng.getrandbits(bits + 1) - 2 ** bits
+
+    half = [(draw(), draw()) for _ in range(n // 2 + 1)]
+    re = [x for x, _ in half] + [x for x, _ in half[-2:0:-1]]
+    im = [0] + [y for _, y in half[1:-1]] + [0] + [-y for _, y in half[-2:0:-1]]
+    roots = hankel._twiddles(n, bits)
+    yr, yi = hankel._transform(re, im, roots, bits)
+    zr, zi = hankel._transform(*hankel._fold(re, im, roots, bits), roots, bits)
+    assert max(map(abs, yi)) <= n
+    assert max(abs(z - y) for z, y in zip(zr + zi, yr[::2] + yr[1::2])) <= n
 
 
 def _unit_ray(poly):

@@ -220,3 +220,18 @@ def test_sums_round_once():
                 exact = mp.fadd(x, y, exact=True)
                 for part, whole in ((mp.re(z), mp.re(exact)), (mp.im(z), mp.im(exact))):
                     assert part in (whole, +whole), name
+
+
+@pytest.mark.parametrize("kind", ["poly", "series"])
+def test_differences_round_once(kind):
+    # at 53 bits, coefficient 1 of q_poly(2, 0) - q_poly(1, 0), built at the
+    # policy's quadrature bits, is their exact difference rounded once; a
+    # negation before the sum would round the subtrahend first
+    a, b = q_poly(2, 0, DEFAULT_POLICY), q_poly(1, 0, DEFAULT_POLICY)
+    with mp.workprec(53):
+        if kind == "poly":
+            coeff = (a - b).coeffs[1]
+        else:
+            coeff = (LaurentSeries(0, a.coeffs) - LaurentSeries(0, b.coeffs)).coeffs[1]
+        exact = mp.fsub(a.coeffs[1], b.coeffs[1], exact=True)
+        assert (mp.re(coeff), mp.im(coeff)) == (+mp.re(exact), +mp.im(exact))
