@@ -24,7 +24,7 @@ from .errors import FitUnstable, InvalidParameter
 from .evaluators import balanced_P
 from .hankel import IntegrandSpec, hankel_integrate, ray_only_integrate
 from .multibernoulli import OmegaVector, bernoulli_a, bernoulli_expansion
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite
 from .qpoly import PolyC, s_poly
 from .series import LaurentSeries
 
@@ -45,8 +45,8 @@ class AsymExperiment:
 
     def __post_init__(self):
         # a and mpf grid points keep their bits, as the periods do
-        object.__setattr__(self, "a", _exact(self.a))
-        grid = tuple(w if isinstance(w, mpf) else mpf(w) for w in self.w_grid)
+        object.__setattr__(self, "a", _finite(_exact(self.a), "a"))
+        grid = tuple(_finite(w if isinstance(w, mpf) else mpf(w), "w_grid") for w in self.w_grid)
         object.__setattr__(self, "w_grid", grid)
         if self.m < 0 or self.k < 0:
             raise InvalidParameter("experiment needs m, k >= 0")
@@ -62,6 +62,10 @@ class AsymExperiment:
 
 @dataclass(frozen=True)
 class AsymRow:
+    """One grid point of an experiment.  ``normalized_error`` is
+    |lhs - rhs| * w / (1 + L^(m-1)) for m >= 1 and |lhs - rhs| * w * L / (1 + L)
+    for m = 0, with L = |log w|, as ``run_experiment`` computes it."""
+
     w: object
     lhs: object
     rhs_sum: object

@@ -36,7 +36,9 @@ from .errors import (
 )
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _right_half
+from .precision import (
+    DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite, _right_half,
+)
 from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
 METHOD_DIRECT = "direct_sum"
@@ -274,7 +276,7 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     is an mpc either way.
     """
     with p.context(16):
-        s, w = _exact(s), _right_half(w)
+        s, w = _finite(_exact(s), "s"), _right_half(w)
         if not mp.re(s) > omega.r + mpf("0.25"):
             raise InvalidParameter(
                 "zeta_direct requires Re(s) > r + 0.25; use the contour instead"
@@ -311,7 +313,7 @@ def zeta_contour(
     are taken at the integral's working precision; w keeps its bits.
     """
     with p.context(QUADRATURE_GUARD_BITS):
-        s = mp.mpc(s)
+        s = _finite(mp.mpc(s), "s")
         nearest = mp.mpc(mp.nint(mp.re(s)), 0)
         if abs(s - nearest) < mpf("1e-3"):
             raise TooCloseToInteger(

@@ -68,10 +68,12 @@ lambda^{-k-1} sum_{n=n0}^{n0+N-1} A'_n B_n.  t_l comes from cached roots of
 unity, and poly and t^{-k-1} are in the moments, so a sample costs
 t f_omega(t) and one exponential, e^{-wt}.  When every period, w and tail
 coefficient is real, phi(conj t) = conj phi(t), and t_{N-l} = conj t_l, so
-only the samples with 2l <= N are evaluated, 33 of 64, and phi_{N-l} =
-conj phi_l gives the rest: the Hermitian symmetry that real-data FFTs use
-(Sorensen et al., IEEE Trans. ASSP 35, 1987).  k and poly live in the
-moments, so they play no part in that test.
+only the samples with 2l <= N are evaluated, 33 of 64, and only they are
+carried, from sampling through every refinement: phi_{N-l} = conj phi_l is
+the rest, the Hermitian symmetry that real-data FFTs use (Sorensen et al.,
+IEEE Trans. ASSP 35, 1987).  phi_0 and phi_{N/2}, at t = lambda and
+-lambda, have imaginary parts exactly 0.  k and poly live in the moments,
+so they play no part in that test.
 
 The transform is decimation in time over Python integers.  Each part of
 each sample is rounded down to a multiple of the unit u, 2^-(bits + 8)
@@ -84,7 +86,10 @@ are Hermitian, so its spectrum Y_j = N A'_j is real, and one N/2-point
 transform gives it: z_l = (x_l + x_{l+N/2}) + i w^l (x_l - x_{l+N/2}),
 w = e^{-2 pi i / N}, has the transform Z_m = Y_{2m} + i Y_{2m+1}, so
 Y_{2m} = Re Z_m and Y_{2m+1} = Im Z_m, and its A'_n are mpf: the part's
-value and estimate then take real-by-complex and real arithmetic.
+value and estimate then take real-by-complex and real arithmetic.  Only
+the N/2 + 1 samples it carries are rounded to integers, and the fold reads
+x_{l+N/2} as conj x_{N/2-l}, by exact negation, so the integer samples are
+exactly Hermitian too.
 
 The transform's rounding, in units u: a twiddle errs by at most tau =
 2^-(bits + 8) relatively, so a product of a value O errs by at most
@@ -92,11 +97,16 @@ tau |O| + sqrt 2.  An output Y_j takes one output of each sub-transform of
 the recursion, and the sub-transforms of one size hold each sample once,
 so the products add at most log2(N) tau sum|x_l| + sqrt 2 N to Y_j, and
 the samples' rounding sqrt 2 N more.  Divided by N, each A'_n errs by at
-most (log2 N + 3) 2^-(bits + 8) mean|phi_l|.  The fold's own products, its
-sums of two samples and the rounded samples, no longer exactly Hermitian,
-raise that to (2 log2 N + 4) 2^-(bits + 8) mean|phi_l|.  The return to
+most (log2 N + 3) 2^-(bits + 8) mean|phi_l|, as u <= 2^-(bits + 8)
+mean|phi_l|.  In the fold the samples' rounding is Hermitian too, so it
+moves each real Y_j by at most sqrt 2 N, as before.  The fold's products
+add at most tau sum|x_l| + sqrt 2 N/2 to Z_m, and the N/2-point transform
+of the z_l, sum|z_l| <= 2 sum|x_l|, at most 2 log2(N/2) tau sum|x_l| +
+sqrt 2 N/2; each Y_j, a part of Z_m, takes at most their sum.  Divided by
+N, each A'_n errs by at most (2 log2 N - 1 + 2 sqrt 2) 2^-(bits + 8)
+mean|phi_l| < (2 log2 N + 2) 2^-(bits + 8) mean|phi_l|.  The return to
 bits adds at most 2^-bits |A'_n| <= 2^-bits mean|phi_l|, so every A'_n is
-within (1 + (2 log2 N + 4) / 256) 2^-bits mean|phi_l| of the exact
+within (1 + (2 log2 N + 2) / 256) 2^-bits mean|phi_l| of the exact
 coefficient of its samples, below 1.11 * 2^-bits mean|phi_l| up to 4096
 samples.  That holds for every dynamic range: it is relative to the mean,
 and a sample below the unit loses only what lies below it.  Against the
@@ -123,9 +133,9 @@ it is above zero wherever a sample and a moment are.  Where every moment
 vanishes (a constant poly, integer k and k + 1 < n0: the integrand is
 regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
 part doubles N: the new samples are the odd ones of the finer grid,
-interleaved with the old before the transform, so no sample is taken twice, and a
-real integrand evaluates N/2 of the N new ones (32 of 64 on the doubling to
-128).
+interleaved with the old before the transform, so no sample is taken twice,
+and a real integrand evaluates N/2 of the N new ones (32 of 64 on the
+doubling to 128) and keeps its last old one, l = N/2 of the old grid.
 
 The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide (four
 doublings of t) between the cuts of a grid fixed in t, the last ending at
@@ -182,16 +192,15 @@ w = 20, eps about 1e-11, takes 10 first-pass panels and no refinement.
 
 What does not depend on w is kept in one node store for one key (omega,
 lambda, working bits, pole threshold), ``_node_store``, which drops the old
-key's store first: t and t f_omega(t) at each circle sample it evaluates
-(a mirrored one is not kept), by l / N, and at each ray node and each cut
-an end walk probes, by the exact bits of u
-(u._mpf_, a tuple, which no float key equals), so a warm sample or node
-costs one exponential and every f_omega evaluation goes through the store
-(``_ContourEvaluator.node``); and each circle window's moments B_n with
-their largest and summed sizes, by (poly, diff, -k-1, n0, N), as they depend
-on lambda but not on w or omega.  The store admits entries while it holds at
-most STORE_NUMBERS = 1280 numbers, two per node and N per window of N
-moments.  Measured at 256 bits, with the dict's share, a number takes about
+key's store first: t and t f_omega(t) at each circle sample it evaluates,
+by l / N, and at each ray node and each cut an end walk probes, by the
+exact bits of u (u._mpf_, a tuple, which no float key equals), so a warm
+sample or node costs one exponential and every f_omega evaluation goes
+through the store (``_ContourEvaluator.node``); and each circle window's
+moments B_n with their largest and summed sizes, by (poly, diff, -k-1, n0,
+N), as they depend on lambda but not on w or omega.  The store admits
+entries while it holds at most STORE_NUMBERS = 1280 numbers, two per node
+and N per window of N moments.  Measured at 256 bits, with the dict's share, a number takes about
 0.36 kB in a ray node (about 0.3 kB with real periods, whose t f_omega(t)
 is an mpf), 0.48 kB in a circle sample and 0.25 kB in a moment, so a full
 store holds 0.3 to 0.6 MB.  1280 numbers hold what a dense w sweep at one
@@ -265,7 +274,10 @@ def auto_spec(omega: OmegaVector, w, p: PrecisionPolicy = DEFAULT_POLICY):
 
 
 def _check_lambda(lam, omega: OmegaVector):
-    """lam as an mpf, if 0 < lam < 0.9 * pole bound; else InvalidParameter."""
+    """lam as an mpf, if it is real and 0 < lam < 0.9 * pole bound; else
+    InvalidParameter."""
+    if isinstance(mp.mpmathify(lam), mp.mpc):
+        raise InvalidParameter(f"lambda must be real, got {lam}")
     lam = mpf(lam)
     if not 0 < lam < mpf("0.9") * omega.pole_bound:
         raise InvalidParameter(
@@ -336,7 +348,8 @@ def _christoffel(beta, x):
 def _legendre_nodes(prec: int):
     """The Gauss-Kronrod-Legendre rule on [-1, 1] that extends GAUSS_NODES-point
     Gauss-Legendre to KRONROD_NODES points: (nodes, Kronrod weights, Gauss
-    weights).  The nodes ascend, and nodes[1::2] are the Gauss nodes.
+    weights, Kronrod weights as floats).  The nodes ascend, and nodes[1::2]
+    are the Gauss nodes.
 
     The positive half is found and mirrored.  Float seeds: Newton from
     cos(pi (i + 3/4) / (n + 1/2)) gives the Gauss nodes, and one Kronrod node
@@ -361,14 +374,9 @@ def _legendre_nodes(prec: int):
         weights = [_christoffel(beta, x) for x in half]
         nodes = [-x for x in half] + half[-2::-1]
         kw = [k for _, k in weights]
+        kw += kw[-2::-1]
         gw = [g for g, _ in weights[1::2]]
-        return tuple(nodes), tuple(kw + kw[-2::-1]), tuple(gw + gw[::-1])
-
-
-def _rule():
-    """The rule at the working precision, with float Kronrod weights."""
-    xs, kw, gw = _legendre_nodes(mp.prec)
-    return xs, kw, gw, [float(x) for x in kw]
+        return tuple(nodes), tuple(kw), tuple(gw + gw[::-1]), tuple(map(float, kw))
 
 
 def _gk_sums(fs, half, rule):
@@ -425,19 +433,20 @@ def _check_small_divisor(z, d, t):
 
 
 class _ContourEvaluator:
-    """The integrand t F(t) in u = log t of one IntegrandSpec on the rays, and
-    the polynomials its circle's moments need, for one lambda and the working
-    precision it is built at, with the node store of that key, through whose
-    ``node`` every f_omega evaluation goes (module docstring).  It reads the
-    periods, w, k and the tail as ``ispec`` holds them, each real one an mpf,
-    so that real inputs take real arithmetic."""
+    """One Hankel integral of one IntegrandSpec, for one lambda and the
+    working precision it is built at: the ray integrand t F(t) in u = log t,
+    the circle |t| = lambda as one spectral part, and the node store of that
+    key, through whose ``node`` every f_omega evaluation goes (module
+    docstring).  It reads the periods, w, k and the tail as ``ispec`` holds
+    them, each real one an mpf, so that real inputs take real arithmetic."""
 
     def __init__(self, ispec: IntegrandSpec, pole_threshold, lam):
         self.ispec = ispec
         self.thr = pole_threshold
         self.lam, self.origin = lam, mp.log(lam)
         self.nodes = _node_store(ispec.omega, lam, mp.prec, pole_threshold)
-        coeffs = () if ispec.tail is None else ispec.tail.coeffs
+        tail = ispec.tail
+        coeffs = () if tail is None else tail.coeffs
         # all real: phi(conj t) = conj phi(t) on the circle (module docstring)
         self.real = all(isinstance(x, mpf) for x in (*ispec.omega.omegas, ispec.w, *coeffs))
         # t^{-k-1} = e^{neg_k1 u}; on the outbound ray u gains 2 pi i,
@@ -449,6 +458,9 @@ class _ContourEvaluator:
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
         self.diff = self.outbound - ispec.poly
         self.size = max(map(abs, ispec.poly.coeffs), default=0)
+        self.n0 = 1 - ispec.omega.r + min(0, 0 if tail is None else tail.valuation)
+        self.scale = mp.exp(self.neg_k1 * self.origin)
+        self.factor = max(4, 12 / (ispec.omega.pole_bound / lam - 1))
 
     def node(self, key, t):
         """(t, t f_omega(t)) at the point t(), from the node store by key;
@@ -460,18 +472,17 @@ class _ContourEvaluator:
             node = self.nodes.keep(key, (t, tf), 2)
         return node
 
-    def _term(self, u, t, tf):
-        """t F(t) / poly(u) = tf e^{-wt} t^{-k-1} tail(t) at t = e^u, on the
-        branch u gives, with tf = t f_omega(t)."""
-        ispec = self.ispec
-        value = tf * mp.exp(self.neg_k1 * u - ispec.w * t)
-        return value if ispec.tail is None else value * ispec.tail(t)
+    def _term(self, t, tf, exponent):
+        """tf e^exponent tail(t), with tf = t f_omega(t): the exponent holds
+        -wt, and on the rays the power t^{-k-1}."""
+        value = tf * mp.exp(exponent)
+        return value if self.ispec.tail is None else value * self.ispec.tail(t)
 
     def ray(self, u):
         """Outbound-minus-inbound integrand t F(t) at real u, its node kept
         by u's exact bits."""
         t, tf = self.node(u._mpf_, lambda: mp.exp(u))
-        return self._term(u, t, tf) * self.diff(u)
+        return self._term(t, tf, self.neg_k1 * u - self.ispec.w * t) * self.diff(u)
 
     def end_bound(self, j):
         """Crude bound |F| * t of the one-sided ray integrands at the cut
@@ -481,7 +492,75 @@ class _ContourEvaluator:
         u = self.origin + j * mpf(PANEL_WIDTH)
         t, tf = self.node(u._mpf_, lambda: mp.exp(u))
         span = abs(self.outbound(u)) + abs(self.ispec.poly(u)) + self.size
-        return abs(self._term(u, t, tf)) * span
+        return abs(self._term(t, tf, self.neg_k1 * u - self.ispec.w * t)) * span
+
+    def sample(self, l, n):
+        """phi(t_l) = t f_omega(t) e^{-wt} tail(t) at t_l = lambda e^{2 pi i l / n},
+        its node kept by l / n."""
+        t, tf = self.node(l / n, lambda: self.lam * _unit_roots(n, mp.prec)[l])
+        return self._term(t, tf, -self.ispec.w * t)
+
+    def samples(self, ls, n):
+        """phi(t_l) for each l in ls on the grid of n samples; a real
+        integrand's only for those with 2l <= n, as phi_{n-l} = conj phi_l."""
+        return [self.sample(l, n) for l in ls if 2 * l <= n or not self.real]
+
+    def moments(self, n):
+        """(B_m for the window n0 <= m < n0 + n, max |B_m|, sum |B_m|), kept
+        in the node store.  B_m = sum_i (-1)^i diff^(i)(log lam) / beta^(i+1),
+        beta = m - k - 1, and for beta = 0 the integral of poly over the segment."""
+        key = (self.ispec.poly, self.diff, self.neg_k1, self.n0, n)
+        window = self.nodes.get(key)
+        if window is not None:
+            return window
+        a = self.origin
+        jet = [c * factorial(i) for i, c in enumerate(self.diff.shift(a).coeffs)]
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        flat = mp.fsum(
+            c * two_pi_i ** (j + 1) / (j + 1) for j, c in enumerate(self.ispec.poly.shift(a).coeffs)
+        )
+        moments = []
+        for m in range(self.n0, self.n0 + n):
+            beta = m + self.neg_k1
+            if beta == 0:
+                moments.append(flat)
+                continue
+            inv, acc = 1 / mp.mpmathify(beta), mp.mpc(0)
+            for g in reversed(jet):
+                acc = acc * -inv + g
+            moments.append(acc * inv)
+        sizes = [abs(b) for b in moments]
+        return self.nodes.keep(key, (moments, max(sizes), mp.fsum(sizes)), n)
+
+    def first_pass(self):
+        """The circle's part with CIRCLE_SAMPLES samples, doubled only until
+        its moments reach n = Re(k) + 1."""
+        n = CIRCLE_SAMPLES
+        while self.n0 + n <= mp.re(self.ispec.k) + 1:
+            n *= 2
+        return self.part(self.samples(range(n), n))
+
+    def part(self, samples):
+        """A circle part: (value, estimate, depth, refine, floor) from the
+        samples of a grid of N by their ``_spectrum``: all N, or a real
+        integrand's N/2 + 1 with 2l <= N, whose mirrors have their sizes.
+        refine() interleaves the odd samples of the grid twice as fine, one
+        depth deeper, and keeps a real integrand's last old sample."""
+        n = 2 * len(samples) - 2 if self.real else len(samples)
+        sizes = [abs(x) for x in samples]
+        mean = mp.fsum(sizes + sizes[1:-1] if self.real else sizes) / n
+        spectrum = _spectrum(samples, mean, self.real)
+        coeffs = [spectrum[m % n] for m in range(self.n0, self.n0 + n)]
+        moments, largest, total = self.moments(n)
+        scale = abs(self.scale)
+        err = self.factor * max(map(abs, coeffs[-4:])) * largest * scale
+        floor = 50 * mp.ldexp(mean * total * scale, -mp.prec)
+
+        def refine():
+            odd = self.samples(range(1, 2 * n, 2), 2 * n)
+            return [self.part([x for pair in zip(samples, odd) for x in pair] + samples[len(odd):])]
+
+        return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
 
 class _Store(dict):
@@ -560,11 +639,13 @@ def _transform(re, im, roots, bits):
 def _fold(re, im, roots, bits):
     """The n/2 integers z_l = (x_l + x_{l+n/2}) + i w^l (x_l - x_{l+n/2}),
     w = e^{-2 pi i / n}, whose n/2-point transform is Z_m = Y_{2m} + i Y_{2m+1}
-    (module docstring); roots are the n-point ``_twiddles`` at bits."""
-    h = len(re) // 2
+    (module docstring), from the integers x_l = re[l] + i im[l], l <= n/2, of
+    a Hermitian sequence: x_{l+n/2} = conj x_{n/2-l}, by exact negation.
+    roots are the n-point ``_twiddles`` at bits."""
+    h = len(re) - 1
     zr, zi = [], []
     for l, (c, s) in enumerate(roots):
-        ar, ai, br, bi = re[l], im[l], re[l + h], im[l + h]
+        ar, ai, br, bi = re[l], im[l], re[h - l], -im[h - l]
         dr, di = ar - br, ai - bi
         zr.append(ar + br - ((c * di + s * dr) >> bits))
         zi.append(ai + bi + ((c * dr - s * di) >> bits))
@@ -576,9 +657,10 @@ def _spectrum(samples, mean, real):
     m < n, of n samples phi_l (mpf or mpc) whose mean |phi_l| is mean, by one
     integer transform in the unit 2^-(bits + 8) mean rounded down to a power
     of 2, bits the working precision (module docstring).  Hermitian samples
-    (real true) are folded into one n/2-point transform and give mpf
-    coefficients; else they are mpc.  Zero samples give exact zeros."""
-    n = len(samples)
+    (real true) are given by their n/2 + 1 with l <= n/2, folded into one
+    n/2-point transform, and give mpf coefficients; else all n are given,
+    and the coefficients are mpc.  Zero samples give exact zeros."""
+    n = 2 * len(samples) - 2 if real else len(samples)
     if not mean:
         return [mpf(0) if real else mp.mpc(0)] * n
     prec = mp.prec
@@ -600,91 +682,6 @@ def _spectrum(samples, mean, real):
         return [mp.make_mpf(fixed(y)) for pair in zip(zr, zi) for y in pair]
     yr, yi = _transform(re, im, roots, bits)
     return [mp.make_mpc((fixed(a), fixed(b))) for a, b in zip(yr, yi)]
-
-
-class _Circle:
-    """The circle |t| = lam of one integral as one spectral part: samples of
-    phi(t) = t f_omega(t) e^{-wt} tail(t) at t_l = lam e^{2 pi i l / n}, their
-    Fourier coefficients A_n and the log moments B_n (module docstring)."""
-
-    def __init__(self, ev: _ContourEvaluator):
-        ispec = ev.ispec
-        self.ev, self.lam, self.nodes = ev, ev.lam, ev.nodes
-        tail = ispec.tail
-        self.n0 = 1 - ispec.omega.r + min(0, 0 if tail is None else tail.valuation)
-        self.scale = mp.exp(ev.neg_k1 * ev.origin)
-        self.factor = max(4, 12 / (ispec.omega.pole_bound / self.lam - 1))
-
-    def sample(self, l, n):
-        """phi(t_l) on the grid of n samples, its node kept by l / n."""
-        ispec = self.ev.ispec
-        t, tf = self.ev.node(l / n, lambda: self.lam * _unit_roots(n, mp.prec)[l])
-        value = tf * mp.exp(-ispec.w * t)
-        return value if ispec.tail is None else value * ispec.tail(t)
-
-    def samples(self, ls, n):
-        """phi(t_l) for each l in ls on the grid of n samples.  A real
-        integrand's samples with 2l > n are the mirror conj(phi_{n-l}) of
-        samples that ls holds too, so only those with 2l <= n are evaluated."""
-        found = {l: self.sample(l, n) for l in ls if 2 * l <= n or not self.ev.real}
-        return [found[l] if l in found else mp.conj(found[n - l]) for l in ls]
-
-    def moments(self, n):
-        """(B_m for the window n0 <= m < n0 + n, max |B_m|, sum |B_m|), kept
-        in the node store.  B_m = sum_i (-1)^i diff^(i)(log lam) / beta^(i+1), beta = m - k - 1,
-        and for beta = 0 the integral of poly over the segment."""
-        ev = self.ev
-        key = (ev.ispec.poly, ev.diff, ev.neg_k1, self.n0, n)
-        window = self.nodes.get(key)
-        if window is not None:
-            return window
-        a = ev.origin
-        jet = [c * factorial(i) for i, c in enumerate(ev.diff.shift(a).coeffs)]
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        flat = mp.fsum(
-            c * two_pi_i ** (j + 1) / (j + 1) for j, c in enumerate(ev.ispec.poly.shift(a).coeffs)
-        )
-        moments = []
-        for m in range(self.n0, self.n0 + n):
-            beta = m + ev.neg_k1
-            if beta == 0:
-                moments.append(flat)
-                continue
-            inv, acc = 1 / mp.mpmathify(beta), mp.mpc(0)
-            for g in reversed(jet):
-                acc = acc * -inv + g
-            moments.append(acc * inv)
-        sizes = [abs(b) for b in moments]
-        return self.nodes.keep(key, (moments, max(sizes), mp.fsum(sizes)), n)
-
-    def first_pass(self):
-        """The part with CIRCLE_SAMPLES samples, doubled only until its
-        moments reach n = Re(k) + 1."""
-        n = CIRCLE_SAMPLES
-        while self.n0 + n <= mp.re(self.ev.ispec.k) + 1:
-            n *= 2
-        return self.part(self.samples(range(n), n))
-
-    def part(self, samples):
-        """A part: (value, estimate, depth, refine, floor) from the samples
-        by their ``_spectrum``; refine() interleaves the odd samples of the
-        grid twice as fine, one depth deeper.  A real integrand's mirrored
-        samples have the sizes of those they mirror."""
-        n, real = len(samples), self.ev.real
-        sizes = [abs(x) for x in (samples[: n // 2 + 1] if real else samples)]
-        mean = mp.fsum(sizes + sizes[-2:0:-1] if real else sizes) / n
-        spectrum = _spectrum(samples, mean, real)
-        coeffs = [spectrum[m % n] for m in range(self.n0, self.n0 + n)]
-        moments, largest, total = self.moments(n)
-        scale = abs(self.scale)
-        err = self.factor * max(map(abs, coeffs[-4:])) * largest * scale
-        floor = 50 * mp.ldexp(mean * total * scale, -mp.prec)
-
-        def refine():
-            odd = self.samples(range(1, 2 * n, 2), 2 * n)
-            return [self.part([x for pair in zip(samples, odd) for x in pair])]
-
-        return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
 
 def _ray_end(ev: _ContourEvaluator, js, target):
@@ -730,7 +727,8 @@ def _rays(ev: _ContourEvaluator, first, target):
     width = mpf(PANEL_WIDTH)
     start = max(1, int(mp.ceil((mp.log(30 / mp.re(ev.ispec.w)) - ev.origin) / width)))
     last, bound = _ray_end(ev, count(start), target)
-    return _segment(ev.ray, ev.origin, width, range(first, last + 1), _rule(), -2), bound
+    rule = _legendre_nodes(mp.prec)
+    return _segment(ev.ray, ev.origin, width, range(first, last + 1), rule, -2), bound
 
 
 def _refine_worst(parts, target, end_bounds):
@@ -789,7 +787,7 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
         parts, tail_bound = [], 0
         if ev.diff.coeffs:  # else the rays cancel identically
             parts, tail_bound = _rays(ev, 0, target)
-        parts.append(_Circle(ev).first_pass())
+        parts.append(ev.first_pass())
         return _refine_worst(parts, target, tail_bound)
 
 

@@ -20,7 +20,7 @@ from math import factorial
 from mpmath import mp, mpf
 
 from .errors import InvalidParameter
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite
 from .series import LaurentSeries, _bernoulli_jet, _inv_coeffs, _mul_coeffs, exponential_jet
 
 
@@ -35,7 +35,7 @@ class OmegaVector:
     omegas: tuple
 
     def __post_init__(self):
-        vals = tuple(map(_exact, self.omegas))
+        vals = tuple(_finite(_exact(o), "omega_i") for o in self.omegas)
         for o in vals:
             if not mp.re(o) > 0:
                 raise InvalidParameter("every omega_i must have positive real part")
@@ -88,7 +88,7 @@ def bernoulli_expansion(
     r = omega.r
     if order <= -r:
         raise InvalidParameter("order must exceed the valuation -r")
-    w = _exact(w)
+    w = _finite(_exact(w), "w")
     with p.context(QUADRATURE_GUARD_BITS):
         series = exponential_jet(-w, order + r)
         for o in omega.omegas:

@@ -9,7 +9,9 @@ Every argument and stored coefficient comes in through one door, ``_exact``:
 an mpf where its imaginary part is exactly 0, an mpc otherwise, with every
 bit it had.  It alone chooses between the two, and mpmath keeps mpf op mpf
 real, so real periods, w, tails and jets run in real arithmetic with no test
-of their own further in.
+of their own further in.  ``_exact`` runs on every coefficient of every
+jet and checks nothing; the argument doors refuse a non-finite input
+(``_finite``) before it reaches a sum that would never end.
 """
 
 from __future__ import annotations
@@ -39,9 +41,17 @@ def _exact(x):
     return x if x.imag else x.real
 
 
+def _finite(x, name):
+    """x, if it is a finite number; else InvalidParameter naming it."""
+    if not mp.isfinite(x):
+        raise InvalidParameter(f"{name} must be finite, got {x}")
+    return x
+
+
 def _right_half(w):
-    """w through the door (``_exact``); InvalidParameter unless Re(w) > 0."""
-    w = _exact(w)
+    """w through the door (``_exact``); InvalidParameter unless it is finite
+    and Re(w) > 0."""
+    w = _finite(_exact(w), "w")
     if not mp.re(w) > 0:
         raise InvalidParameter("Re(w) > 0 is required")
     return w
@@ -53,10 +63,15 @@ class PrecisionPolicy:
     target_abs_error: float = 1e-22
 
     def __post_init__(self):
+        if not isinstance(self.precision_bits, int):
+            raise InvalidParameter(
+                f"precision_bits must be an integer, got {self.precision_bits!r}"
+            )
         if self.precision_bits < 64:
             raise InvalidParameter("precision_bits must be >= 64")
         if not self.target_abs_error > 0:
             raise InvalidParameter("target_abs_error must be positive")
+        _finite(self.target_abs_error, "target_abs_error")
 
     def context(self, extra_bits: int = 0):
         """Context manager setting the working precision (plus guard bits)."""

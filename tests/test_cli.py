@@ -3,6 +3,7 @@ import shlex
 import time
 from pathlib import Path
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -356,6 +357,13 @@ def test_parse_complex_forms():
         "2j": mp.mpc(0, 2),
         "-j": mp.mpc(0, -1),
         "1e-3+2.5e2j": mp.mpc(0.001, 250),
+        # the bare unit, a sign-only imaginary part after a real one, a
+        # leading sign, and an exponent sign inside the imaginary part
+        "j": mp.mpc(0, 1),
+        "1+j": mp.mpc(1, 1),
+        "+2j": mp.mpc(0, 2),
+        "1-2e-3j": mp.mpc("1", "-2e-3"),
+        "2e-3j": mp.mpc("0", "2e-3"),
     }
     for text, want in cases.items():
         assert abs(cli.parse_complex(text) - want) < mp.mpf("1e-40")
@@ -379,6 +387,26 @@ def _readme_command(*prefix):
     return argv
 
 
+# the runs whose stdout tests/cli_golden.json holds (tests/make_cli_golden.py)
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+GOLDEN_ARGVS = README_COMMANDS + [_readme_command("asym") + ["--format", "plain"]]
+
+
+def golden_mpmath():
+    """The mpmath version and backend, which the printed digits depend on."""
+    return {"version": mpmath.__version__, "backend": mpmath.libmp.BACKEND}
+
+
+def _assert_golden(argv, out):
+    """out is the golden stdout of argv, byte for byte; skipped where this
+    mpmath is not the one that printed the golden file."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    if golden["mpmath"] != golden_mpmath():
+        pytest.skip(f"{GOLDEN_PATH.name} was printed by mpmath {golden['mpmath']}, "
+                    f"not {golden_mpmath()}, so its last digits may differ")
+    assert out == golden["stdout"][shlex.join(argv)]
+
+
 def test_readme_has_eval_examples():
     assert len(README_EVALS) >= 4
 
@@ -391,18 +419,20 @@ def test_readme_eval_examples_run(capsys, argv):
     assert code == 0, err
     record = json.loads(out)
     assert record["target"] == argv[1]
+    _assert_golden(argv, out)
 
 
 def test_readme_check_all_passes(capsys):
     code, out, err = run(capsys, _readme_command("check", "all"))
     assert code == 0, err
     assert out.strip().splitlines()[-1] == "22/22 checks passed"
+    _assert_golden(_readme_command("check", "all"), out)
 
 
 def test_readme_asym_fit_runs(capsys):
     argv = _readme_command("asym")
     assert "--fit" in argv
-    code, out, err = run(capsys, argv)
+    code, csv, err = run(capsys, argv)
     assert code == 0, err
     # plain prints the fit and its reference as complex numbers, the real
     # reference of a real a included
@@ -410,3 +440,5 @@ def test_readme_asym_fit_runs(capsys):
     assert code == 0, err
     fit_line = out.strip().splitlines()[-1]
     assert fit_line.startswith("fit: (") and fit_line.endswith(" + 0.0j)")
+    _assert_golden(argv, csv)
+    _assert_golden(argv + ["--format", "plain"], out)

@@ -1,4 +1,6 @@
 import cmath
+import re
+import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from hyperzeta import (
     PolyC,
     PrecisionPolicy,
     balanced_P,
+    bernoulli_expansion,
     log_hyper_gamma,
     p0_closed_form,
     zeta_contour,
@@ -149,6 +152,47 @@ def test_the_door_makes_real_values_mpf_and_keeps_every_bit(door):
         assert isinstance(real, mpf) and real._mpf_ == x
     cplx = through(mp.make_mpc((x, y)))
     assert isinstance(cplx, mp.mpc) and cplx._mpc_ == (x, y)
+
+
+_INF = float("inf")
+_OM1 = OmegaVector.of(1)
+# (the input the refusal names, a call that passes it a non-finite or
+# non-real value) for each door that takes one
+_NON_FINITE = {
+    "omega-real": ("omega_i", lambda: zeta_direct(3.5, 1, OmegaVector.of(_INF))),
+    "omega-complex": ("omega_i", lambda: OmegaVector.of(1, complex(1, _INF))),
+    "w-direct": ("w", lambda: zeta_direct(3.5, _INF, _OM1)),
+    "w-closed-form": ("w", lambda: p0_closed_form(1, 1, _INF)),
+    "w-contour": ("w", lambda: log_hyper_gamma(1, 1, complex(1, _INF), _OM1)),
+    "w-expansion": ("w", lambda: bernoulli_expansion(_OM1, _INF, 4)),
+    "s-direct": ("s", lambda: zeta_direct(_INF, 1, _OM1)),
+    "s-contour": ("s", lambda: zeta_contour(complex(2.5, _INF), 1, _OM1)),
+    "lambda": ("lambda", lambda: log_hyper_gamma(1, 1, 1, _OM1, lam=mp.mpc(0.5, 0.1))),
+    "a": ("a", lambda: AsymExperiment(_OM1, _OM1, _INF, 1, 0)),
+    "w-grid": ("w_grid", lambda: AsymExperiment(_OM1, _OM1, 0.5, 1, 0, (10, 20, 40, _INF))),
+    "bits": ("precision_bits", lambda: PrecisionPolicy(100.5)),
+    "target": ("target_abs_error", lambda: PrecisionPolicy(192, _INF)),
+}
+
+
+def _expire(signum, frame):
+    raise TimeoutError("no answer within a second")
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_non_finite_inputs_are_refused_at_the_door(case):
+    # InvalidParameter naming the input, within a second: an infinite period
+    # or w made zeta_direct's Bernoulli tail NaN, and it never ended, so a
+    # timer ends the call
+    name, call = _NON_FINITE[case]
+    handler = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(name)} must be"):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 @pytest.mark.parametrize(

@@ -118,15 +118,16 @@ def _record_panels(monkeypatch):
 
 
 def _record_circle(monkeypatch):
-    """(samples, depth) of every circle part an integral forms, in order."""
-    parts, part = [], hankel._Circle.part
+    """(samples N, depth) of every circle part an integral forms, in order;
+    a real integrand's part carries N/2 + 1 of its N samples."""
+    parts, part = [], hankel._ContourEvaluator.part
 
-    def recording(circle, samples):
-        result = part(circle, samples)
-        parts.append((len(samples), result[2]))
+    def recording(ev, samples):
+        result = part(ev, samples)
+        parts.append((2 * len(samples) - 2 if ev.real else len(samples), result[2]))
         return result
 
-    monkeypatch.setattr(hankel._Circle, "part", recording)
+    monkeypatch.setattr(hankel._ContourEvaluator, "part", recording)
     return parts
 
 
@@ -168,7 +169,7 @@ def _rule_moment(weights, nodes, e):
 
 def test_kronrod_rule_degree():
     # K65 is exact through degree 3 * 32 + 1 = 97, G32 through 63
-    nodes, kw, gw = hankel._legendre_nodes(mp.prec)
+    nodes, kw, gw, _ = hankel._legendre_nodes(mp.prec)
     assert abs(mp.fsum(kw) - 2) < mpf("1e-55")
     assert abs(mp.fsum(gw) - 2) < mpf("1e-55")
     assert abs(_rule_moment(kw, nodes, 96) - mpf(2) / 97) < mpf("1e-55")
@@ -180,7 +181,8 @@ def test_kronrod_rule_degree():
 def test_kronrod_rule_shape():
     # positive weights, nodes symmetric about 0, ascending in (-1, 1), and
     # each Gauss node (odd index) between two Kronrod nodes
-    nodes, kw, gw = hankel._legendre_nodes(mp.prec)
+    nodes, kw, gw, fkw = hankel._legendre_nodes(mp.prec)
+    assert fkw == tuple(map(float, kw))
     assert len(nodes) == len(kw) == KRONROD_NODES == 2 * len(gw) + 1
     assert min(kw) > 0 and min(gw) > 0
     assert all(a + b == 0 for a, b in zip(nodes, reversed(nodes)))
@@ -497,10 +499,10 @@ def _record_stores(monkeypatch):
 
 
 def test_circle_cache_keeps_two_levels(monkeypatch):
-    keys, nodes_of, sample = [], hankel._node_store, hankel._Circle.sample
+    keys, nodes_of, sample = [], hankel._node_store, hankel._ContourEvaluator.sample
     stored = _record_stores(monkeypatch)
     monkeypatch.setattr(
-        hankel._Circle, "sample", lambda c, l, n: keys.append(l / n) or sample(c, l, n)
+        hankel._ContourEvaluator, "sample", lambda ev, l, n: keys.append(l / n) or sample(ev, l, n)
     )
     for o in ("1", "0.8", "1.3"):
         keys.clear()
@@ -685,8 +687,7 @@ def test_nodes_match_the_product_form(k, tail, args):
         ev = hankel._ContourEvaluator(ispec, P.zero_threshold, lam)
         ts = [lam / 3, lam, mpf("1.7"), mpf("9.1")]
         rays = [ev.ray(mp.log(t)) for t in ts]
-        circle = hankel._Circle(ev)
-        samples = [circle.sample(l, CIRCLE_SAMPLES) for l in range(CIRCLE_SAMPLES)]
+        samples = [ev.sample(l, CIRCLE_SAMPLES) for l in range(CIRCLE_SAMPLES)]
     with mp.workprec(prec + 64):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
@@ -728,7 +729,9 @@ def test_warm_circle_node_takes_one_exponential(monkeypatch):
     monkeypatch.setattr(mp, "power", lambda *a: calls.update(power=calls["power"] + 1) or power(*a))
     monkeypatch.setattr(mp, "expj", lambda *a: calls.update(expj=calls["expj"] + 1) or expj(*a))
     monkeypatch.setattr(hankel, "_f_omega_at", within("f_omega", hankel._f_omega_at))
-    monkeypatch.setattr(hankel._Circle, "sample", within("circle", hankel._Circle.sample))
+    monkeypatch.setattr(
+        hankel._ContourEvaluator, "sample", within("circle", hankel._ContourEvaluator.sample)
+    )
     circle = _record_circle(monkeypatch)
     for w in _W:
         hankel_integrate(IntegrandSpec(omega=om, w=w, k=1, poly=q_poly(2, 1, P)), None, P)
@@ -774,7 +777,7 @@ def test_real_integrand_circle_evaluates_half_its_samples(monkeypatch, case):
         hankel._node_store.cache_clear()
         with p.context(QUADRATURE_GUARD_BITS):
             ev = hankel._ContourEvaluator(ispec, p.zero_threshold, auto_spec(om, w, P))
-            hankel._refine_worst([hankel._Circle(ev).first_pass()], mpf(target), 0)
+            hankel._refine_worst([ev.first_pass()], mpf(target), 0)
         assert circle[-1][0] == n
         assert len(ts) == (n // 2 + 1 if half else n)
         kept = sorted(key for key in ev.nodes if isinstance(key, float))
@@ -798,14 +801,17 @@ def test_ray_nodes_of_real_periods_are_real(monkeypatch, omega):
 
 def _cold_run(ispec, p):
     """(value, estimate, ray nodes by key, 64 circle samples, bits) of a cold
-    hankel_integrate of ispec, with the nodes evaluated again after it."""
+    hankel_integrate of ispec, with the nodes evaluated again after it; a
+    real integrand's samples with 2l > N are the mirrors of those it evaluates."""
     with p.context(QUADRATURE_GUARD_BITS):
         hankel._node_store.cache_clear()
         value, err = hankel_integrate(ispec, None, p)
         ev = hankel._ContourEvaluator(ispec, p.zero_threshold, auto_spec(ispec.omega, ispec.w, p))
         keys = [key for key in ev.nodes if isinstance(key, tuple) and len(key) == 4]
         rays = {key: ev.ray(mp.make_mpf(key)) for key in keys}
-        samples = hankel._Circle(ev).samples(range(CIRCLE_SAMPLES), CIRCLE_SAMPLES)
+        samples = ev.samples(range(CIRCLE_SAMPLES), CIRCLE_SAMPLES)
+        if ev.real:  # phi_{N-l} = conj phi_l
+            samples += [mp.conj(x) for x in samples[-2:0:-1]]
         return value, err, rays, samples, mp.prec
 
 
@@ -892,8 +898,7 @@ def test_spectral_circle_matches_mpmath_quad(case):
         p = P.with_target(target)
         with p.context(QUADRATURE_GUARD_BITS):
             ev = hankel._ContourEvaluator(ispec, p.zero_threshold, mpf(lam))
-            circle = hankel._Circle(ev)
-            val, err = hankel._refine_worst([circle.first_pass()], mpf(target), 0)
+            val, err = hankel._refine_worst([ev.first_pass()], mpf(target), 0)
         with SHARP.context():
             assert abs(val - ref) <= err <= target
 
@@ -944,27 +949,27 @@ def _kernel_samples(case, n, rng):
 def test_integer_transform_matches_the_definition(case, n):
     # each coefficient of _spectrum against a 600-bit DFT from its
     # definition is within the module docstring's bound
-    # (1 + (2 log2 N + 4) / 256) 2^-bits mean|phi_l|, and the error it puts
+    # (1 + (2 log2 N + 2) / 256) 2^-bits mean|phi_l|, and the error it puts
     # into a part's value, through that circle's moments, is below the
     # part's floor 50 2^-bits mean|phi_l| sum|B_n| (both without
-    # |lambda^{-k-1}|); Hermitian samples give mpf coefficients
+    # |lambda^{-k-1}|); Hermitian samples, given by their half l <= N/2, give
+    # mpf coefficients
     real = case.endswith("hermitian")
     ispec = IntegrandSpec(omega=_OM, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P))
     with P.context(QUADRATURE_GUARD_BITS):
         bits = mp.prec
         samples = _kernel_samples(case, n, random.Random(n))
         mean = mp.fsum(map(abs, samples)) / n
-        spectrum = hankel._spectrum(samples, mean, real)
+        spectrum = hankel._spectrum(samples[: n // 2 + 1] if real else samples, mean, real)
         ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
-        circle = hankel._Circle(ev)
-        moments, _, total = circle.moments(n)
+        moments, _, total = ev.moments(n)
     assert all(isinstance(a, mpf if real else mp.mpc) for a in spectrum)
     ref = _dft(samples)
     with mp.workprec(600):
-        bound = (1 + mpf(2 * (n.bit_length() - 1) + 4) / 256) * mp.ldexp(mean, -bits)
+        bound = (1 + mpf(2 * (n.bit_length() - 1) + 2) / 256) * mp.ldexp(mean, -bits)
         errs = [a - b for a, b in zip(spectrum, ref)]
         assert max(map(abs, errs)) <= bound
-        window = [errs[m % n] for m in range(circle.n0, circle.n0 + n)]
+        window = [errs[m % n] for m in range(ev.n0, ev.n0 + n)]
         assert abs(mp.fdot(window, moments)) < 50 * mp.ldexp(mean * total, -bits)
 
 
@@ -974,10 +979,12 @@ def test_zero_samples_give_an_exactly_zero_circle(n):
     with P.context(QUADRATURE_GUARD_BITS):
         ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
         assert ev.real
-        value, err, _, _, floor = hankel._Circle(ev).part([mpf(0)] * (n // 2) + [mp.mpc(0)] * (n // 2))
+        # a real integrand's part carries its N/2 + 1 samples with 2l <= N
+        value, err, _, _, floor = ev.part([mpf(0)] * (n // 4) + [mp.mpc(0)] * (n // 4 + 1))
         assert (value, err, floor) == (0, 0, 0)
         for real in (False, True):
-            assert hankel._spectrum([mp.mpc(0)] * n, mpf(0), real) == [0] * n
+            zeros = [mp.mpc(0)] * (n // 2 + 1 if real else n)
+            assert hankel._spectrum(zeros, mpf(0), real) == [0] * n
 
 
 @pytest.mark.parametrize("n", [64, 128, 512])
@@ -996,7 +1003,9 @@ def test_fold_agrees_with_the_general_transform(n):
     im = [0] + [y for _, y in half[1:-1]] + [0] + [-y for _, y in half[-2:0:-1]]
     roots = hankel._twiddles(n, bits)
     yr, yi = hankel._transform(re, im, roots, bits)
-    zr, zi = hankel._transform(*hankel._fold(re, im, roots, bits), roots, bits)
+    # the fold reads the half l <= n/2 alone
+    h = n // 2 + 1
+    zr, zi = hankel._transform(*hankel._fold(re[:h], im[:h], roots, bits), roots, bits)
     assert max(map(abs, yi)) <= n
     assert max(abs(z - y) for z, y in zip(zr + zi, yr[::2] + yr[1::2])) <= n
 
