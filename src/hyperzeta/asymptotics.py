@@ -24,7 +24,9 @@ from .errors import FitUnstable, InvalidParameter
 from .evaluators import balanced_P
 from .hankel import IntegrandSpec, hankel_integrate, ray_only_integrate
 from .multibernoulli import OmegaVector, bernoulli_a, bernoulli_expansion
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite
+from .precision import (
+    DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite, _index, _real,
+)
 from .qpoly import PolyC, s_poly
 from .series import LaurentSeries
 
@@ -46,8 +48,9 @@ class AsymExperiment:
     def __post_init__(self):
         # a and mpf grid points keep their bits, as the periods do
         object.__setattr__(self, "a", _finite(_exact(self.a), "a"))
-        grid = tuple(_finite(w if isinstance(w, mpf) else mpf(w), "w_grid") for w in self.w_grid)
-        object.__setattr__(self, "w_grid", grid)
+        object.__setattr__(self, "w_grid", tuple(_real(w, "w_grid") for w in self.w_grid))
+        object.__setattr__(self, "m", _index(self.m, "m"))
+        object.__setattr__(self, "k", _index(self.k, "k"))
         if self.m < 0 or self.k < 0:
             raise InvalidParameter("experiment needs m, k >= 0")
         if self.alpha.r > 0 and not mp.re(self.a) > 0:

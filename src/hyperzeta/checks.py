@@ -27,9 +27,6 @@ from .multibernoulli import OmegaVector
 from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy
 from .qpoly import PolyC, q_poly, s_poly
 
-SUITES = ("combinatorics", "qpoly", "quadrature", "evaluators")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     suite: str
@@ -40,25 +37,6 @@ class CheckResult:
 
 def _result(suite, name, passed, detail=""):
     return CheckResult(suite, name, bool(passed), detail)
-
-
-def run_suite(
-    name: str, p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0
-) -> list:
-    if name == "all":
-        out = []
-        for s in SUITES:
-            out.extend(run_suite(s, p, seed))
-        return out
-    if name == "combinatorics":
-        return combinatorics_suite()
-    if name == "qpoly":
-        return qpoly_suite(p)
-    if name == "quadrature":
-        return quadrature_suite(p, seed)
-    if name == "evaluators":
-        return evaluators_suite(p, seed)
-    raise ValueError(f"unknown suite {name!r}")
 
 
 def combinatorics_suite() -> list:
@@ -314,3 +292,22 @@ def evaluators_suite(p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0) -> list
             _result("evaluators", "r0-closed-form", dev < 1e-20, f"dev={mp.nstr(dev, 3)}")
         )
     return out
+
+
+# suite name -> runner(p, seed), in the order ``check all`` runs them
+SUITES = {
+    "combinatorics": lambda p, seed: combinatorics_suite(),
+    "qpoly": lambda p, seed: qpoly_suite(p),
+    "quadrature": quadrature_suite,
+    "evaluators": evaluators_suite,
+}
+
+
+def run_suite(
+    name: str, p: PrecisionPolicy = DEFAULT_POLICY, seed: int = 0
+) -> list:
+    if name == "all":
+        return [r for suite in SUITES.values() for r in suite(p, seed)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](p, seed)

@@ -3,8 +3,13 @@
 Subcommands:
 
 * ``eval {zeta,P,gamma-log}``  single evaluations (JSON by default)
-* ``check {combinatorics,qpoly,quadrature,evaluators,all}``  invariant suites
+* ``check SUITE``  an invariant suite of checks.SUITES, or ``all`` of them
 * ``asym``  asymptotic-expansion experiment over a w grid (CSV by default)
+
+Every command builds its result once as a JSON payload, csv lines and plain
+lines, and prints the one --format names (_print).  A number may carry
+whitespace at its ends and around the sign between its real and imaginary
+parts, and nowhere else: --w "1 2" exits 2.
 
 ``eval`` refuses a --method its target lacks with exit 3, and every command
 refuses a flag that it and its route do not read (--s, --m, --k, --lambda,
@@ -19,8 +24,10 @@ Output is deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import re
 import sys
 
 from mpmath import mp, mpf
@@ -78,28 +85,25 @@ def _finite(x, text: str):
 
 
 def parse_complex(text: str):
-    """Parse '1.5', '-2', '1+2j', '0.5-0.25j', '2j' into a finite mpc."""
-    s = text.strip().replace(" ", "")
+    """Parse '1.5', '-2', '1+2j', '0.5 - 0.25j', '2j' into a finite mpc.
+    Whitespace may stand at the ends and around the sign between the real
+    and imaginary parts, and nowhere else."""
+    s = re.sub(r"(?<=[^eE\s])\s*([+-])\s*", r"\1", text.strip())
     if not s:
         raise ValueError("empty number")
-    if s[-1] in "jJ":
-        body = s[:-1]
-        # split at the last sign that is not leading and not an exponent sign
-        split = -1
-        for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1] not in "eE":
-                split = i
-                break
-        if split == -1:
-            re_part, im_part = "0", body or "1"
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("+", "-"):
-            im_part += "1"
-        z = mp.mpc(mpf(re_part), mpf(im_part))
-    else:
-        z = mp.mpc(mpf(s))
-    return _finite(z, text)
+    if re.search(r"\s", s):
+        raise ValueError(f"whitespace inside the number {text.strip()!r}")
+    if s[-1] not in "jJ":
+        return _finite(mp.mpc(mpf(s)), text)
+    body = s[:-1]
+    # split at the last sign that is not leading and not an exponent sign
+    split = next(
+        (i for i in range(len(body) - 1, 0, -1) if body[i] in "+-" and body[i - 1] not in "eE"), 0
+    )
+    re_part, im_part = body[:split] or "0", body[split:]
+    if im_part in ("", "+", "-"):
+        im_part += "1"
+    return _finite(mp.mpc(mpf(re_part), mpf(im_part)), text)
 
 
 def _finite_float(text: str) -> float:
@@ -167,17 +171,11 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate a single function value")
     _add_common(ev, suppress=True)
     ev.add_argument("target", choices=("zeta", "P", "gamma-log"))
-    ev.add_argument("--s", type=str, default=None, help="zeta argument (complex; zeta only)")
-    ev.add_argument("--w", type=str, required=True, help="base point (complex, Re > 0)")
-    ev.add_argument(
-        "--m", type=int, default=None, help="derivative order m (default 1; P and gamma-log)"
-    )
-    ev.add_argument(
-        "--k", type=int, default=None, help="integer shift k (default 0; P and gamma-log)"
-    )
-    ev.add_argument(
-        "--omega", type=str, default="1", help="comma-separated periods, e.g. 1,0.7"
-    )
+    ev.add_argument("--s", help="zeta argument (complex; zeta only)")
+    ev.add_argument("--w", required=True, help="base point (complex, Re > 0)")
+    ev.add_argument("--m", type=int, help="derivative order m (default 1; P and gamma-log)")
+    ev.add_argument("--k", type=int, help="integer shift k (default 0; P and gamma-log)")
+    ev.add_argument("--omega", default="1", help="comma-separated periods, e.g. 1,0.7")
     ev.add_argument(
         "--method",
         choices=("contour", "direct", "combination"),
@@ -187,18 +185,17 @@ def build_parser() -> _Parser:
 
     ck = sub.add_parser("check", help="run an invariant suite")
     _add_common(ck, suppress=True)
-    ck.add_argument("suite", choices=checks.SUITES + ("all",))
+    ck.add_argument("suite", choices=(*checks.SUITES, "all"))
 
     asy = sub.add_parser("asym", help="asymptotic-expansion experiment")
     _add_common(asy, suppress=True)
     asy.add_argument("--m", type=int, default=1)
     asy.add_argument("--k", type=int, default=0)
-    asy.add_argument("--omega", type=str, default="1")
-    asy.add_argument("--alpha", type=str, default="1")
-    asy.add_argument("--a", type=str, default="0.5", help="absorbed shift (complex)")
+    asy.add_argument("--omega", default="1")
+    asy.add_argument("--alpha", default="1")
+    asy.add_argument("--a", default="0.5", help="absorbed shift (complex)")
     asy.add_argument(
         "--w-grid",
-        type=str,
         default=",".join(str(w) for w in asymptotics.DEFAULT_W_GRID),
         help="comma-separated increasing grid",
     )
@@ -247,85 +244,71 @@ def _check_flags(args):
     return None
 
 
+def _print(fmt: str, payload, csv_lines, plain_lines) -> None:
+    """Print a command's result in one of its three renderings: the JSON
+    payload, or its csv or plain lines."""
+    if fmt == "json":
+        print(json.dumps(payload))
+    else:
+        print("\n".join(csv_lines if fmt == "csv" else plain_lines))
+
+
 def _run_eval(args, p: PrecisionPolicy) -> int:
-    fmt = args.format or "json"
     omega = OmegaVector.of(*parse_real_tuple(args.omega))
     w = parse_complex(args.w)
     m = 1 if args.m is None else args.m
     k = 0 if args.k is None else args.k
-    with p.context():
-        if args.target == "zeta":
-            if args.s is None:
-                raise InvalidParameter("eval zeta requires --s")
-            s = parse_complex(args.s)
-            if args.method == "direct":
-                res = evaluators.zeta_direct(s, w, omega, p)
-            else:
-                res = evaluators.zeta_contour(s, w, omega, p, args.lam)
-        elif args.target == "gamma-log":
-            res = evaluators.log_hyper_gamma(m, k, w, omega, p, args.lam)
+    if args.target == "zeta":
+        if args.s is None:
+            raise InvalidParameter("eval zeta requires --s")
+        s = parse_complex(args.s)
+        if args.method == "direct":
+            res = evaluators.zeta_direct(s, w, omega, p)
         else:
-            method = (
-                evaluators.METHOD_COMBINATION
-                if args.method == "combination"
-                else evaluators.METHOD_CONTOUR
-            )
-            res = evaluators.balanced_P(m, k, w, omega, p, method, args.lam)
-        digits = _digits(p.precision_bits)
-        record = {
+            res = evaluators.zeta_contour(s, w, omega, p, args.lam)
+    elif args.target == "gamma-log":
+        res = evaluators.log_hyper_gamma(m, k, w, omega, p, args.lam)
+    else:
+        # --method contour and combination are evaluators.METHOD_CONTOUR and METHOD_COMBINATION
+        res = evaluators.balanced_P(m, k, w, omega, p, args.method, args.lam)
+    value, err = _fmt_complex(res.value, _digits(p.precision_bits)), _fmt(res.err_estimate, 3)
+    _print(
+        args.format or "json",
+        {
             "target": args.target,
-            "value": _fmt_complex(res.value, digits),
-            "err_estimate": _fmt(res.err_estimate, 3),
+            "value": value,
+            "err_estimate": err,
             "method": res.method,
             "precision_bits": p.precision_bits,
-        }
-    if fmt == "json":
-        print(json.dumps(record))
-    elif fmt == "csv":
-        print("value_re,value_im,err_estimate,method")
-        print(
-            f"{record['value']['re']},{record['value']['im']},"
-            f"{record['err_estimate']},{record['method']}"
-        )
-    else:
-        print(f"{args.target} = {record['value']['re']} + {record['value']['im']}j")
-        print(f"err_estimate <= {record['err_estimate']}  ({record['method']})")
+        },
+        ["value_re,value_im,err_estimate,method", ",".join((*value.values(), err, res.method))],
+        [
+            f"{args.target} = {value['re']} + {value['im']}j",
+            f"err_estimate <= {err}  ({res.method})",
+        ],
+    )
     return EXIT_OK
 
 
 def _run_check(args, p: PrecisionPolicy) -> int:
-    fmt = args.format or "json"
     results = checks.run_suite(args.suite, p, 0 if args.seed is None else args.seed)
-    failed = [r for r in results if not r.passed]
-    if fmt == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "suite": r.suite,
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ]
-            )
-        )
-    elif fmt == "csv":
-        print("suite,name,passed,detail")
-        for r in results:
-            print(f"{r.suite},{r.name},{int(r.passed)},{r.detail}")
-    else:
-        for r in results:
-            tag = "PASS" if r.passed else "FAIL"
-            detail = f"  {r.detail}" if r.detail else ""
-            print(f"{tag}  {r.suite}/{r.name}{detail}")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    passed = sum(r.passed for r in results)
+    _print(
+        args.format or "json",
+        [dataclasses.asdict(r) for r in results],
+        ["suite,name,passed,detail"]
+        + [f"{r.suite},{r.name},{int(r.passed)},{r.detail}" for r in results],
+        [
+            f"{'PASS' if r.passed else 'FAIL'}  {r.suite}/{r.name}"
+            + (f"  {r.detail}" if r.detail else "")
+            for r in results
+        ]
+        + [f"{passed}/{len(results)} checks passed"],
+    )
+    return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
 
 
 def _run_asym(args, p: PrecisionPolicy) -> int:
-    fmt = args.format or "csv"
     exp = asymptotics.AsymExperiment(
         omega=OmegaVector.of(*parse_real_tuple(args.omega)),
         alpha=OmegaVector.of(*parse_real_tuple(args.alpha)),
@@ -337,53 +320,40 @@ def _run_asym(args, p: PrecisionPolicy) -> int:
         policy=p,
     )
     rows = asymptotics.run_experiment(exp)
-    fit = None
-    if args.fit:
-        fitted, reference = asymptotics.fit_one_over_w(exp, rows)
-        fit = (fitted, reference)
     digits = _digits(p.precision_bits)
-    if fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "w": _fmt(row.w, digits),
-                    "lhs": _fmt_complex(row.lhs, digits),
-                    "rhs": _fmt_complex(row.rhs_sum, digits),
-                    "err_abs": _fmt(abs(row.error), 3),
-                    "err_norm": _fmt(row.normalized_error, 3),
-                }
-                for row in rows
-            ]
+    records = [
+        {
+            "w": _fmt(row.w, digits),
+            "lhs": _fmt_complex(row.lhs, digits),
+            "rhs": _fmt_complex(row.rhs_sum, digits),
+            "err_abs": _fmt(abs(row.error), 3),
+            "err_norm": _fmt(row.normalized_error, 3),
         }
-        if fit is not None:
-            payload["fit"] = {
-                "fitted": _fmt_complex(fit[0], digits),
-                "reference": _fmt_complex(fit[1], digits),
-            }
-        print(json.dumps(payload))
-    elif fmt == "csv":
-        print("w,lhs_re,lhs_im,rhs_re,rhs_im,err_abs,err_norm")
-        for row in rows:
-            lhs, rhs = _fmt_complex(row.lhs, digits), _fmt_complex(row.rhs_sum, digits)
-            print(
-                f"{_fmt(row.w, digits)},{lhs['re']},{lhs['im']},"
-                f"{rhs['re']},{rhs['im']},"
-                f"{_fmt(abs(row.error), 3)},{_fmt(row.normalized_error, 3)}"
-            )
-        if fit is not None:
-            ft, rf = _fmt_complex(fit[0], digits), _fmt_complex(fit[1], digits)
-            print(f"# fit,{ft['re']},{ft['im']},{rf['re']},{rf['im']}")
-    else:
-        for row in rows:
-            print(
-                f"w={_fmt(row.w, 6)}  err_abs={_fmt(abs(row.error), 3)}"
-                f"  err_norm={_fmt(row.normalized_error, 3)}"
-            )
-        if fit is not None:
-            # the reference too as a complex number, as it is where a is complex
-            fitted, reference = (mp.nstr(mp.mpc(x), digits) for x in fit)
-            print(f"fit: {fitted}  reference: {reference}")
+        for row in rows
+    ]
+    payload = {"rows": records}
+    csv_lines = ["w,lhs_re,lhs_im,rhs_re,rhs_im,err_abs,err_norm"] + [
+        ",".join((r["w"], *r["lhs"].values(), *r["rhs"].values(), r["err_abs"], r["err_norm"]))
+        for r in records
+    ]
+    plain_lines = [
+        f"w={_fmt(row.w, 6)}  err_abs={r['err_abs']}  err_norm={r['err_norm']}"
+        for row, r in zip(rows, records)
+    ]
+    if args.fit:
+        fit = asymptotics.fit_one_over_w(exp, rows)
+        fitted, reference = (_fmt_complex(x, digits) for x in fit)
+        payload["fit"] = {"fitted": fitted, "reference": reference}
+        csv_lines.append(",".join(("# fit", *fitted.values(), *reference.values())))
+        # the reference too as a complex number, as it is where a is complex
+        plain_lines.append(
+            "fit: {}  reference: {}".format(*(mp.nstr(mp.mpc(x), digits) for x in fit))
+        )
+    _print(args.format or "csv", payload, csv_lines, plain_lines)
     return EXIT_OK
+
+
+_RUNNERS = {"eval": _run_eval, "check": _run_check, "asym": _run_asym}
 
 
 def main(argv=None) -> int:
@@ -410,11 +380,7 @@ def main(argv=None) -> int:
     try:
         p = PrecisionPolicy(precision_bits=bits, target_abs_error=args.tol)
         with p.context():
-            if args.command == "eval":
-                return _run_eval(args, p)
-            if args.command == "check":
-                return _run_check(args, p)
-            return _run_asym(args, p)
+            return _RUNNERS[args.command](args, p)
     except _DOMAIN_ERRORS as exc:
         return _emit_error(EXIT_DOMAIN, str(exc))
     except _PRECISION_ERRORS as exc:

@@ -37,7 +37,7 @@ from .errors import (
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
 from .precision import (
-    DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite, _right_half,
+    DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite, _index, _right_half,
 )
 from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
@@ -339,6 +339,7 @@ def log_hyper_gamma(
 
     For m = 0 this is zeta_r(-k, w; omega) itself.
     """
+    m, k = _index(m, "m"), _index(k, "k")
     if m < 0 or k < 0:
         raise InvalidParameter("log_hyper_gamma needs m, k >= 0")
     ispec = IntegrandSpec(omega=omega, w=w, k=k, poly=q_poly(m, k, p))
@@ -363,6 +364,7 @@ def balanced_P(
     k = 0.  The secondary path sums the weighted log gammas and needs k >= 0;
     each log gamma aims at the target over the sum of the weights' magnitudes.
     """
+    m, k = _index(m, "m"), _index(k, "k")
     if m < 0:
         raise InvalidParameter("balanced_P needs m >= 0")
     if method == METHOD_CONTOUR:
@@ -391,6 +393,7 @@ def balanced_P(
 def p0_closed_form(m: int, k: int, w, p: PrecisionPolicy = DEFAULT_POLICY):
     """Closed form of the balanced function at r = 0:
     sum_mu c^m_{m-mu,k} (-log w)^mu w^k (from zeta_0(s, w) = w^{-s})."""
+    m, k = _index(m, "m"), _index(k, "k")
     if m < 0 or k < 0:
         raise InvalidParameter("p0_closed_form needs m, k >= 0")
     with p.context(16):

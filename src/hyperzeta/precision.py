@@ -11,11 +11,14 @@ bit it had.  It alone chooses between the two, and mpmath keeps mpf op mpf
 real, so real periods, w, tails and jets run in real arithmetic with no test
 of their own further in.  ``_exact`` runs on every coefficient of every
 jet and checks nothing; the argument doors refuse a non-finite input
-(``_finite``) before it reaches a sum that would never end.
+(``_finite``) before it reaches a sum that would never end, and a value of
+the wrong kind (``_index``, ``_real``) before it reaches the arithmetic.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -48,6 +51,26 @@ def _finite(x, name):
     return x
 
 
+def _index(x, name):
+    """x as an int, if it is an integer (``operator.index``); else
+    InvalidParameter naming it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {x!r}") from None
+
+
+def _real(x, name):
+    """x as an mpf (an mpf keeps its bits), if it is a finite real number
+    that mpf takes; else InvalidParameter naming it."""
+    try:
+        if isinstance(x, numbers.Real):
+            return _finite(x if isinstance(x, mpf) else mpf(x), name)
+    except TypeError:  # a Fraction, say, which mpf does not take
+        pass
+    raise InvalidParameter(f"{name} must be a real number, got {x!r}")
+
+
 def _right_half(w):
     """w through the door (``_exact``); InvalidParameter unless it is finite
     and Re(w) > 0."""
@@ -63,15 +86,10 @@ class PrecisionPolicy:
     target_abs_error: float = 1e-22
 
     def __post_init__(self):
-        if not isinstance(self.precision_bits, int):
-            raise InvalidParameter(
-                f"precision_bits must be an integer, got {self.precision_bits!r}"
-            )
-        if self.precision_bits < 64:
+        if _index(self.precision_bits, "precision_bits") < 64:
             raise InvalidParameter("precision_bits must be >= 64")
-        if not self.target_abs_error > 0:
+        if not _real(self.target_abs_error, "target_abs_error") > 0:
             raise InvalidParameter("target_abs_error must be positive")
-        _finite(self.target_abs_error, "target_abs_error")
 
     def context(self, extra_bits: int = 0):
         """Context manager setting the working precision (plus guard bits)."""
@@ -79,7 +97,10 @@ class PrecisionPolicy:
 
     @property
     def zero_threshold(self):
-        """Magnitude below which a leading series coefficient counts as zero."""
+        """2^-(bits // 2) at the policy's bits: the size below which a Hankel
+        integrand's divisor 1 - e^{-omega t} is tested as a pole near the path
+        (``hankel._f_omega_at``), and the scale of the ``qpoly`` check's
+        tolerance.  ``LaurentSeries.normalize`` keeps a threshold of its own."""
         with mp.workprec(self.precision_bits):
             return mpf(2) ** (-(self.precision_bits // 2))
 

@@ -36,7 +36,7 @@ from mpmath import mp
 from .combinatorics import coeff_c
 from .constants import _euler_gamma_bits, _frac
 from .errors import InvalidParameter
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _index
 from .series import LaurentSeries, _bernoulli_jet, _horner, _mul_coeffs
 
 
@@ -114,6 +114,7 @@ def _quotient_jet(k: int, order: int, bits: int) -> LaurentSeries:
 def q_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
     """The degree-m polynomial q_poly(m, k), built at the working precision of
     a Hankel integral under p."""
+    m, k = _index(m, "m"), _index(k, "k")
     if m < 0 or k < 0:
         raise InvalidParameter("q_poly needs m, k >= 0")
     with p.context(QUADRATURE_GUARD_BITS):
@@ -136,6 +137,7 @@ def _c_weights(m: int, k: int):
 def s_poly(m: int, k: int, p: PrecisionPolicy = DEFAULT_POLICY) -> PolyC:
     """S_{m,k}(x) = sum_mu c^m_{m-mu,k} q_poly(mu, k); k-independent.  Built,
     as q_poly, at the working precision of a Hankel integral under p."""
+    m, k = _index(m, "m"), _index(k, "k")
     if m < 0 or k < 0:
         raise InvalidParameter("s_poly needs m, k >= 0")
     with p.context(QUADRATURE_GUARD_BITS):

@@ -1,8 +1,10 @@
 """Write tests/cli_golden.json: the stdout of every command in the README's CLI
-block, and of its ``asym ... --fit`` line again with ``--format plain``, with
-the mpmath version and backend that printed them.  tests/test_cli.py compares
-the same runs against it byte for byte.  A change that moves a printed digit
-regenerates the file and says why:
+block, of its ``asym ... --fit`` line again with ``--format plain`` and
+``--format json``, of every ``eval`` route in csv and plain and of ``check
+qpoly`` in json and csv (test_cli.GOLDEN_ARGVS), with the mpmath version and
+backend that printed them.  tests/test_cli.py compares the same runs against
+it byte for byte.  A change that moves a printed digit regenerates the file
+and says why:
 
     PYTHONPATH=src python tests/make_cli_golden.py
 """

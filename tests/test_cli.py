@@ -95,6 +95,16 @@ def test_non_finite_number_exit_2(capsys, argv):
     assert record["code"] == 2 and "inf" in record["message"]
 
 
+@pytest.mark.parametrize("number", ["1 2", "1e 3", "1+2 j"])
+def test_whitespace_inside_a_number_exit_2(capsys, number):
+    # deleting every space read "1 2" as 12 and "1e 3" as 1000; whitespace
+    # may stand only at the ends and around the sign before the imaginary part
+    code, out, err = run(capsys, ["eval", "zeta", "--s", "2.5", "--w", number, "--omega", "1"])
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and "whitespace" in record["message"]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -246,6 +256,15 @@ def test_asym_m0_through_w_1(capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+def test_unstable_fit_exit_5(capsys):
+    # at a = 1/2 the 1/w coefficient is exactly 0, so the fit's relative
+    # stability test cannot pass
+    code, out, err = run(capsys, ["asym", "--m", "1", "--k", "0", "--fit"])
+    assert code == 5
+    assert out == ""
+    assert json.loads(err)["code"] == 5
+
+
 def test_direct_unreachable_tol_exit_4(capsys):
     argv = ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1", "--method", "direct"]
     code, out, err = run(capsys, argv + ["--tol", "1e-80"])
@@ -364,6 +383,10 @@ def test_parse_complex_forms():
         "+2j": mp.mpc(0, 2),
         "1-2e-3j": mp.mpc("1", "-2e-3"),
         "2e-3j": mp.mpc("0", "2e-3"),
+        # whitespace at the ends and around the sign between the parts
+        " 1 + 2j ": mp.mpc(1, 2),
+        "0.5 -0.25j": mp.mpc(0.5, -0.25),
+        "1e-3 - j": mp.mpc(0.001, -1),
     }
     for text, want in cases.items():
         assert abs(cli.parse_complex(text) - want) < mp.mpf("1e-40")
@@ -389,7 +412,16 @@ def _readme_command(*prefix):
 
 # the runs whose stdout tests/cli_golden.json holds (tests/make_cli_golden.py)
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
-GOLDEN_ARGVS = README_COMMANDS + [_readme_command("asym") + ["--format", "plain"]]
+# every eval route (the README's four and P on the contour) in csv and plain,
+# check qpoly in json and csv, and the README asym line in json: with the
+# README runs, every command in every format
+_P_CONTOUR = ["eval", "P", "--m", "2", "--k", "1", "--w", "1.5", "--omega", "1,1.3"]
+FORMAT_ARGVS = (
+    [argv + ["--format", fmt] for argv in README_EVALS + [_P_CONTOUR] for fmt in ("csv", "plain")]
+    + [["check", "qpoly", "--format", fmt] for fmt in ("json", "csv")]
+    + [_readme_command("asym") + ["--format", "json"]]
+)
+GOLDEN_ARGVS = README_COMMANDS + [_readme_command("asym") + ["--format", "plain"]] + FORMAT_ARGVS
 
 
 def golden_mpmath():
@@ -442,3 +474,10 @@ def test_readme_asym_fit_runs(capsys):
     assert fit_line.startswith("fit: (") and fit_line.endswith(" + 0.0j)")
     _assert_golden(argv, csv)
     _assert_golden(argv + ["--format", "plain"], out)
+
+
+@pytest.mark.parametrize("argv", FORMAT_ARGVS, ids=shlex.join)
+def test_every_format_matches_golden(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    _assert_golden(argv, out)

@@ -1,6 +1,7 @@
 import cmath
 import re
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,8 +28,12 @@ from hyperzeta.asymptotics import (
     remainder_reduction_check,
     rhs_expansion,
 )
-from hyperzeta.errors import InvalidParameter, PrecisionUnreachable, TooCloseToInteger
+from hyperzeta.combinatorics import coeff_c, gen_F
+from hyperzeta.errors import (
+    ConvergenceTooSlow, InvalidParameter, PrecisionUnreachable, TooCloseToInteger,
+)
 from hyperzeta.evaluators import METHOD_COMBINATION
+from hyperzeta.qpoly import q_poly, s_poly
 from hyperzeta.series import LaurentSeries
 
 P = DEFAULT_POLICY
@@ -195,6 +200,42 @@ def test_non_finite_inputs_are_refused_at_the_door(case):
         signal.signal(signal.SIGALRM, handler)
 
 
+# (the argument the refusal names, a call that passes it a value of the wrong
+# kind or sign) for each door that takes an integer order, a grid or a target;
+# the wrong kinds raised bare TypeError or ValueError from inside the arithmetic
+_MALFORMED = {
+    "m-log-gamma": ("m", lambda: log_hyper_gamma(1.5, 1, 1, _OM1)),
+    "k-log-gamma": ("k", lambda: log_hyper_gamma(1, 1.0, 1, _OM1)),
+    "k-balanced": ("k", lambda: balanced_P(1, 0.5, 1, _OM1)),
+    "k-combination": ("k", lambda: balanced_P(1, 0.5, 1, _OM1, method=METHOD_COMBINATION)),
+    "m-closed-form": ("m", lambda: p0_closed_form(1.5, 1, 1)),
+    "m-q-poly": ("m", lambda: q_poly(1.5, 0)),
+    "k-s-poly": ("k", lambda: s_poly(0, "1")),
+    "m-experiment": ("m", lambda: AsymExperiment(_OM1, _OM1, 0.5, 1.5, 0)),
+    "grid-complex": (
+        "w_grid", lambda: AsymExperiment(_OM1, _OM1, 0.5, 1, 0, (10, 20, 40, 80 + 1j))
+    ),
+    "grid-string": ("w_grid", lambda: AsymExperiment(_OM1, _OM1, 0.5, 1, 0, (10, 20, 40, "80"))),
+    "target-string": ("target_abs_error", lambda: PrecisionPolicy(192, "x")),
+    "target-complex": ("target_abs_error", lambda: PrecisionPolicy(192, 1j)),
+    # a Fraction, which the policy's mpf(target) cannot take
+    "target-fraction": ("target_abs_error", lambda: PrecisionPolicy(192, Fraction(1, 10**22))),
+    "m-negative-log-gamma": ("m", lambda: log_hyper_gamma(-1, 0, 1, _OM1)),
+    "m-negative-balanced": ("m", lambda: balanced_P(-1, 0, 1, _OM1)),
+    "k-negative-closed-form": ("k", lambda: p0_closed_form(1, -1, 1)),
+    "k-negative-weight": ("k", lambda: coeff_c(1, 0, -1)),
+    "order-gen-F": ("order", lambda: gen_F(1, 0)),
+    "order-expansion": ("order", lambda: bernoulli_expansion(_OM1, 1, -1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_inputs_are_refused_at_the_door(case):
+    name, call = _MALFORMED[case]
+    with pytest.raises(InvalidParameter, match=rf"\b{name}\b"):
+        call()
+
+
 @pytest.mark.parametrize(
     "s, w, periods",
     [
@@ -231,6 +272,18 @@ def test_every_entry_point_requires_the_right_half_plane(w):
 def test_direct_rejects_small_s():
     with pytest.raises(InvalidParameter):
         zeta_direct(1, 1, OmegaVector.of(1), P.with_target(1e-20))
+
+
+def test_bernoulli_tail_refuses_terms_that_grow_above_eps():
+    # the series is asymptotic: once a term grows, none will reach eps
+    terms = iter([mpf(1), mpf("0.5"), mpf("0.6"), mpf("1e-40")])
+    with pytest.raises(ConvergenceTooSlow, match="grew"):
+        evaluators._bernoulli_tail(mpf(0), terms, mpf("1e-30"))
+
+
+def test_gap_to_cone_is_zero_inside_the_sector():
+    # -z = 1 + 0.1i lies between the angles 0 and 0.3, so z is in the cone
+    assert evaluators._gap_to_cone(-1 - 0.1j, (0.0, 0.3)) == 0j
 
 
 def _equal_period_form(s, w, om, r):
