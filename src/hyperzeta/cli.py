@@ -9,7 +9,8 @@ Subcommands:
 Every command builds its result once as a JSON payload, csv lines and plain
 lines, and prints the one --format names (_print).  A number may carry
 whitespace at its ends and around the sign between its real and imaginary
-parts, and nowhere else: --w "1 2" exits 2.
+parts, and nowhere else: --w "1 2" exits 2.  Nor may it carry a digit
+separator, which Python's float and mpf read: --w 1_3 exits 2.
 
 ``eval`` refuses a --method its target lacks with exit 3, and every command
 refuses a flag that it and its route do not read (--s, --m, --k, --lambda,
@@ -84,11 +85,18 @@ def _finite(x, text: str):
     return x
 
 
+def _unseparated(text: str) -> str:
+    """text, if it holds no digit separator: mpf and float read '1_3' as 13."""
+    if "_" in text:
+        raise ValueError(f"digit separator '_' in the number {text.strip()!r}")
+    return text
+
+
 def parse_complex(text: str):
     """Parse '1.5', '-2', '1+2j', '0.5 - 0.25j', '2j' into a finite mpc.
     Whitespace may stand at the ends and around the sign between the real
-    and imaginary parts, and nowhere else."""
-    s = re.sub(r"(?<=[^eE\s])\s*([+-])\s*", r"\1", text.strip())
+    and imaginary parts, and nowhere else; a digit separator nowhere."""
+    s = re.sub(r"(?<=[^eE\s])\s*([+-])\s*", r"\1", _unseparated(text).strip())
     if not s:
         raise ValueError("empty number")
     if re.search(r"\s", s):
@@ -109,14 +117,14 @@ def parse_complex(text: str):
 def _finite_float(text: str) -> float:
     """argparse type for --tol and --lambda: a finite float."""
     try:
-        return _finite(float(text), text)
+        return _finite(float(_unseparated(text)), text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_real_tuple(text: str):
     """Parse '1,0.7' into a tuple of finite mpfs."""
-    parts = [t for t in text.split(",") if t.strip()]
+    parts = [t for t in _unseparated(text).split(",") if t.strip()]
     return tuple(_finite(mpf(t.strip()), t) for t in parts)
 
 

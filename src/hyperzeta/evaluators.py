@@ -310,7 +310,11 @@ def zeta_contour(
     The integrand is f_omega(t) e^{-wt} t^{s-1} times the constant weight
     1/(Gamma(s)(e^{2 pi i s}-1)), so the one Hankel integral meets the
     caller's target, as every other integral does.  The weight and k = -s
-    are taken at the integral's working precision; w keeps its bits.
+    are taken at the integral's working precision; w keeps its bits.  Where
+    s, w and every period are real the value is real, as zeta_r(conj s,
+    conj w; conj omega) = conj zeta_r(s, w; omega), and its real part is
+    returned: dropping the imaginary part of a real number's approximation
+    moves it no farther from the number, so the estimate stands.
     """
     with p.context(QUADRATURE_GUARD_BITS):
         s = _finite(mp.mpc(s), "s")
@@ -324,6 +328,8 @@ def zeta_contour(
         prefactor = mp.rgamma(s) / mp.expm1(2 * mp.pi * mp.mpc(0, 1) * s)
         ispec = IntegrandSpec(omega=omega, w=w, k=-s, poly=PolyC((prefactor,)))
     value, qerr = hankel_integrate(ispec, lam, p)
+    if all(isinstance(x, mpf) for x in (ispec.k, ispec.w, *omega.omegas)):
+        value = mp.re(value)
     return EvalResult(value, qerr, METHOD_CONTOUR)
 
 

@@ -138,17 +138,22 @@ and a real integrand evaluates N/2 of the N new ones (32 of 64 on the
 doubling to 128) and keeps its last old one, l = N/2 of the old grid.
 
 The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide (four
-doublings of t) between the cuts of a grid fixed in t, the last ending at
-the cut where the ray ends, and the circle at CIRCLE_SAMPLES = 64 samples,
-doubled only until its window reaches n = Re(k) + 1.  If its floors and the
-ray end bounds exceed the target, PrecisionUnreachable is raised at once.
+doublings of t), below lambda a power of 2 of those, between the cuts of a
+grid fixed in t, the last ending at the cut where the ray ends, and the
+circle at CIRCLE_SAMPLES = 64 samples, doubled only until its window
+reaches n = Re(k) + 1.  If its floors and the ray end bounds exceed the
+target, PrecisionUnreachable is raised at once.
 Then ``_refine_worst`` refines as QUADPACK's QAG does: while the estimates,
 floors and end bounds sum above the target, the part with the largest
 estimate is refined, a ray panel bisected at its midpoint in u, the circle
 with its samples doubled.  A part's depth is its level in the schedule that
 cuts each doubling of t into 2^L panels and samples the circle at 128 * 2^L
-points: a first-pass ray panel is at -2, 64 circle samples at -1; past
-MAX_LEVELS - 1 (2^(1/32) in t, 4096 samples) it raises NodeBudgetExceeded.
+points: a ray panel one cut of the grid wide (PANEL_WIDTH) is at -2, one 2^i
+cuts wide, as the ray-only near segment's are, at -2 - i, and 64 circle
+samples at -1; past MAX_LEVELS - 1 (2^(1/32) in t, 4096 samples) it raises
+NodeBudgetExceeded.  So a level's panels have one width in t wherever the
+first pass put them, and the refinement budget per doubling of t does not
+depend on the first pass.
 Rotating or reshaping the path moves only segment endpoints: a rotation by
 phi is u -> u + i phi, which moves the circle's moments to
 log lambda + i phi.
@@ -167,7 +172,8 @@ on lambda, so a smaller circle costs nothing in accuracy.
 
 The ray grid does not move with w: its cuts are
 u = log lambda + j PANEL_WIDTH, and the first pass puts one panel between
-each two cuts from j = 0 (for the contour) to the far end's cut.  The panels
+each two cuts from j = 0 to the far end's cut, below j = 0 the ray-only
+integral's graded near segment (below).  The panels
 are built in v = u - log lambda, where the cuts j * PANEL_WIDTH (a float)
 and their bisections are exact, so a panel at depth d is exactly
 PANEL_WIDTH * 2^-(d+2) wide, and equal j give the same nodes u, bit for bit,
@@ -186,9 +192,22 @@ the first-pass panels for both integrals.  ``ray_only_integrate``
 integrates the same outbound-minus-inbound integrand over the one segment
 [log eps, log T], with no circle; its near end eps walks down from j = 0
 (t = lambda), a factor 16 in t per cut.  In u the end t = 0 moves to
-u = -inf, where t F(t) decays like e^u |u|^(nu-1) for poly of degree nu, so
-equal panels serve the whole segment: the remainder-reduction ray at
-w = 20, eps about 1e-11, takes 10 first-pass panels and no refinement.
+u = -inf, where t F(t) decays like e^u |u|^(nu-1) for poly of degree nu, and
+the only singularities are the poles of f_omega, at |t| >= 4 lambda, to the
+right of u = log lambda + log 4.  So a panel's Bernstein ellipse (Trefethen,
+Approximation Theory and Approximation Practice, ch. 19) grows with its
+distance from lambda, and the near segment [log eps, log lambda] is graded:
+a panel whose right cut is j = -c spans at most 3c + 1 cuts, the bound that
+the cuts 0, -1, -5, -21, ..., panels of 1, 4, 16, ... cuts, meet exactly.
+``_graded`` lays the panels from eps rightwards, each the widest power of 2
+of cuts within that bound and the rest of the segment, so the widths never
+shrink going left, every panel is at a whole depth, and where eps is one of
+the cuts 0, -1, -5, -21, ... those are the cuts.  The remainder-reduction
+ray at w = 20, eps about 1e-11 (j = -9), takes panels of 4, 4 and 1 cuts
+below lambda and one above, 4 first-pass panels where one per cut took 10,
+and no refinement.  eps itself still walks the unit cuts, so eps and its
+bound do not depend on the panels: a walk over the widened cuts would
+overshoot, to t ~ 5e-103 in one case, where 1 - e^{-omega t} keeps no bits.
 
 What does not depend on w is kept in one node store for one key (omega,
 lambda, working bits, pole threshold), ``_node_store``, which drops the old
@@ -400,15 +419,18 @@ def _gk_sums(fs, half, rule):
 
 
 def _f_omega_at(periods, t, threshold):
-    """f_omega(t) = 1 / prod_i d_i, d_i = 1 - e^{-omega_i t}: one division.
-    Real periods and a real t keep it real."""
-    den = mpf(1)
+    """f_omega(t) = 1 / prod_i d_i, d_i = 1 - e^{-omega_i t}: one division,
+    and one exponential per distinct period, the product taken in the
+    periods' order.  Real periods and a real t keep it real."""
+    den, divisors = mpf(1), {}
     for o in periods:
-        z = o * t
-        d = 1 - mp.exp(-z)
-        # |d| < threshold only if both parts are: the cheap test first
-        if abs(d.real) < threshold and abs(d.imag) < threshold and abs(d) < threshold:
-            _check_small_divisor(z, d, t)
+        d = divisors.get(o)
+        if d is None:
+            z = o * t
+            d = divisors[o] = 1 - mp.exp(-z)
+            # |d| < threshold only if both parts are: the cheap test first
+            if abs(d.real) < threshold and abs(d.imag) < threshold and abs(d) < threshold:
+                _check_small_divisor(z, d, t)
         den *= d
     return 1 / den
 
@@ -708,27 +730,45 @@ def _panel(g, a, b, rule, depth):
 
 
 def _segment(g, o, width, js, rule, depth):
-    """The first-pass parts of g on the grid u = o + j * width: a panel at
-    depth between the cuts of each two consecutive j in js.  The panels are
-    in v = u - o, where the cuts j * width and their bisections are exact."""
-    cuts = [j * width for j in js]
+    """The first-pass parts of g on the grid u = o + j * width: a panel
+    between the cuts of each two consecutive j in js, ascending integers
+    whose differences are powers of 2.  A panel one cut wide is at depth,
+    and one 2^i cuts wide at depth - i, so every panel at depth d is
+    width * 2^-(d+2) wide.  The panels are in v = u - o, where the cuts
+    j * width and their bisections are exact."""
 
     def shifted(v):
         return g(o + v)
 
-    return [_panel(shifted, a, b, rule, depth) for a, b in zip(cuts, cuts[1:])]
+    return [
+        _panel(shifted, a * width, b * width, rule, depth + 1 - (b - a).bit_length())
+        for a, b in zip(js, js[1:])
+    ]
 
 
-def _rays(ev: _ContourEvaluator, first, target):
-    """The first-pass ray panels at depth -2, one between each two cuts of
-    the grid from its cut ``first`` to the far end's, and the far end's
-    bound.  The far end walks the cuts from the first at or past
-    30 / Re(w), never below j = 1 (rule: module docstring)."""
+def _graded(first):
+    """The near cuts of ``ray_only_integrate`` from eps's cut first <= 0 up to
+    j = 0, the panels laid from eps rightwards: each the widest power of 2 of
+    cuts no wider than 3c + 1 with its right cut at j = -c (module
+    docstring).  With its left cut at -c, that is 4 * width <= 3c + 1."""
+    js, c = [first], -first
+    while c:
+        c -= 1 << ((3 * c + 1) // 4).bit_length() - 1
+        js.append(-c)
+    return js
+
+
+def _rays(ev: _ContourEvaluator, near, target):
+    """The first-pass ray panels and the far end's bound: the panels between
+    the cuts near, which end at j = 0, then one between each two cuts of the
+    grid from j = 0 to the far end's, a panel one cut wide at depth -2.  The
+    far end walks the cuts from the first at or past 30 / Re(w), never below
+    j = 1 (rule: module docstring)."""
     width = mpf(PANEL_WIDTH)
     start = max(1, int(mp.ceil((mp.log(30 / mp.re(ev.ispec.w)) - ev.origin) / width)))
     last, bound = _ray_end(ev, count(start), target)
     rule = _legendre_nodes(mp.prec)
-    return _segment(ev.ray, ev.origin, width, range(first, last + 1), rule, -2), bound
+    return _segment(ev.ray, ev.origin, width, near + list(range(1, last + 1)), rule, -2), bound
 
 
 def _refine_worst(parts, target, end_bounds):
@@ -786,7 +826,7 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
         ev = _ContourEvaluator(ispec, p.zero_threshold, lam)
         parts, tail_bound = [], 0
         if ev.diff.coeffs:  # else the rays cancel identically
-            parts, tail_bound = _rays(ev, 0, target)
+            parts, tail_bound = _rays(ev, [0], target)
         parts.append(ev.first_pass())
         return _refine_worst(parts, target, tail_bound)
 
@@ -818,5 +858,5 @@ def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY
             return mp.mpc(0), mpf(0)
         target = p.reachable_target()
         first, head_bound = _ray_end(ev, count(0, -1), target)
-        parts, tail_bound = _rays(ev, first, target)
+        parts, tail_bound = _rays(ev, _graded(first), target)
         return _refine_worst(parts, target, tail_bound + head_bound)

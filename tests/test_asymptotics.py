@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from hyperzeta import (
@@ -205,6 +206,33 @@ def test_reduction_check_near_end_below_pole_threshold(m, nu, target):
         assert chk.agrees
     with SHARP.context():
         assert abs(chk.rays - _sharp_reference(e, 5, nu, 12)) <= 5 * chk.rays_err
+
+
+# the integrals of remainder_reduction_check(default_experiment(m, 0), w, nu):
+# nu <= m, w in {2, 5, 20}, three targets
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    m_nu=st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+    w=st.sampled_from([2, 5, 20]),
+    target=st.sampled_from([1e-22, 1e-40, 1e-55]),
+)
+@example(m_nu=(2, 2), w=5, target=1e-55)
+def test_reduction_check_sides_are_honest(m_nu, w, target):
+    # each side lies within its own estimate of the contour at +64 bits and
+    # 1e-75, and the two agree within their summed estimates
+    m, nu = m_nu
+    e = default_experiment(m, 0, policy=P.with_target(target))
+    with P.context():
+        chk = remainder_reduction_check(e, mpf(w), nu, terms=12)
+        assert chk.agrees
+        assert chk.rays_err <= target and chk.contour_err <= target
+    sharp = PrecisionPolicy(P.precision_bits + 64, 1e-75)
+    with sharp.context():
+        tail = remainder_tail(replace(e, policy=sharp), 12)
+        ispec = IntegrandSpec(omega=e.omega, w=mpf(w), k=e.k, poly=PolyC.monomial(nu), tail=tail)
+        ref, _ = hankel_integrate(ispec, None, sharp)
+        assert abs(chk.rays - ref) <= chk.rays_err
+        assert abs(chk.contour - ref) <= chk.contour_err
 
 
 def test_reduction_check_agrees_reads_the_combined_budget():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import time
@@ -104,6 +105,33 @@ def test_whitespace_inside_a_number_exit_2(capsys, number):
     assert out == ""
     record = json.loads(err)
     assert record["code"] == 2 and "whitespace" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, number",
+    [("--w", "1_3"), ("--s", "2_5"), ("--omega", "1_0"), ("--omega", "1,0_7"),
+     ("--lambda", "0_1"), ("--tol", "1e-2_2")],
+    ids=["w", "s", "omega", "omega-second", "lambda", "tol"],
+)
+def test_digit_separator_exit_2(capsys, flag, number):
+    # float and mpf read "1_3" as 13: --w 1_3 evaluated at w = 13 (parse_complex),
+    # --omega 1_0 at omega = 10 (parse_real_tuple), --lambda 0_1 at 1 (_finite_float)
+    argv = ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1", flag, number]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and "digit separator" in record["message"]
+
+
+def test_digit_separator_parsers():
+    for parse in (cli.parse_complex, cli.parse_real_tuple, cli._finite_float):
+        with pytest.raises((ValueError, argparse.ArgumentTypeError), match="digit separator"):
+            parse("1_3")
+    with pytest.raises(ValueError, match="digit separator"):
+        cli.parse_complex("1+2_0j")
+    with pytest.raises(ValueError, match="digit separator"):
+        cli.parse_real_tuple("1, 1_3")
 
 
 @pytest.mark.parametrize(

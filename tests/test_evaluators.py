@@ -413,6 +413,29 @@ def test_contour_matches_hurwitz():
         assert abs(res.value - mp.zeta(s, mpf("1.3"))) < mpf("1e-22")
 
 
+def test_contour_value_is_real_for_real_inputs(monkeypatch):
+    # real s, w and periods: the value is the integral's real part, an mpf,
+    # with the integral's estimate (its imaginary part was rounding noise,
+    # 3.1e-154 for omega = (1)); a complex s, w or period keeps the mpc
+    om = OmegaVector.of(1, mpf("1.3"))
+    integrals, integrate = [], evaluators.hankel_integrate
+    monkeypatch.setattr(
+        evaluators, "hankel_integrate", lambda *a: integrals.append(integrate(*a)) or integrals[-1]
+    )
+    for s in (mpf("2.5"), mp.mpc("-2.5", 0)):
+        res = zeta_contour(s, mpf("1.3"), om, P)
+        value, err = integrals[-1]
+        assert isinstance(value, mp.mpc) and mp.im(value) != 0
+        assert isinstance(res.value, mpf)
+        assert res.value == mp.re(value) and res.err_estimate == err
+    for s, w, o in (
+        (mp.mpc("2.5", "0.5"), mpf("1.3"), om),
+        (mpf("2.5"), mp.mpc("1.3", "0.2"), om),
+        (mpf("2.5"), mpf("1.3"), OmegaVector.of(1, mp.expj(mpf("0.3")))),
+    ):
+        assert isinstance(zeta_contour(s, w, o, P).value, mp.mpc)
+
+
 def test_contour_target_covers_the_prefactor():
     # 1 / (Gamma(s) (e^{2 pi i s} - 1)) is about 1.8e18 at s = -20.5, and it
     # is the integrand's weight, so the integral meets the target with it;

@@ -1064,17 +1064,56 @@ def test_ray_only_matches_mpmath_quad(m, nu, w):
         assert abs(val - ref) <= 5 * err
 
 
+def _remainder_ray(m, w, nu):
+    """The ray side of remainder_reduction_check(default_experiment(m, 0), w, nu)."""
+    e = default_experiment(m, 0)
+    with P.context(16):
+        return IntegrandSpec(
+            omega=e.omega, w=w, k=e.k, poly=PolyC.monomial(nu), tail=remainder_tail(e)
+        )
+
+
 def test_ray_only_near_segment_is_a_few_log_panels(monkeypatch):
     # the ray side of remainder_reduction_check(default_experiment(1, 0), 20, 1):
-    # eps is about 1e-11, and one panel per doubling of [eps, T] would be 39
-    e = default_experiment(1, 0)
-    with P.context(16):
-        ispec = IntegrandSpec(
-            omega=e.omega, w=20, k=e.k, poly=PolyC.monomial(1), tail=remainder_tail(e)
-        )
+    # eps is about 1e-11 (cut -9), and one panel per doubling of [eps, T]
+    # would be 39, one per cut 10; the graded near segment takes panels of
+    # 4, 4 and 1 cuts, and the far end one more
     panels = _record_panels(monkeypatch)
-    ray_only_integrate(ispec, P)
-    assert len(panels) <= 16
+    ray_only_integrate(_remainder_ray(1, 20, 1), P)
+    assert len(panels) <= 4
+
+
+@pytest.mark.parametrize("m, w, nu", [(1, 20, 1), (1, 2, 1), (3, 2, 3), (3, 5, 2), (2, 12, 2)])
+def test_ray_only_near_panels_widen_toward_zero(monkeypatch, m, w, nu):
+    # the first pass's panels are 2^i cuts wide at depth -2 - i, and their
+    # widths do not shrink going left; the near end eps is the first cut
+    # j = 0, -1, -2, ... whose end bound is below target / 10, as with equal
+    # panels; at the default target no first-pass panel is refined
+    first, segment = [], hankel._segment
+
+    def first_pass(g, a, b, n, rule, depth):
+        parts = segment(g, a, b, n, rule, depth)
+        first.append(parts)
+        return parts
+
+    monkeypatch.setattr(hankel, "_segment", first_pass)
+    panels = _record_panels(monkeypatch)
+    ispec = _remainder_ray(m, w, nu)
+    _, err = ray_only_integrate(ispec, P)
+    assert err <= P.target_abs_error
+    assert len(first) == 1 and len(panels) == len(first[0])
+    cuts = [a / mpf(PANEL_WIDTH) for a, _, _ in panels] + [panels[-1][1] / mpf(PANEL_WIDTH)]
+    assert all(j == int(j) for j in cuts)
+    widths = [int(b - a) for a, b in zip(cuts, cuts[1:])]
+    assert all(width & (width - 1) == 0 for width in widths)
+    assert all(depth == -1 - width.bit_length() for width, (_, _, depth) in zip(widths, panels))
+    assert all(left >= right for left, right in zip(widths, widths[1:]))
+    target = P.reachable_target()
+    with P.context(QUADRATURE_GUARD_BITS):
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(ispec.omega, w, P))
+        eps = int(cuts[0])
+        assert ev.end_bound(eps) < target / 10
+        assert all(ev.end_bound(j) >= target / 10 for j in range(eps + 1, 1))
 
 
 def test_ray_only_refines_only_the_panels_that_miss(monkeypatch):
