@@ -10,7 +10,8 @@ Every command builds its result once as a JSON payload, csv lines and plain
 lines, and prints the one --format names (_print).  A number may carry
 whitespace at its ends and around the sign between its real and imaginary
 parts, and nowhere else: --w "1 2" exits 2.  Nor may it carry a digit
-separator, which Python's float and mpf read: --w 1_3 exits 2.
+separator, which Python's float, int and mpf read: --w 1_3 and --k 1_0
+exit 2.
 
 ``eval`` refuses a --method its target lacks with exit 3, and every command
 refuses a flag that it and its route do not read (--s, --m, --k, --lambda,
@@ -86,7 +87,8 @@ def _finite(x, text: str):
 
 
 def _unseparated(text: str) -> str:
-    """text, if it holds no digit separator: mpf and float read '1_3' as 13."""
+    """text, if it holds no digit separator: mpf, float and int read '1_3'
+    as 13."""
     if "_" in text:
         raise ValueError(f"digit separator '_' in the number {text.strip()!r}")
     return text
@@ -122,6 +124,15 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _integer(text: str) -> int:
+    """argparse type for --m, --k, --seed and --precision-bits, and the
+    reader of HYPERZETA_PRECISION_BITS: an int, without a digit separator."""
+    try:
+        return int(_unseparated(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def parse_real_tuple(text: str):
     """Parse '1,0.7' into a tuple of finite mpfs."""
     parts = [t for t in _unseparated(text).split(",") if t.strip()]
@@ -147,7 +158,7 @@ def _add_common(parser, suppress: bool):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument(
         "--precision-bits",
-        type=int,
+        type=_integer,
         default=d(None),
         help="working precision in bits (default: HYPERZETA_PRECISION_BITS or 192)",
     )
@@ -166,7 +177,8 @@ def _add_common(parser, suppress: bool):
         help="output format (default: json for eval/check, csv for asym)",
     )
     parser.add_argument(
-        "--seed", type=int, default=d(None), help="seed for randomized checks (default 0; check only)"
+        "--seed", type=_integer, default=d(None),
+        help="seed for randomized checks (default 0; check only)",
     )
 
 
@@ -181,8 +193,8 @@ def build_parser() -> _Parser:
     ev.add_argument("target", choices=("zeta", "P", "gamma-log"))
     ev.add_argument("--s", help="zeta argument (complex; zeta only)")
     ev.add_argument("--w", required=True, help="base point (complex, Re > 0)")
-    ev.add_argument("--m", type=int, help="derivative order m (default 1; P and gamma-log)")
-    ev.add_argument("--k", type=int, help="integer shift k (default 0; P and gamma-log)")
+    ev.add_argument("--m", type=_integer, help="derivative order m (default 1; P and gamma-log)")
+    ev.add_argument("--k", type=_integer, help="integer shift k (default 0; P and gamma-log)")
     ev.add_argument("--omega", default="1", help="comma-separated periods, e.g. 1,0.7")
     ev.add_argument(
         "--method",
@@ -197,8 +209,8 @@ def build_parser() -> _Parser:
 
     asy = sub.add_parser("asym", help="asymptotic-expansion experiment")
     _add_common(asy, suppress=True)
-    asy.add_argument("--m", type=int, default=1)
-    asy.add_argument("--k", type=int, default=0)
+    asy.add_argument("--m", type=_integer, default=1)
+    asy.add_argument("--k", type=_integer, default=0)
     asy.add_argument("--omega", default="1")
     asy.add_argument("--alpha", default="1")
     asy.add_argument("--a", default="0.5", help="absorbed shift (complex)")
@@ -378,8 +390,8 @@ def main(argv=None) -> int:
         # an integer, as --precision-bits is; the policy checks its range
         env = os.environ.get("HYPERZETA_PRECISION_BITS")
         try:
-            bits = int(env) if env else DEFAULT_BITS
-        except ValueError:
+            bits = _integer(env) if env else DEFAULT_BITS
+        except argparse.ArgumentTypeError:
             return _emit_error(
                 EXIT_PARSE,
                 f"HYPERZETA_PRECISION_BITS must be an integer, got {env!r}",

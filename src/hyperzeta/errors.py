@@ -6,7 +6,7 @@ class HyperzetaError(Exception):
 
 
 class DivisionByZeroSeries(HyperzetaError):
-    """Division by a series that normalizes to zero."""
+    """Division by a series with no nonzero coefficient."""
 
 
 class DomainError(HyperzetaError):

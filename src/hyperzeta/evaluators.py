@@ -15,7 +15,10 @@
   through these, never through the singular generic-s prefactor.
 * ``p0_closed_form`` is the r = 0 closed form of the balanced function.
 
-Every evaluator's value is an mpc, for real and complex arguments alike.
+``zeta_contour``'s value is an mpf where s, w and every period are real, and
+an mpc otherwise; every other evaluator's value (``zeta_direct``,
+``log_hyper_gamma``, ``balanced_P`` on both routes, ``p0_closed_form``) is an
+mpc, for real and complex arguments alike.
 """
 
 from __future__ import annotations

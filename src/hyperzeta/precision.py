@@ -100,7 +100,8 @@ class PrecisionPolicy:
         """2^-(bits // 2) at the policy's bits: the size below which a Hankel
         integrand's divisor 1 - e^{-omega t} is tested as a pole near the path
         (``hankel._f_omega_at``), and the scale of the ``qpoly`` check's
-        tolerance.  ``LaurentSeries.normalize`` keeps a threshold of its own."""
+        tolerance.  No series operation has a threshold: ``LaurentSeries``
+        reads its coefficients as given."""
         with mp.workprec(self.precision_bits):
             return mpf(2) ** (-(self.precision_bits // 2))
 

@@ -8,8 +8,15 @@ operands support.
 
 Each coefficient comes in through ``precision._exact``: an mpf where it is
 real, an mpc otherwise, with every bit it had.  No operation converts an
-operand again, so a jet of real inputs stays real and a sum or product is
-rounded once, at the ambient precision.
+operand again, so a jet of real inputs stays real.  No operation drops a
+coefficient either: there is no roundoff threshold, so a tiny coefficient is
+read as the number it is.  ``exp`` refuses any nonzero coefficient below
+t^0, and ``/`` skips only leading coefficients that are exactly zero.
+
+A series keeps what the jets read: products, ``scale``, evaluation and
+``exp`` (of the ``1/Gamma`` log-series in ``qpoly``); ``/`` stays only
+because the benchmark tracer wraps it by name.  Sums and differences live on
+``qpoly.PolyC``.
 
 The power-series kernel is one pair of loops, ``_mul_coeffs`` (truncated
 convolution) and ``_inv_coeffs`` (inverse of a unit series).  Their
@@ -27,7 +34,6 @@ divides a series.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -45,23 +51,9 @@ class LaurentSeries:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
-    # -- constructors -------------------------------------------------
-
     @classmethod
     def zero(cls, order: int) -> "LaurentSeries":
         return cls(order, ())
-
-    @classmethod
-    def one(cls, order: int) -> "LaurentSeries":
-        return cls.monomial(1, 0, order)
-
-    @classmethod
-    def monomial(cls, c, power: int, order: int) -> "LaurentSeries":
-        if order <= power:
-            return cls.zero(order)
-        return cls(power, (c,) + (0,) * (order - power - 1))
-
-    # -- basic accessors ----------------------------------------------
 
     @property
     def order(self) -> int:
@@ -75,18 +67,6 @@ class LaurentSeries:
             return mpf(0)
         return self.coeffs[n - self.valuation]
 
-    def normalize(self) -> "LaurentSeries":
-        """Strip leading coefficients below 2^-(prec/2), raising the valuation."""
-        thr = mpf(2) ** (-(mp.prec // 2))
-        i = 0
-        while i < len(self.coeffs) and abs(self.coeffs[i]) < thr:
-            i += 1
-        if i == len(self.coeffs):
-            return LaurentSeries.zero(self.order)
-        return LaurentSeries(self.valuation + i, self.coeffs[i:])
-
-    # -- structural helpers -------------------------------------------
-
     def scale(self, c) -> "LaurentSeries":
         return LaurentSeries(self.valuation, tuple(c * a for a in self.coeffs))
 
@@ -94,31 +74,6 @@ class LaurentSeries:
         """Evaluate by ``_horner``; real coefficients and a real t give an
         mpf, anything complex an mpc."""
         return _horner(self.coeffs, self.valuation, mp.convert(t))
-
-    # -- ring operations ----------------------------------------------
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.valuation, tuple(-c for c in self.coeffs))
-
-    def _combine(self, other: "LaurentSeries", op) -> "LaurentSeries":
-        """op of the two coefficients of each power, each result rounded
-        once, through the lower of the two orders."""
-        val = min(self.valuation, other.valuation)
-        order = min(self.order, other.order)
-        if val >= order:
-            return LaurentSeries.zero(order)
-        coeffs = []
-        for n in range(val, order):
-            a = self.coeffs[n - self.valuation] if self.valuation <= n < self.order else 0
-            b = other.coeffs[n - other.valuation] if other.valuation <= n < other.order else 0
-            coeffs.append(op(a, b))
-        return LaurentSeries(val, tuple(coeffs))
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, operator.sub)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         val = self.valuation + other.valuation
@@ -129,41 +84,41 @@ class LaurentSeries:
         return LaurentSeries(val, _mul_coeffs(self.coeffs, other.coeffs, n))
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
-        b = other.normalize()
-        if not b.coeffs:
-            raise DivisionByZeroSeries("division by a series that normalizes to zero")
-        num = self.normalize()
-        n = min(len(num.coeffs), len(b.coeffs))
-        if n <= 0:
-            return LaurentSeries.zero(num.valuation - b.valuation)
-        inv = _inv_coeffs(b.coeffs, n)
-        return LaurentSeries(num.valuation - b.valuation, _mul_coeffs(num.coeffs, inv, n))
-
-    # -- transcendental operations ------------------------------------
+        """Quotient through the lower of the two relative orders; leading
+        coefficients that are exactly zero are skipped, and no other."""
+        i, j = _lead(self.coeffs), _lead(other.coeffs)
+        num, den = self.coeffs[i:], other.coeffs[j:]
+        if not den:
+            raise DivisionByZeroSeries("division by a series with no nonzero coefficient")
+        val = self.valuation + i - other.valuation - j
+        n = min(len(num), len(den))
+        if n == 0:
+            return LaurentSeries.zero(val)
+        return LaurentSeries(val, _mul_coeffs(num, _inv_coeffs(den, n), n))
 
     def exp(self) -> "LaurentSeries":
-        """Formal exponential; requires no pole part (valuation >= 0 after normalize)."""
-        a = self.normalize()
+        """Formal exponential of the coefficients as given; DomainError if
+        one below t^0 is nonzero."""
+        if any(self.coeffs[: max(0, -self.valuation)]):
+            raise DomainError("exp of a series with a pole part")
         order = self.order
         if order <= 0:
             return LaurentSeries.zero(order)
-        if a.valuation < 0:
-            raise DomainError("exp of a series with a pole part")
-        c0 = a.coeff(0)
-        u = [mpf(0)] * order
-        for n in range(1, order):
-            if a.valuation <= n < a.order:
-                u[n] = a.coeffs[n - a.valuation]
-        e = [mpf(0)] * order
-        e[0] = mpf(1)
+        u = [self.coeff(n) for n in range(order)]
+        e = [mpf(1)] + [mpf(0)] * (order - 1)
         for n in range(1, order):
             s = mpf(0)
             for j in range(1, n + 1):
                 if u[j] != 0:
                     s += j * u[j] * e[n - j]
             e[n] = s / n
-        scalar = mp.exp(c0)
+        scalar = mp.exp(u[0])
         return LaurentSeries(0, tuple(scalar * c for c in e))
+
+
+def _lead(coeffs) -> int:
+    """Index of the first nonzero coefficient; len(coeffs) if there is none."""
+    return next((i for i, c in enumerate(coeffs) if c != 0), len(coeffs))
 
 
 def _horner(coeffs, valuation, t):

@@ -124,8 +124,31 @@ def test_digit_separator_exit_2(capsys, flag, number):
     assert record["code"] == 2 and "digit separator" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "gamma-log", "--m", "1", "--k", "1_0", "--w", "1.5", "--omega", "1"],
+        ["eval", "P", "--m", "1_0", "--w", "1.5"],
+        ["asym", "--m", "1_0", "--w-grid", "10,20"],
+        ["asym", "--k", "0_1", "--w-grid", "10,20"],
+        ["check", "combinatorics", "--seed", "0_1"],
+        ["--precision-bits", "1_92", "eval", "zeta", "--s", "2.5", "--w", "1.3"],
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--precision-bits", "1_92"],
+    ],
+    ids=["eval-k", "eval-m", "asym-m", "asym-k", "seed", "bits-top", "bits-sub"],
+)
+def test_integer_digit_separator_exit_2(capsys, argv):
+    # int reads "1_0" as 10: --k 1_0 evaluated at k = 10, and --seed 0_1 ran
+    # seed 1; every integer flag takes the one parser _integer
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and "digit separator" in record["message"]
+
+
 def test_digit_separator_parsers():
-    for parse in (cli.parse_complex, cli.parse_real_tuple, cli._finite_float):
+    for parse in (cli.parse_complex, cli.parse_real_tuple, cli._finite_float, cli._integer):
         with pytest.raises((ValueError, argparse.ArgumentTypeError), match="digit separator"):
             parse("1_3")
     with pytest.raises(ValueError, match="digit separator"):
@@ -350,7 +373,7 @@ def test_flag_beats_env(capsys, monkeypatch):
     assert json.loads(out)["precision_bits"] == 192
 
 
-@pytest.mark.parametrize("env", ["abc", "1.5e2", "192 bits"])
+@pytest.mark.parametrize("env", ["abc", "1.5e2", "192 bits", "1_92"])
 def test_env_var_not_an_integer_exit_2(capsys, monkeypatch, env):
     # exit 2, as --precision-bits abc gives, with a message and a parameter
     # that name the variable

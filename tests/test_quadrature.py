@@ -346,6 +346,28 @@ def test_refinement_budget(monkeypatch, integrate):
     assert all(width <= PANEL_WIDTH * 2 ** -(depth + 2) * (1 + 1e-40) for width, depth in rays)
 
 
+@pytest.mark.parametrize(
+    "integrate, step",
+    [
+        (lambda ispec: hankel_integrate(ispec, None, P), 1),
+        (lambda ispec: ray_only_integrate(ispec, P), -1),
+    ],
+    ids=["far-walk", "near-walk"],
+)
+def test_ray_end_budget(monkeypatch, integrate, step):
+    # an end bound that never falls below target / 10: the walk gives up
+    # after 500 consecutive cuts, upwards from j >= 1 at the far end (the
+    # contour), downwards from j = 0 at the near end (ray-only, walked first)
+    cuts = []
+    monkeypatch.setattr(
+        hankel._ContourEvaluator, "end_bound", lambda ev, j: cuts.append(j) or mpf(1)
+    )
+    with pytest.raises(NodeBudgetExceeded, match="ray truncation"):
+        integrate(_unit_ray(PolyC((0, 1))))
+    assert cuts == list(range(cuts[0], cuts[0] + 500 * step, step))
+    assert cuts[0] >= 1 if step == 1 else cuts[0] == 0
+
+
 def test_contour_reaches_the_finest_doubling_level():
     # Im(s) = -10 makes the outbound ray e^{20 pi} times the inbound one, and
     # Im(w) = 10 puts about 5 periods in a panel spanning a factor 2^(1/32) at
