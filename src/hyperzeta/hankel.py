@@ -227,6 +227,31 @@ real omega reads (r = 2, target 1e-32: 130 ray nodes, 2 end probes, 33
 samples and 12 windows of 64, 1098 numbers), and a store filled with ray
 nodes at every w (lambda = 6 / Re(w) moves with w) adds about 0.5 MB to the
 peak resident size.
+
+What depends on w is kept in the same store, in groups by (w, tail), so
+that integrals at one w that differ only in k and poly, as the derivative
+hierarchy and the combination route's log gammas do, share it.  A group
+keeps each circle level of N, its samples, mean |phi_l| and ``_spectrum``,
+by N: none depends on k or poly, which live in the moments, so integrals
+with one (omega, lambda, bits, w, tail) have one circle spectrum, bit for
+bit.  A part reads a level only for the very samples it keeps, which a warm
+first pass or refinement hands it.  And it keeps each ray term
+tf e^{-(k+1) u - wt} tail(t), by -k-1 and then by u's exact bits, at the
+ray nodes and the cuts the end walks probe; each integral multiplies it by
+its own diff(u).  An integral looks its group and its k up once, so no node
+hashes the tail.  The groups of a store keep at most _GROUP_NUMBERS = 1280
+numbers between them, besides STORE_NUMBERS: one per ray term, and per
+circle level of N its N/2 + 1 or N samples and its N coefficients.  Where a
+new entry does not fit, the least recently used other groups are dropped,
+oldest first, until it does; where the integral's own group fills the
+budget, the entry is not kept.  Measured at 256 bits, with the dicts'
+share, a number takes about 0.29 kB in a ray term (0.38 kB with complex
+periods) and 0.2-0.3 kB in a circle level, so full groups hold 0.25 to 0.5
+MB; a w sweep at r = 2 and target 1e-30 keeps 5 groups in about 1140
+numbers.  A group holds no reference to its store, so the store of an old
+key is freed, groups and all, as soon as the key changes, without waiting
+for the cycle collector.  A kept entry is the value the integral would
+compute, so no value or estimate depends on what was kept.
 """
 
 from __future__ import annotations
@@ -259,6 +284,10 @@ CIRCLE_SAMPLES = 64
 # the numbers the node store keeps per key: 2 per node, N per window of N
 # moments; 0.25-0.48 kB each at 256 bits (module docstring)
 STORE_NUMBERS = 1280
+# the numbers a node store's (w, tail) groups keep between them, besides
+# STORE_NUMBERS: 1 per ray term, N/2 + 1 or N samples and N coefficients per
+# circle level of N (module docstring)
+_GROUP_NUMBERS = 1280
 
 
 @dataclass(frozen=True)
@@ -401,12 +430,12 @@ def _legendre_nodes(prec: int):
 def _gk_sums(fs, half, rule):
     """(Kronrod integral, its estimate, rounding floor) of a panel of complex
     half-width half from its values fs at the rule's nodes (module
-    docstring), in floats scaled by 2^-e: e is 0, or the middle value's
-    magnitude beyond 2^+-512."""
+    docstring), in floats scaled by 2^-e: e is 0, or the largest value's
+    magnitude beyond 2^+-512, so that no value overflows a float."""
     _, kw, gw, fkw = rule
     kronrod = mp.fdot(kw, fs)
     diff = abs(kronrod - mp.fdot(gw, fs[1::2]))
-    e = mp.mag(fs[GAUSS_NODES]) if fs[GAUSS_NODES] else 0
+    e = max((mp.mag(f) for f in fs if f), default=0)
     e = e if abs(e) > 512 else 0
     vs = [complex(mp.ldexp(mp.re(f), -e), mp.ldexp(mp.im(f), -e)) if e else complex(f) for f in fs]
     mean = sum(w * v for w, v in zip(fkw, vs)) / 2
@@ -468,6 +497,8 @@ class _ContourEvaluator:
         self.lam, self.origin = lam, mp.log(lam)
         self.nodes = _node_store(ispec.omega, lam, mp.prec, pole_threshold)
         tail = ispec.tail
+        # what depends on w and the tail, looked up once per integral
+        self.group = self.nodes.group((ispec.w, tail))
         coeffs = () if tail is None else tail.coeffs
         # all real: phi(conj t) = conj phi(t) on the circle (module docstring)
         self.real = all(isinstance(x, mpf) for x in (*ispec.omega.omegas, ispec.w, *coeffs))
@@ -475,6 +506,7 @@ class _ContourEvaluator:
         # so poly(u) there becomes jump * poly(u + 2 pi i)
         k = ispec.k
         self.neg_k1 = -k - 1
+        self.terms = self.group.rays.setdefault(self.neg_k1, {})
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
@@ -500,21 +532,30 @@ class _ContourEvaluator:
         value = tf * mp.exp(exponent)
         return value if self.ispec.tail is None else value * self.ispec.tail(t)
 
+    def term(self, u):
+        """The ray term tf e^{-(k+1) u - wt} tail(t) at real u, kept in the
+        (w, tail) group by k and u's exact bits, its node in the store by
+        u's exact bits."""
+        key = u._mpf_
+        term = self.terms.get(key)
+        if term is None:
+            t, tf = self.node(key, lambda: mp.exp(u))
+            term = self._term(t, tf, self.neg_k1 * u - self.ispec.w * t)
+            term = self.nodes.hold(self.group, self.terms, key, term, 1)
+        return term
+
     def ray(self, u):
-        """Outbound-minus-inbound integrand t F(t) at real u, its node kept
-        by u's exact bits."""
-        t, tf = self.node(u._mpf_, lambda: mp.exp(u))
-        return self._term(t, tf, self.neg_k1 * u - self.ispec.w * t) * self.diff(u)
+        """Outbound-minus-inbound integrand t F(t) at real u."""
+        return self.term(u) * self.diff(u)
 
     def end_bound(self, j):
         """Crude bound |F| * t of the one-sided ray integrands at the cut
         u = log lambda + j PANEL_WIDTH, floored by poly's largest coefficient
-        (c * poly has |c| times its bound); the cut's node is kept like a
+        (c * poly has |c| times its bound); the cut's term is kept like a
         ray node's."""
         u = self.origin + j * mpf(PANEL_WIDTH)
-        t, tf = self.node(u._mpf_, lambda: mp.exp(u))
         span = abs(self.outbound(u)) + abs(self.ispec.poly(u)) + self.size
-        return abs(self._term(t, tf, self.neg_k1 * u - self.ispec.w * t)) * span
+        return abs(self.term(u)) * span
 
     def sample(self, l, n):
         """phi(t_l) = t f_omega(t) e^{-wt} tail(t) at t_l = lambda e^{2 pi i l / n},
@@ -554,42 +595,73 @@ class _ContourEvaluator:
         sizes = [abs(b) for b in moments]
         return self.nodes.keep(key, (moments, max(sizes), mp.fsum(sizes)), n)
 
+    def grid(self, n, samples):
+        """The samples of the grid of n that the (w, tail) group keeps, or
+        samples() where it keeps none."""
+        level = self.group.circle.get(n)
+        return samples() if level is None else level[0]
+
     def first_pass(self):
         """The circle's part with CIRCLE_SAMPLES samples, doubled only until
         its moments reach n = Re(k) + 1."""
         n = CIRCLE_SAMPLES
         while self.n0 + n <= mp.re(self.ispec.k) + 1:
             n *= 2
-        return self.part(self.samples(range(n), n))
+        return self.part(self.grid(n, lambda: self.samples(range(n), n)))
 
     def part(self, samples):
         """A circle part: (value, estimate, depth, refine, floor) from the
         samples of a grid of N by their ``_spectrum``: all N, or a real
         integrand's N/2 + 1 with 2l <= N, whose mirrors have their sizes.
+        The (w, tail) group keeps the grid's level, (samples, mean |phi_l|,
+        spectrum), and gives it back for the very samples it keeps.
         refine() interleaves the odd samples of the grid twice as fine, one
         depth deeper, and keeps a real integrand's last old sample."""
         n = 2 * len(samples) - 2 if self.real else len(samples)
-        sizes = [abs(x) for x in samples]
-        mean = mp.fsum(sizes + sizes[1:-1] if self.real else sizes) / n
-        spectrum = _spectrum(samples, mean, self.real)
+        level = self.group.circle.get(n)
+        if level is None or level[0] is not samples:
+            sizes = [abs(x) for x in samples]
+            mean = mp.fsum(sizes + sizes[1:-1] if self.real else sizes) / n
+            new = samples, mean, _spectrum(samples, mean, self.real)
+            level = new if level else self.nodes.hold(
+                self.group, self.group.circle, n, new, len(samples) + n
+            )
+        _, mean, spectrum = level
         coeffs = [spectrum[m % n] for m in range(self.n0, self.n0 + n)]
         moments, largest, total = self.moments(n)
         scale = abs(self.scale)
         err = self.factor * max(map(abs, coeffs[-4:])) * largest * scale
         floor = 50 * mp.ldexp(mean * total * scale, -mp.prec)
 
-        def refine():
+        def finer():
             odd = self.samples(range(1, 2 * n, 2), 2 * n)
-            return [self.part([x for pair in zip(samples, odd) for x in pair] + samples[len(odd):])]
+            return [x for pair in zip(samples, odd) for x in pair] + samples[len(odd):]
+
+        def refine():
+            return [self.part(self.grid(2 * n, finer))]
 
         return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
 
+class _Group:
+    """What one (w, tail) keeps in a node store (module docstring): circle
+    levels by N, ray terms by -k-1 and u's exact bits, and how many numbers
+    they hold.  It holds no reference to its store."""
+
+    def __init__(self):
+        self.circle, self.rays, self.numbers = {}, {}, 0
+
+
 class _Store(dict):
     """The node store of one key: a dict that admits an entry while the
-    numbers it holds stay within STORE_NUMBERS (module docstring)."""
+    numbers it holds stay within STORE_NUMBERS, and the (w, tail) groups,
+    least recently used first, within _GROUP_NUMBERS (module docstring)."""
 
-    numbers = 0
+    numbers = held = 0
+
+    def __init__(self):
+        super().__init__()
+        self.groups = {}  # (w, tail) -> _Group, least recently used first
 
     def keep(self, key, value, numbers):
         """value, kept under key if numbers more still fit."""
@@ -598,10 +670,29 @@ class _Store(dict):
             self.numbers += numbers
         return value
 
+    def group(self, key):
+        """The group of key, a (w, tail), now the most recently used."""
+        self.groups[key] = group = self.groups.pop(key, None) or _Group()
+        return group
+
+    def hold(self, group, entries, key, value, numbers):
+        """value, kept under key in entries, a dict of group, if numbers more
+        fit once the groups used before group are dropped, oldest first; none
+        is dropped for an entry that would not fit even then."""
+        groups, room = self.groups, _GROUP_NUMBERS - numbers
+        while self.held > room >= group.numbers and next(iter(groups.values()), group) is not group:
+            self.held -= groups.pop(next(iter(groups))).numbers
+        if self.held <= room:
+            entries[key] = value
+            group.numbers += numbers
+            self.held += numbers
+        return value
+
 
 @lru_cache(maxsize=1)
 def _node_store(omega: OmegaVector, lam, prec: int, threshold):
-    """The store of what does not depend on w, for one key (module docstring)."""
+    """The store of one key: what does not depend on w, and the (w, tail)
+    groups of what does (module docstring)."""
     return _Store()
 
 

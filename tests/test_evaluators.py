@@ -606,6 +606,33 @@ def test_loggamma_point_values():
         assert abs(res.value - ref) < mpf("1e-22")
 
 
+# In these two a ray panel's values run more than 2^1024 below its largest
+# (one from 4e-132 to 2e-1752).  Scaled by the middle value, the float sums
+# of the panel's estimate overflowed: they raised NodeBudgetExceeded "(at
+# nan)" and PrecisionUnreachable with a floor of +inf.
+
+
+def test_loggamma_at_640_bits_where_panel_values_span_floats():
+    p = PrecisionPolicy(640, 1e-140)
+    res = log_hyper_gamma(1, 0, mpf("0.5"), OmegaVector.of(1), p)
+    with mp.workprec(900):
+        ref = mp.loggamma(mpf("0.5")) - mp.log(2 * mp.pi) / 2
+        assert abs(res.value - ref) <= res.err_estimate <= p.target_abs_error
+
+
+def test_r2_loggamma_at_640_bits_where_panel_values_span_floats():
+    # the shift relation against the Hurwitz form at 800 bits:
+    # zeta_2(s, w) - zeta_2(s, w + 1) = 1.3^-s zeta(s, w / 1.3)
+    p, w, om = PrecisionPolicy(640, 1e-150), mpf("0.05"), OmegaVector.of(1, mpf("1.3"))
+    res, shifted = (log_hyper_gamma(2, 8, x, om, p) for x in (w, mp.fadd(w, 1, exact=True)))
+    with mp.workprec(800):
+        o = om.omegas[1]
+        log_o, (z0, z1, z2) = mp.log(o), (mp.zeta(-8, w / o, d) for d in range(3))
+        ref = o ** 8 * (log_o ** 2 * z0 - 2 * log_o * z1 + z2)
+        assert abs(res.value - shifted.value - ref) <= res.err_estimate + shifted.err_estimate
+    assert res.err_estimate <= p.target_abs_error
+
+
 # every m <= 3, k <= 2 and w at least once, in 12 of the 36 combinations
 @pytest.mark.parametrize(
     "m, k, w",

@@ -1,6 +1,8 @@
 import cmath
+import gc
 import random
 import time
+import weakref
 from operator import mul
 
 import pytest
@@ -19,9 +21,9 @@ from hyperzeta import (
     hankel_integrate,
     q_poly,
 )
-from hyperzeta.asymptotics import default_experiment, remainder_tail
+from hyperzeta.asymptotics import default_experiment, remainder_reduction_check, remainder_tail
 from hyperzeta.errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
-from hyperzeta import balanced_P, hankel
+from hyperzeta import asymptotics, balanced_P, hankel, log_hyper_gamma, zeta_contour
 from hyperzeta.hankel import CIRCLE_SAMPLES, KRONROD_NODES, PANEL_WIDTH, ray_only_integrate
 from hyperzeta.precision import QUADRATURE_GUARD_BITS
 
@@ -165,6 +167,18 @@ def _evaluated(n, x):
 
 def _rule_moment(weights, nodes, e):
     return mp.fsum(wgt * x ** e for wgt, x in zip(weights, nodes))
+
+
+def test_gk_sums_scale_by_the_largest_value():
+    # values from 2^-430 down to 2^-3630: scaled by the middle one, 2^-2030,
+    # the largest overflowed a float; scaled by the largest, the estimate
+    # and the floor are finite, and the floor is the rounding floor of the sum
+    rule = hankel._legendre_nodes(mp.prec)
+    fs = [mp.ldexp(1 + mpf(i) / 7, -430 - 50 * i) for i in range(KRONROD_NODES)]
+    kronrod, err, floor = hankel._gk_sums(fs, mpf(1), rule)
+    assert kronrod > 0 and mp.isfinite(err) and mp.isfinite(floor)
+    resabs = mp.fdot(rule[1], fs)
+    assert abs(floor / mp.ldexp(50 * resabs, -mp.prec) - 1) < 1e-12
 
 
 def test_kronrod_rule_degree():
@@ -647,6 +661,135 @@ def test_circle_cache_is_hit_across_w(monkeypatch):
         assert sum(1 for t, _ in calls if isinstance(t, mp.mpc)) == _evaluated(circle[-1][0], omega)
 
 
+_GROUP_CASES = {
+    # balanced_P on both routes and log_hyper_gamma across k at one w
+    "real": (OmegaVector.of(1, mpf("1.3")), mpf("1.7"), [
+        lambda om, w: balanced_P(2, 1, w, om, P),
+        lambda om, w: balanced_P(2, 0, w, om, P),
+        lambda om, w: balanced_P(2, 1, w, om, P, "combination"),
+        lambda om, w: log_hyper_gamma(1, 1, w, om, P),
+        lambda om, w: log_hyper_gamma(0, 1, w, om, P),
+        lambda om, w: log_hyper_gamma(2, 0, w, om, P),
+    ]),
+    # complex k (zeta_contour), complex periods and a complex w
+    "complex": (OmegaVector.of(1, mpf("1.3") * mp.expj(mpf("0.4"))), mp.mpc("1.7", "0.8"), [
+        lambda om, w: zeta_contour(mp.mpc("2.5", "0.3"), w, om, P),
+        lambda om, w: zeta_contour(mpf("1.5"), w, om, P),
+        lambda om, w: balanced_P(1, 1, w, om, P),
+        lambda om, w: balanced_P(1, 1, w, om, P, "combination"),
+        lambda om, w: log_hyper_gamma(1, 0, w, om, P),
+    ]),
+    # two tails at one w, the remainder's and the expansion's, both with k = 0
+    "tails": (OmegaVector.of(1), mpf(5), [
+        lambda om, w: remainder_reduction_check(default_experiment(3, 0), w, 2),
+        lambda om, w: asymptotics.rhs_expansion(default_experiment(1, 0), w),
+        lambda om, w: remainder_reduction_check(default_experiment(3, 0), w, 3),
+        lambda om, w: asymptotics.rhs_expansion(default_experiment(2, 0), w),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(_GROUP_CASES))
+def test_warm_groups_change_no_result(monkeypatch, name):
+    # integrals at one w that differ in k, poly or the tail, each run cold
+    # (store cleared) and then in a row, twice: the warm runs read the
+    # exponentials, circle levels and end probes that earlier ones of their
+    # (w, tail) kept, and return the same values and estimates, bit for bit
+    om, w, calls = _GROUP_CASES[name]
+    cold = []
+    for call in calls:
+        hankel._node_store.cache_clear()
+        cold.append(call(om, w))
+    terms, term = [], hankel._ContourEvaluator._term
+    monkeypatch.setattr(
+        hankel._ContourEvaluator, "_term", lambda ev, *a: terms.append(a) or term(ev, *a)
+    )
+    first = [call(om, w) for call in calls]
+    evaluated = len(terms)
+    second = [call(om, w) for call in calls]
+    assert first == cold and second == cold
+    # the second round finds every term in its group
+    assert evaluated and len(terms) == evaluated
+
+
+def test_reduction_checks_read_kept_terms(monkeypatch):
+    # remainder_reduction_check at one w for nu = 0..3 shares (w, tail) and
+    # k: nu = 0's contour evaluates the circle (33 of 64 samples, its rays
+    # cancel), and no later circle evaluates a sample; each ray-only
+    # integral finds its far panels' terms kept by the contour before it and
+    # evaluates only the near segment's, below lambda, and the head's probe
+    # at the cut t = lambda itself, which the contour never probes
+    new, term = [], hankel._ContourEvaluator._term
+    monkeypatch.setattr(
+        hankel._ContourEvaluator, "_term", lambda ev, t, *a: new.append((ev.lam, t)) or term(ev, t, *a)
+    )
+    starts, rays = [], asymptotics.ray_only_integrate
+    monkeypatch.setattr(
+        asymptotics, "ray_only_integrate", lambda *a: starts.append(len(new)) or rays(*a)
+    )
+    hankel._node_store.cache_clear()
+    for nu in range(4):
+        new.clear()
+        starts.clear()
+        check = remainder_reduction_check(default_experiment(3, 0), 2, nu)
+        assert abs(check.contour - check.rays) <= check.contour_err + check.rays_err
+        contour, ray_only = new[: starts[0]], new[starts[0]:]
+        assert sum(isinstance(t, mp.mpc) for _, t in contour) == (33 if nu == 0 else 0)
+        assert all(t <= lam * (1 + mpf(2) ** -100) for lam, t in ray_only)
+
+
+def _group_numbers(store):
+    """The numbers a store's groups hold, counted as the store counts them."""
+    return sum(
+        sum(map(len, group.rays.values()))
+        + sum(len(samples) + len(spectrum) for samples, _, spectrum in group.circle.values())
+        for group in store.groups.values()
+    )
+
+
+def test_groups_stay_within_their_budget(monkeypatch):
+    # a 40-point w sweep at one (omega, lambda): the groups hold at most
+    # _GROUP_NUMBERS numbers between them and drop the least recently used
+    # first, so the newest w stays
+    hankel._node_store.cache_clear()
+    stored = _record_stores(monkeypatch)
+    om = OmegaVector.of(1, mpf("1.3"))
+    for i in range(40):
+        w = 1 + mpf(i) / 16
+        log_hyper_gamma(1, 1, w, om, P)
+        assert _group_numbers(stored[-1]) == stored[-1].held <= hankel._GROUP_NUMBERS
+        assert list(stored[-1].groups)[-1] == (w, None)
+    assert all(store is stored[0] for store in stored) and 1 < len(stored[0].groups) < 40
+    # one integral whose own group would pass the budget: 512 samples of a
+    # complex integrand at 1e-40, 1920 numbers in its four circle levels
+    om = _CIRCLE_OMEGAS["complex"]
+    ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
+    hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
+    assert _group_numbers(stored[-1]) == stored[-1].held <= hankel._GROUP_NUMBERS
+    assert 256 in stored[-1].groups[1, None].circle
+
+
+def test_dropped_store_is_freed_without_the_collector(monkeypatch):
+    # a store and its groups form no reference cycle: with the collector
+    # off, the store of the old key is freed as soon as a new key replaces it
+    refs, nodes_of = [], hankel._node_store
+    nodes_of.cache_clear()
+    monkeypatch.setattr(
+        hankel, "_node_store", lambda *key: refs.append(weakref.ref(nodes_of(*key))) or nodes_of(*key)
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        log_hyper_gamma(1, 1, mpf("1.7"), OmegaVector.of(1, mpf("1.3")), P)
+        balanced_P(2, 1, mpf("1.7"), OmegaVector.of(1, mpf("1.3")), P)
+        assert refs[0]().groups
+        log_hyper_gamma(1, 1, mpf("1.7"), OmegaVector.of(1, mpf("1.2")), P)
+        assert refs[0]() is None and refs[-1]() is not None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_identically_zero_rays_are_skipped(monkeypatch):
     # log_hyper_gamma(0, 2)'s integrand: integer k and a constant poly, so the
     # outbound and inbound rays cancel exactly; only the circle is evaluated,
@@ -1007,6 +1150,21 @@ def test_zero_samples_give_an_exactly_zero_circle(n):
         for real in (False, True):
             zeros = [mp.mpc(0)] * (n // 2 + 1 if real else n)
             assert hankel._spectrum(zeros, mpf(0), real) == [0] * n
+
+
+def test_a_kept_circle_level_serves_only_its_own_samples():
+    # with the (w, no tail) group's level of 64 kept, a part of other
+    # samples of that grid, here zeros, takes their own spectrum, and a part
+    # of the kept samples the kept level
+    ispec = IntegrandSpec(omega=_OM, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P))
+    hankel._node_store.cache_clear()
+    hankel_integrate(ispec, None, P)
+    with P.context(QUADRATURE_GUARD_BITS):
+        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
+        samples = ev.group.circle[CIRCLE_SAMPLES][0]
+        value, err, _, _, floor = ev.part([mpf(0)] * 16 + [mp.mpc(0)] * 17)
+        assert (value, err, floor) == (0, 0, 0)
+        assert ev.part(samples)[1] > 0
 
 
 @pytest.mark.parametrize("n", [64, 128, 512])
