@@ -24,17 +24,18 @@ polynomial in u, built once per integral by a Taylor shift (PolyC.shift);
 for integer k its top coefficient cancels exactly, and if every coefficient
 does (a constant poly), the rays are skipped, with no end bound: the circle
 alone is the integral.  At a ray node t = e^u, t f_omega(t) is one division
-by prod_i (1 - e^{-omega_i t}), e^{-wt} t^{-k-1} is one exponential,
-exp(-(k+1) u - wt), for integer and complex k alike, and a missing tail costs
-nothing.  The periods, w, k and the tail's coefficients come in through
-``precision._exact``, each real one an mpf, and mpmath keeps mpf op mpf
-real.  So at a ray node of real inputs t f_omega(t), the exponential and the
-tail are real products and a real Horner, and only the difference
-polynomial diff(u) is complex; the same code serves complex inputs.  The
-ray segment is cut into panels, each integrated once at the 65 nodes of the
-Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie, Math. Comp.
-66, 1997), mapped onto the panel by its midpoint and half-width; that gives
-both the Kronrod value K65 and the Gauss value G32 of its 32 Gauss nodes.
+by prod_i (1 - e^{-omega_i t}); for integer k, e^{-wt} is one exponential and
+t^{-k-1} a power of t, and for any other k, e^{-wt} t^{-k-1} is one
+exponential, exp(-(k+1) u - wt); a missing tail costs nothing.  The periods,
+w, k and the tail's coefficients come in through ``precision._exact``, each
+real one an mpf, and mpmath keeps mpf op mpf real.  So at a ray node of real
+inputs t f_omega(t), the exponential, the power and the tail are real
+products and a real Horner, and only the difference polynomial diff(u) is
+complex; the same code serves complex inputs.  The ray segment is cut into
+panels, each integrated once at the 65 nodes of the Gauss-Kronrod rule that
+extends 32-point Gauss-Legendre (Laurie, Math. Comp. 66, 1997), mapped onto
+the panel by its midpoint and half-width; that gives both the Kronrod value
+K65 and the Gauss value G32 of its 32 Gauss nodes.
 
 K65 is returned, so each panel's estimate is one of K65's error, by
 QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
@@ -228,30 +229,34 @@ samples and 12 windows of 64, 1098 numbers), and a store filled with ray
 nodes at every w (lambda = 6 / Re(w) moves with w) adds about 0.5 MB to the
 peak resident size.
 
-What depends on w is kept in the same store, in groups by (w, tail), so
-that integrals at one w that differ only in k and poly, as the derivative
-hierarchy and the combination route's log gammas do, share it.  A group
-keeps each circle level of N, its samples, mean |phi_l| and ``_spectrum``,
-by N: none depends on k or poly, which live in the moments, so integrals
-with one (omega, lambda, bits, w, tail) have one circle spectrum, bit for
-bit.  A part reads a level only for the very samples it keeps, which a warm
-first pass or refinement hands it.  And it keeps each ray term
-tf e^{-(k+1) u - wt} tail(t), by -k-1 and then by u's exact bits, at the
-ray nodes and the cuts the end walks probe; each integral multiplies it by
-its own diff(u).  An integral looks its group and its k up once, so no node
-hashes the tail.  The groups of a store keep at most _GROUP_NUMBERS = 1280
-numbers between them, besides STORE_NUMBERS: one per ray term, and per
-circle level of N its N/2 + 1 or N samples and its N coefficients.  Where a
-new entry does not fit, the least recently used other groups are dropped,
-oldest first, until it does; where the integral's own group fills the
-budget, the entry is not kept.  Measured at 256 bits, with the dicts'
-share, a number takes about 0.29 kB in a ray term (0.38 kB with complex
-periods) and 0.2-0.3 kB in a circle level, so full groups hold 0.25 to 0.5
-MB; a w sweep at r = 2 and target 1e-30 keeps 5 groups in about 1140
-numbers.  A group holds no reference to its store, so the store of an old
-key is freed, groups and all, as soon as the key changes, without waiting
-for the cycle collector.  A kept entry is the value the integral would
-compute, so no value or estimate depends on what was kept.
+What depends on w is kept in the same store, in groups by (w, tail), so that
+integrals at one w that differ only in k and poly, as the derivative
+hierarchy and the combination route's log gammas do, share it.  A group keeps
+each circle level of N, its samples, mean |phi_l| and ``_spectrum``, by N:
+none depends on k or poly, which live in the moments, so integrals with one
+(omega, lambda, bits, w, tail) have one circle spectrum, bit for bit.  A part
+reads a level only for the very samples it keeps, which a warm first pass or
+refinement hands it.  And it keeps, by u's exact bits, at the ray nodes and
+the cuts the end walks probe, t and the ray term before its power, tf e^{-wt}
+tail(t), which no integer k changes either; each integral of an integer k
+multiplies that by its own t^{-k-1} and diff(u).  So integrals at one w share
+every kept ray term whatever their integer k, and what one costs does not
+depend on which k came first at its w.  A k that is not an integer (the
+Barnes zeta's) keeps its own ray terms tf e^{-(k+1) u - wt} tail(t), by -k-1
+and then by u's exact bits.  An integral looks its group and its k up once,
+so no node hashes the tail.  The groups of a store keep at most
+_GROUP_NUMBERS = 1280 numbers between them, besides STORE_NUMBERS: one per
+kept ray entry (its t is the store's), and per circle level of N its N/2 + 1
+or N samples and its N coefficients.  Where a new entry does not fit, the
+least recently used other groups are dropped, oldest first, until it does;
+where the integral's own group fills the budget, the entry is not kept.
+Measured at 256 bits, with the dicts' share, a number takes about 0.36 kB at
+a ray node (0.63 kB with complex periods) and 0.2-0.3 kB in a circle level,
+so full groups hold 0.25 to 0.8 MB; a w sweep at r = 2 and target 1e-32 keeps
+5 groups in about 1140 numbers.  A group holds no reference to its store, so
+the store of an old key is freed, groups and all, as soon as the key changes,
+without waiting for the cycle collector.  A kept entry is the value the
+integral would compute, so no value or estimate depends on what was kept.
 """
 
 from __future__ import annotations
@@ -285,8 +290,8 @@ CIRCLE_SAMPLES = 64
 # moments; 0.25-0.48 kB each at 256 bits (module docstring)
 STORE_NUMBERS = 1280
 # the numbers a node store's (w, tail) groups keep between them, besides
-# STORE_NUMBERS: 1 per ray term, N/2 + 1 or N samples and N coefficients per
-# circle level of N (module docstring)
+# STORE_NUMBERS: 1 per kept ray entry, N/2 + 1 or N samples and N
+# coefficients per circle level of N (module docstring)
 _GROUP_NUMBERS = 1280
 
 
@@ -506,7 +511,10 @@ class _ContourEvaluator:
         # so poly(u) there becomes jump * poly(u + 2 pi i)
         k = ispec.k
         self.neg_k1 = -k - 1
-        self.terms = self.group.rays.setdefault(self.neg_k1, {})
+        # an integer k's rays read terms before the power, which every
+        # integer k at this w shares; another k keeps its own
+        self.power = isinstance(k, int)
+        self.terms = self.group.rays if self.power else self.group.terms.setdefault(self.neg_k1, {})
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
@@ -528,21 +536,22 @@ class _ContourEvaluator:
 
     def _term(self, t, tf, exponent):
         """tf e^exponent tail(t), with tf = t f_omega(t): the exponent holds
-        -wt, and on the rays the power t^{-k-1}."""
+        -wt, and on the rays of a k that is not an integer t^{-k-1} too."""
         value = tf * mp.exp(exponent)
         return value if self.ispec.tail is None else value * self.ispec.tail(t)
 
     def term(self, u):
-        """The ray term tf e^{-(k+1) u - wt} tail(t) at real u, kept in the
-        (w, tail) group by k and u's exact bits, its node in the store by
-        u's exact bits."""
+        """The ray term tf e^{-wt} tail(t) t^{-k-1} at real u: t and the term,
+        before the power for an integer k, kept in the (w, tail) group, and
+        the node in the store, by u's exact bits."""
         key = u._mpf_
-        term = self.terms.get(key)
-        if term is None:
+        kept = self.terms.get(key)
+        if kept is None:
             t, tf = self.node(key, lambda: mp.exp(u))
-            term = self._term(t, tf, self.neg_k1 * u - self.ispec.w * t)
-            term = self.nodes.hold(self.group, self.terms, key, term, 1)
-        return term
+            exponent = -self.ispec.w * t if self.power else self.neg_k1 * u - self.ispec.w * t
+            kept = self.nodes.hold(self.group, self.terms, key, (t, self._term(t, tf, exponent)), 1)
+        t, term = kept
+        return term * t**self.neg_k1 if self.power else term
 
     def ray(self, u):
         """Outbound-minus-inbound integrand t F(t) at real u."""
@@ -645,11 +654,13 @@ class _ContourEvaluator:
 
 class _Group:
     """What one (w, tail) keeps in a node store (module docstring): circle
-    levels by N, ray terms by -k-1 and u's exact bits, and how many numbers
-    they hold.  It holds no reference to its store."""
+    levels by N; each ray node's t and tf e^{-wt} tail(t), by u's exact bits;
+    the ray terms of each k that is not an integer, by -k-1 and u's exact
+    bits; and how many numbers they hold.  It holds no reference to its
+    store."""
 
     def __init__(self):
-        self.circle, self.rays, self.numbers = {}, {}, 0
+        self.circle, self.rays, self.terms, self.numbers = {}, {}, {}, 0
 
 
 class _Store(dict):

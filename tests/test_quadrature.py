@@ -704,12 +704,32 @@ def test_warm_groups_change_no_result(monkeypatch, name):
     monkeypatch.setattr(
         hankel._ContourEvaluator, "_term", lambda ev, *a: terms.append(a) or term(ev, *a)
     )
+    # the last cold run kept its group, which may already hold every term
+    hankel._node_store.cache_clear()
     first = [call(om, w) for call in calls]
     evaluated = len(terms)
     second = [call(om, w) for call in calls]
     assert first == cold and second == cold
     # the second round finds every term in its group
     assert evaluated and len(terms) == evaluated
+
+
+def test_a_new_k_at_a_kept_w_evaluates_no_term(monkeypatch):
+    # a ray node keeps tf e^{-wt} before its power t^{-k-1}, so a new k at a
+    # w whose group is kept evaluates no exponential, on the rays or the
+    # circle, whichever k came first
+    terms, term = [], hankel._ContourEvaluator._term
+    monkeypatch.setattr(
+        hankel._ContourEvaluator, "_term", lambda ev, *a: terms.append(a) or term(ev, *a)
+    )
+    om, w = OmegaVector.of(1, mpf("1.3")), mpf("1.7")
+    for first, then in (((2, 0), (1, 2)), ((1, 2), (2, 0))):
+        hankel._node_store.cache_clear()
+        balanced_P(*first, w, om, P)
+        assert terms
+        terms.clear()
+        log_hyper_gamma(*then, w, om, P)
+        assert not terms
 
 
 def test_reduction_checks_read_kept_terms(monkeypatch):
@@ -741,7 +761,8 @@ def test_reduction_checks_read_kept_terms(monkeypatch):
 def _group_numbers(store):
     """The numbers a store's groups hold, counted as the store counts them."""
     return sum(
-        sum(map(len, group.rays.values()))
+        len(group.rays)
+        + sum(map(len, group.terms.values()))
         + sum(len(samples) + len(spectrum) for samples, _, spectrum in group.circle.values())
         for group in store.groups.values()
     )
