@@ -6,8 +6,11 @@
   own start point (a level that starts that far out sums no head), then an
   Euler-Maclaurin tail correction in the last omega direction, applied
   recursively down to one omega, until a Bernoulli term is below half the
-  policy's target.  Its arguments come in through ``precision._exact``, so
-  real ones are mpf and take real arithmetic, whatever the others are.
+  policy's target.  At one omega the tail is y^{-s}, y the tail point,
+  times a recurrence summed over Python integers, whose rounding is at most
+  a 45th of the rounding floor (``_power_tail``).  Its arguments come in
+  through ``precision._exact``, so real ones are mpf and take real
+  arithmetic, whatever the others are.
 * ``zeta_contour`` evaluates the Hankel-contour representation, with
   1/(Gamma(s)(e^{2 pi i s}-1)) as its constant weight (generic s only).
 * ``log_hyper_gamma`` and ``balanced_P`` evaluate the contour integrals with
@@ -25,10 +28,12 @@ from __future__ import annotations
 
 from cmath import phase, rect
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
-from math import lgamma, nextafter
+from math import ceil, factorial, inf, isqrt, ldexp, lgamma, log, nextafter, pi, sqrt
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, to_fixed
 
 from . import constants
 from .errors import (
@@ -49,10 +54,12 @@ METHOD_CONTOUR = "contour"
 METHOD_COMBINATION = "combination"
 
 # the tail distance's factor on ln(1/eps) / (2 pi); see _tail_distance
-HEAD_FACTOR = mpf("1.3")
+HEAD_FACTOR = 1.3
 # the longest head a level may sum (_head_length), about 14 times the longest
 # the tests reach (71 points at |Im s| = 120)
 HEAD_LIMIT = 1000
+# the guard bits of the one-period level's integer tail (_power_tail)
+_TAIL_GUARD_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,10 @@ def _lattice_em(s, w, levels, eps):
     omega_k for i < k, ln(2 pi / min_{i <= k} |omega_i|)) as from
     ``_levels``.  Each number is an mpf where it is real and an mpc otherwise
     (``_exact``), so real ones meet in real arithmetic.  The recursion ends
-    at one omega, whose terms at the tail point wN are powers of wN taken
-    from one ``mp.power`` and carry no error of their own.
+    at one omega, whose tail terms at the tail point y = wN are y^{-s} times
+    a recurrence in om / y, summed over integers (``_power_tail``, whose
+    rounding is a 45th of the floor at most), and carry no error of their
+    own beyond it.
     """
     if not levels:  # r = 0: one power, nothing summed
         return mp.power(w, -s), mpf(0), 0.0
@@ -83,36 +92,32 @@ def _lattice_em(s, w, levels, eps):
     d0 = _tail_distance(s, eps, scale)
     N = _head_length(w / om, angles, d0)
     wN = w + N * om
+    if not rest:
+        head = [mp.power(w + n * om, -s) for n in range(N)]
+        # the one power at the tail point, with 20 guard bits; the leading
+        # terms take y^{1-s} and y^{-s} rounded once to the working precision
+        with mp.workprec(mp.prec + 20):
+            p = mp.power(wN, -s)
+            q = p * wN
+        lead = [1 / ((s - 1) * om) * +q, mpf(1) / 2 * +p]
+        tail, last, size = _power_tail(s, om, wN, p, eps / 2)
+        total = mp.fsum(head) + (lead[0] + lead[1]) + tail
+        return total, last, sum(map(abs, map(complex, head + lead))) + size
     errs, sizes = [], []
     # at_wN(weight, k) is weight * zeta_{r-1}(s + k, wN) for the tail's offsets k;
     # each weighted inner estimate's share, eps / (2 max(N, d0) + 6), leaves
     # room for N head sums and d0 + 6 tail sums, however short the head
-    if rest:
+    def inner(weight, s_, x):
+        share = eps / (2 * max(N, d0) + 6) / abs(weight)
+        value, err, size = _lattice_em(s_, x, rest, share)
+        errs.append(abs(weight) * err)
+        sizes.append(abs(complex(weight)) * size)
+        return weight * value
 
-        def inner(weight, s_, x):
-            share = eps / (2 * max(N, d0) + 6) / abs(weight)
-            value, err, size = _lattice_em(s_, x, rest, share)
-            errs.append(abs(weight) * err)
-            sizes.append(abs(complex(weight)) * size)
-            return weight * value
+    head = mp.fsum(inner(1, s, w + n * om) for n in range(N))
 
-        head = mp.fsum(inner(1, s, w + n * om) for n in range(N))
-
-        def at_wN(weight, k):
-            return inner(weight, s + k, wN)
-
-    else:
-        head = [mp.power(w + n * om, -s) for n in range(N)]
-        sizes.append(sum(map(abs, map(complex, head))))
-        head = mp.fsum(head)
-        powers = _tail_powers(wN, s)
-
-        def at_wN(weight, k):
-            k_, power = next(powers)
-            assert k_ == k, "the tail must ask for the offsets -1, 0, 1, 3, ... in order"
-            term = weight * power
-            sizes.append(abs(complex(term)))
-            return term
+    def at_wN(weight, k):
+        return inner(weight, s + k, wN)
 
     total = head + (at_wN(1 / ((s - 1) * om), -1) + at_wN(mpf(1) / 2, 0))
 
@@ -124,6 +129,104 @@ def _lattice_em(s, w, levels, eps):
 
     total, last = _bernoulli_tail(total, terms(), eps / 2)
     return total, last + mp.fsum(errs), sum(sizes)
+
+
+def _power_tail(s, om, y, p, eps):
+    """(sum_j T_j, |T_J|, float sum_j |T_j|) of the one-period level's
+    Bernoulli terms T_j = p A_j B_2j / (2j)!, p = y^{-s}, up to and including
+    the first, T_J, with |T_J| < eps; raises ConvergenceTooSlow if a term
+    grows before that, as ``_bernoulli_tail`` does.
+
+    With z = om / y, A_1 = s z and A_{j+1} = A_j M_j, M_j = (s + 2j - 1)
+    (s + 2j) z^2 = s^2 z^2 + (4j - 1) s z^2 + 2j (2j - 1) z^2, so A_j =
+    (s)_{2j-1} z^{2j-1} and T_j = (s)_{2j-1} om^{2j-1} y^{-(s+2j-1)}.  The
+    c_j = A_j B_2j / (2j)! are summed over Python integers, a complex number
+    as the pair of its parts (a real one's imaginary parts are 0): A_j in
+    the unit u = 2^-F, F = max(bits, log2(|p| / eps)) + 24, bits the working
+    precision, so that u resolves eps / |p| too.  s z, z^2, s z^2 and s^2
+    z^2 are taken in mpf at F + 8 bits; each part of s z is rounded down to
+    a multiple of u, and of the other three to a multiple of v = 2^(2 mag z
+    - 4) u <= |z|^2 u, so that M_j keeps F bits however small z is and the
+    bound below holds for every s and z.  Each part of A_j M_j is rounded
+    down to u, and c_j = floor(A_j num / den) for the exact B_2j / (2j)! =
+    num / den.  The test |T_j| < eps is exact on those integers: |c_j|^2 u^2
+    against eps^2 / |p|^2, with |p|^2 exact.  Nothing else is rounded until
+    the sum returns to mpf.
+
+    The rounding, against exact arithmetic at the same y and p, for J terms
+    none of which grows: M_j errs by at most (5/256 + sqrt 2) (|s| + 2j)^2
+    |z|^2 u <= 4.15 u |M_j|, as |(s + 2j - 1)(s + 2j)| >= (|s| + 2j)^2 / 2.89
+    for Re s >= 1.25.  So A_j errs by at most (1 + 4.15 u)^j (4.15 j |A_j|
+    + sqrt 2 sum_{i <= j} |A_j / A_i|) u, and c_j, its floor adding sqrt 2 u,
+    by at most (1.54 + 4.16 j |c_j|) u: |c_j / A_i| = |B_2i / (2i)!| |c_j /
+    c_i| <= |B_2i| / (2i)!, and those sum to 1 - cot(1/2) / 2 < 0.085.  The
+    sum of the c_j errs by at most J (1.54 + 4.16 sum_j |c_j|) u.  The floor's
+    size counts |p| / 2 and every |p c_j|, so for J < 4 * 10^6 that is below
+    1.11 * 2^-bits |p| (1/2 + sum_j |c_j|), a 45th of the floor 50 * 2^-bits
+    size.  The sum's return to mpf and its product by p add at most 3 *
+    2^-bits |p| sum_j |c_j|, which the rest of the floor covers, as it
+    covers every other product and sum of the level.
+    """
+    F = max(mp.prec, mp.mag(p) - mp.mag(eps)) + _TAIL_GUARD_BITS
+    with mp.workprec(F + 8):
+        z = om / y
+        z2 = z * z
+        sz2 = s * z2
+        sz, s2z2 = s * z, s * sz2
+    unit = F + 4 - 2 * mp.mag(z)  # v = 2^-unit
+    ar, ai = _fixed(sz, F)
+    (s2r, s2i), (s1r, s1i), (z2r, z2i) = (_fixed(x, unit) for x in (s2z2, sz2, z2))
+    P, ep = _squared(p)
+    E, ee = _squared(eps)
+    shift = ee - ep + 2 * F
+    limit = -(-(E << shift) // P) if shift >= 0 else -(-E // (P << -shift))
+    tr = ti = 0
+    total, drop = 0.0, 2 * (F - 64)  # sum |c_j| 2^64, each to within 1
+    prev = inf
+    for j in count(1):
+        num, den = _bernoulli_fraction(2 * j)
+        cr, ci = ar * num // den, ai * num // den
+        tr, ti = tr + cr, ti + ci
+        mag = cr * cr + ci * ci
+        total += sqrt(mag >> drop)
+        if mag < limit:
+            break
+        if mag > prev:
+            raise ConvergenceTooSlow(f"Bernoulli terms grew before reaching {mp.nstr(eps, 3)}")
+        prev = mag
+        a, b = 4 * j - 1, 2 * j * (2 * j - 1)
+        mr, mi = s2r + a * s1r + b * z2r, s2i + a * s1i + b * z2i
+        ar, ai = (ar * mr - ai * mi) >> unit, (ar * mi + ai * mr) >> unit
+    tail = mpf((tr, -F))
+    if isinstance(sz, mp.mpc):
+        tail = mp.mpc(tail, mpf((ti, -F)))
+    last = abs(p) * mpf((isqrt(mag), -F))
+    return p * tail, last, abs(complex(p)) * ldexp(total, -64)
+
+
+def _fixed(x, unit):
+    """The parts of x, an mpf or mpc, each rounded down to a multiple of
+    2^-unit, as integers in that unit (0 for a real x's imaginary part)."""
+    return tuple(to_fixed(part, unit) for part in _parts(x))
+
+
+def _squared(x):
+    """(M, e) with |x|^2 = M 2^e exactly, for a nonzero mpf or mpc x."""
+    parts = [(man, exp) for _, man, exp, _ in _parts(x) if man]
+    e = min(2 * exp for _, exp in parts)
+    return sum(man * man << (2 * exp - e) for man, exp in parts), e
+
+
+def _parts(x):
+    """The raw parts (real, imaginary) of an mpf or mpc."""
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_fraction(n):
+    """(numerator, denominator) of B_n / n!, exactly."""
+    q = constants.bernoulli_number(n) / factorial(n)
+    return q.numerator, q.denominator
 
 
 def _bernoulli_tail(total, terms, eps):
@@ -162,14 +265,15 @@ def _tail_distance(s, eps, scale):
     d0 = max(|s| + 2, c ln(1/eps) + pi |Im s| + ln+((2 pi / rho)^{Re s} /
     Gamma(Re s))) / (2 pi), rounded up, puts the smallest term near eps^c;
     with c = 1.3 rather than 1 the terms fall below eps well before their
-    minimum, which keeps the tail short.
+    minimum, which keeps the tail short.  The bound is taken in floats, as
+    only its ceiling is kept.
     """
-    decay = HEAD_FACTOR * -mp.log(eps)
-    if s.imag:
-        decay += mp.pi * abs(s.imag)
+    e = mp.mag(eps)  # eps = m 2^e, m in [1/2, 1): ln eps is a float below 1e-308 too
+    decay = HEAD_FACTOR * -(log(mp.ldexp(eps, -e)) + e * log(2))
+    decay += pi * abs(float(s.imag))
     sigma = float(s.real)
     decay += max(0.0, sigma * scale - lgamma(sigma))
-    return int(mp.ceil(max(abs(s) + 2, decay) / (2 * mp.pi)))
+    return ceil(max(abs(complex(s)) + 2, decay) / (2 * pi))
 
 
 def _head_length(x, angles, d0):
@@ -231,25 +335,6 @@ def _levels(omegas):
     )
 
 
-def _tail_powers(x, s):
-    """(k, x^{-(s+k)}) for the tail offsets k = -1, 0, 1, 3, 5, ... in that
-    order, from the single power p = x^{-s}: p x, p, then steps of x^{-2}.
-
-    The chain runs with 20 guard bits and each power is rounded once to the
-    working precision, as ``mp.power``'s own results are.
-    """
-    bits = mp.prec + 20
-    with mp.workprec(bits):
-        p = mp.power(x, -s)
-        q = p * x
-        step = 1 / (x * x)
-    yield -1, +q
-    yield 0, +p
-    for k in count(1, 2):
-        q = mp.fmul(q, step, prec=bits)
-        yield k, +q
-
-
 def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
     """Barnes multiple zeta by summation of the defining series, in one pass.
 
@@ -261,9 +346,9 @@ def zeta_direct(s, w, omega: OmegaVector, p: PrecisionPolicy = DEFAULT_POLICY) -
     the Bernoulli terms then shrink from the first, and the smallest of them
     lies near eps^1.3.  Terms are added until one is below eps/2; each inner
     sum gets eps/(2 max(N, d0) + 6)/|weight| for a head of N points, so that
-    each weighted estimate gets the same share.
-    The last direction (one omega) is summed
-    in closed form: its tail terms are powers of one point.  ``err_estimate``
+    each weighted estimate gets the same share.  The last direction (one
+    omega) takes its tail terms as one power of the tail point times an
+    integer recurrence (``_power_tail``).  ``err_estimate``
     is the last term plus the weighted inner estimates plus the rounding
     floor 50 * 2^-bits * sum |term| over every power summed, weighted as the
     inner estimates are: mp.power takes x^-s as exp(-s log x) with 10 guard

@@ -1,7 +1,10 @@
 import cmath
+import random
 import re
 import signal
 from fractions import Fraction
+from itertools import count
+from math import lgamma
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +22,7 @@ from hyperzeta import (
     zeta_contour,
     zeta_direct,
 )
-from hyperzeta import evaluators, hankel
+from hyperzeta import constants, evaluators, hankel
 from hyperzeta.hankel import IntegrandSpec
 from hyperzeta.asymptotics import (
     AsymExperiment,
@@ -362,6 +365,146 @@ def test_direct_head_starts_at_d0_from_the_cone():
     # two periods 1 and e^{1.3i}: the cone is the sector between -1 and
     # -e^{1.3i}, and x = 20 e^{-0.5i} is 20 from it
     assert evaluators._head_length(mp.rect(20, -0.5), (0.0, 1.3), 12) == 0
+
+
+def _mpf_tail_distance(s, eps, scale):
+    """d0 as ``evaluators._tail_distance`` took it in mpf, at the working
+    precision: the reference for its float form."""
+    decay = mpf("1.3") * -mp.log(eps)
+    if s.imag:
+        decay += mp.pi * abs(s.imag)
+    sigma = float(s.real)
+    decay += max(0.0, sigma * scale - lgamma(sigma))
+    return int(mp.ceil(max(abs(s) + 2, decay) / (2 * mp.pi)))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [mpf("1.25"), mpf("2.5"), mpf("4.5"), mpf("17.3"), mpf(300)]
+    + [mp.mpc(*x) for x in (("3.5", "10"), ("2.5", "-40"), ("4.5", "120"), ("300", "-120"))],
+    ids=str,
+)
+def test_tail_distance_in_floats_matches_mpf(s):
+    # the float bound's ceiling is the mpf one's, for targets from 1e-4 down
+    # to 2^-1100 (below the floats' range) and scales of both signs
+    with P.context(16):
+        for eps in (mpf("1e-4"), mpf("3.7e-23"), mpf("1e-55"), mpf("1e-150"), mpf("1e-300"),
+                    mpf(2) ** -1100):
+            for scale in (-2.3, -0.5, 0.0, 0.4, float(mp.log(2 * mp.pi)), 3.2):
+                assert evaluators._tail_distance(s, eps, scale) == _mpf_tail_distance(s, eps, scale)
+
+
+def _tail_powers(x, s):
+    """(k, x^{-(s+k)}) for the tail offsets k = -1, 0, 1, 3, 5, ... in that
+    order, from the single power p = x^{-s}: p x, p, then steps of x^{-2},
+    with 20 guard bits, each power rounded once to the working precision."""
+    bits = mp.prec + 20
+    with mp.workprec(bits):
+        p = mp.power(x, -s)
+        q = p * x
+        step = 1 / (x * x)
+    yield -1, +q
+    yield 0, +p
+    for k in count(1, 2):
+        q = mp.fmul(q, step, prec=bits)
+        yield k, +q
+
+
+def _mpf_power_tail(s, om, y, eps):
+    """The one-period level's Bernoulli tail summed in mpf, term by term: the
+    weight (B_2j / (2j)!) (s)_{2j-1} om^{2j-1} times the power
+    y^{-(s+2j-1)} from ``_tail_powers``; the reference for
+    ``evaluators._power_tail``.  Returns (sum, |last term|, number of
+    terms, sum |term|)."""
+    powers = _tail_powers(y, s)
+    next(powers), next(powers)  # the two leading terms' powers
+    size = []
+
+    def terms():
+        rising = s * om  # (s)_{2j-1} om^{2j-1}
+        for j in count(1):
+            k, power = next(powers)
+            assert k == 2 * j - 1
+            term = constants.bernoulli_over_factorial(2 * j) * rising * power
+            size.append(abs(term))
+            yield term
+            rising *= (s + 2 * j - 1) * (s + 2 * j) * om * om
+
+    total, last = evaluators._bernoulli_tail(mpf(0), terms(), eps)
+    return total, last, len(size), mp.fsum(size)
+
+
+def _power_tail_cases():
+    """(bits, target, s, om, y) on a fixed-seed grid: s real and complex with
+    Re s up to 300 and |Im s| up to 120, real and complex periods with |arg|
+    <= 1.3, and tail points from d0 to 10 d0 periods out."""
+    rng = random.Random(37)
+    for bits in (192, 448, 640):
+        for target in ("1e-22", "1e-40", "1e-55", "1e-150"):
+            for i in range(4):
+                with mp.workprec(bits + 16):
+                    re_s = mpf(rng.choice((rng.uniform(1.25, 12), rng.uniform(12, 300))))
+                    s = re_s if i % 2 else mp.mpc(re_s, rng.uniform(-120, 120))
+                    arg = 0 if i == 0 else rng.uniform(-1.3, 1.3)
+                    om = mpf(rng.uniform(0.5, 2)) * (mp.expj(arg) if arg else 1)
+                    d0 = evaluators._tail_distance(s, mpf(target), 1.0)
+                    # y / om at d0 to 10 d0 from the pole, with Re y > 0
+                    turn = rng.uniform(-1, 1) * (mp.pi / 2 - abs(arg)) * 0.9
+                    y = om * mpf(rng.uniform(1, 10) * d0) * mp.expj(turn)
+                yield bits, target, s, om, y
+
+
+@pytest.mark.parametrize("bits, target, s, om, y", list(_power_tail_cases()))
+def test_power_tail_matches_the_mpf_loop(monkeypatch, bits, target, s, om, y):
+    # against the mpf loop at 64 more bits, for a target relative to |p|:
+    # the same number of terms, the last to 3 digits, and the sum within the
+    # bound of _power_tail's docstring (its integer part, the return to mpf,
+    # the difference of the two p, and the reference's own rounding)
+    terms, fraction = [], evaluators._bernoulli_fraction
+    monkeypatch.setattr(evaluators, "_bernoulli_fraction", lambda n: terms.append(n) or fraction(n))
+    with mp.workprec(bits + 16):
+        with mp.workprec(mp.prec + 20):
+            p = mp.power(y, -s)
+        eps = mpf(target) * abs(p)
+        value, last, size = evaluators._power_tail(s, om, y, p, eps)
+    with mp.workprec(bits + 16 + 64):
+        ref, ref_last, count_, ref_size = _mpf_power_tail(s, om, y, eps)
+        with mp.workprec(mp.prec + 20):
+            p_ref = mp.power(y, -s)
+        sum_c = ref_size / abs(p)
+        u = mpf(2) ** -(bits + 16 + 24)
+        bound = abs(p) * (
+            count_ * (mpf("1.54") + mpf("4.16") * sum_c) * u
+            + 3 * mpf(2) ** -(bits + 16) * sum_c
+            + count_ * mpf(2) ** -(bits + 16 + 60) * sum_c
+        ) + abs(p - p_ref) * sum_c
+        assert len(terms) == count_
+        assert abs(value - ref) <= bound
+        assert abs(last - ref_last) <= mpf("1e-3") * ref_last
+        assert abs(size - float(ref_size)) <= 1e-12 * float(ref_size)  # 0 below floats' range
+
+
+@pytest.mark.parametrize(
+    "s, om, reach",
+    [
+        (mpf("4.5"), mpf(1), "0.3"),
+        (mp.mpc("3.5", "40"), mp.expj(mpf("1.2")), "0.5"),
+        (mpf(300), mpf("0.7"), "0.5"),
+    ],
+    ids=["real", "complex", "large-s"],
+)
+def test_power_tail_raises_where_the_mpf_loop_does(s, om, reach):
+    # a tail point inside d0: the terms grow before they reach the target
+    with P.context(16):
+        eps = mpf("1e-40")
+        y = om * mpf(reach) * evaluators._tail_distance(s, eps, 1.0)
+        with mp.workprec(mp.prec + 20):
+            p = mp.power(y, -s)
+        with pytest.raises(ConvergenceTooSlow, match="grew") as ref:
+            _mpf_power_tail(s, om, y, eps * abs(p))
+        with pytest.raises(ConvergenceTooSlow, match="grew") as res:
+            evaluators._power_tail(s, om, y, p, eps * abs(p))
+        assert str(res.value) == str(ref.value)
 
 
 def test_direct_r0_is_a_power():
