@@ -33,7 +33,6 @@ from itertools import count
 from math import ceil, factorial, inf, isqrt, ldexp, lgamma, log, nextafter, pi, sqrt
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, to_fixed
 
 from . import constants
 from .errors import (
@@ -45,7 +44,8 @@ from .errors import (
 from .hankel import IntegrandSpec, hankel_integrate
 from .multibernoulli import OmegaVector
 from .precision import (
-    DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite, _index, _right_half,
+    DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _finite, _fixed, _index, _parts,
+    _right_half,
 )
 from .qpoly import PolyC, _c_weights, q_poly, s_poly
 
@@ -204,22 +204,11 @@ def _power_tail(s, om, y, p, eps):
     return p * tail, last, abs(complex(p)) * ldexp(total, -64)
 
 
-def _fixed(x, unit):
-    """The parts of x, an mpf or mpc, each rounded down to a multiple of
-    2^-unit, as integers in that unit (0 for a real x's imaginary part)."""
-    return tuple(to_fixed(part, unit) for part in _parts(x))
-
-
 def _squared(x):
     """(M, e) with |x|^2 = M 2^e exactly, for a nonzero mpf or mpc x."""
     parts = [(man, exp) for _, man, exp, _ in _parts(x) if man]
     e = min(2 * exp for _, exp in parts)
     return sum(man * man << (2 * exp - e) for man, exp in parts), e
-
-
-def _parts(x):
-    """The raw parts (real, imaginary) of an mpf or mpc."""
-    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
 @lru_cache(maxsize=None)

@@ -210,53 +210,38 @@ and no refinement.  eps itself still walks the unit cuts, so eps and its
 bound do not depend on the panels: a walk over the widened cuts would
 overshoot, to t ~ 5e-103 in one case, where 1 - e^{-omega t} keeps no bits.
 
-What does not depend on w is kept in one node store for one key (omega,
-lambda, working bits, pole threshold), ``_node_store``, which drops the old
-key's store first: t and t f_omega(t) at each circle sample it evaluates,
-by l / N, and at each ray node and each cut an end walk probes, by the
-exact bits of u (u._mpf_, a tuple, which no float key equals), so a warm
-sample or node costs one exponential and every f_omega evaluation goes
-through the store (``_ContourEvaluator.node``); and each circle window's
-moments B_n with their largest and summed sizes, by (poly, diff, -k-1, n0,
-N), as they depend on lambda but not on w or omega.  The store admits
-entries while it holds at most STORE_NUMBERS = 1280 numbers, two per node
-and N per window of N moments.  Measured at 256 bits, with the dict's share, a number takes about
-0.36 kB in a ray node (about 0.3 kB with real periods, whose t f_omega(t)
-is an mpf), 0.48 kB in a circle sample and 0.25 kB in a moment, so a full
-store holds 0.3 to 0.6 MB.  1280 numbers hold what a dense w sweep at one
-real omega reads (r = 2, target 1e-32: 130 ray nodes, 2 end probes, 33
-samples and 12 windows of 64, 1098 numbers), and a store filled with ray
-nodes at every w (lambda = 6 / Re(w) moves with w) adds about 0.5 MB to the
-peak resident size.
-
-What depends on w is kept in the same store, in groups by (w, tail), so that
-integrals at one w that differ only in k and poly, as the derivative
-hierarchy and the combination route's log gammas do, share it.  A group keeps
-each circle level of N, its samples, mean |phi_l| and ``_spectrum``, by N:
-none depends on k or poly, which live in the moments, so integrals with one
-(omega, lambda, bits, w, tail) have one circle spectrum, bit for bit.  A part
-reads a level only for the very samples it keeps, which a warm first pass or
-refinement hands it.  And it keeps, by u's exact bits, at the ray nodes and
-the cuts the end walks probe, t and the ray term before its power, tf e^{-wt}
-tail(t), which no integer k changes either; each integral of an integer k
-multiplies that by its own t^{-k-1} and diff(u).  So integrals at one w share
-every kept ray term whatever their integer k, and what one costs does not
-depend on which k came first at its w.  A k that is not an integer (the
-Barnes zeta's) keeps its own ray terms tf e^{-(k+1) u - wt} tail(t), by -k-1
-and then by u's exact bits.  An integral looks its group and its k up once,
-so no node hashes the tail.  The groups of a store keep at most
-_GROUP_NUMBERS = 1280 numbers between them, besides STORE_NUMBERS: one per
-kept ray entry (its t is the store's), and per circle level of N its N/2 + 1
-or N samples and its N coefficients.  Where a new entry does not fit, the
-least recently used other groups are dropped, oldest first, until it does;
-where the integral's own group fills the budget, the entry is not kept.
-Measured at 256 bits, with the dicts' share, a number takes about 0.36 kB at
-a ray node (0.63 kB with complex periods) and 0.2-0.3 kB in a circle level,
-so full groups hold 0.25 to 0.8 MB; a w sweep at r = 2 and target 1e-32 keeps
-5 groups in about 1140 numbers.  A group holds no reference to its store, so
-the store of an old key is freed, groups and all, as soon as the key changes,
-without waiting for the cycle collector.  A kept entry is the value the
-integral would compute, so no value or estimate depends on what was kept.
+What one integral computes for the next is kept in one node store per
+(omega, lambda, working bits), ``_node_store``, which drops the old key's
+store first; the pole threshold 2^-(policy bits // 2) follows from the
+working bits.  The store keeps groups.  The group None holds what does not
+depend on w: t and t f_omega(t) at each circle sample an integral evaluates,
+by l / N, and at each ray node and each cut an end walk probes, by the exact
+bits of u (u._mpf_, a tuple, which no float key equals), so every f_omega
+evaluation goes through it (``_ContourEvaluator.node``); and each circle
+window's moments B_n with their largest and summed sizes, by (poly, diff,
+-k-1, n0, N).  A group per (w, tail) holds what depends on w: each circle
+level of N, its samples, mean |phi_l| and ``_spectrum``, by N, and for an
+integer k, at each ray node, t and the term before its power, tf e^{-wt}
+tail(t), by u's exact bits.  Neither depends on k or poly, which live in the
+moments and the power, so the integrals at one w that differ only in k and
+poly, as the derivative hierarchy's do, share them bit for bit, whichever k
+comes first.  A k that is not an integer (the Barnes zeta's) keeps no ray
+term: its term tf e^{-(k+1) u - wt} tail(t) is one exponential at a kept
+node.  The groups hold at most STORE_NUMBERS = 2560 numbers between them:
+two per node, N per window of N moments, one per ray term, and per circle
+level of N its N/2 + 1 or N samples and N coefficients.  Measured at
+256 bits over a w sweep's mix, with the dicts' share, a number takes about
+0.39 kB (0.53 kB with complex periods), so a full store holds about 1.0 to
+1.4 MB.  The groups are ordered least recently used first, and an integral
+looks up the group None and then its own, so those two are the newest; where
+an entry does not fit, the oldest groups are dropped while more than two are
+left, and an entry that still does not fit is not kept.  So the nodes
+outlive every w's group: a 40-point w sweep of ``log_hyper_gamma(1, 1)`` at
+omega = (1, 1.3) and the default policy ends with 14 groups in 2513 numbers.
+A group holds no reference to its store, so the store of an old key is
+freed, groups and all, as soon as the key changes, without waiting for the
+cycle collector.  A kept entry is the value the integral would compute, so
+no value or estimate depends on what was kept.
 """
 
 from __future__ import annotations
@@ -268,11 +253,11 @@ from itertools import count, islice
 from math import acos, cos, factorial, log, pi
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, fzero, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
-from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _right_half
+from .precision import DEFAULT_POLICY, QUADRATURE_GUARD_BITS, PrecisionPolicy, _exact, _fixed, _right_half
 from .qpoly import PolyC
 from .series import LaurentSeries
 
@@ -286,13 +271,11 @@ KRONROD_NODES = 2 * GAUSS_NODES + 1
 PANEL_WIDTH = log(16)
 # the circle's first-pass samples, level -1
 CIRCLE_SAMPLES = 64
-# the numbers the node store keeps per key: 2 per node, N per window of N
-# moments; 0.25-0.48 kB each at 256 bits (module docstring)
-STORE_NUMBERS = 1280
-# the numbers a node store's (w, tail) groups keep between them, besides
-# STORE_NUMBERS: 1 per kept ray entry, N/2 + 1 or N samples and N
-# coefficients per circle level of N (module docstring)
-_GROUP_NUMBERS = 1280
+# the numbers a node store keeps over all its groups: 2 per node, N per
+# window of N moments, 1 per ray term, N/2 + 1 or N samples and N
+# coefficients per circle level of N; 0.2-0.6 kB each at 256 bits (module
+# docstring)
+STORE_NUMBERS = 2560
 
 
 @dataclass(frozen=True)
@@ -500,10 +483,12 @@ class _ContourEvaluator:
         self.ispec = ispec
         self.thr = pole_threshold
         self.lam, self.origin = lam, mp.log(lam)
-        self.nodes = _node_store(ispec.omega, lam, mp.prec, pole_threshold)
+        self.store = _node_store(ispec.omega, lam, mp.prec)
         tail = ispec.tail
-        # what depends on w and the tail, looked up once per integral
-        self.group = self.nodes.group((ispec.w, tail))
+        # what does not depend on w, then what does: looked up once per
+        # integral, they are the store's two newest groups
+        self.nodes = self.store.group(None)
+        self.group = self.store.group((ispec.w, tail))
         coeffs = () if tail is None else tail.coeffs
         # all real: phi(conj t) = conj phi(t) on the circle (module docstring)
         self.real = all(isinstance(x, mpf) for x in (*ispec.omega.omegas, ispec.w, *coeffs))
@@ -512,9 +497,8 @@ class _ContourEvaluator:
         k = ispec.k
         self.neg_k1 = -k - 1
         # an integer k's rays read terms before the power, which every
-        # integer k at this w shares; another k keeps its own
+        # integer k at this w shares
         self.power = isinstance(k, int)
-        self.terms = self.group.rays if self.power else self.group.terms.setdefault(self.neg_k1, {})
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
@@ -525,13 +509,13 @@ class _ContourEvaluator:
         self.factor = max(4, 12 / (ispec.omega.pole_bound / lam - 1))
 
     def node(self, key, t):
-        """(t, t f_omega(t)) at the point t(), from the node store by key;
-        t() and f_omega are evaluated, and the node kept, only on a miss."""
+        """(t, t f_omega(t)) at the point t(), from the store's group None by
+        key; t() and f_omega are evaluated, and the node kept, only on a miss."""
         node = self.nodes.get(key)
         if node is None:
             t = t()
             tf = t * _f_omega_at(self.ispec.omega.omegas, t, self.thr)
-            node = self.nodes.keep(key, (t, tf), 2)
+            node = self.store.keep(self.nodes, key, (t, tf), 2)
         return node
 
     def _term(self, t, tf, exponent):
@@ -541,17 +525,20 @@ class _ContourEvaluator:
         return value if self.ispec.tail is None else value * self.ispec.tail(t)
 
     def term(self, u):
-        """The ray term tf e^{-wt} tail(t) t^{-k-1} at real u: t and the term,
-        before the power for an integer k, kept in the (w, tail) group, and
-        the node in the store, by u's exact bits."""
+        """The ray term tf e^{-wt} tail(t) t^{-k-1} at real u, its node from
+        the store by u's exact bits.  An integer k's t and term before the
+        power are kept in the (w, tail) group by the same key; another k
+        keeps no term."""
         key = u._mpf_
-        kept = self.terms.get(key)
+        if not self.power:
+            t, tf = self.node(key, lambda: mp.exp(u))
+            return self._term(t, tf, self.neg_k1 * u - self.ispec.w * t)
+        kept = self.group.get(key)
         if kept is None:
             t, tf = self.node(key, lambda: mp.exp(u))
-            exponent = -self.ispec.w * t if self.power else self.neg_k1 * u - self.ispec.w * t
-            kept = self.nodes.hold(self.group, self.terms, key, (t, self._term(t, tf, exponent)), 1)
+            kept = self.store.keep(self.group, key, (t, self._term(t, tf, -self.ispec.w * t)), 1)
         t, term = kept
-        return term * t**self.neg_k1 if self.power else term
+        return term * t**self.neg_k1
 
     def ray(self, u):
         """Outbound-minus-inbound integrand t F(t) at real u."""
@@ -602,13 +589,7 @@ class _ContourEvaluator:
                 acc = acc * -inv + g
             moments.append(acc * inv)
         sizes = [abs(b) for b in moments]
-        return self.nodes.keep(key, (moments, max(sizes), mp.fsum(sizes)), n)
-
-    def grid(self, n, samples):
-        """The samples of the grid of n that the (w, tail) group keeps, or
-        samples() where it keeps none."""
-        level = self.group.circle.get(n)
-        return samples() if level is None else level[0]
+        return self.store.keep(self.nodes, key, (moments, max(sizes), mp.fsum(sizes)), n)
 
     def first_pass(self):
         """The circle's part with CIRCLE_SAMPLES samples, doubled only until
@@ -616,26 +597,24 @@ class _ContourEvaluator:
         n = CIRCLE_SAMPLES
         while self.n0 + n <= mp.re(self.ispec.k) + 1:
             n *= 2
-        return self.part(self.grid(n, lambda: self.samples(range(n), n)))
+        return self.part(n, lambda: self.samples(range(n), n))
 
-    def part(self, samples):
-        """A circle part: (value, estimate, depth, refine, floor) from the
-        samples of a grid of N by their ``_spectrum``: all N, or a real
-        integrand's N/2 + 1 with 2l <= N, whose mirrors have their sizes.
-        The (w, tail) group keeps the grid's level, (samples, mean |phi_l|,
-        spectrum), and gives it back for the very samples it keeps.
-        refine() interleaves the odd samples of the grid twice as fine, one
-        depth deeper, and keeps a real integrand's last old sample."""
-        n = 2 * len(samples) - 2 if self.real else len(samples)
-        level = self.group.circle.get(n)
-        if level is None or level[0] is not samples:
-            sizes = [abs(x) for x in samples]
+    def part(self, n, samples):
+        """A circle part: (value, estimate, depth, refine, floor) of the grid
+        of n samples, from its level (samples, mean |phi_l|, ``_spectrum``),
+        which the (w, tail) group keeps by n.  Only where it keeps none is
+        the thunk samples() called: all n samples, or a real integrand's
+        n/2 + 1 with 2l <= n, whose mirrors have their sizes.  refine()
+        interleaves the odd samples of the grid twice as fine, one depth
+        deeper, and keeps a real integrand's last old sample."""
+        level = self.group.get(n)
+        if level is None:
+            new = samples()
+            sizes = [abs(x) for x in new]
             mean = mp.fsum(sizes + sizes[1:-1] if self.real else sizes) / n
-            new = samples, mean, _spectrum(samples, mean, self.real)
-            level = new if level else self.nodes.hold(
-                self.group, self.group.circle, n, new, len(samples) + n
-            )
-        _, mean, spectrum = level
+            level = new, mean, _spectrum(new, mean, self.real)
+            level = self.store.keep(self.group, n, level, len(new) + n)
+        kept, mean, spectrum = level
         coeffs = [spectrum[m % n] for m in range(self.n0, self.n0 + n)]
         moments, largest, total = self.moments(n)
         scale = abs(self.scale)
@@ -644,66 +623,54 @@ class _ContourEvaluator:
 
         def finer():
             odd = self.samples(range(1, 2 * n, 2), 2 * n)
-            return [x for pair in zip(samples, odd) for x in pair] + samples[len(odd):]
+            return [x for pair in zip(kept, odd) for x in pair] + kept[len(odd):]
 
         def refine():
-            return [self.part(self.grid(2 * n, finer))]
+            return [self.part(2 * n, finer)]
 
         return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
 
 
-class _Group:
-    """What one (w, tail) keeps in a node store (module docstring): circle
-    levels by N; each ray node's t and tf e^{-wt} tail(t), by u's exact bits;
-    the ray terms of each k that is not an integer, by -k-1 and u's exact
-    bits; and how many numbers they hold.  It holds no reference to its
-    store."""
+class _Group(dict):
+    """What a node store keeps under one of its keys (module docstring), and
+    how many numbers that is.  The group None keeps nodes, by l / N or u's
+    exact bits, and moment windows; a (w, tail) group keeps circle levels,
+    by N, and an integer k's ray terms, by u's exact bits.  It holds no
+    reference to its store."""
 
-    def __init__(self):
-        self.circle, self.rays, self.terms, self.numbers = {}, {}, {}, 0
+    numbers = 0
 
 
 class _Store(dict):
-    """The node store of one key: a dict that admits an entry while the
-    numbers it holds stay within STORE_NUMBERS, and the (w, tail) groups,
-    least recently used first, within _GROUP_NUMBERS (module docstring)."""
+    """The node store of one (omega, lambda, working bits): its groups, least
+    recently used first, which hold at most STORE_NUMBERS numbers between
+    them (module docstring)."""
 
-    numbers = held = 0
-
-    def __init__(self):
-        super().__init__()
-        self.groups = {}  # (w, tail) -> _Group, least recently used first
-
-    def keep(self, key, value, numbers):
-        """value, kept under key if numbers more still fit."""
-        if self.numbers + numbers <= STORE_NUMBERS:
-            self[key] = value
-            self.numbers += numbers
-        return value
+    numbers = 0
 
     def group(self, key):
-        """The group of key, a (w, tail), now the most recently used."""
-        self.groups[key] = group = self.groups.pop(key, None) or _Group()
+        """The group of key, None or a (w, tail), now the most recently used."""
+        self[key] = group = self.pop(key) if key in self else _Group()
         return group
 
-    def hold(self, group, entries, key, value, numbers):
-        """value, kept under key in entries, a dict of group, if numbers more
-        fit once the groups used before group are dropped, oldest first; none
-        is dropped for an entry that would not fit even then."""
-        groups, room = self.groups, _GROUP_NUMBERS - numbers
-        while self.held > room >= group.numbers and next(iter(groups.values()), group) is not group:
-            self.held -= groups.pop(next(iter(groups))).numbers
-        if self.held <= room:
-            entries[key] = value
+    def keep(self, group, key, value, numbers):
+        """value, kept under key in group if numbers more fit once the least
+        recently used groups are dropped while more than two are left; the
+        two newest are the integral's own, which are never dropped."""
+        while self.numbers + numbers > STORE_NUMBERS and len(self) > 2:
+            self.numbers -= self.pop(next(iter(self))).numbers
+        if self.numbers + numbers <= STORE_NUMBERS:
+            group[key] = value
             group.numbers += numbers
-            self.held += numbers
+            self.numbers += numbers
         return value
 
 
 @lru_cache(maxsize=1)
-def _node_store(omega: OmegaVector, lam, prec: int, threshold):
-    """The store of one key: what does not depend on w, and the (w, tail)
-    groups of what does (module docstring)."""
+def _node_store(omega: OmegaVector, lam, prec: int):
+    """The store of one (omega, lambda, working bits): the group None of what
+    does not depend on w, and a group per (w, tail) of what does (module
+    docstring)."""
     return _Store()
 
 
@@ -790,11 +757,7 @@ def _spectrum(samples, mean, real):
     prec = mp.prec
     bits = prec + 8
     unit = bits + 1 - mp.mag(mean)  # the unit is 2^-unit
-    re, im = [], []
-    for x in samples:
-        a, b = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-        re.append(to_fixed(a, unit))
-        im.append(to_fixed(b, unit))
+    re, im = zip(*(_fixed(x, unit) for x in samples))
     roots = _twiddles(n, bits)
     exp = -unit - (n.bit_length() - 1)  # the unit and the 1/n
 

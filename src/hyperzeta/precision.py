@@ -22,6 +22,7 @@ import operator
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, to_fixed
 
 from .errors import InvalidParameter, PrecisionUnreachable
 
@@ -42,6 +43,17 @@ def _exact(x):
     if not isinstance(x, mpc):
         x = mp.mpc(x)
     return x if x.imag else x.real
+
+
+def _parts(x):
+    """The raw parts (real, imaginary) of an mpf or mpc."""
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+
+
+def _fixed(x, unit):
+    """The parts of x, an mpf or mpc, each rounded down to a multiple of
+    2^-unit, as integers in that unit (0 for a real x's imaginary part)."""
+    return tuple(to_fixed(part, unit) for part in _parts(x))
 
 
 def _finite(x, name):

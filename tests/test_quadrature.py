@@ -120,13 +120,12 @@ def _record_panels(monkeypatch):
 
 
 def _record_circle(monkeypatch):
-    """(samples N, depth) of every circle part an integral forms, in order;
-    a real integrand's part carries N/2 + 1 of its N samples."""
+    """(samples N, depth) of every circle part an integral forms, in order."""
     parts, part = [], hankel._ContourEvaluator.part
 
-    def recording(ev, samples):
-        result = part(ev, samples)
-        parts.append((2 * len(samples) - 2 if ev.real else len(samples), result[2]))
+    def recording(ev, n, samples):
+        result = part(ev, n, samples)
+        parts.append((n, result[2]))
         return result
 
     monkeypatch.setattr(hankel._ContourEvaluator, "part", recording)
@@ -506,25 +505,28 @@ def test_circle_cache_changes_no_result(monkeypatch, name):
         hankel._node_store.cache_clear()
         cold.append(hankel_integrate(ispec, 1, P))
     hits = hankel._node_store.cache_info().hits
-    found, get = set(), hankel._Store.get
+    found, get = set(), hankel._Group.get
 
-    def spied(store, key):
-        value = get(store, key)
-        if value is not None:  # a circle sample, a ray node's u._mpf_ or a window
-            found.add(len(key) if isinstance(key, tuple) else "circle")
+    def spied(group, key):
+        value = get(group, key)
+        if value is not None:
+            # a circle sample's fraction of the turn, a circle level's N, a
+            # ray node's or term's u._mpf_, or a window
+            found.add(len(key) if isinstance(key, tuple) else type(key).__name__)
         return value
 
-    monkeypatch.setattr(hankel._Store, "get", spied)
+    monkeypatch.setattr(hankel._Group, "get", spied)
     warm = [hankel_integrate(ispec, 1, P) for ispec in ispecs for _ in range(2)]
     assert warm == [result for result in cold for _ in range(2)]
-    assert found == {"circle", 4, 5}
+    assert found == {"float", "int", 4, 5}
     # every warm integral finds the store of its key
     assert hankel._node_store.cache_info().hits >= hits + 2 * len(ispecs)
 
 
 def _circle_keys(store):
-    """The keys of a node store's circle samples: fractions of the turn."""
-    return [key for key in store if isinstance(key, float)]
+    """The keys of a node store's circle samples, in its group None:
+    fractions of the turn."""
+    return [key for key in store[None] if isinstance(key, float)]
 
 
 def _record_stores(monkeypatch):
@@ -550,7 +552,7 @@ def test_circle_cache_keeps_two_levels(monkeypatch):
     assert set(_circle_keys(stored[-1])) == set(keys) and 2 * len(keys) < hankel.STORE_NUMBERS
     lam = auto_spec(OmegaVector.of(mpf("1.3")), 1, P)
     for key in _circle_keys(stored[-1]):
-        t, _ = stored[-1][key]
+        t, _ = stored[-1][None][key]
         assert abs(t - lam * mp.expj(2 * mp.pi * key)) < mpf("1e-50")
     # lambda at 0.8 times the pole bound takes 512 samples at 1e-40, more than
     # the store holds besides the rays and the moments; it keeps what came
@@ -568,41 +570,38 @@ def test_circle_cache_keeps_two_levels(monkeypatch):
     assert set(circle) >= {l / 128 for l in range(128)}
 
 
-def test_node_store_stays_within_its_bound(monkeypatch):
-    # the integral above offers the store more than it holds: it counts two
-    # numbers per node, t and t f_omega(t), and N per window of N moments,
-    # and admits nothing past STORE_NUMBERS
-    offered, keep = [], hankel._Store.keep
-    hankel._node_store.cache_clear()
-    stored = _record_stores(monkeypatch)
-    monkeypatch.setattr(
-        hankel._Store, "keep", lambda store, *entry: offered.append(entry[2]) or keep(store, *entry)
-    )
-    om = _CIRCLE_OMEGAS["complex"]
-    ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
-    hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
-    store = stored[-1]
-    assert sum(offered) > hankel.STORE_NUMBERS
-    windows = [key for key in store if isinstance(key, tuple) and len(key) == 5]
-    numbers = 2 * (len(store) - len(windows)) + sum(len(store[key][0]) for key in windows)
-    assert windows and numbers == store.numbers <= hankel.STORE_NUMBERS
-
-
 def test_ray_nodes_are_reused_across_w(monkeypatch):
     # the first-pass ray panels lie on the grid log lambda + j PANEL_WIDTH,
     # which does not move with w: a second w at the same (omega, lambda)
     # finds every ray node, circle sample and end probe of the first in the
-    # store, so it calls f_omega only at cuts that the first did not probe
+    # store, so it calls f_omega only at cuts that the first did not probe.
+    # That holds after a 40-point w sweep too, which drops (w, tail) groups
+    # but never the nodes, which no w owns
     om = OmegaVector.of(1, mpf("1.3"))
     calls, probes = _record_f_omega(monkeypatch)
     panels = _record_panels(monkeypatch)
     hankel._node_store.cache_clear()
-    hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.2"), k=1, poly=q_poly(1, 1, P)), None, P)
+    stored = _record_stores(monkeypatch)
+
+    def integrate(w, k):
+        hankel_integrate(IntegrandSpec(omega=om, w=w, k=k, poly=q_poly(k, k, P)), None, P)
+
+    integrate(mpf("1.2"), 1)
     before, probed = set(panels), set(probes)
     calls.clear()
     probes.clear()
     panels.clear()
-    hankel_integrate(IntegrandSpec(omega=om, w=mpf("1.3"), k=2, poly=q_poly(2, 2, P)), None, P)
+    integrate(mpf("1.3"), 2)
+    assert panels and set(panels) <= before
+    assert probes and all(j is not None and j not in probed for _, j in calls)
+    for i in range(40):
+        integrate(1 + mpf(i) / 16, 1)
+    assert all(store is stored[0] for store in stored) and len(stored[0]) < 40
+    before, probed = set(panels), set(probes)
+    calls.clear()
+    probes.clear()
+    panels.clear()
+    integrate(mpf("2.01"), 2)
     assert panels and set(panels) <= before
     assert probes and all(j is not None and j not in probed for _, j in calls)
 
@@ -613,13 +612,16 @@ def test_every_f_omega_call_goes_through_the_store(monkeypatch):
     # alike, in a contour integral and in a ray-only integral
     ts, offered = [], []
     f_omega, keep = hankel._f_omega_at, hankel._Store.keep
+
+    def spied(store, group, key, value, numbers):
+        if group is store[None]:  # not a (w, tail) group's level or term
+            offered.append(key)
+        return keep(store, group, key, value, numbers)
+
     monkeypatch.setattr(
         hankel, "_f_omega_at", lambda om, t, thr: ts.append(t) or f_omega(om, t, thr)
     )
-    monkeypatch.setattr(
-        hankel._Store, "keep",
-        lambda store, key, value, numbers: offered.append(key) or keep(store, key, value, numbers),
-    )
+    monkeypatch.setattr(hankel._Store, "keep", spied)
     e = default_experiment(1, 0)
     contour = IntegrandSpec(omega=OmegaVector.of(1, mpf("1.3")), w=mpf("1.5"), k=1, poly=q_poly(1, 1, P))
     ray = IntegrandSpec(omega=e.omega, w=20, k=e.k, poly=PolyC.monomial(1), tail=remainder_tail(e))
@@ -700,18 +702,23 @@ def test_warm_groups_change_no_result(monkeypatch, name):
     for call in calls:
         hankel._node_store.cache_clear()
         cold.append(call(om, w))
+    # each term as (integer k, on a ray: t real)
     terms, term = [], hankel._ContourEvaluator._term
     monkeypatch.setattr(
-        hankel._ContourEvaluator, "_term", lambda ev, *a: terms.append(a) or term(ev, *a)
+        hankel._ContourEvaluator, "_term",
+        lambda ev, t, *a: terms.append((ev.power, isinstance(t, mpf))) or term(ev, t, *a),
     )
     # the last cold run kept its group, which may already hold every term
     hankel._node_store.cache_clear()
     first = [call(om, w) for call in calls]
-    evaluated = len(terms)
+    evaluated = list(terms)
+    terms.clear()
     second = [call(om, w) for call in calls]
     assert first == cold and second == cold
-    # the second round finds every term in its group
-    assert evaluated and len(terms) == evaluated
+    # the second round finds every circle level and every term of an integer
+    # k in its group; a k that is not an integer (zeta_contour's) keeps no
+    # ray term, so it evaluates as many ray terms as in the first round
+    assert evaluated and terms == [(False, True)] * evaluated.count((False, True))
 
 
 def test_a_new_k_at_a_kept_w_evaluates_no_term(monkeypatch):
@@ -758,36 +765,59 @@ def test_reduction_checks_read_kept_terms(monkeypatch):
         assert all(t <= lam * (1 + mpf(2) ** -100) for lam, t in ray_only)
 
 
-def _group_numbers(store):
-    """The numbers a store's groups hold, counted as the store counts them."""
-    return sum(
-        len(group.rays)
-        + sum(map(len, group.terms.values()))
-        + sum(len(samples) + len(spectrum) for samples, _, spectrum in group.circle.values())
-        for group in store.groups.values()
-    )
+def _group_numbers(key, group):
+    """The numbers a store's group of key holds, counted as the store counts
+    them: in the group None 2 per node and N per window of N moments, in a
+    (w, tail) group 1 per ray term and, per circle level of N, its N/2 + 1
+    or N samples and its N coefficients."""
+
+    def numbers(entry_key, entry):
+        if isinstance(entry_key, int):  # a circle level of N
+            return len(entry[0]) + entry_key
+        if isinstance(entry_key, tuple) and len(entry_key) == 5:  # a window
+            return len(entry[0])
+        return 2 if key is None else 1
+
+    return sum(numbers(*entry) for entry in group.items())
 
 
-def test_groups_stay_within_their_budget(monkeypatch):
-    # a 40-point w sweep at one (omega, lambda): the groups hold at most
-    # _GROUP_NUMBERS numbers between them and drop the least recently used
-    # first, so the newest w stays
+def test_store_stays_within_its_budget(monkeypatch):
+    # a 40-point w sweep at one (omega, lambda), then one integral that
+    # offers more than the store holds (512 samples of a complex integrand at
+    # 1e-40, 1920 numbers in its four circle levels).  After each, the
+    # groups hold at most STORE_NUMBERS numbers between them, as counted;
+    # the least recently used are dropped first, and never the integral's
+    # own two, the group None and its (w, tail) group, the newest
+    offered, keep = [], hankel._Store.keep
     hankel._node_store.cache_clear()
     stored = _record_stores(monkeypatch)
+    monkeypatch.setattr(
+        hankel._Store, "keep", lambda store, *entry: offered.append(entry[3]) or keep(store, *entry)
+    )
+
+    def within_budget(w):
+        store = stored[-1]
+        for key, group in store.items():
+            assert _group_numbers(key, group) == group.numbers
+        assert sum(group.numbers for group in store.values()) == store.numbers <= hankel.STORE_NUMBERS
+        assert list(store)[-2:] == [None, (w, None)]
+        assert 1 < len(store) < 40
+
     om = OmegaVector.of(1, mpf("1.3"))
     for i in range(40):
         w = 1 + mpf(i) / 16
         log_hyper_gamma(1, 1, w, om, P)
-        assert _group_numbers(stored[-1]) == stored[-1].held <= hankel._GROUP_NUMBERS
-        assert list(stored[-1].groups)[-1] == (w, None)
-    assert all(store is stored[0] for store in stored) and 1 < len(stored[0].groups) < 40
-    # one integral whose own group would pass the budget: 512 samples of a
-    # complex integrand at 1e-40, 1920 numbers in its four circle levels
+        within_budget(w)
+    assert all(store is stored[0] for store in stored)
+    offered.clear()
     om = _CIRCLE_OMEGAS["complex"]
     ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
     hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
-    assert _group_numbers(stored[-1]) == stored[-1].held <= hankel._GROUP_NUMBERS
-    assert 256 in stored[-1].groups[1, None].circle
+    within_budget(ispec.w)
+    store = stored[-1]
+    assert sum(offered) > hankel.STORE_NUMBERS
+    assert any(isinstance(key, tuple) and len(key) == 5 for key in store[None])
+    assert 256 in store[ispec.w, None]
 
 
 def test_dropped_store_is_freed_without_the_collector(monkeypatch):
@@ -803,7 +833,7 @@ def test_dropped_store_is_freed_without_the_collector(monkeypatch):
     try:
         log_hyper_gamma(1, 1, mpf("1.7"), OmegaVector.of(1, mpf("1.3")), P)
         balanced_P(2, 1, mpf("1.7"), OmegaVector.of(1, mpf("1.3")), P)
-        assert refs[0]().groups
+        assert refs[0]() and all(refs[0]().values())
         log_hyper_gamma(1, 1, mpf("1.7"), OmegaVector.of(1, mpf("1.2")), P)
         assert refs[0]() is None and refs[-1]() is not None
     finally:
@@ -978,8 +1008,8 @@ def test_ray_nodes_of_real_periods_are_real(monkeypatch, omega):
     hankel._node_store.cache_clear()
     stored = _record_stores(monkeypatch)
     hankel_integrate(ispec, None, P)
-    store = stored[-1]
-    rays = [store[key] for key in store if isinstance(key, tuple) and len(key) == 4]
+    nodes = stored[-1][None]
+    rays = [nodes[key] for key in nodes if isinstance(key, tuple) and len(key) == 4]
     assert rays and all(isinstance(t, mpf) for t, _ in rays)
     kind = mpf if isinstance(omega, mpf) else mp.mpc
     assert all(isinstance(tf, kind) for _, tf in rays)
@@ -1162,30 +1192,22 @@ def test_integer_transform_matches_the_definition(case, n):
 @pytest.mark.parametrize("n", [64, 128, 512])
 def test_zero_samples_give_an_exactly_zero_circle(n):
     ispec = IntegrandSpec(omega=_OM, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P))
-    with P.context(QUADRATURE_GUARD_BITS):
-        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
-        assert ev.real
-        # a real integrand's part carries its N/2 + 1 samples with 2l <= N
-        value, err, _, _, floor = ev.part([mpf(0)] * (n // 4) + [mp.mpc(0)] * (n // 4 + 1))
-        assert (value, err, floor) == (0, 0, 0)
-        for real in (False, True):
-            zeros = [mp.mpc(0)] * (n // 2 + 1 if real else n)
-            assert hankel._spectrum(zeros, mpf(0), real) == [0] * n
-
-
-def test_a_kept_circle_level_serves_only_its_own_samples():
-    # with the (w, no tail) group's level of 64 kept, a part of other
-    # samples of that grid, here zeros, takes their own spectrum, and a part
-    # of the kept samples the kept level
-    ispec = IntegrandSpec(omega=_OM, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P))
+    # a cleared store keeps no level, so the part takes the samples given;
+    # it is cleared again after, so that no integral reads the zeros
     hankel._node_store.cache_clear()
-    hankel_integrate(ispec, None, P)
-    with P.context(QUADRATURE_GUARD_BITS):
-        ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
-        samples = ev.group.circle[CIRCLE_SAMPLES][0]
-        value, err, _, _, floor = ev.part([mpf(0)] * 16 + [mp.mpc(0)] * 17)
-        assert (value, err, floor) == (0, 0, 0)
-        assert ev.part(samples)[1] > 0
+    try:
+        with P.context(QUADRATURE_GUARD_BITS):
+            ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
+            assert ev.real
+            # a real integrand's part carries its N/2 + 1 samples with 2l <= N
+            zeros = [mpf(0)] * (n // 4) + [mp.mpc(0)] * (n // 4 + 1)
+            value, err, _, _, floor = ev.part(n, lambda: zeros)
+            assert (value, err, floor) == (0, 0, 0)
+            for real in (False, True):
+                zeros = [mp.mpc(0)] * (n // 2 + 1 if real else n)
+                assert hankel._spectrum(zeros, mpf(0), real) == [0] * n
+    finally:
+        hankel._node_store.cache_clear()
 
 
 @pytest.mark.parametrize("n", [64, 128, 512])
