@@ -781,43 +781,55 @@ def _group_numbers(key, group):
     return sum(numbers(*entry) for entry in group.items())
 
 
-def test_store_stays_within_its_budget(monkeypatch):
-    # a 40-point w sweep at one (omega, lambda), then one integral that
-    # offers more than the store holds (512 samples of a complex integrand at
-    # 1e-40, 1920 numbers in its four circle levels).  After each, the
-    # groups hold at most STORE_NUMBERS numbers between them, as counted;
-    # the least recently used are dropped first, and never the integral's
-    # own two, the group None and its (w, tail) group, the newest
+def _within_budget(store, w):
+    """After an integral at w: the groups hold at most STORE_NUMBERS numbers
+    between them, as counted, and the newest two are the integral's own,
+    the group None and its (w, tail) group."""
+    for key, group in store.items():
+        assert _group_numbers(key, group) == group.numbers
+    assert sum(group.numbers for group in store.values()) == store.numbers <= hankel.STORE_NUMBERS
+    assert list(store)[-2:] == [None, (w, None)]
+    assert 1 < len(store) < 40
+
+
+def test_node_store_stays_within_its_bound(monkeypatch):
+    # one integral that offers more than the store holds (512 samples of a
+    # complex integrand at 1e-40, 1920 numbers in its four circle levels):
+    # the store keeps its windows and nodes, and never its numbers past
+    # STORE_NUMBERS
     offered, keep = [], hankel._Store.keep
     hankel._node_store.cache_clear()
     stored = _record_stores(monkeypatch)
     monkeypatch.setattr(
         hankel._Store, "keep", lambda store, *entry: offered.append(entry[3]) or keep(store, *entry)
     )
+    om = _CIRCLE_OMEGAS["complex"]
+    ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
+    hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
+    store = stored[-1]
+    _within_budget(store, ispec.w)
+    assert sum(offered) > hankel.STORE_NUMBERS
+    assert any(isinstance(key, tuple) and len(key) == 5 for key in store[None])
+    assert 256 in store[ispec.w, None]
 
-    def within_budget(w):
-        store = stored[-1]
-        for key, group in store.items():
-            assert _group_numbers(key, group) == group.numbers
-        assert sum(group.numbers for group in store.values()) == store.numbers <= hankel.STORE_NUMBERS
-        assert list(store)[-2:] == [None, (w, None)]
-        assert 1 < len(store) < 40
 
+def test_groups_stay_within_their_budget(monkeypatch):
+    # a 40-point w sweep at one (omega, lambda), then the integral above:
+    # after each, the groups stay within the one budget, the least recently
+    # used are dropped first, and the integral's own two stay
+    hankel._node_store.cache_clear()
+    stored = _record_stores(monkeypatch)
     om = OmegaVector.of(1, mpf("1.3"))
     for i in range(40):
         w = 1 + mpf(i) / 16
         log_hyper_gamma(1, 1, w, om, P)
-        within_budget(w)
+        _within_budget(stored[-1], w)
     assert all(store is stored[0] for store in stored)
-    offered.clear()
     om = _CIRCLE_OMEGAS["complex"]
     ispec = IntegrandSpec(omega=om, w=1, k=1, poly=q_poly(1, 1, P))
     hankel_integrate(ispec, om.pole_bound * mpf("0.8"), PrecisionPolicy(192, 1e-40))
-    within_budget(ispec.w)
-    store = stored[-1]
-    assert sum(offered) > hankel.STORE_NUMBERS
-    assert any(isinstance(key, tuple) and len(key) == 5 for key in store[None])
-    assert 256 in store[ispec.w, None]
+    _within_budget(stored[-1], ispec.w)
+    assert 256 in stored[-1][ispec.w, None]
 
 
 def test_dropped_store_is_freed_without_the_collector(monkeypatch):
