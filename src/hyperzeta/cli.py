@@ -143,6 +143,17 @@ def _digits(bits: int) -> int:
     return int(bits * 0.30103) + 1
 
 
+def _value_digits(value, err, bits: int) -> int:
+    """Significant digits for value: _digits(bits), or more where half a unit
+    in the last place of value's larger part would exceed err.  With d
+    digits and that part below 10^e, half a unit is 10^(e - d) / 2."""
+    size = max(abs(mp.re(value)), abs(mp.im(value)))
+    if not size or not err:
+        return _digits(bits)
+    e = int(mp.floor(mp.log10(size))) + 1
+    return max(_digits(bits), int(mp.ceil(e - mp.log10(2 * err))))
+
+
 def _fmt(x, digits: int) -> str:
     return mp.nstr(mpf(x), digits, strip_zeros=False)
 
@@ -291,7 +302,13 @@ def _run_eval(args, p: PrecisionPolicy) -> int:
     else:
         # --method contour and combination are evaluators.METHOD_CONTOUR and METHOD_COMBINATION
         res = evaluators.balanced_P(m, k, w, omega, p, args.method, args.lam)
-    value, err = _fmt_complex(res.value, _digits(p.precision_bits)), _fmt(res.err_estimate, 3)
+    digits = _value_digits(res.value, res.err_estimate, p.precision_bits)
+    # past the policy's digits the value is printed from every bit it
+    # carries, not rounded to the policy's bits first
+    bits = max(mp.prec, *(x._mpf_[3] for x in (mp.re(res.value), mp.im(res.value))))
+    with mp.workprec(mp.prec if digits == _digits(p.precision_bits) else bits):
+        value = _fmt_complex(res.value, digits)
+    err = _fmt(res.err_estimate, 3)
     _print(
         args.format or "json",
         {

@@ -69,12 +69,11 @@ lambda^{-k-1} sum_{n=n0}^{n0+N-1} A'_n B_n.  t_l comes from cached roots of
 unity, and poly and t^{-k-1} are in the moments, so a sample costs
 t f_omega(t) and one exponential, e^{-wt}.  When every period, w and tail
 coefficient is real, phi(conj t) = conj phi(t), and t_{N-l} = conj t_l, so
-only the samples with 2l <= N are evaluated, 33 of 64, and only they are
-carried, from sampling through every refinement: phi_{N-l} = conj phi_l is
-the rest, the Hermitian symmetry that real-data FFTs use (Sorensen et al.,
-IEEE Trans. ASSP 35, 1987).  phi_0 and phi_{N/2}, at t = lambda and
--lambda, have imaginary parts exactly 0.  k and poly live in the moments,
-so they play no part in that test.
+only the samples with 2l <= N are evaluated and transformed, 33 of 64:
+phi_{N-l} = conj phi_l is the rest, the Hermitian symmetry that real-data
+FFTs use (Sorensen et al., IEEE Trans. ASSP 35, 1987).  phi_0 and phi_{N/2},
+at t = lambda and -lambda, have imaginary parts exactly 0.  k and poly live
+in the moments, so they play no part in that test.
 
 The transform is decimation in time over Python integers.  Each part of
 each sample is rounded down to a multiple of the unit u, 2^-(bits + 8)
@@ -88,9 +87,9 @@ transform gives it: z_l = (x_l + x_{l+N/2}) + i w^l (x_l - x_{l+N/2}),
 w = e^{-2 pi i / N}, has the transform Z_m = Y_{2m} + i Y_{2m+1}, so
 Y_{2m} = Re Z_m and Y_{2m+1} = Im Z_m, and its A'_n are mpf: the part's
 value and estimate then take real-by-complex and real arithmetic.  Only
-the N/2 + 1 samples it carries are rounded to integers, and the fold reads
-x_{l+N/2} as conj x_{N/2-l}, by exact negation, so the integer samples are
-exactly Hermitian too.
+its N/2 + 1 samples are rounded to integers, and the fold reads x_{l+N/2}
+as conj x_{N/2-l}, by exact negation, so the integer samples are exactly
+Hermitian too.
 
 The transform's rounding, in units u: a twiddle errs by at most tau =
 2^-(bits + 8) relatively, so a product of a value O errs by at most
@@ -133,10 +132,9 @@ sum|B_n| * |lambda^{-k-1}|, as each A'_n carries about 2^-bits mean|phi_l|;
 it is above zero wherever a sample and a moment are.  Where every moment
 vanishes (a constant poly, integer k and k + 1 < n0: the integrand is
 regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
-part doubles N: the new samples are the odd ones of the finer grid,
-interleaved with the old before the transform, so no sample is taken twice,
-and a real integrand evaluates N/2 of the N new ones (32 of 64 on the
-doubling to 128) and keeps its last old one, l = N/2 of the old grid.
+part doubles N: the finer grid's even samples read t f_omega(t) from the
+nodes of the old grid, so f_omega is evaluated only at its odd ones (32 of
+64 for a real integrand on the doubling to 128).
 
 The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide (four
 doublings of t), below lambda a power of 2 of those, between the cuts of a
@@ -145,16 +143,16 @@ circle at CIRCLE_SAMPLES = 64 samples, doubled only until its window
 reaches n = Re(k) + 1.  If its floors and the ray end bounds exceed the
 target, PrecisionUnreachable is raised at once.
 Then ``_refine_worst`` refines as QUADPACK's QAG does: while the estimates,
-floors and end bounds sum above the target, the part with the largest
-estimate is refined, a ray panel bisected at its midpoint in u, the circle
-with its samples doubled.  A part's depth is its level in the schedule that
-cuts each doubling of t into 2^L panels and samples the circle at 128 * 2^L
-points: a ray panel one cut of the grid wide (PANEL_WIDTH) is at -2, one 2^i
-cuts wide, as the ray-only near segment's are, at -2 - i, and 64 circle
-samples at -1; past MAX_LEVELS - 1 (2^(1/32) in t, 4096 samples) it raises
-NodeBudgetExceeded.  So a level's panels have one width in t wherever the
-first pass put them, and the refinement budget per doubling of t does not
-depend on the first pass.
+floors and end bounds sum above the target, the first of the parts with the
+largest estimate is refined, a ray panel bisected at its midpoint in u, the
+circle with its samples doubled.  A part's depth is its level in the
+schedule that cuts each doubling of t into 2^L panels and samples the circle
+at 128 * 2^L points: a ray panel one cut of the grid wide (PANEL_WIDTH) is
+at -2, one 2^i cuts wide, as the ray-only near segment's are, at -2 - i, and
+64 circle samples at -1; past MAX_LEVELS - 1 (2^(1/32) in t, 4096 samples)
+it raises NodeBudgetExceeded.  So a level's panels have one width in t
+wherever the first pass put them, and the refinement budget per doubling of
+t does not depend on the first pass.
 Rotating or reshaping the path moves only segment endpoints: a rotation by
 phi is u -> u + i phi, which moves the circle's moments to
 log lambda + i phi.
@@ -220,24 +218,23 @@ bits of u (u._mpf_, a tuple, which no float key equals), so every f_omega
 evaluation goes through it (``_ContourEvaluator.node``); and each circle
 window's moments B_n with their largest and summed sizes, by (poly, diff,
 -k-1, n0, N).  A group per (w, tail) holds what depends on w: each circle
-level of N, its samples, mean |phi_l| and ``_spectrum``, by N, and for an
-integer k, at each ray node, t and the term before its power, tf e^{-wt}
-tail(t), by u's exact bits.  Neither depends on k or poly, which live in the
-moments and the power, so the integrals at one w that differ only in k and
-poly, as the derivative hierarchy's do, share them bit for bit, whichever k
-comes first.  A k that is not an integer (the Barnes zeta's) keeps no ray
-term: its term tf e^{-(k+1) u - wt} tail(t) is one exponential at a kept
-node.  The groups hold at most STORE_NUMBERS = 2560 numbers between them:
-two per node, N per window of N moments, one per ray term, and per circle
-level of N its N/2 + 1 or N samples and N coefficients.  Measured at
-256 bits over a w sweep's mix, with the dicts' share, a number takes about
-0.39 kB (0.53 kB with complex periods), so a full store holds about 1.0 to
-1.4 MB.  The groups are ordered least recently used first, and an integral
-looks up the group None and then its own, so those two are the newest; where
-an entry does not fit, the oldest groups are dropped while more than two are
-left, and an entry that still does not fit is not kept.  So the nodes
+level of N, its N coefficients (``_spectrum``) and mean |phi_l|, by N, and
+for an integer k, at each ray node, t and the term before its power,
+tf e^{-wt} tail(t), by u's exact bits.  Neither depends on k or poly, which
+live in the moments and the power, so the integrals at one w that differ
+only in k and poly, as the derivative hierarchy's do, share them bit for
+bit, whichever k comes first.  A k that is not an integer (the Barnes
+zeta's) keeps no ray term: its term tf e^{-(k+1) u - wt} tail(t) is one
+exponential at a kept node.  The groups hold at most STORE_NUMBERS = 2560
+numbers between them: two per node, one per ray term, and N per window of
+N moments and per circle level of N.  A number takes about 0.4-0.5 kB at
+256 bits, so a full store holds about 1.0 to 1.4 MB.  The groups are
+ordered least recently used first, and an integral looks up the group None
+and then its own, so those two are the newest; where an entry does not
+fit, the oldest groups are dropped while more than two are left, and an
+entry that still does not fit is not kept.  So the nodes
 outlive every w's group: a 40-point w sweep of ``log_hyper_gamma(1, 1)`` at
-omega = (1, 1.3) and the default policy ends with 14 groups in 2513 numbers.
+omega = (1, 1.3) and the default policy ends with 16 groups in 2410 numbers.
 A group holds no reference to its store, so the store of an old key is
 freed, groups and all, as soon as the key changes, without waiting for the
 cycle collector.  A kept entry is the value the integral would compute, so
@@ -248,7 +245,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from itertools import count, islice
 from math import acos, cos, factorial, log, pi
 
@@ -271,10 +267,9 @@ KRONROD_NODES = 2 * GAUSS_NODES + 1
 PANEL_WIDTH = log(16)
 # the circle's first-pass samples, level -1
 CIRCLE_SAMPLES = 64
-# the numbers a node store keeps over all its groups: 2 per node, N per
-# window of N moments, 1 per ray term, N/2 + 1 or N samples and N
-# coefficients per circle level of N; 0.2-0.6 kB each at 256 bits (module
-# docstring)
+# the numbers a node store keeps over all its groups: 2 per node, 1 per ray
+# term, N per window of N moments and per circle level of N (its
+# coefficients); 0.4-0.5 kB each at 256 bits (module docstring)
 STORE_NUMBERS = 2560
 
 
@@ -597,38 +592,29 @@ class _ContourEvaluator:
         n = CIRCLE_SAMPLES
         while self.n0 + n <= mp.re(self.ispec.k) + 1:
             n *= 2
-        return self.part(n, lambda: self.samples(range(n), n))
+        return self.part(n)
 
-    def part(self, n, samples):
+    def part(self, n):
         """A circle part: (value, estimate, depth, refine, floor) of the grid
-        of n samples, from its level (samples, mean |phi_l|, ``_spectrum``),
-        which the (w, tail) group keeps by n.  Only where it keeps none is
-        the thunk samples() called: all n samples, or a real integrand's
-        n/2 + 1 with 2l <= n, whose mirrors have their sizes.  refine()
-        interleaves the odd samples of the grid twice as fine, one depth
-        deeper, and keeps a real integrand's last old sample."""
+        of n samples, from its level (mean |phi_l|, ``_spectrum``), which the
+        (w, tail) group keeps by n.  Where it keeps none, the samples are
+        taken: all n, or a real integrand's n/2 + 1 with 2l <= n, whose
+        mirrors have their sizes.  refine() is the part of the grid twice as
+        fine, one depth deeper, whose even samples are this grid's nodes."""
         level = self.group.get(n)
         if level is None:
-            new = samples()
-            sizes = [abs(x) for x in new]
+            samples = self.samples(range(n), n)
+            sizes = [abs(x) for x in samples]
             mean = mp.fsum(sizes + sizes[1:-1] if self.real else sizes) / n
-            level = new, mean, _spectrum(new, mean, self.real)
-            level = self.store.keep(self.group, n, level, len(new) + n)
-        kept, mean, spectrum = level
+            level = self.store.keep(self.group, n, (mean, _spectrum(samples, mean, self.real)), n)
+        mean, spectrum = level
         coeffs = [spectrum[m % n] for m in range(self.n0, self.n0 + n)]
         moments, largest, total = self.moments(n)
         scale = abs(self.scale)
         err = self.factor * max(map(abs, coeffs[-4:])) * largest * scale
         floor = 50 * mp.ldexp(mean * total * scale, -mp.prec)
-
-        def finer():
-            odd = self.samples(range(1, 2 * n, 2), 2 * n)
-            return [x for pair in zip(kept, odd) for x in pair] + kept[len(odd):]
-
-        def refine():
-            return [self.part(2 * n, finer)]
-
-        return self.scale * mp.fdot(coeffs, moments), err, n.bit_length() - 8, refine, floor
+        value = self.scale * mp.fdot(coeffs, moments)
+        return value, err, n.bit_length() - 8, lambda: [self.part(2 * n)], floor
 
 
 class _Group(dict):
@@ -839,42 +825,31 @@ def _rays(ev: _ContourEvaluator, near, target):
 def _refine_worst(parts, target, end_bounds):
     """Global-adaptive refinement (QUADPACK's QAG; Piessens et al., 1983) of
     (value, estimate, depth, refine, floor) parts: while the estimates and
-    floors plus end_bounds sum above target, replace the part with the
-    largest estimate by its refinement.  Raises PrecisionUnreachable at once
-    if the first floors and end_bounds do, and NodeBudgetExceeded for a part
-    at depth MAX_LEVELS - 1 or deeper.  Returns (sum of values, err_estimate).
-
-    The parts sit in a heap keyed by (-estimate, insertion count), so the
-    first inserted of equal estimates is refined first, and the estimates
-    and floors in an exact running sum, so each step costs O(log n) and the
-    check against the target is exact."""
+    floors plus end_bounds sum above target, replace the first of the parts
+    with the largest estimate by its refinement, which goes last, so parts
+    stay in insertion order.  Each step sums the estimates and floors anew,
+    exactly and rounded once, and adds end_bounds.  Raises
+    PrecisionUnreachable at once if the first floors and end_bounds sum
+    above target, and NodeBudgetExceeded for a part at depth MAX_LEVELS - 1
+    or deeper.  Returns (sum of values, err_estimate)."""
     floor = mp.fsum(part[4] for part in parts) + end_bounds
     if floor > target:
         raise PrecisionUnreachable(
             f"target {mp.nstr(target, 3)} is below the rounding floor plus end bounds, "
             f"{mp.nstr(floor, 3)}, at {mp.prec} bits"
         )
-    heap, order, total = [], count(), mpf(0)
-
-    def push(part):
-        nonlocal total
-        heappush(heap, (-part[1], next(order), part))
-        total = mp.fadd(total, mp.fadd(part[1], part[4], exact=True), exact=True)
-
-    for part in parts:
-        push(part)
+    parts = list(parts)
     while True:
-        err = +total + end_bounds
+        err = mp.fsum(x for part in parts for x in (part[1], part[4])) + end_bounds
         if err <= target:
-            return mp.fsum(part[0] for _, _, part in heap), err
-        _, _, (_, estimate, depth, refine, floor) = heappop(heap)
+            return mp.fsum(part[0] for part in parts), err
+        worst = max(range(len(parts)), key=lambda i: parts[i][1])
+        _, _, depth, refine, _ = parts.pop(worst)
         if depth >= MAX_LEVELS - 1:
             raise NodeBudgetExceeded(
                 f"refinement failed to reach {mp.nstr(target, 3)} (at {mp.nstr(err, 3)})"
             )
-        total = mp.fsub(total, mp.fadd(estimate, floor, exact=True), exact=True)
-        for part in refine():
-            push(part)
+        parts += refine()
 
 
 def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAULT_POLICY):

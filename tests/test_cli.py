@@ -36,6 +36,23 @@ def test_eval_zeta_direct_method(capsys):
     assert json.loads(out)["method"] == "direct_sum"
 
 
+def test_eval_prints_the_digits_its_estimate_resolves(capsys):
+    # at 1e-70 the estimate is near 1e-74, finer than the 58 digits of 192
+    # bits: the printed value, with as many digits as the estimate resolves,
+    # lies within that estimate of the reference at the w the CLI parses
+    code, out, _ = run(
+        capsys, ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1", "--tol", "1e-70"]
+    )
+    assert code == 0
+    record = json.loads(out)
+    with mp.workprec(192):
+        w = mpf("1.3")
+    with mp.workprec(500):
+        err = mpf(record["err_estimate"])
+        assert err < mpf("1e-70")
+        assert abs(mpf(record["value"]["re"]) - mp.zeta(mpf("2.5"), w)) <= err
+
+
 def test_eval_complex_arguments(capsys):
     code, out, _ = run(
         capsys, ["eval", "zeta", "--s", "2.5-0.5j", "--w", "1+1j", "--omega", "1"]

@@ -3,11 +3,13 @@ import gc
 import random
 import time
 import weakref
+from fractions import Fraction
 from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from hyperzeta import (
     DEFAULT_POLICY,
@@ -123,8 +125,8 @@ def _record_circle(monkeypatch):
     """(samples N, depth) of every circle part an integral forms, in order."""
     parts, part = [], hankel._ContourEvaluator.part
 
-    def recording(ev, n, samples):
-        result = part(ev, n, samples)
+    def recording(ev, n):
+        result = part(ev, n)
         parts.append((n, result[2]))
         return result
 
@@ -322,6 +324,52 @@ def test_circle_doubles_in_refinement_keeping_every_sample(monkeypatch):
         assert err <= 1e-55
         assert circle[:2] == [(CIRCLE_SAMPLES, -1), (2 * CIRCLE_SAMPLES, 0)]
         assert sum(1 for t in ts if isinstance(t, mp.mpc)) == _evaluated(2 * CIRCLE_SAMPLES, w)
+
+
+@pytest.mark.parametrize("w", _W, ids=["real", "complex"])
+def test_a_refined_circle_part_is_a_cold_one(w):
+    # a refined part reads the even samples of its grid from the nodes the
+    # coarser grid kept: its value, estimate and floor equal, bit for bit,
+    # those of the same grid's part on a cleared store
+    om = OmegaVector.of(1, mpf("1.3"))
+    ispec = IntegrandSpec(omega=om, w=w, k=1, poly=q_poly(1, 1, P))
+
+    def cleared():
+        hankel._node_store.cache_clear()
+        return hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(om, w, P))
+
+    with P.context(QUADRATURE_GUARD_BITS):
+        first = cleared().first_pass()
+        refined = first[3]()[0]
+        cold = cleared().part(2 * CIRCLE_SAMPLES)
+    assert first[2] == -1 and refined[2] == cold[2] == 0
+    assert (refined[0], refined[1], refined[4]) == (cold[0], cold[1], cold[4])
+
+
+def test_refinement_takes_the_first_of_equal_estimates():
+    # three parts with equal estimates, each refined into one part with a
+    # thousandth of its estimate: a target of 1/2 takes two steps, which
+    # refine the first inserted part, then the second, not the third or the
+    # first's refinement; the estimate is the exact sum of the last
+    # estimates, floors and end bounds, rounded once.  Each floor is 3/8 of
+    # the sum's unit, so a sum that rounds term by term drops them; the end
+    # bound, a multiple of that unit, leaves the sum in its binade
+    refined, third, end = [], mpf(1) / 3, mpf(2) ** -10
+    floor = 3 * mpf(2) ** -(mp.prec + 4)
+
+    def part(i, estimate):
+        def refine():
+            refined.append(i)
+            return [part(i + 10, estimate / 1000)]
+
+        return mpf(i), estimate, -2, refine, floor
+
+    value, err = hankel._refine_worst([part(0, third), part(1, third), part(2, third)], mpf("0.5"), end)
+    assert refined == [0, 1]
+    last = [third, third / 1000, third / 1000, floor, floor, floor, end]
+    exact = sum(Fraction((-1) ** x._mpf_[0] * x.man) * Fraction(2) ** x.exp for x in last)
+    assert err._mpf_ == from_rational(exact.numerator, exact.denominator, mp.prec, round_nearest)
+    assert value == 2 + 10 + 11
 
 
 @pytest.mark.parametrize(
@@ -768,12 +816,12 @@ def test_reduction_checks_read_kept_terms(monkeypatch):
 def _group_numbers(key, group):
     """The numbers a store's group of key holds, counted as the store counts
     them: in the group None 2 per node and N per window of N moments, in a
-    (w, tail) group 1 per ray term and, per circle level of N, its N/2 + 1
-    or N samples and its N coefficients."""
+    (w, tail) group 1 per ray term and, per circle level of N, its N
+    coefficients."""
 
     def numbers(entry_key, entry):
         if isinstance(entry_key, int):  # a circle level of N
-            return len(entry[0]) + entry_key
+            return entry_key
         if isinstance(entry_key, tuple) and len(entry_key) == 5:  # a window
             return len(entry[0])
         return 2 if key is None else 1
@@ -794,7 +842,7 @@ def _within_budget(store, w):
 
 def test_node_store_stays_within_its_bound(monkeypatch):
     # one integral that offers more than the store holds (512 samples of a
-    # complex integrand at 1e-40, 1920 numbers in its four circle levels):
+    # complex integrand at 1e-40, 960 numbers in its four circle levels):
     # the store keeps its windows and nodes, and never its numbers past
     # STORE_NUMBERS
     offered, keep = [], hankel._Store.keep
@@ -1211,9 +1259,10 @@ def test_zero_samples_give_an_exactly_zero_circle(n):
         with P.context(QUADRATURE_GUARD_BITS):
             ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
             assert ev.real
-            # a real integrand's part carries its N/2 + 1 samples with 2l <= N
+            # a real integrand's part takes its N/2 + 1 samples with 2l <= N
             zeros = [mpf(0)] * (n // 4) + [mp.mpc(0)] * (n // 4 + 1)
-            value, err, _, _, floor = ev.part(n, lambda: zeros)
+            ev.samples = lambda ls, size: zeros
+            value, err, _, _, floor = ev.part(n)
             assert (value, err, floor) == (0, 0, 0)
             for real in (False, True):
                 zeros = [mp.mpc(0)] * (n // 2 + 1 if real else n)
