@@ -134,8 +134,14 @@ def _integer(text: str) -> int:
 
 
 def parse_real_tuple(text: str):
-    """Parse '1,0.7' into a tuple of finite mpfs."""
-    parts = [t for t in _unseparated(text).split(",") if t.strip()]
+    """Parse '1,0.7' into a tuple of finite mpfs, and '' into the empty tuple.
+    Every field must hold a number: '1,,2' and '1,' are errors, not (1, 2)
+    and (1,)."""
+    if not text.strip():
+        return ()
+    parts = _unseparated(text).split(",")
+    if not all(t.strip() for t in parts):
+        raise ValueError(f"empty field in the list {text.strip()!r}")
     return tuple(_finite(mpf(t.strip()), t) for t in parts)
 
 

@@ -37,6 +37,31 @@ extends 32-point Gauss-Legendre (Laurie, Math. Comp. 66, 1997), mapped onto
 the panel by its midpoint and half-width; that gives both the Kronrod value
 K65 and the Gauss value G32 of its 32 Gauss nodes.
 
+The rule is built once per working precision, bits, by ``_legendre_nodes``:
+Laurie's betas at bits + 32, float seeds, and then a polish over Python
+integers in the unit 2^-(bits + 64).  The polish runs the orthonormal
+recurrence q_0 = 1/sqrt(beta_0),
+q_{k+1} = (x q_k - sqrt(beta_k) q_{k-1}) / sqrt(beta_{k+1}), whose values
+stay O(1) where the monic p_k shrink like 2^-k; the last step, r_m (m = 32
+for a Gauss node, 65 for a Kronrod node), is left unnormalised, as no
+beta_65 exists.  The sqrt(beta_k) and 1/sqrt(beta_k) are integers in the
+unit, so a step takes two products and one more by 1/sqrt(beta_{k+1}),
+rounded down once, and no division; the q_k stay within about 2^13 units of
+their exact values (measured at 256 and 704 bits).  The same pass sums
+q_k^2, the Christoffel sum whose reciprocal is the weight.  By
+Christoffel-Darboux, sum_{k<m} q_k^2 = r_m' q_{m-1} - q_{m-1}' r_m, so near
+a zero of r_m the Newton step r_m / r_m' is r_m q_{m-1} / sum_{k<m} q_k^2
+to first order: a pass about squares the error with no derivative
+recurrence.  That step also vanishes at the zeros of q_{m-1}, where r_m does
+not, so the polish stops at the first pass whose residual |r_m| is at most
+2^20 units, not at a small step.  |r_m'| > 12.9 at every node of this rule,
+so that pass's point is within 2^-(bits + 47) of its node; its step takes it
+within rounding of the node, and its sums, whose relative slope there is
+below 2^11, are within 2^-(bits + 36) relatively.  A polish with no such
+pass among the first (bits + 64).bit_length() (9 at 256 bits, where a float
+seed takes 4) raises NodeBudgetExceeded: no node is returned unchecked.
+Each node and weight is then rounded to nearest at bits + 32.
+
 K65 is returned, so each panel's estimate is one of K65's error, by
 QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
 resasc)^1.5), resasc the K65 integral of |f - mean f| over the panel.  For an
@@ -246,10 +271,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
-from math import acos, cos, factorial, log, pi
+from math import acos, cos, factorial, isqrt, log, pi
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
@@ -348,7 +373,8 @@ def _kronrod_betas(n: int):
 
 def _newton(beta, x, tol):
     """A zero of the monic p_len(beta), p_{k+1} = x p_k - beta_k p_{k-1}, by
-    Newton's method from x; stops after the first step below tol."""
+    Newton's method in floats from x; stops after the first step below tol.
+    It seeds ``_polish``, which checks its own convergence."""
     for _ in range(8):
         p0, p1, d0, d1 = 0, 1, 0, 0
         for b in beta:
@@ -360,54 +386,78 @@ def _newton(beta, x, tol):
     return x
 
 
-def _christoffel(beta, x):
-    """(Gauss, Kronrod) weights at a node x: the Christoffel sum
-    1 / sum_k p_k(x)^2 / (beta_0 ... beta_k), over k < GAUSS_NODES for the
-    Gauss rule (the zeros of p_GAUSS_NODES) and over k < len(beta) for the
-    Kronrod rule (the zeros of p_len(beta))."""
-    p0, p1, norm, csum = 0, 1, 1, 0
-    for k, b in enumerate(beta):
-        if k == GAUSS_NODES:
-            gauss = 1 / csum
-        norm *= b
-        csum += p1 * p1 / norm
-        p0, p1 = p1, x * p1 - b * p0
-    return gauss, 1 / csum
+def _polish(x, m, roots, inv, unit):
+    """The zero of r_m that Newton's method reaches from the float x, polished
+    over integers in the unit 2^-unit, with the Christoffel sums there:
+    (node, sum_{k<m} q_k^2, sum_{k<len(roots)} q_k^2), the node in the unit
+    and the sums in its square.  roots and inv are sqrt(beta_k) and 1/sqrt(beta_k) in the unit.
+    Each pass runs the orthonormal recurrence at x, each step rounded down,
+    and takes the step r_m q_{m-1} / sum_{k<m} q_k^2 (module docstring).
+    The polish stops at the first pass whose |r_m| is at most 2^20 units,
+    and raises NodeBudgetExceeded if none is within unit.bit_length() passes."""
+    num, den = x.as_integer_ratio()
+    x, two = (num << unit) // den, 2 * unit
+    steps = list(zip(roots[: m - 1], inv[1:m]))
+    for _ in range(unit.bit_length()):
+        q0, q1 = 0, inv[0]
+        csum = q1 * q1
+        for s, i in steps:
+            q0, q1 = q1, (x * q1 - s * q0) * i >> two
+            csum += q1 * q1
+        r = x * q1 - roots[m - 1] * q0  # r_m, in the unit squared
+        dx = r * q1 // csum
+        if abs(r) <= 1 << (unit + 20):
+            total = csum
+            for s, i in zip(roots[m - 1 :], inv[m:]):
+                q0, q1 = q1, (x * q1 - s * q0) * i >> two
+                total += q1 * q1
+            return x - dx, csum, total
+        x -= dx
+    raise NodeBudgetExceeded(f"Newton's method found no Gauss-Kronrod node in {unit.bit_length()} passes")
 
 
 @lru_cache(maxsize=None)
 def _legendre_nodes(prec: int):
     """The Gauss-Kronrod-Legendre rule on [-1, 1] that extends GAUSS_NODES-point
     Gauss-Legendre to KRONROD_NODES points: (nodes, Kronrod weights, Gauss
-    weights, Kronrod weights as floats).  The nodes ascend, and nodes[1::2]
-    are the Gauss nodes.
+    weights, Kronrod weights as floats), at prec + 32 bits.  The nodes
+    ascend, and nodes[1::2] are the Gauss nodes.
 
     The positive half is found and mirrored.  Float seeds: Newton from
     cos(pi (i + 3/4) / (n + 1/2)) gives the Gauss nodes, and one Kronrod node
     lies between each pair (the two rules interlace), found by Newton from the
-    midpoint in arccos.  Each is then polished at prec + 32 bits, on p_n for a
-    Gauss node and on the degree-2n+1 polynomial for a Kronrod node.  A
-    Newton step about squares the error, so the polish stops after the first
-    step below 2^-((prec + 32)/2 + 4): the third, for prec up to about 320.
-    The weights are Christoffel sums."""
+    midpoint in arccos.  Each is then polished over integers in the unit
+    2^-(prec + 64) by ``_polish``, from Laurie's betas at prec + 32 bits: a
+    Gauss node on r_n, a Kronrod node on r_{2n+1}.  The weights are the
+    reciprocals of the Christoffel sums of the polish's last pass.  Each node
+    and weight is rounded to nearest at prec + 32 bits (module docstring)."""
     n = GAUSS_NODES
     with mp.workprec(prec + 32):
         beta = _kronrod_betas(n)
-        fbeta = [float(b) for b in beta]
-        gauss = [_newton(fbeta[:n], cos(pi * (i + 0.75) / (n + 0.5)), 1e-15) for i in range(n // 2)]
-        theta = [0.0] + [acos(x) for x in gauss]
-        kronrod = [_newton(fbeta, cos((a + b) / 2), 1e-15) for a, b in zip(theta, theta[1:])]
-        tol = mpf(2) ** (-mp.prec // 2 - 4)
-        half = []
-        for xk, xg in zip(kronrod, gauss):
-            half += [_newton(beta, mpf(xk), tol), _newton(beta[:n], mpf(xg), tol)]
-        half.append(mpf(0))
-        weights = [_christoffel(beta, x) for x in half]
-        nodes = [-x for x in half] + half[-2::-1]
-        kw = [k for _, k in weights]
-        kw += kw[-2::-1]
-        gw = [g for g, _ in weights[1::2]]
-        return tuple(nodes), tuple(kw), tuple(gw + gw[::-1]), tuple(map(float, kw))
+    fbeta = [float(b) for b in beta]
+    gauss = [_newton(fbeta[:n], cos(pi * (i + 0.75) / (n + 0.5)), 1e-15) for i in range(n // 2)]
+    theta = [0.0] + [acos(x) for x in gauss]
+    kronrod = [_newton(fbeta, cos((a + b) / 2), 1e-15) for a, b in zip(theta, theta[1:])]
+    unit, bits = prec + 64, prec + 32
+    one = 1 << unit
+    roots = [isqrt(to_fixed(b._mpf_, 2 * unit)) for b in beta]
+    inv = [one * one // r for r in roots]
+    half = []
+    for xk, xg in zip(kronrod, gauss):
+        half += [_polish(xk, 2 * n + 1, roots, inv, unit), _polish(xg, n, roots, inv, unit)]
+    half.append(_polish(0.0, 2 * n + 1, roots, inv, unit))
+
+    def node(x):
+        return mp.make_mpf(from_man_exp(x, -unit, bits, round_nearest))
+
+    def weight(csum):
+        return mp.make_mpf(from_rational(one * one, csum, bits, round_nearest))
+
+    nodes = [node(-x) for x, _, _ in half] + [node(x) for x, _, _ in half[-2::-1]]
+    kw = [weight(k) for _, _, k in half]
+    kw += kw[-2::-1]
+    gw = [weight(g) for _, g, _ in half[1::2]]
+    return tuple(nodes), tuple(kw), tuple(gw + gw[::-1]), tuple(map(float, kw))
 
 
 def _gk_sums(fs, half, rule):

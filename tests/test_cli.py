@@ -177,6 +177,37 @@ def test_digit_separator_parsers():
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1,,2"],
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1,"],
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", ",1"],
+        ["eval", "P", "--w", "1.3", "--omega", "1, ,2"],
+        ["asym", "--m", "1", "--k", "0", "--w-grid", "10,,20,40,80"],
+        ["asym", "--alpha", "1,"],
+    ],
+    ids=["between", "after", "before", "blank", "w-grid", "alpha"],
+)
+def test_empty_list_field_exit_2(capsys, argv):
+    # an empty field was dropped: --omega 1,,2 ran at omega = (1, 2), --omega 1,
+    # at (1,) and --w-grid 10,,20,40,80 at four points
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and "empty field" in record["message"]
+
+
+def test_real_tuple_fields():
+    # the whole empty string is the empty tuple; any other empty field is an error
+    assert cli.parse_real_tuple("") == () == cli.parse_real_tuple("  ")
+    assert cli.parse_real_tuple(" 1 , 0.7 ") == (1, mpf("0.7"))
+    for text in ("1,,2", "1,", ",1", "1, ,2", ","):
+        with pytest.raises(ValueError, match="empty field"):
+            cli.parse_real_tuple(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--tol", "inf"],
         ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--tol", "inf", "--method", "direct"],
         ["--tol", "nan", "check", "combinatorics"],

@@ -1,5 +1,6 @@
 import cmath
 import gc
+import math
 import random
 import time
 import weakref
@@ -9,7 +10,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_fixed
 
 from hyperzeta import (
     DEFAULT_POLICY,
@@ -207,6 +208,90 @@ def test_kronrod_rule_shape():
     # the Gauss subset is the 32-point Gauss-Legendre rule
     for x in nodes[1::2]:
         assert abs(mp.legendre(32, x)) < mpf("1e-50")
+
+
+def _mpf_newton(beta, x, tol):
+    """A zero of the monic p_len(beta) by Newton's method from x, in the
+    numbers of x; stops after the first step below tol."""
+    for _ in range(8):
+        p0, p1, d0, d1 = 0, 1, 0, 0
+        for b in beta:
+            p0, p1, d0, d1 = p1, x * p1 - b * p0, d1, p1 + x * d1 - b * d0
+        dx = p1 / d1
+        x -= dx
+        if abs(dx) < tol:
+            break
+    return x
+
+
+def _mpf_christoffel(beta, x):
+    """(Gauss, Kronrod) weights at x: 1 / sum_k p_k(x)^2 / (beta_0 ... beta_k)
+    over k < 32 and over k < len(beta)."""
+    p0, p1, norm, csum = 0, 1, 1, 0
+    for k, b in enumerate(beta):
+        if k == 32:
+            gauss = 1 / csum
+        norm *= b
+        csum += p1 * p1 / norm
+        p0, p1 = p1, x * p1 - b * p0
+    return gauss, 1 / csum
+
+
+def _mpf_rule(prec):
+    """The Gauss-Kronrod rule of hankel._legendre_nodes(prec), built from the
+    same betas and float seeds by monic Newton and Christoffel sums in mpf
+    at prec + 32 bits: (nodes, Kronrod weights, Gauss weights)."""
+    n = 32
+    with mp.workprec(prec + 32):
+        beta = hankel._kronrod_betas(n)
+        fbeta = [float(b) for b in beta]
+        gauss = [_mpf_newton(fbeta[:n], math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1e-15) for i in range(n // 2)]
+        theta = [0.0] + [math.acos(x) for x in gauss]
+        kronrod = [_mpf_newton(fbeta, math.cos((a + b) / 2), 1e-15) for a, b in zip(theta, theta[1:])]
+        tol = mpf(2) ** (-mp.prec // 2 - 4)
+        half = []
+        for xk, xg in zip(kronrod, gauss):
+            half += [_mpf_newton(beta, mpf(xk), tol), _mpf_newton(beta[:n], mpf(xg), tol)]
+        half.append(mpf(0))
+        weights = [_mpf_christoffel(beta, x) for x in half]
+        nodes = [-x for x in half] + half[-2::-1]
+        kw = [k for _, k in weights]
+        gw = [g for g, _ in weights[1::2]]
+        return nodes, kw + kw[-2::-1], gw + gw[::-1]
+
+
+@pytest.mark.parametrize("prec", [256, 320, 448, 704])
+def test_rule_matches_the_mpf_construction(prec):
+    # the integer polish gives every node and weight of the monic mpf
+    # construction from the same betas and seeds, within 2^-(prec + 28)
+    rule = hankel._legendre_nodes(prec)
+    with mp.workprec(prec + 64):
+        for ours, ref in zip(rule, _mpf_rule(prec)):
+            assert len(ours) == len(ref)
+            assert max(abs(a - b) for a, b in zip(ours, ref)) <= mp.ldexp(1, -prec - 28)
+
+
+def test_gauss_half_matches_golub_welsch():
+    # mp.gauss_quadrature takes the eigenvalues and eigenvectors of the
+    # Jacobi matrix (Golub-Welsch), with neither Laurie's betas nor Newton
+    prec = P.precision_bits + QUADRATURE_GUARD_BITS
+    nodes, _, gw, _ = hankel._legendre_nodes(prec)
+    with mp.workprec(prec + 64):
+        xs, ws = mp.gauss_quadrature(32, "legendre")
+        assert max(abs(a - b) for a, b in zip(nodes[1::2], xs)) <= mp.ldexp(1, -prec - 24)
+        assert max(abs(a - b) for a, b in zip(gw, ws)) <= mp.ldexp(1, -prec - 24)
+
+
+def test_polish_that_cannot_converge_raises():
+    # at x = 0 the step r_32 q_31 / sum q_k^2 is 0, as q_31 is odd, yet
+    # r_32(0) is not: the polish stays at 0 and raises rather than return it
+    unit = mp.prec + 64
+    roots = [math.isqrt(to_fixed(b._mpf_, 2 * unit)) for b in hankel._kronrod_betas(32)]
+    inv = [(1 << 2 * unit) // r for r in roots]
+    with pytest.raises(NodeBudgetExceeded):
+        hankel._polish(0.0, 32, roots, inv, unit)
+    # 0 is a zero of the odd r_65: the middle Kronrod node, in one pass
+    assert hankel._polish(0.0, 65, roots, inv, unit)[0] == 0
 
 
 def test_contour_evaluates_65_nodes_per_panel(monkeypatch):
