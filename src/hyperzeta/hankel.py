@@ -60,7 +60,11 @@ within rounding of the node, and its sums, whose relative slope there is
 below 2^11, are within 2^-(bits + 36) relatively.  A polish with no such
 pass among the first (bits + 64).bit_length() (9 at 256 bits, where a float
 seed takes 4) raises NodeBudgetExceeded: no node is returned unchecked.
-Each node and weight is then rounded to nearest at bits + 32.
+Each node and weight is then rounded to nearest at bits + 32.  The betas'
+own rounding sets the rule's accuracy: against the rule built at
+bits + 160, the nodes are within 2^-(bits + 31) and the weights within
+2^-(bits + 24) relatively (measured at 256 and 704 bits), far below the
+panels' rounding floor.
 
 K65 is returned, so each panel's estimate is one of K65's error, by
 QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
