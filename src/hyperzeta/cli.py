@@ -133,16 +133,28 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def parse_real_tuple(text: str):
-    """Parse '1,0.7' into a tuple of finite mpfs, and '' into the empty tuple.
-    Every field must hold a number: '1,,2' and '1,' are errors, not (1, 2)
-    and (1,)."""
+def _fields(text: str) -> list:
+    """The comma-separated fields of text, stripped, and none for a blank
+    text.  Every field must hold a number: '1,,2' and '1,' are errors, not
+    (1, 2) and (1,)."""
     if not text.strip():
-        return ()
-    parts = _unseparated(text).split(",")
-    if not all(t.strip() for t in parts):
+        return []
+    fields = [t.strip() for t in text.split(",")]
+    if not all(fields):
         raise ValueError(f"empty field in the list {text.strip()!r}")
-    return tuple(_finite(mpf(t.strip()), t) for t in parts)
+    return fields
+
+
+def parse_real_tuple(text: str):
+    """Parse '1,0.7' into a tuple of finite mpfs, and '' into the empty tuple
+    (``_fields``); a digit separator nowhere."""
+    return tuple(_finite(mpf(t), t) for t in _fields(_unseparated(text)))
+
+
+def _periods(text: str) -> OmegaVector:
+    """Parse '1,0.9+0.3j' into an OmegaVector, each period by parse_complex,
+    and '' into the empty one (``_fields``)."""
+    return OmegaVector.of(*map(parse_complex, _fields(text)))
 
 
 def _digits(bits: int) -> int:
@@ -212,7 +224,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--w", required=True, help="base point (complex, Re > 0)")
     ev.add_argument("--m", type=_integer, help="derivative order m (default 1; P and gamma-log)")
     ev.add_argument("--k", type=_integer, help="integer shift k (default 0; P and gamma-log)")
-    ev.add_argument("--omega", default="1", help="comma-separated periods, e.g. 1,0.7")
+    ev.add_argument("--omega", default="1", help="comma-separated periods, e.g. 1,0.9+0.3j")
     ev.add_argument(
         "--method",
         choices=("contour", "direct", "combination"),
@@ -291,7 +303,7 @@ def _print(fmt: str, payload, csv_lines, plain_lines) -> None:
 
 
 def _run_eval(args, p: PrecisionPolicy) -> int:
-    omega = OmegaVector.of(*parse_real_tuple(args.omega))
+    omega = _periods(args.omega)
     w = parse_complex(args.w)
     m = 1 if args.m is None else args.m
     k = 0 if args.k is None else args.k
@@ -353,8 +365,8 @@ def _run_check(args, p: PrecisionPolicy) -> int:
 
 def _run_asym(args, p: PrecisionPolicy) -> int:
     exp = asymptotics.AsymExperiment(
-        omega=OmegaVector.of(*parse_real_tuple(args.omega)),
-        alpha=OmegaVector.of(*parse_real_tuple(args.alpha)),
+        omega=_periods(args.omega),
+        alpha=_periods(args.alpha),
         a=parse_complex(args.a),
         m=args.m,
         k=args.k,

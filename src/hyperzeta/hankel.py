@@ -98,27 +98,31 @@ lambda^{-k-1} sum_{n=n0}^{n0+N-1} A'_n B_n.  t_l comes from cached roots of
 unity, and poly and t^{-k-1} are in the moments, so a sample costs
 t f_omega(t) and one exponential, e^{-wt}.  When every period, w and tail
 coefficient is real, phi(conj t) = conj phi(t), and t_{N-l} = conj t_l, so
-only the samples with 2l <= N are evaluated and transformed, 33 of 64:
-phi_{N-l} = conj phi_l is the rest, the Hermitian symmetry that real-data
-FFTs use (Sorensen et al., IEEE Trans. ASSP 35, 1987).  phi_0 and phi_{N/2},
-at t = lambda and -lambda, have imaginary parts exactly 0.  k and poly live
+only the samples with 2l <= N are evaluated, 33 of 64: phi_{N-l} =
+conj phi_l, the Hermitian symmetry, is the rest.  phi_0 and phi_{N/2}, at
+t = lambda and -lambda, have imaginary parts exactly 0.  k and poly live
 in the moments, so they play no part in that test.
 
-The transform is decimation in time over Python integers.  Each part of
-each sample is rounded down to a multiple of the unit u, 2^-(bits + 8)
-mean|phi_l| rounded down to a power of 2, bits the working precision; the
+Every circle level, real or complex, takes one transform over Python
+integers (``_spectrum``).  Each part of each sample is rounded down to a
+multiple of the unit u = 2^(mag - 2) / N * 2^-(bits + 8), bits the working
+precision and mag the largest sample's mp.mag.  mag exceeds log2 of that
+sample's size by at most 1 for an mpf and 2 for an mpc, whose mag adds a bit
+for its two parts, so u <= 2^-(bits + 8) max|phi_l| / N, which is at most
+2^-(bits + 8) mean|phi_l|.  A real integrand's N/2 + 1 integer samples are
+mirrored into the rest by exact negation, x_{N-l} = conj x_l, so the
+integers are exactly Hermitian.  mean|phi_l|, which the floor below needs,
+is taken from the integers: each size floor(sqrt(re^2 + im^2)) by isqrt,
+their mean times u, within 3u of the samples' own mean, as each integer lies
+within sqrt 2 units of its sample.  The transform
+Y_j = sum_l x_l e^{-2 pi i j l / N} of the integers x_l splits into the
+transforms of the even and the odd l and joins them by butterflies; the
 twiddles are the parts of 2^(bits + 8) e^{-2 pi i j / N}, each rounded to
 the nearest integer and cached per (N, bits), and each product by one is
-rounded down to an integer.  u and the 1/N go into the exponent when A'_n
-returns to an mpf or mpc, rounded to nearest.  A real integrand's samples
-are Hermitian, so its spectrum Y_j = N A'_j is real, and one N/2-point
-transform gives it: z_l = (x_l + x_{l+N/2}) + i w^l (x_l - x_{l+N/2}),
-w = e^{-2 pi i / N}, has the transform Z_m = Y_{2m} + i Y_{2m+1}, so
-Y_{2m} = Re Z_m and Y_{2m+1} = Im Z_m, and its A'_n are mpf: the part's
-value and estimate then take real-by-complex and real arithmetic.  Only
-its N/2 + 1 samples are rounded to integers, and the fold reads x_{l+N/2}
-as conj x_{N/2-l}, by exact negation, so the integer samples are exactly
-Hermitian too.
+rounded down to an integer.  A'_n = u Y_n / N: u and the 1/N go into the
+exponent when Y_n returns to an mpf or mpc, rounded to nearest.  A real
+integrand's A'_n are the real parts, mpf, so its part's value and estimate
+then take real-by-complex and real arithmetic.
 
 The transform's rounding, in units u: a twiddle errs by at most tau =
 2^-(bits + 8) relatively, so a product of a value O errs by at most
@@ -127,20 +131,15 @@ the recursion, and the sub-transforms of one size hold each sample once,
 so the products add at most log2(N) tau sum|x_l| + sqrt 2 N to Y_j, and
 the samples' rounding sqrt 2 N more.  Divided by N, each A'_n errs by at
 most (log2 N + 3) 2^-(bits + 8) mean|phi_l|, as u <= 2^-(bits + 8)
-mean|phi_l|.  In the fold the samples' rounding is Hermitian too, so it
-moves each real Y_j by at most sqrt 2 N, as before.  The fold's products
-add at most tau sum|x_l| + sqrt 2 N/2 to Z_m, and the N/2-point transform
-of the z_l, sum|z_l| <= 2 sum|x_l|, at most 2 log2(N/2) tau sum|x_l| +
-sqrt 2 N/2; each Y_j, a part of Z_m, takes at most their sum.  Divided by
-N, each A'_n errs by at most (2 log2 N - 1 + 2 sqrt 2) 2^-(bits + 8)
-mean|phi_l| < (2 log2 N + 2) 2^-(bits + 8) mean|phi_l|.  The return to
-bits adds at most 2^-bits |A'_n| <= 2^-bits mean|phi_l|, so every A'_n is
-within (1 + (2 log2 N + 2) / 256) 2^-bits mean|phi_l| of the exact
-coefficient of its samples, below 1.11 * 2^-bits mean|phi_l| up to 4096
-samples.  That holds for every dynamic range: it is relative to the mean,
-and a sample below the unit loses only what lies below it.  Against the
-moments it is at most 1.11 * 2^-bits mean|phi_l| sum|B_n| |lambda^{-k-1}|,
-a 45th of the part's floor below.
+mean|phi_l|.  A real integrand's integers are Hermitian, so their exact
+transform is real, and the real part of a computed Y_j is no farther from
+it than Y_j is.  The return to bits adds at most 2^-bits |A'_n| <= 2^-bits
+mean|phi_l|, so every A'_n is within (1 + (log2 N + 3) / 256) 2^-bits
+mean|phi_l| of the exact coefficient of its samples, below 1.06 * 2^-bits
+mean|phi_l| up to 4096 samples.  That holds for every dynamic range: it is
+relative to the mean, and a sample below the unit loses only what lies
+below it.  Against the moments it is at most 1.06 * 2^-bits mean|phi_l|
+sum|B_n| |lambda^{-k-1}|, a 47th of the part's floor below.
 
 The part's error is its aliased and truncated modes: each A_m with m >= n0 +
 N enters once through A'_{m-jN}, weighted by that mode's moment, and is
@@ -276,6 +275,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 from math import acos, cos, factorial, isqrt, log, pi
+from operator import add, sub
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
@@ -650,17 +650,16 @@ class _ContourEvaluator:
 
     def part(self, n):
         """A circle part: (value, estimate, depth, refine, floor) of the grid
-        of n samples, from its level (mean |phi_l|, ``_spectrum``), which the
-        (w, tail) group keeps by n.  Where it keeps none, the samples are
-        taken: all n, or a real integrand's n/2 + 1 with 2l <= n, whose
-        mirrors have their sizes.  refine() is the part of the grid twice as
-        fine, one depth deeper, whose even samples are this grid's nodes."""
+        of n samples, from its level, the mean |phi_l| and coefficients that
+        ``_spectrum`` returns and the (w, tail) group keeps by n.  Where it
+        keeps none, the samples are taken, all n or a real integrand's
+        n/2 + 1 with 2l <= n, and ``_spectrum`` builds the level from them.
+        refine() is the part of the grid twice as fine, one depth deeper,
+        whose even samples are this grid's nodes."""
         level = self.group.get(n)
         if level is None:
             samples = self.samples(range(n), n)
-            sizes = [abs(x) for x in samples]
-            mean = mp.fsum(sizes + sizes[1:-1] if self.real else sizes) / n
-            level = self.store.keep(self.group, n, (mean, _spectrum(samples, mean, self.real)), n)
+            level = self.store.keep(self.group, n, _spectrum(samples, self.real), n)
         mean, spectrum = level
         coeffs = [spectrum[m % n] for m in range(self.n0, self.n0 + n)]
         moments, largest, total = self.moments(n)
@@ -732,83 +731,62 @@ def _twiddles(n: int, bits: int):
         )
 
 
-@lru_cache(maxsize=None)
-def _bit_reversal(n: int):
-    """The order of decimation in time: l with its log2(n) bits reversed."""
-    if n == 1:
-        return (0,)
-    half = _bit_reversal(n // 2)
-    return tuple(2 * l for l in half) + tuple(2 * l + 1 for l in half)
-
-
 def _transform(re, im, roots, bits):
     """Y_j = sum_l x_l e^{-2 pi i j l / n} of the integers x_l = re[l] + i im[l],
-    n = len(re) a power of 2, by radix-2 decimation in time; roots are the
-    ``_twiddles`` at bits of a transform of 2 len(roots) points, a multiple
-    of n.  Each product by a twiddle is rounded down to an integer.  Returns
+    n = len(re) a power of 2, at least 2, by the radix-2 split into the
+    transforms of the even and the odd l; roots are the ``_twiddles`` at
+    bits of a transform of 2 len(roots) points, a multiple of n.  Each
+    product by a twiddle is rounded down to an integer.  Returns the lists
     (Re Y, Im Y)."""
     n = len(re)
-    order = _bit_reversal(n)
-    re, im = [re[l] for l in order], [im[l] for l in order]
-    size = 2
-    while size <= n:
-        half, stride = size // 2, 2 * len(roots) // size
-        for j in range(half):
-            c, s = roots[j * stride]
-            for a in range(j, n, size):
-                b = a + half
-                xr, xi = re[b], im[b]
-                if j:
-                    xr, xi = (xr * c - xi * s) >> bits, (xr * s + xi * c) >> bits
-                re[b], im[b] = re[a] - xr, im[a] - xi
-                re[a] += xr
-                im[a] += xi
-        size *= 2
-    return re, im
+    if n == 2:
+        (a, b), (c, d) = re, im
+        return [a + b, a - b], [c + d, c - d]
+    er, ei = _transform(re[::2], im[::2], roots, bits)
+    xr, xi = _transform(re[1::2], im[1::2], roots, bits)
+    step = 2 * len(roots) // n
+    for j, (c, s) in enumerate(roots[step::step], 1):
+        a, b = xr[j], xi[j]
+        xr[j], xi[j] = (a * c - b * s) >> bits, (a * s + b * c) >> bits
+    return (
+        list(map(add, er, xr)) + list(map(sub, er, xr)),
+        list(map(add, ei, xi)) + list(map(sub, ei, xi)),
+    )
 
 
-def _fold(re, im, roots, bits):
-    """The n/2 integers z_l = (x_l + x_{l+n/2}) + i w^l (x_l - x_{l+n/2}),
-    w = e^{-2 pi i / n}, whose n/2-point transform is Z_m = Y_{2m} + i Y_{2m+1}
-    (module docstring), from the integers x_l = re[l] + i im[l], l <= n/2, of
-    a Hermitian sequence: x_{l+n/2} = conj x_{n/2-l}, by exact negation.
-    roots are the n-point ``_twiddles`` at bits."""
-    h = len(re) - 1
-    zr, zi = [], []
-    for l, (c, s) in enumerate(roots):
-        ar, ai, br, bi = re[l], im[l], re[h - l], -im[h - l]
-        dr, di = ar - br, ai - bi
-        zr.append(ar + br - ((c * di + s * dr) >> bits))
-        zi.append(ai + bi + ((c * dr - s * di) >> bits))
-    return zr, zi
-
-
-def _spectrum(samples, mean, real):
-    """The trapezoidal coefficients A'_m = (1/n) sum_l phi_l e^{-2 pi i m l / n},
-    m < n, of n samples phi_l (mpf or mpc) whose mean |phi_l| is mean, by one
-    integer transform in the unit 2^-(bits + 8) mean rounded down to a power
-    of 2, bits the working precision (module docstring).  Hermitian samples
-    (real true) are given by their n/2 + 1 with l <= n/2, folded into one
-    n/2-point transform, and give mpf coefficients; else all n are given,
-    and the coefficients are mpc.  Zero samples give exact zeros."""
+def _spectrum(samples, real):
+    """(mean |phi_l|, the trapezoidal coefficients A'_m = (1/n) sum_l phi_l
+    e^{-2 pi i m l / n}, m < n) of n samples phi_l (mpf or mpc), the level a
+    circle part keeps, by one integer transform (module docstring).  The
+    samples are rounded down in the unit 2^-unit, 2^(mag - 2) / n times
+    2^-(prec + 8), mag the largest sample's mp.mag, prec the working
+    precision.  Hermitian samples (real true) are given by their n/2 + 1
+    with l <= n/2 and mirrored into the rest by exact integer negation, and
+    their coefficients are mpf, the real parts; else all n are given, and
+    the coefficients are mpc.  The mean is the integers' sizes by isqrt.
+    Zero samples give a zero mean and exact zeros."""
     n = 2 * len(samples) - 2 if real else len(samples)
-    if not mean:
-        return [mpf(0) if real else mp.mpc(0)] * n
-    prec = mp.prec
+    mags = [mp.mag(x) for x in samples if x]
+    if not mags:
+        return mpf(0), [mpf(0) if real else mp.mpc(0)] * n
+    prec, log_n = mp.prec, n.bit_length() - 1
     bits = prec + 8
-    unit = bits + 1 - mp.mag(mean)  # the unit is 2^-unit
-    re, im = zip(*(_fixed(x, unit) for x in samples))
-    roots = _twiddles(n, bits)
-    exp = -unit - (n.bit_length() - 1)  # the unit and the 1/n
-
-    def fixed(y):
-        return from_man_exp(y, exp, prec, round_nearest)
-
+    unit = bits + 2 + log_n - max(mags)
+    re, im = map(list, zip(*(_fixed(x, unit) for x in samples)))
+    sizes = [isqrt(a * a + b * b) for a, b in zip(re, im)]
     if real:
-        zr, zi = _transform(*_fold(re, im, roots, bits), roots, bits)
-        return [mp.make_mpf(fixed(y)) for pair in zip(zr, zi) for y in pair]
-    yr, yi = _transform(re, im, roots, bits)
-    return [mp.make_mpc((fixed(a), fixed(b))) for a, b in zip(yr, yi)]
+        re += re[-2:0:-1]
+        im += [-y for y in im[-2:0:-1]]
+        sizes += sizes[1:-1]
+
+    def fixed(y):  # an integer in the unit, divided by n
+        return from_man_exp(y, -unit - log_n, prec, round_nearest)
+
+    yr, yi = _transform(re, im, _twiddles(n, bits), bits)
+    mean = mp.make_mpf(fixed(sum(sizes)))
+    if real:
+        return mean, [mp.make_mpf(fixed(y)) for y in yr]
+    return mean, [mp.make_mpc((fixed(a), fixed(b))) for a, b in zip(yr, yi)]
 
 
 def _ray_end(ev: _ContourEvaluator, js, target):

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from hyperzeta import checks, cli
+from hyperzeta import DEFAULT_POLICY, OmegaVector, checks, cli, log_hyper_gamma
 
 
 def run(capsys, argv):
@@ -59,6 +59,41 @@ def test_eval_complex_arguments(capsys):
     )
     assert code == 0
     assert json.loads(out)["target"] == "zeta"
+
+
+def test_eval_complex_periods(capsys):
+    # --omega reads each field as --w is read, so a complex period reaches
+    # the library: the printed value is log_hyper_gamma's at the same policy
+    # and the same parse, within the estimate it prints
+    argv = ["eval", "gamma-log", "--m", "2", "--k", "0", "--w", "0.5", "--omega", "1,0.9+0.3j"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    record = json.loads(out)
+    with DEFAULT_POLICY.context():
+        omega = OmegaVector.of(1, cli.parse_complex("0.9+0.3j"))
+        res = log_hyper_gamma(2, 0, mpf("0.5"), omega, DEFAULT_POLICY)
+    assert isinstance(omega.omegas[1], mp.mpc) and res.value.imag
+    with mp.workprec(400):
+        printed = mp.mpc(record["value"]["re"], record["value"]["im"])
+        assert abs(printed - res.value) <= mpf(record["err_estimate"])
+        assert mpf(record["err_estimate"]) == mpf(mp.nstr(res.err_estimate, 3))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1j"],
+        ["eval", "P", "--w", "1.3", "--omega", "1,-0.5+2j"],
+        ["asym", "--alpha", "1j"],
+    ],
+    ids=["omega", "omega-second", "alpha"],
+)
+def test_period_off_the_right_half_plane_exit_3(capsys, argv):
+    # a complex period parses, and one with Re <= 0 is a domain error
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "positive real part" in json.loads(err)["message"]
 
 
 def test_eval_p_plain_format(capsys):

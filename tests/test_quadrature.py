@@ -1290,9 +1290,13 @@ def _dft(samples):
 def _kernel_samples(case, n, rng):
     """n samples at the working precision: complex; Hermitian (x_{n-l} =
     conj x_l, x_0 and x_{n/2} mpf); either with sizes spread over 2^40
-    from the smallest to the largest ("wide"); or complex with every third
-    an mpf ("mixed")."""
+    from the smallest to the largest ("wide"); complex with every third
+    an mpf ("mixed"); or one sample whose mp.mag overstates its size most,
+    1 + 2^-100 i with mag 2, and n - 1 zeros ("spike"), so that mean|phi_l|
+    is the least the largest sample allows."""
     bits = mp.prec
+    if case == "spike":
+        return [mp.mpc(1, mp.ldexp(1, -100))] + [mp.mpc(0)] * (n - 1)
 
     def draw(l):
         size = mpf(2) ** (40 * min(l, n - l) / mpf(n // 2)) if case.startswith("wide") else 1
@@ -1307,32 +1311,39 @@ def _kernel_samples(case, n, rng):
 
 
 @pytest.mark.parametrize("n", [64, 128, 512])
-@pytest.mark.parametrize("case", ["complex", "hermitian", "wide", "wide-hermitian", "mixed"])
-def test_integer_transform_matches_the_definition(case, n):
+@pytest.mark.parametrize("case", ["complex", "hermitian", "wide", "wide-hermitian", "mixed", "spike"])
+def test_integer_transform_matches_the_definition(monkeypatch, case, n):
     # each coefficient of _spectrum against a 600-bit DFT from its
     # definition is within the module docstring's bound
-    # (1 + (2 log2 N + 2) / 256) 2^-bits mean|phi_l|, and the error it puts
+    # (1 + (log2 N + 3) / 256) 2^-bits mean|phi_l|, and the error it puts
     # into a part's value, through that circle's moments, is below the
     # part's floor 50 2^-bits mean|phi_l| sum|B_n| (both without
-    # |lambda^{-k-1}|); Hermitian samples, given by their half l <= N/2, give
-    # mpf coefficients
+    # |lambda^{-k-1}|); the unit it rounds the samples in is at most
+    # 2^-(bits + 8) mean|phi_l|, and the mean it returns, taken from its
+    # integers, is within 2^(2 - bits) of mean|phi_l| relatively; Hermitian
+    # samples, given by their half l <= N/2, give mpf coefficients
     real = case.endswith("hermitian")
+    units = []
+    fixed = hankel._fixed
+    monkeypatch.setattr(hankel, "_fixed", lambda x, unit: units.append(unit) or fixed(x, unit))
     ispec = IntegrandSpec(omega=_OM, w=mpf("1.5"), k=1, poly=q_poly(2, 1, P))
     with P.context(QUADRATURE_GUARD_BITS):
         bits = mp.prec
         samples = _kernel_samples(case, n, random.Random(n))
-        mean = mp.fsum(map(abs, samples)) / n
-        spectrum = hankel._spectrum(samples[: n // 2 + 1] if real else samples, mean, real)
+        mean, spectrum = hankel._spectrum(samples[: n // 2 + 1] if real else samples, real)
         ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(_OM, ispec.w, P))
         moments, _, total = ev.moments(n)
     assert all(isinstance(a, mpf if real else mp.mpc) for a in spectrum)
     ref = _dft(samples)
     with mp.workprec(600):
-        bound = (1 + mpf(2 * (n.bit_length() - 1) + 2) / 256) * mp.ldexp(mean, -bits)
+        ref_mean = mp.fsum(map(abs, samples)) / n
+        assert len(set(units)) == 1 and mp.ldexp(1, -units[0]) <= mp.ldexp(ref_mean, -bits - 8)
+        assert abs(mean - ref_mean) <= mp.ldexp(ref_mean, 2 - bits)
+        bound = (1 + mpf(n.bit_length() - 1 + 3) / 256) * mp.ldexp(ref_mean, -bits)
         errs = [a - b for a, b in zip(spectrum, ref)]
         assert max(map(abs, errs)) <= bound
         window = [errs[m % n] for m in range(ev.n0, ev.n0 + n)]
-        assert abs(mp.fdot(window, moments)) < 50 * mp.ldexp(mean * total, -bits)
+        assert abs(mp.fdot(window, moments)) < 50 * mp.ldexp(ref_mean * total, -bits)
 
 
 @pytest.mark.parametrize("n", [64, 128, 512])
@@ -1352,32 +1363,38 @@ def test_zero_samples_give_an_exactly_zero_circle(n):
             assert (value, err, floor) == (0, 0, 0)
             for real in (False, True):
                 zeros = [mp.mpc(0)] * (n // 2 + 1 if real else n)
-                assert hankel._spectrum(zeros, mpf(0), real) == [0] * n
+                assert hankel._spectrum(zeros, real) == (0, [0] * n)
     finally:
         hankel._node_store.cache_clear()
 
 
 @pytest.mark.parametrize("n", [64, 128, 512])
-def test_fold_agrees_with_the_general_transform(n):
-    # on mirrored integer samples x_{n-l} = conj x_l of the size _spectrum
-    # gives them, 2^(bits + 8), the n/2-point fold's Z_m = Y_{2m} + i Y_{2m+1}
-    # matches the general n-point transform's real spectrum within one unit
-    # of the coefficients A'_m = Y_m / n, that is n units of Y
-    rng, bits = random.Random(n), P.precision_bits + QUADRATURE_GUARD_BITS + 8
+def test_mirrored_circle_matches_the_complex_one(widened, n):
+    # a real integrand's circle part, from its n/2 + 1 samples mirrored into
+    # the one n-point transform, against the part of the same integrand built
+    # under ``widened``, in complex arithmetic with all n samples evaluated:
+    # within the sum of their floors, each on a cleared store; the real
+    # side's coefficients are mpf
+    def part():
+        hankel._node_store.cache_clear()
+        tail = LaurentSeries(-1, (mpf("0.5"), mpf(1), mpf("-0.25")))
+        ispec = IntegrandSpec(omega=OmegaVector.of(1, mpf("1.3"), mpf("0.7")), w=mpf("1.5"), k=1,
+                              poly=q_poly(2, 1, P), tail=tail)
+        with P.context(QUADRATURE_GUARD_BITS):
+            ev = hankel._ContourEvaluator(ispec, P.zero_threshold, auto_spec(ispec.omega, ispec.w, P))
+            value, _, _, _, floor = ev.part(n)
+            return ev.real, value, floor, ev.group[n][1]
 
-    def draw():
-        return rng.getrandbits(bits + 1) - 2 ** bits
-
-    half = [(draw(), draw()) for _ in range(n // 2 + 1)]
-    re = [x for x, _ in half] + [x for x, _ in half[-2:0:-1]]
-    im = [0] + [y for _, y in half[1:-1]] + [0] + [-y for _, y in half[-2:0:-1]]
-    roots = hankel._twiddles(n, bits)
-    yr, yi = hankel._transform(re, im, roots, bits)
-    # the fold reads the half l <= n/2 alone
-    h = n // 2 + 1
-    zr, zi = hankel._transform(*hankel._fold(re[:h], im[:h], roots, bits), roots, bits)
-    assert max(map(abs, yi)) <= n
-    assert max(abs(z - y) for z, y in zip(zr + zi, yr[::2] + yr[1::2])) <= n
+    try:
+        real, value, floor, coeffs = part()
+        with widened():
+            ref_real, ref_value, ref_floor, ref_coeffs = part()
+    finally:
+        hankel._node_store.cache_clear()
+    assert real and not ref_real
+    assert all(isinstance(a, mpf) for a in coeffs)
+    assert all(isinstance(a, mp.mpc) for a in ref_coeffs)
+    assert abs(value - ref_value) <= floor + ref_floor
 
 
 def _unit_ray(poly):
