@@ -117,9 +117,13 @@ def parse_complex(text: str):
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for --tol and --lambda: a finite float."""
+    """argparse type for --tol and --lambda: a finite float, and not a
+    nonzero number that a float rounds to 0.0 (below about 2.5e-324)."""
     try:
-        return _finite(float(_unseparated(text)), text)
+        x = _finite(float(_unseparated(text)), text)
+        if x == 0 and mpf(text.strip()) != 0:
+            raise ValueError(f"the number {text.strip()!r} underflows a float to 0.0")
+        return x
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -19,68 +19,72 @@ Every part of the path is a straight segment in u = log t, on the branch the
 path gives: dt = t du turns F(t) dt into t F(t) du.  The circle is the
 segment [log lambda, log lambda + 2 pi i].  The two rays are one segment
 [log lambda, log T] of the difference of the outbound and inbound
-integrands, diff(u) = jump * poly(u + 2 pi i) - poly(u).  That is one
-polynomial in u, built once per integral by a Taylor shift (PolyC.shift);
-for integer k its top coefficient cancels exactly, and if every coefficient
-does (a constant poly), the rays are skipped, with no end bound: the circle
-alone is the integral.  At a ray node t = e^u, t f_omega(t) is one division
-by prod_i (1 - e^{-omega_i t}); for integer k, e^{-wt} is one exponential and
-t^{-k-1} a power of t, and for any other k, e^{-wt} t^{-k-1} is one
-exponential, exp(-(k+1) u - wt); a missing tail costs nothing.  The periods,
-w, k and the tail's coefficients come in through ``precision._exact``, each
-real one an mpf, and mpmath keeps mpf op mpf real.  So at a ray node of real
-inputs t f_omega(t), the exponential, the power and the tail are real
-products and a real Horner, and only the difference polynomial diff(u) is
-complex; the same code serves complex inputs.  The ray segment is cut into
-panels, each integrated once at the 65 nodes of the Gauss-Kronrod rule that
-extends 32-point Gauss-Legendre (Laurie, Math. Comp. 66, 1997), mapped onto
-the panel by its midpoint and half-width; that gives both the Kronrod value
-K65 and the Gauss value G32 of its 32 Gauss nodes.
+integrands, diff(u) = jump * poly(u + 2 pi i) - poly(u), one polynomial in
+u built once per integral by a Taylor shift (PolyC.shift); for integer k its
+top coefficient cancels exactly, and if every coefficient does (a constant
+poly), the rays are skipped, with no end bound.  Only the transcendental
+values at a node are mpf or mpc: t f_omega(t), one division by
+prod_i (1 - e^{-omega_i t}); for integer k e^{-wt}, one exponential, and the
+power t^{-k-1}, for any other k the one exponential exp(-(k+1) u - wt); and
+the tail.  The periods, w, k and the tail's coefficients come in through
+``precision._exact``, each real one an mpf, and mpmath keeps mpf op mpf
+real, so real inputs take real products there.  Everything linear after
+them runs on Python integers, one unit per part, rounded back to bits once.
+The ray segment is cut into panels, each integrated once at the 65 nodes of
+the Gauss-Kronrod rule that extends 32-point Gauss-Legendre (Laurie, Math.
+Comp. 66, 1997), mapped onto the panel by its midpoint and half-width: the
+Kronrod value K65 and the Gauss value G32 of its 32 Gauss nodes.
 
 The rule is built once per working precision, bits, by ``_legendre_nodes``:
-Laurie's betas at bits + 32, float seeds, and then a polish over Python
-integers in the unit 2^-(bits + 64).  The polish runs the orthonormal
-recurrence q_0 = 1/sqrt(beta_0),
-q_{k+1} = (x q_k - sqrt(beta_k) q_{k-1}) / sqrt(beta_{k+1}), whose values
-stay O(1) where the monic p_k shrink like 2^-k; the last step, r_m (m = 32
-for a Gauss node, 65 for a Kronrod node), is left unnormalised, as no
-beta_65 exists.  The sqrt(beta_k) and 1/sqrt(beta_k) are integers in the
-unit, so a step takes two products and one more by 1/sqrt(beta_{k+1}),
-rounded down once, and no division; the q_k stay within about 2^13 units of
-their exact values (measured at 256 and 704 bits).  The same pass sums
-q_k^2, the Christoffel sum whose reciprocal is the weight.  By
-Christoffel-Darboux, sum_{k<m} q_k^2 = r_m' q_{m-1} - q_{m-1}' r_m, so near
-a zero of r_m the Newton step r_m / r_m' is r_m q_{m-1} / sum_{k<m} q_k^2
-to first order: a pass about squares the error with no derivative
-recurrence.  That step also vanishes at the zeros of q_{m-1}, where r_m does
-not, so the polish stops at the first pass whose residual |r_m| is at most
-2^20 units, not at a small step.  |r_m'| > 12.9 at every node of this rule,
-so that pass's point is within 2^-(bits + 47) of its node; its step takes it
-within rounding of the node, and its sums, whose relative slope there is
-below 2^11, are within 2^-(bits + 36) relatively.  A polish with no such
-pass among the first (bits + 64).bit_length() (9 at 256 bits, where a float
-seed takes 4) raises NodeBudgetExceeded: no node is returned unchecked.
-Each node and weight is then rounded to nearest at bits + 32.  The betas'
-own rounding sets the rule's accuracy: against the rule built at
-bits + 160, the nodes are within 2^-(bits + 31) and the weights within
-2^-(bits + 24) relatively (measured at 256 and 704 bits), far below the
-panels' rounding floor.
+Laurie's betas at bits + 32, float seeds, and a polish over Python integers
+in the unit 2^-(bits + 64) that runs the orthonormal recurrence
+q_{k+1} = (x q_k - sqrt(beta_k) q_{k-1}) / sqrt(beta_{k+1}), three products
+a step, rounded down once, and sums q_k^2, the Christoffel sum whose
+reciprocal is the weight.  By Christoffel-Darboux the Newton step is
+r_m q_{m-1} / sum_{k<m} q_k^2 to first order (r_m the unnormalised last
+step, m = 32 for a Gauss node and 65 for a Kronrod node).  The polish stops
+at the first pass whose |r_m| is at most 2^20 units, which puts it within
+2^-(bits + 47) of its node (|r_m'| > 12.9), and raises NodeBudgetExceeded
+if none is among the first (bits + 64).bit_length().  Each node and weight
+is then rounded to the nearest integer in the unit 2^-(bits + 32).  Against
+the rule built at bits + 160, the nodes are within 2^-(bits + 31) and the
+weights within 2^-(bits + 24) relatively (measured at 256 and 704 bits).
 
-K65 is returned, so each panel's estimate is one of K65's error, by
-QUADPACK's rule (Piessens et al., 1983): resasc * min(1, (200 |K65 - G32| /
-resasc)^1.5), resasc the K65 integral of |f - mean f| over the panel.  For an
-analytic integrand G32 errs by about rho^-64 and K65 by about rho^-98, so
-|K65 - G32| overstates K65's error by many orders; the power 1.5 takes part
-of that back (Gonnet, ACM Computing Surveys 44, 2012, catalogues where such
-rules fail).  Each panel adds a rounding floor, 50 * 2^-(working bits) *
-resabs, resabs the K65 integral of |f|, which no refinement removes.  resabs
-and resasc need two digits, so they are summed in floats; all three scale by
-the panel's half-width.
+A ray panel (``_panel``, ``_ContourEvaluator.ray_values``): the nodes
+u_i = log lambda + mid + half x_i are integers in the unit 2^-(bits + 32),
+from the rule's integer x_i, the exact mid and half, and log lambda rounded
+down; a node evaluated cold takes its t = e^u from u_i rounded to bits.
+diff(u_i) is an integer Horner, its coefficients rounded down in the unit
+2^(c - bits - 32), c the largest one's mp.mag, and each product by u_i
+rounded down: it errs by at most 2 (d + 1) max(1, |u|)^d units per part (d
+its degree), 2^-30 of what a Horner at bits rounds, and like that one it is
+relative to the coefficients, not to a diff(u) that cancels.  Each term v_i
+is rounded down in the unit 2^(top - bits - 16) / 2^D, top the largest
+mag(v_i) + b_i, b_i the bit length of |Re diff(u_i)| + |Im diff(u_i)| in its
+unit and D the largest b_i, and the products f_i = v_i diff(u_i) are exact.
+top exceeds log2 max|f_i| by at most 3.5 (2 for mag, 1.5 for the bit
+length), so a rounded term moves f_i by at most 2^-(bits + 12) max|f_i|.
+K65 and G32 are exact dot products with the rule's integer weights, and K65
+times half returns to bits once, rounded to nearest.  The floor below is at
+least 50 2^-bits |half| max|f| 0.00122 (the smallest Kronrod weight), so the
+terms' rounding, at most 2^-(bits + 11) |half| max|f|, is a 125th of it,
+and the return to bits, at most 2^-bits |half| resabs, a 50th.
+
+Each panel's estimate is one of K65's error, by QUADPACK's rule (Piessens
+et al., 1983): resasc * min(1, (200 |K65 - G32| / resasc)^1.5), resasc the
+K65 integral of |f - mean f| over the panel.  For an analytic integrand G32
+errs by about rho^-64 and K65 by about rho^-98, so |K65 - G32| overstates
+K65's error by many orders; the power 1.5 takes part of that back (Gonnet,
+ACM Computing Surveys 44, 2012, catalogues where such rules fail).  Each
+panel adds a rounding floor, 50 * 2^-(working bits) * resabs, resabs the
+K65 integral of |f|.  resabs, resasc and |K65 - G32| need two digits: they
+are summed in floats from the integers' top 64 bits, scaled back by a power
+of 2, so no float overflows at any size of the values.
 
 The circle is one spectral part: the trapezoidal rule in t (Trefethen and
 Weideman, SIAM Review 56, 2014).  phi(t) = t f_omega(t) e^{-wt} tail(t) is
-analytic in 0 < |t| < pole bound, with a pole of order at most r - 1 - min(0,
-v) at 0 for a tail of valuation v, so on the circle
+analytic in 0 < |t| < pole bound, with a pole of order at most
+r - 1 - min(0, v) at 0 for a tail of valuation v, so on the circle
 phi(lambda e^{i theta}) = sum_{n >= n0} A_n e^{i n theta}, n0 = 1 - r +
 min(0, v).  What is not periodic, t^{-k-1} poly(log t), integrates in closed
 form against each mode: by parts, with beta = n - k - 1 and e^{2 pi i beta}
@@ -94,52 +98,46 @@ So the circle is lambda^{-k-1} sum_n A_n B_n.  N samples phi_l at t_l =
 lambda e^{2 pi i l / N}, a power of 2, give by one radix-2 transform over
 integers (below) the trapezoidal coefficients A'_n = (1/N) sum_l phi_l
 e^{-2 pi i n l / N} = sum_j A_{n+jN}, and the part's value is
-lambda^{-k-1} sum_{n=n0}^{n0+N-1} A'_n B_n.  t_l comes from cached roots of
-unity, and poly and t^{-k-1} are in the moments, so a sample costs
-t f_omega(t) and one exponential, e^{-wt}.  When every period, w and tail
-coefficient is real, phi(conj t) = conj phi(t), and t_{N-l} = conj t_l, so
-only the samples with 2l <= N are evaluated, 33 of 64: phi_{N-l} =
-conj phi_l, the Hermitian symmetry, is the rest.  phi_0 and phi_{N/2}, at
-t = lambda and -lambda, have imaginary parts exactly 0.  k and poly live
-in the moments, so they play no part in that test.
+lambda^{-k-1} sum_{n=n0}^{n0+N-1} A'_n B_n; a sample costs t f_omega(t) and
+e^{-wt}.  When every period, w and tail coefficient is real,
+phi(conj t) = conj phi(t), so only the samples with 2l <= N are evaluated,
+33 of 64, and the Hermitian symmetry phi_{N-l} = conj phi_l is the rest.
 
-Every circle level, real or complex, takes one transform over Python
-integers (``_spectrum``).  Each part of each sample is rounded down to a
-multiple of the unit u = 2^(mag - 2) / N * 2^-(bits + 8), bits the working
-precision and mag the largest sample's mp.mag.  mag exceeds log2 of that
-sample's size by at most 1 for an mpf and 2 for an mpc, whose mag adds a bit
-for its two parts, so u <= 2^-(bits + 8) max|phi_l| / N, which is at most
-2^-(bits + 8) mean|phi_l|.  A real integrand's N/2 + 1 integer samples are
-mirrored into the rest by exact negation, x_{N-l} = conj x_l, so the
-integers are exactly Hermitian.  mean|phi_l|, which the floor below needs,
-is taken from the integers: each size floor(sqrt(re^2 + im^2)) by isqrt,
-their mean times u, within 3u of the samples' own mean, as each integer lies
-within sqrt 2 units of its sample.  The transform
-Y_j = sum_l x_l e^{-2 pi i j l / N} of the integers x_l splits into the
-transforms of the even and the odd l and joins them by butterflies; the
-twiddles are the parts of 2^(bits + 8) e^{-2 pi i j / N}, each rounded to
-the nearest integer and cached per (N, bits), and each product by one is
-rounded down to an integer.  A'_n = u Y_n / N: u and the 1/N go into the
-exponent when Y_n returns to an mpf or mpc, rounded to nearest.  A real
-integrand's A'_n are the real parts, mpf, so its part's value and estimate
-then take real-by-complex and real arithmetic.
+Every circle level takes one transform over Python integers
+(``_spectrum``).  Each part of each sample is rounded down to a multiple of
+the unit u = 2^(mag - 2) / N * 2^-(bits + 8), mag the largest sample's
+mp.mag, which exceeds log2 of its size by at most 2, so u <= 2^-(bits + 8)
+max|phi_l| / N <= 2^-(bits + 8) mean|phi_l|.  A real integrand's N/2 + 1
+integer samples are mirrored into the rest by exact negation, so the
+integers are exactly Hermitian, their exact transform is real, and the
+imaginary parts are dropped.  mean|phi_l| is taken from the integers, each
+size floor(sqrt(re^2 + im^2)) by isqrt, within 3u of the samples' own mean.
+The transform Y_j = sum_l x_l e^{-2 pi i j l / N} splits into the
+transforms of the even and the odd l, joined by butterflies whose twiddles
+are the parts of 2^(bits + 8) e^{-2 pi i j / N} rounded to integers, each
+product rounded down.  A twiddle errs by at most tau = 2^-(bits + 8)
+relatively, and an output takes each sample once per level of the
+recursion, so Y_j errs by at most log2(N) tau sum|x_l| + 3 N units, and
+A'_n = u Y_n / N, kept as the integer Y_n, by at most (log2 N + 3)
+2^-(bits + 8) mean|phi_l|, at any dynamic range of the samples.
 
-The transform's rounding, in units u: a twiddle errs by at most tau =
-2^-(bits + 8) relatively, so a product of a value O errs by at most
-tau |O| + sqrt 2.  An output Y_j takes one output of each sub-transform of
-the recursion, and the sub-transforms of one size hold each sample once,
-so the products add at most log2(N) tau sum|x_l| + sqrt 2 N to Y_j, and
-the samples' rounding sqrt 2 N more.  Divided by N, each A'_n errs by at
-most (log2 N + 3) 2^-(bits + 8) mean|phi_l|, as u <= 2^-(bits + 8)
-mean|phi_l|.  A real integrand's integers are Hermitian, so their exact
-transform is real, and the real part of a computed Y_j is no farther from
-it than Y_j is.  The return to bits adds at most 2^-bits |A'_n| <= 2^-bits
-mean|phi_l|, so every A'_n is within (1 + (log2 N + 3) / 256) 2^-bits
-mean|phi_l| of the exact coefficient of its samples, below 1.06 * 2^-bits
-mean|phi_l| up to 4096 samples.  That holds for every dynamic range: it is
-relative to the mean, and a sample below the unit loses only what lies
-below it.  Against the moments it is at most 1.06 * 2^-bits mean|phi_l|
-sum|B_n| |lambda^{-k-1}|, a 47th of the part's floor below.
+The moments are integers too (``moments``), in one unit u_B, first
+2^(J - bits - 16) / N, J the largest mp.mag of the jet diff^(i)(log lambda)
+and of the flat integral where beta = 0.  For beta != 0, B_n is
+-2^q sum_i G_i nu^(d-i) 2^(qi) / nu^(d+1), G_i the jet's integers and nu
+the integer -beta 2^q rounded down (exact for integer k), q = bits + 32 +
+lg, 2^lg >= max 1 / |beta| by mp.mag, rounded down once per part: an
+integer beta's B_n is the floor of its exact sum.  It errs by at most
+2 (d + 2) a^(d+1) units, a = max(1, 1 / |beta|), and by (d + 1)
+2^-(bits + 31) sum_i |G_i| / |beta|^(i+1) units from nu's rounding, 2^-31 of
+the rounding that beta = n - k - 1 carries at bits.  Where sum|B_n| falls
+below 2^need units, need = bits + log2 N + bitlen(4 (d + 2)) + (d + 1) lg,
+u_B is refined by the shortfall and the window taken again, so the moments
+move sum A'_n B_n by at most half of 2^-bits mean|phi_l| sum|B_n|.  That sum
+is one exact integer dot product, rounded to bits once.  Against the floor
+below, 50 2^-bits mean|phi_l| sum|B_n| |lambda^{-k-1}|, the transform's
+rounding is an 800th, the moments' a 100th, and the return to bits and the
+product by lambda^{-k-1} a 50th each.
 
 The part's error is its aliased and truncated modes: each A_m with m >= n0 +
 N enters once through A'_{m-jN}, weighted by that mode's moment, and is
@@ -156,117 +154,84 @@ max(4, 12 / (rho - 1)) * M * max|B_n| * |lambda^{-k-1}|: the bound 2 / (rho -
 that multiple poles add.  That is 4 at the default rho = 4, and it stays at
 least 4 for a larger rho, where e^{-wt} and the tail, not the poles, may set
 the decay.  Its rounding floor is 50 * 2^-(working bits) * mean|phi_l| *
-sum|B_n| * |lambda^{-k-1}|, as each A'_n carries about 2^-bits mean|phi_l|;
-it is above zero wherever a sample and a moment are.  Where every moment
-vanishes (a constant poly, integer k and k + 1 < n0: the integrand is
-regular at 0) the circle is exactly 0, with a zero estimate.  Refining the
-part doubles N: the finer grid's even samples read t f_omega(t) from the
-nodes of the old grid, so f_omega is evaluated only at its odd ones (32 of
-64 for a real integrand on the doubling to 128).
+sum|B_n| * |lambda^{-k-1}|.  Where every moment vanishes (a constant poly,
+integer k and k + 1 < n0) the circle is exactly 0, with a zero estimate.
+Refining the part doubles N; the finer grid's even samples are the old's.
 
 The first pass is coarse: the rays in panels PANEL_WIDTH = log 16 wide (four
 doublings of t), below lambda a power of 2 of those, between the cuts of a
 grid fixed in t, the last ending at the cut where the ray ends, and the
 circle at CIRCLE_SAMPLES = 64 samples, doubled only until its window
 reaches n = Re(k) + 1.  If its floors and the ray end bounds exceed the
-target, PrecisionUnreachable is raised at once.
-Then ``_refine_worst`` refines as QUADPACK's QAG does: while the estimates,
-floors and end bounds sum above the target, the first of the parts with the
-largest estimate is refined, a ray panel bisected at its midpoint in u, the
-circle with its samples doubled.  A part's depth is its level in the
-schedule that cuts each doubling of t into 2^L panels and samples the circle
-at 128 * 2^L points: a ray panel one cut of the grid wide (PANEL_WIDTH) is
-at -2, one 2^i cuts wide, as the ray-only near segment's are, at -2 - i, and
-64 circle samples at -1; past MAX_LEVELS - 1 (2^(1/32) in t, 4096 samples)
-it raises NodeBudgetExceeded.  So a level's panels have one width in t
-wherever the first pass put them, and the refinement budget per doubling of
-t does not depend on the first pass.
-Rotating or reshaping the path moves only segment endpoints: a rotation by
-phi is u -> u + i phi, which moves the circle's moments to
-log lambda + i phi.
+target, PrecisionUnreachable is raised at once.  Then ``_refine_worst``
+refines as QUADPACK's QAG does: while the estimates, floors and end bounds
+sum above the target, the first of the parts with the largest estimate is
+refined, a ray panel bisected at its midpoint in u, the circle doubled.  A
+part's depth is its level in the schedule that cuts each doubling of t into
+2^L panels and samples the circle at 128 * 2^L points: a ray panel 2^i cuts
+wide is at -2 - i, and 64 circle samples at -1; past MAX_LEVELS - 1
+(2^(1/32) in t, 4096 samples) it raises NodeBudgetExceeded.
 
 The path is (lambda, T), and each has one rule.  ``auto_spec`` gives the
 default lambda = 1/4 * min(pole bound, 2 pi), clamped to 6 / Re(w).  The poles
 of f_omega then lie at |t| >= 4 lambda, rho >= 4, so N samples resolve about
 4^-N of the integrand's scale: 64 samples estimate about 1e-35 for
-integrands of unit size, two nearly coincident poles included, and a lower
-target doubles them once in ``_refine_worst``, to 128 (about 1e-73).  The
-clamp matters at large w: the far side's e^{Re(w) lambda} cancels in the
-sum, at one working precision for every lambda, so a lambda above the clamp
-pays it in the rounding floor, and raises PrecisionUnreachable from the
-first pass where that floor passes the target.  The value does not depend
-on lambda, so a smaller circle costs nothing in accuracy.
+integrands of unit size, and a lower target doubles them once, to 128
+(about 1e-73).  At large w the far side's e^{Re(w) lambda} cancels in the
+sum, so a lambda above the clamp pays it in the rounding floor, and raises
+PrecisionUnreachable from the first pass where that floor passes the target.
 
 The ray grid does not move with w: its cuts are
-u = log lambda + j PANEL_WIDTH, and the first pass puts one panel between
-each two cuts from j = 0 to the far end's cut, below j = 0 the ray-only
-integral's graded near segment (below).  The panels
-are built in v = u - log lambda, where the cuts j * PANEL_WIDTH (a float)
-and their bisections are exact, so a panel at depth d is exactly
-PANEL_WIDTH * 2^-(d+2) wide, and equal j give the same nodes u, bit for bit,
-at every w that shares (omega, lambda, working bits).  Cuts log lambda + j W
-taken at the working precision, with W one ulp below PANEL_WIDTH, would keep
-the rounding of each sum in the widths: at |u| near 8 a depth-5 panel came
-out 3e-75 (relative) wider than its level allows.
+u = log lambda + j PANEL_WIDTH, and the panels are built in
+v = u - log lambda, where the cuts j * PANEL_WIDTH (a float) and their
+bisections are exact, so a panel at depth d is exactly
+PANEL_WIDTH * 2^-(d+2) wide, and equal j give the same nodes, bit for bit,
+at every w that shares (omega, lambda, working bits).
 
 Both ends of a ray have one truncation rule, one walk over the cuts of the
 grid: step j one cut at a time until the bound |integrand| * t at the cut
 u = log lambda + j PANEL_WIDTH is below target / 10, end the ray at that
-cut, and add that bound to the estimate, so the bound is taken where the
-integral ends.  The far end T walks up from the first cut at or past
-30 / Re(w), never below j = 1 (t = 16 lambda); ``_rays`` finds it and builds
-the first-pass panels for both integrals.  ``ray_only_integrate``
-integrates the same outbound-minus-inbound integrand over the one segment
-[log eps, log T], with no circle; its near end eps walks down from j = 0
-(t = lambda), a factor 16 in t per cut.  In u the end t = 0 moves to
-u = -inf, where t F(t) decays like e^u |u|^(nu-1) for poly of degree nu, and
-the only singularities are the poles of f_omega, at |t| >= 4 lambda, to the
-right of u = log lambda + log 4.  So a panel's Bernstein ellipse (Trefethen,
+cut, and add that bound to the estimate.  The far end T walks up from the
+first cut at or past 30 / Re(w), never below j = 1 (t = 16 lambda).
+``ray_only_integrate`` integrates the same outbound-minus-inbound integrand
+over the one segment [log eps, log T], with no circle; its near end eps
+walks down from j = 0 (t = lambda).  In u the end t = 0 moves to u = -inf,
+and the only singularities are the poles of f_omega, right of
+u = log lambda + log 4, so a panel's Bernstein ellipse (Trefethen,
 Approximation Theory and Approximation Practice, ch. 19) grows with its
-distance from lambda, and the near segment [log eps, log lambda] is graded:
-a panel whose right cut is j = -c spans at most 3c + 1 cuts, the bound that
-the cuts 0, -1, -5, -21, ..., panels of 1, 4, 16, ... cuts, meet exactly.
-``_graded`` lays the panels from eps rightwards, each the widest power of 2
-of cuts within that bound and the rest of the segment, so the widths never
-shrink going left, every panel is at a whole depth, and where eps is one of
-the cuts 0, -1, -5, -21, ... those are the cuts.  The remainder-reduction
-ray at w = 20, eps about 1e-11 (j = -9), takes panels of 4, 4 and 1 cuts
-below lambda and one above, 4 first-pass panels where one per cut took 10,
-and no refinement.  eps itself still walks the unit cuts, so eps and its
-bound do not depend on the panels: a walk over the widened cuts would
+distance from lambda, and the near segment is graded: a panel whose right
+cut is j = -c spans at most 3c + 1 cuts, a power of 2 of them (``_graded``).
+eps itself still walks the unit cuts: a walk over the widened cuts would
 overshoot, to t ~ 5e-103 in one case, where 1 - e^{-omega t} keeps no bits.
 
 What one integral computes for the next is kept in one node store per
 (omega, lambda, working bits), ``_node_store``, which drops the old key's
-store first; the pole threshold 2^-(policy bits // 2) follows from the
-working bits.  The store keeps groups.  The group None holds what does not
+store first.  The store keeps groups.  The group None holds what does not
 depend on w: t and t f_omega(t) at each circle sample an integral evaluates,
-by l / N, and at each ray node and each cut an end walk probes, by the exact
-bits of u (u._mpf_, a tuple, which no float key equals), so every f_omega
-evaluation goes through it (``_ContourEvaluator.node``); and each circle
-window's moments B_n with their largest and summed sizes, by (poly, diff,
--k-1, n0, N).  A group per (w, tail) holds what depends on w: each circle
-level of N, its N coefficients (``_spectrum``) and mean |phi_l|, by N, and
-for an integer k, at each ray node, t and the term before its power,
-tf e^{-wt} tail(t), by u's exact bits.  Neither depends on k or poly, which
-live in the moments and the power, so the integrals at one w that differ
-only in k and poly, as the derivative hierarchy's do, share them bit for
-bit, whichever k comes first.  A k that is not an integer (the Barnes
-zeta's) keeps no ray term: its term tf e^{-(k+1) u - wt} tail(t) is one
-exponential at a kept node.  The groups hold at most STORE_NUMBERS = 2560
-numbers between them: two per node, one per ray term, and N per window of
-N moments and per circle level of N.  A number takes about 0.4-0.5 kB at
-256 bits, so a full store holds about 1.0 to 1.4 MB.  The groups are
-ordered least recently used first, and an integral looks up the group None
-and then its own, so those two are the newest; where an entry does not
-fit, the oldest groups are dropped while more than two are left, and an
-entry that still does not fit is not kept.  So the nodes
-outlive every w's group: a 40-point w sweep of ``log_hyper_gamma(1, 1)`` at
-omega = (1, 1.3) and the default policy ends with 16 groups in 2410 numbers.
-A group holds no reference to its store, so the store of an old key is
-freed, groups and all, as soon as the key changes, without waiting for the
-cycle collector.  A kept entry is the value the integral would compute, so
-no value or estimate depends on what was kept.
+by l / N; at each cut an end walk probes and each ray panel's centre, by
+u's exact bits (u._mpf_), so the end walk and the graded near panels share
+them; at every other ray node, by the panel's exact (mid, half) bits and
+the node's index, so a kept node is found without forming its u; and each
+circle window's integer moments with their unit and largest and summed
+sizes, by (poly, diff, -k-1, n0, N).  Every f_omega evaluation goes through
+it (``_ContourEvaluator.node``).  A group per (w, tail) holds what depends
+on w: each circle level of N, its N integer coefficients, their unit and
+mean |phi_l| (``_spectrum``), by N, and for an integer k, at each ray node,
+t and the term before its power, tf e^{-wt} tail(t), by the node's key.
+Neither depends on k or poly, which live in the moments and the power, so
+the integrals at one w that differ only in k and poly, as the derivative
+hierarchy's do, share them bit for bit, whichever k comes first.  A k that
+is not an integer (the Barnes zeta's) keeps no ray term.  The groups hold
+at most STORE_NUMBERS = 2560 numbers between them: two per node, one per
+ray term, and N per window of N moments and per circle level of N, about
+0.25 kB each at 256 bits (a 40-point w sweep of ``log_hyper_gamma(1, 1)``
+at omega = (1, 1.3) ends with 16 groups, 2410 numbers, in 0.6 MB).  The
+groups are ordered least recently used first, and an integral's own two
+are the newest; where an entry does not fit, the oldest groups are dropped
+while more than two are left, and an entry that still does not fit is not
+kept.  A group holds no reference to its store, so an old key's store is
+freed without the cycle collector.  A kept entry is the value the integral
+would compute, so no value or estimate depends on what was kept.
 """
 
 from __future__ import annotations
@@ -274,11 +239,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
-from math import acos, cos, factorial, isqrt, log, pi
-from operator import add, sub
+from math import acos, cos, factorial, isqrt, ldexp, log, pi
+from operator import add, mul, sub
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import InvalidParameter, NodeBudgetExceeded, PolesTooClose, PrecisionUnreachable
 from .multibernoulli import OmegaVector
@@ -298,7 +263,7 @@ PANEL_WIDTH = log(16)
 CIRCLE_SAMPLES = 64
 # the numbers a node store keeps over all its groups: 2 per node, 1 per ray
 # term, N per window of N moments and per circle level of N (its
-# coefficients); 0.4-0.5 kB each at 256 bits (module docstring)
+# coefficients); about 0.25 kB each at 256 bits (module docstring)
 STORE_NUMBERS = 2560
 
 
@@ -424,17 +389,12 @@ def _polish(x, m, roots, inv, unit):
 def _legendre_nodes(prec: int):
     """The Gauss-Kronrod-Legendre rule on [-1, 1] that extends GAUSS_NODES-point
     Gauss-Legendre to KRONROD_NODES points: (nodes, Kronrod weights, Gauss
-    weights, Kronrod weights as floats), at prec + 32 bits.  The nodes
-    ascend, and nodes[1::2] are the Gauss nodes.
-
-    The positive half is found and mirrored.  Float seeds: Newton from
-    cos(pi (i + 3/4) / (n + 1/2)) gives the Gauss nodes, and one Kronrod node
-    lies between each pair (the two rules interlace), found by Newton from the
-    midpoint in arccos.  Each is then polished over integers in the unit
-    2^-(prec + 64) by ``_polish``, from Laurie's betas at prec + 32 bits: a
-    Gauss node on r_n, a Kronrod node on r_{2n+1}.  The weights are the
-    reciprocals of the Christoffel sums of the polish's last pass.  Each node
-    and weight is rounded to nearest at prec + 32 bits (module docstring)."""
+    weights, Kronrod weights as floats), each node and weight an integer in
+    the unit 2^-(prec + 32).  The nodes ascend, and nodes[1::2] are the
+    Gauss nodes.  The positive half is found and mirrored: float seeds by
+    Newton, from cos(pi (i + 3/4) / (n + 1/2)) for the Gauss nodes and from
+    the midpoints in arccos between them for the Kronrod nodes (the rules
+    interlace), each polished by ``_polish`` (module docstring)."""
     n = GAUSS_NODES
     with mp.workprec(prec + 32):
         beta = _kronrod_betas(n)
@@ -451,37 +411,15 @@ def _legendre_nodes(prec: int):
         half += [_polish(xk, 2 * n + 1, roots, inv, unit), _polish(xg, n, roots, inv, unit)]
     half.append(_polish(0.0, 2 * n + 1, roots, inv, unit))
 
-    def node(x):
-        return mp.make_mpf(from_man_exp(x, -unit, bits, round_nearest))
-
     def weight(csum):
-        return mp.make_mpf(from_rational(one * one, csum, bits, round_nearest))
+        return ((1 << (2 * unit + bits + 1)) // csum + 1) >> 1
 
-    nodes = [node(-x) for x, _, _ in half] + [node(x) for x, _, _ in half[-2::-1]]
+    nodes = [(x + (1 << 31)) >> 32 for x, _, _ in half]
+    nodes = [-x for x in nodes] + nodes[-2::-1]
     kw = [weight(k) for _, _, k in half]
     kw += kw[-2::-1]
     gw = [weight(g) for _, g, _ in half[1::2]]
-    return tuple(nodes), tuple(kw), tuple(gw + gw[::-1]), tuple(map(float, kw))
-
-
-def _gk_sums(fs, half, rule):
-    """(Kronrod integral, its estimate, rounding floor) of a panel of complex
-    half-width half from its values fs at the rule's nodes (module
-    docstring), in floats scaled by 2^-e: e is 0, or the largest value's
-    magnitude beyond 2^+-512, so that no value overflows a float."""
-    _, kw, gw, fkw = rule
-    kronrod = mp.fdot(kw, fs)
-    diff = abs(kronrod - mp.fdot(gw, fs[1::2]))
-    e = max((mp.mag(f) for f in fs if f), default=0)
-    e = e if abs(e) > 512 else 0
-    vs = [complex(mp.ldexp(mp.re(f), -e), mp.ldexp(mp.im(f), -e)) if e else complex(f) for f in fs]
-    mean = sum(w * v for w, v in zip(fkw, vs)) / 2
-    resabs = sum(w * abs(v) for w, v in zip(fkw, vs))
-    resasc = sum(w * abs(v - mean) for w, v in zip(fkw, vs))
-    d = float(mp.ldexp(diff, -e))
-    err = resasc * min(1.0, (200 * d / resasc) ** 1.5) if resasc else d
-    scale = abs(half)
-    return half * kronrod, scale * mp.ldexp(err, e), scale * mp.ldexp(50 * resabs, e - mp.prec)
+    return tuple(nodes), tuple(kw), tuple(gw + gw[::-1]), tuple(w / (1 << bits) for w in kw)
 
 
 def _f_omega_at(periods, t, threshold):
@@ -552,6 +490,11 @@ class _ContourEvaluator:
         jump = 1 if isinstance(k, int) else mp.exp(-two_pi_i * k)
         self.outbound = ispec.poly.shift(two_pi_i).scale(jump)
         self.diff = self.outbound - ispec.poly
+        # the ray Horner's integers: log lambda in the unit 2^-(bits + 32),
+        # diff's coefficients, highest first, in that unit of the largest
+        self.fixed_origin = to_fixed(self.origin._mpf_, mp.prec + 32)
+        self.diff_unit = mp.prec + 32 - max((mp.mag(c) for c in self.diff.coeffs if c), default=0)
+        self.diff_fixed = [_fixed(c, self.diff_unit) for c in reversed(self.diff.coeffs)]
         self.size = max(map(abs, ispec.poly.coeffs), default=0)
         self.n0 = 1 - ispec.omega.r + min(0, 0 if tail is None else tail.valuation)
         self.scale = mp.exp(self.neg_k1 * self.origin)
@@ -573,34 +516,64 @@ class _ContourEvaluator:
         value = tf * mp.exp(exponent)
         return value if self.ispec.tail is None else value * self.ispec.tail(t)
 
-    def term(self, u):
-        """The ray term tf e^{-wt} tail(t) t^{-k-1} at real u, its node from
-        the store by u's exact bits.  An integer k's t and term before the
-        power are kept in the (w, tail) group by the same key; another k
-        keeps no term."""
-        key = u._mpf_
+    def term(self, key, u):
+        """The ray term tf e^{-wt} tail(t) t^{-k-1} at the ray node of key,
+        whose real u = log t u() gives only where it is needed.  An integer
+        k's t and term before the power are kept in the (w, tail) group by
+        the same key; another k keeps no term."""
         if not self.power:
+            u = u()
             t, tf = self.node(key, lambda: mp.exp(u))
             return self._term(t, tf, self.neg_k1 * u - self.ispec.w * t)
         kept = self.group.get(key)
         if kept is None:
-            t, tf = self.node(key, lambda: mp.exp(u))
+            t, tf = self.node(key, lambda: mp.exp(u()))
             kept = self.store.keep(self.group, key, (t, self._term(t, tf, -self.ispec.w * t)), 1)
-        t, term = kept
-        return term * t**self.neg_k1
+        t, term = kept  # one division, not a power of 1/t and a product
+        return term / t**-self.neg_k1 if self.neg_k1 < 0 else term * t**self.neg_k1
 
-    def ray(self, u):
-        """Outbound-minus-inbound integrand t F(t) at real u."""
-        return self.term(u) * self.diff(u)
+    def ray_values(self, mid, half, xs):
+        """The ray integrand t F(t) = term * diff(u) at the nodes
+        u = log lambda + mid + half x of a panel, xs the rule's integer
+        nodes: (real parts, imaginary parts, unit), integers in the unit
+        2^-unit (module docstring).  The centre node is keyed by its u's
+        exact bits, as a cut is, and every other by (mid, half, index)."""
+        bits, prec = mp.prec + 32, mp.prec
+        h = to_fixed(half._mpf_, bits)
+        base = self.fixed_origin + to_fixed(mid._mpf_, bits)
+        us = [base + (h * x >> bits) for x in xs]
+        mid_key, half_key, centre = mid._mpf_, half._mpf_, self.origin + mid
+
+        def at(u):
+            return lambda: mp.make_mpf(from_man_exp(u, -bits, prec, round_nearest))
+
+        terms = [
+            self.term((mid_key, half_key, i), at(u)) if x else self.term(centre._mpf_, lambda: centre)
+            for i, (x, u) in enumerate(zip(xs, us))
+        ]
+        diffs = []
+        for u in us:
+            re = im = 0
+            for a, b in self.diff_fixed:
+                re, im = (re * u >> bits) + a, (im * u >> bits) + b
+            diffs.append((re, im, (abs(re) + abs(im)).bit_length()))
+        top = max((mp.mag(v) + d for v, (_, _, d) in zip(terms, diffs) if v and d), default=None)
+        if top is None:
+            return [0] * len(xs), [0] * len(xs), 0
+        unit = prec + 16 - top + max(d for _, _, d in diffs)
+        fixed = [_fixed(v, unit) for v in terms]
+        fr = [vr * a - vi * b for (vr, vi), (a, b, _) in zip(fixed, diffs)]
+        fi = [vr * b + vi * a for (vr, vi), (a, b, _) in zip(fixed, diffs)]
+        return fr, fi, unit + self.diff_unit
 
     def end_bound(self, j):
         """Crude bound |F| * t of the one-sided ray integrands at the cut
         u = log lambda + j PANEL_WIDTH, floored by poly's largest coefficient
         (c * poly has |c| times its bound); the cut's term is kept like a
-        ray node's."""
+        ray node's, by u's exact bits."""
         u = self.origin + j * mpf(PANEL_WIDTH)
         span = abs(self.outbound(u)) + abs(self.ispec.poly(u)) + self.size
-        return abs(self.term(u)) * span
+        return abs(self.term(u._mpf_, lambda: u)) * span
 
     def sample(self, l, n):
         """phi(t_l) = t f_omega(t) e^{-wt} tail(t) at t_l = lambda e^{2 pi i l / n},
@@ -614,31 +587,50 @@ class _ContourEvaluator:
         return [self.sample(l, n) for l in ls if 2 * l <= n or not self.real]
 
     def moments(self, n):
-        """(B_m for the window n0 <= m < n0 + n, max |B_m|, sum |B_m|), kept
-        in the node store.  B_m = sum_i (-1)^i diff^(i)(log lam) / beta^(i+1),
-        beta = m - k - 1, and for beta = 0 the integral of poly over the segment."""
+        """(unit, Re B, Im B, max |B_m|, sum |B_m|) for the window
+        n0 <= m < n0 + n, the B_m integers in the unit 2^-unit (module
+        docstring), kept in the node store."""
         key = (self.ispec.poly, self.diff, self.neg_k1, self.n0, n)
         window = self.nodes.get(key)
         if window is not None:
             return window
-        a = self.origin
+        a, prec, log_n = self.origin, mp.prec, n.bit_length() - 1
         jet = [c * factorial(i) for i, c in enumerate(self.diff.shift(a).coeffs)]
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         flat = mp.fsum(
             c * two_pi_i ** (j + 1) / (j + 1) for j, c in enumerate(self.ispec.poly.shift(a).coeffs)
         )
-        moments = []
-        for m in range(self.n0, self.n0 + n):
-            beta = m + self.neg_k1
-            if beta == 0:
-                moments.append(flat)
-                continue
-            inv, acc = 1 / mp.mpmathify(beta), mp.mpc(0)
-            for g in reversed(jet):
-                acc = acc * -inv + g
-            moments.append(acc * inv)
-        sizes = [abs(b) for b in moments]
-        return self.store.keep(self.nodes, key, (moments, max(sizes), mp.fsum(sizes)), n)
+        betas = [m + self.neg_k1 for m in range(self.n0, self.n0 + n)]
+        mags = [mp.mag(g) for g in jet + [flat] * (0 in betas) if g]
+        if not mags:
+            return self.store.keep(self.nodes, key, (0, [0] * n, [0] * n, mpf(0), mpf(0)), n)
+        # beta in the unit 2^-q, exact for an integer; a = 2^lg >= 1 / |beta|
+        lg = max(0, 2 - min(mp.mag(b) for b in betas if b))
+        q, need = prec + 32 + lg, prec + log_n + (4 * len(jet) + 4).bit_length() + len(jet) * lg
+        unit = prec + 16 + log_n - max(mags)
+        while True:
+            g, br, bi = [_fixed(x, unit) for x in jet], [], []
+            for beta in betas:
+                if not beta:
+                    re, im = _fixed(flat, unit)
+                else:  # -sum_i G_i N^(d-i) 2^(qi) 2^q / N^(d+1), N = -beta 2^q, floored
+                    nr, ni = _fixed(mp.mpmathify(-beta), q)
+                    re = im = ci = 0
+                    cr = 1
+                    for i, (x, y) in enumerate(g):
+                        re, im = re * nr - im * ni + (x << q * i), re * ni + im * nr + (y << q * i)
+                        cr, ci = cr * nr - ci * ni, cr * ni + ci * nr
+                    den = cr * cr + ci * ci
+                    re, im = -(re * cr + im * ci << q) // den, -(im * cr - re * ci << q) // den
+                br.append(re)
+                bi.append(im)
+            sizes = [isqrt(x * x + y * y) for x, y in zip(br, bi)]
+            total = sum(sizes)
+            if total.bit_length() > need:
+                break
+            unit += need + 1 - total.bit_length()
+        moments = (unit, br, bi, mp.ldexp(max(sizes), -unit), mp.ldexp(total, -unit))
+        return self.store.keep(self.nodes, key, moments, n)
 
     def first_pass(self):
         """The circle's part with CIRCLE_SAMPLES samples, doubled only until
@@ -650,32 +642,34 @@ class _ContourEvaluator:
 
     def part(self, n):
         """A circle part: (value, estimate, depth, refine, floor) of the grid
-        of n samples, from its level, the mean |phi_l| and coefficients that
-        ``_spectrum`` returns and the (w, tail) group keeps by n.  Where it
-        keeps none, the samples are taken, all n or a real integrand's
-        n/2 + 1 with 2l <= n, and ``_spectrum`` builds the level from them.
-        refine() is the part of the grid twice as fine, one depth deeper,
-        whose even samples are this grid's nodes."""
+        of n samples, from its level (``_spectrum``'s, which the (w, tail)
+        group keeps by n, or builds from the samples, all n or a real
+        integrand's n/2 + 1) and its integer moments, by one integer dot
+        product.  refine() is the part of the grid twice as fine, one depth
+        deeper, whose even samples are this grid's nodes."""
         level = self.group.get(n)
         if level is None:
             samples = self.samples(range(n), n)
             level = self.store.keep(self.group, n, _spectrum(samples, self.real), n)
-        mean, spectrum = level
-        coeffs = [spectrum[m % n] for m in range(self.n0, self.n0 + n)]
-        moments, largest, total = self.moments(n)
+        mean, yr, yi, unit = level
+        window = [m % n for m in range(self.n0, self.n0 + n)]
+        ar, ai = [yr[m] for m in window], [yi[m] for m in window]
+        b_unit, br, bi, largest, total = self.moments(n)
+        exp, prec = -unit - b_unit, mp.prec
+        re = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
+        im = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+        value = mp.make_mpc(tuple(from_man_exp(x, exp, prec, round_nearest) for x in (re, im)))
+        last = mp.ldexp(max(isqrt(x * x + y * y) for x, y in zip(ar[-4:], ai[-4:])), -unit)
         scale = abs(self.scale)
-        err = self.factor * max(map(abs, coeffs[-4:])) * largest * scale
-        floor = 50 * mp.ldexp(mean * total * scale, -mp.prec)
-        value = self.scale * mp.fdot(coeffs, moments)
-        return value, err, n.bit_length() - 8, lambda: [self.part(2 * n)], floor
+        err = self.factor * last * largest * scale
+        floor = 50 * mp.ldexp(mean * total * scale, -prec)
+        return self.scale * value, err, n.bit_length() - 8, lambda: [self.part(2 * n)], floor
 
 
 class _Group(dict):
-    """What a node store keeps under one of its keys (module docstring), and
-    how many numbers that is.  The group None keeps nodes, by l / N or u's
-    exact bits, and moment windows; a (w, tail) group keeps circle levels,
-    by N, and an integer k's ray terms, by u's exact bits.  It holds no
-    reference to its store."""
+    """What a node store keeps under one of its keys, nodes and moment windows
+    or a w's circle levels and ray terms (module docstring), and how many
+    numbers that is.  It holds no reference to its store."""
 
     numbers = 0
 
@@ -755,20 +749,20 @@ def _transform(re, im, roots, bits):
 
 
 def _spectrum(samples, real):
-    """(mean |phi_l|, the trapezoidal coefficients A'_m = (1/n) sum_l phi_l
-    e^{-2 pi i m l / n}, m < n) of n samples phi_l (mpf or mpc), the level a
-    circle part keeps, by one integer transform (module docstring).  The
-    samples are rounded down in the unit 2^-unit, 2^(mag - 2) / n times
-    2^-(prec + 8), mag the largest sample's mp.mag, prec the working
+    """(mean |phi_l|, Re Y, Im Y, unit) of n samples phi_l (mpf or mpc): the
+    level a circle part keeps, whose trapezoidal coefficients
+    A'_m = (1/n) sum_l phi_l e^{-2 pi i m l / n}, m < n, are
+    (Re Y_m + i Im Y_m) 2^-unit, by one integer transform (module
+    docstring).  The samples are rounded down in the unit 2^(mag - 2) / n
+    times 2^-(prec + 8), mag the largest sample's mp.mag, prec the working
     precision.  Hermitian samples (real true) are given by their n/2 + 1
     with l <= n/2 and mirrored into the rest by exact integer negation, and
-    their coefficients are mpf, the real parts; else all n are given, and
-    the coefficients are mpc.  The mean is the integers' sizes by isqrt.
-    Zero samples give a zero mean and exact zeros."""
+    their Im Y are 0, as their exact transform is real.  The mean is the
+    integers' sizes by isqrt.  Zero samples give a zero mean and zeros."""
     n = 2 * len(samples) - 2 if real else len(samples)
     mags = [mp.mag(x) for x in samples if x]
     if not mags:
-        return mpf(0), [mpf(0) if real else mp.mpc(0)] * n
+        return mpf(0), [0] * n, [0] * n, 0
     prec, log_n = mp.prec, n.bit_length() - 1
     bits = prec + 8
     unit = bits + 2 + log_n - max(mags)
@@ -778,15 +772,9 @@ def _spectrum(samples, real):
         re += re[-2:0:-1]
         im += [-y for y in im[-2:0:-1]]
         sizes += sizes[1:-1]
-
-    def fixed(y):  # an integer in the unit, divided by n
-        return from_man_exp(y, -unit - log_n, prec, round_nearest)
-
     yr, yi = _transform(re, im, _twiddles(n, bits), bits)
-    mean = mp.make_mpf(fixed(sum(sizes)))
-    if real:
-        return mean, [mp.make_mpf(fixed(y)) for y in yr]
-    return mean, [mp.make_mpc((fixed(a), fixed(b))) for a, b in zip(yr, yi)]
+    mean = mp.make_mpf(from_man_exp(sum(sizes), -unit - log_n, prec, round_nearest))
+    return mean, yr, [0] * n if real else yi, unit + log_n
 
 
 def _ray_end(ev: _ContourEvaluator, js, target):
@@ -799,32 +787,46 @@ def _ray_end(ev: _ContourEvaluator, js, target):
     raise NodeBudgetExceeded("could not find a ray truncation meeting the target")
 
 
-def _panel(g, a, b, rule, depth):
-    """A part: (Kronrod, estimate, depth, refine, floor) for g over the
-    segment [a, b] of the u-plane; refine() gives its halves, cut at the
-    midpoint, one depth deeper."""
+def _panel(ev, a, b, rule, depth):
+    """A ray part: (Kronrod, estimate, depth, refine, floor) of ev's ray
+    integrand over the segment [a, b] of v = u - log lambda, from its
+    integer values at the rule's nodes (module docstring); refine() gives
+    its halves, cut at the midpoint, one depth deeper."""
+    nodes, kw, gw, fkw = rule
     half, mid = (b - a) / 2, (a + b) / 2
-    kronrod, err, floor = _gk_sums([g(mid + half * x) for x in rule[0]], half, rule)
+    fr, fi, unit = ev.ray_values(mid, half, nodes)
+    kr, ki = sum(map(mul, kw, fr)), sum(map(mul, kw, fi))
+    dr, di = kr - sum(map(mul, gw, fr[1::2])), ki - sum(map(mul, gw, fi[1::2]))
+    # floats from the top 64 bits: the values in the unit 2^(shift - unit)
+    prec, shift = mp.prec, max(0, max(map(abs, fr + fi)).bit_length() - 64)
+    vs = [complex(x >> shift, y >> shift) for x, y in zip(fr, fi)]
+    mean = sum(w * v for w, v in zip(fkw, vs)) / 2
+    resabs = sum(w * abs(v) for w, v in zip(fkw, vs))
+    resasc = sum(w * abs(v - mean) for w, v in zip(fkw, vs))
+    top = max(0, max(abs(dr), abs(di)).bit_length() - 64)
+    d = ldexp(abs(complex(dr >> top, di >> top)), top - shift - prec - 32)
+    err = resasc * min(1.0, (200 * d / resasc) ** 1.5) if resasc else d
+    _, man, exp, _ = half._mpf_
+    value = [from_man_exp(x * man, exp - unit - prec - 32, prec, round_nearest) for x in (kr, ki)]
+    value = mp.make_mpc(value) if any(fi) else mp.make_mpf(value[0])
 
     def refine():
-        return [_panel(g, a, mid, rule, depth + 1), _panel(g, mid, b, rule, depth + 1)]
+        return [_panel(ev, a, mid, rule, depth + 1), _panel(ev, mid, b, rule, depth + 1)]
 
-    return kronrod, err, depth, refine, floor
+    err, floor = (half * mp.ldexp(x, shift - unit) for x in (err, mp.ldexp(50 * resabs, -prec)))
+    return value, err, depth, refine, floor
 
 
-def _segment(g, o, width, js, rule, depth):
-    """The first-pass parts of g on the grid u = o + j * width: a panel
-    between the cuts of each two consecutive j in js, ascending integers
-    whose differences are powers of 2.  A panel one cut wide is at depth,
-    and one 2^i cuts wide at depth - i, so every panel at depth d is
-    width * 2^-(d+2) wide.  The panels are in v = u - o, where the cuts
-    j * width and their bisections are exact."""
-
-    def shifted(v):
-        return g(o + v)
-
+def _segment(ev, width, js, rule, depth):
+    """The first-pass parts of ev's ray integrand on the grid
+    u = log lambda + j * width: a panel between the cuts of each two
+    consecutive j in js, ascending integers whose differences are powers of
+    2.  A panel one cut wide is at depth, and one 2^i cuts wide at
+    depth - i, so every panel at depth d is width * 2^-(d+2) wide.  The
+    panels are in v = u - log lambda, where the cuts j * width and their
+    bisections are exact."""
     return [
-        _panel(shifted, a * width, b * width, rule, depth + 1 - (b - a).bit_length())
+        _panel(ev, a * width, b * width, rule, depth + 1 - (b - a).bit_length())
         for a, b in zip(js, js[1:])
     ]
 
@@ -851,7 +853,7 @@ def _rays(ev: _ContourEvaluator, near, target):
     start = max(1, int(mp.ceil((mp.log(30 / mp.re(ev.ispec.w)) - ev.origin) / width)))
     last, bound = _ray_end(ev, count(start), target)
     rule = _legendre_nodes(mp.prec)
-    return _segment(ev.ray, ev.origin, width, near + list(range(1, last + 1)), rule, -2), bound
+    return _segment(ev, width, near + list(range(1, last + 1)), rule, -2), bound
 
 
 def _refine_worst(parts, target, end_bounds):
@@ -904,21 +906,15 @@ def hankel_integrate(ispec: IntegrandSpec, lam=None, p: PrecisionPolicy = DEFAUL
 
 
 def ray_only_integrate(ispec: IntegrandSpec, p: PrecisionPolicy = DEFAULT_POLICY):
-    """The contour's ray integrand integrated over [0, inf) with no circle:
-
-        int_0^inf f_omega e^{-wt} tail(t) t^{-k-1}
-                  (poly(log t + 2 pi i) - poly(log t)) dt.
-
-    By Cauchy's theorem this equals ``hankel_integrate(ispec)`` when the
-    integrand is regular at t = 0, which the two checks below ensure: an
-    integer k, and a tail whose valuation is at least k + 1 + r.  The ray is
-    cut to [eps, T], with both end bounds in the estimate, and integrated in
-    u = log t as one segment (module docstring), at the contour's working
-    precision and with its rule.  Returns (value, err_estimate).
-
-    Where the ray difference has no coefficients (a constant poly: the jump
-    is 1), the integral is exactly (0, 0).
-    """
+    """The contour's ray integrand integrated over [0, inf) with no circle,
+    int_0^inf f_omega e^{-wt} tail(t) t^{-k-1} (poly(log t + 2 pi i) -
+    poly(log t)) dt.  By Cauchy's theorem this equals
+    ``hankel_integrate(ispec)`` when the integrand is regular at t = 0,
+    which the two checks below ensure: an integer k, and a tail whose
+    valuation is at least k + 1 + r.  The ray is cut to [eps, T], with both
+    end bounds in the estimate, and integrated in u = log t as one segment
+    (module docstring).  Returns (value, err_estimate); where the ray
+    difference has no coefficients (a constant poly), exactly (0, 0)."""
     if ispec.tail is None or not isinstance(ispec.k, int):
         raise InvalidParameter("ray_only_integrate needs an integer k and a tail series")
     if ispec.tail.valuation - ispec.k - 1 - ispec.omega.r < 0:

@@ -259,6 +259,34 @@ def test_non_finite_flag_exit_2(capsys, argv):
     assert record["code"] == 2 and "non-finite number" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--omega", "1", "--tol", "1e-400"],
+        ["eval", "zeta", "--s", "2.5", "--w", "1.3", "--tol=-1e-400", "--method", "direct"],
+        ["--tol", "1E-999", "check", "combinatorics"],
+        ["eval", "P", "--w", "1.3", "--lambda", "1e-400"],
+    ],
+    ids=["tol-contour", "tol-negative-direct", "tol-check", "lambda"],
+)
+def test_underflowing_flag_exit_2(capsys, argv):
+    # float("1e-400") is 0.0: the tolerance was read as 0 (exit 3, "must be
+    # positive") and the radius as 0; a literal 0 still reaches the policy
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and "underflows a float" in record["message"]
+
+
+def test_underflow_parser():
+    with pytest.raises(argparse.ArgumentTypeError, match="underflows a float"):
+        cli._finite_float(" 1e-400 ")
+    assert cli._finite_float("5e-324") > 0
+    for zero in ("0", "-0.0", "0e-400", "0.000"):
+        assert cli._finite_float(zero) == 0
+
+
 def test_huge_s_is_near_integer_exit_3(capsys):
     # finite s beyond the float range: the near-integer test stays in mpmath
     code, out, err = run(capsys, ["eval", "zeta", "--s", "1e400", "--w", "1.3"])
